@@ -15,13 +15,13 @@ GW corrections).
 """
 
 from .closedform import (
+    OBSERVABLES,
     HarvestReport,
     c_gw,
     c_minkowski,
-    concurrence,
-    correlation,
     density_matrix,
     evaluate,
+    evaluate_arrays,
     f_envelope,
     integral_I1,
     integral_I2,
@@ -47,7 +47,6 @@ from .model import (
     StateInvalid,
     ValidationWarning,
     geodesic_interval,
-    is_spacelike,
     params_from_mapping,
     parse_config,
     read_config,
@@ -79,6 +78,7 @@ from .sweep import (
     AxisSpec,
     FigurePreset,
     GridPoint,
+    GridResult,
     GridSpec,
     build_figure,
     emit_csv,
@@ -92,6 +92,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # closedform
+    "OBSERVABLES",
     "HarvestReport",
     "transition_probability",
     "x_minkowski",
@@ -103,9 +104,8 @@ __all__ = [
     "integral_I4",
     "x_gw",
     "c_gw",
-    "concurrence",
-    "correlation",
     "evaluate",
+    "evaluate_arrays",
     "density_matrix",
     # model
     "GwBackground",
@@ -114,7 +114,6 @@ __all__ = [
     "DimensionlessParams",
     "SpacetimePoint",
     "geodesic_interval",
-    "is_spacelike",
     "validate",
     "ValidationWarning",
     "parse_config",
@@ -150,6 +149,7 @@ __all__ = [
     "AxisSpec",
     "GridSpec",
     "GridPoint",
+    "GridResult",
     "FigurePreset",
     "PRESETS",
     "run_grid",

@@ -36,28 +36,6 @@ from .model import (
 
 _PARAM_FLAGS = ("A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "lambda")
 
-# Observable names in CSV column order; point output uses the same names
-# and the same repr() formatting, so a printed value round-trips to the
-# identical double a one-point sweep writes.
-_POINT_FIELDS = (
-    "p_norm",
-    "re_x_m",
-    "im_x_m",
-    "re_c_m",
-    "im_c_m",
-    "re_x_gw",
-    "im_x_gw",
-    "re_c_gw",
-    "im_c_gw",
-    "theta_m",
-    "theta_gw",
-    "concurrence",
-    "psi_m",
-    "psi_gw",
-    "corr",
-)
-
-
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     for name in _PARAM_FLAGS:
@@ -169,25 +147,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
     values = _merged_params(args)
     _emit_warnings(values)
     report = closedform.evaluate(params_from_mapping(values))
-    row = (
-        report.p_norm,
-        report.x_m.real,
-        report.x_m.imag,
-        report.c_m.real,
-        report.c_m.imag,
-        report.x_gw.real,
-        report.x_gw.imag,
-        report.c_gw.real,
-        report.c_gw.imag,
-        report.theta_m,
-        report.theta_gw,
-        report.concurrence,
-        report.psi_m,
-        report.psi_gw,
-        report.corr,
-    )
-    for name, value in zip(_POINT_FIELDS, row):
-        print(f"{name}={float(value)!r}")
+    # The CSV's names and repr() formatting, so a printed value round-trips
+    # to the identical double a one-point sweep writes.
+    for name, value in zip(closedform.OBSERVABLES, report.as_row()):
+        print(f"{name}={value!r}")
     for flag in report.flags:
         print(f"flag: {flag}", file=sys.stderr)
     return 0
@@ -208,7 +171,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _emit_warnings(values)
     points = sweep.run_grid(spec, workers=args.workers)
     sweep.emit_csv(points, args.output)
-    failed = sum(1 for pt in points if not pt.ok)
+    failed = len(points) - points.status.count("ok")
     print(
         f"wrote {args.output}: {len(points)} points"
         + (f" ({failed} failed; see status column)" if failed else "")

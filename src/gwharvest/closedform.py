@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as _sp
 
 from . import specfun
 from .model import (
@@ -45,6 +46,7 @@ __all__ = [
     "SMALL_OMEGA_CUTOFF",
     "DEGENERATE_XM_FLOOR",
     "FIRST_ORDER_XM_FLOOR",
+    "OBSERVABLES",
     "HarvestReport",
     "transition_probability",
     "x_minkowski",
@@ -56,9 +58,9 @@ __all__ = [
     "integral_I4",
     "x_gw",
     "c_gw",
-    "concurrence",
-    "correlation",
     "evaluate",
+    "array_domain",
+    "evaluate_arrays",
     "density_matrix",
 ]
 
@@ -78,6 +80,26 @@ DEGENERATE_XM_FLOOR = 1.0e-300
 FIRST_ORDER_XM_FLOOR = 1.0e-12
 
 OUTSIDE_FIRST_ORDER_FLAG = "outside first-order validity"
+
+# The observables of one point, as real numbers, in the order of the CSV
+# columns, the `point` output and the columns of evaluate_arrays.
+OBSERVABLES = (
+    "p_norm",
+    "re_x_m",
+    "im_x_m",
+    "re_c_m",
+    "im_c_m",
+    "re_x_gw",
+    "im_x_gw",
+    "re_c_gw",
+    "im_c_gw",
+    "theta_m",
+    "theta_gw",
+    "concurrence",
+    "psi_m",
+    "psi_gw",
+    "corr",
+)
 
 
 # --- Minkowski pieces -----------------------------------------------------
@@ -378,60 +400,60 @@ class HarvestReport:
     corr: float
     flags: tuple[str, ...] = field(default=())
 
+    def as_row(self) -> tuple[float, ...]:
+        """The observables as floats, in OBSERVABLES order."""
+        return tuple(
+            float(v)
+            for v in (
+                self.p_norm,
+                self.x_m.real,
+                self.x_m.imag,
+                self.c_m.real,
+                self.c_m.imag,
+                self.x_gw.real,
+                self.x_gw.imag,
+                self.c_gw.real,
+                self.c_gw.imag,
+                self.theta_m,
+                self.theta_gw,
+                self.concurrence,
+                self.psi_m,
+                self.psi_gw,
+                self.corr,
+            )
+        )
+
+    @classmethod
+    def from_row(cls, row) -> "HarvestReport":
+        """Inverse of as_row; the flags follow from |x_m| as in evaluate."""
+        (p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im,
+         theta_m, theta_gw, conc, psi_m, psi_gw, corr) = (float(v) for v in row)
+        x_m = complex(xm_re, xm_im)
+        return cls(
+            p_norm=p_norm,
+            x_m=x_m,
+            c_m=complex(cm_re, cm_im),
+            x_gw=complex(xg_re, xg_im),
+            c_gw=complex(cg_re, cg_im),
+            theta_m=theta_m,
+            theta_gw=theta_gw,
+            concurrence=conc,
+            psi_m=psi_m,
+            psi_gw=psi_gw,
+            corr=corr,
+            flags=_first_order_flags(abs(x_m)),
+        )
+
+
+def _first_order_flags(axm: float) -> tuple[str, ...]:
+    return (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
+
 
 def _axis_sign(params: DimensionlessParams) -> float:
     # Separation along the y axis flips the sign of the quadratic GW
     # correction to the squared interval, negating both GW matrix elements.
     # Experimental: implied by the interval algebra, not a validated claim.
     return -1.0 if params.pair.separation_axis == "y" else 1.0
-
-
-def concurrence(params: DimensionlessParams) -> tuple[float, float, float]:
-    """Concurrence split: (theta_m, theta_gw, concurrence/lambda^2).
-
-    theta_m = |x_m| - p_norm is the flat-spacetime harvesting margin;
-    theta_gw = Re[x_gw conj(x_m)]/|x_m| is the first-order shift of |X|
-    per unit A; the assembled concurrence is 2 max(0, theta_m + A theta_gw).
-
-    Raises DegenerateDirection when |x_m| underflows to zero, since the
-    direction of the coherence (and with it the first-order shift of its
-    magnitude) is then undefined.
-    """
-    p = params
-    pnorm = transition_probability(p.Omega_sigma)
-    xm = x_minkowski(p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    axm = abs(xm)
-    if axm < DEGENERATE_XM_FLOOR:
-        raise DegenerateDirection(
-            f"|x_m| = {axm:g} at Omega={p.Omega_sigma:g}, D={p.d_sigma:g}: "
-            "first-order GW shift of |X| is undefined"
-        )
-    xg = _axis_sign(p) * x_gw(p.omega_sigma, p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    theta_m = axm - pnorm
-    theta_gw = (xg * xm.conjugate()).real / axm
-    conc = 2.0 * max(0.0, theta_m + p.A * theta_gw)
-    return theta_m, theta_gw, conc
-
-
-def correlation(params: DimensionlessParams) -> tuple[float, float, float]:
-    """Correlation split: (psi_m, psi_gw, corr/lambda^2).
-
-    psi_m = (|x_m|^2 + |c_m|^2)/p_norm and psi_gw is its first-order
-    derivative with respect to A:
-    psi_gw = 2 (Re[x_gw conj(x_m)] + Re[c_gw conj(c_m)]) / p_norm.
-    The assembled measure is corr = psi_m + A psi_gw.
-    """
-    p = params
-    pnorm = transition_probability(p.Omega_sigma)
-    xm = x_minkowski(p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    cm = c_minkowski(p.Omega_sigma, p.d_sigma)
-    sign = _axis_sign(p)
-    xg = sign * x_gw(p.omega_sigma, p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    cg = sign * c_gw(p.omega_sigma, p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    psi_m = (abs(xm) ** 2 + cm * cm) / pnorm
-    psi_gw = 2.0 * ((xg * xm.conjugate()).real + cg.real * cm) / pnorm
-    corr = psi_m + p.A * psi_gw
-    return psi_m, psi_gw, corr
 
 
 def evaluate(params: DimensionlessParams) -> HarvestReport:
@@ -464,10 +486,6 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     psi_gw = 2.0 * ((xg * xm.conjugate()).real + cg.real * cm) / pnorm
     corr = psi_m + p.A * psi_gw
 
-    flags: tuple[str, ...] = ()
-    if axm < FIRST_ORDER_XM_FLOOR:
-        flags = (OUTSIDE_FIRST_ORDER_FLAG,)
-
     return HarvestReport(
         p_norm=pnorm,
         x_m=xm,
@@ -480,8 +498,172 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
         psi_m=psi_m,
         psi_gw=psi_gw,
         corr=corr,
-        flags=flags,
+        flags=_first_order_flags(axm),
     )
+
+
+# --- the same observables over arrays of points -----------------------------
+
+
+def array_domain(omega, Omega, D, t0, A) -> np.ndarray:
+    """Mask of the points evaluate_arrays accepts.
+
+    Finite parameters, D > 0 and |omega| >= SMALL_OMEGA_CUTOFF: evaluate
+    handles the rest one by one (validation errors, the small-omega
+    fallbacks).
+    """
+    finite = np.isfinite(omega) & np.isfinite(Omega) & np.isfinite(D)
+    finite &= np.isfinite(t0) & np.isfinite(A)
+    return finite & (D > 0.0) & (np.abs(omega) >= SMALL_OMEGA_CUTOFF)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    # The complex exp loop calls the C library's exp, as math.exp does;
+    # numpy's real exp loop is a SIMD approximation that can differ from it
+    # in the last bit.
+    return np.exp(x.astype(complex)).real
+
+
+def _cmul(a_re, a_im, b_re, b_im):
+    # Complex product in the order Python and numpy scalars compute it
+    # (numpy's vectorized complex multiply can fuse multiply-adds).
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
+    """Every observable for N points at once, as a float64 (N, 15) array.
+
+    Column k is OBSERVABLES[k]; row i holds evaluate's values for point i
+    (separation along x), computed from the same closed forms in the same
+    floating-point operations, with the Faddeeva and erf-oddness folds
+    taken as masks.  All points must lie in array_domain (ValueError
+    otherwise).  Rows with |x_m| < DEGENERATE_XM_FLOOR, where evaluate
+    raises DegenerateDirection, and rows whose arithmetic overflowed hold
+    non-finite values; callers send those points to evaluate.
+    """
+    w, Om, Dv, t0v, Av = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
+    )
+    if not array_domain(w, Om, Dv, t0v, Av).all():
+        raise ValueError(
+            "evaluate_arrays needs finite parameters, D > 0 and "
+            "|omega| >= SMALL_OMEGA_CUTOFF; evaluate handles other points"
+        )
+    with np.errstate(all="ignore"):
+        p_norm = (_exp(-Om * Om) - _SQRT_PI * Om * _sp.erfc(Om)) / (4.0 * math.pi)
+        gauss = _exp(-Dv * Dv / 4.0)
+        half_D = Dv / 2.0
+        half = w * Dv / 2.0
+        sin_h, cos_h = np.sin(half), np.cos(half)
+        sin_OD, cos_OD = np.sin(Dv * Om), np.cos(Dv * Om)
+
+        # x_minkowski: i/(4 D sqrt(pi)) e^{-Omega^2 - 2i Omega t0} (scaled - gauss)
+        scaled = specfun.scaled_erf_product_array(
+            half_D, specfun.complex_array(0.0, half_D)
+        )
+        phase = np.exp(specfun.complex_array(-Om * Om, -2.0 * Om * t0v))
+        pre_re, pre_im = _cmul(
+            0.0, 1.0 / (4.0 * Dv * _SQRT_PI), phase.real, phase.imag
+        )
+        xm_re, xm_im = _cmul(pre_re, pre_im, scaled.real - gauss, scaled.imag)
+
+        # c_minkowski
+        scaled = specfun.scaled_erf_product_array(
+            half_D, specfun.complex_array(Om, half_D)
+        )
+        im_part = cos_OD * scaled.imag + sin_OD * scaled.real
+        c_m = (im_part - gauss * np.sin(Om * Dv)) / (4.0 * Dv * _SQRT_PI)
+
+        # f_envelope; float_power is the C library's pow, as Python's x ** 2
+        # (numpy's x ** 2 is x * x, which can differ in the last bit)
+        env = np.exp(
+            specfun.complex_array(
+                -np.float_power(w - 2.0 * Om, 2.0) / 4.0, -t0v * (w + 2.0 * Om)
+            )
+        ) + np.exp(
+            specfun.complex_array(
+                -np.float_power(w + 2.0 * Om, 2.0) / 4.0, t0v * (w - 2.0 * Om)
+            )
+        )
+
+        # integral_I1 (its imaginary part; the real part is zero)
+        i1 = (
+            math.pi
+            * gauss
+            * ((Dv * Dv / 4.0 + 1.0) * sin_h - (Dv * w / 4.0) * cos_h)
+            / w
+        )
+
+        # integral_I2
+        scaled = specfun.scaled_erf_product_array(
+            half_D, specfun.complex_array(w / 2.0, half_D)
+        )
+        pc_re, pc_im = _cmul(cos_h, sin_h, 1.0 + Dv * Dv / 4.0, -Dv * w / 4.0)
+        prod_re, _ = _cmul(pc_re, pc_im, scaled.real, scaled.imag)
+        i2 = math.pi / w * (_sp.erf(w / 2.0) - prod_re)
+
+        # integral_I3
+        i3 = (
+            math.pi
+            * gauss
+            / (2.0 * w)
+            * (
+                Dv * w * sin_OD * cos_h
+                + 2.0 * Dv * Om * cos_OD * sin_h
+                - (Dv * Dv + 4.0) * sin_OD * sin_h
+            )
+        )
+
+        # integral_I4
+        total = 0.0
+        for sign in (+1.0, -1.0):
+            k = w / 2.0 + sign * Om
+            scaled = specfun.scaled_erf_product_array(
+                half_D, specfun.complex_array(k, half_D)
+            )
+            # q = -1j e^{i D k} scaled, r = D k/2 + i (1 + D^2/4)
+            q_re, q_im = _cmul(-0.0, -1.0, np.cos(Dv * k), np.sin(Dv * k))
+            q_re, q_im = _cmul(q_re, q_im, scaled.real, scaled.imag)
+            qr_re, _ = _cmul(q_re, q_im, Dv * k / 2.0, 1.0 + Dv * Dv / 4.0)
+            total = total + (_sp.erf(k) - qr_re)
+        i4 = math.pi / w * total
+
+        # x_gw and c_gw; x_gw divides by multiplying with the reciprocal,
+        # as numpy does for the complex scalar in the scalar path
+        norm = 4.0 * Dv * Dv * _PI_32
+        fk_re, fk_im = _cmul(env.real, env.imag, i2, i1)
+        xg_re, xg_im = fk_re * (1.0 / norm), fk_im * (1.0 / norm)
+        c_gw = -_exp(-w * w / 4.0) * np.cos(w * t0v) * (i3 + i4) / norm
+
+        abs_xm = np.hypot(xm_re, xm_im)
+        dot_x = xg_re * xm_re - xg_im * -xm_im  # Re[x_gw conj(x_m)]
+        theta_m = abs_xm - p_norm
+        theta_gw = dot_x / abs_xm
+        margin = theta_m + Av * theta_gw
+        concurrence = 2.0 * np.where(margin > 0.0, margin, 0.0)
+        psi_m = (abs_xm * abs_xm + c_m * c_m) / p_norm
+        psi_gw = 2.0 * (dot_x + c_gw * c_m) / p_norm
+        corr = psi_m + Av * psi_gw
+
+    zero = np.zeros_like(p_norm)
+    columns = {
+        "p_norm": p_norm,
+        "re_x_m": xm_re,
+        "im_x_m": xm_im,
+        "re_c_m": c_m,
+        "im_c_m": zero,
+        "re_x_gw": xg_re,
+        "im_x_gw": xg_im,
+        "re_c_gw": c_gw,
+        "im_c_gw": zero,
+        "theta_m": theta_m,
+        "theta_gw": theta_gw,
+        "concurrence": concurrence,
+        "psi_m": psi_m,
+        "psi_gw": psi_gw,
+        "corr": corr,
+    }
+    return np.column_stack([columns[name] for name in OBSERVABLES])
 
 
 def density_matrix(params: DimensionlessParams) -> np.ndarray:

@@ -12,7 +12,7 @@ the real/imag accessor pair the interfaces require.
 
 from __future__ import annotations
 
-import warnings as _warnings
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "SpacetimePoint",
     "geodesic_interval",
     "validate",
-    "is_spacelike",
     "CONFIG_KEYS",
     "CONFIG_DEFAULTS",
     "parse_config",
@@ -211,16 +210,6 @@ def geodesic_interval(a: SpacetimePoint, b: SpacetimePoint) -> float:
     return -du * dv + dx * dx + dy * dy
 
 
-def is_spacelike(pair: PairGeometry) -> bool:
-    """Approximate spacelike classification of a static pair.
-
-    Detectors interacting for a window of width sigma are approximately
-    spacelike separated when D > sigma; a pure function of D/sigma used
-    by the sweep presets' panel labels.
-    """
-    return pair.d_sigma > 1.0
-
-
 def validate(p: DimensionlessParams) -> list[ValidationWarning]:
     """Evaluate all soft validity limits, returning structured warnings.
 
@@ -266,12 +255,6 @@ def validate(p: DimensionlessParams) -> list[ValidationWarning]:
             )
         )
     return out
-
-
-def emit_warnings(ws: list[ValidationWarning]) -> None:
-    """Forward structured warnings to Python's warning stream."""
-    for w in ws:
-        _warnings.warn(str(w), stacklevel=3)
 
 
 # --- configuration files -------------------------------------------------
@@ -332,13 +315,19 @@ def params_from_mapping(values: dict[str, float]) -> DimensionlessParams:
     """Build DimensionlessParams from a {config key: value} mapping.
 
     Missing keys take the documented defaults; the mapping is typically
-    defaults, overlaid by a config file, overlaid by CLI flags.
+    defaults, overlaid by a config file, overlaid by CLI flags.  An unknown
+    key or a non-finite value (nan, inf) raises ConfigError naming the key.
     """
     merged = dict(CONFIG_DEFAULTS)
     for key in values:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown parameter {key!r}")
     merged.update(values)
+    for key in CONFIG_KEYS:
+        if not math.isfinite(merged[key]):
+            raise ConfigError(
+                f"parameter {key!r} must be finite (got {merged[key]!r})"
+            )
     return DimensionlessParams(
         gw=GwBackground(
             amplitude_A=merged["A"], omega_sigma=merged["omega_sigma"]

@@ -20,8 +20,11 @@ __all__ = [
     "erf_real",
     "erfc_real",
     "faddeeva_w",
+    "faddeeva_w_array",
     "erf_complex",
     "scaled_erf_product",
+    "scaled_erf_product_array",
+    "complex_array",
     "dawson",
     "sinc",
 ]
@@ -116,6 +119,59 @@ def scaled_erf_product(p: float, z: complex) -> complex:
         )
     w = faddeeva_w(1j * z)
     return np.exp(-p * p) - np.exp(exponent) * w
+
+
+def complex_array(re, im) -> np.ndarray:
+    """Complex array with exactly the given real and imaginary parts.
+
+    re + 1j*im is not exact: an infinite part turns the other into nan, and
+    zero signs can flip.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
+    """faddeeva_w over a complex array, its two reflections taken as masks."""
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.0
+    z = np.where(left, -np.conj(z), z)
+    lower = z.imag < 0.0
+    w = _sp.wofz(np.where(lower, -z, z))
+    if lower.any():
+        zl = z[lower]
+        w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
+    return np.where(left, np.conj(w), w)
+
+
+def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """scaled_erf_product over arrays, its oddness fold taken as a mask.
+
+    Written in real arithmetic in the order Python's complex operations
+    use, so that each element equals the scalar function's value bit for
+    bit (numpy's vectorized complex multiply can fuse multiply-adds).
+    """
+    p = np.asarray(p, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    odd = z.real < 0.0
+    z = np.where(odd, -z, z)
+    x, y = z.real, z.imag
+    # exponent = -p^2 - z^2
+    exp_re = -p * p - (x * x - y * y)
+    exp_im = 0.0 - (x * y + y * x)
+    if np.any(exp_re > 700.0):
+        raise DomainTooLarge(
+            f"scaled erf product overflows: exponent {np.max(exp_re):g}"
+        )
+    # w(iz), iz = (0 x - y) + i (0 y + x)
+    w = faddeeva_w_array(complex_array(0.0 * x - y, 0.0 * y + x))
+    e = np.exp(complex_array(exp_re, exp_im))
+    prod_re = e.real * w.real - e.imag * w.imag
+    prod_im = e.real * w.imag + e.imag * w.real
+    out = complex_array(np.exp(-p * p) - prod_re, 0.0 - prod_im)
+    return np.where(odd, -out, out)
 
 
 def dawson(x: float) -> float:

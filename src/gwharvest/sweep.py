@@ -6,7 +6,9 @@ for the remaining parameters.  run_grid evaluates every point row-major
 error is recorded in that row's status — and is deterministic: the same
 grid produces byte-identical CSV output regardless of worker count,
 because every point is a pure function of its parameters and results are
-collected in task order.
+collected in task order.  Points are evaluated as arrays by
+closedform.evaluate_arrays; those outside its domain go one by one through
+closedform.evaluate.
 
 CSV rows carry the full parameter tuple, every observable, and a status
 column; floats are written with repr(), Python's shortest round-trip
@@ -58,11 +60,18 @@ __all__ = [
 
 AXIS_NAMES = ("A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma")
 
-CSV_HEADER = (
-    "omega_sigma,Omega_sigma,D_sigma,t0_sigma,A,"
-    "p_norm,re_x_m,im_x_m,re_c_m,im_c_m,re_x_gw,im_x_gw,re_c_gw,im_c_gw,"
-    "theta_m,theta_gw,concurrence,psi_m,psi_gw,corr,status"
-)
+# The parameter columns of the CSV, also the argument order of
+# closedform.evaluate_arrays.
+_PARAM_COLUMNS = ("omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "A")
+
+CSV_HEADER = ",".join(_PARAM_COLUMNS + closedform.OBSERVABLES + ("status",))
+
+# Points per evaluate_arrays call and per batch of CSV lines: bounds the
+# kernel's temporaries (a few dozen arrays of this length) and the strings
+# held at once, whatever the grid size.
+_BLOCK = 1024
+
+_NAN_ROW = (math.nan,) * len(closedform.OBSERVABLES)
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,11 @@ class AxisSpec:
             raise ValueError(
                 f"axis {self.name}: need min < max, got {self.minimum!r} "
                 f">= {self.maximum!r}"
+            )
+        if not math.isfinite(self.maximum - self.minimum):
+            raise ValueError(
+                f"axis {self.name}: need a finite range, got {self.minimum!r} "
+                f"to {self.maximum!r}"
             )
 
     @property
@@ -118,24 +132,30 @@ class GridSpec:
             if key in axis_names:
                 raise ValueError(f"{key!r} is both swept and fixed")
 
-    def point_values(self) -> list[tuple[tuple[str, float], ...]]:
-        """Full parameter mapping per point, row-major (axis1 outer)."""
+    def columns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Parameter names (sorted) and an (N, len(names)) array of the
+        points' values, row-major (axis1 outer)."""
         base = dict(CONFIG_DEFAULTS)
         base.pop("lambda", None)
         base.update(self.fixed)
-        out: list[tuple[tuple[str, float], ...]] = []
-        for v1 in self.axis1.values:
-            if self.axis2 is None:
-                merged = dict(base)
-                merged[self.axis1.name] = v1
-                out.append(tuple(sorted(merged.items())))
-            else:
-                for v2 in self.axis2.values:
-                    merged = dict(base)
-                    merged[self.axis1.name] = v1
-                    merged[self.axis2.name] = v2
-                    out.append(tuple(sorted(merged.items())))
-        return out
+        keys = tuple(sorted(base))
+        inner = self.axis2.count if self.axis2 is not None else 1
+        params = np.empty((self.axis1.count * inner, len(keys)))
+        for j, key in enumerate(keys):
+            params[:, j] = base[key]
+        params[:, keys.index(self.axis1.name)] = np.repeat(
+            self.axis1.values, inner
+        )
+        if self.axis2 is not None:
+            params[:, keys.index(self.axis2.name)] = np.tile(
+                self.axis2.values, self.axis1.count
+            )
+        return keys, params
+
+    def point_values(self) -> list[tuple[tuple[str, float], ...]]:
+        """Full parameter mapping per point, row-major (axis1 outer)."""
+        keys, params = self.columns()
+        return [tuple(zip(keys, row)) for row in params.tolist()]
 
 
 @dataclass(frozen=True)
@@ -154,71 +174,135 @@ class GridPoint:
         return self.status == "ok"
 
 
-def _evaluate_point(items: tuple[tuple[str, float], ...]) -> GridPoint:
-    """Pure evaluation of one grid point; errors land in the status field."""
+@dataclass(frozen=True, eq=False)
+class GridResult(Sequence[GridPoint]):
+    """Evaluated grid points, held as columns.
+
+    params[:, j] holds parameter keys[j] of every point, values the
+    closedform.OBSERVABLES of every point (nan where it failed) and status
+    its status text.  len, indexing and iteration give GridPoints, built
+    on demand; a slice gives a GridResult.
+    """
+
+    keys: tuple[str, ...]
+    params: np.ndarray
+    values: np.ndarray
+    status: list[str]
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return GridResult(
+                self.keys,
+                self.params[index],
+                self.values[index],
+                self.status[index],
+            )
+        i = range(len(self))[index]
+        status = self.status[i]
+        report = (
+            closedform.HarvestReport.from_row(self.values[i])
+            if status == "ok"
+            else None
+        )
+        values = tuple(zip(self.keys, self.params[i].tolist()))
+        return GridPoint(values, report, status)
+
+    def column(self, name: str) -> np.ndarray:
+        """One parameter or observable over all points."""
+        if name in self.keys:
+            return self.params[:, self.keys.index(name)]
+        return self.values[:, closedform.OBSERVABLES.index(name)]
+
+
+def _as_result(points: Sequence[GridPoint]) -> GridResult:
+    if isinstance(points, GridResult):
+        return points
+    params = [[pt.value(k) for k in _PARAM_COLUMNS] for pt in points]
+    values = [pt.report.as_row() if pt.report else _NAN_ROW for pt in points]
+    return GridResult(
+        _PARAM_COLUMNS,
+        np.array(params, dtype=float).reshape(-1, len(_PARAM_COLUMNS)),
+        np.array(values, dtype=float).reshape(-1, len(_NAN_ROW)),
+        [pt.status for pt in points],
+    )
+
+
+def _evaluate_point(
+    items: tuple[tuple[str, float], ...]
+) -> tuple[tuple[float, ...], str]:
+    """Scalar evaluation of one point: (observables, status).
+
+    An error lands in the status and leaves the observables nan.
+    """
     try:
-        params = params_from_mapping(dict(items))
-        report = closedform.evaluate(params)
-        return GridPoint(values=items, report=report, status="ok")
+        report = closedform.evaluate(params_from_mapping(dict(items)))
     except Exception as exc:
         status = f"{type(exc).__name__}: {exc}".replace(",", ";")
-        status = " ".join(status.split())
-        return GridPoint(values=items, report=None, status=status)
+        return _NAN_ROW, " ".join(status.split())
+    return report.as_row(), "ok"
 
 
-def run_grid(spec: GridSpec, *, workers: int = 1) -> list[GridPoint]:
+def _evaluate_block(
+    keys: tuple[str, ...], params: np.ndarray
+) -> tuple[np.ndarray, list[str]]:
+    """Observables and status of each point (row) of params.
+
+    Points in closedform.array_domain go through evaluate_arrays, _BLOCK
+    at a time.  The rest (invalid parameters, omega below
+    SMALL_OMEGA_CUTOFF), and points the kernel leaves non-finite or with a
+    degenerate |x_m|, go one by one through the scalar evaluate, so their
+    values and status are those `gwharvest point` gives.
+    """
+    cols = dict(zip(keys, params.T))
+    args = [cols[name] for name in _PARAM_COLUMNS]
+    in_domain = closedform.array_domain(*args)
+    if "lambda" in cols:
+        in_domain &= cols["lambda"] > 0.0
+    values = np.full((len(params), len(_NAN_ROW)), math.nan)
+    idx = np.flatnonzero(in_domain)
+    for start in range(0, len(idx), _BLOCK):
+        sel = idx[start : start + _BLOCK]
+        values[sel] = closedform.evaluate_arrays(*(a[sel] for a in args))
+    re_xm = closedform.OBSERVABLES.index("re_x_m")
+    abs_xm = np.hypot(values[:, re_xm], values[:, re_xm + 1])
+    scalar = ~np.isfinite(values).all(axis=1)
+    scalar |= abs_xm < closedform.DEGENERATE_XM_FLOOR
+    status = ["ok"] * len(params)
+    for i in np.flatnonzero(scalar).tolist():
+        items = tuple(zip(keys, params[i].tolist()))
+        values[i], status[i] = _evaluate_point(items)
+    return values, status
+
+
+def _evaluate(
+    keys: tuple[str, ...], params: np.ndarray, workers: int
+) -> GridResult:
+    if workers <= 1 or len(params) < 2:
+        values, status = _evaluate_block(keys, params)
+    else:
+        chunks = np.array_split(params, min(workers, len(params)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_evaluate_block, [keys] * len(chunks), chunks))
+        values = np.concatenate([v for v, _ in parts])
+        status = [s for _, st in parts for s in st]
+    return GridResult(keys, params, values, status)
+
+
+def run_grid(spec: GridSpec, *, workers: int = 1) -> GridResult:
     """Evaluate a grid row-major; failures are per-point, never fatal.
 
-    With workers > 1 the points are evaluated in a process pool; results
-    are collected in submission order (executor.map preserves order), and
-    each point is a pure function of its parameter tuple, so output is
-    identical to the single-process run.
+    With workers > 1 the points are split into that many contiguous
+    chunks, evaluated in a process pool and joined in order; every point
+    is a pure function of its parameters, so the result is identical to
+    the single-process run.
     """
-    tasks = spec.point_values()
-    if workers <= 1:
-        return [_evaluate_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, tasks, chunksize=64))
+    return _evaluate(*spec.columns(), workers)
 
 
 # --- CSV -------------------------------------------------------------------
-
-
-def _csv_row(point: GridPoint) -> str:
-    p = dict(point.values)
-    fields = [
-        repr(p["omega_sigma"]),
-        repr(p["Omega_sigma"]),
-        repr(p["D_sigma"]),
-        repr(p["t0_sigma"]),
-        repr(p["A"]),
-    ]
-    r = point.report
-    if r is None:
-        fields.extend(["nan"] * 15)
-    else:
-        fields.extend(
-            repr(float(v))
-            for v in (
-                r.p_norm,
-                r.x_m.real,
-                r.x_m.imag,
-                r.c_m.real,
-                r.c_m.imag,
-                r.x_gw.real,
-                r.x_gw.imag,
-                r.c_gw.real,
-                r.c_gw.imag,
-                r.theta_m,
-                r.theta_gw,
-                r.concurrence,
-                r.psi_m,
-                r.psi_gw,
-                r.corr,
-            )
-        )
-    fields.append(point.status)
-    return ",".join(fields)
 
 
 def emit_csv(points: Sequence[GridPoint], path: str) -> str:
@@ -228,11 +312,15 @@ def emit_csv(points: Sequence[GridPoint], path: str) -> str:
     exactly len(points) + 1 lines.  Floats use repr() — the shortest
     decimal form that round-trips to the identical double.
     """
-    lines = [CSV_HEADER]
-    lines.extend(_csv_row(pt) for pt in points)
-    text = "\n".join(lines) + "\n"
+    res = _as_result(points)
+    columns = [res.column(name) for name in _PARAM_COLUMNS] + list(res.values.T)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(res), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            fields = [list(map(repr, col[rows].tolist())) for col in columns]
+            fields.append(res.status[rows])
+            fh.write("".join(f"{line}\n" for line in map(",".join, zip(*fields))))
     return path
 
 
@@ -333,12 +421,18 @@ PRESETS: dict[str, FigurePreset] = {
 }
 
 
-def run_preset(preset: FigurePreset, *, workers: int = 1) -> list[GridPoint]:
-    """Run every grid of a preset and concatenate the points in order."""
-    points: list[GridPoint] = []
-    for grid in preset.grids:
-        points.extend(run_grid(grid, workers=workers))
-    return points
+def run_preset(preset: FigurePreset, *, workers: int = 1) -> GridResult:
+    """Run every grid of a preset, the points concatenated in grid order.
+
+    The grids are evaluated together, so workers > 1 starts one pool.
+    """
+    columns = [grid.columns() for grid in preset.grids]
+    keys = columns[0][0]
+    if any(k != keys for k, _ in columns):
+        raise ValueError(
+            f"preset {preset.figure_id!r}: grids differ in their parameter names"
+        )
+    return _evaluate(keys, np.concatenate([p for _, p in columns]), workers)
 
 
 # --- SVG -------------------------------------------------------------------
@@ -398,32 +492,31 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def _require_complete(points: Sequence[GridPoint], expected: int) -> None:
+def _require_complete(points: GridResult, expected: int) -> None:
     if len(points) != expected:
         raise IncompleteGrid(
             f"expected {expected} grid points, got {len(points)}"
         )
-    bad = [pt for pt in points if not pt.ok]
+    bad = [status for status in points.status if status != "ok"]
     if bad:
         raise IncompleteGrid(
             f"{len(bad)} of {len(points)} grid points failed; first: "
-            f"{bad[0].status}"
+            f"{bad[0]}"
         )
 
 
-def _svg_heatmap(preset: FigurePreset, points: Sequence[GridPoint]) -> str:
+def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
     grid = preset.grids[0]
     assert grid.axis2 is not None
     xs = grid.axis1.values
     ys = grid.axis2.values
     _require_complete(points, len(xs) * len(ys))
 
-    vals = {}
-    for pt in points:
-        assert pt.report is not None
-        vals[(pt.value(grid.axis1.name), pt.value(grid.axis2.name))] = float(
-            getattr(pt.report, preset.quantity)
-        )
+    keys = zip(
+        points.column(grid.axis1.name).tolist(),
+        points.column(grid.axis2.name).tolist(),
+    )
+    vals = dict(zip(keys, points.column(preset.quantity).tolist()))
     vmin = min(vals.values())
     vmax = max(vals.values())
     span = vmax - vmin if vmax > vmin else 1.0
@@ -541,23 +634,19 @@ def _svg_heatmap(preset: FigurePreset, points: Sequence[GridPoint]) -> str:
     )
 
 
-def _svg_lines(preset: FigurePreset, points: Sequence[GridPoint]) -> str:
+def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     sizes = [g.axis1.count for g in preset.grids]
     _require_complete(points, sum(sizes))
 
     # Split the concatenated points back into per-grid curves.
-    curves: list[tuple[GridSpec, list[GridPoint]]] = []
+    curves: list[tuple[GridSpec, GridResult]] = []
     idx = 0
     for g, n in zip(preset.grids, sizes):
-        curves.append((g, list(points[idx : idx + n])))
+        curves.append((g, points[idx : idx + n]))
         idx += n
 
     xaxis = preset.grids[0].axis1
-    all_y = [
-        float(getattr(pt.report, preset.quantity))
-        for _, pts in curves
-        for pt in pts
-    ]
+    all_y = points.column(preset.quantity).tolist()
     ymin, ymax = min(all_y), max(all_y)
     if ymax == ymin:
         ymax = ymin + 1.0
@@ -608,9 +697,10 @@ def _svg_lines(preset: FigurePreset, points: Sequence[GridPoint]) -> str:
     for k, (g, pts) in enumerate(curves):
         color = _LINE_COLORS[k % len(_LINE_COLORS)]
         coords = " ".join(
-            f"{fx(pt.value(xaxis.name)):.2f},"
-            f"{fy(float(getattr(pt.report, preset.quantity))):.2f}"
-            for pt in pts
+            f"{fx(x):.2f},{fy(y):.2f}"
+            for x, y in zip(
+                pts.column(xaxis.name).tolist(), pts.column(preset.quantity).tolist()
+            )
         )
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -672,6 +762,7 @@ def emit_svg(
     Raises IncompleteGrid if any point is missing or failed: a partial
     figure would silently misrepresent the grid.
     """
+    points = _as_result(points)
     if preset.kind == "heatmap":
         text = _svg_heatmap(preset, points)
     elif preset.kind == "lines":

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from gwharvest import cli
-from gwharvest.closedform import transition_probability
+from gwharvest.closedform import OBSERVABLES, transition_probability
 from gwharvest.oracle import CheckRecord
 
 FOUR_PI_INV = 1.0 / (4.0 * math.pi)
@@ -43,7 +43,7 @@ def test_point_prints_all_observables(capsys):
     rc = cli.main(["point", "--Omega_sigma", "0"])
     assert rc == 0
     values = _point_output(capsys)
-    assert list(values) == list(cli._POINT_FIELDS)
+    assert list(values) == list(OBSERVABLES)
     assert abs(values["p_norm"] - FOUR_PI_INV) < 1e-15
     assert f"{values['p_norm']:.6g}" == "0.0795775"
 
@@ -79,6 +79,25 @@ def test_point_degenerate_parameters_exit_internal_error(capsys):
     rc = cli.main(["point", "--Omega_sigma", "30"])
     assert rc == 1
     assert "internal error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--A=nan", "--Omega_sigma=nan", "--omega_sigma=inf", "--D_sigma=inf",
+     "--t0_sigma=inf", "--lambda=-inf"],
+)
+def test_non_finite_parameter_is_usage_error(flag, tmp_path, capsys):
+    name = flag[2:].split("=")[0]
+    assert cli.main(["point", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: parameter '{name}' must be finite" in captured.err
+    out = tmp_path / "scan.csv"
+    axis = "D_sigma:0.5:1:3" if name == "Omega_sigma" else "Omega_sigma:0:1:3"
+    argv = ["sweep", "--axis", axis, flag, "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert f"parameter '{name}' must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- sweep -------------------------------------------------------------------
@@ -118,6 +137,9 @@ def test_sweep_rejects_malformed_axis(tmp_path, capsys):
     assert rc == 2
     assert "expected NAME:MIN:MAX:COUNT" in capsys.readouterr().err
     rc = cli.main(["sweep", "--axis", "sigma:0:1:5",
+                   "-o", str(tmp_path / "x.csv")])
+    assert rc == 2
+    rc = cli.main(["sweep", "--axis", "omega_sigma:0:inf:5",
                    "-o", str(tmp_path / "x.csv")])
     assert rc == 2
 

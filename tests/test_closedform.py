@@ -14,18 +14,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwharvest import closedform as cf
 from gwharvest.closedform import (
     FIRST_ORDER_XM_FLOOR,
+    OBSERVABLES,
     OUTSIDE_FIRST_ORDER_FLAG,
     SMALL_OMEGA_CUTOFF,
     c_gw,
     c_minkowski,
-    concurrence,
-    correlation,
     density_matrix,
     evaluate,
+    evaluate_arrays,
     f_envelope,
     integral_I1,
     integral_I2,
@@ -372,21 +374,11 @@ def test_evaluate_consistent_with_parts():
     assert rep.flags == ()
 
 
-def test_concurrence_and_correlation_split_functions():
-    p = _params(A=0.05, omega_sigma=2.0, Omega_sigma=0.5, D_sigma=1.0)
-    th_m, th_gw, conc = concurrence(p)
-    ps_m, ps_gw, corr = correlation(p)
-    rep = evaluate(p)
-    assert (th_m, th_gw, conc) == (rep.theta_m, rep.theta_gw, rep.concurrence)
-    assert (ps_m, ps_gw, corr) == (rep.psi_m, rep.psi_gw, rep.corr)
-
-
 def test_concurrence_clamps_at_zero():
     # Wide spacelike separation: no harvesting; theta_m < 0 clamps to zero.
-    p = _params(Omega_sigma=0.5, D_sigma=4.0)
-    th_m, _, conc = concurrence(p)
-    assert th_m < 0.0
-    assert conc == 0.0
+    rep = evaluate(_params(Omega_sigma=0.5, D_sigma=4.0))
+    assert rep.theta_m < 0.0
+    assert rep.concurrence == 0.0
 
 
 def test_separation_axis_y_flips_gw_elements_only():
@@ -426,6 +418,83 @@ def test_first_order_floor_flag():
     rep = evaluate(p)
     assert abs(rep.x_m) < FIRST_ORDER_XM_FLOOR
     assert OUTSIDE_FIRST_ORDER_FLAG in rep.flags
+
+
+# --- array kernel -------------------------------------------------------------
+
+# One point of the shipped presets' range: (omega, Omega, D, t0, A).
+_PRESET_POINTS = st.tuples(
+    st.floats(1e-3, 8.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.25, 4.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.1),
+)
+
+
+def _scalar_row(omega, Omega, D, t0, A):
+    return evaluate(
+        _params(omega_sigma=omega, Omega_sigma=Omega, D_sigma=D, t0_sigma=t0, A=A)
+    ).as_row()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PRESET_POINTS, min_size=1, max_size=40))
+def test_evaluate_arrays_matches_evaluate(points):
+    rows = evaluate_arrays(*np.array(points).T)
+    assert rows.shape == (len(points), len(OBSERVABLES))
+    for point, row in zip(points, rows.tolist()):
+        expected = _scalar_row(*point)
+        for name, a, b in zip(OBSERVABLES, row, expected):
+            assert abs(a - b) <= 1e-12 * abs(b) + 1e-15, (name, point, a, b)
+
+
+def test_evaluate_arrays_rows_do_not_depend_on_the_batch():
+    # A row is a function of its own parameters only: a grid split into
+    # chunks, strided or evaluated point by point gives identical bits.
+    rng = np.random.default_rng(3)
+    n = 1001
+    cols = np.stack([
+        rng.uniform(1e-3, 8.0, n),
+        rng.uniform(-2.0, 2.0, n),
+        rng.uniform(0.25, 4.0, n),
+        rng.uniform(0.0, 1.0, n),
+        rng.uniform(0.0, 0.1, n),
+    ])
+    whole = evaluate_arrays(*cols)
+    halves = np.concatenate(
+        [evaluate_arrays(*cols[:, :500]), evaluate_arrays(*cols[:, 500:])]
+    )
+    strided = evaluate_arrays(*cols[:, ::2])
+    single = np.concatenate(
+        [evaluate_arrays(*cols[:, i : i + 1]) for i in range(0, n, 50)]
+    )
+    assert np.array_equal(whole, halves)
+    assert np.array_equal(whole[::2], strided)
+    assert np.array_equal(whole[::50], single)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (SMALL_OMEGA_CUTOFF / 2, 1.0, 1.0, 0.0, 0.0),
+        (2.0, 1.0, 0.0, 0.0, 0.0),
+        (2.0, 1.0, -1.0, 0.0, 0.0),
+        (2.0, math.nan, 1.0, 0.0, 0.0),
+        (2.0, 1.0, 1.0, math.inf, 0.0),
+    ],
+)
+def test_evaluate_arrays_rejects_points_outside_its_domain(point):
+    ok = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="evaluate handles"):
+        evaluate_arrays(*np.stack([ok, np.array(point)]).T)
+
+
+def test_harvest_report_row_roundtrip():
+    rep = evaluate(_params(A=0.05, Omega_sigma=5.4, D_sigma=1.0))
+    again = cf.HarvestReport.from_row(rep.as_row())
+    assert again == rep
+    assert again.flags == (OUTSIDE_FIRST_ORDER_FLAG,)
 
 
 # --- density matrix ---------------------------------------------------------

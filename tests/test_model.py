@@ -18,7 +18,6 @@ from gwharvest.model import (
     SpacetimePoint,
     ValidationWarning,
     geodesic_interval,
-    is_spacelike,
     params_from_mapping,
     parse_config,
     read_config,
@@ -75,12 +74,6 @@ def test_geodesic_interval_signs():
     # Matches -dt^2 + |dx|^2 through the light-cone route.
     expect = -(0.3 + 1.1) ** 2 + 0.6**2 + 1.8**2 + 1.6**2
     assert math.isclose(geodesic_interval(a, b), expect, rel_tol=1e-13)
-
-
-def test_is_spacelike_threshold():
-    assert is_spacelike(PairGeometry(d_sigma=2.0))
-    assert not is_spacelike(PairGeometry(d_sigma=0.5))
-    assert not is_spacelike(PairGeometry(d_sigma=1.0))
 
 
 def _params(**kw):
@@ -178,6 +171,13 @@ def test_params_from_mapping_defaults_and_overlay():
     assert p.omega_sigma == 2.0  # untouched default
     with pytest.raises(ConfigError):
         params_from_mapping({"separation": 1.0})
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_from_mapping_rejects_non_finite_values(key, value):
+    with pytest.raises(ConfigError, match=f"parameter '{key}' must be finite"):
+        params_from_mapping({key: value})
 
 
 def test_config_keys_cover_defaults():

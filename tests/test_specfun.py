@@ -18,7 +18,9 @@ from gwharvest.specfun import (
     erf_real,
     erfc_real,
     faddeeva_w,
+    faddeeva_w_array,
     scaled_erf_product,
+    scaled_erf_product_array,
     sinc,
 )
 
@@ -148,6 +150,23 @@ def test_scaled_erf_product_overflow_guard():
     # than return inf.
     with pytest.raises(DomainTooLarge):
         scaled_erf_product(0.0, 40.0j)
+
+
+def test_array_forms_match_scalar_forms_in_every_quadrant():
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-4, 4, 400) + 1j * rng.uniform(-4, 4, 400)
+    z[:4] = [0.0, 2.0, -2.0j, -1.5 + 0.0j]
+    w = faddeeva_w_array(z)
+    for zi, wi in zip(z.tolist(), w.tolist()):
+        assert abs(wi - faddeeva_w(zi)) <= 1e-14 * abs(faddeeva_w(zi))
+    p = rng.uniform(0.0, 4.0, 400)
+    zs = rng.uniform(-4, 4, 400) + 1j * rng.uniform(-1, 1, 400) * p
+    got = scaled_erf_product_array(p, zs)
+    for pi, zi, gi in zip(p.tolist(), zs.tolist(), got.tolist()):
+        ref = scaled_erf_product(pi, zi)
+        assert abs(gi - ref) <= 1e-14 * max(abs(ref), 1e-300)
+    with pytest.raises(DomainTooLarge):
+        scaled_erf_product_array(np.array([0.0, 1.0]), np.array([40.0j, 1.0]))
 
 
 def test_dawson_reference():

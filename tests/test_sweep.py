@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gwharvest.model import IncompleteGrid
+from gwharvest import closedform, sweep
+from gwharvest.model import IncompleteGrid, params_from_mapping
 from gwharvest.sweep import (
     CSV_HEADER,
     PRESETS,
     AxisSpec,
     FigurePreset,
+    GridResult,
     GridSpec,
     build_figure,
     emit_csv,
@@ -41,6 +43,11 @@ def test_axis_validation():
         AxisSpec("D_sigma", 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         AxisSpec("D_sigma", 2.0, 1.0, 5)
+    # linspace over an infinite or overflowing range yields nan and inf.
+    with pytest.raises(ValueError, match="finite range"):
+        AxisSpec("A", 0.0, math.inf, 3)
+    with pytest.raises(ValueError, match="finite range"):
+        AxisSpec("D_sigma", -1e308, 1e308, 3)
 
 
 def test_grid_validation():
@@ -94,14 +101,115 @@ def test_run_grid_captures_per_point_failures():
 
 
 def test_run_grid_parallel_matches_serial(tmp_path):
+    # 5 x 7 = 35 points: neither 2 nor 3 chunks split it evenly.  The D <= 0
+    # column fails, so failed points cross the chunk boundaries too.
     spec = GridSpec(
-        axis1=AxisSpec("Omega_sigma", 0.2, 1.4, 4),
-        axis2=AxisSpec("D_sigma", 0.5, 2.0, 3),
+        axis1=AxisSpec("Omega_sigma", 0.2, 1.4, 5),
+        axis2=AxisSpec("D_sigma", -0.5, 2.5, 7),
         fixed={"A": 0.05, "omega_sigma": 2.0},
     )
-    serial = emit_csv(run_grid(spec, workers=1), str(tmp_path / "s.csv"))
-    parallel = emit_csv(run_grid(spec, workers=2), str(tmp_path / "p.csv"))
-    assert _read(serial) == _read(parallel)
+    serial = _read(emit_csv(run_grid(spec, workers=1), str(tmp_path / "s.csv")))
+    assert "InvalidGeometry" in serial
+    for workers in (2, 3):
+        path = str(tmp_path / f"p{workers}.csv")
+        assert _read(emit_csv(run_grid(spec, workers=workers), path)) == serial
+
+
+def _scalar_point(items):
+    """(observables, status) of one point through the scalar evaluate."""
+    try:
+        rep = closedform.evaluate(params_from_mapping(dict(items)))
+    except Exception as exc:
+        status = f"{type(exc).__name__}: {exc}".replace(",", ";")
+        return (math.nan,) * 15, " ".join(status.split())
+    return rep.as_row(), "ok"
+
+
+# Invalid D, omega below SMALL_OMEGA_CUTOFF and ordinary points; then gaps
+# where |x_m| ~ e^{-Omega^2} is outside first-order validity (24), below
+# DEGENERATE_XM_FLOOR but not zero (27: the kernel's row is finite), and
+# zero (30); the last two raise DegenerateDirection.
+MIXED_GRIDS = [
+    GridSpec(
+        axis1=AxisSpec("omega_sigma", 0.0, 0.003, 4),
+        axis2=AxisSpec("D_sigma", -1.0, 2.0, 4),
+        fixed={"A": 0.05, "t0_sigma": 0.5},
+    ),
+    GridSpec(axis1=AxisSpec("Omega_sigma", 24.0, 30.0, 3), fixed={"A": 0.05}),
+]
+
+
+@pytest.mark.parametrize("spec", MIXED_GRIDS)
+def test_run_grid_matches_pointwise_scalar_evaluation(spec):
+    pts = run_grid(spec)
+    items = spec.point_values()
+    assert len(pts) == len(items)
+    for pt, got, point in zip(pts, pts.values.tolist(), items):
+        row, status = _scalar_point(point)
+        assert pt.values == point
+        assert pt.status == status
+        for a, b in zip(got, row):
+            if math.isnan(b):
+                assert math.isnan(a)
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b) + 1e-15
+        if pt.report is not None:
+            assert pt.report.flags == closedform.evaluate(
+                params_from_mapping(dict(point))
+            ).flags
+    assert len({status.split(":")[0] for status in pts.status}) >= 2
+
+
+def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
+    calls = {"params": 0, "evaluate": 0}
+    real_params, real_evaluate = sweep.params_from_mapping, closedform.evaluate
+
+    def counted_params(values):
+        calls["params"] += 1
+        return real_params(values)
+
+    def counted_evaluate(params):
+        calls["evaluate"] += 1
+        return real_evaluate(params)
+
+    monkeypatch.setattr(sweep, "params_from_mapping", counted_params)
+    monkeypatch.setattr(closedform, "evaluate", counted_evaluate)
+    # 16 points: omega in {0, 0.001, 0.002, 0.003} x D in {-1, 0, 1, 2}.
+    # D <= 0 fails validation (8 points, no evaluate call); omega = 0 is
+    # below the cutoff (2 more points with D > 0).  The other 6 points take
+    # the array kernel.
+    pts = run_grid(MIXED_GRIDS[0])
+    assert [pt.ok for pt in pts].count(True) == 8
+    assert calls == {"params": 10, "evaluate": 2}
+    # Only the two degenerate gaps fall back on the second grid.
+    calls.update(params=0, evaluate=0)
+    run_grid(MIXED_GRIDS[1])
+    assert calls == {"params": 2, "evaluate": 2}
+
+
+def test_run_grid_reports_non_finite_parameters_per_point():
+    spec = GridSpec(axis1=AxisSpec("D_sigma", 0.5, 1.0, 3), fixed={"A": math.nan})
+    pts = run_grid(spec)
+    assert pts.status == ["ConfigError: parameter 'A' must be finite (got nan)"] * 3
+    assert np.isnan(pts.values).all()
+
+
+def test_grid_result_sequence_behaviour(tmp_path):
+    spec = GridSpec(axis1=AxisSpec("D_sigma", -1.0, 2.0, 4), fixed={"A": 0.05})
+    pts = run_grid(spec)
+    assert isinstance(pts, GridResult)
+    assert len(pts) == 4
+    assert pts[-1].value("D_sigma") == 2.0
+    assert pts[1:].status == pts.status[1:]
+    with pytest.raises(IndexError):
+        pts[4]
+    expected = closedform.evaluate(params_from_mapping(dict(pts[3].values)))
+    assert pts[3].report == expected
+    assert pts[0].report is None
+    # A plain list of GridPoints writes the same bytes as the columns.
+    a = emit_csv(pts, str(tmp_path / "a.csv"))
+    b = emit_csv(list(pts), str(tmp_path / "b.csv"))
+    assert _read(a) == _read(b)
 
 
 # --- CSV ---------------------------------------------------------------------
