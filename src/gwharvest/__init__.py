@@ -36,17 +36,13 @@ from .model import (
     CONFIG_KEYS,
     ConfigError,
     DegenerateDirection,
-    DetectorParams,
     DimensionlessParams,
-    GwBackground,
     IncompleteGrid,
     InvalidCoupling,
     InvalidGeometry,
-    PairGeometry,
     SpacetimePoint,
     StateInvalid,
     ValidationWarning,
-    geodesic_interval,
     params_from_mapping,
     parse_config,
     read_config,
@@ -68,7 +64,6 @@ from .oracle import (
 )
 from .specfun import (
     DomainTooLarge,
-    erf_complex,
     faddeeva_w,
     scaled_erf_product,
 )
@@ -108,12 +103,8 @@ __all__ = [
     "evaluate_arrays",
     "density_matrix",
     # model
-    "GwBackground",
-    "DetectorParams",
-    "PairGeometry",
     "DimensionlessParams",
     "SpacetimePoint",
-    "geodesic_interval",
     "validate",
     "ValidationWarning",
     "parse_config",
@@ -143,7 +134,6 @@ __all__ = [
     # specfun
     "DomainTooLarge",
     "faddeeva_w",
-    "erf_complex",
     "scaled_erf_product",
     # sweep
     "AxisSpec",

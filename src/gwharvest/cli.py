@@ -18,27 +18,29 @@ is GWHARVEST_OUTDIR, the default output directory for `figure`.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import closedform, oracle, sweep
 from .model import (
     CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     ConfigError,
     IncompleteGrid,
     InvalidCoupling,
     InvalidGeometry,
+    ValidationWarning,
     params_from_mapping,
     read_config,
     validate,
 )
 
-_PARAM_FLAGS = ("A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "lambda")
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    for name in _PARAM_FLAGS:
+    for name in CONFIG_KEYS:
         parser.add_argument(
             f"--{name}",
             type=float,
@@ -49,11 +51,21 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, >= 1; the pool is capped at the CPU count "
+        "(default 1)",
+    )
+
+
 def _merged_params(args: argparse.Namespace) -> dict[str, float]:
     values = dict(CONFIG_DEFAULTS)
     if args.config:
         values.update(read_config(args.config))
-    for name in _PARAM_FLAGS:
+    for name in CONFIG_KEYS:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
@@ -100,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="swept axis (repeat once more for a 2-axis grid)",
     )
     p_sweep.add_argument("-o", "--output", required=True, help="CSV output path")
-    p_sweep.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
+    _add_workers_flag(p_sweep)
 
     p_fig = sub.add_parser(
         "figure", help="run a figure preset and write its CSV and SVG"
@@ -119,9 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $GWHARVEST_OUTDIR or the current "
         "directory)",
     )
-    p_fig.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
+    _add_workers_flag(p_fig)
 
     p_verify = sub.add_parser(
         "verify",
@@ -137,16 +145,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_warnings(values: Mapping[str, float]) -> None:
-    params = params_from_mapping(values)
-    for warning in validate(params):
+def _print_warnings(warnings: Iterable[ValidationWarning]) -> None:
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+
+
+def _sweep_warnings(
+    fixed: dict[str, float], axes: Sequence[sweep.AxisSpec]
+) -> Iterable[ValidationWarning]:
+    """Distinct soft-limit warnings over the corners of the swept range.
+
+    The soft limits are thresholds on A, |Omega| and omega, so the axis
+    endpoints decide them.  A corner that fails hard validation adds
+    nothing: its grid points fail row by row.
+    """
+    warnings: dict[ValidationWarning, None] = {}
+    names = [ax.name for ax in axes]
+    for corner in itertools.product(*((ax.minimum, ax.maximum) for ax in axes)):
+        try:
+            params = params_from_mapping({**fixed, **dict(zip(names, corner))})
+        except (InvalidGeometry, InvalidCoupling):
+            continue
+        warnings.update(dict.fromkeys(validate(params)))
+    return warnings
+
+
 def _cmd_point(args: argparse.Namespace) -> int:
-    values = _merged_params(args)
-    _emit_warnings(values)
-    report = closedform.evaluate(params_from_mapping(values))
+    params = params_from_mapping(_merged_params(args))
+    _print_warnings(validate(params))
+    report = closedform.evaluate(params)
     # The CSV's names and repr() formatting, so a printed value round-trips
     # to the identical double a one-point sweep writes.
     for name, value in zip(closedform.OBSERVABLES, report.as_row()):
@@ -159,16 +191,20 @@ def _cmd_point(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(args.axis) > 2:
         raise ValueError(f"at most two --axis flags supported, got {len(args.axis)}")
+    _check_workers(args.workers)
     axes = [_parse_axis(a) for a in args.axis]
-    values = _merged_params(args)
     axis_names = {ax.name for ax in axes}
-    fixed = {k: v for k, v in values.items() if k not in axis_names}
+    fixed = {
+        k: v for k, v in _merged_params(args).items() if k not in axis_names
+    }
     spec = sweep.GridSpec(
         axis1=axes[0],
         axis2=axes[1] if len(axes) == 2 else None,
         fixed=fixed,
     )
-    _emit_warnings(values)
+    # Fixed values are checked whole; swept ones fail per point.
+    params_from_mapping(fixed)
+    _print_warnings(_sweep_warnings(fixed, axes))
     points = sweep.run_grid(spec, workers=args.workers)
     sweep.emit_csv(points, args.output)
     failed = len(points) - points.status.count("ok")
@@ -180,6 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     out_dir = args.output or os.environ.get("GWHARVEST_OUTDIR") or "."
     csv_path, svg_path = sweep.build_figure(
         args.figure_id, out_dir, workers=args.workers

@@ -187,13 +187,6 @@ def f_envelope(omega: float, Omega: float, t0: float) -> complex:
     return np.exp(a) + np.exp(b)
 
 
-def _f_envelope_cosh(omega: float, Omega: float, t0: float) -> complex:
-    """Algebraically identical cosh form of f_envelope (cross-check path)."""
-    w, Om, t0v = float(omega), float(Omega), float(t0)
-    pref = np.exp(complex(-w * w / 4.0 - Om * Om, -2.0 * t0v * Om))
-    return 2.0 * pref * np.cosh(complex(w * Om, -t0v * w))
-
-
 def integral_I1(omega: float, D: float) -> complex:
     """Purely imaginary light-cone integral of the u-sector (delta' part).
 
@@ -331,33 +324,13 @@ def integral_I4(omega: float, Omega: float, D: float) -> float:
 # --- first-order GW matrix elements ---------------------------------------
 
 
-def x_gw(
-    omega: float,
-    Omega: float,
-    D: float,
-    t0: float,
-    *,
-    verify: bool = False,
-) -> complex:
+def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
     """First-order GW correction coefficient x_gw = X_GW/(A lambda^2).
 
     X_GW/(A lambda^2) = f(omega, Omega, t0) * (I1 + I2) / (4 D^2 pi^{3/2}).
-
-    With verify=True the Gaussian envelope is evaluated through two
-    algebraically identical forms (two-exponential sum and cosh product)
-    and the results are required to agree to 1e-10 relative, guarding
-    against regressions in either path.
     """
     w, Om, Dv, t0v = float(omega), float(Omega), float(D), float(t0)
     f = f_envelope(w, Om, t0v)
-    if verify:
-        f_alt = _f_envelope_cosh(w, Om, t0v)
-        scale = max(abs(f), abs(f_alt), 1e-300)
-        if abs(f - f_alt) > 1e-10 * scale:
-            raise ArithmeticError(
-                "envelope cross-check failed: "
-                f"{f!r} (sum form) vs {f_alt!r} (cosh form)"
-            )
     kernel = integral_I1(w, Dv) + integral_I2(w, Dv)
     return f * kernel / (4.0 * Dv * Dv * _PI_32)
 
@@ -449,13 +422,6 @@ def _first_order_flags(axm: float) -> tuple[str, ...]:
     return (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
 
 
-def _axis_sign(params: DimensionlessParams) -> float:
-    # Separation along the y axis flips the sign of the quadratic GW
-    # correction to the squared interval, negating both GW matrix elements.
-    # Experimental: implied by the interval algebra, not a validated claim.
-    return -1.0 if params.pair.separation_axis == "y" else 1.0
-
-
 def evaluate(params: DimensionlessParams) -> HarvestReport:
     """Compute every observable for one parameter point.
 
@@ -466,17 +432,16 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     """
     p = params
     pnorm = transition_probability(p.Omega_sigma)
-    xm = x_minkowski(p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    cm = c_minkowski(p.Omega_sigma, p.d_sigma)
+    xm = x_minkowski(p.Omega_sigma, p.D_sigma, p.t0_sigma)
+    cm = c_minkowski(p.Omega_sigma, p.D_sigma)
     axm = abs(xm)
     if axm < DEGENERATE_XM_FLOOR:
         raise DegenerateDirection(
-            f"|x_m| = {axm:g} at Omega={p.Omega_sigma:g}, D={p.d_sigma:g}: "
+            f"|x_m| = {axm:g} at Omega={p.Omega_sigma:g}, D={p.D_sigma:g}: "
             "first-order GW shift of |X| is undefined"
         )
-    sign = _axis_sign(p)
-    xg = sign * x_gw(p.omega_sigma, p.Omega_sigma, p.d_sigma, p.t0_sigma)
-    cg = sign * c_gw(p.omega_sigma, p.Omega_sigma, p.d_sigma, p.t0_sigma)
+    xg = x_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
+    cg = c_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
 
     theta_m = axm - pnorm
     theta_gw = (xg * xm.conjugate()).real / axm
@@ -706,7 +671,7 @@ def density_matrix(params: DimensionlessParams) -> np.ndarray:
     if lowest < -tol:
         raise StateInvalid(
             f"density matrix eigenvalue {lowest:g} below -10*lambda^4 = {-tol:g} "
-            f"at Omega={params.Omega_sigma:g}, D={params.d_sigma:g}, "
+            f"at Omega={params.Omega_sigma:g}, D={params.D_sigma:g}, "
             f"A={params.A:g}: beyond perturbative positivity tolerance"
         )
     return rho

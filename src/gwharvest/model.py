@@ -13,7 +13,7 @@ the real/imag accessor pair the interfaces require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 __all__ = [
     "InvalidGeometry",
@@ -23,12 +23,8 @@ __all__ = [
     "IncompleteGrid",
     "ConfigError",
     "ValidationWarning",
-    "GwBackground",
-    "DetectorParams",
-    "PairGeometry",
     "DimensionlessParams",
     "SpacetimePoint",
-    "geodesic_interval",
     "validate",
     "CONFIG_KEYS",
     "CONFIG_DEFAULTS",
@@ -80,31 +76,32 @@ class ValidationWarning:
 
 
 @dataclass(frozen=True)
-class GwBackground:
-    """Gravitational-wave background: strain amplitude and frequency.
+class DimensionlessParams:
+    """One evaluation point: two static detectors a distance D apart along x.
 
-    amplitude_A      dimensionless strain, A >= 0 expected; all GW outputs
+    Only separation along the wave's stretch axis (x) is modelled.  The
+    fields and their defaults are the parameter table: CONFIG_DEFAULTS is
+    built from them.
+
+    A                dimensionless strain, A >= 0 expected; all GW outputs
                      are first order in A.
     omega_sigma      wave frequency times switching width, omega*sigma >= 0
                      expected.
-    """
-
-    amplitude_A: float = 0.0
-    omega_sigma: float = 2.0
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Detector energy gap, interaction center, and coupling.
-
-    gap_omega_sigma  Omega*sigma; may be negative (a detector initialized
-                     in its excited state maps to Omega -> -Omega).
+    Omega_sigma      detector gap Omega*sigma; may be negative (a detector
+                     initialized in its excited state maps to Omega -> -Omega).
+    D_sigma          D/sigma > 0.  Coincident detectors are out of contract:
+                     the separation-dependent integrals have a (a^2 - D^2)^-2
+                     structure whose closed forms require D > 0.
     t0_sigma         center of the Gaussian switching window, in sigma.
-    coupling_lambda  interaction strength lambda > 0; bookkeeping only,
-                     since every reported quantity is normalized.
+    coupling_lambda  interaction strength lambda > 0 (config key "lambda");
+                     bookkeeping only, since every reported quantity is
+                     normalized.
     """
 
-    gap_omega_sigma: float = 1.0
+    A: float = 0.0
+    omega_sigma: float = 2.0
+    Omega_sigma: float = 1.0
+    D_sigma: float = 1.0
     t0_sigma: float = 0.0
     coupling_lambda: float = 1.0
 
@@ -113,68 +110,8 @@ class DetectorParams:
             raise InvalidCoupling(
                 f"coupling lambda must be > 0, got {self.coupling_lambda!r}"
             )
-
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Static detector pair separated by proper distance D along one axis.
-
-    d_sigma          D/sigma > 0.  Coincident detectors are out of contract:
-                     the separation-dependent integrals have a (a^2 - D^2)^-2
-                     structure whose closed forms require D > 0.
-    separation_axis  'x' (the polarization stretch axis, the configuration
-                     every validated result uses) or 'y'.  The 'y' choice is
-                     an experimental flag: for separation along y the
-                     quadratic GW correction to the squared interval flips
-                     sign, so the GW matrix elements are negated.  This is
-                     implied by the interval algebra but is not a validated
-                     claim.
-    """
-
-    d_sigma: float = 1.0
-    separation_axis: str = "x"
-
-    def __post_init__(self) -> None:
-        if not self.d_sigma > 0.0:
-            raise InvalidGeometry(f"D/sigma must be > 0, got {self.d_sigma!r}")
-        if self.separation_axis not in ("x", "y"):
-            raise InvalidGeometry(
-                f"separation_axis must be 'x' or 'y', got {self.separation_axis!r}"
-            )
-
-
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Full physical configuration of one evaluation point."""
-
-    gw: GwBackground = field(default_factory=GwBackground)
-    detector: DetectorParams = field(default_factory=DetectorParams)
-    pair: PairGeometry = field(default_factory=PairGeometry)
-
-    # Flat accessors, used heavily by the sweep and CLI layers.
-    @property
-    def A(self) -> float:
-        return self.gw.amplitude_A
-
-    @property
-    def omega_sigma(self) -> float:
-        return self.gw.omega_sigma
-
-    @property
-    def Omega_sigma(self) -> float:
-        return self.detector.gap_omega_sigma
-
-    @property
-    def t0_sigma(self) -> float:
-        return self.detector.t0_sigma
-
-    @property
-    def coupling_lambda(self) -> float:
-        return self.detector.coupling_lambda
-
-    @property
-    def d_sigma(self) -> float:
-        return self.pair.d_sigma
+        if not self.D_sigma > 0.0:
+            raise InvalidGeometry(f"D/sigma must be > 0, got {self.D_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -197,19 +134,6 @@ class SpacetimePoint:
         return self.t + self.z
 
 
-def geodesic_interval(a: SpacetimePoint, b: SpacetimePoint) -> float:
-    """Squared Minkowski interval -du*dv + dx^2 + dy^2 between two events.
-
-    Positive for spacelike pairs, negative for timelike, zero on the light
-    cone.  Symmetric and quadratic in the coordinate differences.
-    """
-    du = a.u - b.u
-    dv = a.v - b.v
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return -du * dv + dx * dx + dy * dy
-
-
 def validate(p: DimensionlessParams) -> list[ValidationWarning]:
     """Evaluate all soft validity limits, returning structured warnings.
 
@@ -219,38 +143,38 @@ def validate(p: DimensionlessParams) -> list[ValidationWarning]:
     window, and the wave frequency is non-negative.
     """
     out: list[ValidationWarning] = []
-    if p.gw.amplitude_A < 0.0:
+    if p.A < 0.0:
         out.append(
             ValidationWarning(
                 "AmplitudeNegative",
-                f"strain amplitude A = {p.gw.amplitude_A:g} is negative; "
+                f"strain amplitude A = {p.A:g} is negative; "
                 "results are first order in A and assume A >= 0",
             )
         )
-    if p.gw.amplitude_A > AMPLITUDE_SOFT_LIMIT:
+    if p.A > AMPLITUDE_SOFT_LIMIT:
         out.append(
             ValidationWarning(
                 "AmplitudeBeyondLinearRegime",
-                f"strain amplitude A = {p.gw.amplitude_A:g} exceeds the "
+                f"strain amplitude A = {p.A:g} exceeds the "
                 f"linear-regime soft limit {AMPLITUDE_SOFT_LIMIT:g}; "
                 "first-order-in-A results degrade",
             )
         )
-    if abs(p.detector.gap_omega_sigma) >= GAP_SOFT_LIMIT:
+    if abs(p.Omega_sigma) >= GAP_SOFT_LIMIT:
         out.append(
             ValidationWarning(
                 "GapBeyondFirstOrderValidity",
-                f"|Omega*sigma| = {abs(p.detector.gap_omega_sigma):g} is at or "
+                f"|Omega*sigma| = {abs(p.Omega_sigma):g} is at or "
                 f"beyond the soft limit {GAP_SOFT_LIMIT:g}; |X_M| decays like "
                 "exp(-(Omega*sigma)^2) there and the neglected second-order "
                 "strain contribution can dominate the GW shift",
             )
         )
-    if p.gw.omega_sigma < 0.0:
+    if p.omega_sigma < 0.0:
         out.append(
             ValidationWarning(
                 "NegativeGwFrequency",
-                f"omega*sigma = {p.gw.omega_sigma:g} is negative; the "
+                f"omega*sigma = {p.omega_sigma:g} is negative; the "
                 "background is defined for omega >= 0",
             )
         )
@@ -263,16 +187,14 @@ def validate(p: DimensionlessParams) -> list[ValidationWarning]:
 # these keys are understood; anything else is an error so that typos fail
 # loudly instead of silently falling back to defaults.
 
-CONFIG_KEYS = ("A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "lambda")
-
+# The config key of each DimensionlessParams field: the field name, except
+# for the coupling, whose key "lambda" is a Python keyword.
 CONFIG_DEFAULTS: dict[str, float] = {
-    "A": 0.0,
-    "omega_sigma": 2.0,
-    "Omega_sigma": 1.0,
-    "D_sigma": 1.0,
-    "t0_sigma": 0.0,
-    "lambda": 1.0,
+    "lambda" if f.name == "coupling_lambda" else f.name: f.default
+    for f in fields(DimensionlessParams)
 }
+
+CONFIG_KEYS = tuple(CONFIG_DEFAULTS)
 
 
 def parse_config(text: str) -> dict[str, float]:
@@ -318,24 +240,12 @@ def params_from_mapping(values: dict[str, float]) -> DimensionlessParams:
     defaults, overlaid by a config file, overlaid by CLI flags.  An unknown
     key or a non-finite value (nan, inf) raises ConfigError naming the key.
     """
-    merged = dict(CONFIG_DEFAULTS)
     for key in values:
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"unknown parameter {key!r}")
-    merged.update(values)
-    for key in CONFIG_KEYS:
-        if not math.isfinite(merged[key]):
-            raise ConfigError(
-                f"parameter {key!r} must be finite (got {merged[key]!r})"
-            )
-    return DimensionlessParams(
-        gw=GwBackground(
-            amplitude_A=merged["A"], omega_sigma=merged["omega_sigma"]
-        ),
-        detector=DetectorParams(
-            gap_omega_sigma=merged["Omega_sigma"],
-            t0_sigma=merged["t0_sigma"],
-            coupling_lambda=merged["lambda"],
-        ),
-        pair=PairGeometry(d_sigma=merged["D_sigma"]),
-    )
+    merged = {**CONFIG_DEFAULTS, **values}
+    for key, value in merged.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"parameter {key!r} must be finite (got {value!r})")
+    coupling = merged.pop("lambda")
+    return DimensionlessParams(coupling_lambda=coupling, **merged)

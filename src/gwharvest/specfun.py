@@ -2,10 +2,10 @@
 
 Every closed form downstream is built from the error function on the real
 axis and in the complex plane, the Faddeeva function w(z) = exp(-z^2) erfc(-iz),
-the Dawson function, and the scaled combination exp(-p^2) * erf(z).  The
-scaled combination matters because erf(x + iy) grows like exp(y^2): whenever
-a closed form multiplies a Gaussian prefactor exp(-D^2/4) into erf(... + iD/2),
-evaluating the two factors separately overflows long before the product does.
+and the scaled combination exp(-p^2) * erf(z).  The scaled combination
+matters because erf(x + iy) grows like exp(y^2): whenever a closed form
+multiplies a Gaussian prefactor exp(-D^2/4) into erf(... + iD/2), evaluating
+the two factors separately overflows long before the product does.
 All complex evaluation is routed through the Faddeeva function, which is
 numerically stable in the upper half-plane.
 """
@@ -21,19 +21,11 @@ __all__ = [
     "erfc_real",
     "faddeeva_w",
     "faddeeva_w_array",
-    "erf_complex",
     "scaled_erf_product",
     "scaled_erf_product_array",
     "complex_array",
-    "dawson",
     "sinc",
 ]
-
-# erf(x+iy) is evaluated via 1 - exp(-z^2) w(iz); the exponent exp(y^2 - x^2)
-# inside an unscaled erf overflows float64 near |y| ~ 27.  Callers needing
-# larger imaginary parts must use scaled_erf_product, which never forms the
-# bare exponential.
-_IM_LIMIT = 30.0
 
 # sinc switches to its Taylor polynomial below this to avoid 0/0 and the
 # precision loss of sin(x)/x for tiny x.
@@ -41,7 +33,7 @@ _SINC_TAYLOR_CUTOFF = 1e-4
 
 
 class DomainTooLarge(ValueError):
-    """Requested an unscaled complex erf where the result would overflow."""
+    """A scaled erf product whose compensated exponent would still overflow."""
 
 
 def erf_real(x: float) -> float:
@@ -72,23 +64,6 @@ def faddeeva_w(z: complex) -> complex:
         # the function itself does.
         return 2.0 * np.exp(-z * z) - complex(_sp.wofz(-z))
     return complex(_sp.wofz(z))
-
-
-def erf_complex(z: complex) -> complex:
-    """Error function of a complex argument.
-
-    Computed as erf(z) = 1 - exp(-z^2) w(iz) after reflecting into
-    Re(z) >= 0 via oddness.  Raises DomainTooLarge when |Im z| exceeds the
-    overflow-safe window; such arguments only ever occur inside products
-    with a compensating Gaussian, for which scaled_erf_product exists.
-    """
-    z = complex(z)
-    if abs(z.imag) > _IM_LIMIT:
-        raise DomainTooLarge(
-            f"erf at Im(z) = {z.imag:g} would overflow; "
-            "use scaled_erf_product for Gaussian-compensated products"
-        )
-    return scaled_erf_product(0.0, z)
 
 
 def scaled_erf_product(p: float, z: complex) -> complex:
@@ -172,16 +147,6 @@ def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     prod_im = e.real * w.imag + e.imag * w.real
     out = complex_array(np.exp(-p * p) - prod_re, 0.0 - prod_im)
     return np.where(odd, -out, out)
-
-
-def dawson(x: float) -> float:
-    """Dawson function D(x) = exp(-x^2) * integral_0^x exp(t^2) dt.
-
-    Related to the scaled imaginary error function by
-    exp(-x^2) erfi(x) = 2 D(x) / sqrt(pi); used as the stable route to
-    the purely imaginary erf arguments in the closed forms.
-    """
-    return float(_sp.dawsn(x))
 
 
 def sinc(x: float) -> float:

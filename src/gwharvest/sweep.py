@@ -30,6 +30,7 @@ The figure presets reproduce the package's reference plots:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +40,7 @@ import numpy as np
 from . import closedform
 from .model import (
     CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     IncompleteGrid,
     params_from_mapping,
 )
@@ -58,7 +60,8 @@ __all__ = [
     "build_figure",
 ]
 
-AXIS_NAMES = ("A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma")
+# Every parameter but the coupling, which only scales the normalized outputs.
+AXIS_NAMES = tuple(key for key in CONFIG_KEYS if key != "lambda")
 
 # The parameter columns of the CSV, also the argument order of
 # closedform.evaluate_arrays.
@@ -112,8 +115,7 @@ class AxisSpec:
 class GridSpec:
     """One or two swept axes plus fixed values for everything else.
 
-    Missing fixed parameters take the library defaults (A=0, lambda=1,
-    omega_sigma=2, Omega_sigma=1, D_sigma=1, t0_sigma=0).
+    Missing fixed parameters take their model.CONFIG_DEFAULTS values.
     """
 
     axis1: AxisSpec
@@ -127,7 +129,7 @@ class GridSpec:
                 raise ValueError(f"both axes sweep {self.axis1.name!r}")
             axis_names.add(self.axis2.name)
         for key in self.fixed:
-            if key not in AXIS_NAMES and key != "lambda":
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown fixed parameter {key!r}")
             if key in axis_names:
                 raise ValueError(f"{key!r} is both swept and fixed")
@@ -280,11 +282,15 @@ def _evaluate_block(
 def _evaluate(
     keys: tuple[str, ...], params: np.ndarray, workers: int
 ) -> GridResult:
-    if workers <= 1 or len(params) < 2:
+    n_chunks = min(workers, len(params))
+    # A pool forks all its workers at the first task; no more than there
+    # are chunks or CPUs to run them.
+    pool_size = min(n_chunks, os.cpu_count() or 1)
+    if pool_size <= 1:
         values, status = _evaluate_block(keys, params)
     else:
-        chunks = np.array_split(params, min(workers, len(params)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = np.array_split(params, n_chunks)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_evaluate_block, [keys] * len(chunks), chunks))
         values = np.concatenate([v for v, _ in parts])
         status = [s for _, st in parts for s in st]
@@ -295,9 +301,9 @@ def run_grid(spec: GridSpec, *, workers: int = 1) -> GridResult:
     """Evaluate a grid row-major; failures are per-point, never fatal.
 
     With workers > 1 the points are split into that many contiguous
-    chunks, evaluated in a process pool and joined in order; every point
-    is a pure function of its parameters, so the result is identical to
-    the single-process run.
+    chunks, evaluated in a process pool of at most os.cpu_count()
+    processes and joined in order; every point is a pure function of its
+    parameters, so the result is identical to the single-process run.
     """
     return _evaluate(*spec.columns(), workers)
 
@@ -778,8 +784,6 @@ def build_figure(
     figure_id: str, out_dir: str, *, workers: int = 1
 ) -> tuple[str, str]:
     """Run a preset end to end: evaluate, write CSV and SVG, return paths."""
-    import os
-
     if figure_id not in PRESETS:
         raise ValueError(
             f"unknown figure {figure_id!r} (have: {', '.join(sorted(PRESETS))})"

@@ -122,6 +122,63 @@ def test_sweep_reports_failed_points(tmp_path, capsys):
     assert "(2 failed; see status column)" in capsys.readouterr().out
 
 
+def test_sweep_checks_fixed_values_not_swept_flag_values(tmp_path, capsys):
+    # A flag for a swept key is overridden by the axis, so it is not checked.
+    out = tmp_path / "scan.csv"
+    argv = ["sweep", "--axis", "D_sigma:0.5:2:4", "--D_sigma=-1", "-o", str(out)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "4 points" in captured.out
+    assert "failed" not in captured.out
+    assert captured.err == ""
+    # A bad fixed value is still a usage error.
+    argv = ["sweep", "--axis", "A:0:0.3:4", "--D_sigma=-1", "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert "error: D/sigma must be > 0, got -1.0" in capsys.readouterr().err
+
+
+def test_sweep_warns_over_the_swept_range(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["sweep", "--axis", "A:0:0.3:4", "-o", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: AmplitudeBeyondLinearRegime") == 1
+    assert "A = 0.3 exceeds" in err
+    # Each distinct warning once, whichever corners of the plane give it
+    # (|Omega| = 3 at two corners, A = -0.1 at two).
+    rc = cli.main(["sweep", "--axis", "Omega_sigma:-3:3:5",
+                   "--axis", "A:-0.1:0.05:3", "-o", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1].strip() for line in lines] == [
+        "AmplitudeNegative", "GapBeyondFirstOrderValidity",
+    ]
+
+
+def test_sweep_corner_failing_validation_adds_no_warning(tmp_path, capsys):
+    # Every grid point has D <= 0: the rows fail, and no corner is valid.
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["sweep", "--axis", "D_sigma:-2:-1:3", "--A", "0.3",
+                   "-o", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "(3 failed; see status column)" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(workers, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    argv = ["sweep", "--axis", "A:0:0.1:3", "--workers", workers, "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["figure", "fig2", "--workers", workers, "-o", str(tmp_path / "f")]
+    assert cli.main(argv) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 def test_sweep_rejects_three_axes(tmp_path, capsys):
     rc = cli.main(
         ["sweep", "--axis", "omega_sigma:1:2:3", "--axis", "D_sigma:1:2:3",

@@ -9,15 +9,11 @@ from gwharvest.model import (
     CONFIG_DEFAULTS,
     CONFIG_KEYS,
     ConfigError,
-    DetectorParams,
     DimensionlessParams,
-    GwBackground,
     InvalidCoupling,
     InvalidGeometry,
-    PairGeometry,
     SpacetimePoint,
     ValidationWarning,
-    geodesic_interval,
     params_from_mapping,
     parse_config,
     read_config,
@@ -32,48 +28,31 @@ def test_default_construction():
     assert p.Omega_sigma == 1.0
     assert p.t0_sigma == 0.0
     assert p.coupling_lambda == 1.0
-    assert p.d_sigma == 1.0
+    assert p.D_sigma == 1.0
     assert validate(p) == []
 
 
 def test_coupling_must_be_positive():
+    with pytest.raises(InvalidCoupling, match="coupling lambda must be > 0"):
+        DimensionlessParams(coupling_lambda=0.0)
     with pytest.raises(InvalidCoupling):
-        DetectorParams(coupling_lambda=0.0)
+        DimensionlessParams(coupling_lambda=-1.0)
+    # The coupling is checked first: a point breaking both rules reports it.
     with pytest.raises(InvalidCoupling):
-        DetectorParams(coupling_lambda=-1.0)
+        DimensionlessParams(coupling_lambda=-1.0, D_sigma=-1.0)
 
 
 def test_geometry_contract():
+    with pytest.raises(InvalidGeometry, match=r"D/sigma must be > 0, got 0\.0"):
+        DimensionlessParams(D_sigma=0.0)
     with pytest.raises(InvalidGeometry):
-        PairGeometry(d_sigma=0.0)
-    with pytest.raises(InvalidGeometry):
-        PairGeometry(d_sigma=-2.0)
-    with pytest.raises(InvalidGeometry):
-        PairGeometry(separation_axis="z")
-    assert PairGeometry(separation_axis="y").separation_axis == "y"
+        DimensionlessParams(D_sigma=-2.0)
 
 
 def test_spacetime_point_lightcone_coordinates():
     e = SpacetimePoint(t=3.0, x=1.0, y=-2.0, z=0.5)
     assert e.u == 2.5
     assert e.v == 3.5
-
-
-def test_geodesic_interval_signs():
-    o = SpacetimePoint(t=0.0)
-    timelike = SpacetimePoint(t=1.0)
-    spacelike = SpacetimePoint(t=0.0, x=2.0)
-    null = SpacetimePoint(t=1.0, z=1.0)
-    assert geodesic_interval(o, timelike) == -1.0
-    assert geodesic_interval(o, spacelike) == 4.0
-    assert geodesic_interval(o, null) == 0.0
-    # Symmetric in its arguments.
-    a = SpacetimePoint(t=0.3, x=1.0, y=0.2, z=-0.7)
-    b = SpacetimePoint(t=-1.1, x=0.4, y=2.0, z=0.9)
-    assert geodesic_interval(a, b) == geodesic_interval(b, a)
-    # Matches -dt^2 + |dx|^2 through the light-cone route.
-    expect = -(0.3 + 1.1) ** 2 + 0.6**2 + 1.8**2 + 1.6**2
-    assert math.isclose(geodesic_interval(a, b), expect, rel_tol=1e-13)
 
 
 def _params(**kw):
@@ -166,7 +145,7 @@ def test_params_from_mapping_defaults_and_overlay():
     p = params_from_mapping({})
     assert (p.A, p.omega_sigma, p.Omega_sigma) == (0.0, 2.0, 1.0)
     p = params_from_mapping({"D_sigma": 4.0, "lambda": 0.01})
-    assert p.d_sigma == 4.0
+    assert p.D_sigma == 4.0
     assert p.coupling_lambda == 0.01
     assert p.omega_sigma == 2.0  # untouched default
     with pytest.raises(ConfigError):
@@ -181,11 +160,19 @@ def test_params_from_mapping_rejects_non_finite_values(key, value):
 
 
 def test_config_keys_cover_defaults():
-    assert set(CONFIG_KEYS) == set(CONFIG_DEFAULTS)
+    # One table: CONFIG_DEFAULTS is the record's fields under their config
+    # keys, in field order, and the record built from it is the default one.
+    assert CONFIG_KEYS == tuple(CONFIG_DEFAULTS) == (
+        "A", "omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "lambda"
+    )
+    assert params_from_mapping(CONFIG_DEFAULTS) == DimensionlessParams()
+    p = DimensionlessParams()
+    for key, value in CONFIG_DEFAULTS.items():
+        assert getattr(p, "coupling_lambda" if key == "lambda" else key) == value
 
 
 def test_frozen_dataclasses():
     with pytest.raises(AttributeError):
-        GwBackground().amplitude_A = 0.5
+        DimensionlessParams().A = 0.5
     with pytest.raises(AttributeError):
         SpacetimePoint(t=0.0).t = 1.0

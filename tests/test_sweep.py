@@ -100,19 +100,64 @@ def test_run_grid_captures_per_point_failures():
     assert pts[2].status == "ok"
 
 
-def test_run_grid_parallel_matches_serial(tmp_path):
+def _parallel_spec():
     # 5 x 7 = 35 points: neither 2 nor 3 chunks split it evenly.  The D <= 0
     # column fails, so failed points cross the chunk boundaries too.
-    spec = GridSpec(
+    return GridSpec(
         axis1=AxisSpec("Omega_sigma", 0.2, 1.4, 5),
         axis2=AxisSpec("D_sigma", -0.5, 2.5, 7),
         fixed={"A": 0.05, "omega_sigma": 2.0},
     )
+
+
+def test_run_grid_parallel_matches_serial(tmp_path, monkeypatch):
+    # Enough CPUs that the pool cap does not merge the 3-way split.
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    spec = _parallel_spec()
     serial = _read(emit_csv(run_grid(spec, workers=1), str(tmp_path / "s.csv")))
     assert "InvalidGeometry" in serial
     for workers in (2, 3):
         path = str(tmp_path / f"p{workers}.csv")
         assert _read(emit_csv(run_grid(spec, workers=workers), path)) == serial
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool_size",
+    [
+        (2, 8, 2),  # the requested count
+        (1000, 64, 35),  # no more processes than chunks (35 points)
+        (1000, 3, 3),  # nor than CPUs
+        (6, None, None),  # unknown CPU count: serial, no pool
+        (4, 1, None),  # one CPU: serial, no pool
+    ],
+)
+def test_run_grid_pool_size_is_capped(workers, cpus, pool_size, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps here."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    spec = _parallel_spec()
+    serial = run_grid(spec, workers=1)
+    assert sizes == []
+    got = run_grid(spec, workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert got.status == serial.status
+    np.testing.assert_array_equal(got.values, serial.values)
 
 
 def _scalar_point(items):
