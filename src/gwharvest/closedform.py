@@ -29,6 +29,7 @@ and omega*sigma, D is D/sigma, t0 is t0/sigma.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -137,7 +138,7 @@ def x_minkowski(Omega: float, D: float, t0: float) -> complex:
     return (
         1j
         / (4.0 * Dv * _SQRT_PI)
-        * np.exp(phase)
+        * cmath.exp(phase)
         * (scaled - math.exp(-Dv * Dv / 4.0))
     )
 
@@ -184,7 +185,7 @@ def f_envelope(omega: float, Omega: float, t0: float) -> complex:
     w, Om, t0v = float(omega), float(Omega), float(t0)
     a = complex(-((w - 2.0 * Om) ** 2) / 4.0, -t0v * (w + 2.0 * Om))
     b = complex(-((w + 2.0 * Om) ** 2) / 4.0, t0v * (w - 2.0 * Om))
-    return np.exp(a) + np.exp(b)
+    return cmath.exp(a) + cmath.exp(b)
 
 
 def integral_I1(omega: float, D: float) -> complex:
@@ -202,12 +203,12 @@ def integral_I1(omega: float, D: float) -> complex:
     if abs(w) < SMALL_OMEGA_CUTOFF:
         const = Dv ** 3 / 8.0 + Dv / 4.0
         quad = Dv ** 3 * (1.0 - Dv * Dv / 2.0) / 96.0
-        return 1j * math.pi * gauss * (const + w * w * quad)
+        return complex(0.0, math.pi * gauss * (const + w * w * quad))
     half = w * Dv / 2.0
     bracket = (Dv * Dv / 4.0 + 1.0) * math.sin(half) - (
         Dv * w / 4.0
     ) * math.cos(half)
-    return 1j * math.pi * gauss * bracket / w
+    return complex(0.0, math.pi * gauss * bracket / w)
 
 
 def _integral_I2_direct(omega: float, D: float) -> float:
@@ -331,8 +332,12 @@ def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
     """
     w, Om, Dv, t0v = float(omega), float(Omega), float(D), float(t0)
     f = f_envelope(w, Om, t0v)
-    kernel = integral_I1(w, Dv) + integral_I2(w, Dv)
-    return f * kernel / (4.0 * Dv * Dv * _PI_32)
+    # I1 is purely imaginary and I2 real; the parts are placed, not added,
+    # so that no signed zero changes.  Both parts are multiplied by the
+    # reciprocal of the norm, as evaluate_arrays does.
+    fk = f * complex(integral_I2(w, Dv), integral_I1(w, Dv).imag)
+    inv = 1.0 / (4.0 * Dv * Dv * _PI_32)
+    return complex(fk.real * inv, fk.imag * inv)
 
 
 def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
@@ -358,6 +363,8 @@ class HarvestReport:
 
     x_gw, c_gw, theta_gw and psi_gw are additionally normalized per unit
     strain amplitude A; the assembled concurrence and corr re-attach A.
+    Every field evaluate fills is a builtin float or complex, never a
+    numpy scalar.
     """
 
     p_norm: float
@@ -443,12 +450,13 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     xg = x_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
     cg = c_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
 
+    dot_x = (xg * xm.conjugate()).real  # Re[x_gw conj(x_m)]
     theta_m = axm - pnorm
-    theta_gw = (xg * xm.conjugate()).real / axm
+    theta_gw = dot_x / axm
     conc = 2.0 * max(0.0, theta_m + p.A * theta_gw)
 
     psi_m = (axm * axm + cm * cm) / pnorm
-    psi_gw = 2.0 * ((xg * xm.conjugate()).real + cg.real * cm) / pnorm
+    psi_gw = 2.0 * (dot_x + cg.real * cm) / pnorm
     corr = psi_m + p.A * psi_gw
 
     return HarvestReport(
@@ -594,7 +602,7 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
         i4 = math.pi / w * total
 
         # x_gw and c_gw; x_gw divides by multiplying with the reciprocal,
-        # as numpy does for the complex scalar in the scalar path
+        # as the scalar path does
         norm = 4.0 * Dv * Dv * _PI_32
         fk_re, fk_im = _cmul(env.real, env.imag, i2, i1)
         xg_re, xg_im = fk_re * (1.0 / norm), fk_im * (1.0 / norm)

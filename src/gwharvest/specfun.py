@@ -8,12 +8,22 @@ multiplies a Gaussian prefactor exp(-D^2/4) into erf(... + iD/2), evaluating
 the two factors separately overflows long before the product does.
 All complex evaluation is routed through the Faddeeva function, which is
 numerically stable in the upper half-plane.
+
+The scalar functions compute on builtin float and complex (math, cmath
+and scipy's Cython-level wofz, the same code as the scipy.special.wofz
+ufunc without its per-call array dispatch) and return them.  Each _array
+form repeats its scalar function's floating-point operations element by
+element, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 from scipy import special as _sp
+from scipy.special import cython_special as _cs
 
 __all__ = [
     "DomainTooLarge",
@@ -31,9 +41,12 @@ __all__ = [
 # precision loss of sin(x)/x for tiny x.
 _SINC_TAYLOR_CUTOFF = 1e-4
 
+# Largest real part of an exponent passed to exp; exp(709.78) overflows.
+_EXPONENT_LIMIT = 700.0
+
 
 class DomainTooLarge(ValueError):
-    """A scaled erf product whose compensated exponent would still overflow."""
+    """An argument whose exponential factor would overflow a double."""
 
 
 def erf_real(x: float) -> float:
@@ -49,21 +62,31 @@ def erfc_real(x: float) -> float:
 def faddeeva_w(z: complex) -> complex:
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz).
 
-    Defined for all finite z; arguments in the lower half-plane are folded
-    to the upper half-plane through the reflection w(-conj(z)) = conj(w(z)),
-    where the evaluation is numerically stable.
+    Defined for all finite z whose exp(-z^2) is representable; arguments in
+    the left half-plane are folded to the right through the reflection
+    w(-conj(z)) = conj(w(z)), and the lower half-plane to the upper, where
+    the evaluation is numerically stable.  Raises DomainTooLarge where
+    Re(-z^2) > 700 in the lower half-plane, since w itself overflows there.
     """
     z = complex(z)
-    if z.real < 0.0:
+    left = z.real < 0.0
+    if left:
         # w(-conj(z)) = conj(w(z)) maps onto Re(z) >= 0 at no cost.
-        return np.conj(faddeeva_w(-np.conj(z)))
+        z = complex(-z.real, z.imag)
     if z.imag < 0.0:
         # Functional equation w(z) = 2 exp(-z^2) - w(-z) folds the lower
         # half-plane up; the exponential term here is the true leading
-        # behaviour of w below the real axis, so it overflows only where
-        # the function itself does.
-        return 2.0 * np.exp(-z * z) - complex(_sp.wofz(-z))
-    return complex(_sp.wofz(z))
+        # behaviour of w below the real axis, so where it overflows the
+        # function itself does.
+        exponent = -z * z
+        if exponent.real > _EXPONENT_LIMIT:
+            raise DomainTooLarge(
+                f"Faddeeva function overflows: exponent {exponent.real:g}"
+            )
+        w = 2.0 * cmath.exp(exponent) - _cs.wofz(-z)
+    else:
+        w = _cs.wofz(z)
+    return w.conjugate() if left else w
 
 
 def scaled_erf_product(p: float, z: complex) -> complex:
@@ -81,19 +104,23 @@ def scaled_erf_product(p: float, z: complex) -> complex:
     """
     p = float(p)
     z = complex(z)
-    if z.real < 0.0:
+    odd = z.real < 0.0
+    if odd:
         # erf is odd, so the product just flips sign under z -> -z.
-        return -scaled_erf_product(p, -z)
+        z = -z
 
     exponent = -p * p - z * z
     # Guard the corner |Im z| > p where the compensated exponent can still
-    # grow: clamp through log-space never materializing e^{y^2} alone.
-    if exponent.real > 700.0:
+    # grow past what a double holds.
+    if exponent.real > _EXPONENT_LIMIT:
         raise DomainTooLarge(
             f"scaled erf product overflows: exponent {exponent.real:g}"
         )
     w = faddeeva_w(1j * z)
-    return np.exp(-p * p) - np.exp(exponent) * w
+    # The real exp stays numpy's, the loop scaled_erf_product_array uses
+    # (it can differ from math.exp in the last bit).
+    out = float(np.exp(-p * p)) - cmath.exp(exponent) * w
+    return -out if odd else out
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -109,15 +136,32 @@ def complex_array(re, im) -> np.ndarray:
 
 
 def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
-    """faddeeva_w over a complex array, its two reflections taken as masks."""
+    """faddeeva_w over a complex array, its two reflections taken as masks.
+
+    The lower half-plane fold is written in real arithmetic in the order of
+    the scalar function's complex operations, as in scaled_erf_product_array.
+    """
     z = np.asarray(z, dtype=complex)
     left = z.real < 0.0
     z = np.where(left, -np.conj(z), z)
     lower = z.imag < 0.0
     w = _sp.wofz(np.where(lower, -z, z))
     if lower.any():
-        zl = z[lower]
-        w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
+        x, y = z.real[lower], z.imag[lower]
+        # exponent = (-z) * z
+        exp_re = -x * x - -y * y
+        exp_im = -x * y + -y * x
+        if np.any(exp_re > _EXPONENT_LIMIT):
+            raise DomainTooLarge(
+                f"Faddeeva function overflows: exponent {np.max(exp_re):g}"
+            )
+        # 2 exp(exponent) - w(-z)
+        e = np.exp(complex_array(exp_re, exp_im))
+        wl = w[lower]
+        w[lower] = complex_array(
+            2.0 * e.real - 0.0 * e.imag - wl.real,
+            2.0 * e.imag + 0.0 * e.real - wl.imag,
+        )
     return np.where(left, np.conj(w), w)
 
 
@@ -136,7 +180,7 @@ def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     # exponent = -p^2 - z^2
     exp_re = -p * p - (x * x - y * y)
     exp_im = 0.0 - (x * y + y * x)
-    if np.any(exp_re > 700.0):
+    if np.any(exp_re > _EXPONENT_LIMIT):
         raise DomainTooLarge(
             f"scaled erf product overflows: exponent {np.max(exp_re):g}"
         )
@@ -160,4 +204,4 @@ def sinc(x: float) -> float:
     if ax < _SINC_TAYLOR_CUTOFF:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.sin(x) / x
+    return math.sin(x) / x

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
 from gwharvest.closedform import (

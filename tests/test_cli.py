@@ -1,6 +1,5 @@
 """Tests for the command-line interface: parsing, precedence, exit codes."""
 
-import dataclasses
 import math
 
 import pytest

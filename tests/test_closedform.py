@@ -10,6 +10,7 @@ accuracy with an order-of-magnitude margin.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -460,6 +461,50 @@ def test_evaluate_arrays_rejects_points_outside_its_domain(point):
     ok = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="evaluate handles"):
         evaluate_arrays(*np.stack([ok, np.array(point)]).T)
+
+
+def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
+    # Far beyond the presets x_gw underflows to zero at some points; the
+    # scalar path must give that zero the kernel's sign, since `gwharvest
+    # point` and `sweep` print it ("-0.0" or "0.0").
+    rng = np.random.default_rng(2006)
+    n = 4000
+    cols = np.stack([
+        rng.uniform(0.0, 400.0, n),
+        rng.uniform(-40.0, 40.0, n),
+        np.exp(rng.uniform(math.log(1e-8), math.log(100.0), n)),
+        rng.uniform(0.0, 1.0, n),
+        np.full(n, 0.05),
+    ])
+    cols = cols[:, cf.array_domain(*cols)]
+    rows = evaluate_arrays(*cols)
+    # Points the sweep sends to evaluate one by one are not compared.
+    kept = np.isfinite(rows).all(axis=1)
+    kept &= np.hypot(rows[:, 1], rows[:, 2]) >= cf.DEGENERATE_XM_FLOOR
+    assert kept.sum() > n // 2
+    scalar = np.array([_scalar_row(*point) for point in cols.T[kept].tolist()])
+    differ = (scalar.view(np.int64) != rows[kept].view(np.int64)).any(axis=1)
+    assert np.count_nonzero(differ) == 0
+
+
+def test_scalar_path_returns_builtin_numbers():
+    # Builtin float/complex, never numpy scalars: the annotated type of
+    # every report field, on the direct and the small-omega branches.
+    for omega in (2.0, SMALL_OMEGA_CUTOFF / 2):
+        rep = evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=-0.7,
+                               D_sigma=1.3, t0_sigma=0.4))
+        for f in dataclasses.fields(rep):
+            if f.name != "flags":
+                assert type(getattr(rep, f.name)).__name__ == f.type, f.name
+        assert type(x_minkowski(-0.7, 1.3, 0.4)) is complex
+        assert type(f_envelope(omega, -0.7, 0.4)) is complex
+        assert type(x_gw(omega, -0.7, 1.3, 0.4)) is complex
+        assert type(c_gw(omega, -0.7, 1.3, 0.4)) is complex
+        assert type(integral_I1(omega, 1.3)) is complex
+        for value in (transition_probability(-0.7), c_minkowski(-0.7, 1.3),
+                      integral_I2(omega, 1.3), integral_I3(omega, -0.7, 1.3),
+                      integral_I4(omega, -0.7, 1.3)):
+            assert type(value) is float
 
 
 def test_harvest_report_row_roundtrip():

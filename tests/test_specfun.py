@@ -5,13 +5,13 @@ arithmetic and are frozen here as literals; structural identities are
 checked on seeded random samples against independent evaluations.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from gwharvest import specfun
 from gwharvest.specfun import (
     DomainTooLarge,
     erf_real,
@@ -148,6 +148,10 @@ def test_scaled_erf_product_overflow_guard():
         scaled_erf_product(0.0, 40.0j)
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
 def test_array_forms_match_scalar_forms_in_every_quadrant():
     rng = np.random.default_rng(5)
     z = rng.uniform(-4, 4, 400) + 1j * rng.uniform(-4, 4, 400)
@@ -161,8 +165,43 @@ def test_array_forms_match_scalar_forms_in_every_quadrant():
     for pi, zi, gi in zip(p.tolist(), zs.tolist(), got.tolist()):
         ref = scaled_erf_product(pi, zi)
         assert abs(gi - ref) <= 1e-14 * max(abs(ref), 1e-300)
+    # Both forms make the same floating-point operations, so they agree
+    # bit for bit, signed zeros included, in all four quadrants.
+    for zq in (z, zs):
+        for sr, si in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+            assert np.sum((np.sign(zq.real) == sr) & (np.sign(zq.imag) == si)) > 50
+    assert np.array_equal(_bits([faddeeva_w(v) for v in z.tolist()]), _bits(w))
+    scalar = [scaled_erf_product(a, b) for a, b in zip(p.tolist(), zs.tolist())]
+    assert np.array_equal(_bits(scalar), _bits(got))
     with pytest.raises(DomainTooLarge):
         scaled_erf_product_array(np.array([0.0, 1.0]), np.array([40.0j, 1.0]))
+
+
+def test_scalar_forms_return_builtin_numbers():
+    # Builtin float/complex, never numpy scalars, on every branch: the
+    # scalar closed forms do all their arithmetic on what these return.
+    for z in (0.5 + 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, -0.5 - 0.5j, 0.0, 2):
+        assert type(faddeeva_w(z)) is complex
+        assert type(scaled_erf_product(1.0, z)) is complex
+    for x in (0.0, 5e-5, 2.0, -3):
+        assert type(sinc(x)) is float
+
+
+@pytest.mark.parametrize("z, exponent", [(1 - 30j, "899"), (-3 - 40j, "1591")])
+def test_faddeeva_overflow_raises(z, exponent):
+    # exp(-z^2) overflows below the real axis where y^2 - x^2 > 700; w
+    # itself is that large there, so no finite value exists to return.
+    with pytest.raises(DomainTooLarge, match=f"exponent {exponent}"):
+        faddeeva_w(z)
+    with pytest.raises(DomainTooLarge, match=f"exponent {exponent}"):
+        faddeeva_w_array(np.array([1.0 + 1.0j, z]))
+
+
+def test_faddeeva_just_inside_the_overflow_bound_is_finite():
+    z = 1 - 26.47j  # y^2 - x^2 = 699.66
+    w = faddeeva_w(z)
+    assert cmath.isfinite(w) and abs(w) > 1e303
+    assert faddeeva_w_array(np.array([z]))[0] == w
 
 
 def test_sinc_basics_and_cutoff_continuity():
