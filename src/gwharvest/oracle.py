@@ -95,11 +95,28 @@ class SignConventionMismatch(AssertionError):
 
 @dataclass(frozen=True)
 class RegulatorSchedule:
-    """Geometric regulator ladder start * ratio**k for k = 0..count-1."""
+    """Geometric regulator ladder start * ratio**k for k = 0..count-1.
+
+    Raises ValueError unless start is finite and positive, ratio lies in
+    (0, 1) and count is at least 2: a non-positive regulator displaces the
+    kernel singularity to the wrong side (a negative start returns the
+    complex conjugate of X_M), and extrapolation needs two distinct rungs.
+    """
 
     start: float = 0.1
     ratio: float = 0.5
     count: int = 4
+
+    def __post_init__(self) -> None:
+        if not (
+            0.0 < self.start < math.inf
+            and 0.0 < self.ratio < 1.0
+            and self.count >= 2
+        ):
+            raise ValueError(
+                "a regulator schedule needs a finite start > 0, a ratio in "
+                f"(0, 1) and a count of at least 2, got {self!r}"
+            )
 
     def values(self) -> tuple[float, ...]:
         return tuple(self.start * self.ratio ** k for k in range(self.count))
@@ -130,19 +147,36 @@ def _cquad(
 ) -> tuple[complex, float]:
     """Complex-valued adaptive quadrature on a finite interval.
 
+    The real and imaginary parts are integrated by two QUADPACK passes.
+    f is evaluated once per distinct node: the real pass stores each value
+    in a dict local to this call, and the imaginary pass reads it back, so
+    the result equals that of two independent passes over f(x).real and
+    f(x).imag bit for bit, f being a pure function of x as every
+    integrand here is.  Nothing is kept once the call returns.
+
     Roundoff-limit warnings from the underlying routine are suppressed:
     near-singular regulated kernels routinely push QUADPACK to its
     roundoff floor, and the returned error estimate already carries that
     information into the caller's convergence decision.
     """
+    values: dict[float, complex] = {}
+
+    def real_part(x: float) -> float:
+        v = values[x] = f(x)
+        return v.real
+
+    def imag_part(x: float) -> float:
+        v = values.get(x)
+        return (f(x) if v is None else v).imag
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, re_err = _scipy_quad(
-            lambda x: f(x).real, a, b, points=points, limit=limit,
+            real_part, a, b, points=points, limit=limit,
             epsabs=epsabs, epsrel=epsrel,
         )
         im, im_err = _scipy_quad(
-            lambda x: f(x).imag, a, b, points=points, limit=limit,
+            imag_part, a, b, points=points, limit=limit,
             epsabs=epsabs, epsrel=epsrel,
         )
     return complex(re, im), re_err + im_err
@@ -169,6 +203,32 @@ def _neville_at_zero(
     if n == 1:
         return rows[0][0], float("inf")
     return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
+
+
+def _regulators(
+    schedule: RegulatorSchedule | Sequence[float],
+) -> tuple[float, ...]:
+    """The regulator values of a schedule or an explicit sequence.
+
+    Raises ValueError unless there are at least two values, all finite,
+    positive and distinct: Neville extrapolation divides by the difference
+    of every pair.
+    """
+    regs = (
+        schedule.values()
+        if isinstance(schedule, RegulatorSchedule)
+        else tuple(schedule)
+    )
+    if (
+        len(regs) < 2
+        or len(set(regs)) != len(regs)
+        or not all(r > 0.0 and math.isfinite(r) for r in regs)
+    ):
+        raise ValueError(
+            "a regulator ladder needs at least two distinct finite positive "
+            f"values, got {regs!r}"
+        )
+    return regs
 
 
 def quad_adaptive(
@@ -200,11 +260,7 @@ def quad_adaptive(
     1000 * tol; an estimate between tol and 1000 * tol is returned
     with converged = False.
     """
-    regs = (
-        schedule.values()
-        if isinstance(schedule, RegulatorSchedule)
-        else tuple(schedule)
-    )
+    regs = _regulators(schedule)
     vals: list[complex] = []
     quad_err = 0.0
     for reg in regs:
@@ -358,39 +414,24 @@ def _expm1_ratio(w: float) -> float:
     return math.expm1(-w / 4.0) / w
 
 
-def oracle_XM(
-    Omega: float,
+def _xm_kernel(
     D: float,
-    t0: float,
-    *,
-    tol: float = 1e-6,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
-    method: str = "regulated",
+    method: str,
+    tol: float,
+    schedule: RegulatorSchedule | Sequence[float],
 ) -> OracleEstimate:
-    """Coherence X_M/lambda^2 from its defining half-line kernel integral.
+    """Half-line kernel integral of X_M: Integral_0^inf exp(-a^2/4) K(a) da.
 
-    X_M/lambda^2 = -2 sqrt(pi) exp(-Omega^2 - 2 i Omega t0) *
-    Integral_0^inf of exp(-a^2/4) * K(a) da.
-
-    method="regulated": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)),
-    extrapolated eps -> 0 over the schedule.
-
-    method="pv_subtraction": the independent regularization — the
-    principal value at a = D is computed by subtracting the singular
-    Gaussian value on the symmetric window [0, 2D] (whose own principal
-    value integrates to the exact -ln(3)/(2D)), the rest of the half-line
-    is regular, and the concentrated half-delta contributes the analytic
-    i exp(-D^2/4)/(8 pi D).  No regulator schedule is involved.
-
-    The two methods share no regularization machinery; their agreement is
-    checked by verify_suite as a structural invariant.
+    It depends on D alone (and on the method, tol and schedule), so one
+    estimate serves every (Omega, t0) through _xm_scaled; see oracle_XM
+    for the two methods.  abs_error_estimate bounds the error of this
+    unscaled integral, its neglected tail beyond L = D + 14 included.
     """
-    Om, Dv, t0v = float(Omega), float(D), float(t0)
-    pref = _xm_prefactor(Om, t0v)
+    Dv = float(D)
     L = Dv + 14.0
+    # |K(a)| <= 1/(4 pi^2 (L^2 - D^2)) for a >= L.
     tail = (
-        abs(pref)
-        * _SQRT_PI
+        _SQRT_PI
         * specfun.erfc_real(L / 2.0)
         / (_FOUR_PI_SQ * (L * L - Dv * Dv))
     )
@@ -407,15 +448,9 @@ def oracle_XM(
 
             return integrand
 
-        est = quad_adaptive(
+        return quad_adaptive(
             family, 0.0, L, schedule=schedule, tol=tol, points=[Dv],
             tail_bound=tail,
-        )
-        return OracleEstimate(
-            value=pref * est.value,
-            abs_error_estimate=abs(pref) * est.abs_error_estimate,
-            regulator_schedule=est.regulator_schedule,
-            converged=est.converged,
         )
 
     if method == "pv_subtraction":
@@ -443,15 +478,72 @@ def oracle_XM(
         kernel_integral = complex(
             -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
         )
-        err = (e1 + e3) / _FOUR_PI_SQ + tail / abs(pref)
+        err = (e1 + e3) / _FOUR_PI_SQ + tail
         return OracleEstimate(
-            value=pref * kernel_integral,
-            abs_error_estimate=abs(pref) * err,
+            value=kernel_integral,
+            abs_error_estimate=err,
             regulator_schedule=(),
-            converged=abs(pref) * err <= tol,
+            converged=err <= tol,
         )
 
     raise ValueError(f"unknown oracle_XM method {method!r}")
+
+
+def _xm_scaled(
+    Omega: float, t0: float, kernel: OracleEstimate, tol: float
+) -> OracleEstimate:
+    """X_M from its kernel integral: the prefactor times the kernel estimate.
+
+    A regulated kernel keeps the convergence flag of its extrapolation,
+    which quad_adaptive judges on the kernel integral, where it also
+    decides NoConvergence.  A kernel without a regulator ladder
+    (pv_subtraction) converges when the scaled error is within tol.
+    """
+    pref = _xm_prefactor(float(Omega), float(t0))
+    err = abs(pref) * kernel.abs_error_estimate
+    return OracleEstimate(
+        value=pref * kernel.value,
+        abs_error_estimate=err,
+        regulator_schedule=kernel.regulator_schedule,
+        converged=kernel.converged if kernel.regulator_schedule else err <= tol,
+    )
+
+
+def oracle_XM(
+    Omega: float,
+    D: float,
+    t0: float,
+    *,
+    tol: float = 1e-6,
+    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
+    method: str = "regulated",
+) -> OracleEstimate:
+    """Coherence X_M/lambda^2 from its defining half-line kernel integral.
+
+    X_M/lambda^2 = -2 sqrt(pi) exp(-Omega^2 - 2 i Omega t0) *
+    Integral_0^inf of exp(-a^2/4) * K(a) da.
+
+    method="regulated": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)),
+    extrapolated eps -> 0 over the schedule.
+
+    method="pv_subtraction": the independent regularization — the
+    principal value at a = D is computed by subtracting the singular
+    Gaussian value on the symmetric window [0, 2D] (whose own principal
+    value integrates to the exact -ln(3)/(2D)), the rest of the half-line
+    is regular, and the concentrated half-delta contributes the analytic
+    i exp(-D^2/4)/(8 pi D).  No regulator schedule is involved.
+
+    The kernel integral depends on D alone and is computed once per call;
+    the prefactor carries Omega and t0.  verify_suite reuses one kernel
+    estimate for every (Omega, t0) at a D within one suite call, with the
+    same arithmetic, so its records equal this function's results bit for
+    bit.
+
+    The two methods share no regularization machinery; their agreement is
+    checked by verify_suite as a structural invariant.
+    """
+    kernel = _xm_kernel(D, method, tol, schedule)
+    return _xm_scaled(Omega, t0, kernel, tol)
 
 
 def oracle_CM(
@@ -785,11 +877,7 @@ def oracle_delta_prime(
     if which not in ("I1", "I3"):
         raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")
     w, Om, Dv = float(omega), float(Omega), float(D)
-    regs = (
-        schedule.values()
-        if isinstance(schedule, RegulatorSchedule)
-        else tuple(schedule)
-    )
+    regs = _regulators(schedule)
 
     def g(av: float) -> float:
         return (
@@ -917,6 +1005,12 @@ def verify_suite(
     append-only in task order, so the suite is safe to re-run or shard
     without reordering results.
 
+    Each X_M kernel integral (one per D and method) is computed once and
+    shared by the x_minkowski records of every (Omega, t0) at that D; the
+    records equal the standalone oracle_XM results bit for bit.  The reuse
+    is scoped to this call: nothing computed here outlives it, so repeated
+    calls repeat the same work.
+
     Record list (per unique signature):
       transition_probability        closed vs regulated-kernel oracle
       x_minkowski                   closed vs regulated-kernel oracle
@@ -946,11 +1040,21 @@ def verify_suite(
             )
         )
 
+    # X_M kernel integrals depend on D alone: one estimate per D and method
+    # in this call, scaled per (Omega, t0) exactly as oracle_XM scales it.
+    xm_tol = 1e-6
+    kernels = {
+        (D, method): _xm_kernel(D, method, xm_tol, DEFAULT_SCHEDULE)
+        for D in sorted(set(Ds))
+        for method in ("regulated", "pv_subtraction")
+    }
     for Om in sorted(set(Omegas)):
         for D in sorted(set(Ds)):
             for t0 in sorted(set(t0s)):
                 xm = closedform.x_minkowski(Om, D, t0)
-                est_reg = oracle_XM(Om, D, t0, method="regulated")
+                est_reg = _xm_scaled(
+                    Om, t0, kernels[D, "regulated"], xm_tol
+                )
                 records.append(
                     _record(
                         "x_minkowski",
@@ -960,7 +1064,9 @@ def verify_suite(
                         TOL_KERNEL,
                     )
                 )
-                est_pv = oracle_XM(Om, D, t0, method="pv_subtraction")
+                est_pv = _xm_scaled(
+                    Om, t0, kernels[D, "pv_subtraction"], xm_tol
+                )
                 records.append(
                     _record(
                         "x_minkowski_pv",

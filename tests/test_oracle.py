@@ -8,8 +8,11 @@ happens in test_closedform.py (frozen tables) and test_acceptance.py.
 """
 
 import math
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
+from scipy.integrate import quad as scipy_quad
 
 from gwharvest import oracle
 from gwharvest.closedform import (
@@ -98,6 +101,96 @@ def test_quad_adaptive_raises_on_erratic_family():
             -10.0,
             10.0,
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"start": 0.0},
+        {"start": -0.1},
+        {"start": math.inf},
+        {"start": math.nan},
+        {"ratio": 0.0},
+        {"ratio": -0.5},
+        {"ratio": 1.0},
+        {"ratio": 1.5},
+        {"count": 1},
+        {"count": 0},
+    ],
+)
+def test_regulator_schedule_rejects_invalid_ladders(kwargs):
+    with pytest.raises(ValueError):
+        RegulatorSchedule(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        (),
+        (0.1,),
+        (0.1, 0.1),
+        (0.1, 0.05, 0.1),
+        (0.1, 0.0),
+        (0.1, -0.05),
+        (-0.1, -0.05),
+        (0.1, math.inf),
+        # Valid parameters whose later rungs underflow to 0.0.
+        RegulatorSchedule(start=1e-320, ratio=1e-10, count=3),
+    ],
+)
+def test_regulator_ladders_need_distinct_positive_values(schedule):
+    with pytest.raises(ValueError):
+        quad_adaptive(
+            lambda eps: (lambda x: math.exp(-x * x)), -10.0, 10.0,
+            schedule=schedule,
+        )
+    with pytest.raises(ValueError):
+        oracle_delta_prime("I1", 2.0, 0.0, 1.0, schedule=schedule)
+
+
+def test_negative_regulator_is_rejected_before_any_quadrature():
+    # A negative eps moves the displaced pole to the other side of the
+    # contour, which conjugates X_M instead of failing to converge.
+    with pytest.raises(ValueError, match="start"):
+        oracle_XM(1.0, 1.0, 0.0, schedule=RegulatorSchedule(start=-0.1))
+    with pytest.raises(ValueError):
+        oracle_XM(1.0, 1.0, 0.0, schedule=(-0.1, -0.05, -0.025))
+
+
+def test_cquad_evaluates_each_node_once_and_matches_two_passes():
+    # The real part is smooth and the imaginary part peaked, so the two
+    # QUADPACK passes subdivide differently and the imaginary pass meets
+    # nodes the real pass never evaluated.
+    def f(x):
+        return complex(math.exp(-x * x), 1.0 / (1e-3 + (x - 0.3) ** 2))
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    value, err = oracle._cquad(counted, -2.0, 2.0, points=[0.0])
+
+    kw = {"points": [0.0], "limit": 300, "epsabs": 1e-13, "epsrel": 1e-12}
+    re_nodes, im_nodes = set(), set()
+
+    def re_part(x):
+        re_nodes.add(x)
+        return f(x).real
+
+    def im_part(x):
+        im_nodes.add(x)
+        return f(x).imag
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re, re_err = scipy_quad(re_part, -2.0, 2.0, **kw)
+        im, im_err = scipy_quad(im_part, -2.0, 2.0, **kw)
+    assert im_nodes - re_nodes and im_nodes & re_nodes
+    assert len(calls) == len(set(calls)) == len(re_nodes | im_nodes)
+    assert (value.real.hex(), value.imag.hex()) == (re.hex(), im.hex())
+    assert err.hex() == (re_err + im_err).hex()
 
 
 def test_quad_adaptive_tail_bound_enters_estimate():
@@ -240,3 +333,75 @@ def test_all_passed_detects_failures():
 
     broken = records[:-1] + [dataclasses.replace(records[-1], passed=False)]
     assert not all_passed(broken)
+
+
+_XM_GRID = {
+    "omega_sigma": (2.0,),
+    "Omega_sigma": (0.5, 1.0),
+    "D_sigma": (1.0, 2.0),
+    "t0_sigma": (0.0, 1.0),
+}
+
+
+def _hex(z):
+    return (complex(z).real.hex(), complex(z).imag.hex())
+
+
+def test_verify_suite_xm_records_equal_standalone_oracle_xm():
+    seen = set()
+    for rec in verify_suite(_XM_GRID):
+        if not rec.quantity.startswith("x_minkowski"):
+            continue
+        p = dict(rec.params)
+        args = (p["Omega_sigma"], p["D_sigma"], p["t0_sigma"])
+        reg = oracle_XM(*args, method="regulated")
+        pv = oracle_XM(*args, method="pv_subtraction")
+        want = {
+            "x_minkowski": (x_minkowski(*args), reg),
+            "x_minkowski_pv": (x_minkowski(*args), pv),
+            "x_minkowski_consistency": (reg.value, pv),
+        }[rec.quantity]
+        assert _hex(rec.value) == _hex(want[0])
+        assert _hex(rec.reference) == _hex(want[1].value)
+        assert (
+            rec.oracle_error_estimate.hex()
+            == want[1].abs_error_estimate.hex()
+        )
+        seen.add((rec.quantity, args))
+    assert len(seen) == 3 * 2 * 2 * 2
+
+
+def _count_quad_calls(monkeypatch):
+    calls = []
+    real_quad = oracle._scipy_quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_scipy_quad", counting)
+    return calls
+
+
+def test_verify_suite_integrates_each_xm_kernel_once_per_d(monkeypatch):
+    # Only the x_minkowski records depend on t0, and their kernel integral
+    # does not: a second t0 value adds records but no quadrature.
+    calls = _count_quad_calls(monkeypatch)
+    counts = []
+    for t0s in ((0.0,), (0.0, 1.0)):
+        calls.clear()
+        records = verify_suite({**_XM_GRID, "t0_sigma": t0s})
+        counts.append((len(records), len(calls)))
+    assert counts[0][0] < counts[1][0]
+    assert counts[0][1] == counts[1][1]
+
+
+def test_verify_suite_carries_nothing_between_calls(monkeypatch):
+    calls = _count_quad_calls(monkeypatch)
+    verify_suite(_XM_GRID)  # fills the P calibration, if not yet done
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        verify_suite(_XM_GRID)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
