@@ -29,19 +29,17 @@ and omega*sigma, D is D/sigma, t0 is t0/sigma.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
-from . import specfun
 from .model import (
     DegenerateDirection,
     DimensionlessParams,
     StateInvalid,
 )
+from .specfun import _ARRAY, _SCALAR, _Backend, _cmul, _scaled_erf
 
 __all__ = [
     "SMALL_OMEGA_CUTOFF",
@@ -103,7 +101,162 @@ OBSERVABLES = (
 )
 
 
-# --- Minkowski pieces -----------------------------------------------------
+# --- the closed forms, written once ------------------------------------------
+#
+# Each form takes a backend b (specfun._Backend): evaluate and the piece
+# functions run it on builtin floats, evaluate_arrays on numpy arrays, with
+# the same bits.  Shared factors are computed once per point.  The scalar
+# forms raise where Python's arithmetic does, and take their steps in a
+# fixed order, so at a point where two steps fail the first names it.
+
+
+def _e_p(b: _Backend, D):
+    """exp(-p^2) by numpy's exp at p = D/2, the p of every scaled erf product."""
+    p = D / 2.0
+    return b.exp_np(-p * p)
+
+
+def _gauss(b: _Backend, D):
+    """e^{-D^2/4} by libm's exp."""
+    return b.exp(-D * D / 4.0)
+
+
+def _sin_cos(b: _Backend, x):
+    return b.sin(x), b.cos(x)
+
+
+def _p_norm(b: _Backend, Om):
+    return (b.exp(-Om * Om) - _SQRT_PI * Om * b.erfc(Om)) / (4.0 * math.pi)
+
+
+def _x_m(b: _Backend, Om, D, t0, e_p, gauss):
+    scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, 0.0, D / 2.0)
+    inv = 1.0 / (4.0 * D * _SQRT_PI)
+    phase = b.cexp(-Om * Om, -2.0 * Om * t0)
+    pre_re, pre_im = _cmul(0.0, inv, phase.real, phase.imag)
+    return _cmul(pre_re, pre_im, scaled_re - gauss, scaled_im)
+
+
+def _c_m(b: _Backend, Om, D, e_p, gauss, sin_OD, cos_OD):
+    scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, Om, D / 2.0)
+    im_part = cos_OD * scaled_im + sin_OD * scaled_re
+    return (im_part - gauss * sin_OD) / (4.0 * D * _SQRT_PI)
+
+
+def _envelope(b: _Backend, w, Om, t0):
+    a_re = -b.pow(w - 2.0 * Om, 2.0) / 4.0
+    a_im = -t0 * (w + 2.0 * Om)
+    c_re = -b.pow(w + 2.0 * Om, 2.0) / 4.0
+    c_im = t0 * (w - 2.0 * Om)
+    a, c = b.cexp(a_re, a_im), b.cexp(c_re, c_im)
+    return a.real + c.real, a.imag + c.imag
+
+
+def _i1(w, D, gauss, sin_h, cos_h):
+    """Im I1 by its direct form."""
+    bracket = (D * D / 4.0 + 1.0) * sin_h - (D * w / 4.0) * cos_h
+    return math.pi * gauss * bracket / w
+
+
+def _i2(b: _Backend, w, D, e_p, sin_h, cos_h):
+    scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, w / 2.0, D / 2.0)
+    pc_re, pc_im = _cmul(cos_h, sin_h, 1.0 + D * D / 4.0, -D * w / 4.0)
+    prod_re, _ = _cmul(pc_re, pc_im, scaled_re, scaled_im)
+    return math.pi / w * (b.erf(w / 2.0) - prod_re)
+
+
+def _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
+    bracket = (
+        D * w * sin_OD * cos_h
+        + 2.0 * D * Om * cos_OD * sin_h
+        - (D * D + 4.0) * sin_OD * sin_h
+    )
+    return math.pi * gauss / (2.0 * w) * bracket
+
+
+def _i4(b: _Backend, w, Om, D, e_p):
+    total = 0.0
+    for sign in (+1.0, -1.0):
+        k = w / 2.0 + sign * Om
+        scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, k, D / 2.0)
+        # q = -i e^{i D k} scaled, r = D k/2 + i (1 + D^2/4)
+        q_re, q_im = _cmul(-0.0, -1.0, b.cos(D * k), b.sin(D * k))
+        q_re, q_im = _cmul(q_re, q_im, scaled_re, scaled_im)
+        qr_re, _ = _cmul(q_re, q_im, D * k / 2.0, 1.0 + D * D / 4.0)
+        total = total + (b.erf(k) - qr_re)
+    return math.pi / w * total
+
+
+def _richardson(w, direct):
+    """a + b w^2 through direct() at _RICHARDSON_NODES (the form is even in w)."""
+    w1, w2 = _RICHARDSON_NODES
+    f1, f2 = direct(w1), direct(w2)
+    b = (f1 - f2) / (w1 * w1 - w2 * w2)
+    a = f1 - b * w1 * w1
+    return a + b * w * w
+
+
+def _x_gw(env_re, env_im, i1, i2, D):
+    fk_re, fk_im = _cmul(env_re, env_im, i2, i1)
+    inv = 1.0 / (4.0 * D * D * _PI_32)
+    return fk_re * inv, fk_im * inv
+
+
+def _c_gw(b: _Backend, w, D, t0, i3, i4):
+    return -b.exp(-w * w / 4.0) * b.cos(w * t0) * (i3 + i4) / (4.0 * D * D * _PI_32)
+
+
+def _minkowski(b: _Backend, Om, D, t0):
+    """(P, Re X_M, Im X_M, C_M, |X_M|), and the factors the GW terms reuse."""
+    e_p, gauss = _e_p(b, D), _gauss(b, D)
+    xm_re, xm_im = _x_m(b, Om, D, t0, e_p, gauss)
+    sin_OD, cos_OD = _sin_cos(b, Om * D)
+    c_m = _c_m(b, Om, D, e_p, gauss, sin_OD, cos_OD)
+    minkowski = (_p_norm(b, Om), xm_re, xm_im, c_m, b.abs(xm_re, xm_im))
+    return minkowski, (e_p, gauss, sin_OD, cos_OD)
+
+
+def _gw(b: _Backend, w, Om, D, t0, factors, small):
+    """(Re x_gw, Im x_gw, c_gw) of a point.
+
+    The envelope comes first: where its ** overflows, nothing after it
+    runs.  With small set (builtin floats only), I1-I4 come from the piece
+    functions, which take their series below SMALL_OMEGA_CUTOFF.
+    """
+    e_p, gauss, sin_OD, cos_OD = factors
+    env_re, env_im = _envelope(b, w, Om, t0)
+    if small:
+        i1, i2 = integral_I1(w, D).imag, integral_I2(w, D)
+        i3, i4 = integral_I3(w, Om, D), integral_I4(w, Om, D)
+    else:
+        sin_h, cos_h = _sin_cos(b, w * D / 2.0)
+        i1 = _i1(w, D, gauss, sin_h, cos_h)
+        i2 = _i2(b, w, D, e_p, sin_h, cos_h)
+        i3 = _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD)
+        i4 = _i4(b, w, Om, D, e_p)
+    xg_re, xg_im = _x_gw(env_re, env_im, i1, i2, D)
+    return xg_re, xg_im, _c_gw(b, w, D, t0, i3, i4)
+
+
+def _observables(b: _Backend, A, minkowski, gw):
+    """The observables of a point, in OBSERVABLES order."""
+    p_norm, xm_re, xm_im, c_m, abs_xm = minkowski
+    xg_re, xg_im, c_gw = gw
+    dot_x = xg_re * xm_re - xg_im * -xm_im  # Re[x_gw conj(x_m)]
+    theta_m = abs_xm - p_norm
+    theta_gw = dot_x / abs_xm
+    margin = theta_m + A * theta_gw
+    concurrence = 2.0 * b.clip(margin)
+    psi_m = (abs_xm * abs_xm + c_m * c_m) / p_norm
+    psi_gw = 2.0 * (dot_x + c_gw * c_m) / p_norm
+    corr = psi_m + A * psi_gw
+    return (
+        p_norm, xm_re, xm_im, c_m, 0.0, xg_re, xg_im, c_gw, 0.0,
+        theta_m, theta_gw, concurrence, psi_m, psi_gw, corr,
+    )
+
+
+# --- the pieces, one closed form each on builtin floats ---------------------
 
 
 def transition_probability(Omega: float) -> float:
@@ -116,10 +269,7 @@ def transition_probability(Omega: float) -> float:
     at first order).  Equals 1/(4 pi) at Omega = 0 and grows linearly for
     negative Omega (an initially excited detector de-excites readily).
     """
-    Om = float(Omega)
-    return (math.exp(-Om * Om) - _SQRT_PI * Om * specfun.erfc_real(Om)) / (
-        4.0 * math.pi
-    )
+    return _p_norm(_SCALAR, Omega)
 
 
 def x_minkowski(Omega: float, D: float, t0: float) -> complex:
@@ -132,15 +282,8 @@ def x_minkowski(Omega: float, D: float, t0: float) -> complex:
     the exploding erf(iD/2) on its own.  t0 enters only through the phase,
     so |X_M| is t0-independent.
     """
-    Om, Dv, t0v = float(Omega), float(D), float(t0)
-    scaled = specfun.scaled_erf_product(Dv / 2.0, 1j * (Dv / 2.0))
-    phase = complex(-Om * Om, -2.0 * Om * t0v)
-    return (
-        1j
-        / (4.0 * Dv * _SQRT_PI)
-        * cmath.exp(phase)
-        * (scaled - math.exp(-Dv * Dv / 4.0))
-    )
+    e_p, gauss = _e_p(_SCALAR, D), _gauss(_SCALAR, D)
+    return complex(*_x_m(_SCALAR, Omega, D, t0, e_p, gauss))
 
 
 def c_minkowski(Omega: float, D: float) -> float:
@@ -152,15 +295,8 @@ def c_minkowski(Omega: float, D: float) -> float:
     Not an even function of Omega: for a pair initialized in the excited
     state (Omega < 0) the exchange term is enhanced rather than mirrored.
     """
-    Om, Dv = float(Omega), float(D)
-    scaled = specfun.scaled_erf_product(Dv / 2.0, complex(Om, Dv / 2.0))
-    val = (complex(math.cos(Dv * Om), math.sin(Dv * Om)) * scaled).imag
-    return (val - math.exp(-Dv * Dv / 4.0) * math.sin(Om * Dv)) / (
-        4.0 * Dv * _SQRT_PI
-    )
-
-
-# --- GW envelope and auxiliary integrals ----------------------------------
+    e_p, gauss = _e_p(_SCALAR, D), _gauss(_SCALAR, D)
+    return _c_m(_SCALAR, Omega, D, e_p, gauss, *_sin_cos(_SCALAR, Omega * D))
 
 
 def f_envelope(omega: float, Omega: float, t0: float) -> complex:
@@ -182,10 +318,7 @@ def f_envelope(omega: float, Omega: float, t0: float) -> complex:
     observable built on it are wrong at t0 != 0 (README, "Known fault");
     at t0 = 0 both forms agree.
     """
-    w, Om, t0v = float(omega), float(Omega), float(t0)
-    a = complex(-((w - 2.0 * Om) ** 2) / 4.0, -t0v * (w + 2.0 * Om))
-    b = complex(-((w + 2.0 * Om) ** 2) / 4.0, t0v * (w - 2.0 * Om))
-    return cmath.exp(a) + cmath.exp(b)
+    return complex(*_envelope(_SCALAR, omega, Omega, t0))
 
 
 def integral_I1(omega: float, D: float) -> complex:
@@ -198,28 +331,13 @@ def integral_I1(omega: float, D: float) -> complex:
     quadratic Taylor polynomial
     i pi e^{-D^2/4} [ (D^3/8 + D/4) + omega^2 D^3 (1 - D^2/2)/96 ].
     """
-    w, Dv = float(omega), float(D)
-    gauss = math.exp(-Dv * Dv / 4.0)
-    if abs(w) < SMALL_OMEGA_CUTOFF:
-        const = Dv ** 3 / 8.0 + Dv / 4.0
-        quad = Dv ** 3 * (1.0 - Dv * Dv / 2.0) / 96.0
-        return complex(0.0, math.pi * gauss * (const + w * w * quad))
-    half = w * Dv / 2.0
-    bracket = (Dv * Dv / 4.0 + 1.0) * math.sin(half) - (
-        Dv * w / 4.0
-    ) * math.cos(half)
-    return complex(0.0, math.pi * gauss * bracket / w)
-
-
-def _integral_I2_direct(omega: float, D: float) -> float:
-    w, Dv = float(omega), float(D)
-    z = complex(w / 2.0, Dv / 2.0)
-    scaled = specfun.scaled_erf_product(Dv / 2.0, z)
-    coeff = complex(1.0 + Dv * Dv / 4.0, -Dv * w / 4.0)
-    phase = complex(math.cos(w * Dv / 2.0), math.sin(w * Dv / 2.0))
-    return (
-        math.pi / w * (specfun.erf_real(w / 2.0) - (phase * coeff * scaled).real)
-    )
+    gauss = _gauss(_SCALAR, D)
+    if abs(omega) < SMALL_OMEGA_CUTOFF:
+        const = D ** 3 / 8.0 + D / 4.0
+        quad = D ** 3 * (1.0 - D * D / 2.0) / 96.0
+        return complex(0.0, math.pi * gauss * (const + omega * omega * quad))
+    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    return complex(0.0, _i1(omega, D, gauss, sin_h, cos_h))
 
 
 def integral_I2(omega: float, D: float) -> float:
@@ -237,15 +355,14 @@ def integral_I2(omega: float, D: float) -> float:
     Large-D behaviour is not Gaussian: I2 -> (pi/omega) erf(omega/2) as
     D -> infinity, so the GW coherence decays only like 1/D^2.
     """
-    w, Dv = float(omega), float(D)
-    if abs(w) < SMALL_OMEGA_CUTOFF:
-        w1, w2 = _RICHARDSON_NODES
-        f1 = _integral_I2_direct(w1, Dv)
-        f2 = _integral_I2_direct(w2, Dv)
-        b = (f1 - f2) / (w1 * w1 - w2 * w2)
-        a = f1 - b * w1 * w1
-        return a + b * w * w
-    return _integral_I2_direct(w, Dv)
+    e_p = _e_p(_SCALAR, D)
+
+    def direct(w: float) -> float:
+        return _i2(_SCALAR, w, D, e_p, *_sin_cos(_SCALAR, w * D / 2.0))
+
+    if abs(omega) < SMALL_OMEGA_CUTOFF:
+        return _richardson(omega, direct)
+    return direct(omega)
 
 
 def integral_I3(omega: float, Omega: float, D: float) -> float:
@@ -266,36 +383,18 @@ def integral_I3(omega: float, Omega: float, D: float) -> float:
     Below SMALL_OMEGA_CUTOFF the quadratic Taylor polynomial in omega is
     used instead of the 0/0 direct form.
     """
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    gauss = math.exp(-Dv * Dv / 4.0)
-    s, c = math.sin(Om * Dv), math.cos(Om * Dv)
-    if abs(w) < SMALL_OMEGA_CUTOFF:
-        const = Dv * Dv * Om * c - (Dv ** 3 / 2.0 + Dv) * s
+    gauss = _gauss(_SCALAR, D)
+    s, c = _sin_cos(_SCALAR, Omega * D)
+    if abs(omega) < SMALL_OMEGA_CUTOFF:
+        const = D * D * Omega * c - (D ** 3 / 2.0 + D) * s
         quad = (
-            -(Dv ** 3) * s / 8.0
-            - Dv ** 4 * Om * c / 24.0
-            + (Dv * Dv + 4.0) * Dv ** 3 * s / 48.0
+            -(D ** 3) * s / 8.0
+            - D ** 4 * Omega * c / 24.0
+            + (D * D + 4.0) * D ** 3 * s / 48.0
         )
-        return math.pi * gauss / 2.0 * (const + w * w * quad)
-    half = w * Dv / 2.0
-    bracket = (
-        Dv * w * s * math.cos(half)
-        + 2.0 * Dv * Om * c * math.sin(half)
-        - (Dv * Dv + 4.0) * s * math.sin(half)
-    )
-    return math.pi * gauss / (2.0 * w) * bracket
-
-
-def _integral_I4_direct(omega: float, Omega: float, D: float) -> float:
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        k = w / 2.0 + sign * Om
-        scaled = specfun.scaled_erf_product(Dv / 2.0, complex(k, Dv / 2.0))
-        q = -1j * complex(math.cos(Dv * k), math.sin(Dv * k)) * scaled
-        r = complex(Dv * k / 2.0, 1.0 + Dv * Dv / 4.0)
-        total += specfun.erf_real(k) - (q * r).real
-    return math.pi / w * total
+        return math.pi * gauss / 2.0 * (const + omega * omega * quad)
+    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    return _i3(omega, Omega, D, gauss, sin_h, cos_h, s, c)
 
 
 def integral_I4(omega: float, Omega: float, D: float) -> float:
@@ -311,18 +410,10 @@ def integral_I4(omega: float, Omega: float, D: float) -> float:
     Below SMALL_OMEGA_CUTOFF a two-point quadratic extrapolation in omega
     replaces the cancellation-prone direct form, as for integral_I2.
     """
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    if abs(w) < SMALL_OMEGA_CUTOFF:
-        w1, w2 = _RICHARDSON_NODES
-        f1 = _integral_I4_direct(w1, Om, Dv)
-        f2 = _integral_I4_direct(w2, Om, Dv)
-        b = (f1 - f2) / (w1 * w1 - w2 * w2)
-        a = f1 - b * w1 * w1
-        return a + b * w * w
-    return _integral_I4_direct(w, Om, Dv)
-
-
-# --- first-order GW matrix elements ---------------------------------------
+    e_p = _e_p(_SCALAR, D)
+    if abs(omega) < SMALL_OMEGA_CUTOFF:
+        return _richardson(omega, lambda w: _i4(_SCALAR, w, Omega, D, e_p))
+    return _i4(_SCALAR, omega, Omega, D, e_p)
 
 
 def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
@@ -330,14 +421,9 @@ def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
 
     X_GW/(A lambda^2) = f(omega, Omega, t0) * (I1 + I2) / (4 D^2 pi^{3/2}).
     """
-    w, Om, Dv, t0v = float(omega), float(Omega), float(D), float(t0)
-    f = f_envelope(w, Om, t0v)
-    # I1 is purely imaginary and I2 real; the parts are placed, not added,
-    # so that no signed zero changes.  Both parts are multiplied by the
-    # reciprocal of the norm, as evaluate_arrays does.
-    fk = f * complex(integral_I2(w, Dv), integral_I1(w, Dv).imag)
-    inv = 1.0 / (4.0 * Dv * Dv * _PI_32)
-    return complex(fk.real * inv, fk.imag * inv)
+    env = _envelope(_SCALAR, omega, Omega, t0)
+    i1, i2 = integral_I1(omega, D).imag, integral_I2(omega, D)
+    return complex(*_x_gw(*env, i1, i2, D))
 
 
 def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
@@ -346,12 +432,8 @@ def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
     C_GW/(A lambda^2) = -exp(-omega^2/4) cos(omega t0) (I3 + I4)
                         / (4 D^2 pi^{3/2}); real-valued.
     """
-    w, Om, Dv, t0v = float(omega), float(Omega), float(D), float(t0)
-    kernel = integral_I3(w, Om, Dv) + integral_I4(w, Om, Dv)
-    val = -math.exp(-w * w / 4.0) * math.cos(w * t0v) * kernel / (
-        4.0 * Dv * Dv * _PI_32
-    )
-    return complex(val, 0.0)
+    i3, i4 = integral_I3(omega, Omega, D), integral_I4(omega, Omega, D)
+    return complex(_c_gw(_SCALAR, omega, D, t0, i3, i4), 0.0)
 
 
 # --- assembled observables -------------------------------------------------
@@ -382,46 +464,27 @@ class HarvestReport:
 
     def as_row(self) -> tuple[float, ...]:
         """The observables as floats, in OBSERVABLES order."""
-        return tuple(
-            float(v)
-            for v in (
-                self.p_norm,
-                self.x_m.real,
-                self.x_m.imag,
-                self.c_m.real,
-                self.c_m.imag,
-                self.x_gw.real,
-                self.x_gw.imag,
-                self.c_gw.real,
-                self.c_gw.imag,
-                self.theta_m,
-                self.theta_gw,
-                self.concurrence,
-                self.psi_m,
-                self.psi_gw,
-                self.corr,
-            )
-        )
+        x_m, c_m, x_gw, c_gw = self.x_m, self.c_m, self.x_gw, self.c_gw
+        return tuple(float(v) for v in (
+            self.p_norm, x_m.real, x_m.imag, c_m.real, c_m.imag,
+            x_gw.real, x_gw.imag, c_gw.real, c_gw.imag, self.theta_m,
+            self.theta_gw, self.concurrence, self.psi_m, self.psi_gw, self.corr,
+        ))
 
     @classmethod
     def from_row(cls, row) -> "HarvestReport":
         """Inverse of as_row; the flags follow from |x_m| as in evaluate."""
-        (p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im,
-         theta_m, theta_gw, conc, psi_m, psi_gw, corr) = (float(v) for v in row)
-        x_m = complex(xm_re, xm_im)
+        row = [float(v) for v in row]
+        return cls._of_row(row, abs(complex(row[1], row[2])))
+
+    @classmethod
+    def _of_row(cls, row, axm: float) -> "HarvestReport":
+        # row in OBSERVABLES order, axm = |x_m|
+        p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im, *rest = row
         return cls(
-            p_norm=p_norm,
-            x_m=x_m,
-            c_m=complex(cm_re, cm_im),
-            x_gw=complex(xg_re, xg_im),
-            c_gw=complex(cg_re, cg_im),
-            theta_m=theta_m,
-            theta_gw=theta_gw,
-            concurrence=conc,
-            psi_m=psi_m,
-            psi_gw=psi_gw,
-            corr=corr,
-            flags=_first_order_flags(abs(x_m)),
+            p_norm, complex(xm_re, xm_im), complex(cm_re, cm_im),
+            complex(xg_re, xg_im), complex(cg_re, cg_im), *rest,
+            _first_order_flags(axm),
         )
 
 
@@ -436,43 +499,22 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     A point with |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2)
     still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
     since the neglected second-order strain terms can dominate there.
+    Below SMALL_OMEGA_CUTOFF, I1-I4 come from their series; otherwise the
+    closed forms are those evaluate_arrays runs, on builtin floats.
     """
-    p = params
-    pnorm = transition_probability(p.Omega_sigma)
-    xm = x_minkowski(p.Omega_sigma, p.D_sigma, p.t0_sigma)
-    cm = c_minkowski(p.Omega_sigma, p.D_sigma)
-    axm = abs(xm)
+    w, Om, D, t0 = (
+        params.omega_sigma, params.Omega_sigma, params.D_sigma, params.t0_sigma
+    )
+    minkowski, factors = _minkowski(_SCALAR, Om, D, t0)
+    axm = minkowski[-1]
     if axm < DEGENERATE_XM_FLOOR:
         raise DegenerateDirection(
-            f"|x_m| = {axm:g} at Omega={p.Omega_sigma:g}, D={p.D_sigma:g}: "
+            f"|x_m| = {axm:g} at Omega={Om:g}, D={D:g}: "
             "first-order GW shift of |X| is undefined"
         )
-    xg = x_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
-    cg = c_gw(p.omega_sigma, p.Omega_sigma, p.D_sigma, p.t0_sigma)
-
-    dot_x = (xg * xm.conjugate()).real  # Re[x_gw conj(x_m)]
-    theta_m = axm - pnorm
-    theta_gw = dot_x / axm
-    conc = 2.0 * max(0.0, theta_m + p.A * theta_gw)
-
-    psi_m = (axm * axm + cm * cm) / pnorm
-    psi_gw = 2.0 * (dot_x + cg.real * cm) / pnorm
-    corr = psi_m + p.A * psi_gw
-
-    return HarvestReport(
-        p_norm=pnorm,
-        x_m=xm,
-        c_m=complex(cm, 0.0),
-        x_gw=xg,
-        c_gw=cg,
-        theta_m=theta_m,
-        theta_gw=theta_gw,
-        concurrence=conc,
-        psi_m=psi_m,
-        psi_gw=psi_gw,
-        corr=corr,
-        flags=_first_order_flags(axm),
-    )
+    gw = _gw(_SCALAR, w, Om, D, t0, factors, abs(w) < SMALL_OMEGA_CUTOFF)
+    row = _observables(_SCALAR, params.A, minkowski, gw)
+    return HarvestReport._of_row(row, axm)
 
 
 # --- the same observables over arrays of points -----------------------------
@@ -490,153 +532,30 @@ def array_domain(omega, Omega, D, t0, A) -> np.ndarray:
     return finite & (D > 0.0) & (np.abs(omega) >= SMALL_OMEGA_CUTOFF)
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    # The complex exp loop calls the C library's exp, as math.exp does;
-    # numpy's real exp loop is a SIMD approximation that can differ from it
-    # in the last bit.
-    return np.exp(x.astype(complex)).real
-
-
-def _cmul(a_re, a_im, b_re, b_im):
-    # Complex product in the order Python and numpy scalars compute it
-    # (numpy's vectorized complex multiply can fuse multiply-adds).
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
 def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     """Every observable for N points at once, as a float64 (N, 15) array.
 
     Column k is OBSERVABLES[k]; row i holds evaluate's values for point i
-    (separation along x), computed from the same closed forms in the same
-    floating-point operations, with the Faddeeva and erf-oddness folds
+    (separation along x): the same closed forms, bound to numpy arrays
+    instead of builtin floats, with the Faddeeva and erf-oddness folds
     taken as masks.  All points must lie in array_domain (ValueError
     otherwise).  Rows with |x_m| < DEGENERATE_XM_FLOOR, where evaluate
     raises DegenerateDirection, and rows whose arithmetic overflowed hold
     non-finite values; callers send those points to evaluate.
     """
-    w, Om, Dv, t0v, Av = np.broadcast_arrays(
+    w, Om, D, t0, A = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
     )
-    if not array_domain(w, Om, Dv, t0v, Av).all():
+    if not array_domain(w, Om, D, t0, A).all():
         raise ValueError(
             "evaluate_arrays needs finite parameters, D > 0 and "
             "|omega| >= SMALL_OMEGA_CUTOFF; evaluate handles other points"
         )
     with np.errstate(all="ignore"):
-        p_norm = (_exp(-Om * Om) - _SQRT_PI * Om * _sp.erfc(Om)) / (4.0 * math.pi)
-        gauss = _exp(-Dv * Dv / 4.0)
-        half_D = Dv / 2.0
-        half = w * Dv / 2.0
-        sin_h, cos_h = np.sin(half), np.cos(half)
-        sin_OD, cos_OD = np.sin(Dv * Om), np.cos(Dv * Om)
-
-        # x_minkowski: i/(4 D sqrt(pi)) e^{-Omega^2 - 2i Omega t0} (scaled - gauss)
-        scaled = specfun.scaled_erf_product_array(
-            half_D, specfun.complex_array(0.0, half_D)
-        )
-        phase = np.exp(specfun.complex_array(-Om * Om, -2.0 * Om * t0v))
-        pre_re, pre_im = _cmul(
-            0.0, 1.0 / (4.0 * Dv * _SQRT_PI), phase.real, phase.imag
-        )
-        xm_re, xm_im = _cmul(pre_re, pre_im, scaled.real - gauss, scaled.imag)
-
-        # c_minkowski
-        scaled = specfun.scaled_erf_product_array(
-            half_D, specfun.complex_array(Om, half_D)
-        )
-        im_part = cos_OD * scaled.imag + sin_OD * scaled.real
-        c_m = (im_part - gauss * np.sin(Om * Dv)) / (4.0 * Dv * _SQRT_PI)
-
-        # f_envelope; float_power is the C library's pow, as Python's x ** 2
-        # (numpy's x ** 2 is x * x, which can differ in the last bit)
-        env = np.exp(
-            specfun.complex_array(
-                -np.float_power(w - 2.0 * Om, 2.0) / 4.0, -t0v * (w + 2.0 * Om)
-            )
-        ) + np.exp(
-            specfun.complex_array(
-                -np.float_power(w + 2.0 * Om, 2.0) / 4.0, t0v * (w - 2.0 * Om)
-            )
-        )
-
-        # integral_I1 (its imaginary part; the real part is zero)
-        i1 = (
-            math.pi
-            * gauss
-            * ((Dv * Dv / 4.0 + 1.0) * sin_h - (Dv * w / 4.0) * cos_h)
-            / w
-        )
-
-        # integral_I2
-        scaled = specfun.scaled_erf_product_array(
-            half_D, specfun.complex_array(w / 2.0, half_D)
-        )
-        pc_re, pc_im = _cmul(cos_h, sin_h, 1.0 + Dv * Dv / 4.0, -Dv * w / 4.0)
-        prod_re, _ = _cmul(pc_re, pc_im, scaled.real, scaled.imag)
-        i2 = math.pi / w * (_sp.erf(w / 2.0) - prod_re)
-
-        # integral_I3
-        i3 = (
-            math.pi
-            * gauss
-            / (2.0 * w)
-            * (
-                Dv * w * sin_OD * cos_h
-                + 2.0 * Dv * Om * cos_OD * sin_h
-                - (Dv * Dv + 4.0) * sin_OD * sin_h
-            )
-        )
-
-        # integral_I4
-        total = 0.0
-        for sign in (+1.0, -1.0):
-            k = w / 2.0 + sign * Om
-            scaled = specfun.scaled_erf_product_array(
-                half_D, specfun.complex_array(k, half_D)
-            )
-            # q = -1j e^{i D k} scaled, r = D k/2 + i (1 + D^2/4)
-            q_re, q_im = _cmul(-0.0, -1.0, np.cos(Dv * k), np.sin(Dv * k))
-            q_re, q_im = _cmul(q_re, q_im, scaled.real, scaled.imag)
-            qr_re, _ = _cmul(q_re, q_im, Dv * k / 2.0, 1.0 + Dv * Dv / 4.0)
-            total = total + (_sp.erf(k) - qr_re)
-        i4 = math.pi / w * total
-
-        # x_gw and c_gw; x_gw divides by multiplying with the reciprocal,
-        # as the scalar path does
-        norm = 4.0 * Dv * Dv * _PI_32
-        fk_re, fk_im = _cmul(env.real, env.imag, i2, i1)
-        xg_re, xg_im = fk_re * (1.0 / norm), fk_im * (1.0 / norm)
-        c_gw = -_exp(-w * w / 4.0) * np.cos(w * t0v) * (i3 + i4) / norm
-
-        abs_xm = np.hypot(xm_re, xm_im)
-        dot_x = xg_re * xm_re - xg_im * -xm_im  # Re[x_gw conj(x_m)]
-        theta_m = abs_xm - p_norm
-        theta_gw = dot_x / abs_xm
-        margin = theta_m + Av * theta_gw
-        concurrence = 2.0 * np.where(margin > 0.0, margin, 0.0)
-        psi_m = (abs_xm * abs_xm + c_m * c_m) / p_norm
-        psi_gw = 2.0 * (dot_x + c_gw * c_m) / p_norm
-        corr = psi_m + Av * psi_gw
-
-    zero = np.zeros_like(p_norm)
-    columns = {
-        "p_norm": p_norm,
-        "re_x_m": xm_re,
-        "im_x_m": xm_im,
-        "re_c_m": c_m,
-        "im_c_m": zero,
-        "re_x_gw": xg_re,
-        "im_x_gw": xg_im,
-        "re_c_gw": c_gw,
-        "im_c_gw": zero,
-        "theta_m": theta_m,
-        "theta_gw": theta_gw,
-        "concurrence": concurrence,
-        "psi_m": psi_m,
-        "psi_gw": psi_gw,
-        "corr": corr,
-    }
-    return np.column_stack([columns[name] for name in OBSERVABLES])
+        minkowski, factors = _minkowski(_ARRAY, Om, D, t0)
+        gw = _gw(_ARRAY, w, Om, D, t0, factors, small=False)
+        row = _observables(_ARRAY, A, minkowski, gw)
+    return np.column_stack(np.broadcast_arrays(*row))
 
 
 def density_matrix(params: DimensionlessParams) -> np.ndarray:

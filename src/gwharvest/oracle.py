@@ -135,6 +135,28 @@ class OracleEstimate:
     converged: bool
 
 
+def _rquad(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    *,
+    points: Sequence[float] | None = None,
+    limit: int = 300,
+) -> tuple[float, float]:
+    """One QUADPACK pass over a real integrand on a finite interval.
+
+    Roundoff-limit warnings from the underlying routine are suppressed:
+    near-singular regulated kernels routinely push QUADPACK to its
+    roundoff floor, and the returned error estimate already carries that
+    information into the caller's convergence decision.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return _scipy_quad(
+            f, a, b, points=points, limit=limit, epsabs=1e-13, epsrel=1e-12
+        )
+
+
 def _cquad(
     f: Callable[[float], complex],
     a: float,
@@ -142,22 +164,15 @@ def _cquad(
     *,
     points: Sequence[float] | None = None,
     limit: int = 300,
-    epsabs: float = 1e-13,
-    epsrel: float = 1e-12,
 ) -> tuple[complex, float]:
     """Complex-valued adaptive quadrature on a finite interval.
 
-    The real and imaginary parts are integrated by two QUADPACK passes.
+    The real and imaginary parts are integrated by two _rquad passes.
     f is evaluated once per distinct node: the real pass stores each value
     in a dict local to this call, and the imaginary pass reads it back, so
     the result equals that of two independent passes over f(x).real and
     f(x).imag bit for bit, f being a pure function of x as every
     integrand here is.  Nothing is kept once the call returns.
-
-    Roundoff-limit warnings from the underlying routine are suppressed:
-    near-singular regulated kernels routinely push QUADPACK to its
-    roundoff floor, and the returned error estimate already carries that
-    information into the caller's convergence decision.
     """
     values: dict[float, complex] = {}
 
@@ -169,16 +184,8 @@ def _cquad(
         v = values.get(x)
         return (f(x) if v is None else v).imag
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = _scipy_quad(
-            real_part, a, b, points=points, limit=limit,
-            epsabs=epsabs, epsrel=epsrel,
-        )
-        im, im_err = _scipy_quad(
-            imag_part, a, b, points=points, limit=limit,
-            epsabs=epsabs, epsrel=epsrel,
-        )
+    re, re_err = _rquad(real_part, a, b, points=points, limit=limit)
+    im, im_err = _rquad(imag_part, a, b, points=points, limit=limit)
     return complex(re, im), re_err + im_err
 
 
@@ -489,23 +496,19 @@ def _xm_kernel(
     raise ValueError(f"unknown oracle_XM method {method!r}")
 
 
-def _xm_scaled(
-    Omega: float, t0: float, kernel: OracleEstimate, tol: float
-) -> OracleEstimate:
+def _xm_scaled(Omega: float, t0: float, kernel: OracleEstimate) -> OracleEstimate:
     """X_M from its kernel integral: the prefactor times the kernel estimate.
 
-    A regulated kernel keeps the convergence flag of its extrapolation,
-    which quad_adaptive judges on the kernel integral, where it also
-    decides NoConvergence.  A kernel without a regulator ladder
-    (pv_subtraction) converges when the scaled error is within tol.
+    Both methods keep the kernel's convergence flag, judged on the
+    unscaled kernel error against tol (where quad_adaptive also decides
+    NoConvergence for the regulated method).
     """
     pref = _xm_prefactor(float(Omega), float(t0))
-    err = abs(pref) * kernel.abs_error_estimate
     return OracleEstimate(
         value=pref * kernel.value,
-        abs_error_estimate=err,
+        abs_error_estimate=abs(pref) * kernel.abs_error_estimate,
         regulator_schedule=kernel.regulator_schedule,
-        converged=kernel.converged if kernel.regulator_schedule else err <= tol,
+        converged=kernel.converged,
     )
 
 
@@ -542,8 +545,7 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    kernel = _xm_kernel(D, method, tol, schedule)
-    return _xm_scaled(Omega, t0, kernel, tol)
+    return _xm_scaled(Omega, t0, _xm_kernel(D, method, tol, schedule))
 
 
 def oracle_CM(
@@ -896,11 +898,13 @@ def oracle_delta_prime(
         lo, hi = _dprime_window(Dv, eta)
 
         if which == "I1":
+            # The integrand is real: one QUADPACK pass.
 
-            def integrand(av: float) -> complex:
-                return complex(g(av) * d_eta(av - Dv * Dv / av, eta), 0.0)
+            def integrand(av: float) -> float:
+                return g(av) * d_eta(av - Dv * Dv / av, eta)
 
-            v, e = _cquad(integrand, lo, hi, points=[Dv], limit=300)
+            re, e = _rquad(integrand, lo, hi, points=[Dv], limit=300)
+            v = complex(re, 0.0)
         else:
 
             def integrand(av: float) -> complex:
@@ -1052,9 +1056,7 @@ def verify_suite(
         for D in sorted(set(Ds)):
             for t0 in sorted(set(t0s)):
                 xm = closedform.x_minkowski(Om, D, t0)
-                est_reg = _xm_scaled(
-                    Om, t0, kernels[D, "regulated"], xm_tol
-                )
+                est_reg = _xm_scaled(Om, t0, kernels[D, "regulated"])
                 records.append(
                     _record(
                         "x_minkowski",
@@ -1064,9 +1066,7 @@ def verify_suite(
                         TOL_KERNEL,
                     )
                 )
-                est_pv = _xm_scaled(
-                    Om, t0, kernels[D, "pv_subtraction"], xm_tol
-                )
+                est_pv = _xm_scaled(Om, t0, kernels[D, "pv_subtraction"])
                 records.append(
                     _record(
                         "x_minkowski_pv",

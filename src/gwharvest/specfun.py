@@ -9,17 +9,21 @@ the two factors separately overflows long before the product does.
 All complex evaluation is routed through the Faddeeva function, which is
 numerically stable in the upper half-plane.
 
-The scalar functions compute on builtin float and complex (math, cmath
-and scipy's Cython-level wofz, the same code as the scipy.special.wofz
-ufunc without its per-call array dispatch) and return them.  Each _array
-form repeats its scalar function's floating-point operations element by
-element, so the two agree bit for bit.
+The scaled product, like every closed form built on it, is written once
+over a backend of primitives and bound twice with the same bits: _SCALAR
+to builtin float and complex (math, cmath and scipy's Cython-level wofz,
+the scipy.special.wofz ufunc's code without its array dispatch), _ARRAY
+to numpy arrays.  Only the Faddeeva folds are written twice, as branches
+and as masks: the lower half-plane exponential must never be evaluated
+where it overflows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -69,58 +73,27 @@ def faddeeva_w(z: complex) -> complex:
     Re(-z^2) > 700 in the lower half-plane, since w itself overflows there.
     """
     z = complex(z)
-    left = z.real < 0.0
+    return _scalar_wofz(z.real, z.imag)
+
+
+def _scalar_wofz(re: float, im: float) -> complex:
+    """faddeeva_w of re + i im."""
+    left = re < 0.0
     if left:
         # w(-conj(z)) = conj(w(z)) maps onto Re(z) >= 0 at no cost.
-        z = complex(-z.real, z.imag)
-    if z.imag < 0.0:
+        re = -re
+    z = complex(re, im)
+    if im < 0.0:
         # Functional equation w(z) = 2 exp(-z^2) - w(-z) folds the lower
         # half-plane up; the exponential term here is the true leading
         # behaviour of w below the real axis, so where it overflows the
         # function itself does.
         exponent = -z * z
-        if exponent.real > _EXPONENT_LIMIT:
-            raise DomainTooLarge(
-                f"Faddeeva function overflows: exponent {exponent.real:g}"
-            )
+        _scalar_guard(exponent.real, "Faddeeva function")
         w = 2.0 * cmath.exp(exponent) - _cs.wofz(-z)
     else:
         w = _cs.wofz(z)
     return w.conjugate() if left else w
-
-
-def scaled_erf_product(p: float, z: complex) -> complex:
-    """The product exp(-p^2) * erf(z) without intermediate overflow.
-
-    Uses erf(z) = 1 - exp(-z^2) w(iz) for Re(z) >= 0 (oddness handles the
-    other half-plane), so the product becomes
-
-        exp(-p^2) - exp(-p^2 - z^2) w(iz).
-
-    With z = x + iy the surviving exponent has real part y^2 - x^2 - p^2,
-    which is non-positive whenever |y| <= p regardless of x: exactly the
-    pattern of every Gaussian-damped erf product in the closed forms
-    (p = D/2 against y = D/2).  w(iz) is evaluated in its stable region.
-    """
-    p = float(p)
-    z = complex(z)
-    odd = z.real < 0.0
-    if odd:
-        # erf is odd, so the product just flips sign under z -> -z.
-        z = -z
-
-    exponent = -p * p - z * z
-    # Guard the corner |Im z| > p where the compensated exponent can still
-    # grow past what a double holds.
-    if exponent.real > _EXPONENT_LIMIT:
-        raise DomainTooLarge(
-            f"scaled erf product overflows: exponent {exponent.real:g}"
-        )
-    w = faddeeva_w(1j * z)
-    # The real exp stays numpy's, the loop scaled_erf_product_array uses
-    # (it can differ from math.exp in the last bit).
-    out = float(np.exp(-p * p)) - cmath.exp(exponent) * w
-    return -out if odd else out
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -139,7 +112,8 @@ def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
     """faddeeva_w over a complex array, its two reflections taken as masks.
 
     The lower half-plane fold is written in real arithmetic in the order of
-    the scalar function's complex operations, as in scaled_erf_product_array.
+    the scalar function's complex operations, so that each element equals
+    faddeeva_w's value bit for bit.
     """
     z = np.asarray(z, dtype=complex)
     left = z.real < 0.0
@@ -151,10 +125,7 @@ def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
         # exponent = (-z) * z
         exp_re = -x * x - -y * y
         exp_im = -x * y + -y * x
-        if np.any(exp_re > _EXPONENT_LIMIT):
-            raise DomainTooLarge(
-                f"Faddeeva function overflows: exponent {np.max(exp_re):g}"
-            )
+        _array_guard(exp_re, "Faddeeva function")
         # 2 exp(exponent) - w(-z)
         e = np.exp(complex_array(exp_re, exp_im))
         wl = w[lower]
@@ -165,32 +136,141 @@ def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
     return np.where(left, np.conj(w), w)
 
 
-def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """scaled_erf_product over arrays, its oddness fold taken as a mask.
+def _scalar_guard(exponent: float, what: str) -> None:
+    if exponent > _EXPONENT_LIMIT:
+        raise DomainTooLarge(f"{what} overflows: exponent {exponent:g}")
 
-    Written in real arithmetic in the order Python's complex operations
-    use, so that each element equals the scalar function's value bit for
-    bit (numpy's vectorized complex multiply can fuse multiply-adds).
+
+def _array_guard(exponent: np.ndarray, what: str) -> None:
+    if np.any(exponent > _EXPONENT_LIMIT):
+        raise DomainTooLarge(f"{what} overflows: exponent {np.max(exponent):g}")
+
+
+# --- one source for builtin numbers and arrays --------------------------------
+
+
+class _Backend(NamedTuple):
+    """The primitives the closed forms are written over, in real arithmetic.
+
+    _SCALAR binds them to builtin floats, _ARRAY to float64 arrays, and
+    each _ARRAY primitive gives the bits of its _SCALAR counterpart element
+    by element.  A complex quantity is carried as its two parts and
+    multiplied in Python's order (numpy's complex multiply can fuse
+    multiply-adds); cexp and wofz return complex values.  The scalar
+    primitives raise where Python's arithmetic raises (ValueError from
+    math, OverflowError from ** and cmath); the array ones give inf or nan.
     """
-    p = np.asarray(p, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    odd = z.real < 0.0
-    z = np.where(odd, -z, z)
-    x, y = z.real, z.imag
-    # exponent = -p^2 - z^2
+
+    exp: Callable     # the C library's exp
+    exp_np: Callable  # numpy's real exp loop, for e_p of _scaled_erf
+    sin: Callable
+    cos: Callable
+    erf: Callable
+    erfc: Callable
+    pow: Callable     # the C library's pow
+    cexp: Callable    # (re, im) -> exp(re + i im)
+    wofz: Callable    # (re, im) -> faddeeva_w(re + i im)
+    cmul: Callable    # product of two complex values
+    abs: Callable     # (re, im) -> |re + i im|, the C library's hypot
+    flip: Callable    # (cond, re, im) -> (-re, -im) where cond, else (re, im)
+    clip: Callable    # max(0, x)
+    guard: Callable   # (exponent, what) -> DomainTooLarge above the limit
+
+
+def _scalar_abs(re: float, im: float) -> float:
+    z = complex(re, im)
+    # abs of a complex is the C library's hypot, as np.hypot (math.hypot
+    # is not).  With a nan part it raises OverflowError if an earlier C
+    # library call left errno set; math.hypot gives the same inf or nan.
+    return abs(z) if cmath.isfinite(z) else math.hypot(re, im)
+
+
+_SCALAR = _Backend(
+    exp=math.exp,
+    exp_np=lambda x: float(np.exp(x)),
+    sin=math.sin,
+    cos=math.cos,
+    erf=erf_real,
+    erfc=erfc_real,
+    pow=operator.pow,
+    cexp=lambda re, im: cmath.exp(complex(re, im)),
+    wofz=_scalar_wofz,
+    cmul=operator.mul,
+    abs=_scalar_abs,
+    flip=lambda cond, re, im: (-re, -im) if cond else (re, im),
+    clip=lambda x: max(0.0, x),
+    guard=_scalar_guard,
+)
+
+_ARRAY = _Backend(
+    # numpy's complex exp loop calls the C library's exp; its real loop is
+    # a SIMD approximation that can differ in the last bit.
+    exp=lambda x: np.exp(np.asarray(x, dtype=complex)).real,
+    exp_np=np.exp,
+    sin=np.sin,
+    cos=np.cos,
+    erf=_sp.erf,
+    erfc=_sp.erfc,
+    # numpy's x ** 2 is x * x, which can differ in the last bit.
+    pow=np.float_power,
+    cexp=lambda re, im: np.exp(complex_array(re, im)),
+    wofz=lambda re, im: faddeeva_w_array(complex_array(re, im)),
+    cmul=lambda a, c: complex_array(*_cmul(a.real, a.imag, c.real, c.imag)),
+    abs=np.hypot,
+    flip=lambda cond, re, im: (np.where(cond, -re, re), np.where(cond, -im, im)),
+    clip=lambda x: np.where(x > 0.0, x, 0.0),
+    guard=_array_guard,
+)
+
+
+def _cmul(a_re, a_im, b_re, b_im):
+    """Parts of (a_re + i a_im)(b_re + i b_im), in Python's complex order."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _scaled_erf(b: _Backend, p, e_p, x, y):
+    """Parts of exp(-p^2) erf(x + iy), given e_p = b.exp_np(-p*p).
+
+    The closed forms share e_p between their products at one p; see
+    scaled_erf_product for the method.
+    """
+    # erf is odd, so the product just flips sign under z -> -z.
+    odd = x < 0.0
+    x, y = b.flip(odd, x, y)
+    # exponent = -p^2 - z^2; guard the corner |Im z| > p where it can
+    # still grow past what a double holds.
     exp_re = -p * p - (x * x - y * y)
     exp_im = 0.0 - (x * y + y * x)
-    if np.any(exp_re > _EXPONENT_LIMIT):
-        raise DomainTooLarge(
-            f"scaled erf product overflows: exponent {np.max(exp_re):g}"
-        )
+    b.guard(exp_re, "scaled erf product")
     # w(iz), iz = (0 x - y) + i (0 y + x)
-    w = faddeeva_w_array(complex_array(0.0 * x - y, 0.0 * y + x))
-    e = np.exp(complex_array(exp_re, exp_im))
-    prod_re = e.real * w.real - e.imag * w.imag
-    prod_im = e.real * w.imag + e.imag * w.real
-    out = complex_array(np.exp(-p * p) - prod_re, 0.0 - prod_im)
-    return np.where(odd, -out, out)
+    w = b.wofz(0.0 * x - y, 0.0 * y + x)
+    prod = b.cmul(b.cexp(exp_re, exp_im), w)
+    return b.flip(odd, e_p - prod.real, 0.0 - prod.imag)
+
+
+def scaled_erf_product(p: float, z: complex) -> complex:
+    """The product exp(-p^2) * erf(z) without intermediate overflow.
+
+    Uses erf(z) = 1 - exp(-z^2) w(iz) for Re(z) >= 0 (oddness handles the
+    other half-plane), so the product becomes
+
+        exp(-p^2) - exp(-p^2 - z^2) w(iz).
+
+    With z = x + iy the surviving exponent has real part y^2 - x^2 - p^2,
+    which is non-positive whenever |y| <= p regardless of x: exactly the
+    pattern of every Gaussian-damped erf product in the closed forms
+    (p = D/2 against y = D/2).  w(iz) is evaluated in its stable region.
+    The real exp(-p^2) is numpy's, the loop scaled_erf_product_array uses.
+    """
+    z = complex(z)
+    return complex(*_scaled_erf(_SCALAR, p, _SCALAR.exp_np(-p * p), z.real, z.imag))
+
+
+def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """scaled_erf_product over arrays, its oddness fold taken as a mask."""
+    p = np.asarray(p, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    return complex_array(*_scaled_erf(_ARRAY, p, np.exp(-p * p), z.real, z.imag))
 
 
 def sinc(x: float) -> float:

@@ -470,10 +470,10 @@ def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
     rng = np.random.default_rng(2006)
     n = 4000
     cols = np.stack([
-        rng.uniform(0.0, 400.0, n),
+        rng.uniform(-400.0, 400.0, n),
         rng.uniform(-40.0, 40.0, n),
         np.exp(rng.uniform(math.log(1e-8), math.log(100.0), n)),
-        rng.uniform(0.0, 1.0, n),
+        rng.uniform(-1.0, 2.0, n),
         np.full(n, 0.05),
     ])
     cols = cols[:, cf.array_domain(*cols)]
@@ -541,6 +541,11 @@ def test_density_matrix_rejects_nonphysical_state(monkeypatch):
     # Physical same-gap parameters never trip the positivity gate (the
     # exchange term stays below P), so the rejection path is exercised by
     # forcing an exchange term far above the transition probability.
-    monkeypatch.setattr(cf, "c_minkowski", lambda Om, D: 1.0)
+    real_evaluate = cf.evaluate
+    monkeypatch.setattr(
+        cf,
+        "evaluate",
+        lambda params: dataclasses.replace(real_evaluate(params), c_m=1.0 + 0j),
+    )
     with pytest.raises(StateInvalid):
         density_matrix(_params(**{"lambda": 0.01}))

@@ -237,6 +237,18 @@ def test_oracle_xm_methods_are_independent_and_agree():
     assert abs(pv.value - x_minkowski(1.0, 1.0, 0.0)) < 1e-14
 
 
+def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods():
+    # Both methods compare the unscaled kernel error with tol, as
+    # quad_adaptive does for the regulated one.  A tol between that error
+    # and the scaled one, |pref| err with |pref| = 2 sqrt(pi) at Omega = 0,
+    # tells this rule from judging pv_subtraction on the scaled error.
+    kernel = oracle._xm_kernel(1.0, "pv_subtraction", 1.0, DEFAULT_SCHEDULE)
+    tol = 2.0 * kernel.abs_error_estimate
+    est = oracle_XM(0.0, 1.0, 0.0, tol=tol, method="pv_subtraction")
+    assert 0.0 < kernel.abs_error_estimate <= tol < est.abs_error_estimate
+    assert est.converged
+
+
 def test_oracle_xm_rejects_unknown_method():
     with pytest.raises(ValueError):
         oracle_XM(1.0, 1.0, 0.0, method="zeta_function")
@@ -278,6 +290,14 @@ def test_oracle_delta_prime_parities():
     d3 = oracle_delta_prime("I3", 2.0, 1.0, 1.0)
     assert d3.value.imag == 0.0  # I3 is purely real
     assert abs(d3.value.real - (-1.05315419439168)) <= 1e-9
+
+
+def test_oracle_delta_prime_i1_makes_one_quadpack_pass_per_regulator(monkeypatch):
+    # I1's integrand is real; a second pass over its zero imaginary part
+    # would add nothing to the value or the error estimate.
+    calls = _count_quad_calls(monkeypatch)
+    oracle_delta_prime("I1", 2.0, 0.0, 1.0)
+    assert len(calls) == len(DEFAULT_SCHEDULE.values())
 
 
 def test_oracle_delta_prime_rejects_unknown_target():

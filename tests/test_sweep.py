@@ -173,7 +173,9 @@ def _scalar_point(items):
 # Invalid D, omega below SMALL_OMEGA_CUTOFF and ordinary points; then gaps
 # where |x_m| ~ e^{-Omega^2} is outside first-order validity (24), below
 # DEGENERATE_XM_FLOOR but not zero (27: the kernel's row is finite), and
-# zero (30); the last two raise DegenerateDirection.
+# zero (30); the last two raise DegenerateDirection.  Last, valid points
+# at which the closed forms themselves fail, below the small-omega cutoff
+# (omega = 1e-4) and inside the array kernel's domain (omega = 1e308).
 MIXED_GRIDS = [
     GridSpec(
         axis1=AxisSpec("omega_sigma", 0.0, 0.003, 4),
@@ -181,6 +183,11 @@ MIXED_GRIDS = [
         fixed={"A": 0.05, "t0_sigma": 0.5},
     ),
     GridSpec(axis1=AxisSpec("Omega_sigma", 24.0, 30.0, 3), fixed={"A": 0.05}),
+    GridSpec(
+        axis1=AxisSpec("omega_sigma", 1e-4, 1e308, 2),
+        axis2=AxisSpec("D_sigma", 1e-170, 2.0, 2),
+        fixed={"A": 0.05},
+    ),
 ]
 
 
@@ -203,6 +210,25 @@ def test_run_grid_matches_pointwise_scalar_evaluation(spec):
                 params_from_mapping(dict(point))
             ).flags
     assert len({status.split(":")[0] for status in pts.status}) >= 2
+
+
+@pytest.mark.parametrize(
+    "index, error",
+    [
+        # (omega, D) = (1e-4, 1e-170): 1/(4 D^2 pi^{3/2}) divides by the
+        # zero D^2 underflows to.
+        (0, ZeroDivisionError),
+        # (omega, D) = (1e308, 2): (omega - 2 Omega) ** 2 in the envelope
+        # overflows before any sine of omega D/2 = inf is taken.
+        (3, OverflowError),
+    ],
+)
+def test_closed_form_failures_keep_their_exception_class(index, error):
+    spec = MIXED_GRIDS[2]
+    point = dict(spec.point_values()[index])
+    with pytest.raises(error):
+        closedform.evaluate(params_from_mapping(point))
+    assert run_grid(spec)[index].status.startswith(f"{error.__name__}: ")
 
 
 def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
