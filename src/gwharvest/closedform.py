@@ -67,7 +67,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _PI_32 = math.pi ** 1.5
 
 # Below this omega*sigma the direct closed forms for the GW integrals suffer
-# 1/omega cancellation, so series/extrapolation fallbacks take over.
+# 1/omega cancellation, so series/extrapolation fallbacks take over
+# (_small_omega makes the choice, on builtin floats and on arrays).
 SMALL_OMEGA_CUTOFF = 1.0e-3
 # Two-point quadratic extrapolation nodes used by the I2/I4 fallback.
 _RICHARDSON_NODES = (1.0e-2, 5.0e-3)
@@ -152,10 +153,34 @@ def _envelope(b: _Backend, w, Om, t0):
     return a.real + c.real, a.imag + c.imag
 
 
-def _i1(w, D, gauss, sin_h, cos_h):
+def _small_omega(w):
+    """Where I1-I4 take their series (_iN_series) instead of their direct
+    forms (_iN), which lose their digits to 1/w there: a bool on builtin
+    floats, a mask on arrays.  Each series takes its direct form's
+    arguments, so that b.choose can pass them to either."""
+    return abs(w) < SMALL_OMEGA_CUTOFF
+
+
+def _richardson(w, direct):
+    """a + c w^2 through direct() at _RICHARDSON_NODES (the form is even in w)."""
+    w1, w2 = _RICHARDSON_NODES
+    f1, f2 = direct(w1), direct(w2)
+    c = (f1 - f2) / (w1 * w1 - w2 * w2)
+    a = f1 - c * w1 * w1
+    return a + c * w * w
+
+
+def _i1(b: _Backend, w, D, gauss, sin_h, cos_h):
     """Im I1 by its direct form."""
     bracket = (D * D / 4.0 + 1.0) * sin_h - (D * w / 4.0) * cos_h
     return math.pi * gauss * bracket / w
+
+
+def _i1_series(b: _Backend, w, D, gauss, sin_h, cos_h):
+    """Im I1 by its quadratic Taylor polynomial in w."""
+    const = b.pow(D, 3.0) / 8.0 + D / 4.0
+    quad = b.pow(D, 3.0) * (1.0 - D * D / 2.0) / 96.0
+    return math.pi * gauss * (const + w * w * quad)
 
 
 def _i2(b: _Backend, w, D, e_p, sin_h, cos_h):
@@ -165,13 +190,29 @@ def _i2(b: _Backend, w, D, e_p, sin_h, cos_h):
     return math.pi / w * (b.erf(w / 2.0) - prod_re)
 
 
-def _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
+def _i2_series(b: _Backend, w, D, e_p, sin_h, cos_h):
+    """I2 by a + c w^2 fitted to its direct form."""
+    return _richardson(w, lambda v: _i2(b, v, D, e_p, *_sin_cos(b, v * D / 2.0)))
+
+
+def _i3(b: _Backend, w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
     bracket = (
         D * w * sin_OD * cos_h
         + 2.0 * D * Om * cos_OD * sin_h
         - (D * D + 4.0) * sin_OD * sin_h
     )
     return math.pi * gauss / (2.0 * w) * bracket
+
+
+def _i3_series(b: _Backend, w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
+    """I3 by its quadratic Taylor polynomial in w."""
+    const = D * D * Om * cos_OD - (b.pow(D, 3.0) / 2.0 + D) * sin_OD
+    quad = (
+        -b.pow(D, 3.0) * sin_OD / 8.0
+        - b.pow(D, 4.0) * Om * cos_OD / 24.0
+        + (D * D + 4.0) * b.pow(D, 3.0) * sin_OD / 48.0
+    )
+    return math.pi * gauss / 2.0 * (const + w * w * quad)
 
 
 def _i4(b: _Backend, w, Om, D, e_p):
@@ -187,13 +228,9 @@ def _i4(b: _Backend, w, Om, D, e_p):
     return math.pi / w * total
 
 
-def _richardson(w, direct):
-    """a + b w^2 through direct() at _RICHARDSON_NODES (the form is even in w)."""
-    w1, w2 = _RICHARDSON_NODES
-    f1, f2 = direct(w1), direct(w2)
-    b = (f1 - f2) / (w1 * w1 - w2 * w2)
-    a = f1 - b * w1 * w1
-    return a + b * w * w
+def _i4_series(b: _Backend, w, Om, D, e_p):
+    """I4 by a + c w^2 fitted to its direct form."""
+    return _richardson(w, lambda v: _i4(b, v, Om, D, e_p))
 
 
 def _x_gw(env_re, env_im, i1, i2, D):
@@ -216,24 +253,22 @@ def _minkowski(b: _Backend, Om, D, t0):
     return minkowski, (e_p, gauss, sin_OD, cos_OD)
 
 
-def _gw(b: _Backend, w, Om, D, t0, factors, small):
+def _gw(b: _Backend, w, Om, D, t0, factors):
     """(Re x_gw, Im x_gw, c_gw) of a point.
 
     The envelope comes first: where its ** overflows, nothing after it
-    runs.  With small set (builtin floats only), I1-I4 come from the piece
-    functions, which take their series below SMALL_OMEGA_CUTOFF.
+    runs.
     """
     e_p, gauss, sin_OD, cos_OD = factors
     env_re, env_im = _envelope(b, w, Om, t0)
-    if small:
-        i1, i2 = integral_I1(w, D).imag, integral_I2(w, D)
-        i3, i4 = integral_I3(w, Om, D), integral_I4(w, Om, D)
-    else:
-        sin_h, cos_h = _sin_cos(b, w * D / 2.0)
-        i1 = _i1(w, D, gauss, sin_h, cos_h)
-        i2 = _i2(b, w, D, e_p, sin_h, cos_h)
-        i3 = _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD)
-        i4 = _i4(b, w, Om, D, e_p)
+    sin_h, cos_h = _sin_cos(b, w * D / 2.0)
+    small = _small_omega(w)
+    i1 = b.choose(small, _i1_series, _i1, b, w, D, gauss, sin_h, cos_h)
+    i2 = b.choose(small, _i2_series, _i2, b, w, D, e_p, sin_h, cos_h)
+    i3 = b.choose(
+        small, _i3_series, _i3, b, w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD
+    )
+    i4 = b.choose(small, _i4_series, _i4, b, w, Om, D, e_p)
     xg_re, xg_im = _x_gw(env_re, env_im, i1, i2, D)
     return xg_re, xg_im, _c_gw(b, w, D, t0, i3, i4)
 
@@ -330,14 +365,12 @@ def integral_I1(omega: float, D: float) -> complex:
     For omega below SMALL_OMEGA_CUTOFF the 0/0 form is replaced by its
     quadratic Taylor polynomial
     i pi e^{-D^2/4} [ (D^3/8 + D/4) + omega^2 D^3 (1 - D^2/2)/96 ].
+    evaluate and evaluate_arrays run the same source (_i1, _i1_series).
     """
     gauss = _gauss(_SCALAR, D)
-    if abs(omega) < SMALL_OMEGA_CUTOFF:
-        const = D ** 3 / 8.0 + D / 4.0
-        quad = D ** 3 * (1.0 - D * D / 2.0) / 96.0
-        return complex(0.0, math.pi * gauss * (const + omega * omega * quad))
     sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
-    return complex(0.0, _i1(omega, D, gauss, sin_h, cos_h))
+    args = (_SCALAR, omega, D, gauss, sin_h, cos_h)
+    return complex(0.0, _SCALAR.choose(_small_omega(omega), _i1_series, _i1, *args))
 
 
 def integral_I2(omega: float, D: float) -> float:
@@ -350,19 +383,16 @@ def integral_I2(omega: float, D: float) -> float:
     The omega -> 0 limit is finite but the direct form loses all digits to
     cancellation there, so below SMALL_OMEGA_CUTOFF the value is produced
     by a two-point quadratic extrapolation a + b omega^2 fitted at
-    omega in {1e-2, 5e-3} (the integral is even in omega).
+    omega in {1e-2, 5e-3} (the integral is even in omega).  evaluate and
+    evaluate_arrays run the same source (_i2, _i2_series).
 
     Large-D behaviour is not Gaussian: I2 -> (pi/omega) erf(omega/2) as
     D -> infinity, so the GW coherence decays only like 1/D^2.
     """
     e_p = _e_p(_SCALAR, D)
-
-    def direct(w: float) -> float:
-        return _i2(_SCALAR, w, D, e_p, *_sin_cos(_SCALAR, w * D / 2.0))
-
-    if abs(omega) < SMALL_OMEGA_CUTOFF:
-        return _richardson(omega, direct)
-    return direct(omega)
+    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    args = (_SCALAR, omega, D, e_p, sin_h, cos_h)
+    return _SCALAR.choose(_small_omega(omega), _i2_series, _i2, *args)
 
 
 def integral_I3(omega: float, Omega: float, D: float) -> float:
@@ -381,20 +411,14 @@ def integral_I3(omega: float, Omega: float, D: float) -> float:
     2 sin a cos b = sin(a+b) + sin(a-b) applied to each product above.
 
     Below SMALL_OMEGA_CUTOFF the quadratic Taylor polynomial in omega is
-    used instead of the 0/0 direct form.
+    used instead of the 0/0 direct form.  evaluate and evaluate_arrays
+    run the same source (_i3, _i3_series).
     """
     gauss = _gauss(_SCALAR, D)
     s, c = _sin_cos(_SCALAR, Omega * D)
-    if abs(omega) < SMALL_OMEGA_CUTOFF:
-        const = D * D * Omega * c - (D ** 3 / 2.0 + D) * s
-        quad = (
-            -(D ** 3) * s / 8.0
-            - D ** 4 * Omega * c / 24.0
-            + (D * D + 4.0) * D ** 3 * s / 48.0
-        )
-        return math.pi * gauss / 2.0 * (const + omega * omega * quad)
     sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
-    return _i3(omega, Omega, D, gauss, sin_h, cos_h, s, c)
+    args = (_SCALAR, omega, Omega, D, gauss, sin_h, cos_h, s, c)
+    return _SCALAR.choose(_small_omega(omega), _i3_series, _i3, *args)
 
 
 def integral_I4(omega: float, Omega: float, D: float) -> float:
@@ -409,11 +433,10 @@ def integral_I4(omega: float, Omega: float, D: float) -> float:
     The two branches swap under Omega -> -Omega, so evenness is manifest.
     Below SMALL_OMEGA_CUTOFF a two-point quadratic extrapolation in omega
     replaces the cancellation-prone direct form, as for integral_I2.
+    evaluate and evaluate_arrays run the same source (_i4, _i4_series).
     """
-    e_p = _e_p(_SCALAR, D)
-    if abs(omega) < SMALL_OMEGA_CUTOFF:
-        return _richardson(omega, lambda w: _i4(_SCALAR, w, Omega, D, e_p))
-    return _i4(_SCALAR, omega, Omega, D, e_p)
+    args = (_SCALAR, omega, Omega, D, _e_p(_SCALAR, D))
+    return _SCALAR.choose(_small_omega(omega), _i4_series, _i4, *args)
 
 
 def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
@@ -499,8 +522,8 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     A point with |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2)
     still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
     since the neglected second-order strain terms can dominate there.
-    Below SMALL_OMEGA_CUTOFF, I1-I4 come from their series; otherwise the
-    closed forms are those evaluate_arrays runs, on builtin floats.
+    The closed forms, and below SMALL_OMEGA_CUTOFF the series that stand
+    in for I1-I4, are those evaluate_arrays runs, bound to builtin floats.
     """
     w, Om, D, t0 = (
         params.omega_sigma, params.Omega_sigma, params.D_sigma, params.t0_sigma
@@ -512,7 +535,7 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
             f"|x_m| = {axm:g} at Omega={Om:g}, D={D:g}: "
             "first-order GW shift of |X| is undefined"
         )
-    gw = _gw(_SCALAR, w, Om, D, t0, factors, abs(w) < SMALL_OMEGA_CUTOFF)
+    gw = _gw(_SCALAR, w, Om, D, t0, factors)
     row = _observables(_SCALAR, params.A, minkowski, gw)
     return HarvestReport._of_row(row, axm)
 
@@ -521,15 +544,12 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
 
 
 def array_domain(omega, Omega, D, t0, A) -> np.ndarray:
-    """Mask of the points evaluate_arrays accepts.
-
-    Finite parameters, D > 0 and |omega| >= SMALL_OMEGA_CUTOFF: evaluate
-    handles the rest one by one (validation errors, the small-omega
-    fallbacks).
+    """Mask of the points evaluate_arrays accepts: finite parameters and
+    D > 0.  The rest fail validation, which evaluate reports one by one.
     """
     finite = np.isfinite(omega) & np.isfinite(Omega) & np.isfinite(D)
     finite &= np.isfinite(t0) & np.isfinite(A)
-    return finite & (D > 0.0) & (np.abs(omega) >= SMALL_OMEGA_CUTOFF)
+    return finite & (D > 0.0)
 
 
 def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
@@ -538,8 +558,9 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     Column k is OBSERVABLES[k]; row i holds evaluate's values for point i
     (separation along x): the same closed forms, bound to numpy arrays
     instead of builtin floats, with the Faddeeva and erf-oddness folds
-    taken as masks.  All points must lie in array_domain (ValueError
-    otherwise).  Rows with |x_m| < DEGENERATE_XM_FLOOR, where evaluate
+    and the small-omega series taken as masks (the series run only when
+    some point needs them).  All points must lie in array_domain
+    (ValueError otherwise).  Rows with |x_m| < DEGENERATE_XM_FLOOR, where evaluate
     raises DegenerateDirection, and rows whose arithmetic overflowed hold
     non-finite values; callers send those points to evaluate.
     """
@@ -548,12 +569,12 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     )
     if not array_domain(w, Om, D, t0, A).all():
         raise ValueError(
-            "evaluate_arrays needs finite parameters, D > 0 and "
-            "|omega| >= SMALL_OMEGA_CUTOFF; evaluate handles other points"
+            "evaluate_arrays needs finite parameters and D > 0; "
+            "evaluate handles other points"
         )
     with np.errstate(all="ignore"):
         minkowski, factors = _minkowski(_ARRAY, Om, D, t0)
-        gw = _gw(_ARRAY, w, Om, D, t0, factors, small=False)
+        gw = _gw(_ARRAY, w, Om, D, t0, factors)
         row = _observables(_ARRAY, A, minkowski, gw)
     return np.column_stack(np.broadcast_arrays(*row))
 

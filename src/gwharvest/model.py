@@ -75,6 +75,11 @@ class ValidationWarning:
         return f"{self.code}: {self.message}"
 
 
+def _config_key(name: str) -> str:
+    # The field name, except for the coupling: "lambda" is a Python keyword.
+    return "lambda" if name == "coupling_lambda" else name
+
+
 @dataclass(frozen=True)
 class DimensionlessParams:
     """One evaluation point: two static detectors a distance D apart along x.
@@ -96,6 +101,7 @@ class DimensionlessParams:
     coupling_lambda  interaction strength lambda > 0 (config key "lambda");
                      bookkeeping only, since every reported quantity is
                      normalized.
+    A non-finite field raises ConfigError naming its config key.
     """
 
     A: float = 0.0
@@ -106,6 +112,10 @@ class DimensionlessParams:
     coupling_lambda: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                key = _config_key(name)
+                raise ConfigError(f"parameter {key!r} must be finite (got {value!r})")
         if not self.coupling_lambda > 0.0:
             raise InvalidCoupling(
                 f"coupling lambda must be > 0, got {self.coupling_lambda!r}"
@@ -137,10 +147,10 @@ class SpacetimePoint:
 def validate(p: DimensionlessParams) -> list[ValidationWarning]:
     """Evaluate all soft validity limits, returning structured warnings.
 
-    Hard violations (D <= 0, lambda <= 0) raise at construction and so
-    cannot reach here.  The returned list is empty iff A is within the
-    linear-strain regime, |Omega*sigma| is inside the first-order validity
-    window, and the wave frequency is non-negative.
+    Hard violations (non-finite values, D <= 0, lambda <= 0) raise at
+    construction and so cannot reach here.  The returned list is empty iff
+    A is within the linear-strain regime, |Omega*sigma| is inside the
+    first-order validity window, and the wave frequency is non-negative.
     """
     out: list[ValidationWarning] = []
     if p.A < 0.0:
@@ -187,11 +197,8 @@ def validate(p: DimensionlessParams) -> list[ValidationWarning]:
 # these keys are understood; anything else is an error so that typos fail
 # loudly instead of silently falling back to defaults.
 
-# The config key of each DimensionlessParams field: the field name, except
-# for the coupling, whose key "lambda" is a Python keyword.
 CONFIG_DEFAULTS: dict[str, float] = {
-    "lambda" if f.name == "coupling_lambda" else f.name: f.default
-    for f in fields(DimensionlessParams)
+    _config_key(f.name): f.default for f in fields(DimensionlessParams)
 }
 
 CONFIG_KEYS = tuple(CONFIG_DEFAULTS)
@@ -244,8 +251,5 @@ def params_from_mapping(values: dict[str, float]) -> DimensionlessParams:
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"unknown parameter {key!r}")
     merged = {**CONFIG_DEFAULTS, **values}
-    for key, value in merged.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"parameter {key!r} must be finite (got {value!r})")
     coupling = merged.pop("lambda")
     return DimensionlessParams(coupling_lambda=coupling, **merged)

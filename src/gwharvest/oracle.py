@@ -238,6 +238,46 @@ def _regulators(
     return regs
 
 
+def _ladder(
+    rung: Callable[[float], tuple[complex, float]],
+    regs: Sequence[float],
+    square_variable: bool,
+) -> tuple[complex, float]:
+    """Extrapolate rung(reg) = (value, quadrature error) to reg -> 0.
+
+    Neville in reg, or in reg**2 when square_variable is set; the error is
+    the extrapolation residual plus the worst quadrature error.
+    """
+    vals: list[complex] = []
+    quad_err = 0.0
+    for reg in regs:
+        v, e = rung(reg)
+        vals.append(v)
+        quad_err = max(quad_err, e)
+    xs = [r * r for r in regs] if square_variable else list(regs)
+    value, resid = _neville_at_zero(xs, vals)
+    return value, resid + quad_err
+
+
+def _scaled(
+    est: OracleEstimate,
+    factor: complex,
+    factor_err: float = 0.0,
+    tol: float | None = None,
+) -> OracleEstimate:
+    """factor * est, with first-order error propagation.
+
+    The convergence flag is est's, or with tol given, err <= tol.
+    """
+    err = abs(factor) * est.abs_error_estimate + factor_err * abs(est.value)
+    return OracleEstimate(
+        value=factor * est.value,
+        abs_error_estimate=err,
+        regulator_schedule=est.regulator_schedule,
+        converged=est.converged if tol is None else err <= tol,
+    )
+
+
 def quad_adaptive(
     family: Callable[[float], Callable[[float], complex]],
     a: float,
@@ -268,26 +308,18 @@ def quad_adaptive(
     with converged = False.
     """
     regs = _regulators(schedule)
-    vals: list[complex] = []
-    quad_err = 0.0
-    for reg in regs:
-        v, e = _cquad(family(reg), a, b, points=points, limit=limit)
-        vals.append(v)
-        quad_err = max(quad_err, e)
-    xs = [r * r for r in regs] if square_variable else list(regs)
-    value, resid = _neville_at_zero(xs, vals)
-    err = resid + quad_err + tail_bound
+    value, err = _ladder(
+        lambda reg: _cquad(family(reg), a, b, points=points, limit=limit),
+        regs,
+        square_variable,
+    )
+    err += tail_bound
     if err > 1000.0 * tol:
         raise NoConvergence(
             f"regulator extrapolation residual {err:g} exceeds "
             f"1000 * tol = {1000.0 * tol:g}"
         )
-    return OracleEstimate(
-        value=value,
-        abs_error_estimate=err,
-        regulator_schedule=regs,
-        converged=err <= tol,
-    )
+    return OracleEstimate(value, err, regs, err <= tol)
 
 
 # --- Wightman-kernel oracles for P, X_M, C_M -------------------------------
@@ -314,12 +346,7 @@ def _p_raw(
     est = quad_adaptive(
         family, -L, L, schedule=schedule, tol=tol, points=[0.0], tail_bound=tail
     )
-    return OracleEstimate(
-        value=_SQRT_PI * est.value,
-        abs_error_estimate=_SQRT_PI * est.abs_error_estimate,
-        regulator_schedule=est.regulator_schedule,
-        converged=est.converged,
-    )
+    return _scaled(est, _SQRT_PI)
 
 
 def oracle_P(
@@ -402,16 +429,14 @@ def oracle_P_full(
     est = quad_adaptive(
         family, -L, L, schedule=schedule, tol=tol, points=[0.0], tail_bound=tail
     )
-    return OracleEstimate(
-        value=_SQRT_PI * est.value,
-        abs_error_estimate=_SQRT_PI * est.abs_error_estimate,
-        regulator_schedule=est.regulator_schedule,
-        converged=est.converged,
-    )
+    return _scaled(est, _SQRT_PI)
 
 
 def _xm_prefactor(Omega: float, t0: float) -> complex:
-    return -2.0 * _SQRT_PI * cmath.exp(complex(-Omega * Omega, -2.0 * Omega * t0))
+    """X_M / its kernel integral.  Scaling keeps the kernel's convergence
+    flag, judged (as NoConvergence is) on the unscaled kernel error."""
+    Om, t0 = float(Omega), float(t0)
+    return -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0))
 
 
 def _expm1_ratio(w: float) -> float:
@@ -430,7 +455,7 @@ def _xm_kernel(
     """Half-line kernel integral of X_M: Integral_0^inf exp(-a^2/4) K(a) da.
 
     It depends on D alone (and on the method, tol and schedule), so one
-    estimate serves every (Omega, t0) through _xm_scaled; see oracle_XM
+    estimate serves every (Omega, t0) through _xm_prefactor; see oracle_XM
     for the two methods.  abs_error_estimate bounds the error of this
     unscaled integral, its neglected tail beyond L = D + 14 included.
     """
@@ -468,16 +493,12 @@ def _xm_kernel(
         def subtracted(av: float) -> float:
             return gauss_d * _expm1_ratio(av * av - Dv * Dv)
 
-        v1, e1 = _scipy_quad(
-            subtracted, 0.0, 2.0 * Dv, points=[Dv], limit=300,
-            epsabs=1e-13, epsrel=1e-12,
-        )
+        v1, e1 = _rquad(subtracted, 0.0, 2.0 * Dv, points=[Dv])
         # PV of the subtracted constant over [0, 2D] is exactly -ln3/(2D).
         v2 = -gauss_d * math.log(3.0) / (2.0 * Dv)
         # Regular remainder on [2D, L].
-        v3, e3 = _scipy_quad(
-            lambda av: math.exp(-av * av / 4.0) / (av * av - Dv * Dv),
-            2.0 * Dv, L, limit=300, epsabs=1e-13, epsrel=1e-12,
+        v3, e3 = _rquad(
+            lambda av: math.exp(-av * av / 4.0) / (av * av - Dv * Dv), 2.0 * Dv, L
         )
         pv_total = v1 + v2 + v3
         # Half-line kernel integral: -PV/(4 pi^2) plus the concentrated
@@ -486,30 +507,9 @@ def _xm_kernel(
             -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
         )
         err = (e1 + e3) / _FOUR_PI_SQ + tail
-        return OracleEstimate(
-            value=kernel_integral,
-            abs_error_estimate=err,
-            regulator_schedule=(),
-            converged=err <= tol,
-        )
+        return OracleEstimate(kernel_integral, err, (), err <= tol)
 
     raise ValueError(f"unknown oracle_XM method {method!r}")
-
-
-def _xm_scaled(Omega: float, t0: float, kernel: OracleEstimate) -> OracleEstimate:
-    """X_M from its kernel integral: the prefactor times the kernel estimate.
-
-    Both methods keep the kernel's convergence flag, judged on the
-    unscaled kernel error against tol (where quad_adaptive also decides
-    NoConvergence for the regulated method).
-    """
-    pref = _xm_prefactor(float(Omega), float(t0))
-    return OracleEstimate(
-        value=pref * kernel.value,
-        abs_error_estimate=abs(pref) * kernel.abs_error_estimate,
-        regulator_schedule=kernel.regulator_schedule,
-        converged=kernel.converged,
-    )
 
 
 def oracle_XM(
@@ -545,7 +545,7 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    return _xm_scaled(Omega, t0, _xm_kernel(D, method, tol, schedule))
+    return _scaled(_xm_kernel(D, method, tol, schedule), _xm_prefactor(Omega, t0))
 
 
 def oracle_CM(
@@ -583,12 +583,7 @@ def oracle_CM(
         family, -L, L, schedule=schedule, tol=tol, points=[-Dv, Dv],
         tail_bound=tail,
     )
-    return OracleEstimate(
-        value=_SQRT_PI * est.value,
-        abs_error_estimate=_SQRT_PI * est.abs_error_estimate,
-        regulator_schedule=est.regulator_schedule,
-        converged=est.converged,
-    )
+    return _scaled(est, _SQRT_PI)
 
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
@@ -668,19 +663,6 @@ def _strain_a_integral(
     )
 
 
-def _scale_estimate(
-    pref: complex, pref_err: float, a_est: OracleEstimate, tol: float
-) -> OracleEstimate:
-    """pref * a_est with first-order error propagation."""
-    err = abs(pref) * a_est.abs_error_estimate + pref_err * abs(a_est.value)
-    return OracleEstimate(
-        value=pref * a_est.value,
-        abs_error_estimate=err,
-        regulator_schedule=a_est.regulator_schedule,
-        converged=err <= tol,
-    )
-
-
 def oracle_x_gw(
     omega: float,
     Omega: float,
@@ -715,7 +697,7 @@ def oracle_x_gw(
     a_est = _strain_a_integral(
         w, 0.0, D, full_line=False, tol=tol / max(abs(pref), 1e-300)
     )
-    return _scale_estimate(pref, 2.0 * t_err, a_est, tol)
+    return _scaled(a_est, pref, 2.0 * t_err, tol)
 
 
 def oracle_c_gw(
@@ -742,7 +724,7 @@ def oracle_c_gw(
     a_est = _strain_a_integral(
         w, Omega, D, full_line=True, tol=tol / max(abs(t_int), 1e-300)
     )
-    return _scale_estimate(t_int, t_err, a_est, tol)
+    return _scaled(a_est, t_int, t_err, tol)
 
 
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
@@ -766,9 +748,7 @@ def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
         bracket = 2.0 - 2.0 * math.cos(Dv * s) - Dv * s * math.sin(Dv * s)
         return math.exp(-s * s) * math.sinh(w * s) * bracket
 
-    val, err = _scipy_quad(
-        integrand, 0.0, Ls, limit=300, epsabs=1e-13, epsrel=1e-12
-    )
+    val, err = _rquad(integrand, 0.0, Ls)
     # Tail: e^{-s^2} sinh(ws) <= e^{w^2/4} e^{-(s - w/2)^2} / 2 and the
     # bracket is bounded by 4 + D s on the tail.
     tail = (
@@ -780,12 +760,7 @@ def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
         * specfun.erfc_real(Ls - w / 2.0)
     )
     total_err = abs(pref) * err + tail
-    return OracleEstimate(
-        value=complex(pref * val, 0.0),
-        abs_error_estimate=total_err,
-        regulator_schedule=(),
-        converged=total_err <= tol,
-    )
+    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
 
 
 def oracle_I4(
@@ -819,9 +794,7 @@ def oracle_I4(
     else:
         segments.append((lo, hi, math.copysign(1.0, (lo + hi) / 2.0)))
     for a, b, sgn in segments:
-        v, e = _scipy_quad(
-            piece, a, b, limit=300, epsabs=1e-13, epsrel=1e-12
-        )
+        v, e = _rquad(piece, a, b)
         val += sgn * v
         err += e
     # Window ends sit 9 Gaussian widths from the center s = Omega.
@@ -833,12 +806,7 @@ def oracle_I4(
         * specfun.erfc_real(9.0)
     )
     total_err = abs(pref) * err + tail
-    return OracleEstimate(
-        value=complex(pref * val, 0.0),
-        abs_error_estimate=total_err,
-        regulator_schedule=(),
-        converged=total_err <= tol,
-    )
+    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
 
 
 # --- nascent-delta' oracles for I1 and I3 ----------------------------------
@@ -892,9 +860,7 @@ def oracle_delta_prime(
         r = x / eta
         return -2.0 * x * math.exp(-r * r) / (eta ** 3 * _SQRT_PI)
 
-    vals: list[complex] = []
-    quad_err = 0.0
-    for eta in regs:
+    def rung(eta: float) -> tuple[complex, float]:
         lo, hi = _dprime_window(Dv, eta)
 
         if which == "I1":
@@ -903,7 +869,7 @@ def oracle_delta_prime(
             def integrand(av: float) -> float:
                 return g(av) * d_eta(av - Dv * Dv / av, eta)
 
-            re, e = _rquad(integrand, lo, hi, points=[Dv], limit=300)
+            re, e = _rquad(integrand, lo, hi, points=[Dv])
             v = complex(re, 0.0)
         else:
 
@@ -911,27 +877,19 @@ def oracle_delta_prime(
                 phase = complex(math.cos(Om * av), math.sin(Om * av))
                 return phase * g(av) * d_eta(av - Dv * Dv / av, eta)
 
-            v_pos, e_pos = _cquad(integrand, lo, hi, points=[Dv], limit=300)
-            v_neg, e_neg = _cquad(integrand, -hi, -lo, points=[-Dv], limit=300)
+            v_pos, e_pos = _cquad(integrand, lo, hi, points=[Dv])
+            v_neg, e_neg = _cquad(integrand, -hi, -lo, points=[-Dv])
             v, e = v_pos + v_neg, e_pos + e_neg
 
-        vals.append(1j * math.pi * Dv ** 4 * v)
-        quad_err = max(quad_err, math.pi * Dv ** 4 * e)
+        return 1j * math.pi * Dv ** 4 * v, math.pi * Dv ** 4 * e
 
-    xs = [eta * eta for eta in regs]
-    value, resid = _neville_at_zero(xs, vals)
-    err = resid + quad_err
+    value, err = _ladder(rung, regs, square_variable=True)
     if err > 1000.0 * tol * max(1.0, abs(value)):
         raise NoConvergence(
             f"delta'-family extrapolation residual {err:g} is far beyond "
             f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
         )
-    return OracleEstimate(
-        value=value,
-        abs_error_estimate=err,
-        regulator_schedule=regs,
-        converged=err <= tol * max(1.0, abs(value)),
-    )
+    return OracleEstimate(value, err, regs, err <= tol * max(1.0, abs(value)))
 
 
 # --- verification suite -----------------------------------------------------
@@ -1056,7 +1014,8 @@ def verify_suite(
         for D in sorted(set(Ds)):
             for t0 in sorted(set(t0s)):
                 xm = closedform.x_minkowski(Om, D, t0)
-                est_reg = _xm_scaled(Om, t0, kernels[D, "regulated"])
+                pref = _xm_prefactor(Om, t0)
+                est_reg = _scaled(kernels[D, "regulated"], pref)
                 records.append(
                     _record(
                         "x_minkowski",
@@ -1066,7 +1025,7 @@ def verify_suite(
                         TOL_KERNEL,
                     )
                 )
-                est_pv = _xm_scaled(Om, t0, kernels[D, "pv_subtraction"])
+                est_pv = _scaled(kernels[D, "pv_subtraction"], pref)
                 records.append(
                     _record(
                         "x_minkowski_pv",

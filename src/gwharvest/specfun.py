@@ -13,9 +13,10 @@ The scaled product, like every closed form built on it, is written once
 over a backend of primitives and bound twice with the same bits: _SCALAR
 to builtin float and complex (math, cmath and scipy's Cython-level wofz,
 the scipy.special.wofz ufunc's code without its array dispatch), _ARRAY
-to numpy arrays.  Only the Faddeeva folds are written twice, as branches
-and as masks: the lower half-plane exponential must never be evaluated
-where it overflows.
+to numpy arrays.  Only the Faddeeva folds and the backend's choose are
+written twice, as branches and as masks: the lower half-plane exponential
+must never be evaluated where it overflows, and a form that choose does
+not pick is not run on builtin floats.
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ class _Backend(NamedTuple):
     flip: Callable    # (cond, re, im) -> (-re, -im) where cond, else (re, im)
     clip: Callable    # max(0, x)
     guard: Callable   # (exponent, what) -> DomainTooLarge above the limit
+    choose: Callable  # (cond, f, g, *args) -> f(*args) where cond, else g(*args)
 
 
 def _scalar_abs(re: float, im: float) -> float:
@@ -200,6 +202,7 @@ _SCALAR = _Backend(
     flip=lambda cond, re, im: (-re, -im) if cond else (re, im),
     clip=lambda x: max(0.0, x),
     guard=_scalar_guard,
+    choose=lambda cond, f, g, *args: f(*args) if cond else g(*args),
 )
 
 _ARRAY = _Backend(
@@ -220,6 +223,10 @@ _ARRAY = _Backend(
     flip=lambda cond, re, im: (np.where(cond, -re, re), np.where(cond, -im, im)),
     clip=lambda x: np.where(x > 0.0, x, 0.0),
     guard=_array_guard,
+    choose=lambda cond, f, g, *args: (
+        # f runs only when some element needs it; g runs on every element.
+        np.where(cond, f(*args), g(*args)) if cond.any() else g(*args)
+    ),
 )
 
 

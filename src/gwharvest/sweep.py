@@ -6,9 +6,10 @@ for the remaining parameters.  run_grid evaluates every point row-major
 error is recorded in that row's status — and is deterministic: the same
 grid produces byte-identical CSV output regardless of worker count,
 because every point is a pure function of its parameters and results are
-collected in task order.  Points are evaluated as arrays by
-closedform.evaluate_arrays; those outside its domain go one by one through
-closedform.evaluate.
+collected in task order.  Every point with valid parameters, small omega
+included, is evaluated as arrays by closedform.evaluate_arrays; a point
+whose row is not finite goes one by one through closedform.evaluate only
+for its status text (mostly the name of a failure).
 
 CSV rows carry the full parameter tuple, every observable, and a status
 column; floats are written with repr(), Python's shortest round-trip
@@ -253,10 +254,10 @@ def _evaluate_block(
     """Observables and status of each point (row) of params.
 
     Points in closedform.array_domain go through evaluate_arrays, _BLOCK
-    at a time.  The rest (invalid parameters, omega below
-    SMALL_OMEGA_CUTOFF), and points the kernel leaves non-finite or with a
-    degenerate |x_m|, go one by one through the scalar evaluate, so their
-    values and status are those `gwharvest point` gives.
+    at a time.  The rest (invalid parameters), and points the kernel
+    leaves non-finite or with a degenerate |x_m|, go one by one through
+    the scalar evaluate, so their values and status are those `gwharvest
+    point` gives.
     """
     cols = dict(zip(keys, params.T))
     args = [cols[name] for name in _PARAM_COLUMNS]

@@ -395,9 +395,15 @@ def test_first_order_floor_flag():
 
 # --- array kernel -------------------------------------------------------------
 
-# One point of the shipped presets' range: (omega, Omega, D, t0, A).
+# One point of the shipped presets' range, (omega, Omega, D, t0, A), or the
+# same with |omega| at or below SMALL_OMEGA_CUTOFF, zero and negative omega
+# included, so that batches mix the series with the direct forms.
 _PRESET_POINTS = st.tuples(
-    st.floats(1e-3, 8.0),
+    st.one_of(
+        st.floats(1e-3, 8.0),
+        st.floats(-SMALL_OMEGA_CUTOFF, SMALL_OMEGA_CUTOFF),
+        st.sampled_from([0.0, -0.0]),
+    ),
     st.floats(-2.0, 2.0),
     st.floats(0.25, 4.0),
     st.floats(0.0, 1.0),
@@ -447,10 +453,31 @@ def test_evaluate_arrays_rows_do_not_depend_on_the_batch():
     assert np.array_equal(whole[::50], single)
 
 
+def test_evaluate_arrays_rows_equal_evaluate_bit_for_bit_below_the_cutoff():
+    # The small-omega series are the same source on both paths: in a batch
+    # that mixes them with the direct forms, every row has evaluate's bits.
+    rng = np.random.default_rng(1003)
+    n = 2000
+    omega = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), n))
+    omega *= rng.choice([-1.0, 1.0], n)
+    omega[:3] = (0.0, -0.0, -SMALL_OMEGA_CUTOFF)
+    omega[n // 2 :] = rng.uniform(SMALL_OMEGA_CUTOFF, 8.0, n - n // 2)
+    cols = np.stack([
+        omega,
+        rng.uniform(-2.0, 2.0, n),
+        np.exp(rng.uniform(math.log(1e-2), math.log(100.0), n)),
+        rng.uniform(-1.0, 2.0, n),
+        rng.uniform(0.0, 0.1, n),
+    ])[:, rng.permutation(n)]
+    rows = evaluate_arrays(*cols)
+    scalar = np.array([_scalar_row(*point) for point in cols.T.tolist()])
+    assert np.count_nonzero(np.abs(cols[0]) < SMALL_OMEGA_CUTOFF) > n // 3
+    assert np.array_equal(rows.view(np.int64), scalar.view(np.int64))
+
+
 @pytest.mark.parametrize(
     "point",
     [
-        (SMALL_OMEGA_CUTOFF / 2, 1.0, 1.0, 0.0, 0.0),
         (2.0, 1.0, 0.0, 0.0, 0.0),
         (2.0, 1.0, -1.0, 0.0, 0.0),
         (2.0, math.nan, 1.0, 0.0, 0.0),

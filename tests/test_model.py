@@ -159,6 +159,18 @@ def test_params_from_mapping_rejects_non_finite_values(key, value):
         params_from_mapping({key: value})
 
 
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_record_built_directly_rejects_non_finite_values(key, value):
+    # The record itself checks finiteness, ahead of the lambda and D rules,
+    # so evaluate and density_matrix never see a nan or inf parameter.
+    field = "coupling_lambda" if key == "lambda" else key
+    with pytest.raises(ConfigError, match=f"parameter '{key}' must be finite"):
+        DimensionlessParams(**{field: value})
+    with pytest.raises(ConfigError, match=f"parameter '{key}'"):
+        DimensionlessParams(**{"coupling_lambda": 0.0, "D_sigma": -1.0, field: value})
+
+
 def test_config_keys_cover_defaults():
     # One table: CONFIG_DEFAULTS is the record's fields under their config
     # keys, in field order, and the record built from it is the default one.

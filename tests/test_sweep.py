@@ -246,12 +246,11 @@ def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
     monkeypatch.setattr(sweep, "params_from_mapping", counted_params)
     monkeypatch.setattr(closedform, "evaluate", counted_evaluate)
     # 16 points: omega in {0, 0.001, 0.002, 0.003} x D in {-1, 0, 1, 2}.
-    # D <= 0 fails validation (8 points, no evaluate call); omega = 0 is
-    # below the cutoff (2 more points with D > 0).  The other 6 points take
-    # the array kernel.
+    # D <= 0 fails validation (8 points, no evaluate call).  The other 8
+    # points take the array kernel, omega = 0 below the cutoff included.
     pts = run_grid(MIXED_GRIDS[0])
     assert [pt.ok for pt in pts].count(True) == 8
-    assert calls == {"params": 10, "evaluate": 2}
+    assert calls == {"params": 8, "evaluate": 0}
     # Only the two degenerate gaps fall back on the second grid.
     calls.update(params=0, evaluate=0)
     run_grid(MIXED_GRIDS[1])
