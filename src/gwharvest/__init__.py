@@ -12,7 +12,15 @@ All public APIs are dimensionless: times and lengths in units of the
 switching width sigma, energies in units of 1/sigma, and outputs
 normalized by the coupling squared (and by the wave amplitude for the
 GW corrections).
+
+The quadrature oracles (the `oracle` submodule and its names in __all__)
+load on first use: they import scipy.integrate, and with it scipy's
+optimize, sparse, linalg, fft and spatial packages, which only
+verification needs.  Evaluating points, sweeps and figures loads
+scipy.special alone.
 """
+
+import importlib
 
 from .closedform import (
     OBSERVABLES,
@@ -48,20 +56,6 @@ from .model import (
     read_config,
     validate,
 )
-from .oracle import (
-    CheckRecord,
-    NoConvergence,
-    OracleEstimate,
-    all_passed,
-    oracle_CM,
-    oracle_I2,
-    oracle_I4,
-    oracle_P,
-    oracle_P_full,
-    oracle_XM,
-    oracle_delta_prime,
-    verify_suite,
-)
 from .specfun import (
     DomainTooLarge,
     faddeeva_w,
@@ -83,6 +77,18 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names this module does not bind.  Every
+    # name of __all__ but the oracle's is bound above.
+    if name == "oracle" or name in __all__:
+        # import_module, not `from . import oracle`, whose fromlist
+        # handling would call this hook again before importing.
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -13,6 +13,9 @@ Parameter precedence, lowest to highest: built-in defaults, then a
 Exit codes: 0 on success, 1 on an internal or verification failure,
 2 on a usage or validation error.  The only environment variable read
 is GWHARVEST_OUTDIR, the default output directory for `figure`.
+
+Only `verify` loads the quadrature oracle layer (and scipy.integrate); it
+is imported on first use, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from . import closedform, oracle, sweep
+from . import closedform, sweep
 from .model import (
     CONFIG_DEFAULTS,
     CONFIG_KEYS,
@@ -227,6 +230,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle  # loads scipy.integrate, which no other command needs
+
     grid = oracle.MINIMAL_VERIFY_GRID if args.grid == "minimal" else None
     records = oracle.verify_suite(grid)
     for rec in records:

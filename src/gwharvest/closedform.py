@@ -39,7 +39,7 @@ from .model import (
     DimensionlessParams,
     StateInvalid,
 )
-from .specfun import _ARRAY, _SCALAR, _Backend, _cmul, _scaled_erf
+from .specfun import _ARRAY, _SCALAR, DomainTooLarge, _Backend, _cmul, _scaled_erf
 
 __all__ = [
     "SMALL_OMEGA_CUTOFF",
@@ -518,10 +518,12 @@ def _first_order_flags(axm: float) -> tuple[str, ...]:
 def evaluate(params: DimensionlessParams) -> HarvestReport:
     """Compute every observable for one parameter point.
 
-    Raises DegenerateDirection if |x_m| underflows (theta_gw undefined).
-    A point with |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2)
-    still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
-    since the neglected second-order strain terms can dominate there.
+    Raises DegenerateDirection if |x_m| underflows (theta_gw undefined),
+    and DomainTooLarge, naming them, if any observables are not finite
+    (the arithmetic overflows, as once (D/2)^2 does).  A point with
+    |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2) still
+    evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG, since
+    the neglected second-order strain terms can dominate there.
     The closed forms, and below SMALL_OMEGA_CUTOFF the series that stand
     in for I1-I4, are those evaluate_arrays runs, bound to builtin floats.
     """
@@ -537,6 +539,15 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
         )
     gw = _gw(_SCALAR, w, Om, D, t0, factors)
     row = _observables(_SCALAR, params.A, minkowski, gw)
+    # A non-finite value makes the sum non-finite, and one sum costs about
+    # half of fifteen isfinite calls.  A sum that overflowed names nothing.
+    if not math.isfinite(sum(row)):
+        bad = [name for name, v in zip(OBSERVABLES, row) if not math.isfinite(v)]
+        if bad:
+            raise DomainTooLarge(
+                f"non-finite {', '.join(bad)} at omega={w:g}, Omega={Om:g}, "
+                f"D={D:g}, t0={t0:g}"
+            )
     return HarvestReport._of_row(row, axm)
 
 

@@ -80,6 +80,14 @@ def test_point_degenerate_parameters_exit_internal_error(capsys):
     assert "internal error:" in capsys.readouterr().err
 
 
+def test_point_non_finite_observables_exit_usage_error(capsys):
+    # Finite but extreme: the arithmetic overflows; no number is printed.
+    assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite re_x_m, ")
+
+
 @pytest.mark.parametrize(
     "flag",
     ["--A=nan", "--Omega_sigma=nan", "--omega_sigma=inf", "--D_sigma=inf",
@@ -254,7 +262,7 @@ def test_verify_failure_exits_nonzero(monkeypatch, capsys):
         oracle_error_estimate=1e-9,
         note="",
     )
-    monkeypatch.setattr(cli.oracle, "verify_suite", lambda grid=None: [bad])
+    monkeypatch.setattr("gwharvest.oracle.verify_suite", lambda grid=None: [bad])
     rc = cli.main(["verify"])
     assert rc == 1
     out = capsys.readouterr().out

@@ -44,6 +44,7 @@ from gwharvest.model import (
     params_from_mapping,
 )
 from gwharvest.oracle import oracle_c_gw, oracle_x_gw
+from gwharvest.specfun import DomainTooLarge
 
 PI_32 = math.pi**1.5
 
@@ -382,6 +383,42 @@ def test_concurrence_clamps_at_zero():
 def test_degenerate_direction_raises():
     with pytest.raises(DegenerateDirection):
         evaluate(_params(Omega_sigma=30.0, D_sigma=1.0))
+
+
+def test_evaluate_never_reports_ok_with_a_non_finite_observable():
+    # Far outside the presets the arithmetic overflows (x_m is nan from
+    # D ~ 1e154 up) and clip turns a nan margin into concurrence 0.0; such
+    # a point must fail with a named error, never return a report.
+    rng = np.random.default_rng(5)
+    n = 3000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    cols = np.stack([
+        signs[0] * log_uniform(1e-6, 1e3),
+        signs[1] * log_uniform(1e-6, 1e3),
+        log_uniform(1e-3, 1e250),
+        rng.uniform(0.0, 1.0, n),
+    ])
+    ok = domain = 0
+    for omega, Omega, D, t0 in cols.T.tolist():
+        try:
+            row = _scalar_row(omega, Omega, D, t0, 0.05)
+        except DomainTooLarge:
+            domain += 1
+            continue
+        except (ArithmeticError, ValueError):
+            continue
+        ok += 1
+        assert all(map(math.isfinite, row)), (omega, Omega, D, t0, row)
+    assert ok > n // 10 and domain > n // 10
+
+
+def test_non_finite_observables_are_named():
+    with pytest.raises(DomainTooLarge, match=r"^non-finite re_x_m, im_x_m, "):
+        evaluate(_params(D_sigma=1e200, A=0.05))
 
 
 def test_first_order_floor_flag():

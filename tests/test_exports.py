@@ -1,7 +1,11 @@
-"""Tests that the package's public names resolve and removed ones stay gone."""
+"""Tests that the package's public names resolve and removed ones stay gone,
+and that only the oracle names load the oracle layer."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +51,45 @@ def test_removed_names_are_gone(module):
     assert exported.isdisjoint(REMOVED)
     assert [name for name in REMOVED if hasattr(module, name)] == []
 
+
+def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
+    # A fresh interpreter: this process has long imported the oracle.
+    code = (
+        "import sys\n"
+        "import gwharvest, gwharvest.cli\n"
+        "assert gwharvest.cli.main(['point']) == 0\n"
+        "argv = ['sweep', '--axis', 'D_sigma:0.5:2:3', '-o', sys.argv[1]]\n"
+        "assert gwharvest.cli.main(argv) == 0\n"
+        "assert 'gwharvest.oracle' not in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        # The submodule itself is one of the names that load it.
+        "oracle = gwharvest.oracle\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "assert gwharvest.verify_suite is oracle.verify_suite\n"
+    )
+    src = os.path.dirname(os.path.dirname(gwharvest.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "scan.csv")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "scan.csv").exists()
+
+
+def test_oracle_names_resolve_through_the_package():
+    assert gwharvest.verify_suite is gwharvest.oracle.verify_suite
+    assert gwharvest.oracle is importlib.import_module("gwharvest.oracle")
+    names = {}
+    exec("from gwharvest import *", names)
+    assert set(gwharvest.__all__) <= names.keys()
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(
+        AttributeError, match="^module 'gwharvest' has no attribute 'no_such_name'$"
+    ):
+        gwharvest.no_such_name

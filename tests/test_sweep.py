@@ -188,6 +188,8 @@ MIXED_GRIDS = [
         axis2=AxisSpec("D_sigma", 1e-170, 2.0, 2),
         fixed={"A": 0.05},
     ),
+    # At D = 1e200 the kernel row is non-finite, and so is evaluate's.
+    GridSpec(axis1=AxisSpec("D_sigma", 1.0, 1e200, 2), fixed={"A": 0.05}),
 ]
 
 
@@ -229,6 +231,13 @@ def test_closed_form_failures_keep_their_exception_class(index, error):
     with pytest.raises(error):
         closedform.evaluate(params_from_mapping(point))
     assert run_grid(spec)[index].status.startswith(f"{error.__name__}: ")
+
+
+def test_non_finite_row_fails_with_a_named_status():
+    pts = run_grid(MIXED_GRIDS[3])
+    assert pts.status[0] == "ok"
+    assert pts.status[1].startswith("DomainTooLarge: non-finite re_x_m; ")
+    assert np.isnan(pts.values[1]).all()
 
 
 def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
