@@ -14,10 +14,9 @@ normalized by the coupling squared (and by the wave amplitude for the
 GW corrections).
 
 The quadrature oracles (the `oracle` submodule and its names in __all__)
-load on first use: they import scipy.integrate, and with it scipy's
-optimize, sparse, linalg, fft and spatial packages, which only
-verification needs.  Evaluating points, sweeps and figures loads
-scipy.special alone.
+load on first use, since only verification needs them.  They bring their
+own numpy quadrature; neither they nor points, sweeps and figures import
+more of scipy than scipy.special.
 """
 
 import importlib

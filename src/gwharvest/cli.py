@@ -14,8 +14,8 @@ Exit codes: 0 on success, 1 on an internal or verification failure,
 2 on a usage or validation error.  The only environment variable read
 is GWHARVEST_OUTDIR, the default output directory for `figure`.
 
-Only `verify` loads the quadrature oracle layer (and scipy.integrate); it
-is imported on first use, so the other commands start without it.
+Only `verify` loads the quadrature oracle layer; it is imported on first
+use, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import oracle  # loads scipy.integrate, which no other command needs
+    from . import oracle  # no other command needs the oracle layer
 
     grid = oracle.MINIMAL_VERIFY_GRID if args.grid == "minimal" else None
     records = oracle.verify_suite(grid)

@@ -40,6 +40,7 @@ __all__ = [
     "scaled_erf_product_array",
     "complex_array",
     "sinc",
+    "sinc_array",
 ]
 
 # sinc switches to its Taylor polynomial below this to avoid 0/0 and the
@@ -287,8 +288,18 @@ def sinc(x: float) -> float:
     double precision and avoids the degraded quotient.
     """
     x = float(x)
-    ax = abs(x)
-    if ax < _SINC_TAYLOR_CUTOFF:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    if abs(x) < _SINC_TAYLOR_CUTOFF:
+        return _sinc_taylor(x * x)
     return math.sin(x) / x
+
+
+def sinc_array(x: np.ndarray) -> np.ndarray:
+    """sinc over arrays, switching to the same Taylor series at the cutoff."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SINC_TAYLOR_CUTOFF
+    return np.where(small, _sinc_taylor(x * x), np.sin(x) / np.where(small, 1.0, x))
+
+
+def _sinc_taylor(x2):
+    """1 - x^2/6 + x^4/120, given x2 = x^2."""
+    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0

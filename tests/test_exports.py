@@ -64,8 +64,12 @@ def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
         "assert 'scipy.integrate' not in sys.modules\n"
         # The submodule itself is one of the names that load it.
         "oracle = gwharvest.oracle\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        "assert 'gwharvest.oracle' in sys.modules\n"
         "assert gwharvest.verify_suite is oracle.verify_suite\n"
+        # The oracle's quadrature is its own: verify never loads scipy's.
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "assert gwharvest.cli.main(['verify', '--grid', 'minimal']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(gwharvest.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -7,9 +7,11 @@ structure of the verification records.  Cross-validation of physics values
 happens in test_closedform.py (frozen tables) and test_acceptance.py.
 """
 
+import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as scipy_quad
@@ -22,6 +24,7 @@ from gwharvest.closedform import (
 )
 from gwharvest.oracle import (
     DEFAULT_SCHEDULE,
+    DEFAULT_VERIFY_GRID,
     MINIMAL_VERIFY_GRID,
     NoConvergence,
     RegulatorSchedule,
@@ -56,7 +59,7 @@ def test_quad_adaptive_exact_on_linear_family():
     # Integrand exp(-x^2) * (1 + eps): linear in the regulator, so Neville
     # extrapolation recovers sqrt(pi) to machine precision.
     est = quad_adaptive(
-        lambda eps: (lambda x: math.exp(-x * x) * (1.0 + eps)),
+        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps)),
         -10.0,
         10.0,
     )
@@ -69,7 +72,7 @@ def test_quad_adaptive_exact_on_linear_family():
 def test_quad_adaptive_square_variable_path():
     # A family even in the regulator extrapolates in eps^2.
     est = quad_adaptive(
-        lambda eps: (lambda x: math.exp(-x * x) * (1.0 + eps * eps)),
+        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps * eps)),
         -10.0,
         10.0,
         square_variable=True,
@@ -83,7 +86,7 @@ def test_quad_adaptive_honest_unconverged_band():
     # schedule: the residual (~5e-6) exceeds tol but stays below
     # 1000 * tol, so the estimate comes back flagged, not raised.
     est = quad_adaptive(
-        lambda eps: (lambda x: math.exp(-x * x) * (1.0 + eps**5)),
+        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps**5)),
         -10.0,
         10.0,
         tol=1e-8,
@@ -97,7 +100,7 @@ def test_quad_adaptive_honest_unconverged_band():
 def test_quad_adaptive_raises_on_erratic_family():
     with pytest.raises(NoConvergence):
         quad_adaptive(
-            lambda eps: (lambda x: math.exp(-x * x) * math.sin(1.0 / eps)),
+            lambda eps: (lambda x: np.exp(-x * x) * np.sin(1.0 / eps)),
             -10.0,
             10.0,
         )
@@ -141,7 +144,7 @@ def test_regulator_schedule_rejects_invalid_ladders(kwargs):
 def test_regulator_ladders_need_distinct_positive_values(schedule):
     with pytest.raises(ValueError):
         quad_adaptive(
-            lambda eps: (lambda x: math.exp(-x * x)), -10.0, 10.0,
+            lambda eps: (lambda x: np.exp(-x * x)), -10.0, 10.0,
             schedule=schedule,
         )
     with pytest.raises(ValueError):
@@ -157,45 +160,214 @@ def test_negative_regulator_is_rejected_before_any_quadrature():
         oracle_XM(1.0, 1.0, 0.0, schedule=(-0.1, -0.05, -0.025))
 
 
-def test_cquad_evaluates_each_node_once_and_matches_two_passes():
-    # The real part is smooth and the imaginary part peaked, so the two
-    # QUADPACK passes subdivide differently and the imaginary pass meets
-    # nodes the real pass never evaluated.
-    def f(x):
-        return complex(math.exp(-x * x), 1.0 / (1e-3 + (x - 0.3) ** 2))
+# --- the batched Gauss-Kronrod routine ----------------------------------------
 
+
+def _rule_tables():
+    nodes = oracle._NODES
+    k21 = np.array(oracle._WGK[:-1] + oracle._WGK[::-1])
+    g10 = np.array(oracle._WG + oracle._WG[::-1])
+    return nodes, k21, nodes[1::2], g10
+
+
+@pytest.mark.parametrize("degree", range(33))
+def test_gk21_rule_integrates_monomials_to_its_degree(degree):
+    # K21 is exact through degree 31 and G10 through degree 19 on [-1, 1],
+    # and neither at the next even degree; a mistyped node or weight
+    # breaks this at some degree.
+    nodes, k21, gauss, g10 = _rule_tables()
+    exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+    k = float(np.sum(k21 * nodes ** degree))
+    g = float(np.sum(g10 * gauss ** degree))
+    assert (abs(k - exact) <= 1e-15) == (degree <= 31)
+    if degree <= 20:
+        assert (abs(g - exact) <= 1e-15) == (degree <= 19)
+    # The rule as integrated, each node paired with its mirror: the same
+    # K, and an error estimate (|K - G| at heart) at the roundoff floor
+    # exactly where G10 is exact.
+    one = np.ones(1)
+    (value,), (err,) = oracle._gk21_rule(
+        lambda x, _: x ** degree, np.zeros(1, dtype=int), -one, one
+    )
+    assert abs(value - k) <= 1e-15
+    if degree % 2 == 0 and degree <= 20:
+        assert (err <= 1e-13) == (degree <= 19)
+
+
+def test_gk21_rule_table_layout():
+    nodes, k21, gauss, g10 = _rule_tables()
+    assert len(nodes) == 21 and nodes[10] == 0.0
+    assert np.all(np.diff(nodes) < 0.0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert len(k21) == 21 and len(g10) == len(gauss) == 10
+
+
+# Peaked complex integrands of different widths, centres and phases, one
+# per integral index.
+_PEAKS = np.array([1e-1, 1e-3, 1e-5, 1e-8])
+_CENTRES = np.array([0.3, -0.7, 0.1, 0.05])
+
+
+def _peaks(x, k):
+    return np.exp(1j * (k + 1) * x) / (_PEAKS[k] + (x - _CENTRES[k]) ** 2)
+
+
+_PEAK_EDGES = [(-2.0, 0.0, 2.0), (-1.0, 1.0), (-1.0, 0.5, 2.0), (0.0, 1.0)]
+
+
+def _hexes(values, errors):
+    return [(complex(v).real.hex(), complex(v).imag.hex(), float(e).hex())
+            for v, e in zip(values, errors)]
+
+
+def test_gk21_results_do_not_depend_on_the_batch():
+    together = _hexes(*oracle._gk21(_peaks, _PEAK_EDGES))
+    for i, edges in enumerate(_PEAK_EDGES):
+        alone = oracle._gk21(lambda x, k: _peaks(x, k + i), [edges])
+        assert _hexes(*alone) == [together[i]]
+    # ... nor on the order of the batch.
+    order = [2, 0, 3, 1]
+    shuffled = oracle._gk21(
+        lambda x, k: _peaks(x, np.array(order)[k]), [_PEAK_EDGES[i] for i in order]
+    )
+    assert _hexes(*shuffled) == [together[i] for i in order]
+
+
+def test_gk21_evaluates_each_node_once_and_stops_by_quadpack_rules():
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return f(x)
+    def counted(x, k):
+        calls.append(np.broadcast_arrays(x, k))
+        return _peaks(x, k)
 
-    value, err = oracle._cquad(counted, -2.0, 2.0, points=[0.0])
+    values, errors = oracle._gk21(counted, _PEAK_EDGES)
+    nodes = [
+        (int(k), float(t))
+        for xs, ks in calls
+        for t, k in zip(xs.ravel(), ks.ravel())
+    ]
+    assert len(nodes) == len(set(nodes))
+    target = np.maximum(1e-13, 1e-12 * np.abs(values))
+    per_integral = np.bincount([k for k, _ in nodes]) // 21
+    for i in range(len(_PEAK_EDGES)):
+        # Every integral either met the tolerance or used 300 subintervals
+        # (each subinterval but the initial ones came with a sibling).
+        kept = (per_integral[i] + len(_PEAK_EDGES[i]) - 1) // 2
+        assert errors[i] <= target[i] or kept == 300
 
-    kw = {"points": [0.0], "limit": 300, "epsabs": 1e-13, "epsrel": 1e-12}
-    re_nodes, im_nodes = set(), set()
 
-    def re_part(x):
-        re_nodes.add(x)
-        return f(x).real
+@pytest.mark.parametrize("limit", [1, 2, 40, 300])
+def test_gk21_stops_at_the_subinterval_limit(limit):
+    # Far too oscillatory for `limit` subintervals: the integral ends with
+    # exactly that many, and an error estimate above its tolerance.
+    rows = []
 
-    def im_part(x):
-        im_nodes.add(x)
-        return f(x).imag
+    def counted(x, k):
+        rows.append(len(x))
+        return np.cos(1e5 * x)
 
+    (value,), (err,) = oracle._gk21(counted, [(0.0, 1.0)], limit=limit)
+    assert (sum(rows) + 1) // 2 == limit
+    assert err > max(1e-13, 1e-12 * abs(value))
+
+
+def _quadpack(f, edges):
+    """QUADPACK (scipy's quad) over the real and imaginary parts of f.
+
+    f is evaluated on (1, 1) arrays, with the arithmetic _gk21 uses: on
+    float nodes its last bits differ, and near a regulated pole that
+    noise can exceed both error estimates.
+    """
+    values = {}
+
+    def at(t):
+        v = values.get(t)
+        if v is None:
+            v = values[t] = complex(np.ravel(f(np.array([[t]])))[0])
+        return v
+
+    kw = {
+        "points": edges[1:-1] or None,
+        "limit": 300,
+        "epsabs": 1e-13,
+        "epsrel": 1e-12,
+    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = scipy_quad(re_part, -2.0, 2.0, **kw)
-        im, im_err = scipy_quad(im_part, -2.0, 2.0, **kw)
-    assert im_nodes - re_nodes and im_nodes & re_nodes
-    assert len(calls) == len(set(calls)) == len(re_nodes | im_nodes)
-    assert (value.real.hex(), value.imag.hex()) == (re.hex(), im.hex())
-    assert err.hex() == (re_err + im_err).hex()
+        re, re_err = scipy_quad(lambda t: at(t).real, edges[0], edges[-1], **kw)
+        im, im_err = scipy_quad(lambda t: at(t).imag, edges[0], edges[-1], **kw)
+    return complex(re, im), re_err + im_err
+
+
+def _grid(*names):
+    keys = {"omega": "omega_sigma", "Omega": "Omega_sigma", "D": "D_sigma"}
+    axes = [DEFAULT_VERIFY_GRID[keys[n]] for n in names]
+    return [dict(zip(names, p)) for p in itertools.product(*axes)]
+
+
+def _strain(full_line):
+    # QUADPACK takes ~380,000 scalar callbacks over the full-line family's
+    # 216 integrals on the whole (omega, Omega, D) grid (16 s), so that
+    # family runs at the minimal grid's Omega = 1 only.
+    for p in _grid("omega", "D"):
+        Omega = MINIMAL_VERIFY_GRID["Omega_sigma"][0] if full_line else 0.0
+        oracle._strain_a_integral(
+            p["omega"], Omega, p["D"], full_line=full_line, tol=1.0
+        )
+
+
+# Every integrand family of the oracles, at the default verify grid.
+_FAMILIES = {
+    "P": lambda: [oracle_P(p["Omega"]) for p in _grid("Omega")],
+    "XM_regulated": lambda: [
+        oracle._xm_kernel(p["D"], "regulated", 1e-6, DEFAULT_SCHEDULE)
+        for p in _grid("D")
+    ],
+    "XM_pv": lambda: [
+        oracle._xm_kernel(p["D"], "pv_subtraction", 1e-6, DEFAULT_SCHEDULE)
+        for p in _grid("D")
+    ],
+    "CM": lambda: [oracle_CM(p["Omega"], p["D"]) for p in _grid("Omega", "D")],
+    "I1": lambda: [
+        oracle_delta_prime("I1", p["omega"], 0.0, p["D"]) for p in _grid("omega", "D")
+    ],
+    "I3": lambda: [
+        oracle_delta_prime("I3", p["omega"], p["Omega"], p["D"])
+        for p in _grid("omega", "Omega", "D")
+    ],
+    "I2": lambda: [oracle_I2(p["omega"], p["D"]) for p in _grid("omega", "D")],
+    "I4": lambda: [
+        oracle_I4(p["omega"], p["Omega"], p["D"]) for p in _grid("omega", "Omega", "D")
+    ],
+    "strain_half_line": lambda: _strain(False),
+    "strain_full_line": lambda: _strain(True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_gk21_agrees_with_quadpack_within_both_error_estimates(family, monkeypatch):
+    integrals = []
+    batched = oracle._gk21
+
+    def recording(f, edges, **kwargs):
+        values, errors = batched(f, edges, **kwargs)
+        integrals.extend(
+            (f, i, tuple(e), v, err)
+            for i, (e, v, err) in enumerate(zip(edges, values, errors))
+        )
+        return values, errors
+
+    monkeypatch.setattr(oracle, "_gk21", recording)
+    _FAMILIES[family]()
+    assert integrals
+    for f, i, edges, value, err in integrals:
+        ref, ref_err = _quadpack(lambda x: f(x, np.array([[i]])), edges)
+        assert abs(value - ref) <= err + ref_err, (edges, value, ref, err, ref_err)
 
 
 def test_quad_adaptive_tail_bound_enters_estimate():
     est = quad_adaptive(
-        lambda eps: (lambda x: math.exp(-x * x) * (1.0 + eps)),
+        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps)),
         -10.0,
         10.0,
         tail_bound=1e-7,
@@ -292,12 +464,12 @@ def test_oracle_delta_prime_parities():
     assert abs(d3.value.real - (-1.05315419439168)) <= 1e-9
 
 
-def test_oracle_delta_prime_i1_makes_one_quadpack_pass_per_regulator(monkeypatch):
-    # I1's integrand is real; a second pass over its zero imaginary part
-    # would add nothing to the value or the error estimate.
+def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypatch):
+    # The four rungs of the regulator ladder are four integrals of one
+    # batched quadrature call.
     calls = _count_quad_calls(monkeypatch)
     oracle_delta_prime("I1", 2.0, 0.0, 1.0)
-    assert len(calls) == len(DEFAULT_SCHEDULE.values())
+    assert len(calls) == 1
 
 
 def test_oracle_delta_prime_rejects_unknown_target():
@@ -393,13 +565,13 @@ def test_verify_suite_xm_records_equal_standalone_oracle_xm():
 
 def _count_quad_calls(monkeypatch):
     calls = []
-    real_quad = oracle._scipy_quad
+    batched = oracle._gk21
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return real_quad(*args, **kwargs)
+        return batched(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_scipy_quad", counting)
+    monkeypatch.setattr(oracle, "_gk21", counting)
     return calls
 
 
