@@ -4,11 +4,11 @@ Each closed form in this package is re-derived here from a *defining*
 integral representation rather than from the closed-form algebra, so the
 two paths share no simplification steps:
 
-* P, X_M, C_M are computed from regularized Wightman kernels: the
-  distributional splittings (delta / delta' plus principal value) are
-  realized as an explicit i*epsilon displacement, integrated at a geometric
-  schedule of epsilon values, and polynomial-extrapolated (Neville) to
-  epsilon -> 0.
+* P, X_M and C_M are each a prefactor times one regulated integral of the
+  first-order Wightman function, _wightman_integral: the distributional
+  splittings (delta / delta' plus principal value) are realized as an
+  explicit i*epsilon displacement, integrated at a geometric schedule of
+  epsilon values, and polynomial-extrapolated (Neville) to epsilon -> 0.
 * X_M additionally gets a second, independent regularization: explicit
   principal-value singularity subtraction on a symmetric window around
   a = D plus the analytic delta contribution.  Agreement between the two
@@ -20,15 +20,15 @@ two paths share no simplification steps:
   derivative of width eta and extrapolating in eta^2 (the nascent family
   is even, so its moment expansion proceeds in eta^2).
 * The single-detector transition probability is additionally computed
-  from the *full* first-order Wightman function, strain term included,
-  to exhibit that a transverse wave leaves P strictly unaffected: the
-  strain term enters through the transverse separation factor
-  (dx^2 - dy^2), which vanishes identically on a single static worldline.
-* x_gw and c_gw are computed end to end from the same strain term on two
-  static worldlines separated by D along x: the t + t' integral by
-  quadrature, the t - t' integral i*epsilon-regulated and extrapolated.
-  This checks how I1-I4 are assembled (envelope, t0 phase, prefactors,
-  normalization), which the per-integral oracles cannot.
+  from the same integral with its strain term switched on, to exhibit that
+  a transverse wave leaves P strictly unaffected: the strain term enters
+  through the transverse separation factor (dx^2 - dy^2), which vanishes
+  identically on a single static worldline.
+* x_gw and c_gw are computed end to end from the strain term alone of the
+  same integral, on two static worldlines separated by D along x: the
+  t + t' integral by quadrature, the t - t' integral i*epsilon-regulated
+  and extrapolated.  This checks how I1-I4 are assembled (envelope, t0
+  phase, prefactors, normalization), which the per-integral oracles cannot.
 
 Every oracle returns an OracleEstimate carrying the value, a defensible
 absolute error estimate (quadrature + extrapolation residual + analytic
@@ -329,8 +329,6 @@ def _neville_at_zero(
             xi, xk = xs[i], xs[i + k]
             row.append((xk * prev[i] - xi * prev[i + 1]) / (xk - xi))
         rows.append(row)
-    if n == 1:
-        return rows[0][0], float("inf")
     return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
 
 
@@ -444,31 +442,71 @@ def quad_adaptive(
     return OracleEstimate(value, err, regs, err <= tol)
 
 
-# --- Wightman-kernel oracles for P, X_M, C_M -------------------------------
+# --- the regulated Wightman integral behind every kernel oracle -------------
 
 _CAL_CACHE: dict[str, float] = {}
 
 
-def _p_raw(
-    Omega: float, schedule: RegulatorSchedule | Sequence[float], tol: float
+def _wightman_integral(
+    Omega: float,
+    D: float,
+    *,
+    full_line: bool,
+    schedule: RegulatorSchedule | Sequence[float],
+    tol: float,
+    minkowski: float = 1.0,
+    strain: float = 0.0,
+    omega: float = 0.0,
 ) -> OracleEstimate:
-    Om = float(Omega)
-    L = 16.0
-    # |kernel| <= 1/(4 pi^2 a^2) for |a| >= L up to the epsilon shift.
-    tail = 2.0 * _SQRT_PI * specfun.erfc_real(L / 2.0) / (_FOUR_PI_SQ * L * L)
+    """Integral of e^{-a^2/4} e^{i Omega a} W(a + i eps) over a >= 0 or all a.
+
+    W is the first-order Wightman function between events of detector A,
+    at rest at the origin, and detector B, at rest at x = D (D = 0: one
+    detector), a apart in time:
+
+      W = m / (4 pi^2 sigma^2) - s (dx^2 - dy^2) sinc(omega a/2) / (4 pi^2 sigma^4)
+
+    with m = minkowski, s = strain (the amplitude times the window-averaged
+    cos(omega (t+t')/2)) and sigma^2 = dx^2 + dy^2 - (a + i eps)^2, formed
+    as (r - a - i eps)(r + a + i eps), r = hypot(dx, dy), which keeps its
+    digits near the pole a = r.  quad_adaptive extrapolates eps -> 0 over
+    schedule.
+
+    The window is |a| <= L = D + 14, split at a = -D and D.  The neglected
+    tails are bounded from |sigma^2| >= L^2 - D^2 and |sinc| <= 1.
+    """
+    Om, Dv, w = float(Omega), float(D), float(omega)
+    ev_a, ev_b = SpacetimePoint(t=0.0), SpacetimePoint(t=0.0, x=Dv)
+    dx, dy = ev_b.x - ev_a.x, ev_b.y - ev_a.y
+    r = math.hypot(dx, dy)
+    m = float(minkowski)
+    gw = float(strain) * (dx * dx - dy * dy)
+    L = Dv + 14.0
+    span = L * L - Dv * Dv
+    tail = (
+        (2.0 if full_line else 1.0)
+        * _SQRT_PI
+        * specfun.erfc_real(L / 2.0)
+        * (abs(m) / span + abs(gw) / (span * span))
+        / _FOUR_PI_SQ
+    )
 
     def family(eps):
         def integrand(av):
-            z = av - 1j * eps
-            kern = -1.0 / (_FOUR_PI_SQ * z * z)
-            return np.exp(-av * av / 4.0) * np.exp(-1j * Om * av) * kern
+            z = av + 1j * eps
+            sig = (r - z) * (r + z)
+            kern = m / (_FOUR_PI_SQ * sig)
+            if gw:  # zero for P, X_M, C_M and on one worldline: no sinc
+                sinc = specfun.sinc_array(w * av / 2.0)
+                kern = kern - (gw / _FOUR_PI_SQ) * sinc / (sig * sig)
+            return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * kern
 
         return integrand
 
-    est = quad_adaptive(
-        family, -L, L, schedule=schedule, tol=tol, points=[0.0], tail_bound=tail
+    return quad_adaptive(
+        family, -L if full_line else 0.0, L, schedule=schedule, tol=tol,
+        points=sorted({-Dv, Dv}), tail_bound=tail,
     )
-    return _scaled(est, _SQRT_PI)
 
 
 def oracle_P(
@@ -480,8 +518,10 @@ def oracle_P(
     """Transition probability from the regulated Wightman kernel.
 
     P/lambda^2 = sqrt(pi) * Integral over a of
-    exp(-a^2/4 - i Omega a) * ( -1 / (4 pi^2 (a - i eps)^2) ),
-    extrapolated eps -> 0.
+    exp(-a^2/4 + i Omega a) * ( -1 / (4 pi^2 (a + i eps)^2) ),
+    extrapolated eps -> 0: sqrt(pi) times the full-line _wightman_integral
+    at D = 0, which is oracle_P_full at zero strain.  (The defining form,
+    with exp(-i Omega a) and (a - i eps)^2, is this integral under a -> -a.)
 
     On first use the machinery is calibrated against the exact anchor
     P(0) = 1/(4 pi); a discrepancy above 100 * tol raises
@@ -489,7 +529,7 @@ def oracle_P(
     rather than a loss of quadrature accuracy.
     """
     if "P" not in _CAL_CACHE:
-        cal = _p_raw(0.0, DEFAULT_SCHEDULE, 1e-6)
+        cal = oracle_P_full(0.0, 0.0, 0.0)
         _CAL_CACHE["P"] = abs(cal.value - 1.0 / (4.0 * math.pi))
     if _CAL_CACHE["P"] > 100.0 * tol:
         raise SignConventionMismatch(
@@ -497,7 +537,7 @@ def oracle_P(
             f"(allowed 100 * tol = {100.0 * tol:g}); the i*epsilon "
             "displacement direction is inconsistent with the kernel signs"
         )
-    return _p_raw(Omega, schedule, tol)
+    return oracle_P_full(Omega, 0.0, 0.0, tol=tol, schedule=schedule)
 
 
 def oracle_P_full(
@@ -511,46 +551,21 @@ def oracle_P_full(
 ) -> OracleEstimate:
     """Transition probability from the full first-order Wightman function.
 
-    The GW term of the Wightman function carries the transverse factor
+    P/lambda^2 = sqrt(pi) times the full-line _wightman_integral at D = 0,
+    strain term included.  That term carries the transverse factor
     (dx^2 - dy^2) of the separation between the two events; on a single
-    static worldline both are zero, computed here from the worldline
-    events themselves rather than assumed.  The strain enters the kernel
-    exactly as derived — amplitude A times the window-averaged
+    static worldline both are zero, computed from the worldline events
+    themselves rather than assumed.  The strain enters the kernel exactly
+    as derived — amplitude A times the window-averaged
     cos(omega*(t+t')/2), Gaussian-integrated over t+t' analytically to
-    exp(-omega^2/4) cos(omega*t0) — so equality of P across A values is a
-    computed outcome, not a hard-coded one.
+    exp(-omega^2/4) cos(omega*t0) — so equality with oracle_P for every A
+    is a computed outcome, not a hard-coded one.
     """
-    Om, Av, w, t0v = float(Omega), float(A), float(omega), float(t0)
-
-    def event(t: float) -> SpacetimePoint:
-        return SpacetimePoint(t=t)  # single detector at rest at the origin
-
-    e1, e2 = event(1.0), event(0.0)
-    dx = e1.x - e2.x
-    dy = e1.y - e2.y
-    transverse = dx * dx - dy * dy
-    gw_window = math.exp(-w * w / 4.0) * math.cos(w * t0v)
-
-    L = 16.0
-    tail = 2.0 * _SQRT_PI * specfun.erfc_real(L / 2.0) / (_FOUR_PI_SQ * L * L)
-
-    def family(eps):
-        def integrand(av):
-            gauss = np.exp(-av * av / 4.0)
-            phase = np.exp(-1j * Om * av)
-            # Regulated squared interval of the two worldline events.
-            z = av - 1j * eps
-            sig = -z * z + dx * dx + dy * dy
-            w_m = 1.0 / (_FOUR_PI_SQ * sig)
-            w_gw = -(transverse / _FOUR_PI_SQ) * specfun.sinc_array(
-                w * av / 2.0
-            ) / (sig * sig)
-            return gauss * phase * (w_m + Av * gw_window * w_gw)
-
-        return integrand
-
-    est = quad_adaptive(
-        family, -L, L, schedule=schedule, tol=tol, points=[0.0], tail_bound=tail
+    w = float(omega)
+    strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
+    est = _wightman_integral(
+        Omega, 0.0, full_line=True, schedule=schedule, tol=tol,
+        strain=strain, omega=w,
     )
     return _scaled(est, _SQRT_PI)
 
@@ -583,31 +598,18 @@ def _xm_kernel(
     for the two methods.  abs_error_estimate bounds the error of this
     unscaled integral, its neglected tail beyond L = D + 14 included.
     """
-    Dv = float(D)
-    L = Dv + 14.0
-    # |K(a)| <= 1/(4 pi^2 (L^2 - D^2)) for a >= L.
-    tail = (
-        _SQRT_PI
-        * specfun.erfc_real(L / 2.0)
-        / (_FOUR_PI_SQ * (L * L - Dv * Dv))
-    )
-
     if method == "regulated":
-
-        def family(eps):
-            def integrand(av):
-                z = av + 1j * eps
-                kern = -1.0 / (_FOUR_PI_SQ * (z * z - Dv * Dv))
-                return np.exp(-av * av / 4.0) * kern
-
-            return integrand
-
-        return quad_adaptive(
-            family, 0.0, L, schedule=schedule, tol=tol, points=[Dv],
-            tail_bound=tail,
-        )
+        return _wightman_integral(0.0, D, full_line=False, schedule=schedule, tol=tol)
 
     if method == "pv_subtraction":
+        Dv = float(D)
+        L = Dv + 14.0
+        # |K(a)| <= 1/(4 pi^2 (L^2 - D^2)) for a >= L.
+        tail = (
+            _SQRT_PI
+            * specfun.erfc_real(L / 2.0)
+            / (_FOUR_PI_SQ * (L * L - Dv * Dv))
+        )
         gauss_d = math.exp(-Dv * Dv / 4.0)
 
         # Regularized part on [0, 2D]: (e^{-a^2/4} - e^{-D^2/4})/(a^2 - D^2)
@@ -649,7 +651,8 @@ def oracle_XM(
     Integral_0^inf of exp(-a^2/4) * K(a) da.
 
     method="regulated": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)),
-    extrapolated eps -> 0 over the schedule.
+    extrapolated eps -> 0 over the schedule: the half-line
+    _wightman_integral at Omega = 0.
 
     method="pv_subtraction": the independent regularization — the
     principal value at a = D is computed by subtracting the singular
@@ -681,29 +684,10 @@ def oracle_CM(
 
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * ( 1/(4 pi^2 ((a + i eps)^2 - D^2)) ),
-    extrapolated eps -> 0; the kernel has near-singularities at a = +-D.
+    extrapolated eps -> 0: sqrt(pi) times the full-line _wightman_integral.
+    The kernel has near-singularities at a = +-D.
     """
-    Om, Dv = float(Omega), float(D)
-    L = Dv + 14.0
-    tail = (
-        2.0
-        * _SQRT_PI
-        * specfun.erfc_real(L / 2.0)
-        / (_FOUR_PI_SQ * (L * L - Dv * Dv))
-    )
-
-    def family(eps):
-        def integrand(av):
-            z = av + 1j * eps
-            kern = -1.0 / (_FOUR_PI_SQ * (z * z - Dv * Dv))
-            return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * kern
-
-        return integrand
-
-    est = quad_adaptive(
-        family, -L, L, schedule=schedule, tol=tol, points=[-Dv, Dv],
-        tail_bound=tail,
-    )
+    est = _wightman_integral(Omega, D, full_line=True, schedule=schedule, tol=tol)
     return _scaled(est, _SQRT_PI)
 
 
@@ -732,55 +716,6 @@ def _window_integral(g: Callable[[np.ndarray], np.ndarray]) -> tuple[complex, fl
     return _quad(lambda T: np.exp(-T * T) * g(T), -_T_WINDOW, 0.0, _T_WINDOW)
 
 
-def _strain_a_integral(
-    omega: float,
-    Omega: float,
-    D: float,
-    *,
-    full_line: bool,
-    tol: float,
-) -> OracleEstimate:
-    """Integral of e^{-a^2/4} e^{i Omega a} W_gw(a) over a >= 0 or all a.
-
-    W_gw is the strain term of the first-order Wightman function (the one
-    oracle_P_full uses) per unit strain and per unit cos(omega (t+t')/2):
-    -(dx^2 - dy^2)/(4 pi^2) * sinc(omega a/2) / sigma^4, here between
-    detector A at the origin and detector B at x = D, with the regulated
-    squared interval sigma^2 = dx^2 + dy^2 - (a + i eps)^2 of the X_M and
-    C_M kernel oracles.  eps runs over _gw_schedule(omega, Omega, D).
-    """
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    ev_a, ev_b = SpacetimePoint(t=0.0), SpacetimePoint(t=0.0, x=Dv)
-    dx, dy = ev_b.x - ev_a.x, ev_b.y - ev_a.y
-    transverse = dx * dx - dy * dy
-    L = Dv + 14.0
-    # |W_gw| <= |dx^2 - dy^2| / (4 pi^2 (L^2 - D^2)^2) for |a| >= L.
-    tail = (
-        (2.0 if full_line else 1.0)
-        * _SQRT_PI
-        * specfun.erfc_real(L / 2.0)
-        * abs(transverse)
-        / (_FOUR_PI_SQ * (L * L - Dv * Dv) ** 2)
-    )
-
-    def family(eps):
-        def integrand(av):
-            z = av + 1j * eps
-            sig = dx * dx + dy * dy - z * z
-            w_gw = -(transverse / _FOUR_PI_SQ) * specfun.sinc_array(
-                w * av / 2.0
-            ) / (sig * sig)
-            return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * w_gw
-
-        return integrand
-
-    lo, points = (-L, [-Dv, Dv]) if full_line else (0.0, [Dv])
-    return quad_adaptive(
-        family, lo, L, schedule=_gw_schedule(w, Om, Dv), tol=tol,
-        points=points, tail_bound=tail,
-    )
-
-
 def oracle_x_gw(
     omega: float,
     Omega: float,
@@ -800,20 +735,21 @@ def oracle_x_gw(
                   e^{-2 i Omega (t0 + T)}
              * Integral_0^inf of e^{-a^2/4} W_gw(a) da,
 
-    W_gw being the strain term of the Wightman function for two static
-    detectors separated by D along x.  The T integral is done by
-    quadrature, so this path shares no algebra with f_envelope, the I1/I2
-    closed forms or the 1/(4 D^2 pi^{3/2}) normalization.  The a integral
-    is eps-regulated and extrapolated over a six-rung ladder scaled to D
-    and omega.  tol is absolute, as for the other oracles.
+    W_gw being the strain term of the Wightman function (_wightman_integral)
+    per unit strain, for two static detectors separated by D along x.  The
+    T integral is done by quadrature, so this path shares no algebra with
+    f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
+    normalization.  The a integral is eps-regulated and extrapolated over
+    a six-rung ladder scaled to D and omega.  tol is absolute.
     """
     w, Om, t0v = float(omega), float(Omega), float(t0)
     t_int, t_err = _window_integral(
         lambda T: np.cos(w * (t0v + T)) * np.exp(-2j * Om * (t0v + T))
     )
     pref = -2.0 * t_int
-    a_est = _strain_a_integral(
-        w, 0.0, D, full_line=False, tol=tol / max(abs(pref), 1e-300)
+    a_est = _wightman_integral(
+        0.0, D, full_line=False, schedule=_gw_schedule(w, 0.0, D),
+        tol=tol / max(abs(pref), 1e-300), minkowski=0.0, strain=1.0, omega=w,
     )
     return _scaled(a_est, pref, 2.0 * t_err, tol)
 
@@ -839,8 +775,9 @@ def oracle_c_gw(
     """
     w, t0v = float(omega), float(t0)
     t_int, t_err = _window_integral(lambda T: np.cos(w * (t0v + T)))
-    a_est = _strain_a_integral(
-        w, Omega, D, full_line=True, tol=tol / max(abs(t_int), 1e-300)
+    a_est = _wightman_integral(
+        Omega, D, full_line=True, schedule=_gw_schedule(w, Omega, D),
+        tol=tol / max(abs(t_int), 1e-300), minkowski=0.0, strain=1.0, omega=w,
     )
     return _scaled(a_est, t_int, t_err, tol)
 
@@ -956,7 +893,9 @@ def oracle_delta_prime(
     supported near a = D (and a = -D for I3); integration windows cover
     |a - D^2/a| <= 12 eta, outside of which the family is below e^{-144}.
 
-    `which` selects "I1" (Omega is ignored) or "I3".
+    `which` selects "I1" (Omega is ignored) or "I3".  Unlike every other
+    oracle's, tol is relative: tol * max(1, |value|) decides both
+    NoConvergence (raised beyond 1000 times it) and converged.
     """
     if which not in ("I1", "I3"):
         raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")

@@ -274,16 +274,15 @@ def test_gk21_stops_at_the_subinterval_limit(limit):
 def _quadpack(f, edges):
     """QUADPACK (scipy's quad) over the real and imaginary parts of f.
 
-    f is evaluated on (1, 1) arrays, with the arithmetic _gk21 uses: on
-    float nodes its last bits differ, and near a regulated pole that
-    noise can exceed both error estimates.
+    f(t) is the integrand at the float node t, by whatever arithmetic the
+    caller chooses.
     """
     values = {}
 
     def at(t):
         v = values.get(t)
         if v is None:
-            v = values[t] = complex(np.ravel(f(np.array([[t]])))[0])
+            v = values[t] = complex(np.ravel(f(t))[0])
         return v
 
     kw = {
@@ -311,8 +310,10 @@ def _strain(full_line):
     # family runs at the minimal grid's Omega = 1 only.
     for p in _grid("omega", "D"):
         Omega = MINIMAL_VERIFY_GRID["Omega_sigma"][0] if full_line else 0.0
-        oracle._strain_a_integral(
-            p["omega"], Omega, p["D"], full_line=full_line, tol=1.0
+        oracle._wightman_integral(
+            Omega, p["D"], full_line=full_line,
+            schedule=oracle._gw_schedule(p["omega"], Omega, p["D"]), tol=1.0,
+            minkowski=0.0, strain=1.0, omega=p["omega"],
         )
 
 
@@ -320,7 +321,9 @@ def _strain(full_line):
 _FAMILIES = {
     "P": lambda: [oracle_P(p["Omega"]) for p in _grid("Omega")],
     "XM_regulated": lambda: [
-        oracle._xm_kernel(p["D"], "regulated", 1e-6, DEFAULT_SCHEDULE)
+        oracle._wightman_integral(
+            0.0, p["D"], full_line=False, schedule=DEFAULT_SCHEDULE, tol=1e-6
+        )
         for p in _grid("D")
     ],
     "XM_pv": lambda: [
@@ -344,8 +347,19 @@ _FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_gk21_agrees_with_quadpack_within_both_error_estimates(family, monkeypatch):
+# QUADPACK evaluates every family on (1, 1) arrays, with the arithmetic
+# _gk21 uses.  The half-line strain family is also evaluated on float
+# nodes, whose last bits differ: its estimates must cover the integrand's
+# own rounding near the regulated 1/sigma^4 double pole, where a sigma^2
+# formed as r^2 - (a + i eps)^2 loses digits.
+@pytest.mark.parametrize(
+    "family, float_nodes",
+    [pytest.param(f, False, id=f) for f in sorted(_FAMILIES)]
+    + [pytest.param("strain_half_line", True, id="strain_half_line-float_nodes")],
+)
+def test_gk21_agrees_with_quadpack_within_both_error_estimates(
+    family, float_nodes, monkeypatch
+):
     integrals = []
     batched = oracle._gk21
 
@@ -361,7 +375,12 @@ def test_gk21_agrees_with_quadpack_within_both_error_estimates(family, monkeypat
     _FAMILIES[family]()
     assert integrals
     for f, i, edges, value, err in integrals:
-        ref, ref_err = _quadpack(lambda x: f(x, np.array([[i]])), edges)
+        if float_nodes:
+            ref, ref_err = _quadpack(lambda t: f(t, i), edges)
+        else:
+            ref, ref_err = _quadpack(
+                lambda t: f(np.array([[t]]), np.array([[i]])), edges
+            )
         assert abs(value - ref) <= err + ref_err, (edges, value, ref, err, ref_err)
 
 
@@ -430,6 +449,16 @@ def test_oracle_cm_matches_closed_form():
     est = oracle_CM(1.0, 1.0)
     assert abs(est.value - c_minkowski(1.0, 1.0)) < 1e-6
     assert abs(est.value.imag) < 1e-8
+
+
+@pytest.mark.parametrize("Omega", [-0.25, 0.0, 1.0])
+@pytest.mark.parametrize("A", [0.0, 0.05, 0.1])
+def test_oracle_p_full_is_oracle_p_bit_for_bit(A, Omega):
+    # One detector, one integral: P and the full-Wightman P are the same
+    # regulated integral, and the strain term vanishes exactly.
+    full, plain = oracle_P_full(Omega, A, 2.0), oracle_P(Omega)
+    assert _hex(full.value) == _hex(plain.value)
+    assert full.abs_error_estimate.hex() == plain.abs_error_estimate.hex()
 
 
 def test_oracle_p_full_strain_independent_on_static_worldline():
