@@ -65,7 +65,6 @@ from .sweep import (
     PRESETS,
     AxisSpec,
     FigurePreset,
-    GridPoint,
     GridResult,
     GridSpec,
     build_figure,
@@ -143,7 +142,6 @@ __all__ = [
     # sweep
     "AxisSpec",
     "GridSpec",
-    "GridPoint",
     "GridResult",
     "FigurePreset",
     "PRESETS",

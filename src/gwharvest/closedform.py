@@ -494,26 +494,6 @@ class HarvestReport:
             self.theta_gw, self.concurrence, self.psi_m, self.psi_gw, self.corr,
         ))
 
-    @classmethod
-    def from_row(cls, row) -> "HarvestReport":
-        """Inverse of as_row; the flags follow from |x_m| as in evaluate."""
-        row = [float(v) for v in row]
-        return cls._of_row(row, abs(complex(row[1], row[2])))
-
-    @classmethod
-    def _of_row(cls, row, axm: float) -> "HarvestReport":
-        # row in OBSERVABLES order, axm = |x_m|
-        p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im, *rest = row
-        return cls(
-            p_norm, complex(xm_re, xm_im), complex(cm_re, cm_im),
-            complex(xg_re, xg_im), complex(cg_re, cg_im), *rest,
-            _first_order_flags(axm),
-        )
-
-
-def _first_order_flags(axm: float) -> tuple[str, ...]:
-    return (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
-
 
 def evaluate(params: DimensionlessParams) -> HarvestReport:
     """Compute every observable for one parameter point.
@@ -548,7 +528,12 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
                 f"non-finite {', '.join(bad)} at omega={w:g}, Omega={Om:g}, "
                 f"D={D:g}, t0={t0:g}"
             )
-    return HarvestReport._of_row(row, axm)
+    p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im, *rest = row
+    flags = (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
+    return HarvestReport(
+        p_norm, complex(xm_re, xm_im), complex(cm_re, cm_im),
+        complex(xg_re, xg_im), complex(cg_re, cg_im), *rest, flags,
+    )
 
 
 # --- the same observables over arrays of points -----------------------------

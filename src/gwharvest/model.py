@@ -126,22 +126,12 @@ class DimensionlessParams:
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """Minkowski event (t, x, y, z) in units of sigma, with light-cone views."""
+    """Minkowski event (t, x, y, z) in units of sigma."""
 
     t: float
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    @property
-    def u(self) -> float:
-        """Light-cone coordinate u = t - z."""
-        return self.t - self.z
-
-    @property
-    def v(self) -> float:
-        """Light-cone coordinate v = t + z."""
-        return self.t + self.z
 
 
 def validate(p: DimensionlessParams) -> list[ValidationWarning]:

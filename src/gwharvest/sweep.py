@@ -2,20 +2,23 @@
 
 A sweep is defined by a GridSpec: one or two swept axes plus fixed values
 for the remaining parameters.  run_grid evaluates every point row-major
-(first axis outer, second inner), never aborts on a point failure — the
-error is recorded in that row's status — and is deterministic: the same
-grid produces byte-identical CSV output regardless of worker count,
-because every point is a pure function of its parameters and results are
-collected in task order.  Every point with valid parameters, small omega
-included, is evaluated as arrays by closedform.evaluate_arrays; a point
-whose row is not finite goes one by one through closedform.evaluate only
-for its status text (mostly the name of a failure).
+(first axis outer, second inner) into a GridResult, a set of columns:
+parameters, observables and one status per point.  It never aborts on a
+point failure — the error is recorded in that point's status — and is
+deterministic: the same grid produces byte-identical CSV output
+regardless of worker count, because every point is a pure function of
+its parameters and results are collected in task order.  Every point
+with valid parameters, small omega included, is evaluated as arrays by
+closedform.evaluate_arrays; a point whose row is not finite goes one by
+one through closedform.evaluate only for its status text (mostly the
+name of a failure).
 
-CSV rows carry the full parameter tuple, every observable, and a status
-column; floats are written with repr(), Python's shortest round-trip
-decimal form.  The file contains exactly one header line plus one line
-per grid point — no comment or metadata lines, so an N-point sweep is an
-(N+1)-line file.  Figure metadata lives in the SVG output as XML comments.
+emit_csv and emit_svg take a GridResult.  CSV rows carry the full
+parameter tuple, every observable, and a status column; floats are
+written with repr(), Python's shortest round-trip decimal form.  The file
+contains exactly one header line plus one line per grid point — no
+comment or metadata lines, so an N-point sweep is an (N+1)-line file.
+Figure metadata lives in the SVG output as XML comments.
 
 The figure presets reproduce the package's reference plots:
 
@@ -34,7 +37,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -51,7 +54,7 @@ __all__ = [
     "CSV_HEADER",
     "AxisSpec",
     "GridSpec",
-    "GridPoint",
+    "GridResult",
     "FigurePreset",
     "PRESETS",
     "run_grid",
@@ -155,36 +158,13 @@ class GridSpec:
             )
         return keys, params
 
-    def point_values(self) -> list[tuple[tuple[str, float], ...]]:
-        """Full parameter mapping per point, row-major (axis1 outer)."""
-        keys, params = self.columns()
-        return [tuple(zip(keys, row)) for row in params.tolist()]
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One evaluated grid point: parameters, report (if ok), and status."""
-
-    values: tuple[tuple[str, float], ...]
-    report: closedform.HarvestReport | None
-    status: str
-
-    def value(self, name: str) -> float:
-        return dict(self.values)[name]
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
 @dataclass(frozen=True, eq=False)
-class GridResult(Sequence[GridPoint]):
+class GridResult:
     """Evaluated grid points, held as columns.
 
     params[:, j] holds parameter keys[j] of every point, values the
     closedform.OBSERVABLES of every point (nan where it failed) and status
-    its status text.  len, indexing and iteration give GridPoints, built
-    on demand; a slice gives a GridResult.
+    its status text.  len gives the number of points.
     """
 
     keys: tuple[str, ...]
@@ -195,42 +175,11 @@ class GridResult(Sequence[GridPoint]):
     def __len__(self) -> int:
         return len(self.status)
 
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return GridResult(
-                self.keys,
-                self.params[index],
-                self.values[index],
-                self.status[index],
-            )
-        i = range(len(self))[index]
-        status = self.status[i]
-        report = (
-            closedform.HarvestReport.from_row(self.values[i])
-            if status == "ok"
-            else None
-        )
-        values = tuple(zip(self.keys, self.params[i].tolist()))
-        return GridPoint(values, report, status)
-
     def column(self, name: str) -> np.ndarray:
         """One parameter or observable over all points."""
         if name in self.keys:
             return self.params[:, self.keys.index(name)]
         return self.values[:, closedform.OBSERVABLES.index(name)]
-
-
-def _as_result(points: Sequence[GridPoint]) -> GridResult:
-    if isinstance(points, GridResult):
-        return points
-    params = [[pt.value(k) for k in _PARAM_COLUMNS] for pt in points]
-    values = [pt.report.as_row() if pt.report else _NAN_ROW for pt in points]
-    return GridResult(
-        _PARAM_COLUMNS,
-        np.array(params, dtype=float).reshape(-1, len(_PARAM_COLUMNS)),
-        np.array(values, dtype=float).reshape(-1, len(_NAN_ROW)),
-        [pt.status for pt in points],
-    )
 
 
 def _evaluate_point(
@@ -312,21 +261,21 @@ def run_grid(spec: GridSpec, *, workers: int = 1) -> GridResult:
 # --- CSV -------------------------------------------------------------------
 
 
-def emit_csv(points: Sequence[GridPoint], path: str) -> str:
-    """Write grid results as CSV: header line plus one line per point.
+def emit_csv(points: GridResult, path: str) -> str:
+    """Write a GridResult as CSV: header line plus one line per point.
 
     No comment or metadata lines are emitted, so the file always has
     exactly len(points) + 1 lines.  Floats use repr() — the shortest
     decimal form that round-trips to the identical double.
     """
-    res = _as_result(points)
-    columns = [res.column(name) for name in _PARAM_COLUMNS] + list(res.values.T)
+    columns = [points.column(name) for name in _PARAM_COLUMNS]
+    columns += list(points.values.T)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(res), _BLOCK):
+        for start in range(0, len(points), _BLOCK):
             rows = slice(start, start + _BLOCK)
             fields = [list(map(repr, col[rows].tolist())) for col in columns]
-            fields.append(res.status[rows])
+            fields.append(points.status[rows])
             fh.write("".join(f"{line}\n" for line in map(",".join, zip(*fields))))
     return path
 
@@ -645,14 +594,12 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     sizes = [g.axis1.count for g in preset.grids]
     _require_complete(points, sum(sizes))
 
-    # Split the concatenated points back into per-grid curves.
-    curves: list[tuple[GridSpec, GridResult]] = []
-    idx = 0
-    for g, n in zip(preset.grids, sizes):
-        curves.append((g, points[idx : idx + n]))
-        idx += n
+    # Each grid's curve is the next run of points, in grid order.
+    bounds = np.cumsum([0] + sizes).tolist()
+    curves = list(zip(preset.grids, bounds, bounds[1:]))
 
     xaxis = preset.grids[0].axis1
+    all_x = points.column(xaxis.name).tolist()
     all_y = points.column(preset.quantity).tolist()
     ymin, ymax = min(all_y), max(all_y)
     if ymax == ymin:
@@ -701,13 +648,11 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
         )
 
     legend = []
-    for k, (g, pts) in enumerate(curves):
+    for k, (g, start, end) in enumerate(curves):
         color = _LINE_COLORS[k % len(_LINE_COLORS)]
         coords = " ".join(
             f"{fx(x):.2f},{fy(y):.2f}"
-            for x, y in zip(
-                pts.column(xaxis.name).tolist(), pts.column(preset.quantity).tolist()
-            )
+            for x, y in zip(all_x[start:end], all_y[start:end])
         )
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -760,16 +705,13 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     )
 
 
-def emit_svg(
-    preset: FigurePreset, points: Sequence[GridPoint], path: str
-) -> str:
-    """Render a preset's points to a standalone SVG file.
+def emit_svg(preset: FigurePreset, points: GridResult, path: str) -> str:
+    """Render a preset's GridResult to a standalone SVG file.
 
     Heatmap for two-axis presets, line chart for one-axis presets.
     Raises IncompleteGrid if any point is missing or failed: a partial
     figure would silently misrepresent the grid.
     """
-    points = _as_result(points)
     if preset.kind == "heatmap":
         text = _svg_heatmap(preset, points)
     elif preset.kind == "lines":

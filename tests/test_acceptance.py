@@ -137,10 +137,8 @@ def test_criterion_04_resonance_location():
 def test_criterion_05_gw_contribution_nonpositive_at_t0_zero():
     # Signed bound: Theta_GW <= 1e-12 and Psi_GW <= 1e-12 at every point
     # of the fig2/fig4 preset grids (t0 = 0).
-    max_theta = max(
-        pt.report.theta_gw for pt in run_preset(PRESETS["fig2"])
-    )
-    max_psi = max(pt.report.psi_gw for pt in run_preset(PRESETS["fig4"]))
+    max_theta = max(run_preset(PRESETS["fig2"]).column("theta_gw").tolist())
+    max_psi = max(run_preset(PRESETS["fig4"]).column("psi_gw").tolist())
     ok = max_theta <= 1e-12 and max_psi <= 1e-12
     _report(
         5,

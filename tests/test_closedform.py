@@ -571,13 +571,6 @@ def test_scalar_path_returns_builtin_numbers():
             assert type(value) is float
 
 
-def test_harvest_report_row_roundtrip():
-    rep = evaluate(_params(A=0.05, Omega_sigma=5.4, D_sigma=1.0))
-    again = cf.HarvestReport.from_row(rep.as_row())
-    assert again == rep
-    assert again.flags == (OUTSIDE_FIRST_ORDER_FLAG,)
-
-
 # --- density matrix ---------------------------------------------------------
 
 

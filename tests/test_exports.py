@@ -27,6 +27,8 @@ REMOVED = (
     "correlation",
     "emit_warnings",
     "is_spacelike",
+    "GridPoint",
+    "_as_result",
 )
 
 
@@ -50,6 +52,13 @@ def test_removed_names_are_gone(module):
     exported = set(getattr(module, "__all__", ()))
     assert exported.isdisjoint(REMOVED)
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+def test_removed_members_are_gone():
+    assert not hasattr(gwharvest.GridSpec, "point_values")
+    assert not hasattr(gwharvest.HarvestReport, "from_row")
+    assert not hasattr(gwharvest.SpacetimePoint, "u")
+    assert not hasattr(gwharvest.SpacetimePoint, "v")
 
 
 def test_point_and_sweep_start_without_scipy_integrate(tmp_path):

@@ -49,12 +49,6 @@ def test_geometry_contract():
         DimensionlessParams(D_sigma=-2.0)
 
 
-def test_spacetime_point_lightcone_coordinates():
-    e = SpacetimePoint(t=3.0, x=1.0, y=-2.0, z=0.5)
-    assert e.u == 2.5
-    assert e.v == 3.5
-
-
 def _params(**kw):
     values = dict(CONFIG_DEFAULTS)
     values.update(kw)

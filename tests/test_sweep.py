@@ -1,6 +1,7 @@
 """Tests for grid sweeps, CSV emission, figure presets, and SVG rendering."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,16 +67,17 @@ def test_point_values_row_major_with_defaults():
         axis2=AxisSpec("D_sigma", 1.0, 2.0, 3),
         fixed={"A": 0.05},
     )
-    pts = spec.point_values()
+    keys, params = spec.columns()
+    pts = [dict(zip(keys, row)) for row in params.tolist()]
     assert len(pts) == 6
-    first = dict(pts[0])
+    first = pts[0]
     # Unswept, unfixed parameters take the library defaults.
     assert first["omega_sigma"] == 2.0
     assert first["t0_sigma"] == 0.0
     assert first["A"] == 0.05
     assert "lambda" not in first
     # axis1 is the outer loop, axis2 the inner one.
-    coords = [(dict(p)["Omega_sigma"], dict(p)["D_sigma"]) for p in pts]
+    coords = [(p["Omega_sigma"], p["D_sigma"]) for p in pts]
     assert coords == [
         (0.0, 1.0), (0.0, 1.5), (0.0, 2.0),
         (1.0, 1.0), (1.0, 1.5), (1.0, 2.0),
@@ -90,14 +92,14 @@ def test_run_grid_captures_per_point_failures():
     # while the rest of the grid evaluates.
     spec = GridSpec(axis1=AxisSpec("D_sigma", -1.0, 1.0, 3))
     pts = run_grid(spec)
-    assert [pt.ok for pt in pts] == [False, False, True]
-    for pt in pts[:2]:
-        assert pt.report is None
-        assert pt.status.startswith("InvalidGeometry")
-        assert "," not in pt.status  # status must stay a single CSV field
-        assert "\n" not in pt.status
-    assert pts[2].report is not None
-    assert pts[2].status == "ok"
+    assert [status == "ok" for status in pts.status] == [False, False, True]
+    for status, row in zip(pts.status[:2], pts.values[:2]):
+        assert np.isnan(row).all()
+        assert status.startswith("InvalidGeometry")
+        assert "," not in status  # status must stay a single CSV field
+        assert "\n" not in status
+    assert np.isfinite(pts.values[2]).all()
+    assert pts.status[2] == "ok"
 
 
 def _parallel_spec():
@@ -196,21 +198,20 @@ MIXED_GRIDS = [
 @pytest.mark.parametrize("spec", MIXED_GRIDS)
 def test_run_grid_matches_pointwise_scalar_evaluation(spec):
     pts = run_grid(spec)
-    items = spec.point_values()
-    assert len(pts) == len(items)
-    for pt, got, point in zip(pts, pts.values.tolist(), items):
-        row, status = _scalar_point(point)
-        assert pt.values == point
-        assert pt.status == status
+    keys, params = spec.columns()
+    assert len(pts) == len(params)
+    assert pts.keys == keys
+    np.testing.assert_array_equal(pts.params, params)
+    for got, got_status, point in zip(
+        pts.values.tolist(), pts.status, params.tolist()
+    ):
+        row, status = _scalar_point(zip(keys, point))
+        assert got_status == status
         for a, b in zip(got, row):
             if math.isnan(b):
                 assert math.isnan(a)
             else:
                 assert abs(a - b) <= 1e-12 * abs(b) + 1e-15
-        if pt.report is not None:
-            assert pt.report.flags == closedform.evaluate(
-                params_from_mapping(dict(point))
-            ).flags
     assert len({status.split(":")[0] for status in pts.status}) >= 2
 
 
@@ -227,10 +228,11 @@ def test_run_grid_matches_pointwise_scalar_evaluation(spec):
 )
 def test_closed_form_failures_keep_their_exception_class(index, error):
     spec = MIXED_GRIDS[2]
-    point = dict(spec.point_values()[index])
+    keys, params = spec.columns()
+    point = dict(zip(keys, params[index].tolist()))
     with pytest.raises(error):
         closedform.evaluate(params_from_mapping(point))
-    assert run_grid(spec)[index].status.startswith(f"{error.__name__}: ")
+    assert run_grid(spec).status[index].startswith(f"{error.__name__}: ")
 
 
 def test_non_finite_row_fails_with_a_named_status():
@@ -258,7 +260,7 @@ def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
     # D <= 0 fails validation (8 points, no evaluate call).  The other 8
     # points take the array kernel, omega = 0 below the cutoff included.
     pts = run_grid(MIXED_GRIDS[0])
-    assert [pt.ok for pt in pts].count(True) == 8
+    assert pts.status.count("ok") == 8
     assert calls == {"params": 8, "evaluate": 0}
     # Only the two degenerate gaps fall back on the second grid.
     calls.update(params=0, evaluate=0)
@@ -273,22 +275,17 @@ def test_run_grid_reports_non_finite_parameters_per_point():
     assert np.isnan(pts.values).all()
 
 
-def test_grid_result_sequence_behaviour(tmp_path):
+def test_grid_result_sequence_behaviour():
     spec = GridSpec(axis1=AxisSpec("D_sigma", -1.0, 2.0, 4), fixed={"A": 0.05})
     pts = run_grid(spec)
     assert isinstance(pts, GridResult)
     assert len(pts) == 4
-    assert pts[-1].value("D_sigma") == 2.0
-    assert pts[1:].status == pts.status[1:]
-    with pytest.raises(IndexError):
-        pts[4]
-    expected = closedform.evaluate(params_from_mapping(dict(pts[3].values)))
-    assert pts[3].report == expected
-    assert pts[0].report is None
-    # A plain list of GridPoints writes the same bytes as the columns.
-    a = emit_csv(pts, str(tmp_path / "a.csv"))
-    b = emit_csv(list(pts), str(tmp_path / "b.csv"))
-    assert _read(a) == _read(b)
+    assert pts.column("D_sigma")[-1] == 2.0
+    point = dict(zip(pts.keys, pts.params[3].tolist()))
+    expected = closedform.evaluate(params_from_mapping(point))
+    assert pts.values[3].tolist() == list(expected.as_row())
+    assert pts.status[0] != "ok"
+    assert np.isnan(pts.values[0]).all()
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -418,11 +415,28 @@ def test_emit_svg_lines(tmp_path):
     assert "<!-- figure=tinyline kind=lines" in text
 
 
+def test_emit_svg_lines_draws_each_grid_as_one_curve(tmp_path):
+    # fig2 concatenates eight omega grids; each must be its own polyline
+    # spanning the plot from left (x = 90) to right (x = 650).
+    preset = PRESETS["fig2"]
+    path = emit_svg(preset, run_preset(preset), str(tmp_path / "fig2.svg"))
+    curves = re.findall(r'<polyline points="([^"]*)"', _read(path))
+    assert len(curves) == len(preset.grids)
+    for grid, coords in zip(preset.grids, curves):
+        xs = [pair.split(",")[0] for pair in coords.split()]
+        assert len(xs) == grid.axis1.count
+        assert (xs[0], xs[-1]) == ("90.00", "650.00")
+        assert all(a < b for a, b in zip(map(float, xs), map(float, xs[1:])))
+
+
 def test_emit_svg_rejects_incomplete_grids(tmp_path):
     preset = _tiny_heatmap_preset()
     pts = run_preset(preset)
     with pytest.raises(IncompleteGrid):
-        emit_svg(preset, pts[:-1], str(tmp_path / "x.svg"))
+        short = GridResult(
+            pts.keys, pts.params[:-1], pts.values[:-1], pts.status[:-1]
+        )
+        emit_svg(preset, short, str(tmp_path / "x.svg"))
     # A failed point is as fatal as a missing one.
     bad_grid = GridSpec(
         axis1=AxisSpec("Omega_sigma", 0.5, 1.0, 3),
@@ -463,10 +477,11 @@ def test_build_figure_writes_both_files(tmp_path):
 
 
 def _conc_map(points):
-    return {
-        (pt.value("Omega_sigma"), pt.value("D_sigma")): pt.report.concurrence
-        for pt in points
-    }
+    assert set(points.status) == {"ok"}
+    keys = zip(
+        points.column("Omega_sigma").tolist(), points.column("D_sigma").tolist()
+    )
+    return dict(zip(keys, points.column("concurrence").tolist()))
 
 
 def test_gw_background_only_degrades_harvesting_at_t0_zero():
