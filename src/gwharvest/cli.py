@@ -30,7 +30,6 @@ from . import closedform, sweep
 from .model import (
     CONFIG_DEFAULTS,
     CONFIG_KEYS,
-    ConfigError,
     IncompleteGrid,
     InvalidCoupling,
     InvalidGeometry,
@@ -263,10 +262,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IncompleteGrid as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, InvalidGeometry, InvalidCoupling, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError, InvalidGeometry and InvalidCoupling are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

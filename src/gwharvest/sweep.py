@@ -20,7 +20,10 @@ contains exactly one header line plus one line per grid point — no
 comment or metadata lines, so an N-point sweep is an (N+1)-line file.
 Figure metadata lives in the SVG output as XML comments.
 
-The figure presets reproduce the package's reference plots:
+A FigurePreset's chart kind follows its grids: one two-axis grid is a
+heatmap, one-axis grids over one axis a line chart with a curve per grid.
+Both kinds share one SVG document, frame-and-ticks and axis-label writer.
+The presets reproduce the package's reference plots:
 
   fig1a  concurrence/lambda^2 heatmap over (Omega, D), flat spacetime
   fig1b  same heatmap with a GW background (A=0.05), t0=0
@@ -37,7 +40,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import accumulate
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -285,13 +289,35 @@ def emit_csv(points: GridResult, path: str) -> str:
 
 @dataclass(frozen=True)
 class FigurePreset:
-    """A reference figure: grids to run plus how to render them."""
+    """A reference figure: grids to run and the observable to plot.
+
+    The chart kind follows the grids: one two-axis grid is a heatmap, and
+    one-axis grids over one axis (same name, minimum and maximum) are a
+    line chart with one curve per grid.  Any other shape, or a quantity
+    not in closedform.OBSERVABLES, raises ValueError.
+    """
 
     figure_id: str
-    kind: str  # "heatmap" | "lines"
-    quantity: str  # HarvestReport field to plot
+    quantity: str  # closedform.OBSERVABLES entry to plot
     grids: tuple[GridSpec, ...]
     description: str
+
+    def __post_init__(self) -> None:
+        x_axes = {(g.axis1.name, g.axis1.minimum, g.axis1.maximum) for g in self.grids}
+        if self.quantity not in closedform.OBSERVABLES:
+            problem = f"unknown quantity {self.quantity!r}"
+        elif len(x_axes) != 1:
+            problem = "its grids must sweep one axis (same name, minimum, maximum)"
+        elif len(self.grids) > 1 and any(g.axis2 is not None for g in self.grids):
+            problem = "a heatmap is exactly one two-axis grid"
+        else:
+            return
+        raise ValueError(f"preset {self.figure_id!r}: {problem}")
+
+    @property
+    def kind(self) -> str:
+        """The chart kind, "heatmap" or "lines", read from the grids."""
+        return "lines" if self.grids[0].axis2 is None else "heatmap"
 
 
 def _fig1_grid(A: float, t0: float) -> GridSpec:
@@ -307,73 +333,34 @@ _LINE_DS = (0.5, 2.0)
 
 
 def _line_grids(t0: float) -> tuple[GridSpec, ...]:
-    grids = []
-    for D in _LINE_DS:
-        for Om in _LINE_OMEGAS:
-            grids.append(
-                GridSpec(
-                    axis1=AxisSpec("omega_sigma", 0.2, 8.0, 101),
-                    fixed={
-                        "Omega_sigma": Om,
-                        "D_sigma": D,
-                        "t0_sigma": t0,
-                        "A": 0.05,
-                    },
-                )
-            )
-    return tuple(grids)
+    return tuple(
+        GridSpec(
+            axis1=AxisSpec("omega_sigma", 0.2, 8.0, 101),
+            fixed={"Omega_sigma": Om, "D_sigma": D, "t0_sigma": t0, "A": 0.05},
+        )
+        for D in _LINE_DS
+        for Om in _LINE_OMEGAS
+    )
 
 
 PRESETS: dict[str, FigurePreset] = {
-    "fig1a": FigurePreset(
-        "fig1a",
-        "heatmap",
-        "concurrence",
-        (_fig1_grid(A=0.0, t0=0.0),),
-        "concurrence per lambda^2 over (Omega, D), flat spacetime",
-    ),
-    "fig1b": FigurePreset(
-        "fig1b",
-        "heatmap",
-        "concurrence",
-        (_fig1_grid(A=0.05, t0=0.0),),
-        "concurrence per lambda^2 over (Omega, D), GW background, t0=0",
-    ),
-    "fig1c": FigurePreset(
-        "fig1c",
-        "heatmap",
-        "concurrence",
-        (_fig1_grid(A=0.05, t0=1.0),),
-        "concurrence per lambda^2 over (Omega, D), GW background, t0=1",
-    ),
-    "fig2": FigurePreset(
-        "fig2",
-        "lines",
-        "theta_gw",
-        _line_grids(t0=0.0),
-        "GW shift of |X| per unit strain vs omega, t0=0",
-    ),
-    "fig3": FigurePreset(
-        "fig3",
-        "lines",
-        "theta_gw",
-        _line_grids(t0=1.0),
-        "GW shift of |X| per unit strain vs omega, t0=1",
-    ),
-    "fig4": FigurePreset(
-        "fig4",
-        "lines",
-        "psi_gw",
-        _line_grids(t0=0.0),
-        "GW shift of the correlation function per unit strain vs omega, t0=0",
-    ),
-    "fig5": FigurePreset(
-        "fig5",
-        "lines",
-        "psi_gw",
-        _line_grids(t0=1.0),
-        "GW shift of the correlation function per unit strain vs omega, t0=1",
-    ),
+    preset.figure_id: preset
+    for preset in (
+        FigurePreset("fig1a", "concurrence", (_fig1_grid(A=0.0, t0=0.0),),
+                     "concurrence per lambda^2 over (Omega, D), flat spacetime"),
+        FigurePreset("fig1b", "concurrence", (_fig1_grid(A=0.05, t0=0.0),),
+                     "concurrence per lambda^2 over (Omega, D), GW background, t0=0"),
+        FigurePreset("fig1c", "concurrence", (_fig1_grid(A=0.05, t0=1.0),),
+                     "concurrence per lambda^2 over (Omega, D), GW background, t0=1"),
+        FigurePreset("fig2", "theta_gw", _line_grids(t0=0.0),
+                     "GW shift of |X| per unit strain vs omega, t0=0"),
+        FigurePreset("fig3", "theta_gw", _line_grids(t0=1.0),
+                     "GW shift of |X| per unit strain vs omega, t0=1"),
+        FigurePreset("fig4", "psi_gw", _line_grids(t0=0.0), "GW shift of the "
+                     "correlation function per unit strain vs omega, t0=0"),
+        FigurePreset("fig5", "psi_gw", _line_grids(t0=1.0), "GW shift of the "
+                     "correlation function per unit strain vs omega, t0=1"),
+    )
 }
 
 
@@ -402,16 +389,8 @@ _RAMP = (
     (1.0, (253, 231, 37)),
 )
 
-_LINE_COLORS = (
-    "#4053d3",
-    "#ddb310",
-    "#b51d14",
-    "#00beff",
-    "#fb49b0",
-    "#00b25d",
-    "#cacaca",
-    "#5d5d5d",
-)
+_LINE_COLORS = ("#4053d3", "#ddb310", "#b51d14", "#00beff",
+                "#fb49b0", "#00b25d", "#cacaca", "#5d5d5d")
 
 
 def _ramp_color(t: float) -> str:
@@ -426,7 +405,12 @@ def _ramp_color(t: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    """Round tick locations covering [lo, hi]."""
+    """Round tick locations covering [lo, hi].
+
+    Each tick is the previous one plus step, and their number is counted
+    first, so a step below the float spacing of the range (near 1e16)
+    still ends.
+    """
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / max(n - 1, 1)
@@ -436,12 +420,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
         if step >= raw:
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * abs(step):
-        ticks.append(round(t, 12))
-        t += step
-    return ticks
+    count = math.floor((hi - first) / step + 1e-9) + 1
+    return [round(t, 12) for t in accumulate([first] + [step] * (count - 1))]
 
 
 def _fmt(v: float) -> str:
@@ -450,89 +430,136 @@ def _fmt(v: float) -> str:
 
 def _require_complete(points: GridResult, expected: int) -> None:
     if len(points) != expected:
-        raise IncompleteGrid(
-            f"expected {expected} grid points, got {len(points)}"
-        )
+        raise IncompleteGrid(f"expected {expected} grid points, got {len(points)}")
     bad = [status for status in points.status if status != "ok"]
     if bad:
         raise IncompleteGrid(
-            f"{len(bad)} of {len(points)} grid points failed; first: "
-            f"{bad[0]}"
+            f"{len(bad)} of {len(points)} grid points failed; first: {bad[0]}"
         )
+
+
+class _Canvas(NamedTuple):
+    """A chart's size, its plot box (left, top, width, height), the
+    baseline of its title and the column of its y-axis label."""
+
+    width: int
+    height: int
+    box: tuple[int, int, int, int]
+    title_y: int
+    ylabel_x: int
+
+
+# Margins (left, right, top, bottom): heatmap 80, 140 (color bar), 50, 70;
+# line chart 90, 210 (legend), 40, 70.
+_HEATMAP_CANVAS = _Canvas(860, 640, (80, 50, 640, 520), title_y=28, ylabel_x=22)
+_LINES_CANVAS = _Canvas(860, 600, (90, 40, 560, 490), title_y=24, ylabel_x=26)
+
+
+def _svg_document(
+    preset: FigurePreset,
+    canvas: _Canvas,
+    xaxis: AxisSpec,
+    meta: str,
+    parts: list[str],
+) -> str:
+    """The standalone SVG: metadata comment, background, title, parts."""
+    w, h = canvas.width, canvas.height
+    ml, _, pw, _ = canvas.box
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+        f'height="{h}" viewBox="0 0 {w} {h}">\n'
+        f"<!-- figure={preset.figure_id} kind={preset.kind} "
+        f"quantity={preset.quantity} x={xaxis.name}[{_fmt(xaxis.minimum)}.."
+        f"{_fmt(xaxis.maximum)} n={xaxis.count}] {meta} -->\n"
+        f'<rect width="{w}" height="{h}" fill="white"/>\n'
+        f'<text x="{ml + pw / 2:.2f}" y="{canvas.title_y}" text-anchor="middle" '
+        f'font-size="15">{preset.description}</text>\n'
+        + "\n".join(parts)
+        + "\n</svg>\n"
+    )
+
+
+def _svg_frame(
+    canvas: _Canvas,
+    x_range: tuple[float, float],
+    y_range: tuple[float, float],
+    fx: Callable[[float], float],
+    fy: Callable[[float], float],
+) -> list[str]:
+    """The plot frame and its ticks, placed by the chart's fx and fy."""
+    ml, mt, pw, ph = canvas.box
+    parts = [
+        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
+        f'stroke="#333" stroke-width="1"/>'
+    ]
+    for t in _ticks(*x_range):
+        x = fx(t)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" '
+            f'y2="{mt + ph + 5}" stroke="#333"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{mt + ph + 20}" text-anchor="middle" '
+            f'font-size="12">{_fmt(t)}</text>'
+        )
+    for t in _ticks(*y_range):
+        y = fy(t)
+        parts.append(
+            f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" '
+            f'stroke="#333"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 9}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-size="12">{_fmt(t)}</text>'
+        )
+    return parts
+
+
+def _svg_axis_labels(canvas: _Canvas, xlabel: str, ylabel: str) -> list[str]:
+    ml, mt, pw, ph = canvas.box
+    mid_x, mid_y, lx = ml + pw / 2, mt + ph / 2, canvas.ylabel_x
+    return [
+        f'<text x="{mid_x:.2f}" y="{canvas.height - 25}" text-anchor="middle" '
+        f'font-size="14">{xlabel}</text>',
+        f'<text x="{lx}" y="{mid_y:.2f}" text-anchor="middle" '
+        f'font-size="14" transform="rotate(-90 {lx} {mid_y:.2f})">'
+        f"{ylabel}</text>",
+    ]
 
 
 def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
     grid = preset.grids[0]
-    assert grid.axis2 is not None
     xs = grid.axis1.values
     ys = grid.axis2.values
     _require_complete(points, len(xs) * len(ys))
 
-    keys = zip(
-        points.column(grid.axis1.name).tolist(),
-        points.column(grid.axis2.name).tolist(),
-    )
-    vals = dict(zip(keys, points.column(preset.quantity).tolist()))
-    vmin = min(vals.values())
-    vmax = max(vals.values())
+    vals = points.column(preset.quantity).tolist()
+    vmin, vmax = min(vals), max(vals)
     span = vmax - vmin if vmax > vmin else 1.0
 
-    width, height = 860, 640
-    ml, mr, mt, mb = 80, 140, 50, 70
-    pw, ph = width - ml - mr, height - mt - mb
+    canvas = _HEATMAP_CANVAS
+    ml, mt, pw, ph = canvas.box
     cw, ch = pw / len(xs), ph / len(ys)
 
-    def px(i: int) -> float:
-        return ml + i * cw
-
-    def py(j: int) -> float:
-        # larger axis2 value toward the top
-        return mt + (len(ys) - 1 - j) * ch
-
+    # Point k is cell (i, j): the grid is row-major, axis1 outer.  The
+    # larger axis2 value is toward the top.
     cells = []
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            v = vals[(xv, yv)]
-            color = _ramp_color((v - vmin) / span)
-            cells.append(
-                f'<rect x="{px(i):.2f}" y="{py(j):.2f}" '
-                f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-                f'fill="{color}"/>'
-            )
+    for k, v in enumerate(vals):
+        i, j = divmod(k, len(ys))
+        cells.append(
+            f'<rect x="{ml + i * cw:.2f}" y="{mt + (len(ys) - 1 - j) * ch:.2f}" '
+            f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+            f'fill="{_ramp_color((v - vmin) / span)}"/>'
+        )
 
-    axes = [
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>'
-    ]
-    for t in _ticks(xs[0], xs[-1]):
-        fx = ml + (t - xs[0]) / (xs[-1] - xs[0]) * pw
-        axes.append(
-            f'<line x1="{fx:.2f}" y1="{mt + ph}" x2="{fx:.2f}" '
-            f'y2="{mt + ph + 5}" stroke="#333"/>'
-        )
-        axes.append(
-            f'<text x="{fx:.2f}" y="{mt + ph + 20}" text-anchor="middle" '
-            f'font-size="12">{_fmt(t)}</text>'
-        )
-    for t in _ticks(ys[0], ys[-1]):
-        fy = mt + ph - (t - ys[0]) / (ys[-1] - ys[0]) * ph
-        axes.append(
-            f'<line x1="{ml - 5}" y1="{fy:.2f}" x2="{ml}" y2="{fy:.2f}" '
-            f'stroke="#333"/>'
-        )
-        axes.append(
-            f'<text x="{ml - 9}" y="{fy + 4:.2f}" text-anchor="end" '
-            f'font-size="12">{_fmt(t)}</text>'
-        )
-    axes.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{height - 25}" text-anchor="middle" '
-        f'font-size="14">{grid.axis1.name}</text>'
-    )
-    axes.append(
-        f'<text x="22" y="{mt + ph / 2:.2f}" text-anchor="middle" '
-        f'font-size="14" transform="rotate(-90 22 {mt + ph / 2:.2f})">'
-        f"{grid.axis2.name}</text>"
-    )
+    def fx(t: float) -> float:
+        return ml + (t - xs[0]) / (xs[-1] - xs[0]) * pw
+
+    def fy(t: float) -> float:
+        return mt + ph - (t - ys[0]) / (ys[-1] - ys[0]) * ph
+
+    axes = _svg_frame(canvas, (xs[0], xs[-1]), (ys[0], ys[-1]), fx, fy)
+    axes += _svg_axis_labels(canvas, grid.axis1.name, grid.axis2.name)
 
     # Color bar.
     bx, bw_ = ml + pw + 30, 22
@@ -560,34 +587,11 @@ def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
         f'font-size="12">{preset.quantity}</text>'
     )
 
-    fixed = {
-        k: v for k, v in sorted(grid.fixed.items())
-    }
     meta = (
-        f"<!-- figure={preset.figure_id} kind=heatmap "
-        f"quantity={preset.quantity} "
-        f"x={grid.axis1.name}[{_fmt(xs[0])}..{_fmt(xs[-1])} n={len(xs)}] "
         f"y={grid.axis2.name}[{_fmt(ys[0])}..{_fmt(ys[-1])} n={len(ys)}] "
-        f"fixed={fixed!r} -->"
+        f"fixed={dict(sorted(grid.fixed.items()))!r}"
     )
-    title = (
-        f'<text x="{ml + pw / 2:.2f}" y="28" text-anchor="middle" '
-        f'font-size="15">{preset.description}</text>'
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f"{meta}\n"
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        + title
-        + "\n"
-        + "\n".join(cells)
-        + "\n"
-        + "\n".join(axes)
-        + "\n"
-        + "\n".join(bar)
-        + "\n</svg>\n"
-    )
+    return _svg_document(preset, canvas, grid.axis1, meta, cells + axes + bar)
 
 
 def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
@@ -596,7 +600,6 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
 
     # Each grid's curve is the next run of points, in grid order.
     bounds = np.cumsum([0] + sizes).tolist()
-    curves = list(zip(preset.grids, bounds, bounds[1:]))
 
     xaxis = preset.grids[0].axis1
     all_x = points.column(xaxis.name).tolist()
@@ -608,9 +611,8 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     ymin -= pad
     ymax += pad
 
-    width, height = 860, 600
-    ml, mr, mt, mb = 90, 210, 40, 70
-    pw, ph = width - ml - mr, height - mt - mb
+    canvas = _LINES_CANVAS
+    ml, mt, pw, ph = canvas.box
     x0, x1 = xaxis.minimum, xaxis.maximum
 
     def fx(v: float) -> float:
@@ -619,36 +621,22 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     def fy(v: float) -> float:
         return mt + (ymax - v) / (ymax - ymin) * ph
 
-    body = [
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>'
-    ]
-    for t in _ticks(x0, x1):
-        body.append(
-            f'<line x1="{fx(t):.2f}" y1="{mt + ph}" x2="{fx(t):.2f}" '
-            f'y2="{mt + ph + 5}" stroke="#333"/>'
-        )
-        body.append(
-            f'<text x="{fx(t):.2f}" y="{mt + ph + 20}" text-anchor="middle" '
-            f'font-size="12">{_fmt(t)}</text>'
-        )
-    for t in _ticks(ymin, ymax):
-        body.append(
-            f'<line x1="{ml - 5}" y1="{fy(t):.2f}" x2="{ml}" '
-            f'y2="{fy(t):.2f}" stroke="#333"/>'
-        )
-        body.append(
-            f'<text x="{ml - 9}" y="{fy(t) + 4:.2f}" text-anchor="end" '
-            f'font-size="12">{_fmt(t)}</text>'
-        )
+    body = _svg_frame(canvas, (x0, x1), (ymin, ymax), fx, fy)
     if ymin < 0.0 < ymax:
         body.append(
             f'<line x1="{ml}" y1="{fy(0.0):.2f}" x2="{ml + pw}" '
             f'y2="{fy(0.0):.2f}" stroke="#999" stroke-dasharray="4 4"/>'
         )
 
+    # Each curve is labelled by the Omega and D of its first point,
+    # except the one the curves sweep.
+    labelled = [
+        (short, points.column(name).tolist())
+        for short, name in (("Omega", "Omega_sigma"), ("D", "D_sigma"))
+        if name != xaxis.name
+    ]
     legend = []
-    for k, (g, start, end) in enumerate(curves):
+    for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
         color = _LINE_COLORS[k % len(_LINE_COLORS)]
         coords = " ".join(
             f"{fx(x):.2f},{fy(y):.2f}"
@@ -658,10 +646,7 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'
         )
-        label = (
-            f"Omega={_fmt(g.fixed['Omega_sigma'])}, "
-            f"D={_fmt(g.fixed['D_sigma'])}"
-        )
+        label = ", ".join(f"{short}={_fmt(col[start])}" for short, col in labelled)
         ly = mt + 16 + 18 * k
         legend.append(
             f'<line x1="{ml + pw + 14}" y1="{ly - 4}" x2="{ml + pw + 40}" '
@@ -671,55 +656,22 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
             f'<text x="{ml + pw + 46}" y="{ly}" font-size="12">{label}</text>'
         )
 
-    body.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{height - 25}" text-anchor="middle" '
-        f'font-size="14">{xaxis.name}</text>'
-    )
-    body.append(
-        f'<text x="26" y="{mt + ph / 2:.2f}" text-anchor="middle" '
-        f'font-size="14" transform="rotate(-90 26 {mt + ph / 2:.2f})">'
-        f"{preset.quantity}</text>"
-    )
-    title = (
-        f'<text x="{ml + pw / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-size="15">{preset.description}</text>'
-    )
-    t0v = preset.grids[0].fixed.get("t0_sigma", 0.0)
-    meta = (
-        f"<!-- figure={preset.figure_id} kind=lines "
-        f"quantity={preset.quantity} "
-        f"x={xaxis.name}[{_fmt(x0)}..{_fmt(x1)} n={xaxis.count}] "
-        f"curves={len(curves)} t0_sigma={_fmt(t0v)} -->"
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f"{meta}\n"
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        + title
-        + "\n"
-        + "\n".join(body)
-        + "\n"
-        + "\n".join(legend)
-        + "\n</svg>\n"
-    )
+    body += _svg_axis_labels(canvas, xaxis.name, preset.quantity)
+    t0 = points.column("t0_sigma")[0]
+    meta = f"curves={len(sizes)} t0_sigma={_fmt(t0)}"
+    return _svg_document(preset, canvas, xaxis, meta, body + legend)
 
 
 def emit_svg(preset: FigurePreset, points: GridResult, path: str) -> str:
     """Render a preset's GridResult to a standalone SVG file.
 
-    Heatmap for two-axis presets, line chart for one-axis presets.
+    Heatmap for a two-axis grid, line chart for one-axis grids.
     Raises IncompleteGrid if any point is missing or failed: a partial
     figure would silently misrepresent the grid.
     """
-    if preset.kind == "heatmap":
-        text = _svg_heatmap(preset, points)
-    elif preset.kind == "lines":
-        text = _svg_lines(preset, points)
-    else:
-        raise ValueError(f"unknown figure kind {preset.kind!r}")
+    render = _svg_heatmap if preset.kind == "heatmap" else _svg_lines
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(render(preset, points))
     return path
 
 

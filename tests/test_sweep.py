@@ -1,7 +1,10 @@
 """Tests for grid sweeps, CSV emission, figure presets, and SVG rendering."""
 
+import contextlib
+import dataclasses
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -375,7 +378,7 @@ def _tiny_heatmap_preset():
         axis2=AxisSpec("D_sigma", 0.5, 1.0, 4),
         fixed={"A": 0.05},
     )
-    return FigurePreset("tiny", "heatmap", "concurrence", (grid,), "test grid")
+    return FigurePreset("tiny", "concurrence", (grid,), "test grid")
 
 
 def test_emit_svg_heatmap(tmp_path):
@@ -396,7 +399,6 @@ def test_emit_svg_heatmap(tmp_path):
 def test_emit_svg_lines(tmp_path):
     preset = FigurePreset(
         "tinyline",
-        "lines",
         "theta_gw",
         (
             GridSpec(axis1=AxisSpec("omega_sigma", 0.5, 4.0, 8),
@@ -443,19 +445,146 @@ def test_emit_svg_rejects_incomplete_grids(tmp_path):
         axis2=AxisSpec("D_sigma", -0.5, 1.0, 4),
         fixed={"A": 0.05},
     )
-    bad_preset = FigurePreset("tiny", "heatmap", "concurrence", (bad_grid,),
-                              "broken")
+    bad_preset = FigurePreset("tiny", "concurrence", (bad_grid,), "broken")
     bad_pts = run_preset(bad_preset)
     with pytest.raises(IncompleteGrid, match="failed"):
         emit_svg(bad_preset, bad_pts, str(tmp_path / "y.svg"))
 
 
-def test_emit_svg_rejects_unknown_kind(tmp_path):
-    preset = FigurePreset("tiny", "scatter3d", "concurrence",
-                          _tiny_heatmap_preset().grids, "bad kind")
-    with pytest.raises(ValueError, match="unknown figure kind"):
-        emit_svg(preset, run_preset(_tiny_heatmap_preset()),
-                 str(tmp_path / "z.svg"))
+def test_emit_svg_heatmap_colors_each_cell_by_its_grid_point(tmp_path):
+    # Cells are told apart by their pixel position alone: column i is the
+    # i-th distinct x from the left, row j the j-th distinct y from the
+    # bottom.  Each must carry the color of the point at (xs[i], ys[j]).
+    preset = _tiny_heatmap_preset()
+    grid = preset.grids[0]
+    pts = run_preset(preset)
+    text = _read(emit_svg(preset, pts, str(tmp_path / "tiny.svg")))
+    n = grid.axis1.count * grid.axis2.count
+    cells = re.findall(
+        r'<rect x="([\d.]+)" y="([\d.]+)" width="[\d.]+" height="[\d.]+" '
+        r'fill="(rgb\([^"]*\))"/>',
+        text,
+    )[:n]
+    assert len(cells) == n
+    cols = sorted({float(x) for x, _, _ in cells})
+    rows = sorted({float(y) for _, y, _ in cells}, reverse=True)
+    assert (len(cols), len(rows)) == (grid.axis1.count, grid.axis2.count)
+    om = pts.column("Omega_sigma").tolist()
+    d = pts.column("D_sigma").tolist()
+    conc = pts.column("concurrence").tolist()
+    lo, hi = min(conc), max(conc)
+    for x, y, fill in cells:
+        i, j = cols.index(float(x)), rows.index(float(y))
+        (v,) = [c for o, dd, c in zip(om, d, conc)
+                if (o, dd) == (grid.axis1.values[i], grid.axis2.values[j])]
+        assert fill == sweep._ramp_color((v - lo) / (hi - lo))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail, instead of hanging, when the body runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ticks_end_when_the_step_is_below_float_spacing(tmp_path):
+    # Near 1e16 the float spacing is 2, so adding a tick step of 1 does
+    # not move a tick; the number of ticks must still be finite.
+    with _time_limit(5):
+        ticks = sweep._ticks(1e16, 1e16 + 4)
+    assert len(ticks) == 5
+    assert all(1e16 <= t <= 1e16 + 4 for t in ticks)
+    assert sweep._ticks(0.2, 8.0) == [2.0, 4.0, 6.0, 8.0]
+    preset = FigurePreset(
+        "far",
+        "theta_gw",
+        (GridSpec(AxisSpec("t0_sigma", 1e16, 1e16 + 4, 3), fixed={"A": 0.05}),),
+        "switching centred far from the wave's origin",
+    )
+    pts = run_preset(preset)
+    assert pts.status == ["ok"] * 3
+    with _time_limit(5):
+        text = _read(emit_svg(preset, pts, str(tmp_path / "far.svg")))
+    assert text.count("<polyline") == 1
+
+
+def test_emit_svg_lines_labels_curves_from_the_point_columns(tmp_path):
+    # Omega and D are left at their defaults (1 and 1): the legend reads
+    # them from the evaluated points, not from the grid's fixed values.
+    grid = GridSpec(AxisSpec("omega_sigma", 0.5, 3, 5), fixed={"A": 0.05})
+    preset = FigurePreset("defaults", "theta_gw", (grid,), "default Omega and D")
+    text = _read(emit_svg(preset, run_preset(preset), str(tmp_path / "d.svg")))
+    assert ">Omega=1, D=1</text>" in text
+    assert "curves=1 t0_sigma=0 -->" in text
+    # A curve that sweeps D is not labelled with one D value.
+    grid = GridSpec(AxisSpec("D_sigma", 0.5, 3, 5), fixed={"Omega_sigma": 2.0})
+    preset = FigurePreset("overD", "p_norm", (grid,), "sweeps D")
+    text = _read(emit_svg(preset, run_preset(preset), str(tmp_path / "D.svg")))
+    assert ">Omega=2</text>" in text
+
+
+def test_figure_preset_one_axis_grid_is_a_line_chart(tmp_path):
+    fields = [f.name for f in dataclasses.fields(FigurePreset)]
+    assert fields == ["figure_id", "quantity", "grids", "description"]
+    grid = GridSpec(AxisSpec("Omega_sigma", 0.5, 1.0, 3), fixed={"A": 0.05})
+    preset = FigurePreset("one", "concurrence", (grid,), "one axis")
+    assert preset.kind == "lines"
+    with pytest.raises(AttributeError):
+        preset.kind = "heatmap"
+    text = _read(emit_svg(preset, run_preset(preset), str(tmp_path / "one.svg")))
+    assert "<!-- figure=one kind=lines" in text
+    assert text.count("<polyline") == 1
+
+
+def test_figure_preset_two_axis_grid_is_a_heatmap(tmp_path):
+    grid = GridSpec(
+        axis1=AxisSpec("Omega_sigma", 0.5, 1.0, 3),
+        axis2=AxisSpec("D_sigma", 0.5, 1.0, 3),
+        fixed={"A": 0.05},
+    )
+    preset = FigurePreset("two", "concurrence", (grid,), "two axes")
+    assert preset.kind == "heatmap"
+    text = _read(emit_svg(preset, run_preset(preset), str(tmp_path / "two.svg")))
+    assert "<!-- figure=two kind=heatmap" in text
+    assert "<polyline" not in text
+
+
+def test_figure_preset_rejects_grids_over_different_axes():
+    omega = GridSpec(AxisSpec("omega_sigma", 0.5, 4.0, 8))
+    cases = {
+        "names": (omega, GridSpec(AxisSpec("Omega_sigma", 0.5, 4.0, 8))),
+        "minimum": (omega, GridSpec(AxisSpec("omega_sigma", 0.25, 4.0, 8))),
+        "maximum": (omega, GridSpec(AxisSpec("omega_sigma", 0.5, 5.0, 8))),
+        "none": (),
+    }
+    for name, grids in cases.items():
+        with pytest.raises(ValueError, match=f"preset '{name}': its grids"):
+            FigurePreset(name, "theta_gw", grids, "mixed axes")
+    # A heatmap is exactly one two-axis grid.
+    plane = _tiny_heatmap_preset().grids[0]
+    for grids in ((plane, plane), (plane, GridSpec(plane.axis1))):
+        with pytest.raises(ValueError, match="preset 'pair': a heatmap is"):
+            FigurePreset("pair", "concurrence", grids, "two planes")
+    # Curves may differ in their point count and fixed values.
+    FigurePreset(
+        "ok",
+        "theta_gw",
+        (omega, GridSpec(AxisSpec("omega_sigma", 0.5, 4.0, 5), fixed={"A": 0.1})),
+        "same axis",
+    )
+
+
+def test_figure_preset_rejects_unknown_quantity():
+    with pytest.raises(ValueError, match="preset 'q': unknown quantity 'theta'"):
+        FigurePreset("q", "theta", _tiny_heatmap_preset().grids, "typo")
 
 
 def test_build_figure_unknown_id(tmp_path):
