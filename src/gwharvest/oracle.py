@@ -5,7 +5,7 @@ integral representation rather than from the closed-form algebra, so the
 two paths share no simplification steps:
 
 * P, X_M and C_M are each a prefactor times one regulated integral of the
-  first-order Wightman function, _wightman_integral: the distributional
+  first-order Wightman function, _wightman_plan: the distributional
   splittings (delta / delta' plus principal value) are realized as an
   explicit i*epsilon displacement, integrated at a geometric schedule of
   epsilon values, and polynomial-extrapolated (Neville) to epsilon -> 0.
@@ -36,11 +36,17 @@ truncation bound), the regulator schedule used, and a convergence flag.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsabs 1e-13,
-epsrel 1e-12, at most 300 subintervals), written over numpy arrays.  All
-integrals of one oracle, every rung of a regulator ladder and both
-half-windows of I3 and I4, are refined together: each refinement round
-evaluates the integrand once, on the nodes of every new subinterval.  No
-part of scipy.integrate is used.
+epsrel 1e-12, at most 300 subintervals), written over numpy arrays.  No
+part of scipy.integrate is used.  Each oracle is a plan: a generator that
+asks for its integrals (an integrand family with per-integral parameters,
+and edges), is sent their values, and builds its estimate from them
+(ladder, scaling, tail bound).  A public oracle runs its own plan alone;
+verify_suite runs all of its plans in step, so every integral of a stage,
+whatever oracle asked for it, is refined by one batched pass per
+integrand value type.  Each refinement round calls each integrand family
+once, on the nodes of every new subinterval of its integrals.  The
+refinement is elementwise or per integral throughout, so an estimate is
+bit for bit the same alone or batched.
 
 All quantities are dimensionless (sigma = 1) and normalized per lambda^2
 exactly as in the closed-form module.
@@ -51,7 +57,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +135,7 @@ class RegulatorSchedule:
 
 
 DEFAULT_SCHEDULE = RegulatorSchedule()
+_Schedule = RegulatorSchedule | Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -232,28 +239,34 @@ def _gk21_rule(
     return h * k, err
 
 
+# Subintervals per _gk21_rule call: bounds the size of its temporaries.
+_MAX_ROWS = 512
+
+
 def _gk21(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]],
     *,
-    limit: int = 300,
+    limit: int | np.ndarray = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over n piecewise intervals by batched adaptive G10/K21.
 
     Integral i runs over the consecutive pieces of edges[i], which start as
-    its subintervals.  Each round calls f once, with the 21 nodes of every
-    new subinterval of every integral as rows x shaped (m, 21), and the
+    its subintervals.  Each round calls f once per _MAX_ROWS new subintervals
+    of all integrals, with their 21 nodes as rows x shaped (m, 21), and the
     index of each row's integral as k shaped (m, 1); f(x, k) returns the
     (real or complex) integrand values, elementwise.  Every node is thus
     evaluated once.
 
     The stopping rule is QUADPACK's: integral i is done when the sum of its
     subinterval errors is at most max(_EPSABS, _EPSREL |I_i|), or when it has
-    limit subintervals.  Until then each round bisects its subintervals
-    whose error exceeds an equal share of that tolerance (its largest one
-    always, and never beyond limit).  Every step is elementwise or per
-    integral, and each integral's sums are made in an order of its own,
-    so a result is bit for bit the same alone or batched with others.
+    limit subintervals (one count, or an array of one per integral).  Until
+    then each round bisects its subintervals whose error exceeds an equal
+    share of that tolerance (its largest one always, and never beyond
+    limit); once done, its sums are kept and its subintervals leave the
+    batch.  Every step is elementwise, per row or per integral, and each
+    integral's sums are made in an order of its own, so a result is bit for
+    bit the same alone or batched with others, and whatever _MAX_ROWS is.
 
     Returns the values (complex) and error estimates, both shaped (n,).
     """
@@ -261,7 +274,17 @@ def _gk21(
     owner = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
     lo = np.array([a for e in edges for a in e[:-1]], dtype=float)
     hi = np.array([b for e in edges for b in e[1:]], dtype=float)
-    val, err = _gk21_rule(f, owner, lo, hi)
+
+    def rule(owner, lo, hi):
+        rows = _MAX_ROWS
+        parts = [
+            _gk21_rule(f, owner[i:i + rows], lo[i:i + rows], hi[i:i + rows])
+            for i in range(0, len(lo), rows)
+        ]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    val, err = rule(owner, lo, hi)
+    total = np.zeros((3, n))
     while True:
         # Each integral's subintervals in order of |midpoint|, then left
         # end: bincount adds in array order, so each sum is made in an
@@ -277,25 +300,29 @@ def _gk21(
         esum = np.bincount(owner, err, n)
         target = np.maximum(_EPSABS, _EPSREL * np.hypot(re, im))
         active = (esum > target) & (count < limit)
+        # A finished integral is not refined again: keep its sums and drop
+        # its subintervals.
+        done = (count > 0) & ~active
+        total[:, done] = re[done], im[done], esum[done]
         if not active.any():
-            return specfun.complex_array(re, im), esum
+            return specfun.complex_array(total[0], total[1]), total[2]
+        live = active[owner]
+        owner, lo, hi, val, err = owner[live], lo[live], hi[live], val[live], err[live]
+        count = np.where(active, count, 0)
         # Rank of each subinterval by error within its integral, largest 0.
         order = np.lexsort((-err, owner))
         rank = np.empty_like(owner)
         first = np.cumsum(count) - count
         rank[order] = np.arange(len(owner)) - first[owner[order]]
-        split = (
-            active[owner]
-            & ((err * count[owner] > target[owner]) | (rank == 0))
-            & (rank < (limit - count)[owner])
-        )
+        split = (err * count[owner] > target[owner]) | (rank == 0)
+        split &= rank < (limit - count)[owner]
         keep = ~split
         o, a, b = owner[split], lo[split], hi[split]
         mid = 0.5 * (a + b)
         new_owner = np.concatenate((o, o))
         new_lo = np.concatenate((a, mid))
         new_hi = np.concatenate((mid, b))
-        new_val, new_err = _gk21_rule(f, new_owner, new_lo, new_hi)
+        new_val, new_err = rule(new_owner, new_lo, new_hi)
         owner = np.concatenate((owner[keep], new_owner))
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
@@ -303,12 +330,137 @@ def _gk21(
         err = np.concatenate((err[keep], new_err))
 
 
-def _quad(
-    f: Callable[[np.ndarray], np.ndarray], *edges: float
-) -> tuple[complex, float]:
-    """One integral of f over the consecutive pieces of edges."""
-    (value,), (err,) = _gk21(lambda x, k: f(x), [edges])
-    return complex(value), float(err)
+# --- plans: each oracle asks for its integrals, then builds its estimate ----
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """An integrand family: kernel(x, *columns), elementwise.
+
+    Each integral of a family brings its parameters as one tuple of floats;
+    kernel gets them as columns shaped (m, 1), one entry per row of nodes x.
+    dtype is the kernel's value type, float or complex; None marks a closure
+    of unknown type.  Families compare by identity, so two families may
+    share a kernel.
+    """
+
+    kernel: Callable[..., np.ndarray]
+    dtype: type | None
+
+
+class _Integral(NamedTuple):
+    """One integral of a family at params over the pieces of edges."""
+
+    family: _Family
+    params: tuple[float, ...]
+    edges: tuple[float, ...]
+    limit: int = 300
+
+
+# A plan is a generator: it yields the integrals it needs next, is sent
+# their values and error estimates (arrays in the order asked), and returns
+# its result.  _run runs one plan; _gather runs many as one.
+_Plan = Generator[list[_Integral], tuple[np.ndarray, np.ndarray], Any]
+
+
+def _advance(plan: _Plan, results: Any) -> tuple[list[_Integral] | None, Any]:
+    """Send results to plan: its next request and None, or None and its result."""
+    try:
+        return plan.send(results), None
+    except StopIteration as done:
+        return None, done.value
+
+
+def _run(plan: _Plan) -> Any:
+    """Result of plan, each of its requests integrated by _integrate."""
+    request, result = _advance(plan, None)
+    while request is not None:
+        request, result = _advance(plan, _integrate(request))
+    return result
+
+
+def _gather(plans: Iterable[_Plan]) -> _Plan:
+    """Plan: the results of plans, run in step.
+
+    Each stage asks for the integrals that every unfinished plan asks for
+    next, so independent plans share every _gk21 call.
+    """
+    plans = list(plans)
+    results: list[Any] = [None] * len(plans)
+    pending = {}
+    for i, plan in enumerate(plans):
+        request, results[i] = _advance(plan, None)
+        if request is not None:
+            pending[i] = request
+    while pending:
+        vals, errs = yield [it for request in pending.values() for it in request]
+        start, asked, pending = 0, pending, {}
+        for i, request in asked.items():
+            stop = start + len(request)
+            request, results[i] = _advance(
+                plans[i], (vals[start:stop], errs[start:stop])
+            )
+            start = stop
+            if request is not None:
+                pending[i] = request
+    return results
+
+
+def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
+    """Values (complex) and error estimates of integrals, in order.
+
+    One _gk21 call refines all integrals whose integrands have one value
+    type; each closure family gets a call of its own.  Real and complex
+    integrands never share a call: numpy sums the rows of a complex array
+    in another order than those of a real one, so a real integrand batched
+    as complex would change in its last bits.
+    """
+    batches: dict[object, list[int]] = {}
+    for i, it in enumerate(integrals):
+        key = it.family if it.family.dtype is None else it.family.dtype
+        batches.setdefault(key, []).append(i)
+    vals = np.empty(len(integrals), dtype=complex)
+    errs = np.empty(len(integrals))
+    for index in batches.values():
+        batch = [integrals[i] for i in index]
+        vals[index], errs[index] = _gk21(
+            _batch_integrand(batch),
+            [it.edges for it in batch],
+            limit=np.array([it.limit for it in batch]),
+        )
+    return vals, errs
+
+
+def _batch_integrand(
+    batch: Sequence[_Integral],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """f(x, k) for _gk21 over batch: each family's kernel once per call.
+
+    Each family's parameters are stored as columns over the whole batch,
+    so the index k of a row's integral selects its parameters directly.
+    """
+    families = list(dict.fromkeys(it.family for it in batch))
+    which = np.array([families.index(it.family) for it in batch])
+    columns = []
+    for j, family in enumerate(families):
+        members = np.flatnonzero(which == j)
+        cols = np.zeros((len(batch[members[0]].params), len(batch)))
+        cols[:, members] = np.array([batch[i].params for i in members]).T
+        columns.append(cols)
+    if len(families) == 1:  # values as they come: a closure's type is unknown
+        kernel, cols = families[0].kernel, columns[0]
+        return lambda x, k: kernel(x, *cols[:, k])
+
+    def f(x, k):
+        out = np.empty(x.shape, dtype=families[0].dtype)
+        row_family = which[k[:, 0]]
+        for j, family in enumerate(families):
+            rows = np.flatnonzero(row_family == j)
+            if len(rows):
+                out[rows] = family.kernel(x[rows], *columns[j][:, k[rows]])
+        return out
+
+    return f
 
 
 def _neville_at_zero(
@@ -393,6 +545,34 @@ def _scaled(
     )
 
 
+def _edges(a: float, b: float, points: Iterable[float] | None) -> tuple[float, ...]:
+    """a, the points strictly inside (a, b) in order, and b."""
+    return (a, *(p for p in sorted(points or ()) if a < p < b), b)
+
+
+def _extrapolated(
+    integrals: list[_Integral],
+    regs: tuple[float, ...],
+    *,
+    square_variable: bool = False,
+    tol: float,
+    tail_bound: float,
+) -> _Plan:
+    """Plan: integrals, one per rung of regs, extrapolated to reg -> 0.
+
+    The estimate, its error and NoConvergence are as quad_adaptive states.
+    """
+    vals, errs = yield integrals
+    value, err = _ladder(regs, vals, errs, square_variable)
+    err += tail_bound
+    if err > 1000.0 * tol:
+        raise NoConvergence(
+            f"regulator extrapolation residual {err:g} exceeds "
+            f"1000 * tol = {1000.0 * tol:g}"
+        )
+    return OracleEstimate(value, err, regs, err <= tol)
+
+
 def quad_adaptive(
     family: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     a: float,
@@ -427,19 +607,15 @@ def quad_adaptive(
     with converged = False.
     """
     regs = _regulators(schedule)
-    reg_of = np.array(regs)
-    edges = (a, *(p for p in sorted(points or ()) if a < p < b), b)
-    vals, errs = _gk21(
-        lambda x, k: family(reg_of[k])(x), [edges] * len(regs), limit=limit
-    )
-    value, err = _ladder(regs, vals, errs, square_variable)
-    err += tail_bound
-    if err > 1000.0 * tol:
-        raise NoConvergence(
-            f"regulator extrapolation residual {err:g} exceeds "
-            f"1000 * tol = {1000.0 * tol:g}"
+    closure = _Family(lambda x, reg: family(reg)(x), None)
+    edges = _edges(a, b, points)
+    return _run(
+        _extrapolated(
+            [_Integral(closure, (reg,), edges, limit) for reg in regs],
+            regs, square_variable=square_variable, tol=tol,
+            tail_bound=tail_bound,
         )
-    return OracleEstimate(value, err, regs, err <= tol)
+    )
 
 
 # --- the regulated Wightman integral behind every kernel oracle -------------
@@ -447,18 +623,37 @@ def quad_adaptive(
 _CAL_CACHE: dict[str, float] = {}
 
 
-def _wightman_integral(
+def _wightman_kernel(av, eps, r, m, Om, gw=None, w=None):
+    """e^{-a^2/4} e^{i Omega a} W(a + i eps); see _wightman_plan.
+
+    The strain term is on only in the family that passes gw and w.
+    """
+    z = av + 1j * eps
+    sig = (r - z) * (r + z)
+    kern = m / (_FOUR_PI_SQ * sig)
+    if gw is not None:
+        sinc = specfun.sinc_array(w * av / 2.0)
+        kern = kern - (gw / _FOUR_PI_SQ) * sinc / (sig * sig)
+    return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * kern
+
+
+# Columns (eps, r, m, Omega), and (gw, omega) with the strain term on.
+_WIGHTMAN = _Family(_wightman_kernel, complex)
+_WIGHTMAN_STRAIN = _Family(_wightman_kernel, complex)
+
+
+def _wightman_plan(
     Omega: float,
     D: float,
     *,
     full_line: bool,
-    schedule: RegulatorSchedule | Sequence[float],
+    schedule: _Schedule,
     tol: float,
     minkowski: float = 1.0,
     strain: float = 0.0,
     omega: float = 0.0,
-) -> OracleEstimate:
-    """Integral of e^{-a^2/4} e^{i Omega a} W(a + i eps) over a >= 0 or all a.
+) -> _Plan:
+    """Plan: integral of e^{-a^2/4} e^{i Omega a} W(a + i eps) over a >= 0 or all a.
 
     W is the first-order Wightman function between events of detector A,
     at rest at the origin, and detector B, at rest at x = D (D = 0: one
@@ -469,12 +664,13 @@ def _wightman_integral(
     with m = minkowski, s = strain (the amplitude times the window-averaged
     cos(omega (t+t')/2)) and sigma^2 = dx^2 + dy^2 - (a + i eps)^2, formed
     as (r - a - i eps)(r + a + i eps), r = hypot(dx, dy), which keeps its
-    digits near the pole a = r.  quad_adaptive extrapolates eps -> 0 over
-    schedule.
+    digits near the pole a = r.  eps -> 0 is extrapolated over schedule,
+    as quad_adaptive does.
 
     The window is |a| <= L = D + 14, split at a = -D and D.  The neglected
     tails are bounded from |sigma^2| >= L^2 - D^2 and |sinc| <= 1.
     """
+    regs = _regulators(schedule)
     Om, Dv, w = float(Omega), float(D), float(omega)
     ev_a, ev_b = SpacetimePoint(t=0.0), SpacetimePoint(t=0.0, x=Dv)
     dx, dy = ev_b.x - ev_a.x, ev_b.y - ev_a.y
@@ -490,23 +686,32 @@ def _wightman_integral(
         * (abs(m) / span + abs(gw) / (span * span))
         / _FOUR_PI_SQ
     )
-
-    def family(eps):
-        def integrand(av):
-            z = av + 1j * eps
-            sig = (r - z) * (r + z)
-            kern = m / (_FOUR_PI_SQ * sig)
-            if gw:  # zero for P, X_M, C_M and on one worldline: no sinc
-                sinc = specfun.sinc_array(w * av / 2.0)
-                kern = kern - (gw / _FOUR_PI_SQ) * sinc / (sig * sig)
-            return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * kern
-
-        return integrand
-
-    return quad_adaptive(
-        family, -L if full_line else 0.0, L, schedule=schedule, tol=tol,
-        points=sorted({-Dv, Dv}), tail_bound=tail,
+    # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
+    family, strain_cols = (_WIGHTMAN_STRAIN, (gw, w)) if gw else (_WIGHTMAN, ())
+    edges = _edges(-L if full_line else 0.0, L, {-Dv, Dv})
+    return (
+        yield from _extrapolated(
+            [_Integral(family, (eps, r, m, Om, *strain_cols), edges) for eps in regs],
+            regs, tol=tol, tail_bound=tail,
+        )
     )
+
+
+def _calibration_plan(tol: float) -> _Plan:
+    """Plan: raise SignConventionMismatch if P is off at its exact anchor.
+
+    The anchor is P(0) = 1/(4 pi); the discrepancy is computed on first use
+    in the process, kept in _CAL_CACHE, and may be at most 100 * tol.
+    """
+    if "P" not in _CAL_CACHE:
+        cal = yield from _p_full_plan(0.0, 0.0, 0.0, 0.0, 1e-6, DEFAULT_SCHEDULE)
+        _CAL_CACHE["P"] = abs(cal.value - 1.0 / (4.0 * math.pi))
+    if _CAL_CACHE["P"] > 100.0 * tol:
+        raise SignConventionMismatch(
+            f"P oracle off by {_CAL_CACHE['P']:g} at the Omega = 0 anchor "
+            f"(allowed 100 * tol = {100.0 * tol:g}); the i*epsilon "
+            "displacement direction is inconsistent with the kernel signs"
+        )
 
 
 def oracle_P(
@@ -519,7 +724,7 @@ def oracle_P(
 
     P/lambda^2 = sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * ( -1 / (4 pi^2 (a + i eps)^2) ),
-    extrapolated eps -> 0: sqrt(pi) times the full-line _wightman_integral
+    extrapolated eps -> 0: sqrt(pi) times the full-line Wightman integral
     at D = 0, which is oracle_P_full at zero strain.  (The defining form,
     with exp(-i Omega a) and (a - i eps)^2, is this integral under a -> -a.)
 
@@ -528,16 +733,22 @@ def oracle_P(
     SignConventionMismatch, which indicates a flipped i*epsilon direction
     rather than a loss of quadrature accuracy.
     """
-    if "P" not in _CAL_CACHE:
-        cal = oracle_P_full(0.0, 0.0, 0.0)
-        _CAL_CACHE["P"] = abs(cal.value - 1.0 / (4.0 * math.pi))
-    if _CAL_CACHE["P"] > 100.0 * tol:
-        raise SignConventionMismatch(
-            f"P oracle off by {_CAL_CACHE['P']:g} at the Omega = 0 anchor "
-            f"(allowed 100 * tol = {100.0 * tol:g}); the i*epsilon "
-            "displacement direction is inconsistent with the kernel signs"
-        )
-    return oracle_P_full(Omega, 0.0, 0.0, tol=tol, schedule=schedule)
+    plans = [_calibration_plan(tol), _p_full_plan(Omega, 0.0, 0.0, 0.0, tol, schedule)]
+    _, est = _run(_gather(plans))
+    return est
+
+
+def _p_full_plan(
+    Omega: float, A: float, omega: float, t0: float, tol: float, schedule: _Schedule
+) -> _Plan:
+    """Plan of oracle_P_full."""
+    w = float(omega)
+    strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
+    est = yield from _wightman_plan(
+        Omega, 0.0, full_line=True, schedule=schedule, tol=tol,
+        strain=strain, omega=w,
+    )
+    return _scaled(est, _SQRT_PI)
 
 
 def oracle_P_full(
@@ -551,7 +762,7 @@ def oracle_P_full(
 ) -> OracleEstimate:
     """Transition probability from the full first-order Wightman function.
 
-    P/lambda^2 = sqrt(pi) times the full-line _wightman_integral at D = 0,
+    P/lambda^2 = sqrt(pi) times the full-line Wightman integral at D = 0,
     strain term included.  That term carries the transverse factor
     (dx^2 - dy^2) of the separation between the two events; on a single
     static worldline both are zero, computed from the worldline events
@@ -561,13 +772,7 @@ def oracle_P_full(
     exp(-omega^2/4) cos(omega*t0) — so equality with oracle_P for every A
     is a computed outcome, not a hard-coded one.
     """
-    w = float(omega)
-    strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
-    est = _wightman_integral(
-        Omega, 0.0, full_line=True, schedule=schedule, tol=tol,
-        strain=strain, omega=w,
-    )
-    return _scaled(est, _SQRT_PI)
+    return _run(_p_full_plan(Omega, A, omega, t0, tol, schedule))
 
 
 def _xm_prefactor(Omega: float, t0: float) -> complex:
@@ -585,13 +790,22 @@ def _expm1_ratio(w: np.ndarray) -> np.ndarray:
     )
 
 
-def _xm_kernel(
-    D: float,
-    method: str,
-    tol: float,
-    schedule: RegulatorSchedule | Sequence[float],
-) -> OracleEstimate:
-    """Half-line kernel integral of X_M: Integral_0^inf exp(-a^2/4) K(a) da.
+def _pv_near_kernel(av, gauss_d, D):
+    """(e^{-a^2/4} - e^{-D^2/4})/(a^2 - D^2), smooth through a = D."""
+    return gauss_d * _expm1_ratio(av * av - D * D)
+
+
+def _pv_far_kernel(av, D):
+    """e^{-a^2/4}/(a^2 - D^2), regular beyond a = 2D."""
+    return np.exp(-av * av / 4.0) / (av * av - D * D)
+
+
+_PV_NEAR = _Family(_pv_near_kernel, float)  # columns (e^{-D^2/4}, D)
+_PV_FAR = _Family(_pv_far_kernel, float)  # columns (D,)
+
+
+def _xm_kernel_plan(D: float, method: str, tol: float, schedule: _Schedule) -> _Plan:
+    """Plan: half-line kernel integral of X_M, Integral_0^inf exp(-a^2/4) K(a) da.
 
     It depends on D alone (and on the method, tol and schedule), so one
     estimate serves every (Omega, t0) through _xm_prefactor; see oracle_XM
@@ -599,7 +813,9 @@ def _xm_kernel(
     unscaled integral, its neglected tail beyond L = D + 14 included.
     """
     if method == "regulated":
-        return _wightman_integral(0.0, D, full_line=False, schedule=schedule, tol=tol)
+        return (
+            yield from _wightman_plan(0.0, D, full_line=False, schedule=schedule, tol=tol)
+        )
 
     if method == "pv_subtraction":
         Dv = float(D)
@@ -612,18 +828,15 @@ def _xm_kernel(
         )
         gauss_d = math.exp(-Dv * Dv / 4.0)
 
-        # Regularized part on [0, 2D]: (e^{-a^2/4} - e^{-D^2/4})/(a^2 - D^2)
-        # is smooth through a = D.
-        v1, e1 = _quad(
-            lambda av: gauss_d * _expm1_ratio(av * av - Dv * Dv),
-            0.0, Dv, 2.0 * Dv,
-        )
+        # The regularized part on [0, 2D] and the regular remainder on
+        # [2D, L], in one stage.
+        vals, errs = yield [
+            _Integral(_PV_NEAR, (gauss_d, Dv), (0.0, Dv, 2.0 * Dv)),
+            _Integral(_PV_FAR, (Dv,), (2.0 * Dv, L)),
+        ]
+        (v1, v3), (e1, e3) = vals.tolist(), errs.tolist()
         # PV of the subtracted constant over [0, 2D] is exactly -ln3/(2D).
         v2 = -gauss_d * math.log(3.0) / (2.0 * Dv)
-        # Regular remainder on [2D, L].
-        v3, e3 = _quad(
-            lambda av: np.exp(-av * av / 4.0) / (av * av - Dv * Dv), 2.0 * Dv, L
-        )
         pv_total = v1.real + v2 + v3.real
         # Half-line kernel integral: -PV/(4 pi^2) plus the concentrated
         # half-delta term + i e^{-D^2/4}/(8 pi D).
@@ -651,8 +864,8 @@ def oracle_XM(
     Integral_0^inf of exp(-a^2/4) * K(a) da.
 
     method="regulated": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)),
-    extrapolated eps -> 0 over the schedule: the half-line
-    _wightman_integral at Omega = 0.
+    extrapolated eps -> 0 over the schedule: the half-line Wightman
+    integral at Omega = 0.
 
     method="pv_subtraction": the independent regularization — the
     principal value at a = D is computed by subtracting the singular
@@ -670,7 +883,14 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    return _scaled(_xm_kernel(D, method, tol, schedule), _xm_prefactor(Omega, t0))
+    kernel = _run(_xm_kernel_plan(D, method, tol, schedule))
+    return _scaled(kernel, _xm_prefactor(Omega, t0))
+
+
+def _cm_plan(Omega: float, D: float, tol: float, schedule: _Schedule) -> _Plan:
+    """Plan of oracle_CM."""
+    est = yield from _wightman_plan(Omega, D, full_line=True, schedule=schedule, tol=tol)
+    return _scaled(est, _SQRT_PI)
 
 
 def oracle_CM(
@@ -684,17 +904,17 @@ def oracle_CM(
 
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * ( 1/(4 pi^2 ((a + i eps)^2 - D^2)) ),
-    extrapolated eps -> 0: sqrt(pi) times the full-line _wightman_integral.
+    extrapolated eps -> 0: sqrt(pi) times the full-line Wightman integral.
     The kernel has near-singularities at a = +-D.
     """
-    est = _wightman_integral(Omega, D, full_line=True, schedule=schedule, tol=tol)
-    return _scaled(est, _SQRT_PI)
+    return _run(_cm_plan(Omega, D, tol, schedule))
 
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
 
 # Half-width of the T = (t + t')/2 - t0 window: e^{-T^2} < e^{-100} outside.
 _T_WINDOW = 10.0
+_T_EDGES = (-_T_WINDOW, 0.0, _T_WINDOW)
 
 
 def _gw_schedule(omega: float, Omega: float, D: float) -> RegulatorSchedule:
@@ -711,9 +931,36 @@ def _gw_schedule(omega: float, Omega: float, D: float) -> RegulatorSchedule:
     return RegulatorSchedule(start=0.05 * scale, ratio=0.5, count=6)
 
 
-def _window_integral(g: Callable[[np.ndarray], np.ndarray]) -> tuple[complex, float]:
-    """Integral over T of e^{-T^2} g(T), by quadrature; g works on arrays."""
-    return _quad(lambda T: np.exp(-T * T) * g(T), -_T_WINDOW, 0.0, _T_WINDOW)
+def _x_window_kernel(T, w, t0, Om):
+    """e^{-T^2} cos(omega (t0 + T)) e^{-2 i Omega (t0 + T)}."""
+    return np.exp(-T * T) * (np.cos(w * (t0 + T)) * np.exp(-2j * Om * (t0 + T)))
+
+
+def _c_window_kernel(T, w, t0):
+    """e^{-T^2} cos(omega (t0 + T))."""
+    return np.exp(-T * T) * np.cos(w * (t0 + T))
+
+
+_X_WINDOW = _Family(_x_window_kernel, complex)  # columns (omega, t0, Omega)
+_C_WINDOW = _Family(_c_window_kernel, float)  # columns (omega, t0)
+
+
+def _one_integral(family: _Family, params: tuple[float, ...], *edges: float) -> _Plan:
+    """Plan: one integral of family at params, as (complex, float)."""
+    (value,), (err,) = yield [_Integral(family, params, edges)]
+    return complex(value), float(err)
+
+
+def _x_gw_plan(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Plan:
+    """Plan of oracle_x_gw."""
+    w, Om, t0v = float(omega), float(Omega), float(t0)
+    t_int, t_err = yield from _one_integral(_X_WINDOW, (w, t0v, Om), *_T_EDGES)
+    pref = -2.0 * t_int
+    a_est = yield from _wightman_plan(
+        0.0, D, full_line=False, schedule=_gw_schedule(w, 0.0, D),
+        tol=tol / max(abs(pref), 1e-300), minkowski=0.0, strain=1.0, omega=w,
+    )
+    return _scaled(a_est, pref, 2.0 * t_err, tol)
 
 
 def oracle_x_gw(
@@ -735,23 +982,26 @@ def oracle_x_gw(
                   e^{-2 i Omega (t0 + T)}
              * Integral_0^inf of e^{-a^2/4} W_gw(a) da,
 
-    W_gw being the strain term of the Wightman function (_wightman_integral)
+    W_gw being the strain term of the Wightman function (_wightman_plan)
     per unit strain, for two static detectors separated by D along x.  The
     T integral is done by quadrature, so this path shares no algebra with
     f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
     normalization.  The a integral is eps-regulated and extrapolated over
-    a six-rung ladder scaled to D and omega.  tol is absolute.
+    a six-rung ladder scaled to D and omega; its tol is divided by the
+    T integral, so it is asked for after that one.  tol is absolute.
     """
-    w, Om, t0v = float(omega), float(Omega), float(t0)
-    t_int, t_err = _window_integral(
-        lambda T: np.cos(w * (t0v + T)) * np.exp(-2j * Om * (t0v + T))
+    return _run(_x_gw_plan(omega, Omega, D, t0, tol))
+
+
+def _c_gw_plan(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Plan:
+    """Plan of oracle_c_gw."""
+    w, t0v = float(omega), float(t0)
+    t_int, t_err = yield from _one_integral(_C_WINDOW, (w, t0v), *_T_EDGES)
+    a_est = yield from _wightman_plan(
+        Omega, D, full_line=True, schedule=_gw_schedule(w, Omega, D),
+        tol=tol / max(abs(t_int), 1e-300), minkowski=0.0, strain=1.0, omega=w,
     )
-    pref = -2.0 * t_int
-    a_est = _wightman_integral(
-        0.0, D, full_line=False, schedule=_gw_schedule(w, 0.0, D),
-        tol=tol / max(abs(pref), 1e-300), minkowski=0.0, strain=1.0, omega=w,
-    )
-    return _scaled(a_est, pref, 2.0 * t_err, tol)
+    return _scaled(a_est, t_int, t_err, tol)
 
 
 def oracle_c_gw(
@@ -773,16 +1023,48 @@ def oracle_c_gw(
     both by quadrature, the a integral regulated and extrapolated as in
     oracle_x_gw.  tol is absolute.
     """
-    w, t0v = float(omega), float(t0)
-    t_int, t_err = _window_integral(lambda T: np.cos(w * (t0v + T)))
-    a_est = _wightman_integral(
-        Omega, D, full_line=True, schedule=_gw_schedule(w, Omega, D),
-        tol=tol / max(abs(t_int), 1e-300), minkowski=0.0, strain=1.0, omega=w,
-    )
-    return _scaled(a_est, t_int, t_err, tol)
+    return _run(_c_gw_plan(omega, Omega, D, t0, tol))
 
 
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
+
+
+def _i2_kernel(s, w, D):
+    """e^{-s^2} sinh(omega s) [2 - 2 cos(D s) - D s sin(D s)]."""
+    bracket = 2.0 - 2.0 * np.cos(D * s) - D * s * np.sin(D * s)
+    return np.exp(-s * s) * np.sinh(w * s) * bracket
+
+
+def _i4_kernel(s, Om, D, w):
+    """e^{-(Omega-s)^2} sinh(omega (Omega-s)) [D s sin(D s) + 2 cos(D s) - 2]."""
+    u = Om - s
+    bracket = D * s * np.sin(D * s) + 2.0 * np.cos(D * s) - 2.0
+    return np.exp(-u * u) * np.sinh(w * u) * bracket
+
+
+_I2 = _Family(_i2_kernel, float)  # columns (omega, D)
+_I4 = _Family(_i4_kernel, float)  # columns (Omega, D, omega)
+
+
+def _i2_plan(omega: float, D: float, tol: float) -> _Plan:
+    """Plan of oracle_I2."""
+    w, Dv = float(omega), float(D)
+    Ls = abs(w) / 2.0 + 9.0
+    pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
+    val, err = yield from _one_integral(_I2, (w, Dv), 0.0, Ls)
+    val = val.real
+    # Tail: e^{-s^2} sinh(ws) <= e^{w^2/4} e^{-(s - w/2)^2} / 2 and the
+    # bracket is bounded by 4 + D s on the tail.
+    tail = (
+        abs(pref)
+        * math.exp(w * w / 4.0)
+        * (4.0 + Dv * (Ls + 1.0))
+        * _SQRT_PI
+        / 2.0
+        * specfun.erfc_real(Ls - w / 2.0)
+    )
+    total_err = abs(pref) * err + tail
+    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
 
 
 def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
@@ -795,25 +1077,29 @@ def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
     the defining finite-part integral was evaluated by residues, so this
     path shares no algebra with the closed form.
     """
-    w, Dv = float(omega), float(D)
-    Ls = abs(w) / 2.0 + 9.0
+    return _run(_i2_plan(omega, D, tol))
+
+
+def _i4_plan(omega: float, Omega: float, D: float, tol: float) -> _Plan:
+    """Plan of oracle_I4."""
+    w, Om, Dv = float(omega), float(Omega), float(D)
     pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
-
-    def integrand(s):
-        bracket = 2.0 - 2.0 * np.cos(Dv * s) - Dv * s * np.sin(Dv * s)
-        return np.exp(-s * s) * np.sinh(w * s) * bracket
-
-    val, err = _quad(integrand, 0.0, Ls)
-    val = val.real
-    # Tail: e^{-s^2} sinh(ws) <= e^{w^2/4} e^{-(s - w/2)^2} / 2 and the
-    # bracket is bounded by 4 + D s on the tail.
+    lo = Om - abs(w) / 2.0 - 9.0
+    hi = Om + abs(w) / 2.0 + 9.0
+    if lo < 0.0 < hi:
+        segments = [(lo, 0.0, -1.0), (0.0, hi, +1.0)]
+    else:
+        segments = [(lo, hi, math.copysign(1.0, (lo + hi) / 2.0))]
+    vals, errs = yield [_Integral(_I4, (Om, Dv, w), (a, b)) for a, b, _ in segments]
+    val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
+    err = float(errs.sum())
+    # Window ends sit 9 Gaussian widths from the center s = Omega.
     tail = (
         abs(pref)
         * math.exp(w * w / 4.0)
-        * (4.0 + Dv * (Ls + 1.0))
+        * (4.0 + Dv * (max(abs(lo), abs(hi)) + 1.0))
         * _SQRT_PI
-        / 2.0
-        * specfun.erfc_real(Ls - w / 2.0)
+        * specfun.erfc_real(9.0)
     )
     total_err = abs(pref) * err + tail
     return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
@@ -831,33 +1117,7 @@ def oracle_I4(
     split at s = 0 where sgn changes; the Gaussian support is centered at
     s = Omega with half-width omega/2 + 9.
     """
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
-    lo = Om - abs(w) / 2.0 - 9.0
-    hi = Om + abs(w) / 2.0 + 9.0
-
-    def piece(s, k):
-        u = Om - s
-        bracket = Dv * s * np.sin(Dv * s) + 2.0 * np.cos(Dv * s) - 2.0
-        return np.exp(-u * u) * np.sinh(w * u) * bracket
-
-    if lo < 0.0 < hi:
-        segments = [(lo, 0.0, -1.0), (0.0, hi, +1.0)]
-    else:
-        segments = [(lo, hi, math.copysign(1.0, (lo + hi) / 2.0))]
-    vals, errs = _gk21(piece, [(a, b) for a, b, _ in segments])
-    val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
-    err = float(errs.sum())
-    # Window ends sit 9 Gaussian widths from the center s = Omega.
-    tail = (
-        abs(pref)
-        * math.exp(w * w / 4.0)
-        * (4.0 + Dv * (max(abs(lo), abs(hi)) + 1.0))
-        * _SQRT_PI
-        * specfun.erfc_real(9.0)
-    )
-    total_err = abs(pref) * err + tail
-    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
+    return _run(_i4_plan(omega, Omega, D, tol))
 
 
 # --- nascent-delta' oracles for I1 and I3 ----------------------------------
@@ -868,6 +1128,68 @@ def _dprime_window(D: float, eta: float, halfwidth: float = 12.0) -> tuple[float
     m = halfwidth * eta
     root = math.sqrt(m * m + 4.0 * D * D)
     return (-m + root) / 2.0, (m + root) / 2.0
+
+
+def _nascent_factors(av, eta, w, D):
+    """g(a) and delta'_eta(a - D^2/a) of oracle_delta_prime."""
+    x = av - D * D / av
+    r = x / eta
+    d_eta = -2.0 * x * np.exp(-r * r) / (eta ** 3 * _SQRT_PI)
+    g = np.exp(-av * av / 4.0) * specfun.sinc_array(w * av / 2.0) / (av * av)
+    return g, d_eta
+
+
+def _nascent_i1_kernel(av, eta, w, Om, D):
+    """g(a) delta'_eta(a - D^2/a), real; Omega is not used."""
+    g, d_eta = _nascent_factors(av, eta, w, D)
+    return g * d_eta
+
+
+def _nascent_i3_kernel(av, eta, w, Om, D):
+    """e^{i Omega a} g(a) delta'_eta(a - D^2/a)."""
+    g, d_eta = _nascent_factors(av, eta, w, D)
+    return np.exp(1j * Om * av) * g * d_eta
+
+
+# Columns (eta, omega, Omega, D).
+_NASCENT_I1 = _Family(_nascent_i1_kernel, float)
+_NASCENT_I3 = _Family(_nascent_i3_kernel, complex)
+
+
+def _delta_prime_plan(
+    which: str, omega: float, Omega: float, D: float, tol: float, schedule: _Schedule
+) -> _Plan:
+    """Plan of oracle_delta_prime."""
+    if which not in ("I1", "I3"):
+        raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")
+    w, Om, Dv = float(omega), float(Omega), float(D)
+    regs = _regulators(schedule)
+    # One integral per rung over the window around a = D; for I3 a second
+    # one over its mirror around a = -D.  All are asked for at once.
+    windows = [_dprime_window(Dv, eta) for eta in regs]
+    if which == "I1":
+        family = _NASCENT_I1
+        pieces = [((lo, Dv, hi),) for lo, hi in windows]
+    else:
+        family = _NASCENT_I3
+        pieces = [((lo, Dv, hi), (-hi, -Dv, -lo)) for lo, hi in windows]
+    vals, errs = yield [
+        _Integral(family, (eta, w, Om, Dv), edges)
+        for eta, rung in zip(regs, pieces)
+        for edges in rung
+    ]
+    if which == "I3":
+        vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
+    scale = math.pi * Dv ** 4
+    value, err = _ladder(
+        regs, [1j * scale * complex(v) for v in vals], scale * errs, True
+    )
+    if err > 1000.0 * tol * max(1.0, abs(value)):
+        raise NoConvergence(
+            f"delta'-family extrapolation residual {err:g} is far beyond "
+            f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
+        )
+    return OracleEstimate(value, err, regs, err <= tol * max(1.0, abs(value)))
 
 
 def oracle_delta_prime(
@@ -897,45 +1219,7 @@ def oracle_delta_prime(
     oracle's, tol is relative: tol * max(1, |value|) decides both
     NoConvergence (raised beyond 1000 times it) and converged.
     """
-    if which not in ("I1", "I3"):
-        raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    regs = _regulators(schedule)
-    # One integral per rung over the window around a = D; for I3 a second
-    # one over its mirror around a = -D.  All run in one batched pass.
-    windows = [_dprime_window(Dv, eta) for eta in regs]
-    if which == "I1":
-        edges = [(lo, Dv, hi) for lo, hi in windows]
-    else:
-        edges = [
-            piece
-            for lo, hi in windows
-            for piece in ((lo, Dv, hi), (-hi, -Dv, -lo))
-        ]
-    eta_of = np.repeat(regs, len(edges) // len(regs))
-
-    def integrand(av, k):
-        eta = eta_of[k]
-        x = av - Dv * Dv / av
-        r = x / eta
-        d_eta = -2.0 * x * np.exp(-r * r) / (eta ** 3 * _SQRT_PI)
-        g = np.exp(-av * av / 4.0) * specfun.sinc_array(w * av / 2.0) / (av * av)
-        # I1's integrand is real, and stays so.
-        return g * d_eta if which == "I1" else np.exp(1j * Om * av) * g * d_eta
-
-    vals, errs = _gk21(integrand, edges)
-    if which == "I3":
-        vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
-    scale = math.pi * Dv ** 4
-    value, err = _ladder(
-        regs, [1j * scale * complex(v) for v in vals], scale * errs, True
-    )
-    if err > 1000.0 * tol * max(1.0, abs(value)):
-        raise NoConvergence(
-            f"delta'-family extrapolation residual {err:g} is far beyond "
-            f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
-        )
-    return OracleEstimate(value, err, regs, err <= tol * max(1.0, abs(value)))
+    return _run(_delta_prime_plan(which, omega, Omega, D, tol, schedule))
 
 
 # --- verification suite -----------------------------------------------------
@@ -1013,13 +1297,16 @@ def verify_suite(
     append-only in task order, so the suite is safe to re-run or shard
     without reordering results.
 
-    Each X_M kernel integral (one per D and method) is computed once and
-    shared by the x_minkowski records of every (Omega, t0) at that D; the
-    records equal the standalone oracle_XM results bit for bit.  The reuse
-    is scoped to this call, so repeated calls repeat the same work.  The
-    one thing that outlives a call is oracle_P's calibration against
-    P(0) = 1/(4 pi), made on first use in the process and kept in
-    _CAL_CACHE; only the first call pays for it.
+    Every oracle of the suite runs as one plan of a single gathered run:
+    all integrals of a stage, whatever oracle asked for them, are refined
+    by one _gk21 call per integrand value type.  Each record equals the
+    standalone oracle's result bit for bit, with the oracle's default tol
+    and schedule.  Each X_M kernel integral (one per D and method) is
+    computed once and shared by the x_minkowski records of every
+    (Omega, t0) at that D.  The reuse is scoped to this call, so repeated
+    calls repeat the same work.  The one thing that outlives a call is
+    oracle_P's calibration against P(0) = 1/(4 pi), made on first use in
+    the process and kept in _CAL_CACHE; only the first call pays for it.
 
     Record list (per unique signature):
       transition_probability        closed vs regulated-kernel oracle
@@ -1031,39 +1318,55 @@ def verify_suite(
       integral_I2 / integral_I4     closed vs Fourier-side oracle
     """
     g = dict(DEFAULT_VERIFY_GRID if grid is None else grid)
-    omegas = tuple(g["omega_sigma"])
-    Omegas = tuple(g["Omega_sigma"])
-    Ds = tuple(g["D_sigma"])
-    t0s = tuple(g["t0_sigma"])
+    omegas = sorted(set(g["omega_sigma"]))
+    Omegas = sorted(set(g["Omega_sigma"]))
+    Ds = sorted(set(g["D_sigma"]))
+    t0s = sorted(set(g["t0_sigma"]))
+
+    # The oracles' default tolerances: kernel oracles, nascent delta',
+    # Fourier side.
+    tol_k, tol_d, tol_s = 1e-6, 1e-5, 1e-10
+    plans: dict[tuple, _Plan] = {("calibration",): _calibration_plan(tol_k)}
+    for Om in Omegas:
+        plans["P", Om] = _p_full_plan(Om, 0.0, 0.0, 0.0, tol_k, DEFAULT_SCHEDULE)
+    # X_M kernel integrals depend on D alone: one estimate per D and method,
+    # scaled per (Omega, t0) exactly as oracle_XM scales it.
+    for D in Ds:
+        for method in ("regulated", "pv_subtraction"):
+            plans["XM", D, method] = _xm_kernel_plan(D, method, tol_k, DEFAULT_SCHEDULE)
+    for Om in Omegas:
+        for D in Ds:
+            plans["CM", Om, D] = _cm_plan(Om, D, tol_k, DEFAULT_SCHEDULE)
+    for w in omegas:
+        for D in Ds:
+            plans["I1", w, D] = _delta_prime_plan("I1", w, 0.0, D, tol_d, DEFAULT_SCHEDULE)
+            plans["I2", w, D] = _i2_plan(w, D, tol_s)
+            for Om in Omegas:
+                plans["I3", w, Om, D] = _delta_prime_plan(
+                    "I3", w, Om, D, tol_d, DEFAULT_SCHEDULE
+                )
+                plans["I4", w, Om, D] = _i4_plan(w, Om, D, tol_s)
+    est = dict(zip(plans, _run(_gather(plans.values()))))
 
     records: list[CheckRecord] = []
 
-    for Om in sorted(set(Omegas)):
-        est = oracle_P(Om)
+    for Om in Omegas:
         records.append(
             _record(
                 "transition_probability",
                 {"Omega_sigma": Om},
                 complex(closedform.transition_probability(Om), 0.0),
-                est,
+                est["P", Om],
                 TOL_KERNEL,
             )
         )
 
-    # X_M kernel integrals depend on D alone: one estimate per D and method
-    # in this call, scaled per (Omega, t0) exactly as oracle_XM scales it.
-    xm_tol = 1e-6
-    kernels = {
-        (D, method): _xm_kernel(D, method, xm_tol, DEFAULT_SCHEDULE)
-        for D in sorted(set(Ds))
-        for method in ("regulated", "pv_subtraction")
-    }
-    for Om in sorted(set(Omegas)):
-        for D in sorted(set(Ds)):
-            for t0 in sorted(set(t0s)):
+    for Om in Omegas:
+        for D in Ds:
+            for t0 in t0s:
                 xm = closedform.x_minkowski(Om, D, t0)
                 pref = _xm_prefactor(Om, t0)
-                est_reg = _scaled(kernels[D, "regulated"], pref)
+                est_reg = _scaled(est["XM", D, "regulated"], pref)
                 records.append(
                     _record(
                         "x_minkowski",
@@ -1073,7 +1376,7 @@ def verify_suite(
                         TOL_KERNEL,
                     )
                 )
-                est_pv = _scaled(kernels[D, "pv_subtraction"], pref)
+                est_pv = _scaled(est["XM", D, "pv_subtraction"], pref)
                 records.append(
                     _record(
                         "x_minkowski_pv",
@@ -1094,27 +1397,27 @@ def verify_suite(
                     )
                 )
 
-    for Om in sorted(set(Omegas)):
-        for D in sorted(set(Ds)):
+    for Om in Omegas:
+        for D in Ds:
             cm = complex(closedform.c_minkowski(Om, D), 0.0)
             records.append(
                 _record(
                     "c_minkowski",
                     {"Omega_sigma": Om, "D_sigma": D},
                     cm,
-                    oracle_CM(Om, D),
+                    est["CM", Om, D],
                     TOL_KERNEL,
                 )
             )
 
-    for w in sorted(set(omegas)):
-        for D in sorted(set(Ds)):
+    for w in omegas:
+        for D in Ds:
             records.append(
                 _record(
                     "integral_I1",
                     {"omega_sigma": w, "D_sigma": D},
                     closedform.integral_I1(w, D),
-                    oracle_delta_prime("I1", w, 0.0, D),
+                    est["I1", w, D],
                     TOL_DPRIME,
                 )
             )
@@ -1123,20 +1426,20 @@ def verify_suite(
                     "integral_I2",
                     {"omega_sigma": w, "D_sigma": D},
                     complex(closedform.integral_I2(w, D), 0.0),
-                    oracle_I2(w, D),
+                    est["I2", w, D],
                     TOL_S_ORACLE,
                 )
             )
 
-    for w in sorted(set(omegas)):
-        for Om in sorted(set(Omegas)):
-            for D in sorted(set(Ds)):
+    for w in omegas:
+        for Om in Omegas:
+            for D in Ds:
                 records.append(
                     _record(
                         "integral_I3",
                         {"omega_sigma": w, "Omega_sigma": Om, "D_sigma": D},
                         complex(closedform.integral_I3(w, Om, D), 0.0),
-                        oracle_delta_prime("I3", w, Om, D),
+                        est["I3", w, Om, D],
                         TOL_DPRIME,
                     )
                 )
@@ -1145,7 +1448,7 @@ def verify_suite(
                         "integral_I4",
                         {"omega_sigma": w, "Omega_sigma": Om, "D_sigma": D},
                         complex(closedform.integral_I4(w, Om, D), 0.0),
-                        oracle_I4(w, Om, D),
+                        est["I4", w, Om, D],
                         TOL_S_ORACLE,
                     )
                 )

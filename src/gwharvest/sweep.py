@@ -40,7 +40,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -407,9 +406,9 @@ def _ramp_color(t: float) -> str:
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     """Round tick locations covering [lo, hi].
 
-    Each tick is the previous one plus step, and their number is counted
-    first, so a step below the float spacing of the range (near 1e16)
-    still ends.
+    Tick k is first + k * step, not the previous tick plus step, so ticks
+    do not drift, and spread over the range even where step is below its
+    float spacing (near 1e16).  A tick rounded to zero is +0, never -0.
     """
     if hi <= lo:
         return [lo]
@@ -421,7 +420,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
             break
     first = math.ceil(lo / step) * step
     count = math.floor((hi - first) / step + 1e-9) + 1
-    return [round(t, 12) for t in accumulate([first] + [step] * (count - 1))]
+    return [round(first + k * step, 12) + 0.0 for k in range(count)]
 
 
 def _fmt(v: float) -> str:

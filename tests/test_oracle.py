@@ -7,6 +7,7 @@ structure of the verification records.  Cross-validation of physics values
 happens in test_closedform.py (frozen tables) and test_acceptance.py.
 """
 
+import collections
 import itertools
 import math
 import warnings
@@ -19,6 +20,10 @@ from scipy.integrate import quad as scipy_quad
 from gwharvest import oracle
 from gwharvest.closedform import (
     c_minkowski,
+    integral_I1,
+    integral_I2,
+    integral_I3,
+    integral_I4,
     transition_probability,
     x_minkowski,
 )
@@ -271,6 +276,48 @@ def test_gk21_stops_at_the_subinterval_limit(limit):
     assert err > max(1e-13, 1e-12 * abs(value))
 
 
+def _real_peak(x, width, centre):
+    return 1.0 / (width + (x - centre) ** 2)
+
+
+def _complex_peak(x, width, centre, freq):
+    return np.exp(1j * freq * x) / (width + (x - centre) ** 2)
+
+
+_REAL_PEAK = oracle._Family(_real_peak, float)
+_COMPLEX_PEAK = oracle._Family(_complex_peak, complex)
+
+
+def _peak_plan():
+    return (
+        yield [
+            oracle._Integral(_REAL_PEAK, (1e-3, 0.3), (-1.0, 0.0, 1.0)),
+            oracle._Integral(_COMPLEX_PEAK, (1e-5, -0.2, 3.0), (-1.0, 1.0)),
+            oracle._Integral(_REAL_PEAK, (1e-2, -0.5), (-2.0, 1.0)),
+        ]
+    )
+
+
+@pytest.mark.parametrize("max_rows", [1, oracle._MAX_ROWS, 10**9])
+def test_batched_run_equals_lone_gk21_calls(max_rows, monkeypatch):
+    # A real integrand batched as complex would be summed in another order
+    # and change in its last bits: the run must make one _gk21 call per
+    # value type, each result must be a lone call's, and the number of
+    # rows per rule call must not matter.
+    lone = oracle._gk21
+    sizes = _gk21_call_sizes(monkeypatch)
+    monkeypatch.setattr(oracle, "_MAX_ROWS", max_rows)
+    together = _hexes(*oracle._run(_peak_plan()))
+    assert sorted(sizes) == [1, 2]
+    monkeypatch.undo()
+    alone = [
+        lone(lambda x, k: _real_peak(x, 1e-3, 0.3), [(-1.0, 0.0, 1.0)]),
+        lone(lambda x, k: _complex_peak(x, 1e-5, -0.2, 3.0), [(-1.0, 1.0)]),
+        lone(lambda x, k: _real_peak(x, 1e-2, -0.5), [(-2.0, 1.0)]),
+    ]
+    assert together == [_hexes(*one)[0] for one in alone]
+
+
 def _quadpack(f, edges):
     """QUADPACK (scipy's quad) over the real and imaginary parts of f.
 
@@ -310,10 +357,12 @@ def _strain(full_line):
     # family runs at the minimal grid's Omega = 1 only.
     for p in _grid("omega", "D"):
         Omega = MINIMAL_VERIFY_GRID["Omega_sigma"][0] if full_line else 0.0
-        oracle._wightman_integral(
-            Omega, p["D"], full_line=full_line,
-            schedule=oracle._gw_schedule(p["omega"], Omega, p["D"]), tol=1.0,
-            minkowski=0.0, strain=1.0, omega=p["omega"],
+        oracle._run(
+            oracle._wightman_plan(
+                Omega, p["D"], full_line=full_line,
+                schedule=oracle._gw_schedule(p["omega"], Omega, p["D"]), tol=1.0,
+                minkowski=0.0, strain=1.0, omega=p["omega"],
+            )
         )
 
 
@@ -321,13 +370,17 @@ def _strain(full_line):
 _FAMILIES = {
     "P": lambda: [oracle_P(p["Omega"]) for p in _grid("Omega")],
     "XM_regulated": lambda: [
-        oracle._wightman_integral(
-            0.0, p["D"], full_line=False, schedule=DEFAULT_SCHEDULE, tol=1e-6
+        oracle._run(
+            oracle._wightman_plan(
+                0.0, p["D"], full_line=False, schedule=DEFAULT_SCHEDULE, tol=1e-6
+            )
         )
         for p in _grid("D")
     ],
     "XM_pv": lambda: [
-        oracle._xm_kernel(p["D"], "pv_subtraction", 1e-6, DEFAULT_SCHEDULE)
+        oracle._run(
+            oracle._xm_kernel_plan(p["D"], "pv_subtraction", 1e-6, DEFAULT_SCHEDULE)
+        )
         for p in _grid("D")
     ],
     "CM": lambda: [oracle_CM(p["Omega"], p["D"]) for p in _grid("Omega", "D")],
@@ -433,7 +486,9 @@ def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods():
     # quad_adaptive does for the regulated one.  A tol between that error
     # and the scaled one, |pref| err with |pref| = 2 sqrt(pi) at Omega = 0,
     # tells this rule from judging pv_subtraction on the scaled error.
-    kernel = oracle._xm_kernel(1.0, "pv_subtraction", 1.0, DEFAULT_SCHEDULE)
+    kernel = oracle._run(
+        oracle._xm_kernel_plan(1.0, "pv_subtraction", 1.0, DEFAULT_SCHEDULE)
+    )
     tol = 2.0 * kernel.abs_error_estimate
     est = oracle_XM(0.0, 1.0, 0.0, tol=tol, method="pv_subtraction")
     assert 0.0 < kernel.abs_error_estimate <= tol < est.abs_error_estimate
@@ -496,9 +551,9 @@ def test_oracle_delta_prime_parities():
 def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypatch):
     # The four rungs of the regulator ladder are four integrals of one
     # batched quadrature call.
-    calls = _count_quad_calls(monkeypatch)
+    sizes = _gk21_call_sizes(monkeypatch)
     oracle_delta_prime("I1", 2.0, 0.0, 1.0)
-    assert len(calls) == 1
+    assert sizes == [4]
 
 
 def test_oracle_delta_prime_rejects_unknown_target():
@@ -568,37 +623,90 @@ def _hex(z):
     return (complex(z).real.hex(), complex(z).imag.hex())
 
 
-def test_verify_suite_xm_records_equal_standalone_oracle_xm():
-    seen = set()
-    for rec in verify_suite(_XM_GRID):
-        if not rec.quantity.startswith("x_minkowski"):
-            continue
-        p = dict(rec.params)
-        args = (p["Omega_sigma"], p["D_sigma"], p["t0_sigma"])
-        reg = oracle_XM(*args, method="regulated")
-        pv = oracle_XM(*args, method="pv_subtraction")
-        want = {
-            "x_minkowski": (x_minkowski(*args), reg),
-            "x_minkowski_pv": (x_minkowski(*args), pv),
+def _standalone(rec):
+    """The closed-form value and oracle estimate a record compares."""
+    p = dict(rec.params)
+    names = ("omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma")
+    w, Om, D, t0 = (p.get(name) for name in names)
+    if rec.quantity == "transition_probability":
+        return complex(transition_probability(Om), 0.0), oracle_P(Om)
+    if rec.quantity.startswith("x_minkowski"):
+        reg = oracle_XM(Om, D, t0, method="regulated")
+        pv = oracle_XM(Om, D, t0, method="pv_subtraction")
+        return {
+            "x_minkowski": (x_minkowski(Om, D, t0), reg),
+            "x_minkowski_pv": (x_minkowski(Om, D, t0), pv),
             "x_minkowski_consistency": (reg.value, pv),
         }[rec.quantity]
-        assert _hex(rec.value) == _hex(want[0])
-        assert _hex(rec.reference) == _hex(want[1].value)
-        assert (
-            rec.oracle_error_estimate.hex()
-            == want[1].abs_error_estimate.hex()
-        )
-        seen.add((rec.quantity, args))
-    assert len(seen) == 3 * 2 * 2 * 2
+    if rec.quantity == "c_minkowski":
+        return complex(c_minkowski(Om, D), 0.0), oracle_CM(Om, D)
+    if rec.quantity == "integral_I1":
+        return integral_I1(w, D), oracle_delta_prime("I1", w, 0.0, D)
+    if rec.quantity == "integral_I2":
+        return complex(integral_I2(w, D), 0.0), oracle_I2(w, D)
+    if rec.quantity == "integral_I3":
+        return complex(integral_I3(w, Om, D), 0.0), oracle_delta_prime("I3", w, Om, D)
+    assert rec.quantity == "integral_I4"
+    return complex(integral_I4(w, Om, D), 0.0), oracle_I4(w, Om, D)
+
+
+def test_verify_suite_records_equal_standalone_oracles():
+    # verify_suite refines the integrals of all its oracles together; each
+    # record must still be what the public oracle gives alone, bit for bit.
+    records = verify_suite(_XM_GRID)
+    for rec in records:
+        value, est = _standalone(rec)
+        assert _hex(rec.value) == _hex(value), rec
+        assert _hex(rec.reference) == _hex(est.value), rec
+        assert rec.oracle_error_estimate.hex() == est.abs_error_estimate.hex(), rec
+    counts = collections.Counter(rec.quantity for rec in records)
+    assert counts == {
+        "transition_probability": 2,
+        "x_minkowski": 8,
+        "x_minkowski_pv": 8,
+        "x_minkowski_consistency": 8,
+        "c_minkowski": 4,
+        "integral_I1": 2,
+        "integral_I2": 2,
+        "integral_I3": 4,
+        "integral_I4": 4,
+    }
+
+
+def _gk21_call_sizes(monkeypatch):
+    """The number of integrals of each oracle._gk21 call, in call order."""
+    sizes = []
+    batched = oracle._gk21
+
+    def recording(f, edges, **kwargs):
+        sizes.append(len(edges))
+        return batched(f, edges, **kwargs)
+
+    monkeypatch.setattr(oracle, "_gk21", recording)
+    return sizes
+
+
+def test_verify_suite_makes_one_quadrature_call_per_value_type(monkeypatch):
+    verify_suite(MINIMAL_VERIFY_GRID)  # fills the P calibration, if not yet done
+    sizes = _gk21_call_sizes(monkeypatch)
+    records = verify_suite()
+    assert len(records) == 183
+    # One call for the complex integrands: four rungs each of P (3), the
+    # regulated X_M kernel (4) and C_M (12), and two windows per rung of I3
+    # (36): 12 + 16 + 48 + 288.  One for the real ones: X_M by PV
+    # subtraction (4 D, two pieces), I1's rungs (12 * 4), I2 (12) and I4's
+    # two pieces (36): 8 + 48 + 12 + 72.
+    assert sorted(sizes) == [140, 364]
 
 
 def _count_quad_calls(monkeypatch):
+    """One entry per integral that oracle._gk21 is asked for."""
     calls = []
     batched = oracle._gk21
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return batched(*args, **kwargs)
+    def counting(f, edges, **kwargs):
+        calls.extend(edges)
+        return batched(f, edges, **kwargs)
 
     monkeypatch.setattr(oracle, "_gk21", counting)
     return calls

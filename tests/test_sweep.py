@@ -502,6 +502,10 @@ def test_ticks_end_when_the_step_is_below_float_spacing(tmp_path):
         ticks = sweep._ticks(1e16, 1e16 + 4)
     assert len(ticks) == 5
     assert all(1e16 <= t <= 1e16 + 4 for t in ticks)
+    # Tick k is first + k * step: the ticks spread over the range instead
+    # of all staying at 1e16.
+    assert ticks[0] == 1e16 and ticks[-1] == 1e16 + 4
+    assert ticks == sorted(ticks)
     assert sweep._ticks(0.2, 8.0) == [2.0, 4.0, 6.0, 8.0]
     preset = FigurePreset(
         "far",
@@ -514,6 +518,18 @@ def test_ticks_end_when_the_step_is_below_float_spacing(tmp_path):
     with _time_limit(5):
         text = _read(emit_svg(preset, pts, str(tmp_path / "far.svg")))
     assert text.count("<polyline") == 1
+
+
+def test_tick_labels_print_no_negative_zero(tmp_path):
+    # fig2's y axis ends just above zero: its last tick must read 0 even
+    # where the sum that makes it rounds to -0.
+    preset = PRESETS["fig2"]
+    text = _read(emit_svg(preset, run_preset(preset), str(tmp_path / "fig2.svg")))
+    assert ">0</text>" in text
+    assert ">-0<" not in text
+    ticks = sweep._ticks(-0.11733160318812808, 0.006199485278827098)
+    assert ticks == [-0.1, -0.075, -0.05, -0.025, 0.0]
+    assert math.copysign(1.0, ticks[-1]) == 1.0
 
 
 def test_emit_svg_lines_labels_curves_from_the_point_columns(tmp_path):
