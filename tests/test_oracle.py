@@ -112,6 +112,25 @@ def test_quad_adaptive_raises_on_erratic_family():
 
 
 @pytest.mark.parametrize(
+    "xs, weight_sum",
+    [
+        ([r * r for r in DEFAULT_SCHEDULE.values()], 1.95),
+        (DEFAULT_SCHEDULE.values(), 6.43),
+        (RegulatorSchedule(start=0.05, ratio=0.5, count=6).values(), 7.76),
+    ],
+)
+def test_neville_weight_sum_is_the_sum_of_the_extrapolation_weights(xs, weight_sum):
+    # Neville is linear in the ys: extrapolating the k-th unit vector gives
+    # the weight of ys[k] in the extrapolated value.
+    units = np.eye(len(xs))
+    weights = [oracle._neville_at_zero(xs, unit)[0] for unit in units]
+    assert math.isclose(
+        oracle._neville_weight_sum(xs), sum(map(abs, weights)), rel_tol=1e-12
+    )
+    assert round(oracle._neville_weight_sum(xs), 2) == weight_sum
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"start": 0.0},
@@ -288,13 +307,28 @@ _REAL_PEAK = oracle._Family(_real_peak, float)
 _COMPLEX_PEAK = oracle._Family(_complex_peak, complex)
 
 
+# (family, params, edges, epsabs): each value type mixes two targets.
+_PEAK_INTEGRALS = [
+    (_REAL_PEAK, (1e-3, 0.3), (-1.0, 0.0, 1.0), 1e-6),
+    (_COMPLEX_PEAK, (1e-5, -0.2, 3.0), (-1.0, 1.0), oracle._EPSABS),
+    (_REAL_PEAK, (1e-2, -0.5), (-2.0, 1.0), oracle._EPSABS),
+    (_COMPLEX_PEAK, (1e-4, 0.4, 5.0), (-1.0, 1.0), 1e-7),
+]
+
+
 def _peak_plan():
     return (
         yield [
-            oracle._Integral(_REAL_PEAK, (1e-3, 0.3), (-1.0, 0.0, 1.0)),
-            oracle._Integral(_COMPLEX_PEAK, (1e-5, -0.2, 3.0), (-1.0, 1.0)),
-            oracle._Integral(_REAL_PEAK, (1e-2, -0.5), (-2.0, 1.0)),
+            oracle._Integral(family, params, edges, epsabs=epsabs)
+            for family, params, edges, epsabs in _PEAK_INTEGRALS
         ]
+    )
+
+
+def _lone_peak(family, params, edges, epsabs):
+    """The _gk21 result of one entry of _PEAK_INTEGRALS, integrated alone."""
+    return oracle._gk21(
+        lambda x, k: family.kernel(x, *params), [edges], epsabs=epsabs
     )
 
 
@@ -302,20 +336,20 @@ def _peak_plan():
 def test_batched_run_equals_lone_gk21_calls(max_rows, monkeypatch):
     # A real integrand batched as complex would be summed in another order
     # and change in its last bits: the run must make one _gk21 call per
-    # value type, each result must be a lone call's, and the number of
-    # rows per rule call must not matter.
-    lone = oracle._gk21
+    # value type, each result must be a lone call's at its own target, and
+    # the number of rows per rule call must not matter.
+    alone = [_hexes(*_lone_peak(*peak))[0] for peak in _PEAK_INTEGRALS]
     sizes = _gk21_call_sizes(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROWS", max_rows)
     together = _hexes(*oracle._run(_peak_plan()))
-    assert sorted(sizes) == [1, 2]
+    assert sorted(sizes) == [2, 2]
+    assert together == alone
+    # The loose targets were used: at the default one those integrals differ.
     monkeypatch.undo()
-    alone = [
-        lone(lambda x, k: _real_peak(x, 1e-3, 0.3), [(-1.0, 0.0, 1.0)]),
-        lone(lambda x, k: _complex_peak(x, 1e-5, -0.2, 3.0), [(-1.0, 1.0)]),
-        lone(lambda x, k: _real_peak(x, 1e-2, -0.5), [(-2.0, 1.0)]),
-    ]
-    assert together == [_hexes(*one)[0] for one in alone]
+    for i in (0, 3):
+        family, params, edges, _ = _PEAK_INTEGRALS[i]
+        tight = _lone_peak(family, params, edges, oracle._EPSABS)
+        assert _hexes(*tight)[0] != alone[i]
 
 
 def _quadpack(f, edges):
@@ -556,6 +590,25 @@ def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypa
     assert sizes == [4]
 
 
+@pytest.mark.parametrize(
+    "which, omega, Omega, closed",
+    [
+        ("I1", 2.0, 0.0, integral_I1(2.0, 1.0)),
+        ("I3", 0.5, 0.5, integral_I3(0.5, 0.5, 1.0)),
+    ],
+    ids=["I1", "I3"],
+)
+def test_oracle_delta_prime_honours_a_tight_tol(which, omega, Omega, closed):
+    # Each rung's quadrature target follows tol: a target fixed for the
+    # default tol = 1e-5 would leave these estimates beyond 1e-8.
+    tol = 1e-8
+    est = oracle_delta_prime(which, omega, Omega, 1.0, tol=tol)
+    bound = tol * max(1.0, abs(est.value))
+    assert est.converged
+    assert est.abs_error_estimate <= bound
+    assert abs(est.value - closed) <= bound
+
+
 def test_oracle_delta_prime_rejects_unknown_target():
     with pytest.raises(ValueError):
         oracle_delta_prime("I7", 2.0, 0.0, 1.0)
@@ -671,6 +724,31 @@ def test_verify_suite_records_equal_standalone_oracles():
         "integral_I3": 4,
         "integral_I4": 4,
     }
+
+
+@pytest.mark.parametrize(
+    "grid", [DEFAULT_VERIFY_GRID, MINIMAL_VERIFY_GRID], ids=["default", "minimal"]
+)
+def test_verify_suite_integrals_all_meet_their_targets(grid, monkeypatch):
+    # No integral may end at the subinterval limit: each one's error must
+    # be within max(epsabs, epsrel |value|), the target it stopped on.
+    asked = []
+    integrate = oracle._integrate
+
+    def recording(integrals):
+        vals, errs = integrate(integrals)
+        asked.extend(zip(integrals, vals, errs))
+        return vals, errs
+
+    monkeypatch.setattr(oracle, "_integrate", recording)
+    verify_suite(grid)
+    assert asked
+    over = [
+        (it.family.kernel.__name__, it.params, err, target)
+        for it, val, err in asked
+        if err > (target := max(it.epsabs, oracle._EPSREL * abs(val)))
+    ]
+    assert over == []
 
 
 def _gk21_call_sizes(monkeypatch):
