@@ -4,11 +4,15 @@ Each closed form in this package is re-derived here from a *defining*
 integral representation rather than from the closed-form algebra, so the
 two paths share no simplification steps:
 
-* P, X_M and C_M are each a prefactor times one regulated integral of the
-  first-order Wightman function, _wightman_plan: the distributional
-  splittings (delta / delta' plus principal value) are realized as an
-  explicit i*epsilon displacement, integrated at a geometric schedule of
-  epsilon values, and polynomial-extrapolated (Neville) to epsilon -> 0.
+* P, X_M and C_M are each a prefactor times one integral of the
+  first-order Wightman function, _wightman_legs.  Their distributional
+  splittings (delta / delta' plus principal value) are the eps -> 0+
+  limit of the integral of W(a + i eps).  Every pole of W(a + i eps) lies
+  below the real axis and the rest of the integrand is entire, so by
+  Cauchy's theorem that limit is exactly the integral along the contour
+  Im a = _SHIFT > 0 (over all a), or along 0 -> i _SHIFT -> i _SHIFT + oo
+  (over a >= 0): one ordinary integral per straight leg, with no
+  regulator and nothing to extrapolate.
 * X_M additionally gets a second, independent regularization: explicit
   principal-value singularity subtraction on a symmetric window around
   a = D plus the analytic delta contribution.  Agreement between the two
@@ -26,29 +30,29 @@ two paths share no simplification steps:
   identically on a single static worldline.
 * x_gw and c_gw are computed end to end from the strain term alone of the
   same integral, on two static worldlines separated by D along x: the
-  t + t' integral by quadrature, the t - t' integral i*epsilon-regulated
-  and extrapolated.  This checks how I1-I4 are assembled (envelope, t0
+  t + t' integral by quadrature on the real line, the t - t' integral
+  along the contour.  This checks how I1-I4 are assembled (envelope, t0
   phase, prefactors, normalization), which the per-integral oracles cannot.
 
 Every oracle returns an OracleEstimate carrying the value, a defensible
 absolute error estimate (quadrature + extrapolation residual + analytic
-truncation bound), the regulator schedule used, and a convergence flag.
+truncation bound) and a convergence flag.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
 at most 300 subintervals, and an absolute target epsabs of each
 integral's own: 1e-13, or for a nascent-delta' rung the share of its
 ladder's tolerance it may spend), written over numpy arrays.  No part of
-scipy.integrate is used.  Each oracle is a plan: a generator that
-asks for its integrals (an integrand family with per-integral parameters,
-and edges), is sent their values, and builds its estimate from them
-(ladder, scaling, tail bound).  A public oracle runs its own plan alone;
-verify_suite runs all of its plans in step, so every integral of a stage,
-whatever oracle asked for it, is refined by one batched pass per
-integrand value type.  Each refinement round calls each integrand family
-once, on the nodes of every new subinterval of its integrals.  The
-refinement is elementwise or per integral throughout, so an estimate is
-bit for bit the same alone or batched.
+scipy.integrate is used.  Each oracle is data, an _Oracle: the integrals
+it needs (an integrand family with per-integral parameters, and edges)
+and a function that builds its estimate from their values (contour legs
+summed, ladder, scaling, tail bound).  A public oracle integrates its own
+list; verify_suite concatenates the lists of all its oracles, so every
+integral of the run, whatever oracle asked for it, is refined by one
+batched pass per integrand value type.  Each refinement round calls each
+integrand family once, on the nodes of every new subinterval of its
+integrals.  The refinement is elementwise or per integral throughout, so
+an estimate is bit for bit the same alone or batched.
 
 All quantities are dimensionless (sigma = 1) and normalized per lambda^2
 exactly as in the closed-form module.
@@ -59,7 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,10 +73,7 @@ from .model import SpacetimePoint
 __all__ = [
     "NoConvergence",
     "SignConventionMismatch",
-    "RegulatorSchedule",
-    "DEFAULT_SCHEDULE",
     "OracleEstimate",
-    "quad_adaptive",
     "oracle_P",
     "oracle_P_full",
     "oracle_XM",
@@ -94,50 +95,18 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class NoConvergence(ArithmeticError):
-    """Regulator extrapolation failed by orders of magnitude."""
+    """The nascent-delta' extrapolation failed by orders of magnitude."""
 
 
 class SignConventionMismatch(AssertionError):
     """Oracle calibration against an exact anchor value failed.
 
-    The i*epsilon displacement direction fixes the sign of the
-    delta-function halves of each kernel; a flipped convention reproduces
-    the principal values but negates those halves.  The calibration check
-    (P at Omega = 0 against the exact 1/(4 pi)) catches exactly this.
+    The side of the poles on which the contour runs fixes the sign of the
+    delta-function halves of each kernel; a contour on the wrong side
+    reproduces the principal values but negates those halves.  The
+    calibration check, the state-independent commutator identity
+    P(1) - P(-1) = -1/(2 sqrt(pi)), catches exactly this.
     """
-
-
-@dataclass(frozen=True)
-class RegulatorSchedule:
-    """Geometric regulator ladder start * ratio**k for k = 0..count-1.
-
-    Raises ValueError unless start is finite and positive, ratio lies in
-    (0, 1) and count is at least 2: a non-positive regulator displaces the
-    kernel singularity to the wrong side (a negative start returns the
-    complex conjugate of X_M), and extrapolation needs two distinct rungs.
-    """
-
-    start: float = 0.1
-    ratio: float = 0.5
-    count: int = 4
-
-    def __post_init__(self) -> None:
-        if not (
-            0.0 < self.start < math.inf
-            and 0.0 < self.ratio < 1.0
-            and self.count >= 2
-        ):
-            raise ValueError(
-                "a regulator schedule needs a finite start > 0, a ratio in "
-                f"(0, 1) and a count of at least 2, got {self!r}"
-            )
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(self.start * self.ratio ** k for k in range(self.count))
-
-
-DEFAULT_SCHEDULE = RegulatorSchedule()
-_Schedule = RegulatorSchedule | Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -146,7 +115,6 @@ class OracleEstimate:
 
     value: complex
     abs_error_estimate: float
-    regulator_schedule: tuple[float, ...]
     converged: bool
 
 
@@ -334,7 +302,7 @@ def _gk21(
         err = np.concatenate((err[keep], new_err))
 
 
-# --- plans: each oracle asks for its integrals, then builds its estimate ----
+# --- oracles as data: the integrals each needs, and how it finishes ---------
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,13 +311,12 @@ class _Family:
 
     Each integral of a family brings its parameters as one tuple of floats;
     kernel gets them as columns shaped (m, 1), one entry per row of nodes x.
-    dtype is the kernel's value type, float or complex; None marks a closure
-    of unknown type.  Families compare by identity, so two families may
-    share a kernel.
+    dtype is the kernel's value type, float or complex.  Families compare
+    by identity, so two families may share a kernel.
     """
 
     kernel: Callable[..., np.ndarray]
-    dtype: type | None
+    dtype: type
 
 
 class _Integral(NamedTuple):
@@ -366,52 +333,25 @@ class _Integral(NamedTuple):
     epsabs: float = _EPSABS
 
 
-# A plan is a generator: it yields the integrals it needs next, is sent
-# their values and error estimates (arrays in the order asked), and returns
-# its result.  _run runs one plan; _gather runs many as one.
-_Plan = Generator[list[_Integral], tuple[np.ndarray, np.ndarray], Any]
+class _Oracle(NamedTuple):
+    """The integrals an oracle needs, and finish(vals, errs) -> its result.
 
-
-def _advance(plan: _Plan, results: Any) -> tuple[list[_Integral] | None, Any]:
-    """Send results to plan: its next request and None, or None and its result."""
-    try:
-        return plan.send(results), None
-    except StopIteration as done:
-        return None, done.value
-
-
-def _run(plan: _Plan) -> Any:
-    """Result of plan, each of its requests integrated by _integrate."""
-    request, result = _advance(plan, None)
-    while request is not None:
-        request, result = _advance(plan, _integrate(request))
-    return result
-
-
-def _gather(plans: Iterable[_Plan]) -> _Plan:
-    """Plan: the results of plans, run in step.
-
-    Each stage asks for the integrals that every unfinished plan asks for
-    next, so independent plans share every _gk21 call.
+    finish gets their values and error estimates as arrays, in the order
+    of integrals.
     """
-    plans = list(plans)
-    results: list[Any] = [None] * len(plans)
-    pending = {}
-    for i, plan in enumerate(plans):
-        request, results[i] = _advance(plan, None)
-        if request is not None:
-            pending[i] = request
-    while pending:
-        vals, errs = yield [it for request in pending.values() for it in request]
-        start, asked, pending = 0, pending, {}
-        for i, request in asked.items():
-            stop = start + len(request)
-            request, results[i] = _advance(
-                plans[i], (vals[start:stop], errs[start:stop])
-            )
-            start = stop
-            if request is not None:
-                pending[i] = request
+
+    integrals: list[_Integral]
+    finish: Callable[[np.ndarray, np.ndarray], Any]
+
+
+def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
+    """The results of oracles, in order, from one _integrate call."""
+    vals, errs = _integrate([it for o in oracles for it in o.integrals])
+    results, start = [], 0
+    for o in oracles:
+        stop = start + len(o.integrals)
+        results.append(o.finish(vals[start:stop], errs[start:stop]))
+        start = stop
     return results
 
 
@@ -419,15 +359,13 @@ def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
     """Values (complex) and error estimates of integrals, in order.
 
     One _gk21 call refines all integrals whose integrands have one value
-    type; each closure family gets a call of its own.  Real and complex
-    integrands never share a call: numpy sums the rows of a complex array
-    in another order than those of a real one, so a real integrand batched
-    as complex would change in its last bits.
+    type.  Real and complex integrands never share a call: numpy sums the
+    rows of a complex array in another order than those of a real one, so
+    a real integrand batched as complex would change in its last bits.
     """
-    batches: dict[object, list[int]] = {}
+    batches: dict[type, list[int]] = {}
     for i, it in enumerate(integrals):
-        key = it.family if it.family.dtype is None else it.family.dtype
-        batches.setdefault(key, []).append(i)
+        batches.setdefault(it.family.dtype, []).append(i)
     vals = np.empty(len(integrals), dtype=complex)
     errs = np.empty(len(integrals))
     for index in batches.values():
@@ -457,7 +395,7 @@ def _batch_integrand(
         cols = np.zeros((len(batch[members[0]].params), len(batch)))
         cols[:, members] = np.array([batch[i].params for i in members]).T
         columns.append(cols)
-    if len(families) == 1:  # values as they come: a closure's type is unknown
+    if len(families) == 1:  # the kernel's values as they come, at any x and k
         kernel, cols = families[0].kernel, columns[0]
         return lambda x, k: kernel(x, *cols[:, k])
 
@@ -471,89 +409,6 @@ def _batch_integrand(
         return out
 
     return f
-
-
-def _neville_at_zero(
-    xs: Sequence[float], ys: Sequence[complex]
-) -> tuple[complex, float]:
-    """Polynomial extrapolation of (xs, ys) to x = 0 with residual estimate.
-
-    The residual estimate is the absolute difference between the last two
-    diagonal entries of the Neville tableau: the correction the final
-    extrapolation order contributed.
-    """
-    n = len(xs)
-    rows = [list(ys)]
-    for k in range(1, n):
-        prev = rows[-1]
-        row = []
-        for i in range(n - k):
-            xi, xk = xs[i], xs[i + k]
-            row.append((xk * prev[i] - xi * prev[i + 1]) / (xk - xi))
-        rows.append(row)
-    return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
-
-
-def _neville_weight_sum(xs: Sequence[float]) -> float:
-    """Sum of |lambda_k|, the weights of the ys in _neville_at_zero(xs, ys).
-
-    The extrapolated value is sum_k lambda_k ys[k] with the Lagrange
-    weights lambda_k = prod_{j != k} xs[j] / (xs[j] - xs[k]), so an error
-    of at most e in every ys[k] moves it by at most this sum times e.
-    """
-    return sum(
-        abs(math.prod(xj / (xj - xk) for j, xj in enumerate(xs) if j != k))
-        for k, xk in enumerate(xs)
-    )
-
-
-def _regulators(
-    schedule: RegulatorSchedule | Sequence[float],
-) -> tuple[float, ...]:
-    """The regulator values of a schedule or an explicit sequence.
-
-    Raises ValueError unless there are at least two values, all finite,
-    positive and distinct: Neville extrapolation divides by the difference
-    of every pair.
-    """
-    regs = (
-        schedule.values()
-        if isinstance(schedule, RegulatorSchedule)
-        else tuple(schedule)
-    )
-    if (
-        len(regs) < 2
-        or len(set(regs)) != len(regs)
-        or not all(r > 0.0 and math.isfinite(r) for r in regs)
-    ):
-        raise ValueError(
-            "a regulator ladder needs at least two distinct finite positive "
-            f"values, got {regs!r}"
-        )
-    return regs
-
-
-def _ladder(
-    regs: Sequence[float],
-    vals: Sequence[complex],
-    errs: Sequence[float],
-    square_variable: bool,
-) -> tuple[complex, float]:
-    """Extrapolate the rung values vals (quadrature errors errs) to reg -> 0.
-
-    Neville in reg, or in reg**2 when square_variable is set; the error is
-    the extrapolation residual plus the worst quadrature error.
-
-    The worst error, max(errs), is not a bound on what the rung errors do
-    to the extrapolated value: that is sum_k |lambda_k| errs[k], up to
-    _neville_weight_sum(xs) = 6.43 times max(errs) on DEFAULT_SCHEDULE in
-    eps, 1.95 on it in eta^2, and 7.76 on the six-rung _gw_schedule.
-    Weighting the term makes the c_gw end-to-end tests at (omega, Omega,
-    D) = (2, 1, 1) fail their estimate bound, so it is left as it is.
-    """
-    xs = [r * r for r in regs] if square_variable else list(regs)
-    value, resid = _neville_at_zero(xs, [complex(v) for v in vals])
-    return value, resid + float(max(errs))
 
 
 def _scaled(
@@ -570,120 +425,59 @@ def _scaled(
     return OracleEstimate(
         value=factor * est.value,
         abs_error_estimate=err,
-        regulator_schedule=est.regulator_schedule,
         converged=est.converged if tol is None else err <= tol,
     )
 
 
-def _edges(a: float, b: float, points: Iterable[float] | None) -> tuple[float, ...]:
+def _edges(a: float, b: float, points: Iterable[float]) -> tuple[float, ...]:
     """a, the points strictly inside (a, b) in order, and b."""
-    return (a, *(p for p in sorted(points or ()) if a < p < b), b)
+    return (a, *(p for p in sorted(points) if a < p < b), b)
 
 
-def _extrapolated(
-    integrals: list[_Integral],
-    regs: tuple[float, ...],
-    *,
-    square_variable: bool = False,
-    tol: float,
-    tail_bound: float,
-) -> _Plan:
-    """Plan: integrals, one per rung of regs, extrapolated to reg -> 0.
+# --- the Wightman integral behind every kernel oracle, on a contour ---------
 
-    The estimate, its error and NoConvergence are as quad_adaptive states.
-    """
-    vals, errs = yield integrals
-    value, err = _ladder(regs, vals, errs, square_variable)
-    err += tail_bound
-    if err > 1000.0 * tol:
-        raise NoConvergence(
-            f"regulator extrapolation residual {err:g} exceeds "
-            f"1000 * tol = {1000.0 * tol:g}"
-        )
-    return OracleEstimate(value, err, regs, err <= tol)
-
-
-def quad_adaptive(
-    family: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    a: float,
-    b: float,
-    *,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
-    square_variable: bool = False,
-    tol: float = 1e-6,
-    points: Sequence[float] | None = None,
-    tail_bound: float = 0.0,
-    limit: int = 300,
-) -> OracleEstimate:
-    """Integrate a regulator-indexed integrand family and extrapolate.
-
-    family(reg) must return the integrand for regulator value reg; the
-    integral is evaluated at every value of the schedule and Neville
-    extrapolation in reg (or reg**2 when square_variable is set, for
-    families even in the regulator) carries the result to reg -> 0.
-    All rungs are integrated together, so family and its integrands work
-    on numpy arrays (np.exp, not math.exp): reg comes shaped (m, 1), one
-    regulator per row, and the integrand's nodes shaped (m, 21).  The
-    points inside (a, b) split the interval before any refinement.
-
-    The abs_error_estimate of the returned OracleEstimate is the sum of
-    the worst quadrature error on the schedule, the extrapolation
-    residual, and the caller's analytic truncation bound for the
-    neglected integration tails (callers are expected to choose the
-    window so that this bound is below tol/10).
-
-    Raises NoConvergence when the combined error estimate exceeds
-    1000 * tol; an estimate between tol and 1000 * tol is returned
-    with converged = False.
-    """
-    regs = _regulators(schedule)
-    closure = _Family(lambda x, reg: family(reg)(x), None)
-    edges = _edges(a, b, points)
-    return _run(
-        _extrapolated(
-            [_Integral(closure, (reg,), edges, limit) for reg in regs],
-            regs, square_variable=square_variable, tol=tol,
-            tail_bound=tail_bound,
-        )
-    )
-
-
-# --- the regulated Wightman integral behind every kernel oracle -------------
+# Height c of the contour above the real axis; every pole lies below it.
+_SHIFT = 0.5
 
 _CAL_CACHE: dict[str, float] = {}
 
 
-def _wightman_kernel(av, eps, r, m, Om, gw=None, w=None):
-    """e^{-a^2/4} e^{i Omega a} W(a + i eps); see _wightman_plan.
+def _sinc(u: np.ndarray) -> np.ndarray:
+    """sin(u)/u for complex u, 1 at u = 0."""
+    zero = u == 0.0
+    return np.where(zero, 1.0, np.sin(u) / np.where(zero, 1.0, u))
 
-    The strain term is on only in the family that passes gw and w.
+
+def _wightman_kernel(x, vertical, c, r, m, Om, gw=None, w=None):
+    """e^{-a^2/4} e^{i Omega a} W(a) da/dx on a leg; see _wightman_legs.
+
+    The leg is a = i x with vertical set, else a = x + i c.  The strain
+    term is on only in the family that passes gw and w.
     """
-    z = av + 1j * eps
-    sig = (r - z) * (r + z)
+    up = vertical != 0.0
+    a = np.where(up, 1j * x, x + 1j * c)
+    sig = (r - a) * (r + a)
     kern = m / (_FOUR_PI_SQ * sig)
     if gw is not None:
-        sinc = specfun.sinc_array(w * av / 2.0)
-        kern = kern - (gw / _FOUR_PI_SQ) * sinc / (sig * sig)
-    return np.exp(-av * av / 4.0) * np.exp(1j * Om * av) * kern
+        kern = kern - (gw / _FOUR_PI_SQ) * _sinc(w * a / 2.0) / (sig * sig)
+    return np.where(up, 1j, 1.0) * np.exp(-a * a / 4.0 + 1j * Om * a) * kern
 
 
-# Columns (eps, r, m, Omega), and (gw, omega) with the strain term on.
+# Columns (vertical, c, r, m, Omega), and (gw, omega) with the strain on.
 _WIGHTMAN = _Family(_wightman_kernel, complex)
 _WIGHTMAN_STRAIN = _Family(_wightman_kernel, complex)
 
 
-def _wightman_plan(
+def _wightman_legs(
     Omega: float,
     D: float,
     *,
     full_line: bool,
-    schedule: _Schedule,
-    tol: float,
     minkowski: float = 1.0,
     strain: float = 0.0,
     omega: float = 0.0,
-) -> _Plan:
-    """Plan: integral of e^{-a^2/4} e^{i Omega a} W(a + i eps) over a >= 0 or all a.
+) -> tuple[list[_Integral], float]:
+    """Legs of the integral of e^{-a^2/4} e^{i Omega a} W(a + i0) over a >= 0 or all a.
 
     W is the first-order Wightman function between events of detector A,
     at rest at the origin, and detector B, at rest at x = D (D = 0: one
@@ -692,19 +486,30 @@ def _wightman_plan(
       W = m / (4 pi^2 sigma^2) - s (dx^2 - dy^2) sinc(omega a/2) / (4 pi^2 sigma^4)
 
     with m = minkowski, s = strain (the amplitude times the window-averaged
-    cos(omega (t+t')/2)) and sigma^2 = dx^2 + dy^2 - (a + i eps)^2, formed
-    as (r - a - i eps)(r + a + i eps), r = hypot(dx, dy), which keeps its
-    digits near the pole a = r.  eps -> 0 is extrapolated over schedule,
-    as quad_adaptive does.
+    cos(omega (t+t')/2)) and sigma^2 = dx^2 + dy^2 - a^2, formed as
+    (r - a)(r + a), r = hypot(dx, dy).  The i*eps prescription
+    W(a + i eps) moves the poles a = +-r below the real axis, so the
+    integral runs above them.  The rest of the integrand is entire, so the
+    integral is the same along any path above the poles that ends where
+    the Gaussian has decayed: here Im a = c = _SHIFT over all a, or the
+    vertical leg 0 -> i c and the horizontal leg i c -> i c + L over
+    a >= 0.  The value is the sum of the legs' integrals.  Over a >= 0
+    the path starts at a = 0, a pole when r = 0, so D = 0 raises
+    ValueError there.
 
-    The window is |a| <= L = D + 14, split at a = -D and D.  The neglected
-    tails are bounded from |sigma^2| >= L^2 - D^2 and |sinc| <= 1.
+    The horizontal leg runs over |Re a| <= L = D + 14, split at Re a = -D
+    and D.  Its neglected tails are bounded from |sigma^2| >= L^2 - D^2,
+    |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4}, |e^{i Omega a}| <= e^{|Omega| c}
+    and |sinc(omega a/2)| <= cosh(omega c/2); that bound is returned
+    with the legs.
     """
-    regs = _regulators(schedule)
+    c = _SHIFT
     Om, Dv, w = float(Omega), float(D), float(omega)
     ev_a, ev_b = SpacetimePoint(t=0.0), SpacetimePoint(t=0.0, x=Dv)
     dx, dy = ev_b.x - ev_a.x, ev_b.y - ev_a.y
     r = math.hypot(dx, dy)
+    if not full_line and r == 0.0:
+        raise ValueError("a half-line Wightman integral needs D != 0")
     m = float(minkowski)
     gw = float(strain) * (dx * dx - dy * dy)
     L = Dv + 14.0
@@ -713,72 +518,92 @@ def _wightman_plan(
         (2.0 if full_line else 1.0)
         * _SQRT_PI
         * specfun.erfc_real(L / 2.0)
-        * (abs(m) / span + abs(gw) / (span * span))
+        * math.exp(c * c / 4.0 + abs(Om * c))
+        * (abs(m) / span + abs(gw) * math.cosh(w * c / 2.0) / (span * span))
         / _FOUR_PI_SQ
     )
     # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
     family, strain_cols = (_WIGHTMAN_STRAIN, (gw, w)) if gw else (_WIGHTMAN, ())
-    edges = _edges(-L if full_line else 0.0, L, {-Dv, Dv})
-    return (
-        yield from _extrapolated(
-            [_Integral(family, (eps, r, m, Om, *strain_cols), edges) for eps in regs],
-            regs, tol=tol, tail_bound=tail,
-        )
-    )
+    cols = (c, r, m, Om, *strain_cols)
+    if full_line:
+        legs = [_Integral(family, (0.0, *cols), _edges(-L, L, {-Dv, Dv}))]
+    else:
+        legs = [
+            _Integral(family, (1.0, *cols), (0.0, c)),
+            _Integral(family, (0.0, *cols), _edges(0.0, L, {Dv})),
+        ]
+    return legs, tail
 
 
-def _calibration_plan(tol: float) -> _Plan:
-    """Plan: raise SignConventionMismatch if P is off at its exact anchor.
+def _contour(tail: float, tol: float) -> Callable[..., OracleEstimate]:
+    """finish of a Wightman integral: its legs summed, the tail bound added.
 
-    The anchor is P(0) = 1/(4 pi); the discrepancy is computed on first use
-    in the process, kept in _CAL_CACHE, and may be at most 100 * tol.
+    converged is err <= tol.
     """
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        err = float(errs.sum()) + tail
+        return OracleEstimate(complex(vals.sum()), err, err <= tol)
+
+    return finish
+
+
+def _calibration(tol: float) -> _Oracle:
+    """Oracle raising SignConventionMismatch unless the P oracle is calibrated.
+
+    The anchor is the commutator identity P(1) - P(-1) = -1/(2 sqrt(pi)),
+    which holds in every state, so it shares no algebra with the closed
+    form.  (P(0) = 1/(4 pi) could not serve: the residue of e^{-a^2/4}/a^2
+    at a = 0 vanishes, so P(0) is the same on either side of the pole.)
+    The discrepancy is computed on first use in the process, kept in
+    _CAL_CACHE, and may be at most 100 * tol.
+    """
+    integrals = []
     if "P" not in _CAL_CACHE:
-        cal = yield from _p_full_plan(0.0, 0.0, 0.0, 0.0, 1e-6, DEFAULT_SCHEDULE)
-        _CAL_CACHE["P"] = abs(cal.value - 1.0 / (4.0 * math.pi))
-    if _CAL_CACHE["P"] > 100.0 * tol:
-        raise SignConventionMismatch(
-            f"P oracle off by {_CAL_CACHE['P']:g} at the Omega = 0 anchor "
-            f"(allowed 100 * tol = {100.0 * tol:g}); the i*epsilon "
-            "displacement direction is inconsistent with the kernel signs"
-        )
+        for Om in (1.0, -1.0):
+            integrals += _wightman_legs(Om, 0.0, full_line=True)[0]
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> None:
+        if integrals:
+            half = len(integrals) // 2
+            diff = _SQRT_PI * complex(vals[:half].sum() - vals[half:].sum())
+            _CAL_CACHE["P"] = abs(diff + 0.5 / _SQRT_PI)
+        if _CAL_CACHE["P"] > 100.0 * tol:
+            raise SignConventionMismatch(
+                f"P oracle off by {_CAL_CACHE['P']:g} at the anchor "
+                f"P(1) - P(-1) = -1/(2 sqrt(pi)) (allowed 100 * tol = "
+                f"{100.0 * tol:g}); the contour runs on the wrong side of "
+                "the kernel's poles"
+            )
+
+    return _Oracle(integrals, finish)
 
 
-def oracle_P(
-    Omega: float,
-    *,
-    tol: float = 1e-6,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
-) -> OracleEstimate:
-    """Transition probability from the regulated Wightman kernel.
-
-    P/lambda^2 = sqrt(pi) * Integral over a of
-    exp(-a^2/4 + i Omega a) * ( -1 / (4 pi^2 (a + i eps)^2) ),
-    extrapolated eps -> 0: sqrt(pi) times the full-line Wightman integral
-    at D = 0, which is oracle_P_full at zero strain.  (The defining form,
-    with exp(-i Omega a) and (a - i eps)^2, is this integral under a -> -a.)
-
-    On first use the machinery is calibrated against the exact anchor
-    P(0) = 1/(4 pi); a discrepancy above 100 * tol raises
-    SignConventionMismatch, which indicates a flipped i*epsilon direction
-    rather than a loss of quadrature accuracy.
-    """
-    plans = [_calibration_plan(tol), _p_full_plan(Omega, 0.0, 0.0, 0.0, tol, schedule)]
-    _, est = _run(_gather(plans))
-    return est
-
-
-def _p_full_plan(
-    Omega: float, A: float, omega: float, t0: float, tol: float, schedule: _Schedule
-) -> _Plan:
-    """Plan of oracle_P_full."""
+def _p_full(Omega: float, A: float, omega: float, t0: float, tol: float) -> _Oracle:
+    """Oracle of oracle_P_full."""
     w = float(omega)
     strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
-    est = yield from _wightman_plan(
-        Omega, 0.0, full_line=True, schedule=schedule, tol=tol,
-        strain=strain, omega=w,
-    )
-    return _scaled(est, _SQRT_PI)
+    legs, tail = _wightman_legs(Omega, 0.0, full_line=True, strain=strain, omega=w)
+    finish = _contour(tail, tol)
+    return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
+
+
+def oracle_P(Omega: float, *, tol: float = 1e-6) -> OracleEstimate:
+    """Transition probability from the Wightman kernel, on the contour.
+
+    P/lambda^2 = sqrt(pi) * Integral over a of
+    exp(-a^2/4 + i Omega a) * ( -1 / (4 pi^2 (a + i eps)^2) ), eps -> 0+:
+    sqrt(pi) times the full-line Wightman integral at D = 0, which is
+    oracle_P_full at zero strain.  (The defining form, with exp(-i Omega a)
+    and (a - i eps)^2, is this integral under a -> -a.)
+
+    On first use the machinery is calibrated against the exact anchor
+    P(1) - P(-1) = -1/(2 sqrt(pi)); a discrepancy above 100 * tol raises
+    SignConventionMismatch, which indicates a contour on the wrong side of
+    the poles rather than a loss of quadrature accuracy.
+    """
+    _, est = _solve([_calibration(tol), _p_full(Omega, 0.0, 0.0, 0.0, tol)])
+    return est
 
 
 def oracle_P_full(
@@ -788,7 +613,6 @@ def oracle_P_full(
     *,
     t0: float = 0.0,
     tol: float = 1e-6,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
 ) -> OracleEstimate:
     """Transition probability from the full first-order Wightman function.
 
@@ -802,12 +626,12 @@ def oracle_P_full(
     exp(-omega^2/4) cos(omega*t0) — so equality with oracle_P for every A
     is a computed outcome, not a hard-coded one.
     """
-    return _run(_p_full_plan(Omega, A, omega, t0, tol, schedule))
+    return _solve([_p_full(Omega, A, omega, t0, tol)])[0]
 
 
 def _xm_prefactor(Omega: float, t0: float) -> complex:
     """X_M / its kernel integral.  Scaling keeps the kernel's convergence
-    flag, judged (as NoConvergence is) on the unscaled kernel error."""
+    flag, judged on the unscaled kernel error."""
     Om, t0 = float(Omega), float(t0)
     return -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0))
 
@@ -834,18 +658,17 @@ _PV_NEAR = _Family(_pv_near_kernel, float)  # columns (e^{-D^2/4}, D)
 _PV_FAR = _Family(_pv_far_kernel, float)  # columns (D,)
 
 
-def _xm_kernel_plan(D: float, method: str, tol: float, schedule: _Schedule) -> _Plan:
-    """Plan: half-line kernel integral of X_M, Integral_0^inf exp(-a^2/4) K(a) da.
+def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
+    """Oracle: half-line kernel integral of X_M, Integral_0^inf exp(-a^2/4) K(a) da.
 
-    It depends on D alone (and on the method, tol and schedule), so one
-    estimate serves every (Omega, t0) through _xm_prefactor; see oracle_XM
-    for the two methods.  abs_error_estimate bounds the error of this
-    unscaled integral, its neglected tail beyond L = D + 14 included.
+    It depends on D alone (and on the method and tol), so one estimate
+    serves every (Omega, t0) through _xm_prefactor; see oracle_XM for the
+    two methods.  abs_error_estimate bounds the error of this unscaled
+    integral, its neglected tail beyond L = D + 14 included.
     """
-    if method == "regulated":
-        return (
-            yield from _wightman_plan(0.0, D, full_line=False, schedule=schedule, tol=tol)
-        )
+    if method == "contour":
+        legs, tail = _wightman_legs(0.0, D, full_line=False)
+        return _Oracle(legs, _contour(tail, tol))
 
     if method == "pv_subtraction":
         Dv = float(D)
@@ -858,23 +681,27 @@ def _xm_kernel_plan(D: float, method: str, tol: float, schedule: _Schedule) -> _
         )
         gauss_d = math.exp(-Dv * Dv / 4.0)
 
-        # The regularized part on [0, 2D] and the regular remainder on
-        # [2D, L], in one stage.
-        vals, errs = yield [
-            _Integral(_PV_NEAR, (gauss_d, Dv), (0.0, Dv, 2.0 * Dv)),
-            _Integral(_PV_FAR, (Dv,), (2.0 * Dv, L)),
-        ]
-        (v1, v3), (e1, e3) = vals.tolist(), errs.tolist()
-        # PV of the subtracted constant over [0, 2D] is exactly -ln3/(2D).
-        v2 = -gauss_d * math.log(3.0) / (2.0 * Dv)
-        pv_total = v1.real + v2 + v3.real
-        # Half-line kernel integral: -PV/(4 pi^2) plus the concentrated
-        # half-delta term + i e^{-D^2/4}/(8 pi D).
-        kernel_integral = complex(
-            -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
+        def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+            (v1, v3), (e1, e3) = vals.tolist(), errs.tolist()
+            # PV of the subtracted constant over [0, 2D] is exactly -ln3/(2D).
+            v2 = -gauss_d * math.log(3.0) / (2.0 * Dv)
+            pv_total = v1.real + v2 + v3.real
+            # Half-line kernel integral: -PV/(4 pi^2) plus the concentrated
+            # half-delta term + i e^{-D^2/4}/(8 pi D).
+            kernel_integral = complex(
+                -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
+            )
+            err = (e1 + e3) / _FOUR_PI_SQ + tail
+            return OracleEstimate(kernel_integral, err, err <= tol)
+
+        # The regularized part on [0, 2D] and the regular remainder on [2D, L].
+        return _Oracle(
+            [
+                _Integral(_PV_NEAR, (gauss_d, Dv), (0.0, Dv, 2.0 * Dv)),
+                _Integral(_PV_FAR, (Dv,), (2.0 * Dv, L)),
+            ],
+            finish,
         )
-        err = (e1 + e3) / _FOUR_PI_SQ + tail
-        return OracleEstimate(kernel_integral, err, (), err <= tol)
 
     raise ValueError(f"unknown oracle_XM method {method!r}")
 
@@ -885,24 +712,23 @@ def oracle_XM(
     t0: float,
     *,
     tol: float = 1e-6,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
-    method: str = "regulated",
+    method: str = "contour",
 ) -> OracleEstimate:
     """Coherence X_M/lambda^2 from its defining half-line kernel integral.
 
     X_M/lambda^2 = -2 sqrt(pi) exp(-Omega^2 - 2 i Omega t0) *
     Integral_0^inf of exp(-a^2/4) * K(a) da.
 
-    method="regulated": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)),
-    extrapolated eps -> 0 over the schedule: the half-line Wightman
-    integral at Omega = 0.
+    method="contour": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)), eps -> 0+,
+    integrated along 0 -> i c -> i c + oo above the pole: the half-line
+    Wightman integral at Omega = 0.
 
     method="pv_subtraction": the independent regularization — the
     principal value at a = D is computed by subtracting the singular
     Gaussian value on the symmetric window [0, 2D] (whose own principal
     value integrates to the exact -ln(3)/(2D)), the rest of the half-line
     is regular, and the concentrated half-delta contributes the analytic
-    i exp(-D^2/4)/(8 pi D).  No regulator schedule is involved.
+    i exp(-D^2/4)/(8 pi D).  No contour is involved.
 
     The kernel integral depends on D alone and is computed once per call;
     the prefactor carries Omega and t0.  verify_suite reuses one kernel
@@ -913,31 +739,26 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    kernel = _run(_xm_kernel_plan(D, method, tol, schedule))
+    kernel = _solve([_xm_kernel(D, method, tol)])[0]
     return _scaled(kernel, _xm_prefactor(Omega, t0))
 
 
-def _cm_plan(Omega: float, D: float, tol: float, schedule: _Schedule) -> _Plan:
-    """Plan of oracle_CM."""
-    est = yield from _wightman_plan(Omega, D, full_line=True, schedule=schedule, tol=tol)
-    return _scaled(est, _SQRT_PI)
+def _cm(Omega: float, D: float, tol: float) -> _Oracle:
+    """Oracle of oracle_CM."""
+    legs, tail = _wightman_legs(Omega, D, full_line=True)
+    finish = _contour(tail, tol)
+    return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
 
 
-def oracle_CM(
-    Omega: float,
-    D: float,
-    *,
-    tol: float = 1e-6,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
-) -> OracleEstimate:
+def oracle_CM(Omega: float, D: float, *, tol: float = 1e-6) -> OracleEstimate:
     """Exchange term C_M/lambda^2 from its defining full-line kernel.
 
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * ( 1/(4 pi^2 ((a + i eps)^2 - D^2)) ),
-    extrapolated eps -> 0: sqrt(pi) times the full-line Wightman integral.
-    The kernel has near-singularities at a = +-D.
+    eps -> 0+: sqrt(pi) times the full-line Wightman integral, taken along
+    Im a = c above the poles at a = +-D.
     """
-    return _run(_cm_plan(Omega, D, tol, schedule))
+    return _solve([_cm(Omega, D, tol)])[0]
 
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
@@ -945,20 +766,6 @@ def oracle_CM(
 # Half-width of the T = (t + t')/2 - t0 window: e^{-T^2} < e^{-100} outside.
 _T_WINDOW = 10.0
 _T_EDGES = (-_T_WINDOW, 0.0, _T_WINDOW)
-
-
-def _gw_schedule(omega: float, Omega: float, D: float) -> RegulatorSchedule:
-    """Regulator ladder for the strain term's 1/sigma^4 double pole.
-
-    The eps-regulated a integral varies with eps on the scale of the
-    shortest length in its integrand: D, or 2/(omega/2 + |Omega|) for the
-    oscillating factors.  The ladder starts at 0.05 times the smallest of
-    1 and these two and has six rungs; at omega = 2, D = 0.5 the four
-    fixed rungs of DEFAULT_SCHEDULE leave a 7e-4 relative residual.
-    """
-    k = abs(float(omega)) / 2.0 + abs(float(Omega))
-    scale = min(1.0, float(D), 2.0 / k if k > 0.0 else 1.0)
-    return RegulatorSchedule(start=0.05 * scale, ratio=0.5, count=6)
 
 
 def _x_window_kernel(T, w, t0, Om):
@@ -975,22 +782,19 @@ _X_WINDOW = _Family(_x_window_kernel, complex)  # columns (omega, t0, Omega)
 _C_WINDOW = _Family(_c_window_kernel, float)  # columns (omega, t0)
 
 
-def _one_integral(family: _Family, params: tuple[float, ...], *edges: float) -> _Plan:
-    """Plan: one integral of family at params, as (complex, float)."""
-    (value,), (err,) = yield [_Integral(family, params, edges)]
-    return complex(value), float(err)
-
-
-def _x_gw_plan(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Plan:
-    """Plan of oracle_x_gw."""
+def _x_gw(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Oracle:
+    """Oracle of oracle_x_gw."""
     w, Om, t0v = float(omega), float(Omega), float(t0)
-    t_int, t_err = yield from _one_integral(_X_WINDOW, (w, t0v, Om), *_T_EDGES)
-    pref = -2.0 * t_int
-    a_est = yield from _wightman_plan(
-        0.0, D, full_line=False, schedule=_gw_schedule(w, 0.0, D),
-        tol=tol / max(abs(pref), 1e-300), minkowski=0.0, strain=1.0, omega=w,
+    legs, tail = _wightman_legs(
+        0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w
     )
-    return _scaled(a_est, pref, 2.0 * t_err, tol)
+    a_finish = _contour(tail, tol)
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        t_int, t_err = complex(vals[0]), float(errs[0])
+        return _scaled(a_finish(vals[1:], errs[1:]), -2.0 * t_int, 2.0 * t_err, tol)
+
+    return _Oracle([_Integral(_X_WINDOW, (w, t0v, Om), _T_EDGES), *legs], finish)
 
 
 def oracle_x_gw(
@@ -1012,26 +816,29 @@ def oracle_x_gw(
                   e^{-2 i Omega (t0 + T)}
              * Integral_0^inf of e^{-a^2/4} W_gw(a) da,
 
-    W_gw being the strain term of the Wightman function (_wightman_plan)
+    W_gw being the strain term of the Wightman function (_wightman_legs)
     per unit strain, for two static detectors separated by D along x.  The
     T integral is done by quadrature, so this path shares no algebra with
     f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
-    normalization.  The a integral is eps-regulated and extrapolated over
-    a six-rung ladder scaled to D and omega; its tol is divided by the
-    T integral, so it is asked for after that one.  tol is absolute.
+    normalization.  The a integral runs along the half-line contour, like
+    oracle_XM's.  tol is absolute.
     """
-    return _run(_x_gw_plan(omega, Omega, D, t0, tol))
+    return _solve([_x_gw(omega, Omega, D, t0, tol)])[0]
 
 
-def _c_gw_plan(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Plan:
-    """Plan of oracle_c_gw."""
+def _c_gw(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Oracle:
+    """Oracle of oracle_c_gw."""
     w, t0v = float(omega), float(t0)
-    t_int, t_err = yield from _one_integral(_C_WINDOW, (w, t0v), *_T_EDGES)
-    a_est = yield from _wightman_plan(
-        Omega, D, full_line=True, schedule=_gw_schedule(w, Omega, D),
-        tol=tol / max(abs(t_int), 1e-300), minkowski=0.0, strain=1.0, omega=w,
+    legs, tail = _wightman_legs(
+        Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w
     )
-    return _scaled(a_est, t_int, t_err, tol)
+    a_finish = _contour(tail, tol)
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        t_int, t_err = complex(vals[0]), float(errs[0])
+        return _scaled(a_finish(vals[1:], errs[1:]), t_int, t_err, tol)
+
+    return _Oracle([_Integral(_C_WINDOW, (w, t0v), _T_EDGES), *legs], finish)
 
 
 def oracle_c_gw(
@@ -1050,10 +857,10 @@ def oracle_c_gw(
       c_gw = Integral over T of e^{-T^2} cos(omega (t0 + T))
              * Integral over a of e^{-a^2/4} e^{i Omega a} W_gw(a) da,
 
-    both by quadrature, the a integral regulated and extrapolated as in
-    oracle_x_gw.  tol is absolute.
+    both by quadrature, the a integral along the full-line contour like
+    oracle_CM's.  tol is absolute.
     """
-    return _run(_c_gw_plan(omega, Omega, D, t0, tol))
+    return _solve([_c_gw(omega, Omega, D, t0, tol)])[0]
 
 
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
@@ -1076,13 +883,11 @@ _I2 = _Family(_i2_kernel, float)  # columns (omega, D)
 _I4 = _Family(_i4_kernel, float)  # columns (Omega, D, omega)
 
 
-def _i2_plan(omega: float, D: float, tol: float) -> _Plan:
-    """Plan of oracle_I2."""
+def _i2(omega: float, D: float, tol: float) -> _Oracle:
+    """Oracle of oracle_I2."""
     w, Dv = float(omega), float(D)
     Ls = abs(w) / 2.0 + 9.0
     pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
-    val, err = yield from _one_integral(_I2, (w, Dv), 0.0, Ls)
-    val = val.real
     # Tail: e^{-s^2} sinh(ws) <= e^{w^2/4} e^{-(s - w/2)^2} / 2 and the
     # bracket is bounded by 4 + D s on the tail.
     tail = (
@@ -1093,8 +898,13 @@ def _i2_plan(omega: float, D: float, tol: float) -> _Plan:
         / 2.0
         * specfun.erfc_real(Ls - w / 2.0)
     )
-    total_err = abs(pref) * err + tail
-    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        total_err = abs(pref) * float(errs[0]) + tail
+        value = complex(pref * complex(vals[0]).real, 0.0)
+        return OracleEstimate(value, total_err, total_err <= tol)
+
+    return _Oracle([_Integral(_I2, (w, Dv), (0.0, Ls))], finish)
 
 
 def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
@@ -1107,11 +917,11 @@ def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
     the defining finite-part integral was evaluated by residues, so this
     path shares no algebra with the closed form.
     """
-    return _run(_i2_plan(omega, D, tol))
+    return _solve([_i2(omega, D, tol)])[0]
 
 
-def _i4_plan(omega: float, Omega: float, D: float, tol: float) -> _Plan:
-    """Plan of oracle_I4."""
+def _i4(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
+    """Oracle of oracle_I4."""
     w, Om, Dv = float(omega), float(Omega), float(D)
     pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
     lo = Om - abs(w) / 2.0 - 9.0
@@ -1120,9 +930,6 @@ def _i4_plan(omega: float, Omega: float, D: float, tol: float) -> _Plan:
         segments = [(lo, 0.0, -1.0), (0.0, hi, +1.0)]
     else:
         segments = [(lo, hi, math.copysign(1.0, (lo + hi) / 2.0))]
-    vals, errs = yield [_Integral(_I4, (Om, Dv, w), (a, b)) for a, b, _ in segments]
-    val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
-    err = float(errs.sum())
     # Window ends sit 9 Gaussian widths from the center s = Omega.
     tail = (
         abs(pref)
@@ -1131,8 +938,15 @@ def _i4_plan(omega: float, Omega: float, D: float, tol: float) -> _Plan:
         * _SQRT_PI
         * specfun.erfc_real(9.0)
     )
-    total_err = abs(pref) * err + tail
-    return OracleEstimate(complex(pref * val, 0.0), total_err, (), total_err <= tol)
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
+        total_err = abs(pref) * float(errs.sum()) + tail
+        return OracleEstimate(complex(pref * val, 0.0), total_err, total_err <= tol)
+
+    return _Oracle(
+        [_Integral(_I4, (Om, Dv, w), (a, b)) for a, b, _ in segments], finish
+    )
 
 
 def oracle_I4(
@@ -1147,7 +961,7 @@ def oracle_I4(
     split at s = 0 where sgn changes; the Gaussian support is centered at
     s = Omega with half-width omega/2 + 9.
     """
-    return _run(_i4_plan(omega, Omega, D, tol))
+    return _solve([_i4(omega, Omega, D, tol)])[0]
 
 
 # --- nascent-delta' oracles for I1 and I3 ----------------------------------
@@ -1186,18 +1000,75 @@ _NASCENT_I1 = _Family(_nascent_i1_kernel, float)
 _NASCENT_I3 = _Family(_nascent_i3_kernel, complex)
 
 
-def _delta_prime_plan(
-    which: str, omega: float, Omega: float, D: float, tol: float, schedule: _Schedule
-) -> _Plan:
-    """Plan of oracle_delta_prime."""
+# The eta ladder of the nascent family, extrapolated in eta^2.
+_ETAS = (0.1, 0.05, 0.025, 0.0125)
+
+
+def _neville_at_zero(
+    xs: Sequence[float], ys: Sequence[complex]
+) -> tuple[complex, float]:
+    """Polynomial extrapolation of (xs, ys) to x = 0 with residual estimate.
+
+    The residual estimate is the absolute difference between the last two
+    diagonal entries of the Neville tableau: the correction the final
+    extrapolation order contributed.
+    """
+    n = len(xs)
+    rows = [list(ys)]
+    for k in range(1, n):
+        prev = rows[-1]
+        row = []
+        for i in range(n - k):
+            xi, xk = xs[i], xs[i + k]
+            row.append((xk * prev[i] - xi * prev[i + 1]) / (xk - xi))
+        rows.append(row)
+    return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
+
+
+def _neville_weights(xs: Sequence[float]) -> list[float]:
+    """The weights lambda_k of the ys in _neville_at_zero(xs, ys).
+
+    The extrapolated value is sum_k lambda_k ys[k] with the Lagrange
+    weights lambda_k = prod_{j != k} xs[j] / (xs[j] - xs[k]).
+    """
+    return [
+        math.prod(xj / (xj - xk) for j, xj in enumerate(xs) if j != k)
+        for k, xk in enumerate(xs)
+    ]
+
+
+def _neville_weight_sum(xs: Sequence[float]) -> float:
+    """Sum of |lambda_k|: an error of at most e in every ys[k] moves the
+    extrapolated value by at most this sum times e."""
+    return sum(map(abs, _neville_weights(xs)))
+
+
+def _ladder(
+    etas: Sequence[float], vals: Sequence[complex], errs: Sequence[float]
+) -> tuple[complex, float]:
+    """Extrapolate the rung values vals (quadrature errors errs) to eta -> 0.
+
+    Neville in eta^2; the error is the extrapolation residual plus
+    sum_k |lambda_k| errs[k], what the rung errors can do to the
+    extrapolated value.
+    """
+    xs = [eta * eta for eta in etas]
+    value, resid = _neville_at_zero(xs, [complex(v) for v in vals])
+    weighted = sum(abs(lam) * float(e) for lam, e in zip(_neville_weights(xs), errs))
+    return value, resid + weighted
+
+
+def _delta_prime(
+    which: str, omega: float, Omega: float, D: float, tol: float
+) -> _Oracle:
+    """Oracle of oracle_delta_prime."""
     if which not in ("I1", "I3"):
         raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")
     w, Om, Dv = float(omega), float(Omega), float(D)
-    regs = _regulators(schedule)
     scale = math.pi * Dv ** 4
     # One integral per rung over the window around a = D; for I3 a second
-    # one over its mirror around a = -D.  All are asked for at once.
-    windows = [_dprime_window(Dv, eta) for eta in regs]
+    # one over its mirror around a = -D.
+    windows = [_dprime_window(Dv, eta) for eta in _ETAS]
     if which == "I1":
         family = _NASCENT_I1
         pieces = [((lo, Dv, hi),) for lo, hi in windows]
@@ -1206,23 +1077,28 @@ def _delta_prime_plan(
         pieces = [((lo, Dv, hi), (-hi, -Dv, -lo)) for lo, hi in windows]
     # Rung errors of at most this much move the extrapolated value by at
     # most tol / 100, whatever the weights; the pieces of a rung share it.
-    rung_target = tol / (100.0 * _neville_weight_sum([r * r for r in regs]) * scale)
-    vals, errs = yield [
-        _Integral(family, (eta, w, Om, Dv), edges, epsabs=rung_target / len(rung))
-        for eta, rung in zip(regs, pieces)
-        for edges in rung
-    ]
-    if which == "I3":
-        vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
-    value, err = _ladder(
-        regs, [1j * scale * complex(v) for v in vals], scale * errs, True
+    rung_target = tol / (100.0 * _neville_weight_sum([r * r for r in _ETAS]) * scale)
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        if which == "I3":
+            vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
+        ys = [1j * scale * complex(v) for v in vals]
+        value, err = _ladder(_ETAS, ys, scale * errs)
+        if err > 1000.0 * tol * max(1.0, abs(value)):
+            raise NoConvergence(
+                f"delta'-family extrapolation residual {err:g} is far beyond "
+                f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
+            )
+        return OracleEstimate(value, err, err <= tol * max(1.0, abs(value)))
+
+    return _Oracle(
+        [
+            _Integral(family, (eta, w, Om, Dv), edges, epsabs=rung_target / len(rung))
+            for eta, rung in zip(_ETAS, pieces)
+            for edges in rung
+        ],
+        finish,
     )
-    if err > 1000.0 * tol * max(1.0, abs(value)):
-        raise NoConvergence(
-            f"delta'-family extrapolation residual {err:g} is far beyond "
-            f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
-        )
-    return OracleEstimate(value, err, regs, err <= tol * max(1.0, abs(value)))
 
 
 def oracle_delta_prime(
@@ -1232,14 +1108,14 @@ def oracle_delta_prime(
     D: float,
     *,
     tol: float = 1e-5,
-    schedule: RegulatorSchedule | Sequence[float] = DEFAULT_SCHEDULE,
 ) -> OracleEstimate:
     """I1 or I3 from the defining delta' integral with a nascent family.
 
     delta'(x) is realized as d/dx of the Gaussian nascent delta:
     delta'_eta(x) = -2 x exp(-x^2/eta^2) / (eta^3 sqrt(pi)).  Its moment
     expansion contains only even powers of eta, so the integrals at the
-    regulator schedule are Neville-extrapolated in eta^2.
+    ladder eta = 0.1, 0.05, 0.025, 0.0125 are Neville-extrapolated in
+    eta^2.
 
       I1 = i pi D^4 * Integral_0^inf of g(a) delta'(a - D^2/a) da
       I3 = i pi D^4 * Integral over R of e^{i Omega a} g(a) delta'(a - D^2/a) da
@@ -1253,13 +1129,14 @@ def oracle_delta_prime(
     NoConvergence (raised beyond 1000 times it) and converged.
 
     Each rung is integrated to the absolute target tol / (100 Lambda pi D^4)
-    (or 1e-12 relative, if looser), Lambda being the sum of the |weights|
-    of the rungs in the extrapolated value (1.95 on DEFAULT_SCHEDULE), so
-    that quadrature moves the estimate by at most tol / 100.  The target
-    does not need the value, because tol * max(1, |value|) is never below
-    tol.
+    (or 1e-12 relative, if looser), Lambda = 1.95 being the sum of the
+    |weights| lambda_k of the rungs in the extrapolated value, so that
+    quadrature moves the estimate by at most tol / 100.  The target does
+    not need the value, because tol * max(1, |value|) is never below tol.
+    The error estimate is the extrapolation residual plus
+    sum_k |lambda_k| times rung k's quadrature error.
     """
-    return _run(_delta_prime_plan(which, omega, Omega, D, tol, schedule))
+    return _solve([_delta_prime(which, omega, Omega, D, tol)])[0]
 
 
 # --- verification suite -----------------------------------------------------
@@ -1337,23 +1214,23 @@ def verify_suite(
     append-only in task order, so the suite is safe to re-run or shard
     without reordering results.
 
-    Every oracle of the suite runs as one plan of a single gathered run:
-    all integrals of a stage, whatever oracle asked for them, are refined
-    by one _gk21 call per integrand value type.  Each record equals the
-    standalone oracle's result bit for bit, with the oracle's default tol
-    and schedule.  Each X_M kernel integral (one per D and method) is
-    computed once and shared by the x_minkowski records of every
-    (Omega, t0) at that D.  The reuse is scoped to this call, so repeated
-    calls repeat the same work.  The one thing that outlives a call is
-    oracle_P's calibration against P(0) = 1/(4 pi), made on first use in
-    the process and kept in _CAL_CACHE; only the first call pays for it.
+    The integrals of every oracle of the suite are concatenated and
+    refined together, by one _gk21 call per integrand value type; then
+    each oracle builds its estimate from its own.  Each record equals the
+    standalone oracle's result bit for bit, with the oracle's default tol.
+    Each X_M kernel integral (one per D and method) is computed once and
+    shared by the x_minkowski records of every (Omega, t0) at that D.  The
+    reuse is scoped to this call, so repeated calls repeat the same work.
+    The one thing that outlives a call is oracle_P's calibration against
+    P(1) - P(-1) = -1/(2 sqrt(pi)), made on first use in the process and
+    kept in _CAL_CACHE; only the first call pays for it.
 
     Record list (per unique signature):
-      transition_probability        closed vs regulated-kernel oracle
-      x_minkowski                   closed vs regulated-kernel oracle
+      transition_probability        closed vs contour-kernel oracle
+      x_minkowski                   closed vs contour-kernel oracle
       x_minkowski_pv                closed vs PV-subtraction oracle
       x_minkowski_consistency       the two X_M oracles against each other
-      c_minkowski                   closed vs regulated-kernel oracle
+      c_minkowski                   closed vs contour-kernel oracle
       integral_I1 / integral_I3     closed vs nascent-delta' oracle
       integral_I2 / integral_I4     closed vs Fourier-side oracle
     """
@@ -1366,27 +1243,25 @@ def verify_suite(
     # The oracles' default tolerances: kernel oracles, nascent delta',
     # Fourier side.
     tol_k, tol_d, tol_s = 1e-6, 1e-5, 1e-10
-    plans: dict[tuple, _Plan] = {("calibration",): _calibration_plan(tol_k)}
+    oracles: dict[tuple, _Oracle] = {("calibration",): _calibration(tol_k)}
     for Om in Omegas:
-        plans["P", Om] = _p_full_plan(Om, 0.0, 0.0, 0.0, tol_k, DEFAULT_SCHEDULE)
+        oracles["P", Om] = _p_full(Om, 0.0, 0.0, 0.0, tol_k)
     # X_M kernel integrals depend on D alone: one estimate per D and method,
     # scaled per (Omega, t0) exactly as oracle_XM scales it.
     for D in Ds:
-        for method in ("regulated", "pv_subtraction"):
-            plans["XM", D, method] = _xm_kernel_plan(D, method, tol_k, DEFAULT_SCHEDULE)
+        for method in ("contour", "pv_subtraction"):
+            oracles["XM", D, method] = _xm_kernel(D, method, tol_k)
     for Om in Omegas:
         for D in Ds:
-            plans["CM", Om, D] = _cm_plan(Om, D, tol_k, DEFAULT_SCHEDULE)
+            oracles["CM", Om, D] = _cm(Om, D, tol_k)
     for w in omegas:
         for D in Ds:
-            plans["I1", w, D] = _delta_prime_plan("I1", w, 0.0, D, tol_d, DEFAULT_SCHEDULE)
-            plans["I2", w, D] = _i2_plan(w, D, tol_s)
+            oracles["I1", w, D] = _delta_prime("I1", w, 0.0, D, tol_d)
+            oracles["I2", w, D] = _i2(w, D, tol_s)
             for Om in Omegas:
-                plans["I3", w, Om, D] = _delta_prime_plan(
-                    "I3", w, Om, D, tol_d, DEFAULT_SCHEDULE
-                )
-                plans["I4", w, Om, D] = _i4_plan(w, Om, D, tol_s)
-    est = dict(zip(plans, _run(_gather(plans.values()))))
+                oracles["I3", w, Om, D] = _delta_prime("I3", w, Om, D, tol_d)
+                oracles["I4", w, Om, D] = _i4(w, Om, D, tol_s)
+    est = dict(zip(oracles, _solve(list(oracles.values()))))
 
     records: list[CheckRecord] = []
 
@@ -1406,7 +1281,7 @@ def verify_suite(
             for t0 in t0s:
                 xm = closedform.x_minkowski(Om, D, t0)
                 pref = _xm_prefactor(Om, t0)
-                est_reg = _scaled(est["XM", D, "regulated"], pref)
+                est_reg = _scaled(est["XM", D, "contour"], pref)
                 records.append(
                     _record(
                         "x_minkowski",

@@ -29,6 +29,13 @@ REMOVED = (
     "is_spacelike",
     "GridPoint",
     "_as_result",
+    "quad_adaptive",
+    "RegulatorSchedule",
+    "DEFAULT_SCHEDULE",
+    "_gw_schedule",
+    "_gather",
+    "_advance",
+    "_extrapolated",
 )
 
 

@@ -1,9 +1,11 @@
 """Tests for the quadrature oracles.
 
 The oracles exist to check the closed forms, so these tests mostly check
-the *machinery*: the regulator extrapolation on families with known exact
-limits, the error-estimate honesty bands, the calibration guard, and the
-structure of the verification records.  Cross-validation of physics values
+the *machinery*: the batched Gauss-Kronrod routine against QUADPACK, the
+shifted contour of the Wightman integrals (two shifts are two independent
+quadratures of one number), the nascent-delta' ladder, the error-estimate
+honesty bands, the calibration guard, and the structure of the
+verification records.  Cross-validation of physics values
 happens in test_closedform.py (frozen tables) and test_acceptance.py.
 """
 
@@ -28,11 +30,9 @@ from gwharvest.closedform import (
     x_minkowski,
 )
 from gwharvest.oracle import (
-    DEFAULT_SCHEDULE,
     DEFAULT_VERIFY_GRID,
     MINIMAL_VERIFY_GRID,
     NoConvergence,
-    RegulatorSchedule,
     SignConventionMismatch,
     all_passed,
     oracle_CM,
@@ -42,81 +42,59 @@ from gwharvest.oracle import (
     oracle_P_full,
     oracle_XM,
     oracle_delta_prime,
-    quad_adaptive,
     verify_suite,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-# --- regulator schedule and extrapolation engine ----------------------------
+# --- the nascent-delta' ladder's extrapolation ------------------------------
 
 
-def test_default_schedule_is_geometric():
-    assert DEFAULT_SCHEDULE.values() == (0.1, 0.05, 0.025, 0.0125)
-    custom = RegulatorSchedule(start=0.2, ratio=0.1, count=3).values()
-    assert len(custom) == 3
-    for got, want in zip(custom, (0.2, 0.02, 0.002)):
-        assert math.isclose(got, want, rel_tol=1e-15)
+def test_delta_prime_ladder_is_geometric():
+    # The ladder the docstring states, whose weights sum to Lambda = 1.95.
+    assert oracle._ETAS == (0.1, 0.05, 0.025, 0.0125)
+    xs = [eta * eta for eta in oracle._ETAS]
+    assert round(oracle._neville_weight_sum(xs), 2) == 1.95
 
 
-def test_quad_adaptive_exact_on_linear_family():
-    # Integrand exp(-x^2) * (1 + eps): linear in the regulator, so Neville
-    # extrapolation recovers sqrt(pi) to machine precision.
-    est = quad_adaptive(
-        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps)),
-        -10.0,
-        10.0,
-    )
-    assert abs(est.value - SQRT_PI) < 1e-13
-    assert est.converged
-    assert est.regulator_schedule == DEFAULT_SCHEDULE.values()
-    assert est.abs_error_estimate < 1e-10
+def test_ladder_exact_on_a_family_linear_in_eta_squared():
+    # Rung values sqrt(pi) (1 + eta^2) are linear in eta^2, so Neville
+    # extrapolation recovers sqrt(pi) to machine precision; the quadrature
+    # term of the error is sum_k |lambda_k| errs[k], here the weight of the
+    # one rung given an error.
+    etas = oracle._ETAS
+    xs = [eta * eta for eta in etas]
+    weights = oracle._neville_weights(xs)
+    for k in range(len(etas)):
+        errs = np.zeros(len(etas))
+        errs[k] = 1e-9
+        value, err = oracle._ladder(etas, [SQRT_PI * (1.0 + x) for x in xs], errs)
+        assert abs(value - SQRT_PI) < 1e-13
+        assert math.isclose(err, abs(weights[k]) * 1e-9, rel_tol=1e-3)
 
 
-def test_quad_adaptive_square_variable_path():
-    # A family even in the regulator extrapolates in eps^2.
-    est = quad_adaptive(
-        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps * eps)),
-        -10.0,
-        10.0,
-        square_variable=True,
-    )
-    assert abs(est.value - SQRT_PI) < 1e-13
-    assert est.converged
-
-
-def test_quad_adaptive_honest_unconverged_band():
-    # An eps^5 contamination is beyond the cubic model of a four-point
-    # schedule: the residual (~5e-6) exceeds tol but stays below
-    # 1000 * tol, so the estimate comes back flagged, not raised.
-    est = quad_adaptive(
-        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps**5)),
-        -10.0,
-        10.0,
-        tol=1e-8,
-    )
+def test_oracle_delta_prime_honest_unconverged_band():
+    # An extrapolation residual (~1.3e-9) beyond tol but below 1000 * tol
+    # comes back flagged, not raised ...
+    est = oracle_delta_prime("I1", 2.0, 0.0, 1.0, tol=1e-10)
     assert not est.converged
-    assert est.abs_error_estimate > 1e-8
+    assert est.abs_error_estimate > 1e-10
     # ... and the flagged value is still much better than the estimate.
-    assert abs(est.value - SQRT_PI) < 1e-6
+    assert abs(est.value - integral_I1(2.0, 1.0)) < 1e-3 * est.abs_error_estimate
 
 
-def test_quad_adaptive_raises_on_erratic_family():
+def test_oracle_delta_prime_raises_far_beyond_tol():
     with pytest.raises(NoConvergence):
-        quad_adaptive(
-            lambda eps: (lambda x: np.exp(-x * x) * np.sin(1.0 / eps)),
-            -10.0,
-            10.0,
-        )
+        oracle_delta_prime("I1", 2.0, 0.0, 1.0, tol=1e-13)
 
 
 @pytest.mark.parametrize(
     "xs, weight_sum",
     [
-        ([r * r for r in DEFAULT_SCHEDULE.values()], 1.95),
-        (DEFAULT_SCHEDULE.values(), 6.43),
-        (RegulatorSchedule(start=0.05, ratio=0.5, count=6).values(), 7.76),
+        ([r * r for r in (0.1, 0.05, 0.025, 0.0125)], 1.95),
+        ((0.1, 0.05, 0.025, 0.0125), 6.43),
+        (tuple(0.05 * 0.5 ** k for k in range(6)), 7.76),
     ],
 )
 def test_neville_weight_sum_is_the_sum_of_the_extrapolation_weights(xs, weight_sum):
@@ -128,60 +106,6 @@ def test_neville_weight_sum_is_the_sum_of_the_extrapolation_weights(xs, weight_s
         oracle._neville_weight_sum(xs), sum(map(abs, weights)), rel_tol=1e-12
     )
     assert round(oracle._neville_weight_sum(xs), 2) == weight_sum
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"start": 0.0},
-        {"start": -0.1},
-        {"start": math.inf},
-        {"start": math.nan},
-        {"ratio": 0.0},
-        {"ratio": -0.5},
-        {"ratio": 1.0},
-        {"ratio": 1.5},
-        {"count": 1},
-        {"count": 0},
-    ],
-)
-def test_regulator_schedule_rejects_invalid_ladders(kwargs):
-    with pytest.raises(ValueError):
-        RegulatorSchedule(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "schedule",
-    [
-        (),
-        (0.1,),
-        (0.1, 0.1),
-        (0.1, 0.05, 0.1),
-        (0.1, 0.0),
-        (0.1, -0.05),
-        (-0.1, -0.05),
-        (0.1, math.inf),
-        # Valid parameters whose later rungs underflow to 0.0.
-        RegulatorSchedule(start=1e-320, ratio=1e-10, count=3),
-    ],
-)
-def test_regulator_ladders_need_distinct_positive_values(schedule):
-    with pytest.raises(ValueError):
-        quad_adaptive(
-            lambda eps: (lambda x: np.exp(-x * x)), -10.0, 10.0,
-            schedule=schedule,
-        )
-    with pytest.raises(ValueError):
-        oracle_delta_prime("I1", 2.0, 0.0, 1.0, schedule=schedule)
-
-
-def test_negative_regulator_is_rejected_before_any_quadrature():
-    # A negative eps moves the displaced pole to the other side of the
-    # contour, which conjugates X_M instead of failing to converge.
-    with pytest.raises(ValueError, match="start"):
-        oracle_XM(1.0, 1.0, 0.0, schedule=RegulatorSchedule(start=-0.1))
-    with pytest.raises(ValueError):
-        oracle_XM(1.0, 1.0, 0.0, schedule=(-0.1, -0.05, -0.025))
 
 
 # --- the batched Gauss-Kronrod routine ----------------------------------------
@@ -316,12 +240,13 @@ _PEAK_INTEGRALS = [
 ]
 
 
-def _peak_plan():
-    return (
-        yield [
+def _peak_oracle():
+    return oracle._Oracle(
+        [
             oracle._Integral(family, params, edges, epsabs=epsabs)
             for family, params, edges, epsabs in _PEAK_INTEGRALS
-        ]
+        ],
+        lambda vals, errs: (vals, errs),
     )
 
 
@@ -341,7 +266,8 @@ def test_batched_run_equals_lone_gk21_calls(max_rows, monkeypatch):
     alone = [_hexes(*_lone_peak(*peak))[0] for peak in _PEAK_INTEGRALS]
     sizes = _gk21_call_sizes(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROWS", max_rows)
-    together = _hexes(*oracle._run(_peak_plan()))
+    (together,) = oracle._solve([_peak_oracle()])
+    together = _hexes(*together)
     assert sorted(sizes) == [2, 2]
     assert together == alone
     # The loose targets were used: at the default one those integrals differ.
@@ -386,36 +312,27 @@ def _grid(*names):
 
 
 def _strain(full_line):
-    # QUADPACK takes ~380,000 scalar callbacks over the full-line family's
-    # 216 integrals on the whole (omega, Omega, D) grid (16 s), so that
-    # family runs at the minimal grid's Omega = 1 only.
-    for p in _grid("omega", "D"):
-        Omega = MINIMAL_VERIFY_GRID["Omega_sigma"][0] if full_line else 0.0
-        oracle._run(
-            oracle._wightman_plan(
-                Omega, p["D"], full_line=full_line,
-                schedule=oracle._gw_schedule(p["omega"], Omega, p["D"]), tol=1.0,
-                minkowski=0.0, strain=1.0, omega=p["omega"],
-            )
-        )
+    # The contour legs of the x_gw (half line) and c_gw (full line)
+    # a-integrals, on the whole grid.
+    names = ("omega", "Omega", "D") if full_line else ("omega", "D")
+    oracle._integrate([
+        leg
+        for p in _grid(*names)
+        for leg in oracle._wightman_legs(
+            p.get("Omega", 0.0), p["D"], full_line=full_line,
+            minkowski=0.0, strain=1.0, omega=p["omega"],
+        )[0]
+    ])
 
 
 # Every integrand family of the oracles, at the default verify grid.
 _FAMILIES = {
     "P": lambda: [oracle_P(p["Omega"]) for p in _grid("Omega")],
-    "XM_regulated": lambda: [
-        oracle._run(
-            oracle._wightman_plan(
-                0.0, p["D"], full_line=False, schedule=DEFAULT_SCHEDULE, tol=1e-6
-            )
-        )
-        for p in _grid("D")
+    "XM_contour": lambda: [
+        oracle_XM(0.0, p["D"], 0.0, method="contour") for p in _grid("D")
     ],
     "XM_pv": lambda: [
-        oracle._run(
-            oracle._xm_kernel_plan(p["D"], "pv_subtraction", 1e-6, DEFAULT_SCHEDULE)
-        )
-        for p in _grid("D")
+        oracle_XM(0.0, p["D"], 0.0, method="pv_subtraction") for p in _grid("D")
     ],
     "CM": lambda: [oracle_CM(p["Omega"], p["D"]) for p in _grid("Omega", "D")],
     "I1": lambda: [
@@ -437,8 +354,7 @@ _FAMILIES = {
 # QUADPACK evaluates every family on (1, 1) arrays, with the arithmetic
 # _gk21 uses.  The half-line strain family is also evaluated on float
 # nodes, whose last bits differ: its estimates must cover the integrand's
-# own rounding near the regulated 1/sigma^4 double pole, where a sigma^2
-# formed as r^2 - (a + i eps)^2 loses digits.
+# own rounding, on both legs of its contour.
 @pytest.mark.parametrize(
     "family, float_nodes",
     [pytest.param(f, False, id=f) for f in sorted(_FAMILIES)]
@@ -471,14 +387,22 @@ def test_gk21_agrees_with_quadpack_within_both_error_estimates(
         assert abs(value - ref) <= err + ref_err, (edges, value, ref, err, ref_err)
 
 
-def test_quad_adaptive_tail_bound_enters_estimate():
-    est = quad_adaptive(
-        lambda eps: (lambda x: np.exp(-x * x) * (1.0 + eps)),
-        -10.0,
-        10.0,
-        tail_bound=1e-7,
-    )
-    assert est.abs_error_estimate >= 1e-7
+def test_contour_tail_bound_enters_estimate(monkeypatch):
+    # The neglected tails of a horizontal leg carry its growth off the
+    # axis, e^{c^2/4} e^{|Omega| c} cosh(omega c/2), into the estimate.
+    def tail(c, Omega, omega):
+        monkeypatch.setattr(oracle, "_SHIFT", c)
+        _, bound = oracle._wightman_legs(
+            Omega, 1.0, full_line=True, minkowski=0.0, strain=1.0, omega=omega
+        )
+        return bound
+
+    growth = math.exp(0.25 / 4.0 + 1.0 * 0.5) * math.cosh(8.0 * 0.5 / 2.0)
+    assert math.isclose(tail(0.5, -1.0, 8.0), growth * tail(0.0, -1.0, 8.0))
+    monkeypatch.setattr(oracle, "_SHIFT", 0.5)
+    est = oracle_CM(1.0, 1.0)
+    _, bound = oracle._wightman_legs(1.0, 1.0, full_line=True)
+    assert est.abs_error_estimate >= SQRT_PI * bound > 0.0
 
 
 # --- kernel oracles ----------------------------------------------------------
@@ -504,25 +428,33 @@ def test_oracle_p_calibration_guard(monkeypatch):
         oracle_P(1.0)
 
 
+def test_oracle_p_calibration_catches_a_flipped_contour(monkeypatch):
+    # Below the poles the contour gives the eps -> 0- limit.  P(0) cannot
+    # tell (the residue of e^{-a^2/4}/a^2 at 0 vanishes), but P(1) - P(-1)
+    # changes by 1/sqrt(pi).
+    monkeypatch.setattr(oracle, "_CAL_CACHE", {})
+    monkeypatch.setattr(oracle, "_SHIFT", -oracle._SHIFT)
+    flipped = oracle_P_full(0.0, 0.0, 0.0)
+    assert abs(flipped.value - 1.0 / (4.0 * math.pi)) < 1e-15
+    with pytest.raises(SignConventionMismatch):
+        oracle_P(1.0)
+
+
 def test_oracle_xm_methods_are_independent_and_agree():
-    reg = oracle_XM(1.0, 1.0, 0.0)
+    contour = oracle_XM(1.0, 1.0, 0.0)
     pv = oracle_XM(1.0, 1.0, 0.0, method="pv_subtraction")
-    assert reg.regulator_schedule == DEFAULT_SCHEDULE.values()
-    assert pv.regulator_schedule == ()  # no regulator ladder involved
-    assert abs(reg.value - pv.value) < 1e-6
+    assert abs(contour.value - pv.value) < 1e-6
     # The PV-subtraction oracle is analytic except for one regular
     # quadrature; it reproduces the closed form essentially exactly.
     assert abs(pv.value - x_minkowski(1.0, 1.0, 0.0)) < 1e-14
 
 
 def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods():
-    # Both methods compare the unscaled kernel error with tol, as
-    # quad_adaptive does for the regulated one.  A tol between that error
-    # and the scaled one, |pref| err with |pref| = 2 sqrt(pi) at Omega = 0,
-    # tells this rule from judging pv_subtraction on the scaled error.
-    kernel = oracle._run(
-        oracle._xm_kernel_plan(1.0, "pv_subtraction", 1.0, DEFAULT_SCHEDULE)
-    )
+    # Both methods compare the unscaled kernel error with tol.  A tol
+    # between that error and the scaled one, |pref| err with
+    # |pref| = 2 sqrt(pi) at Omega = 0, tells this rule from judging on the
+    # scaled error.
+    (kernel,) = oracle._solve([oracle._xm_kernel(1.0, "pv_subtraction", 1.0)])
     tol = 2.0 * kernel.abs_error_estimate
     est = oracle_XM(0.0, 1.0, 0.0, tol=tol, method="pv_subtraction")
     assert 0.0 < kernel.abs_error_estimate <= tol < est.abs_error_estimate
@@ -544,7 +476,7 @@ def test_oracle_cm_matches_closed_form():
 @pytest.mark.parametrize("A", [0.0, 0.05, 0.1])
 def test_oracle_p_full_is_oracle_p_bit_for_bit(A, Omega):
     # One detector, one integral: P and the full-Wightman P are the same
-    # regulated integral, and the strain term vanishes exactly.
+    # contour integral, and the strain term vanishes exactly.
     full, plain = oracle_P_full(Omega, A, 2.0), oracle_P(Omega)
     assert _hex(full.value) == _hex(plain.value)
     assert full.abs_error_estimate.hex() == plain.abs_error_estimate.hex()
@@ -558,6 +490,67 @@ def test_oracle_p_full_strain_independent_on_static_worldline():
     with_strain = oracle_P_full(1.0, 0.05, 2.0)
     assert with_strain.value == base.value
     assert abs(base.value - transition_probability(1.0)) < 1e-6
+
+
+# --- the shifted contour ------------------------------------------------------
+
+_WIDE = {
+    "omega": (0.5, 2.0, 5.0, 8.0),
+    "Omega": (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
+    "D": (0.25, 1.0, 4.0),
+}
+
+
+def _wide(*names):
+    return [dict(zip(names, p)) for p in itertools.product(*(_WIDE[n] for n in names))]
+
+
+# Each Wightman-integral oracle, over the wide grid, at the default tol.
+_CONTOUR_ORACLES = {
+    "P": lambda: [
+        oracle._p_full(p["Omega"], 0.0, 0.0, 0.0, 1e-6) for p in _wide("Omega")
+    ],
+    "XM": lambda: [oracle._xm_kernel(p["D"], "contour", 1e-6) for p in _wide("D")],
+    "CM": lambda: [oracle._cm(p["Omega"], p["D"], 1e-6) for p in _wide("Omega", "D")],
+    "x_gw": lambda: [
+        oracle._x_gw(p["omega"], p["Omega"], p["D"], 0.6, 1e-10)
+        for p in _wide("omega", "Omega", "D")
+    ],
+    "c_gw": lambda: [
+        oracle._c_gw(p["omega"], p["Omega"], p["D"], 0.6, 1e-10)
+        for p in _wide("omega", "Omega", "D")
+    ],
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(_CONTOUR_ORACLES))
+def test_two_contour_shifts_agree_within_both_error_estimates(quantity, monkeypatch):
+    # Any two heights above the poles give the same integral by two
+    # independent quadratures, so their difference tests the estimates.
+    estimates = []
+    for shift in (0.5, 0.8):
+        monkeypatch.setattr(oracle, "_SHIFT", shift)
+        estimates.append(oracle._solve(_CONTOUR_ORACLES[quantity]()))
+    for one, two in zip(*estimates):
+        assert one.converged and two.converged
+        gap = abs(one.value - two.value)
+        assert gap <= one.abs_error_estimate + two.abs_error_estimate, (one, two)
+
+
+@pytest.mark.parametrize("D", [0.25, 0.1])
+def test_contour_xm_agrees_with_pv_subtraction_at_small_d(D):
+    contour = oracle_XM(1.0, D, 0.0, method="contour")
+    pv = oracle_XM(1.0, D, 0.0, method="pv_subtraction")
+    assert contour.converged and pv.converged
+    assert abs(contour.value - pv.value) <= 1e-12 * abs(pv.value)
+
+
+def test_half_line_contour_rejects_coincident_detectors():
+    # At D = 0 the half-line contour would start on the pole a = 0.
+    with pytest.raises(ValueError, match="D != 0"):
+        oracle_XM(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="D != 0"):
+        oracle.oracle_x_gw(2.0, 1.0, 0.0, 0.0)
 
 
 # --- s-integral and nascent-delta' oracles -----------------------------------
@@ -583,7 +576,7 @@ def test_oracle_delta_prime_parities():
 
 
 def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypatch):
-    # The four rungs of the regulator ladder are four integrals of one
+    # The four rungs of the eta ladder are four integrals of one
     # batched quadrature call.
     sizes = _gk21_call_sizes(monkeypatch)
     oracle_delta_prime("I1", 2.0, 0.0, 1.0)
@@ -684,7 +677,7 @@ def _standalone(rec):
     if rec.quantity == "transition_probability":
         return complex(transition_probability(Om), 0.0), oracle_P(Om)
     if rec.quantity.startswith("x_minkowski"):
-        reg = oracle_XM(Om, D, t0, method="regulated")
+        reg = oracle_XM(Om, D, t0, method="contour")
         pv = oracle_XM(Om, D, t0, method="pv_subtraction")
         return {
             "x_minkowski": (x_minkowski(Om, D, t0), reg),
@@ -769,12 +762,12 @@ def test_verify_suite_makes_one_quadrature_call_per_value_type(monkeypatch):
     sizes = _gk21_call_sizes(monkeypatch)
     records = verify_suite()
     assert len(records) == 183
-    # One call for the complex integrands: four rungs each of P (3), the
-    # regulated X_M kernel (4) and C_M (12), and two windows per rung of I3
-    # (36): 12 + 16 + 48 + 288.  One for the real ones: X_M by PV
-    # subtraction (4 D, two pieces), I1's rungs (12 * 4), I2 (12) and I4's
-    # two pieces (36): 8 + 48 + 12 + 72.
-    assert sorted(sizes) == [140, 364]
+    # One call for the complex integrands: one contour leg each of P (3)
+    # and C_M (12), two of the X_M kernel (4 D), and two windows per rung
+    # of I3 (36, four rungs): 3 + 12 + 8 + 288.  One for the real ones: X_M
+    # by PV subtraction (4 D, two pieces), I1's rungs (12 * 4), I2 (12) and
+    # I4's two pieces (36): 8 + 48 + 12 + 72.
+    assert sorted(sizes) == [140, 311]
 
 
 def _count_quad_calls(monkeypatch):
