@@ -40,6 +40,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -264,12 +265,24 @@ def run_grid(spec: GridSpec, *, workers: int = 1) -> GridResult:
 # --- CSV -------------------------------------------------------------------
 
 
+def _repr_column(col: np.ndarray) -> list[str]:
+    """repr() of each float of col, each distinct double formatted once.
+
+    Values are told apart by bit pattern, not by value, so that -0.0 and
+    0.0 (equal as floats) each keep their own text.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return [text[i] for i in inverse.tolist()]
+
+
 def emit_csv(points: GridResult, path: str) -> str:
     """Write a GridResult as CSV: header line plus one line per point.
 
     No comment or metadata lines are emitted, so the file always has
     exactly len(points) + 1 lines.  Floats use repr() — the shortest
-    decimal form that round-trips to the identical double.
+    decimal form that round-trips to the identical double; a value that
+    repeats within a block of lines is formatted once.
     """
     columns = [points.column(name) for name in _PARAM_COLUMNS]
     columns += list(points.values.T)
@@ -277,7 +290,7 @@ def emit_csv(points: GridResult, path: str) -> str:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(points), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            fields = [list(map(repr, col[rows].tolist())) for col in columns]
+            fields = [_repr_column(col[rows]) for col in columns]
             fields.append(points.status[rows])
             fh.write("".join(f"{line}\n" for line in map(",".join, zip(*fields))))
     return path
@@ -392,15 +405,28 @@ _LINE_COLORS = ("#4053d3", "#ddb310", "#b51d14", "#00beff",
                 "#fb49b0", "#00b25d", "#cacaca", "#5d5d5d")
 
 
-def _ramp_color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
-        if t <= t1:
-            u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + u * (b - a)) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    r, g, b = _RAMP[-1][1]
-    return f"rgb({r},{g},{b})"
+_RAMP_T = np.array([t for t, _ in _RAMP])
+_RAMP_RGB = np.array([rgb for _, rgb in _RAMP], dtype=float)
+
+
+def _ramp_colors(t: np.ndarray) -> list[str]:
+    """The ramp's "rgb(r,g,b)" fill at each t, clamped to [0, 1].
+
+    A nan t takes the first stop's color.  t falls in the segment of the
+    first stop t1 with t <= t1, and each channel is a + u * (b - a) with
+    u = (t - t0) / (t1 - t0), rounded half to even.  Each distinct color
+    is formatted once.
+    """
+    t = np.clip(np.nan_to_num(np.asarray(t, dtype=float), nan=0.0), 0.0, 1.0)
+    k = np.searchsorted(_RAMP_T[1:], t)
+    t0, t1 = _RAMP_T[k], _RAMP_T[k + 1]
+    a, b = _RAMP_RGB[k], _RAMP_RGB[k + 1]
+    u = ((t - t0) / (t1 - t0))[:, None]
+    rgb = np.rint(a + u * (b - a)).astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    distinct, inverse = np.unique(packed, return_inverse=True)
+    text = [f"rgb({c >> 16},{(c >> 8) & 255},{c & 255})" for c in distinct.tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -532,24 +558,29 @@ def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
     ys = grid.axis2.values
     _require_complete(points, len(xs) * len(ys))
 
-    vals = points.column(preset.quantity).tolist()
-    vmin, vmax = min(vals), max(vals)
+    vals = points.column(preset.quantity)
+    # Python's min and max keep the first of equal extremes, which fixes
+    # the sign of a zero color-bar label.
+    listed = vals.tolist()
+    vmin, vmax = min(listed), max(listed)
     span = vmax - vmin if vmax > vmin else 1.0
 
     canvas = _HEATMAP_CANVAS
     ml, mt, pw, ph = canvas.box
     cw, ch = pw / len(xs), ph / len(ys)
 
-    # Point k is cell (i, j): the grid is row-major, axis1 outer.  The
-    # larger axis2 value is toward the top.
-    cells = []
-    for k, v in enumerate(vals):
-        i, j = divmod(k, len(ys))
-        cells.append(
-            f'<rect x="{ml + i * cw:.2f}" y="{mt + (len(ys) - 1 - j) * ch:.2f}" '
-            f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-            f'fill="{_ramp_color((v - vmin) / span)}"/>'
-        )
+    # Point k is cell (i, j): the grid is row-major, axis1 outer, as
+    # product() pairs them.  The larger axis2 value is toward the top.
+    columns = [f'<rect x="{ml + i * cw:.2f}" ' for i in range(len(xs))]
+    rows = [
+        f'y="{mt + (len(ys) - 1 - j) * ch:.2f}" width="{cw + 0.5:.2f}" '
+        f'height="{ch + 0.5:.2f}" fill="'
+        for j in range(len(ys))
+    ]
+    fills = _ramp_colors((vals - vmin) / span)
+    cells = [
+        f'{x}{y}{fill}"/>' for (x, y), fill in zip(product(columns, rows), fills)
+    ]
 
     def fx(t: float) -> float:
         return ml + (t - xs[0]) / (xs[-1] - xs[0]) * pw
@@ -563,14 +594,11 @@ def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
     # Color bar.
     bx, bw_ = ml + pw + 30, 22
     nseg = 64
-    bar = []
-    for k in range(nseg):
-        t = (k + 0.5) / nseg
-        yy = mt + ph - (k + 1) * ph / nseg
-        bar.append(
-            f'<rect x="{bx}" y="{yy:.2f}" width="{bw_}" '
-            f'height="{ph / nseg + 0.5:.2f}" fill="{_ramp_color(t)}"/>'
-        )
+    bar = [
+        f'<rect x="{bx}" y="{mt + ph - (k + 1) * ph / nseg:.2f}" width="{bw_}" '
+        f'height="{ph / nseg + 0.5:.2f}" fill="{fill}"/>'
+        for k, fill in enumerate(_ramp_colors((np.arange(nseg) + 0.5) / nseg))
+    ]
     bar.append(
         f'<rect x="{bx}" y="{mt}" width="{bw_}" height="{ph}" fill="none" '
         f'stroke="#333"/>'
@@ -666,11 +694,13 @@ def emit_svg(preset: FigurePreset, points: GridResult, path: str) -> str:
 
     Heatmap for a two-axis grid, line chart for one-axis grids.
     Raises IncompleteGrid if any point is missing or failed: a partial
-    figure would silently misrepresent the grid.
+    figure would silently misrepresent the grid.  The figure is rendered
+    before path is opened, so a failure leaves path as it was.
     """
     render = _svg_heatmap if preset.kind == "heatmap" else _svg_lines
+    text = render(preset, points)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render(preset, points))
+        fh.write(text)
     return path
 
 

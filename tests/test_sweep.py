@@ -330,6 +330,77 @@ def test_emit_csv_failed_points_are_nan(tmp_path):
     assert not math.isnan(float(good[5]))
 
 
+def _plain_csv(points):
+    """The CSV text emit_csv must write, one repr() per float."""
+    table = np.column_stack(
+        [points.column(name) for name in sweep._PARAM_COLUMNS] + [points.values]
+    )
+    lines = [CSV_HEADER]
+    for row, status in zip(table.tolist(), points.status):
+        lines.append(",".join(map(repr, row)) + "," + status)
+    return "\n".join(lines) + "\n"
+
+
+def _grid_result(params_by_name, values, status):
+    keys = tuple(sorted(params_by_name))
+    params = np.column_stack([params_by_name[k] for k in keys])
+    return GridResult(keys, params, np.asarray(values, dtype=float), status)
+
+
+def test_emit_csv_keeps_negative_zero_apart_from_zero(tmp_path):
+    # -0.0 == 0.0, so a value-keyed deduplication would print one of them
+    # for both.
+    n = 6
+    signed = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0])
+    values = np.tile(signed[:, None], (1, len(closedform.OBSERVABLES)))
+    values[:, 3] = [1.5, -0.0, 1.5, 0.0, -1.5, -0.0]
+    points = _grid_result(
+        {"omega_sigma": signed, "Omega_sigma": np.full(n, 1.0),
+         "D_sigma": np.full(n, 2.0), "t0_sigma": -signed, "A": np.full(n, 0.05)},
+        values, ["ok"] * n,
+    )
+    text = _read(emit_csv(points, str(tmp_path / "zeros.csv")))
+    assert text == _plain_csv(points)
+    assert text.splitlines()[2].startswith("-0.0,1.0,2.0,0.0,")
+
+
+def test_emit_csv_writes_failed_rows_as_plain_nan(tmp_path):
+    points = run_grid(GridSpec(axis1=AxisSpec("D_sigma", -1.0, 1.0, 5),
+                               axis2=AxisSpec("A", 0.0, 0.1, 3)))
+    assert 0 < points.status.count("ok") < len(points)
+    # A nan of another bit pattern (sign set) prints as nan too.
+    points.values[0, 0] = -math.nan
+    assert np.signbit(points.values[0, 0])
+    text = _read(emit_csv(points, str(tmp_path / "failed.csv")))
+    assert text == _plain_csv(points)
+
+
+def test_emit_csv_repeats_straddle_block_boundaries(tmp_path):
+    # Runs of equal values cross the line blocks at 1024 and 2048, and
+    # each block must format them as a row-by-row writer would.
+    n = 2 * sweep._BLOCK + 300
+    k = np.arange(n)
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((n, len(closedform.OBSERVABLES)))
+    values[:, ::2] = (k[:, None] // 37) * 0.1
+    values[sweep._BLOCK - 5 : sweep._BLOCK + 5, 1] = 1.0 / 3.0
+    points = _grid_result(
+        {"omega_sigma": 0.2 + (k // 50) * 0.01, "Omega_sigma": (k % 7) * 0.3,
+         "D_sigma": np.full(n, 1.0), "t0_sigma": rng.choice([0.0, -0.0, 0.1], n),
+         "A": np.full(n, 0.05)},
+        values, ["ok" if i % 11 else "failed" for i in range(n)],
+    )
+    text = _read(emit_csv(points, str(tmp_path / "long.csv")))
+    assert text == _plain_csv(points)
+
+
+@pytest.mark.parametrize("figure_id", sorted(PRESETS))
+def test_emit_csv_matches_a_plain_writer_on_every_preset(figure_id, tmp_path):
+    points = run_preset(PRESETS[figure_id])
+    text = _read(emit_csv(points, str(tmp_path / f"{figure_id}.csv")))
+    assert text == _plain_csv(points)
+
+
 # --- presets -----------------------------------------------------------------
 
 
@@ -434,11 +505,19 @@ def test_emit_svg_lines_draws_each_grid_as_one_curve(tmp_path):
 def test_emit_svg_rejects_incomplete_grids(tmp_path):
     preset = _tiny_heatmap_preset()
     pts = run_preset(preset)
+    short = GridResult(
+        pts.keys, pts.params[:-1], pts.values[:-1], pts.status[:-1]
+    )
     with pytest.raises(IncompleteGrid):
-        short = GridResult(
-            pts.keys, pts.params[:-1], pts.values[:-1], pts.status[:-1]
-        )
         emit_svg(preset, short, str(tmp_path / "x.svg"))
+    # The figure is drawn before its file is opened: a failure creates no
+    # file, and leaves an existing one as it was.
+    assert not (tmp_path / "x.svg").exists()
+    good = emit_svg(preset, pts, str(tmp_path / "good.svg"))
+    before = _read(good)
+    with pytest.raises(IncompleteGrid):
+        emit_svg(preset, short, good)
+    assert _read(good) == before
     # A failed point is as fatal as a missing one.
     bad_grid = GridSpec(
         axis1=AxisSpec("Omega_sigma", 0.5, 1.0, 3),
@@ -449,6 +528,10 @@ def test_emit_svg_rejects_incomplete_grids(tmp_path):
     bad_pts = run_preset(bad_preset)
     with pytest.raises(IncompleteGrid, match="failed"):
         emit_svg(bad_preset, bad_pts, str(tmp_path / "y.svg"))
+    assert not (tmp_path / "y.svg").exists()
+    with pytest.raises(IncompleteGrid, match="failed"):
+        emit_svg(bad_preset, bad_pts, good)
+    assert _read(good) == before
 
 
 def test_emit_svg_heatmap_colors_each_cell_by_its_grid_point(tmp_path):
@@ -477,7 +560,36 @@ def test_emit_svg_heatmap_colors_each_cell_by_its_grid_point(tmp_path):
         i, j = cols.index(float(x)), rows.index(float(y))
         (v,) = [c for o, dd, c in zip(om, d, conc)
                 if (o, dd) == (grid.axis1.values[i], grid.axis2.values[j])]
-        assert fill == sweep._ramp_color((v - lo) / (hi - lo))
+        assert fill == sweep._ramp_colors([(v - lo) / (hi - lo)])[0]
+
+
+def _scalar_ramp_color(t):
+    """The ramp one t at a time, as Python floats and round()."""
+    t = min(1.0, max(0.0, t))
+    for (t0, c0), (t1, c1) in zip(sweep._RAMP, sweep._RAMP[1:]):
+        if t <= t1:
+            u = (t - t0) / (t1 - t0)
+            r, g, b = (round(a + u * (b - a)) for a, b in zip(c0, c1))
+            return f"rgb({r},{g},{b})"
+    raise AssertionError(f"t={t} is past the last stop")
+
+
+def test_ramp_colors_match_the_scalar_ramp():
+    stops = [t for t, _ in sweep._RAMP]
+    assert stops == [0.0, 0.25, 0.5, 0.75, 1.0]
+    ts = list(stops)
+    ts += [math.nextafter(t, -math.inf) for t in stops]
+    ts += [math.nextafter(t, math.inf) for t in stops]
+    ts += [-0.3, -0.0, 1.7, -math.inf, math.inf, math.nan]
+    # Channels exactly on .5 before rounding, which goes to the even
+    # integer: green 145 + 56/16 = 148.5 -> 148, blue 140 - 42/4 = 129.5
+    # -> 130.
+    halves = [0.5 + 0.25 / 16, 0.5 + 0.25 / 4]
+    ts += halves
+    ts += np.linspace(-0.1, 1.1, 241).tolist()
+    assert sweep._ramp_colors(ts) == [_scalar_ramp_color(t) for t in ts]
+    assert sweep._ramp_colors(halves) == ["rgb(37,148,137)", "rgb(48,159,130)"]
+    assert sweep._ramp_colors([math.nan]) == sweep._ramp_colors([0.0])
 
 
 @contextlib.contextmanager
