@@ -46,13 +46,13 @@ ladder's tolerance it may spend), written over numpy arrays.  No part of
 scipy.integrate is used.  Each oracle is data, an _Oracle: the integrals
 it needs (an integrand family with per-integral parameters, and edges)
 and a function that builds its estimate from their values (contour legs
-summed, ladder, scaling, tail bound).  A public oracle integrates its own
-list; verify_suite concatenates the lists of all its oracles, so every
-integral of the run, whatever oracle asked for it, is refined by one
-batched pass per integrand value type.  Each refinement round calls each
-integrand family once, on the nodes of every new subinterval of its
-integrals.  The refinement is elementwise or per integral throughout, so
-an estimate is bit for bit the same alone or batched.
+summed, ladder, scaling, tail bound).  _solve integrates the lists of
+any number of oracles (verify_suite's: all of them) by one batched pass
+per integrand value type, each distinct integral once.  Each refinement
+round calls each integrand family once, on the nodes of every new
+subinterval of its integrals.  The refinement is elementwise or per
+integral throughout, so an estimate is bit for bit the same alone or
+batched.
 
 All quantities are dimensionless (sigma = 1) and normalized per lambda^2
 exactly as in the closed-form module.
@@ -61,8 +61,11 @@ exactly as in the closed-form module.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -164,6 +167,12 @@ _TINY = float(np.finfo(float).tiny)
 # QUADPACK tolerances: an integral is done at error <= max(abs, rel * |I|).
 _EPSABS = 1e-13
 _EPSREL = 1e-12
+
+# The oracles' default tol (not verify_suite's comparison tolerances TOL_*):
+# P, X_M and C_M; the nascent-delta' oracle (relative); I2, I4, x_gw, c_gw.
+_KERNEL_TOL = 1e-6
+_DPRIME_TOL = 1e-5
+_FINE_TOL = 1e-10
 
 
 def _k21_sum(v: np.ndarray) -> np.ndarray:
@@ -344,9 +353,30 @@ class _Oracle(NamedTuple):
     finish: Callable[[np.ndarray, np.ndarray], Any]
 
 
+def _same_bits(a: _Integral, b: _Integral) -> bool:
+    """Whether integrals equal as tuples (-0.0 == 0.0) have the same bits."""
+    fa, fb = (*a.params, *a.edges, a.epsabs), (*b.params, *b.edges, b.epsabs)
+    return struct.pack(f"{len(fa)}d", *fa) == struct.pack(f"{len(fb)}d", *fb)
+
+
 def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
-    """The results of oracles, in order, from one _integrate call."""
-    vals, errs = _integrate([it for o in oracles for it in o.integrals])
+    """The results of oracles, in order, from one _integrate call.
+
+    Each distinct integral is integrated once, however many oracles ask
+    for it.  Integrals are the same when equal as tuples (the family by
+    identity) and in the bits of every float (-0.0 is not 0.0), so a
+    shared result is what each oracle would get alone.
+    """
+    asked = [it for o in oracles for it in o.integrals]
+    slot: dict[_Integral, int] = {}
+    place = [slot.setdefault(it, len(slot)) for it in asked]
+    unique = list(slot)
+    for j, it in enumerate(asked):
+        if it is not unique[place[j]] and not _same_bits(it, unique[place[j]]):
+            place[j] = len(unique)
+            unique.append(it)
+    vals, errs = _integrate(unique)
+    vals, errs = vals[place], errs[place]
     results, start = [], 0
     for o in oracles:
         stop = start + len(o.integrals)
@@ -588,7 +618,7 @@ def _p_full(Omega: float, A: float, omega: float, t0: float, tol: float) -> _Ora
     return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
 
 
-def oracle_P(Omega: float, *, tol: float = 1e-6) -> OracleEstimate:
+def oracle_P(Omega: float, *, tol: float = _KERNEL_TOL) -> OracleEstimate:
     """Transition probability from the Wightman kernel, on the contour.
 
     P/lambda^2 = sqrt(pi) * Integral over a of
@@ -612,7 +642,7 @@ def oracle_P_full(
     omega: float,
     *,
     t0: float = 0.0,
-    tol: float = 1e-6,
+    tol: float = _KERNEL_TOL,
 ) -> OracleEstimate:
     """Transition probability from the full first-order Wightman function.
 
@@ -627,13 +657,6 @@ def oracle_P_full(
     is a computed outcome, not a hard-coded one.
     """
     return _solve([_p_full(Omega, A, omega, t0, tol)])[0]
-
-
-def _xm_prefactor(Omega: float, t0: float) -> complex:
-    """X_M / its kernel integral.  Scaling keeps the kernel's convergence
-    flag, judged on the unscaled kernel error."""
-    Om, t0 = float(Omega), float(t0)
-    return -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0))
 
 
 def _expm1_ratio(w: np.ndarray) -> np.ndarray:
@@ -661,10 +684,9 @@ _PV_FAR = _Family(_pv_far_kernel, float)  # columns (D,)
 def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
     """Oracle: half-line kernel integral of X_M, Integral_0^inf exp(-a^2/4) K(a) da.
 
-    It depends on D alone (and on the method and tol), so one estimate
-    serves every (Omega, t0) through _xm_prefactor; see oracle_XM for the
-    two methods.  abs_error_estimate bounds the error of this unscaled
-    integral, its neglected tail beyond L = D + 14 included.
+    It depends on D alone (and on the method and tol); _xm scales it to
+    X_M.  See oracle_XM for the two methods.  abs_error_estimate bounds the
+    error of this unscaled integral, its tail beyond L = D + 14 included.
     """
     if method == "contour":
         legs, tail = _wightman_legs(0.0, D, full_line=False)
@@ -706,12 +728,23 @@ def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
     raise ValueError(f"unknown oracle_XM method {method!r}")
 
 
+def _xm(Omega: float, D: float, t0: float, method: str, tol: float) -> _Oracle:
+    """Oracle of oracle_XM: the kernel integral times X_M's prefactor.
+
+    The scaled estimate keeps the kernel's convergence flag, judged on the
+    unscaled kernel error.
+    """
+    kernel, Om, t0v = _xm_kernel(D, method, tol), float(Omega), float(t0)
+    pref = -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0v))
+    return _Oracle(kernel.integrals, lambda v, e: _scaled(kernel.finish(v, e), pref))
+
+
 def oracle_XM(
     Omega: float,
     D: float,
     t0: float,
     *,
-    tol: float = 1e-6,
+    tol: float = _KERNEL_TOL,
     method: str = "contour",
 ) -> OracleEstimate:
     """Coherence X_M/lambda^2 from its defining half-line kernel integral.
@@ -730,17 +763,12 @@ def oracle_XM(
     is regular, and the concentrated half-delta contributes the analytic
     i exp(-D^2/4)/(8 pi D).  No contour is involved.
 
-    The kernel integral depends on D alone and is computed once per call;
-    the prefactor carries Omega and t0.  verify_suite reuses one kernel
-    estimate for every (Omega, t0) at a D within one suite call, with the
-    same arithmetic, so its records equal this function's results bit for
-    bit.
-
+    The kernel integral depends on D alone, the prefactor on Omega and t0;
+    verify_suite's x_minkowski records at one D share one kernel integral.
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    kernel = _solve([_xm_kernel(D, method, tol)])[0]
-    return _scaled(kernel, _xm_prefactor(Omega, t0))
+    return _solve([_xm(Omega, D, t0, method, tol)])[0]
 
 
 def _cm(Omega: float, D: float, tol: float) -> _Oracle:
@@ -750,7 +778,7 @@ def _cm(Omega: float, D: float, tol: float) -> _Oracle:
     return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
 
 
-def oracle_CM(Omega: float, D: float, *, tol: float = 1e-6) -> OracleEstimate:
+def oracle_CM(Omega: float, D: float, *, tol: float = _KERNEL_TOL) -> OracleEstimate:
     """Exchange term C_M/lambda^2 from its defining full-line kernel.
 
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
@@ -803,7 +831,7 @@ def oracle_x_gw(
     D: float,
     t0: float,
     *,
-    tol: float = 1e-10,
+    tol: float = _FINE_TOL,
 ) -> OracleEstimate:
     """x_gw = X_GW/(A lambda^2) from the full first-order Wightman function.
 
@@ -847,7 +875,7 @@ def oracle_c_gw(
     D: float,
     t0: float,
     *,
-    tol: float = 1e-10,
+    tol: float = _FINE_TOL,
 ) -> OracleEstimate:
     """c_gw = C_GW/(A lambda^2) from the full first-order Wightman function.
 
@@ -907,7 +935,7 @@ def _i2(omega: float, D: float, tol: float) -> _Oracle:
     return _Oracle([_Integral(_I2, (w, Dv), (0.0, Ls))], finish)
 
 
-def oracle_I2(omega: float, D: float, *, tol: float = 1e-10) -> OracleEstimate:
+def oracle_I2(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
     """I2 from its conjugate-variable representation.
 
     I2 = (sqrt(pi)/omega) e^{-omega^2/4} * Integral_0^inf of
@@ -950,7 +978,7 @@ def _i4(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
 
 
 def oracle_I4(
-    omega: float, Omega: float, D: float, *, tol: float = 1e-10
+    omega: float, Omega: float, D: float, *, tol: float = _FINE_TOL
 ) -> OracleEstimate:
     """I4 from its conjugate-variable representation.
 
@@ -1037,24 +1065,20 @@ def _neville_weights(xs: Sequence[float]) -> list[float]:
     ]
 
 
-def _neville_weight_sum(xs: Sequence[float]) -> float:
-    """Sum of |lambda_k|: an error of at most e in every ys[k] moves the
-    extrapolated value by at most this sum times e."""
-    return sum(map(abs, _neville_weights(xs)))
+# The ladder in eta^2, and the weights lambda_k of its rungs.
+_ETA_SQ = [eta * eta for eta in _ETAS]
+_ETA_WEIGHTS = _neville_weights(_ETA_SQ)
 
 
-def _ladder(
-    etas: Sequence[float], vals: Sequence[complex], errs: Sequence[float]
-) -> tuple[complex, float]:
-    """Extrapolate the rung values vals (quadrature errors errs) to eta -> 0.
+def _ladder(vals: Sequence[complex], errs: Sequence[float]) -> tuple[complex, float]:
+    """Extrapolate the values vals (quadrature errors errs) of _ETAS' rungs to 0.
 
     Neville in eta^2; the error is the extrapolation residual plus
     sum_k |lambda_k| errs[k], what the rung errors can do to the
     extrapolated value.
     """
-    xs = [eta * eta for eta in etas]
-    value, resid = _neville_at_zero(xs, [complex(v) for v in vals])
-    weighted = sum(abs(lam) * float(e) for lam, e in zip(_neville_weights(xs), errs))
+    value, resid = _neville_at_zero(_ETA_SQ, [complex(v) for v in vals])
+    weighted = sum(abs(lam) * float(e) for lam, e in zip(_ETA_WEIGHTS, errs))
     return value, resid + weighted
 
 
@@ -1075,15 +1099,16 @@ def _delta_prime(
     else:
         family = _NASCENT_I3
         pieces = [((lo, Dv, hi), (-hi, -Dv, -lo)) for lo, hi in windows]
-    # Rung errors of at most this much move the extrapolated value by at
-    # most tol / 100, whatever the weights; the pieces of a rung share it.
-    rung_target = tol / (100.0 * _neville_weight_sum([r * r for r in _ETAS]) * scale)
+    # Rung errors of at most e move the extrapolated value by at most
+    # sum_k |lambda_k| e, so this much moves it by at most tol / 100; the
+    # pieces of a rung share it.
+    rung_target = tol / (100.0 * sum(map(abs, _ETA_WEIGHTS)) * scale)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         if which == "I3":
             vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
         ys = [1j * scale * complex(v) for v in vals]
-        value, err = _ladder(_ETAS, ys, scale * errs)
+        value, err = _ladder(ys, scale * errs)
         if err > 1000.0 * tol * max(1.0, abs(value)):
             raise NoConvergence(
                 f"delta'-family extrapolation residual {err:g} is far beyond "
@@ -1107,7 +1132,7 @@ def oracle_delta_prime(
     Omega: float,
     D: float,
     *,
-    tol: float = 1e-5,
+    tol: float = _DPRIME_TOL,
 ) -> OracleEstimate:
     """I1 or I3 from the defining delta' integral with a nascent family.
 
@@ -1177,29 +1202,90 @@ class CheckRecord:
     note: str = ""
 
 
+class _Check(NamedTuple):
+    """One record kind of verify_suite: quantity's value against reference.
+
+    value(*point) is the closed form, or an _Oracle whose estimate's value
+    is compared; reference(*point) is the _Oracle it is compared with.
+    """
+
+    quantity: str
+    value: Callable[..., Any]
+    reference: Callable[..., _Oracle]
+    tol: float
+    note: str = ""
+
+
+_XM_CONTOUR = partial(_xm, method="contour", tol=_KERNEL_TOL)
+_XM_PV = partial(_xm, method="pv_subtraction", tol=_KERNEL_TOL)
+
+# verify_suite's record kinds by signature: the grid axes whose values, in
+# this order, a kind's value and reference are built from.
+_CHECKS: dict[tuple[str, ...], tuple[_Check, ...]] = {
+    ("Omega_sigma",): (
+        _Check("transition_probability", closedform.transition_probability,
+               lambda Om: _p_full(Om, 0.0, 0.0, 0.0, _KERNEL_TOL), TOL_KERNEL),
+    ),
+    ("Omega_sigma", "D_sigma", "t0_sigma"): (
+        _Check("x_minkowski", closedform.x_minkowski, _XM_CONTOUR, TOL_KERNEL),
+        _Check("x_minkowski_pv", closedform.x_minkowski, _XM_PV, TOL_KERNEL),
+        _Check("x_minkowski_consistency", _XM_CONTOUR, _XM_PV, TOL_KERNEL,
+               "independent regularizations of the same kernel"),
+    ),
+    ("Omega_sigma", "D_sigma"): (
+        _Check("c_minkowski", closedform.c_minkowski,
+               partial(_cm, tol=_KERNEL_TOL), TOL_KERNEL),
+    ),
+    ("omega_sigma", "D_sigma"): (
+        _Check("integral_I1", closedform.integral_I1,
+               lambda w, D: _delta_prime("I1", w, 0.0, D, _DPRIME_TOL), TOL_DPRIME),
+        _Check("integral_I2", closedform.integral_I2,
+               partial(_i2, tol=_FINE_TOL), TOL_S_ORACLE),
+    ),
+    ("omega_sigma", "Omega_sigma", "D_sigma"): (
+        _Check("integral_I3", closedform.integral_I3,
+               partial(_delta_prime, "I3", tol=_DPRIME_TOL), TOL_DPRIME),
+        _Check("integral_I4", closedform.integral_I4,
+               partial(_i4, tol=_FINE_TOL), TOL_S_ORACLE),
+    ),
+}
+
+
 def _record(
-    quantity: str,
-    params: dict[str, float],
-    value: complex,
+    check: _Check,
+    params: tuple[tuple[str, float], ...],
+    value: complex | OracleEstimate,
     est: OracleEstimate,
-    tol: float,
-    note: str = "",
 ) -> CheckRecord:
-    ref = est.value
+    if isinstance(value, OracleEstimate):
+        value = value.value
+    value, ref = complex(value), est.value
     abs_err = abs(value - ref)
     rel_err = abs_err / max(abs(ref), 1e-300)
     return CheckRecord(
-        quantity=quantity,
-        params=tuple(sorted(params.items())),
-        value=value,
-        reference=ref,
-        abs_error=abs_err,
-        rel_error=rel_err,
-        tolerance=tol,
-        passed=rel_err <= tol,
-        oracle_error_estimate=est.abs_error_estimate,
-        note=note,
+        check.quantity, params, value, ref, abs_err, rel_err, check.tol,
+        rel_err <= check.tol, est.abs_error_estimate, check.note,
     )
+
+
+def _grid_axes(grid: Mapping[str, Sequence[float]]) -> dict[str, list[float]]:
+    """The distinct values of each axis of a verify grid, ascending.
+
+    ValueError names an unknown, missing or empty axis, or the axis of a
+    non-finite value, D <= 0 or omega = 0."""
+    for key in grid:
+        if key not in DEFAULT_VERIFY_GRID:
+            raise ValueError(f"unknown verify grid axis {key!r}")
+    axes = {}
+    for key in DEFAULT_VERIFY_GRID:
+        axes[key] = sorted(set(grid[key])) if key in grid else []
+        if not axes[key]:
+            raise ValueError(f"verify grid axis {key!r} is missing or empty")
+        for v in axes[key]:
+            if (not math.isfinite(v) or (key == "D_sigma" and v <= 0.0)
+                    or (key == "omega_sigma" and v == 0.0)):
+                raise ValueError(f"verify grid axis {key!r} has invalid value {v!r}")
+    return axes
 
 
 def verify_suite(
@@ -1207,168 +1293,38 @@ def verify_suite(
 ) -> list[CheckRecord]:
     """Compare every closed form against its oracles over a parameter grid.
 
-    The default grid is the library's reference verification grid.  Checks
-    are generated once per *unique* argument signature of each quantity
-    (e.g. P depends only on Omega), in deterministic sorted order; each
-    check is a pure function of its parameters and collection is
-    append-only in task order, so the suite is safe to re-run or shard
-    without reordering results.
+    grid (default: the library's reference verification grid) maps
+    omega_sigma, Omega_sigma, D_sigma and t0_sigma to their values, each
+    counted once; any other key set, an empty axis, a non-finite value,
+    D <= 0 or omega = 0 raises ValueError before any quadrature.
 
-    The integrals of every oracle of the suite are concatenated and
-    refined together, by one _gk21 call per integrand value type; then
-    each oracle builds its estimate from its own.  Each record equals the
-    standalone oracle's result bit for bit, with the oracle's default tol.
-    Each X_M kernel integral (one per D and method) is computed once and
-    shared by the x_minkowski records of every (Omega, t0) at that D.  The
-    reuse is scoped to this call, so repeated calls repeat the same work.
-    The one thing that outlives a call is oracle_P's calibration against
-    P(1) - P(-1) = -1/(2 sqrt(pi)), made on first use in the process and
-    kept in _CAL_CACHE; only the first call pays for it.
-
-    Record list (per unique signature):
-      transition_probability        closed vs contour-kernel oracle
-      x_minkowski                   closed vs contour-kernel oracle
-      x_minkowski_pv                closed vs PV-subtraction oracle
-      x_minkowski_consistency       the two X_M oracles against each other
-      c_minkowski                   closed vs contour-kernel oracle
-      integral_I1 / integral_I3     closed vs nascent-delta' oracle
-      integral_I2 / integral_I4     closed vs Fourier-side oracle
+    Each _Check of _CHECKS makes a record at each point of its signature:
+    signature by signature, point by point (each axis ascending, the first
+    outermost), in table order within a point.  One _solve integrates each
+    distinct integral of the call once (an X_M kernel integral serves
+    every (Omega, t0) at its D), by one _gk21 call per value type; each
+    record is the standalone oracle's result bit for bit, at its default
+    tol.  Only oracle_P's calibration, kept in _CAL_CACHE on first use,
+    outlives a call.
     """
-    g = dict(DEFAULT_VERIFY_GRID if grid is None else grid)
-    omegas = sorted(set(g["omega_sigma"]))
-    Omegas = sorted(set(g["Omega_sigma"]))
-    Ds = sorted(set(g["D_sigma"]))
-    t0s = sorted(set(g["t0_sigma"]))
-
-    # The oracles' default tolerances: kernel oracles, nascent delta',
-    # Fourier side.
-    tol_k, tol_d, tol_s = 1e-6, 1e-5, 1e-10
-    oracles: dict[tuple, _Oracle] = {("calibration",): _calibration(tol_k)}
-    for Om in Omegas:
-        oracles["P", Om] = _p_full(Om, 0.0, 0.0, 0.0, tol_k)
-    # X_M kernel integrals depend on D alone: one estimate per D and method,
-    # scaled per (Omega, t0) exactly as oracle_XM scales it.
-    for D in Ds:
-        for method in ("contour", "pv_subtraction"):
-            oracles["XM", D, method] = _xm_kernel(D, method, tol_k)
-    for Om in Omegas:
-        for D in Ds:
-            oracles["CM", Om, D] = _cm(Om, D, tol_k)
-    for w in omegas:
-        for D in Ds:
-            oracles["I1", w, D] = _delta_prime("I1", w, 0.0, D, tol_d)
-            oracles["I2", w, D] = _i2(w, D, tol_s)
-            for Om in Omegas:
-                oracles["I3", w, Om, D] = _delta_prime("I3", w, Om, D, tol_d)
-                oracles["I4", w, Om, D] = _i4(w, Om, D, tol_s)
-    est = dict(zip(oracles, _solve(list(oracles.values()))))
-
-    records: list[CheckRecord] = []
-
-    for Om in Omegas:
-        records.append(
-            _record(
-                "transition_probability",
-                {"Omega_sigma": Om},
-                complex(closedform.transition_probability(Om), 0.0),
-                est["P", Om],
-                TOL_KERNEL,
-            )
-        )
-
-    for Om in Omegas:
-        for D in Ds:
-            for t0 in t0s:
-                xm = closedform.x_minkowski(Om, D, t0)
-                pref = _xm_prefactor(Om, t0)
-                est_reg = _scaled(est["XM", D, "contour"], pref)
-                records.append(
-                    _record(
-                        "x_minkowski",
-                        {"Omega_sigma": Om, "D_sigma": D, "t0_sigma": t0},
-                        xm,
-                        est_reg,
-                        TOL_KERNEL,
-                    )
-                )
-                est_pv = _scaled(est["XM", D, "pv_subtraction"], pref)
-                records.append(
-                    _record(
-                        "x_minkowski_pv",
-                        {"Omega_sigma": Om, "D_sigma": D, "t0_sigma": t0},
-                        xm,
-                        est_pv,
-                        TOL_KERNEL,
-                    )
-                )
-                records.append(
-                    _record(
-                        "x_minkowski_consistency",
-                        {"Omega_sigma": Om, "D_sigma": D, "t0_sigma": t0},
-                        est_reg.value,
-                        est_pv,
-                        TOL_KERNEL,
-                        note="independent regularizations of the same kernel",
-                    )
-                )
-
-    for Om in Omegas:
-        for D in Ds:
-            cm = complex(closedform.c_minkowski(Om, D), 0.0)
-            records.append(
-                _record(
-                    "c_minkowski",
-                    {"Omega_sigma": Om, "D_sigma": D},
-                    cm,
-                    est["CM", Om, D],
-                    TOL_KERNEL,
-                )
-            )
-
-    for w in omegas:
-        for D in Ds:
-            records.append(
-                _record(
-                    "integral_I1",
-                    {"omega_sigma": w, "D_sigma": D},
-                    closedform.integral_I1(w, D),
-                    est["I1", w, D],
-                    TOL_DPRIME,
-                )
-            )
-            records.append(
-                _record(
-                    "integral_I2",
-                    {"omega_sigma": w, "D_sigma": D},
-                    complex(closedform.integral_I2(w, D), 0.0),
-                    est["I2", w, D],
-                    TOL_S_ORACLE,
-                )
-            )
-
-    for w in omegas:
-        for Om in Omegas:
-            for D in Ds:
-                records.append(
-                    _record(
-                        "integral_I3",
-                        {"omega_sigma": w, "Omega_sigma": Om, "D_sigma": D},
-                        complex(closedform.integral_I3(w, Om, D), 0.0),
-                        est["I3", w, Om, D],
-                        TOL_DPRIME,
-                    )
-                )
-                records.append(
-                    _record(
-                        "integral_I4",
-                        {"omega_sigma": w, "Omega_sigma": Om, "D_sigma": D},
-                        complex(closedform.integral_I4(w, Om, D), 0.0),
-                        est["I4", w, Om, D],
-                        TOL_S_ORACLE,
-                    )
-                )
-
-    return records
+    axes = _grid_axes(DEFAULT_VERIFY_GRID if grid is None else grid)
+    # Each closed form and oracle once per point, then each oracle's estimate.
+    points, built = [], {}
+    for signature, checks in _CHECKS.items():
+        for point in itertools.product(*(axes[name] for name in signature)):
+            params = tuple(sorted(zip(signature, point)))
+            for check in checks:
+                points.append((check, point, params))
+                for build in (check.value, check.reference):
+                    if (build, point) not in built:
+                        built[build, point] = build(*point)
+    keys = [key for key, b in built.items() if isinstance(b, _Oracle)]
+    _, *estimates = _solve([_calibration(_KERNEL_TOL), *(built[k] for k in keys)])
+    built.update(zip(keys, estimates))
+    return [
+        _record(check, params, built[check.value, point], built[check.reference, point])
+        for check, point, params in points
+    ]
 
 
 def all_passed(records: Sequence[CheckRecord]) -> bool:

@@ -54,8 +54,8 @@ SQRT_PI = math.sqrt(math.pi)
 def test_delta_prime_ladder_is_geometric():
     # The ladder the docstring states, whose weights sum to Lambda = 1.95.
     assert oracle._ETAS == (0.1, 0.05, 0.025, 0.0125)
-    xs = [eta * eta for eta in oracle._ETAS]
-    assert round(oracle._neville_weight_sum(xs), 2) == 1.95
+    assert oracle._ETA_SQ == [eta * eta for eta in oracle._ETAS]
+    assert round(sum(map(abs, oracle._ETA_WEIGHTS)), 2) == 1.95
 
 
 def test_ladder_exact_on_a_family_linear_in_eta_squared():
@@ -69,7 +69,7 @@ def test_ladder_exact_on_a_family_linear_in_eta_squared():
     for k in range(len(etas)):
         errs = np.zeros(len(etas))
         errs[k] = 1e-9
-        value, err = oracle._ladder(etas, [SQRT_PI * (1.0 + x) for x in xs], errs)
+        value, err = oracle._ladder([SQRT_PI * (1.0 + x) for x in xs], errs)
         assert abs(value - SQRT_PI) < 1e-13
         assert math.isclose(err, abs(weights[k]) * 1e-9, rel_tol=1e-3)
 
@@ -102,10 +102,9 @@ def test_neville_weight_sum_is_the_sum_of_the_extrapolation_weights(xs, weight_s
     # the weight of ys[k] in the extrapolated value.
     units = np.eye(len(xs))
     weights = [oracle._neville_at_zero(xs, unit)[0] for unit in units]
-    assert math.isclose(
-        oracle._neville_weight_sum(xs), sum(map(abs, weights)), rel_tol=1e-12
-    )
-    assert round(oracle._neville_weight_sum(xs), 2) == weight_sum
+    total = sum(map(abs, oracle._neville_weights(xs)))
+    assert math.isclose(total, sum(map(abs, weights)), rel_tol=1e-12)
+    assert round(total, 2) == weight_sum
 
 
 # --- the batched Gauss-Kronrod routine ----------------------------------------
@@ -669,6 +668,39 @@ def _hex(z):
     return (complex(z).real.hex(), complex(z).imag.hex())
 
 
+def test_verify_suite_record_order_on_xm_grid():
+    # Records come signature by signature, grid point by grid point (first
+    # axis outer), and kind by kind within a point.
+    records = verify_suite(_XM_GRID)
+    (w,) = _XM_GRID["omega_sigma"]
+    Oms, Ds, t0s = (_XM_GRID[k] for k in ("Omega_sigma", "D_sigma", "t0_sigma"))
+    expected = [
+        *(("transition_probability", {"Omega_sigma": Om}) for Om in Oms),
+        *(
+            (q, {"Omega_sigma": Om, "D_sigma": D, "t0_sigma": t0})
+            for Om in Oms
+            for D in Ds
+            for t0 in t0s
+            for q in ("x_minkowski", "x_minkowski_pv", "x_minkowski_consistency")
+        ),
+        *(("c_minkowski", {"Omega_sigma": Om, "D_sigma": D}) for Om in Oms for D in Ds),
+        *(
+            (q, {"omega_sigma": w, "D_sigma": D})
+            for D in Ds
+            for q in ("integral_I1", "integral_I2")
+        ),
+        *(
+            (q, {"omega_sigma": w, "Omega_sigma": Om, "D_sigma": D})
+            for Om in Oms
+            for D in Ds
+            for q in ("integral_I3", "integral_I4")
+        ),
+    ]
+    assert [(r.quantity, r.params) for r in records] == [
+        (q, tuple(sorted(p.items()))) for q, p in expected
+    ]
+
+
 def _standalone(rec):
     """The closed-form value and oracle estimate a record compares."""
     p = dict(rec.params)
@@ -699,7 +731,10 @@ def _standalone(rec):
 def test_verify_suite_records_equal_standalone_oracles():
     # verify_suite refines the integrals of all its oracles together; each
     # record must still be what the public oracle gives alone, bit for bit.
-    records = verify_suite(_XM_GRID)
+    # One more grid point at Omega < 0 and t0 = 0.6.
+    records = verify_suite(
+        {**_XM_GRID, "Omega_sigma": (-0.5, 0.5, 1.0), "t0_sigma": (0.0, 0.6, 1.0)}
+    )
     for rec in records:
         value, est = _standalone(rec)
         assert _hex(rec.value) == _hex(value), rec
@@ -707,15 +742,15 @@ def test_verify_suite_records_equal_standalone_oracles():
         assert rec.oracle_error_estimate.hex() == est.abs_error_estimate.hex(), rec
     counts = collections.Counter(rec.quantity for rec in records)
     assert counts == {
-        "transition_probability": 2,
-        "x_minkowski": 8,
-        "x_minkowski_pv": 8,
-        "x_minkowski_consistency": 8,
-        "c_minkowski": 4,
+        "transition_probability": 3,
+        "x_minkowski": 18,
+        "x_minkowski_pv": 18,
+        "x_minkowski_consistency": 18,
+        "c_minkowski": 6,
         "integral_I1": 2,
         "integral_I2": 2,
-        "integral_I3": 4,
-        "integral_I4": 4,
+        "integral_I3": 6,
+        "integral_I4": 6,
     }
 
 
@@ -794,6 +829,80 @@ def test_verify_suite_integrates_each_xm_kernel_once_per_d(monkeypatch):
         counts.append((len(records), len(calls)))
     assert counts[0][0] < counts[1][0]
     assert counts[0][1] == counts[1][1]
+
+
+_BAD_GRIDS = {
+    "unknown_key": ({**MINIMAL_VERIFY_GRID, "A": (0.1,)}, "'A'"),
+    "missing_key": (
+        {k: v for k, v in MINIMAL_VERIFY_GRID.items() if k != "t0_sigma"},
+        "'t0_sigma'",
+    ),
+    "all_empty": (dict.fromkeys(MINIMAL_VERIFY_GRID, ()), "'omega_sigma'"),
+    "one_empty": ({**MINIMAL_VERIFY_GRID, "D_sigma": ()}, "'D_sigma'"),
+    "omega_zero": ({**MINIMAL_VERIFY_GRID, "omega_sigma": (0.0, 2.0)}, "'omega_sigma'"),
+    "D_zero": ({**MINIMAL_VERIFY_GRID, "D_sigma": (0.0,)}, "'D_sigma'"),
+    "D_negative": ({**MINIMAL_VERIFY_GRID, "D_sigma": (-1.0, 2.0)}, "'D_sigma'"),
+    "Omega_nan": ({**MINIMAL_VERIFY_GRID, "Omega_sigma": (math.nan,)}, "'Omega_sigma'"),
+    "t0_inf": ({**MINIMAL_VERIFY_GRID, "t0_sigma": (0.0, math.inf)}, "'t0_sigma'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_GRIDS))
+def test_verify_suite_rejects_invalid_grids_before_any_quadrature(name, monkeypatch):
+    grid, key = _BAD_GRIDS[name]
+    calls = _count_quad_calls(monkeypatch)
+    with pytest.raises(ValueError, match=key):
+        verify_suite(grid)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "axis, value",
+    [
+        ("omega_sigma", -2.0),
+        ("omega_sigma", 1e-4),
+        ("Omega_sigma", -1.0),
+        ("Omega_sigma", 0.0),
+    ],
+)
+def test_verify_suite_accepts_negative_and_small_frequencies(axis, value):
+    assert len(verify_suite({**MINIMAL_VERIFY_GRID, axis: (value,)})) == 9
+
+
+def test_solve_integrates_an_integral_shared_by_two_oracles_once(monkeypatch):
+    # The calibration's P(1) leg is the integral of oracle_P(1): solved
+    # together, _gk21 gets it once, and each result is its lone one.
+    tol = oracle._KERNEL_TOL
+    monkeypatch.setattr(oracle, "_CAL_CACHE", {})
+    p_leg = oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)
+    assert p_leg.integrals[0] in oracle._calibration(tol).integrals
+    calls = _count_quad_calls(monkeypatch)
+    _, together = oracle._solve(
+        [oracle._calibration(tol), oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)]
+    )
+    assert len(calls) == 2  # the P(1) and P(-1) legs
+    cal_together = oracle._CAL_CACHE.pop("P")
+    (alone,) = oracle._solve([oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)])
+    oracle._solve([oracle._calibration(tol)])
+    assert oracle._CAL_CACHE["P"].hex() == cal_together.hex()
+    assert _hex(together.value) == _hex(alone.value)
+    assert together.abs_error_estimate.hex() == alone.abs_error_estimate.hex()
+
+
+def test_solve_keeps_integrals_apart_that_differ_in_the_sign_of_a_zero(monkeypatch):
+    # At Omega = 0.0 and -0.0 the legs are equal as tuples; their values
+    # may differ in the sign of a zero, so each is integrated.
+    tol = oracle._KERNEL_TOL
+    pos, neg = (oracle._p_full(Om, 0.0, 0.0, 0.0, tol) for Om in (0.0, -0.0))
+    assert pos.integrals == neg.integrals
+    calls = _count_quad_calls(monkeypatch)
+    together = oracle._solve([pos, neg])
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for est, o in zip(together, (pos, neg)):
+        (alone,) = oracle._solve([o])
+        assert _hex(est.value) == _hex(alone.value)
+        assert est.abs_error_estimate.hex() == alone.abs_error_estimate.hex()
 
 
 def test_verify_suite_carries_nothing_between_calls(monkeypatch):
