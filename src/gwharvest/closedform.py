@@ -30,7 +30,7 @@ and omega*sigma, D is D/sigma, t0 is t0/sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,10 +122,6 @@ def _gauss(b: _Backend, D):
     return b.exp(-D * D / 4.0)
 
 
-def _sin_cos(b: _Backend, x):
-    return b.sin(x), b.cos(x)
-
-
 def _p_norm(b: _Backend, Om):
     return (b.exp(-Om * Om) - _SQRT_PI * Om * b.erfc(Om)) / (4.0 * math.pi)
 
@@ -186,13 +182,15 @@ def _i1_series(b: _Backend, w, D, gauss, sin_h, cos_h):
 def _i2(b: _Backend, w, D, e_p, sin_h, cos_h):
     scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, w / 2.0, D / 2.0)
     pc_re, pc_im = _cmul(cos_h, sin_h, 1.0 + D * D / 4.0, -D * w / 4.0)
-    prod_re, _ = _cmul(pc_re, pc_im, scaled_re, scaled_im)
+    prod_re = pc_re * scaled_re - pc_im * scaled_im  # Re[pc scaled]
     return math.pi / w * (b.erf(w / 2.0) - prod_re)
 
 
 def _i2_series(b: _Backend, w, D, e_p, sin_h, cos_h):
     """I2 by a + c w^2 fitted to its direct form."""
-    return _richardson(w, lambda v: _i2(b, v, D, e_p, *_sin_cos(b, v * D / 2.0)))
+    return _richardson(
+        w, lambda v: _i2(b, v, D, e_p, b.sin(v * D / 2.0), b.cos(v * D / 2.0))
+    )
 
 
 def _i3(b: _Backend, w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
@@ -220,10 +218,12 @@ def _i4(b: _Backend, w, Om, D, e_p):
     for sign in (+1.0, -1.0):
         k = w / 2.0 + sign * Om
         scaled_re, scaled_im = _scaled_erf(b, D / 2.0, e_p, k, D / 2.0)
-        # q = -i e^{i D k} scaled, r = D k/2 + i (1 + D^2/4)
-        q_re, q_im = _cmul(-0.0, -1.0, b.cos(D * k), b.sin(D * k))
-        q_re, q_im = _cmul(q_re, q_im, scaled_re, scaled_im)
-        qr_re, _ = _cmul(q_re, q_im, D * k / 2.0, 1.0 + D * D / 4.0)
+        # q = -i e^{i D k} scaled, r = D k/2 + i (1 + D^2/4).  -i e^{i D k}
+        # is (sin Dk, -cos Dk) exactly, as cos Dk is never 0 on a double.
+        cos_k, sin_k = b.cos(D * k), b.sin(D * k)
+        q_re = sin_k * scaled_re + cos_k * scaled_im
+        q_im = sin_k * scaled_im - cos_k * scaled_re
+        qr_re = q_re * (D * k / 2.0) - q_im * (1.0 + D * D / 4.0)  # Re[q r]
         total = total + (b.erf(k) - qr_re)
     return math.pi / w * total
 
@@ -247,7 +247,8 @@ def _minkowski(b: _Backend, Om, D, t0):
     """(P, Re X_M, Im X_M, C_M, |X_M|), and the factors the GW terms reuse."""
     e_p, gauss = _e_p(b, D), _gauss(b, D)
     xm_re, xm_im = _x_m(b, Om, D, t0, e_p, gauss)
-    sin_OD, cos_OD = _sin_cos(b, Om * D)
+    OD = Om * D
+    sin_OD, cos_OD = b.sin(OD), b.cos(OD)
     c_m = _c_m(b, Om, D, e_p, gauss, sin_OD, cos_OD)
     minkowski = (_p_norm(b, Om), xm_re, xm_im, c_m, b.abs(xm_re, xm_im))
     return minkowski, (e_p, gauss, sin_OD, cos_OD)
@@ -261,7 +262,8 @@ def _gw(b: _Backend, w, Om, D, t0, factors):
     """
     e_p, gauss, sin_OD, cos_OD = factors
     env_re, env_im = _envelope(b, w, Om, t0)
-    sin_h, cos_h = _sin_cos(b, w * D / 2.0)
+    h = w * D / 2.0
+    sin_h, cos_h = b.sin(h), b.cos(h)
     small = _small_omega(w)
     i1 = b.choose(small, _i1_series, _i1, b, w, D, gauss, sin_h, cos_h)
     i2 = b.choose(small, _i2_series, _i2, b, w, D, e_p, sin_h, cos_h)
@@ -331,7 +333,8 @@ def c_minkowski(Omega: float, D: float) -> float:
     state (Omega < 0) the exchange term is enhanced rather than mirrored.
     """
     e_p, gauss = _e_p(_SCALAR, D), _gauss(_SCALAR, D)
-    return _c_m(_SCALAR, Omega, D, e_p, gauss, *_sin_cos(_SCALAR, Omega * D))
+    OD = Omega * D
+    return _c_m(_SCALAR, Omega, D, e_p, gauss, math.sin(OD), math.cos(OD))
 
 
 def f_envelope(omega: float, Omega: float, t0: float) -> complex:
@@ -368,7 +371,8 @@ def integral_I1(omega: float, D: float) -> complex:
     evaluate and evaluate_arrays run the same source (_i1, _i1_series).
     """
     gauss = _gauss(_SCALAR, D)
-    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    h = omega * D / 2.0
+    sin_h, cos_h = math.sin(h), math.cos(h)
     args = (_SCALAR, omega, D, gauss, sin_h, cos_h)
     return complex(0.0, _SCALAR.choose(_small_omega(omega), _i1_series, _i1, *args))
 
@@ -390,7 +394,8 @@ def integral_I2(omega: float, D: float) -> float:
     D -> infinity, so the GW coherence decays only like 1/D^2.
     """
     e_p = _e_p(_SCALAR, D)
-    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    h = omega * D / 2.0
+    sin_h, cos_h = math.sin(h), math.cos(h)
     args = (_SCALAR, omega, D, e_p, sin_h, cos_h)
     return _SCALAR.choose(_small_omega(omega), _i2_series, _i2, *args)
 
@@ -415,8 +420,9 @@ def integral_I3(omega: float, Omega: float, D: float) -> float:
     run the same source (_i3, _i3_series).
     """
     gauss = _gauss(_SCALAR, D)
-    s, c = _sin_cos(_SCALAR, Omega * D)
-    sin_h, cos_h = _sin_cos(_SCALAR, omega * D / 2.0)
+    OD, h = Omega * D, omega * D / 2.0
+    s, c = math.sin(OD), math.cos(OD)
+    sin_h, cos_h = math.sin(h), math.cos(h)
     args = (_SCALAR, omega, Omega, D, gauss, sin_h, cos_h, s, c)
     return _SCALAR.choose(_small_omega(omega), _i3_series, _i3, *args)
 
@@ -462,7 +468,7 @@ def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
 # --- assembled observables -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HarvestReport:
     """All observables for one parameter point, normalized per lambda^2.
 
@@ -493,6 +499,14 @@ class HarvestReport:
             x_gw.real, x_gw.imag, c_gw.real, c_gw.imag, self.theta_m,
             self.theta_gw, self.concurrence, self.psi_m, self.psi_gw, self.corr,
         ))
+
+
+# The setters of HarvestReport's slots, in field order.  evaluate fills a
+# report through them: the generated __init__'s object.__setattr__ calls
+# take about twice as long.
+_REPORT_SLOTS = tuple(
+    getattr(HarvestReport, f.name).__set__ for f in fields(HarvestReport)
+)
 
 
 def evaluate(params: DimensionlessParams) -> HarvestReport:
@@ -528,12 +542,29 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
                 f"non-finite {', '.join(bad)} at omega={w:g}, Omega={Om:g}, "
                 f"D={D:g}, t0={t0:g}"
             )
-    p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im, *rest = row
+    (
+        p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im,
+        theta_m, theta_gw, concurrence, psi_m, psi_gw, corr,
+    ) = row
+    report = object.__new__(HarvestReport)
+    (
+        set_p_norm, set_x_m, set_c_m, set_x_gw, set_c_gw, set_theta_m,
+        set_theta_gw, set_concurrence, set_psi_m, set_psi_gw, set_corr, set_flags,
+    ) = _REPORT_SLOTS
+    set_p_norm(report, p_norm)
+    set_x_m(report, complex(xm_re, xm_im))
+    set_c_m(report, complex(cm_re, cm_im))
+    set_x_gw(report, complex(xg_re, xg_im))
+    set_c_gw(report, complex(cg_re, cg_im))
+    set_theta_m(report, theta_m)
+    set_theta_gw(report, theta_gw)
+    set_concurrence(report, concurrence)
+    set_psi_m(report, psi_m)
+    set_psi_gw(report, psi_gw)
+    set_corr(report, corr)
     flags = (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
-    return HarvestReport(
-        p_norm, complex(xm_re, xm_im), complex(cm_re, cm_im),
-        complex(xg_re, xg_im), complex(cg_re, cg_im), *rest, flags,
-    )
+    set_flags(report, flags)
+    return report
 
 
 # --- the same observables over arrays of points -----------------------------

@@ -112,10 +112,19 @@ class DimensionlessParams:
     coupling_lambda: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                key = _config_key(name)
-                raise ConfigError(f"parameter {key!r} must be finite (got {value!r})")
+        # A non-finite field makes the sum non-finite; only then (or when
+        # finite fields overflow the sum) are the fields checked one by one.
+        total = (
+            self.A + self.omega_sigma + self.Omega_sigma + self.D_sigma
+            + self.t0_sigma + self.coupling_lambda
+        )
+        if not math.isfinite(total):
+            for name, value in vars(self).items():
+                if not math.isfinite(value):
+                    key = _config_key(name)
+                    raise ConfigError(
+                        f"parameter {key!r} must be finite (got {value!r})"
+                    )
         if not self.coupling_lambda > 0.0:
             raise InvalidCoupling(
                 f"coupling lambda must be > 0, got {self.coupling_lambda!r}"
@@ -193,6 +202,9 @@ CONFIG_DEFAULTS: dict[str, float] = {
 
 CONFIG_KEYS = tuple(CONFIG_DEFAULTS)
 
+# The config keys that are also field names: every key but "lambda".
+_FIELD_KEYS = frozenset(CONFIG_KEYS) - {"lambda"}
+
 
 def parse_config(text: str) -> dict[str, float]:
     """Parse key = value configuration text into a {key: float} mapping."""
@@ -237,6 +249,8 @@ def params_from_mapping(values: dict[str, float]) -> DimensionlessParams:
     defaults, overlaid by a config file, overlaid by CLI flags.  An unknown
     key or a non-finite value (nan, inf) raises ConfigError naming the key.
     """
+    if values.keys() <= _FIELD_KEYS:
+        return DimensionlessParams(**values)
     for key in values:
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"unknown parameter {key!r}")

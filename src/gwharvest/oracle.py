@@ -71,7 +71,6 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import closedform, specfun
-from .model import SpacetimePoint
 
 __all__ = [
     "NoConvergence",
@@ -535,8 +534,8 @@ def _wightman_legs(
     """
     c = _SHIFT
     Om, Dv, w = float(Omega), float(D), float(omega)
-    ev_a, ev_b = SpacetimePoint(t=0.0), SpacetimePoint(t=0.0, x=Dv)
-    dx, dy = ev_b.x - ev_a.x, ev_b.y - ev_a.y
+    # Detector A at the origin, B at x = D: their separation.
+    dx, dy = Dv, 0.0
     r = math.hypot(dx, dy)
     if not full_line and r == 0.0:
         raise ValueError("a half-line Wightman integral needs D != 0")

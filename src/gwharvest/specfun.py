@@ -12,8 +12,8 @@ numerically stable in the upper half-plane.
 The scaled product, like every closed form built on it, is written once
 over a backend of primitives and bound twice with the same bits: _SCALAR
 to builtin float and complex (math, cmath and scipy's Cython-level wofz,
-the scipy.special.wofz ufunc's code without its array dispatch), _ARRAY
-to numpy arrays.  Only the Faddeeva folds and the backend's choose are
+erf and erfc, the code of the scipy.special ufuncs without their array
+dispatch), _ARRAY to numpy arrays.  Only the Faddeeva folds and the backend's choose are
 written twice, as branches and as masks: the lower half-plane exponential
 must never be evaluated where it overflows, and a form that choose does
 not pick is not run on builtin floats.
@@ -22,6 +22,7 @@ not pick is not run on builtin floats.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from typing import Callable, NamedTuple
@@ -55,14 +56,12 @@ class DomainTooLarge(ValueError):
     """An argument whose exponential factor would overflow a double."""
 
 
-def erf_real(x: float) -> float:
-    """Error function on the real axis."""
-    return float(_sp.erf(x))
-
-
-def erfc_real(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate for large x."""
-    return float(_sp.erfc(x))
+# The error function on the real axis, and its complement 1 - erf(x),
+# accurate for large x: the double versions of scipy's Cython-level erf
+# and erfc, which give the scipy.special.erf and erfc ufuncs' bits at less
+# than half their cost on a builtin float.
+erf_real = _cs.erf["double"]
+erfc_real = _cs.erfc["double"]
 
 
 def faddeeva_w(z: complex) -> complex:
@@ -158,7 +157,7 @@ class _Backend(NamedTuple):
     each _ARRAY primitive gives the bits of its _SCALAR counterpart element
     by element.  A complex quantity is carried as its two parts and
     multiplied in Python's order (numpy's complex multiply can fuse
-    multiply-adds); cexp and wofz return complex values.  The scalar
+    multiply-adds); cexp and exp_w return complex values.  The scalar
     primitives raise where Python's arithmetic raises (ValueError from
     math, OverflowError from ** and cmath); the array ones give inf or nan.
     """
@@ -171,13 +170,32 @@ class _Backend(NamedTuple):
     erfc: Callable
     pow: Callable     # the C library's pow
     cexp: Callable    # (re, im) -> exp(re + i im)
-    wofz: Callable    # (re, im) -> faddeeva_w(re + i im)
-    cmul: Callable    # product of two complex values
+    exp_w: Callable   # (a_re, a_im, re, im, what) -> exp(a) faddeeva_w(re + i im);
+                      # DomainTooLarge naming what where Re a > _EXPONENT_LIMIT
     abs: Callable     # (re, im) -> |re + i im|, the C library's hypot
-    flip: Callable    # (cond, re, im) -> (-re, -im) where cond, else (re, im)
     clip: Callable    # max(0, x)
-    guard: Callable   # (exponent, what) -> DomainTooLarge above the limit
     choose: Callable  # (cond, f, g, *args) -> f(*args) where cond, else g(*args)
+
+
+def _cmul(a_re, a_im, b_re, b_im):
+    """Parts of (a_re + i a_im)(b_re + i b_im), in Python's complex order."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _scalar_exp_w(a_re, a_im, re, im, what):
+    # The guard, w, exp and their product in one frame, in that order:
+    # evaluate needs five of these.
+    if a_re > _EXPONENT_LIMIT:
+        _scalar_guard(a_re, what)
+    w = _scalar_wofz(re, im)
+    return cmath.exp(complex(a_re, a_im)) * w
+
+
+def _array_exp_w(a_re, a_im, re, im, what):
+    _array_guard(a_re, what)
+    w = faddeeva_w_array(complex_array(re, im))
+    e = np.exp(complex_array(a_re, a_im))
+    return complex_array(*_cmul(e.real, e.imag, w.real, w.imag))
 
 
 def _scalar_abs(re: float, im: float) -> float:
@@ -197,12 +215,9 @@ _SCALAR = _Backend(
     erfc=erfc_real,
     pow=operator.pow,
     cexp=lambda re, im: cmath.exp(complex(re, im)),
-    wofz=_scalar_wofz,
-    cmul=operator.mul,
+    exp_w=_scalar_exp_w,
     abs=_scalar_abs,
-    flip=lambda cond, re, im: (-re, -im) if cond else (re, im),
-    clip=lambda x: max(0.0, x),
-    guard=_scalar_guard,
+    clip=functools.partial(max, 0.0),
     choose=lambda cond, f, g, *args: f(*args) if cond else g(*args),
 )
 
@@ -218,22 +233,14 @@ _ARRAY = _Backend(
     # numpy's x ** 2 is x * x, which can differ in the last bit.
     pow=np.float_power,
     cexp=lambda re, im: np.exp(complex_array(re, im)),
-    wofz=lambda re, im: faddeeva_w_array(complex_array(re, im)),
-    cmul=lambda a, c: complex_array(*_cmul(a.real, a.imag, c.real, c.imag)),
+    exp_w=_array_exp_w,
     abs=np.hypot,
-    flip=lambda cond, re, im: (np.where(cond, -re, re), np.where(cond, -im, im)),
     clip=lambda x: np.where(x > 0.0, x, 0.0),
-    guard=_array_guard,
     choose=lambda cond, f, g, *args: (
         # f runs only when some element needs it; g runs on every element.
         np.where(cond, f(*args), g(*args)) if cond.any() else g(*args)
     ),
 )
-
-
-def _cmul(a_re, a_im, b_re, b_im):
-    """Parts of (a_re + i a_im)(b_re + i b_im), in Python's complex order."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def _scaled_erf(b: _Backend, p, e_p, x, y):
@@ -242,18 +249,18 @@ def _scaled_erf(b: _Backend, p, e_p, x, y):
     The closed forms share e_p between their products at one p; see
     scaled_erf_product for the method.
     """
-    # erf is odd, so the product just flips sign under z -> -z.
-    odd = x < 0.0
-    x, y = b.flip(odd, x, y)
+    # erf is odd, so the product just flips sign under z -> -z: s is -1.0
+    # for Re z < 0, else 1.0, and a product with s is exact (only a nan
+    # may keep its sign bit where a negation would flip it).
+    s = 1.0 - 2.0 * (x < 0.0)
+    x, y = s * x, s * y
     # exponent = -p^2 - z^2; guard the corner |Im z| > p where it can
     # still grow past what a double holds.
     exp_re = -p * p - (x * x - y * y)
     exp_im = 0.0 - (x * y + y * x)
-    b.guard(exp_re, "scaled erf product")
-    # w(iz), iz = (0 x - y) + i (0 y + x)
-    w = b.wofz(0.0 * x - y, 0.0 * y + x)
-    prod = b.cmul(b.cexp(exp_re, exp_im), w)
-    return b.flip(odd, e_p - prod.real, 0.0 - prod.imag)
+    # exp(exponent) w(iz), iz = (0 x - y) + i (0 y + x)
+    prod = b.exp_w(exp_re, exp_im, 0.0 * x - y, 0.0 * y + x, "scaled erf product")
+    return s * (e_p - prod.real), s * (0.0 - prod.imag)
 
 
 def scaled_erf_product(p: float, z: complex) -> complex:

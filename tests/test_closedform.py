@@ -12,6 +12,7 @@ accuracy with an order-of-magnitude margin.
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -428,6 +429,56 @@ def test_first_order_floor_flag():
     rep = evaluate(p)
     assert abs(rep.x_m) < FIRST_ORDER_XM_FLOOR
     assert OUTSIDE_FIRST_ORDER_FLAG in rep.flags
+
+
+@pytest.mark.parametrize(
+    "Omega, flags", [(1.0, ()), (5.4, (OUTSIDE_FIRST_ORDER_FLAG,))]
+)
+def test_evaluate_report_is_an_ordinary_frozen_report(Omega, flags):
+    # evaluate fills its report through the slots, not through __init__:
+    # the report must still equal, and hash as, one built by __init__.
+    rep = evaluate(_params(A=0.05, omega_sigma=2.0, Omega_sigma=Omega,
+                           D_sigma=1.3, t0_sigma=0.4))
+    assert rep.flags == flags
+    rebuilt = dataclasses.replace(rep)
+    assert rebuilt == rep and hash(rebuilt) == hash(rep)
+    for f in dataclasses.fields(rep):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, f.name, getattr(rep, f.name))
+    # No per-report attribute dict: point_stream keeps 10,000 reports.
+    assert not hasattr(rep, "__dict__")
+
+
+def _python_calls(fn):
+    """The number of Python-level function calls fn() makes."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # fn itself
+
+
+@pytest.mark.parametrize(
+    "omega, evaluate_calls",
+    [(2.0, 45), (SMALL_OMEGA_CUTOFF / 2, 65)],
+)
+def test_python_calls_per_evaluate_stay_within_budget(omega, evaluate_calls):
+    # A deterministic guard on the single-point path's per-call overhead:
+    # almost all of evaluate's time goes to Python calls, not arithmetic.
+    # The bounds are the counts this code makes (the direct branch, then the
+    # series below the cutoff), so a change that adds calls must raise them.
+    m = {"A": 0.05, "omega_sigma": omega, "Omega_sigma": 1.0, "D_sigma": 1.0,
+         "t0_sigma": 0.5}
+    p = params_from_mapping(m)
+    assert _python_calls(lambda: params_from_mapping(m)) <= 3
+    assert _python_calls(lambda: evaluate(p)) <= evaluate_calls
 
 
 # --- array kernel -------------------------------------------------------------

@@ -182,3 +182,57 @@ def test_frozen_dataclasses():
         DimensionlessParams().A = 0.5
     with pytest.raises(AttributeError):
         SpacetimePoint(t=0.0).t = 1.0
+
+
+@pytest.mark.parametrize("with_lambda", [False, True])
+def test_params_finite_fields_whose_sum_overflows_still_construct(with_lambda):
+    # Finiteness is first checked on the sum of the fields; a sum that
+    # overflows sends the check field by field, which finds nothing wrong.
+    values = {"A": 1e308, "omega_sigma": 1e308}
+    if with_lambda:
+        values["lambda"] = 1e308
+    p = params_from_mapping(values)
+    assert (p.A, p.omega_sigma) == (1e308, 1e308)
+    assert p.coupling_lambda == (1e308 if with_lambda else 1.0)
+    assert DimensionlessParams(A=-1e308, t0_sigma=-1e308).t0_sigma == -1e308
+
+
+def test_params_name_the_first_non_finite_field_when_the_sum_is_nan():
+    # inf + -inf is nan: the field-by-field check still names the first
+    # bad key in field order, whichever key the mapping lists first.
+    with pytest.raises(ConfigError, match="parameter 'omega_sigma'"):
+        params_from_mapping({"t0_sigma": -math.inf, "omega_sigma": math.inf})
+    with pytest.raises(ConfigError, match="parameter 'lambda'"):
+        params_from_mapping({"lambda": math.nan, "D_sigma": 2.0})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"separation": 1.0},
+        {"A": 0.05, "separation": 1.0},
+        {"lambda": 0.5, "separation": 1.0},
+        # A field name that is not a config key: the coupling's key is lambda.
+        {"coupling_lambda": 0.5},
+    ],
+)
+def test_params_from_mapping_rejects_unknown_keys(values):
+    unknown = next(k for k in values if k not in CONFIG_KEYS)
+    with pytest.raises(ConfigError, match=f"unknown parameter '{unknown}'"):
+        params_from_mapping(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"A": 0.05, "omega_sigma": 3.0, "D_sigma": 2.0},
+        {"A": 0.05, "lambda": 0.5},
+        dict(CONFIG_DEFAULTS),
+        {},
+    ],
+)
+def test_params_from_mapping_leaves_the_mapping_unchanged(values):
+    before = dict(values)
+    p = params_from_mapping(values)
+    assert values == before and list(values) == list(before)
+    assert p.coupling_lambda == values.get("lambda", 1.0)

@@ -39,6 +39,25 @@ def test_erfc_real_accurate_in_far_tail():
     assert abs(erfc_real(10.0) - ref) / ref < 1e-13
 
 
+def test_scalar_erf_and_erfc_equal_the_scipy_ufuncs_bit_for_bit():
+    # The scalar backend's erf and erfc are scipy's Cython-level doubles;
+    # the array backend's are the ufuncs.  Scalar and array rows can only
+    # agree bit for bit if these do, signed zeros and subnormals included.
+    rng = np.random.default_rng(11)
+    tiny = np.exp(rng.uniform(math.log(5e-324), math.log(2.3e-308), 500))
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf],
+        tiny, -tiny,
+        np.linspace(-30.0, 30.0, 60001),
+        rng.uniform(-30.0, 30.0, 20000),
+    ])
+    for scalar, ufunc in ((erf_real, special.erf), (erfc_real, special.erfc)):
+        got = np.array([scalar(v) for v in x.tolist()])
+        assert np.array_equal(got.view(np.int64), ufunc(x).view(np.int64))
+        assert type(scalar(0.5)) is float and type(scalar(2)) is float
+    assert math.isnan(erf_real(math.nan)) and math.isnan(erfc_real(math.nan))
+
+
 def test_faddeeva_at_origin():
     assert faddeeva_w(0.0) == pytest.approx(1.0, abs=1e-15)
 
