@@ -47,7 +47,6 @@ from .model import (
     IncompleteGrid,
     InvalidCoupling,
     InvalidGeometry,
-    SpacetimePoint,
     StateInvalid,
     ValidationWarning,
     params_from_mapping,
@@ -108,7 +107,6 @@ __all__ = [
     "density_matrix",
     # model
     "DimensionlessParams",
-    "SpacetimePoint",
     "validate",
     "ValidationWarning",
     "parse_config",

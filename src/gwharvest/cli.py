@@ -58,8 +58,8 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes, >= 1; the pool is capped at the CPU count "
-        "(default 1)",
+        help="kept for compatibility, checked >= 1; evaluation runs in this "
+        "process (default 1)",
     )
 
 
@@ -207,7 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Fixed values are checked whole; swept ones fail per point.
     params_from_mapping(fixed)
     _print_warnings(_sweep_warnings(fixed, axes))
-    points = sweep.run_grid(spec, workers=args.workers)
+    points = sweep.run_grid(spec)
     sweep.emit_csv(points, args.output)
     failed = len(points) - points.status.count("ok")
     print(
@@ -220,9 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
     out_dir = args.output or os.environ.get("GWHARVEST_OUTDIR") or "."
-    csv_path, svg_path = sweep.build_figure(
-        args.figure_id, out_dir, workers=args.workers
-    )
+    csv_path, svg_path = sweep.build_figure(args.figure_id, out_dir)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return 0

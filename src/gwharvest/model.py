@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError",
     "ValidationWarning",
     "DimensionlessParams",
-    "SpacetimePoint",
     "validate",
     "CONFIG_KEYS",
     "CONFIG_DEFAULTS",
@@ -131,16 +130,6 @@ class DimensionlessParams:
             )
         if not self.D_sigma > 0.0:
             raise InvalidGeometry(f"D/sigma must be > 0, got {self.D_sigma!r}")
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """Minkowski event (t, x, y, z) in units of sigma."""
-
-    t: float
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
 
 
 def validate(p: DimensionlessParams) -> list[ValidationWarning]:

@@ -5,10 +5,9 @@ for the remaining parameters.  run_grid evaluates every point row-major
 (first axis outer, second inner) into a GridResult, a set of columns:
 parameters, observables and one status per point.  It never aborts on a
 point failure — the error is recorded in that point's status — and is
-deterministic: the same grid produces byte-identical CSV output
-regardless of worker count, because every point is a pure function of
-its parameters and results are collected in task order.  Every point
-with valid parameters, small omega included, is evaluated as arrays by
+deterministic: every point is a pure function of its parameters, so the
+same grid produces byte-identical CSV output.  Every point with valid
+parameters, small omega included, is evaluated as arrays by
 closedform.evaluate_arrays; a point whose row is not finite goes one by
 one through closedform.evaluate only for its status text (mostly the
 name of a failure).
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, NamedTuple
@@ -201,9 +199,7 @@ def _evaluate_point(
     return report.as_row(), "ok"
 
 
-def _evaluate_block(
-    keys: tuple[str, ...], params: np.ndarray
-) -> tuple[np.ndarray, list[str]]:
+def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:
     """Observables and status of each point (row) of params.
 
     Points in closedform.array_domain go through evaluate_arrays, _BLOCK
@@ -230,36 +226,12 @@ def _evaluate_block(
     for i in np.flatnonzero(scalar).tolist():
         items = tuple(zip(keys, params[i].tolist()))
         values[i], status[i] = _evaluate_point(items)
-    return values, status
-
-
-def _evaluate(
-    keys: tuple[str, ...], params: np.ndarray, workers: int
-) -> GridResult:
-    n_chunks = min(workers, len(params))
-    # A pool forks all its workers at the first task; no more than there
-    # are chunks or CPUs to run them.
-    pool_size = min(n_chunks, os.cpu_count() or 1)
-    if pool_size <= 1:
-        values, status = _evaluate_block(keys, params)
-    else:
-        chunks = np.array_split(params, n_chunks)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_evaluate_block, [keys] * len(chunks), chunks))
-        values = np.concatenate([v for v, _ in parts])
-        status = [s for _, st in parts for s in st]
     return GridResult(keys, params, values, status)
 
 
-def run_grid(spec: GridSpec, *, workers: int = 1) -> GridResult:
-    """Evaluate a grid row-major; failures are per-point, never fatal.
-
-    With workers > 1 the points are split into that many contiguous
-    chunks, evaluated in a process pool of at most os.cpu_count()
-    processes and joined in order; every point is a pure function of its
-    parameters, so the result is identical to the single-process run.
-    """
-    return _evaluate(*spec.columns(), workers)
+def run_grid(spec: GridSpec) -> GridResult:
+    """Evaluate a grid row-major; failures are per-point, never fatal."""
+    return _evaluate(*spec.columns())
 
 
 # --- CSV -------------------------------------------------------------------
@@ -376,18 +348,15 @@ PRESETS: dict[str, FigurePreset] = {
 }
 
 
-def run_preset(preset: FigurePreset, *, workers: int = 1) -> GridResult:
-    """Run every grid of a preset, the points concatenated in grid order.
-
-    The grids are evaluated together, so workers > 1 starts one pool.
-    """
+def run_preset(preset: FigurePreset) -> GridResult:
+    """Run every grid of a preset, the points concatenated in grid order."""
     columns = [grid.columns() for grid in preset.grids]
     keys = columns[0][0]
     if any(k != keys for k, _ in columns):
         raise ValueError(
             f"preset {preset.figure_id!r}: grids differ in their parameter names"
         )
-    return _evaluate(keys, np.concatenate([p for _, p in columns]), workers)
+    return _evaluate(keys, np.concatenate([p for _, p in columns]))
 
 
 # --- SVG -------------------------------------------------------------------
@@ -704,16 +673,14 @@ def emit_svg(preset: FigurePreset, points: GridResult, path: str) -> str:
     return path
 
 
-def build_figure(
-    figure_id: str, out_dir: str, *, workers: int = 1
-) -> tuple[str, str]:
+def build_figure(figure_id: str, out_dir: str) -> tuple[str, str]:
     """Run a preset end to end: evaluate, write CSV and SVG, return paths."""
     if figure_id not in PRESETS:
         raise ValueError(
             f"unknown figure {figure_id!r} (have: {', '.join(sorted(PRESETS))})"
         )
     preset = PRESETS[figure_id]
-    points = run_preset(preset, workers=workers)
+    points = run_preset(preset)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
     svg_path = os.path.join(out_dir, f"{figure_id}.svg")

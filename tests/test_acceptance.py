@@ -15,6 +15,7 @@ import time
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from gwharvest import cli
 from gwharvest.closedform import (
     c_gw,
     c_minkowski,
@@ -272,7 +273,8 @@ def test_criterion_10_byte_identical_figure_csvs(tmp_path):
     for fid in figure_ids:
         run_a, _ = build_figure(fid, str(tmp_path / "a"))
         run_b, _ = build_figure(fid, str(tmp_path / "b"))
-        run_c, _ = build_figure(fid, str(tmp_path / "c"), workers=3)
+        assert cli.main(["figure", fid, "-o", str(tmp_path / "c"), "--workers", "3"]) == 0
+        run_c = str(tmp_path / "c" / f"{fid}.csv")
         with open(run_a, "rb") as fh:
             bytes_a = fh.read()
         with open(run_b, "rb") as fh:

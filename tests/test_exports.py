@@ -36,6 +36,7 @@ REMOVED = (
     "_gather",
     "_advance",
     "_extrapolated",
+    "SpacetimePoint",
 )
 
 
@@ -64,8 +65,6 @@ def test_removed_names_are_gone(module):
 def test_removed_members_are_gone():
     assert not hasattr(gwharvest.GridSpec, "point_values")
     assert not hasattr(gwharvest.HarvestReport, "from_row")
-    assert not hasattr(gwharvest.SpacetimePoint, "u")
-    assert not hasattr(gwharvest.SpacetimePoint, "v")
 
 
 def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
@@ -76,6 +75,12 @@ def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
         "assert gwharvest.cli.main(['point']) == 0\n"
         "argv = ['sweep', '--axis', 'D_sigma:0.5:2:3', '-o', sys.argv[1]]\n"
         "assert gwharvest.cli.main(argv) == 0\n"
+        "assert gwharvest.cli.main(argv + ['--workers', '2']) == 0\n"
+        "argv = ['figure', 'fig2', '-o', sys.argv[2], '--workers', '2']\n"
+        "assert gwharvest.cli.main(argv) == 0\n"
+        # Every grid is evaluated in this process: no pool is loaded.
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
         "assert 'gwharvest.oracle' not in sys.modules\n"
         "assert 'scipy.integrate' not in sys.modules\n"
         # The submodule itself is one of the names that load it.
@@ -90,7 +95,7 @@ def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
     src = os.path.dirname(os.path.dirname(gwharvest.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "scan.csv")],
+        [sys.executable, "-c", code, str(tmp_path / "scan.csv"), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -98,6 +103,7 @@ def test_point_and_sweep_start_without_scipy_integrate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "scan.csv").exists()
+    assert (tmp_path / "fig2.svg").exists()
 
 
 def test_oracle_names_resolve_through_the_package():

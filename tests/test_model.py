@@ -12,7 +12,6 @@ from gwharvest.model import (
     DimensionlessParams,
     InvalidCoupling,
     InvalidGeometry,
-    SpacetimePoint,
     ValidationWarning,
     params_from_mapping,
     parse_config,
@@ -180,8 +179,6 @@ def test_config_keys_cover_defaults():
 def test_frozen_dataclasses():
     with pytest.raises(AttributeError):
         DimensionlessParams().A = 0.5
-    with pytest.raises(AttributeError):
-        SpacetimePoint(t=0.0).t = 1.0
 
 
 @pytest.mark.parametrize("with_lambda", [False, True])

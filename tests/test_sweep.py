@@ -9,7 +9,7 @@ import signal
 import numpy as np
 import pytest
 
-from gwharvest import closedform, sweep
+from gwharvest import cli, closedform, sweep
 from gwharvest.model import IncompleteGrid, params_from_mapping
 from gwharvest.sweep import (
     CSV_HEADER,
@@ -106,8 +106,8 @@ def test_run_grid_captures_per_point_failures():
 
 
 def _parallel_spec():
-    # 5 x 7 = 35 points: neither 2 nor 3 chunks split it evenly.  The D <= 0
-    # column fails, so failed points cross the chunk boundaries too.
+    # 5 x 7 = 35 points.  The D <= 0 column fails, so failed rows are in the
+    # file too.
     return GridSpec(
         axis1=AxisSpec("Omega_sigma", 0.2, 1.4, 5),
         axis2=AxisSpec("D_sigma", -0.5, 2.5, 7),
@@ -115,54 +115,24 @@ def _parallel_spec():
     )
 
 
-def test_run_grid_parallel_matches_serial(tmp_path, monkeypatch):
-    # Enough CPUs that the pool cap does not merge the 3-way split.
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+def test_workers_flag_leaves_sweep_and_figure_bytes_unchanged(tmp_path):
     spec = _parallel_spec()
-    serial = _read(emit_csv(run_grid(spec, workers=1), str(tmp_path / "s.csv")))
-    assert "InvalidGeometry" in serial
-    for workers in (2, 3):
-        path = str(tmp_path / f"p{workers}.csv")
-        assert _read(emit_csv(run_grid(spec, workers=workers), path)) == serial
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, pool_size",
-    [
-        (2, 8, 2),  # the requested count
-        (1000, 64, 35),  # no more processes than chunks (35 points)
-        (1000, 3, 3),  # nor than CPUs
-        (6, None, None),  # unknown CPU count: serial, no pool
-        (4, 1, None),  # one CPU: serial, no pool
-    ],
-)
-def test_run_grid_pool_size_is_capped(workers, cpus, pool_size, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps here."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    spec = _parallel_spec()
-    serial = run_grid(spec, workers=1)
-    assert sizes == []
-    got = run_grid(spec, workers=workers)
-    assert sizes == ([] if pool_size is None else [pool_size])
-    assert got.status == serial.status
-    np.testing.assert_array_equal(got.values, serial.values)
+    sweep_argv = ["sweep"]
+    for ax in (spec.axis1, spec.axis2):
+        sweep_argv += ["--axis", f"{ax.name}:{ax.minimum!r}:{ax.maximum!r}:{ax.count}"]
+    for key, value in spec.fixed.items():
+        sweep_argv.append(f"--{key}={value!r}")
+    expected = _read(emit_csv(run_grid(spec), str(tmp_path / "lib.csv")))
+    assert "InvalidGeometry" in expected
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        path = str(out / "scan.csv")
+        out.mkdir()
+        assert cli.main(sweep_argv + ["-o", path, "--workers", workers]) == 0
+        assert _read(path) == expected
+        assert cli.main(["figure", "fig2", "-o", str(out), "--workers", workers]) == 0
+        for name in ("fig2.csv", "fig2.svg"):
+            assert (out / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
 def _scalar_point(items):
