@@ -123,14 +123,14 @@ __all__ = [
     # oracle
     "OracleEstimate",
     "CheckRecord",
-    "NoConvergence",
     "oracle_P",
     "oracle_P_full",
     "oracle_XM",
     "oracle_CM",
+    "oracle_I1",
     "oracle_I2",
+    "oracle_I3",
     "oracle_I4",
-    "oracle_delta_prime",
     "verify_suite",
     "all_passed",
     # specfun

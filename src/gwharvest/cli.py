@@ -21,6 +21,7 @@ use, so the other commands start without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -87,7 +88,9 @@ def _parse_axis(text: str) -> sweep.AxisSpec:
         raise ValueError(f"bad axis {text!r}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gwharvest",
         description=(

@@ -20,9 +20,9 @@ two paths share no simplification steps:
 * I2 and I4 are computed from their Fourier-side representations: one
   absolutely convergent 1-d integral over the conjugate variable s, the
   distributional factor having been evaluated in closed form by residues.
-* I1 and I3 are computed by replacing delta' with a nascent Gaussian
-  derivative of width eta and extrapolating in eta^2 (the nascent family
-  is even, so its moment expansion proceeds in eta^2).
+* I1 and I3 are the delta' parts of the strain-term Wightman integral
+  (below), whose finite parts are I2 and I4: each is -4 pi^2 D^2 times
+  that integral, less the I2 or I4 oracle.
 * The single-detector transition probability is additionally computed
   from the same integral with its strain term switched on, to exhibit that
   a transverse wave leaves P strictly unaffected: the strain term enters
@@ -35,20 +35,19 @@ two paths share no simplification steps:
   phase, prefactors, normalization), which the per-integral oracles cannot.
 
 Every oracle returns an OracleEstimate carrying the value, a defensible
-absolute error estimate (quadrature + extrapolation residual + analytic
-truncation bound) and a convergence flag.
+absolute error estimate (quadrature + analytic truncation bound) and a
+convergence flag.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
-at most 300 subintervals, and an absolute target epsabs of each
-integral's own: 1e-13, or for a nascent-delta' rung the share of its
-ladder's tolerance it may spend), written over numpy arrays.  No part of
-scipy.integrate is used.  Each oracle is data, an _Oracle: the integrals
-it needs (an integrand family with per-integral parameters, and edges)
-and a function that builds its estimate from their values (contour legs
-summed, ladder, scaling, tail bound).  _solve integrates the lists of
-any number of oracles (verify_suite's: all of them) by one batched pass
-per integrand value type, each distinct integral once.  Each refinement
+epsabs 1e-13, at most 300 subintervals), written over numpy arrays.  No
+part of scipy.integrate is used.  Each oracle is data, an _Oracle: the
+integrals it needs (an integrand family with per-integral parameters,
+and edges) and a function that builds its estimate from their values
+(contour legs summed, scaling, tail bound, I2 or I4 subtracted).  _solve
+integrates the lists of any number of oracles (verify_suite's: all of
+them) by one batched pass per integrand value type, each distinct
+integral once.  Each refinement
 round calls each integrand family once, on the nodes of every new
 subinterval of its integrals.  The refinement is elementwise or per
 integral throughout, so an estimate is bit for bit the same alone or
@@ -73,16 +72,16 @@ import numpy as np
 from . import closedform, specfun
 
 __all__ = [
-    "NoConvergence",
     "SignConventionMismatch",
     "OracleEstimate",
     "oracle_P",
     "oracle_P_full",
     "oracle_XM",
     "oracle_CM",
+    "oracle_I1",
     "oracle_I2",
+    "oracle_I3",
     "oracle_I4",
-    "oracle_delta_prime",
     "oracle_x_gw",
     "oracle_c_gw",
     "CheckRecord",
@@ -94,10 +93,6 @@ __all__ = [
 
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
 _SQRT_PI = math.sqrt(math.pi)
-
-
-class NoConvergence(ArithmeticError):
-    """The nascent-delta' extrapolation failed by orders of magnitude."""
 
 
 class SignConventionMismatch(AssertionError):
@@ -168,9 +163,8 @@ _EPSABS = 1e-13
 _EPSREL = 1e-12
 
 # The oracles' default tol (not verify_suite's comparison tolerances TOL_*):
-# P, X_M and C_M; the nascent-delta' oracle (relative); I2, I4, x_gw, c_gw.
+# P, X_M and C_M; I1-I4, x_gw and c_gw.
 _KERNEL_TOL = 1e-6
-_DPRIME_TOL = 1e-5
 _FINE_TOL = 1e-10
 
 
@@ -991,176 +985,78 @@ def oracle_I4(
     return _solve([_i4(omega, Omega, D, tol)])[0]
 
 
-# --- nascent-delta' oracles for I1 and I3 ----------------------------------
+# --- I1 and I3 from the strain term of the Wightman integral ---------------
 
 
-def _dprime_window(D: float, eta: float, halfwidth: float = 12.0) -> tuple[float, float]:
-    """Positive-a window where |a - D^2/a| <= halfwidth * eta."""
-    m = halfwidth * eta
-    root = math.sqrt(m * m + 4.0 * D * D)
-    return (-m + root) / 2.0, (m + root) / 2.0
-
-
-def _nascent_factors(av, eta, w, D):
-    """g(a) and delta'_eta(a - D^2/a) of oracle_delta_prime."""
-    x = av - D * D / av
-    r = x / eta
-    d_eta = -2.0 * x * np.exp(-r * r) / (eta ** 3 * _SQRT_PI)
-    g = np.exp(-av * av / 4.0) * specfun.sinc_array(w * av / 2.0) / (av * av)
-    return g, d_eta
-
-
-def _nascent_i1_kernel(av, eta, w, Om, D):
-    """g(a) delta'_eta(a - D^2/a), real; Omega is not used."""
-    g, d_eta = _nascent_factors(av, eta, w, D)
-    return g * d_eta
-
-
-def _nascent_i3_kernel(av, eta, w, Om, D):
-    """e^{i Omega a} g(a) delta'_eta(a - D^2/a)."""
-    g, d_eta = _nascent_factors(av, eta, w, D)
-    return np.exp(1j * Om * av) * g * d_eta
-
-
-# Columns (eta, omega, Omega, D).
-_NASCENT_I1 = _Family(_nascent_i1_kernel, float)
-_NASCENT_I3 = _Family(_nascent_i3_kernel, complex)
-
-
-# The eta ladder of the nascent family, extrapolated in eta^2.
-_ETAS = (0.1, 0.05, 0.025, 0.0125)
-
-
-def _neville_at_zero(
-    xs: Sequence[float], ys: Sequence[complex]
-) -> tuple[complex, float]:
-    """Polynomial extrapolation of (xs, ys) to x = 0 with residual estimate.
-
-    The residual estimate is the absolute difference between the last two
-    diagonal entries of the Neville tableau: the correction the final
-    extrapolation order contributed.
-    """
-    n = len(xs)
-    rows = [list(ys)]
-    for k in range(1, n):
-        prev = rows[-1]
-        row = []
-        for i in range(n - k):
-            xi, xk = xs[i], xs[i + k]
-            row.append((xk * prev[i] - xi * prev[i + 1]) / (xk - xi))
-        rows.append(row)
-    return rows[-1][0], abs(rows[-1][0] - rows[-2][0])
-
-
-def _neville_weights(xs: Sequence[float]) -> list[float]:
-    """The weights lambda_k of the ys in _neville_at_zero(xs, ys).
-
-    The extrapolated value is sum_k lambda_k ys[k] with the Lagrange
-    weights lambda_k = prod_{j != k} xs[j] / (xs[j] - xs[k]).
-    """
-    return [
-        math.prod(xj / (xj - xk) for j, xj in enumerate(xs) if j != k)
-        for k, xk in enumerate(xs)
-    ]
-
-
-# The ladder in eta^2, and the weights lambda_k of its rungs.
-_ETA_SQ = [eta * eta for eta in _ETAS]
-_ETA_WEIGHTS = _neville_weights(_ETA_SQ)
-
-
-def _ladder(vals: Sequence[complex], errs: Sequence[float]) -> tuple[complex, float]:
-    """Extrapolate the values vals (quadrature errors errs) of _ETAS' rungs to 0.
-
-    Neville in eta^2; the error is the extrapolation residual plus
-    sum_k |lambda_k| errs[k], what the rung errors can do to the
-    extrapolated value.
-    """
-    value, resid = _neville_at_zero(_ETA_SQ, [complex(v) for v in vals])
-    weighted = sum(abs(lam) * float(e) for lam, e in zip(_ETA_WEIGHTS, errs))
-    return value, resid + weighted
-
-
-def _delta_prime(
-    which: str, omega: float, Omega: float, D: float, tol: float
+def _strain_less(
+    Omega: float, D: float, omega: float, full_line: bool, rest: _Oracle, tol: float
 ) -> _Oracle:
-    """Oracle of oracle_delta_prime."""
-    if which not in ("I1", "I3"):
-        raise ValueError(f"which must be 'I1' or 'I3', got {which!r}")
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    scale = math.pi * Dv ** 4
-    # One integral per rung over the window around a = D; for I3 a second
-    # one over its mirror around a = -D.
-    windows = [_dprime_window(Dv, eta) for eta in _ETAS]
-    if which == "I1":
-        family = _NASCENT_I1
-        pieces = [((lo, Dv, hi),) for lo, hi in windows]
-    else:
-        family = _NASCENT_I3
-        pieces = [((lo, Dv, hi), (-hi, -Dv, -lo)) for lo, hi in windows]
-    # Rung errors of at most e move the extrapolated value by at most
-    # sum_k |lambda_k| e, so this much moves it by at most tol / 100; the
-    # pieces of a rung share it.
-    rung_target = tol / (100.0 * sum(map(abs, _ETA_WEIGHTS)) * scale)
+    """Oracle of -4 pi^2 D^2 S - rest, S the strain-term Wightman integral.
+
+    S is over a >= 0 or all a (_wightman_legs), rest an I2 or I4 oracle.
+    The error estimate is 4 pi^2 D^2 times S's plus rest's; converged is
+    err <= tol.
+    """
+    legs, tail = _wightman_legs(
+        Omega, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
+    )
+    scale = _FOUR_PI_SQ * float(D) * float(D)
+    s_finish, n = _contour(tail, tol), len(legs)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        if which == "I3":
-            vals, errs = vals[0::2] + vals[1::2], errs[0::2] + errs[1::2]
-        ys = [1j * scale * complex(v) for v in vals]
-        value, err = _ladder(ys, scale * errs)
-        if err > 1000.0 * tol * max(1.0, abs(value)):
-            raise NoConvergence(
-                f"delta'-family extrapolation residual {err:g} is far beyond "
-                f"tol = {tol:g} for {which} at omega={w:g}, Omega={Om:g}, D={Dv:g}"
-            )
-        return OracleEstimate(value, err, err <= tol * max(1.0, abs(value)))
+        s, r = s_finish(vals[:n], errs[:n]), rest.finish(vals[n:], errs[n:])
+        err = scale * s.abs_error_estimate + r.abs_error_estimate
+        return OracleEstimate(-scale * s.value - r.value, err, err <= tol)
 
-    return _Oracle(
-        [
-            _Integral(family, (eta, w, Om, Dv), edges, epsabs=rung_target / len(rung))
-            for eta, rung in zip(_ETAS, pieces)
-            for edges in rung
-        ],
-        finish,
-    )
+    return _Oracle([*legs, *rest.integrals], finish)
 
 
-def oracle_delta_prime(
-    which: str,
-    omega: float,
-    Omega: float,
-    D: float,
-    *,
-    tol: float = _DPRIME_TOL,
-) -> OracleEstimate:
-    """I1 or I3 from the defining delta' integral with a nascent family.
+def _i1(omega: float, D: float, tol: float) -> _Oracle:
+    """Oracle of oracle_I1."""
+    return _strain_less(0.0, D, omega, False, _i2(omega, D, tol), tol)
 
-    delta'(x) is realized as d/dx of the Gaussian nascent delta:
-    delta'_eta(x) = -2 x exp(-x^2/eta^2) / (eta^3 sqrt(pi)).  Its moment
-    expansion contains only even powers of eta, so the integrals at the
-    ladder eta = 0.1, 0.05, 0.025, 0.0125 are Neville-extrapolated in
-    eta^2.
 
-      I1 = i pi D^4 * Integral_0^inf of g(a) delta'(a - D^2/a) da
-      I3 = i pi D^4 * Integral over R of e^{i Omega a} g(a) delta'(a - D^2/a) da
+def oracle_I1(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
+    """I1 from the strain term of the half-line Wightman integral.
 
-    with g(a) = e^{-a^2/4} sinc(omega a / 2) / a^2.  The nascent spike is
-    supported near a = D (and a = -D for I3); integration windows cover
-    |a - D^2/a| <= 12 eta, outside of which the family is below e^{-144}.
+    The strain term of W for two detectors D apart along x is
+    -D^2 sinc(omega a/2) / (4 pi^2 sigma^4), so -4 pi^2 D^2 times its
+    half-line integral S_half (oracle_x_gw's a-integral, along the same
+    contour) is the eps -> 0+ limit of
 
-    `which` selects "I1" (Omega is ignored) or "I3".  Unlike every other
-    oracle's, tol is relative: tol * max(1, |value|) decides both
-    NoConvergence (raised beyond 1000 times it) and converged.
+      D^4 * Integral_0^inf of e^{-a^2/4} sinc(omega a/2) / ((a + i eps)^2 - D^2)^2 da.
 
-    Each rung is integrated to the absolute target tol / (100 Lambda pi D^4)
-    (or 1e-12 relative, if looser), Lambda = 1.95 being the sum of the
-    |weights| lambda_k of the rungs in the extrapolated value, so that
-    quadrature moves the estimate by at most tol / 100.  The target does
-    not need the value, because tol * max(1, |value|) is never below tol.
-    The error estimate is the extrapolation residual plus
-    sum_k |lambda_k| times rung k's quadrature error.
+    Its delta' part at a = D is I1 and its finite part is I2, so
+
+      I1 = -4 pi^2 D^2 S_half - I2,
+
+    with I2 from oracle_I2.  Neither part uses the closed-form algebra.
+    The error estimate is 4 pi^2 D^2 times S_half's plus I2's; tol is
+    absolute.  I1 is purely imaginary: the real part left is rounding.
     """
-    return _solve([_delta_prime(which, omega, Omega, D, tol)])[0]
+    return _solve([_i1(omega, D, tol)])[0]
+
+
+def _i3(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
+    """Oracle of oracle_I3."""
+    return _strain_less(Omega, D, omega, True, _i4(omega, Omega, D, tol), tol)
+
+
+def oracle_I3(
+    omega: float, Omega: float, D: float, *, tol: float = _FINE_TOL
+) -> OracleEstimate:
+    """I3 from the strain term of the full-line Wightman integral.
+
+    As for oracle_I1, over all a and weighted by e^{i Omega a}: with
+    S_full the full-line strain-term integral (oracle_c_gw's a-integral),
+
+      I3 = -4 pi^2 D^2 S_full - I4,
+
+    I3 being the delta' part at a = +-D and I4 (oracle_I4) the finite
+    part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's; tol
+    is absolute.  I3 is real: the imaginary part left is rounding.
+    """
+    return _solve([_i3(omega, Omega, D, tol)])[0]
 
 
 # --- verification suite -----------------------------------------------------
@@ -1182,7 +1078,7 @@ MINIMAL_VERIFY_GRID: Mapping[str, tuple[float, ...]] = {
 # Comparison tolerances (relative) for closed form vs oracle.
 TOL_KERNEL = 1.0e-5      # P, X_M, C_M and the X_M cross-regularization
 TOL_S_ORACLE = 1.0e-8    # I2, I4 against the Fourier-side representation
-TOL_DPRIME = 1.0e-5      # I1, I3 against the nascent-delta' family
+TOL_DPRIME = 1.0e-5      # I1, I3 (delta' parts) against the strain contour
 
 
 @dataclass(frozen=True)
@@ -1237,13 +1133,13 @@ _CHECKS: dict[tuple[str, ...], tuple[_Check, ...]] = {
     ),
     ("omega_sigma", "D_sigma"): (
         _Check("integral_I1", closedform.integral_I1,
-               lambda w, D: _delta_prime("I1", w, 0.0, D, _DPRIME_TOL), TOL_DPRIME),
+               partial(_i1, tol=_FINE_TOL), TOL_DPRIME),
         _Check("integral_I2", closedform.integral_I2,
                partial(_i2, tol=_FINE_TOL), TOL_S_ORACLE),
     ),
     ("omega_sigma", "Omega_sigma", "D_sigma"): (
         _Check("integral_I3", closedform.integral_I3,
-               partial(_delta_prime, "I3", tol=_DPRIME_TOL), TOL_DPRIME),
+               partial(_i3, tol=_FINE_TOL), TOL_DPRIME),
         _Check("integral_I4", closedform.integral_I4,
                partial(_i4, tol=_FINE_TOL), TOL_S_ORACLE),
     ),

@@ -60,7 +60,7 @@ def _psi_gw(w: float, Om: float, D: float, t0: float) -> float:
 
 def test_criterion_01_oracle_equivalence_on_default_grid():
     # Stated tolerances: kernels 1e-5 relative, s-integral oracles 1e-8,
-    # nascent-delta' oracles 1e-5; budget < 5 minutes single-threaded.
+    # the delta' parts I1 and I3 1e-5; budget < 5 minutes single-threaded.
     assert TOL_KERNEL == 1e-5
     assert TOL_S_ORACLE == 1e-8
     assert TOL_DPRIME == 1e-5

@@ -35,6 +35,39 @@ def test_unknown_figure_id_is_usage_error():
     assert exc.value.code == 2
 
 
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one cli.main call."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_parser_is_built_once_and_serves_successive_commands(tmp_path, capsys):
+    # The cached parser keeps no state between calls: each command prints
+    # what it prints on a freshly built parser, in either order.
+    csv = str(tmp_path / "scan.csv")
+    two_axes = ["--axis", "D_sigma:0.5:2:3", "--axis", "Omega_sigma:0:1:2"]
+    commands = [
+        ["sweep", *two_axes, "-o", csv],
+        ["point", "--Omega_sigma", "0.5", "--A", "0.15"],
+        ["sweep", "--axis", "D_sigma:0.5:2:3", "-o", csv],
+        ["--help"],
+        ["sweep", "--help"],
+    ]
+    alone = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        alone.append(_run(argv, capsys))
+    cli._build_parser.cache_clear()
+    for argv, expected in zip(commands + commands[::-1], alone + alone[::-1]):
+        assert _run(argv, capsys) == expected, argv
+    assert cli._build_parser() is cli._build_parser()
+    assert "usage: gwharvest" in alone[3][1] and "verify" in alone[3][1]
+
+
 # --- point -------------------------------------------------------------------
 
 

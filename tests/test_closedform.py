@@ -44,7 +44,7 @@ from gwharvest.model import (
     StateInvalid,
     params_from_mapping,
 )
-from gwharvest.oracle import oracle_c_gw, oracle_x_gw
+from gwharvest.oracle import oracle_c_gw, oracle_I1, oracle_I3, oracle_x_gw
 from gwharvest.specfun import DomainTooLarge
 
 PI_32 = math.pi**1.5
@@ -80,8 +80,8 @@ CM_ORACLE = [
     (-0.5, 1.0, 0.13064631111764272),
 ]
 
-# (omega, D, Im I1) from the nascent-delta' oracle; worst relative
-# deviation 3.8e-11.
+# (omega, D, Im I1) from the nascent-delta' oracle that oracle_I1 replaced;
+# worst relative deviation 3.8e-11.
 I1_ORACLE = [
     (2.0, 1.0, 0.9562676566864755),
     (5.0, 2.0, -0.6072200771642381),
@@ -99,8 +99,8 @@ I2_ORACLE = [
     (8.0, 1.0, 1.105494825507553),
 ]
 
-# (omega, Omega, D, I3) from the nascent-delta' oracle; worst relative
-# deviation 1.8e-12.
+# (omega, Omega, D, I3) from the nascent-delta' oracle that oracle_I3
+# replaced; worst relative deviation 1.8e-12.
 I3_ORACLE = [
     (2.0, 1.0, 1.0, -1.05315419439168),
     (5.0, 0.5, 2.0, 0.9021576051089154),
@@ -229,6 +229,15 @@ def test_i3_matches_frozen_oracle(omega, Omega, D, ref):
 @pytest.mark.parametrize("omega, Omega, D, ref", I4_ORACLE)
 def test_i4_matches_frozen_oracle(omega, Omega, D, ref):
     assert abs(integral_I4(omega, Omega, D) - ref) <= 1e-12 * abs(ref)
+
+
+def test_strain_contour_oracles_reproduce_the_frozen_i1_i3_tables():
+    # The frozen values came from the nascent-delta' oracle; today's I1/I3
+    # oracles must give them back within that oracle's stated deviations.
+    for omega, D, ref in I1_ORACLE:
+        assert abs(oracle_I1(omega, D).value.imag - ref) <= 3.8e-11 * abs(ref)
+    for omega, Omega, D, ref in I3_ORACLE:
+        assert abs(oracle_I3(omega, Omega, D).value.real - ref) <= 1.8e-12 * abs(ref)
 
 
 def test_i3_odd_i4_even_in_gap():

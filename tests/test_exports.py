@@ -37,6 +37,8 @@ REMOVED = (
     "_advance",
     "_extrapolated",
     "SpacetimePoint",
+    "NoConvergence",
+    "oracle_delta_prime",
 )
 
 

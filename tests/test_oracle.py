@@ -3,10 +3,11 @@
 The oracles exist to check the closed forms, so these tests mostly check
 the *machinery*: the batched Gauss-Kronrod routine against QUADPACK, the
 shifted contour of the Wightman integrals (two shifts are two independent
-quadratures of one number), the nascent-delta' ladder, the error-estimate
-honesty bands, the calibration guard, and the structure of the
-verification records.  Cross-validation of physics values
-happens in test_closedform.py (frozen tables) and test_acceptance.py.
+quadratures of one number), the I1/I3 references from the strain-term
+contour, the error-estimate honesty bands, the calibration guard, and the
+structure of the verification records.  Cross-validation of physics
+values happens in test_closedform.py (frozen tables) and
+test_acceptance.py.
 """
 
 import collections
@@ -32,79 +33,20 @@ from gwharvest.closedform import (
 from gwharvest.oracle import (
     DEFAULT_VERIFY_GRID,
     MINIMAL_VERIFY_GRID,
-    NoConvergence,
     SignConventionMismatch,
     all_passed,
     oracle_CM,
+    oracle_I1,
     oracle_I2,
+    oracle_I3,
     oracle_I4,
     oracle_P,
     oracle_P_full,
     oracle_XM,
-    oracle_delta_prime,
     verify_suite,
 )
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-# --- the nascent-delta' ladder's extrapolation ------------------------------
-
-
-def test_delta_prime_ladder_is_geometric():
-    # The ladder the docstring states, whose weights sum to Lambda = 1.95.
-    assert oracle._ETAS == (0.1, 0.05, 0.025, 0.0125)
-    assert oracle._ETA_SQ == [eta * eta for eta in oracle._ETAS]
-    assert round(sum(map(abs, oracle._ETA_WEIGHTS)), 2) == 1.95
-
-
-def test_ladder_exact_on_a_family_linear_in_eta_squared():
-    # Rung values sqrt(pi) (1 + eta^2) are linear in eta^2, so Neville
-    # extrapolation recovers sqrt(pi) to machine precision; the quadrature
-    # term of the error is sum_k |lambda_k| errs[k], here the weight of the
-    # one rung given an error.
-    etas = oracle._ETAS
-    xs = [eta * eta for eta in etas]
-    weights = oracle._neville_weights(xs)
-    for k in range(len(etas)):
-        errs = np.zeros(len(etas))
-        errs[k] = 1e-9
-        value, err = oracle._ladder([SQRT_PI * (1.0 + x) for x in xs], errs)
-        assert abs(value - SQRT_PI) < 1e-13
-        assert math.isclose(err, abs(weights[k]) * 1e-9, rel_tol=1e-3)
-
-
-def test_oracle_delta_prime_honest_unconverged_band():
-    # An extrapolation residual (~1.3e-9) beyond tol but below 1000 * tol
-    # comes back flagged, not raised ...
-    est = oracle_delta_prime("I1", 2.0, 0.0, 1.0, tol=1e-10)
-    assert not est.converged
-    assert est.abs_error_estimate > 1e-10
-    # ... and the flagged value is still much better than the estimate.
-    assert abs(est.value - integral_I1(2.0, 1.0)) < 1e-3 * est.abs_error_estimate
-
-
-def test_oracle_delta_prime_raises_far_beyond_tol():
-    with pytest.raises(NoConvergence):
-        oracle_delta_prime("I1", 2.0, 0.0, 1.0, tol=1e-13)
-
-
-@pytest.mark.parametrize(
-    "xs, weight_sum",
-    [
-        ([r * r for r in (0.1, 0.05, 0.025, 0.0125)], 1.95),
-        ((0.1, 0.05, 0.025, 0.0125), 6.43),
-        (tuple(0.05 * 0.5 ** k for k in range(6)), 7.76),
-    ],
-)
-def test_neville_weight_sum_is_the_sum_of_the_extrapolation_weights(xs, weight_sum):
-    # Neville is linear in the ys: extrapolating the k-th unit vector gives
-    # the weight of ys[k] in the extrapolated value.
-    units = np.eye(len(xs))
-    weights = [oracle._neville_at_zero(xs, unit)[0] for unit in units]
-    total = sum(map(abs, oracle._neville_weights(xs)))
-    assert math.isclose(total, sum(map(abs, weights)), rel_tol=1e-12)
-    assert round(total, 2) == weight_sum
 
 
 # --- the batched Gauss-Kronrod routine ----------------------------------------
@@ -334,12 +276,9 @@ _FAMILIES = {
         oracle_XM(0.0, p["D"], 0.0, method="pv_subtraction") for p in _grid("D")
     ],
     "CM": lambda: [oracle_CM(p["Omega"], p["D"]) for p in _grid("Omega", "D")],
-    "I1": lambda: [
-        oracle_delta_prime("I1", p["omega"], 0.0, p["D"]) for p in _grid("omega", "D")
-    ],
+    "I1": lambda: [oracle_I1(p["omega"], p["D"]) for p in _grid("omega", "D")],
     "I3": lambda: [
-        oracle_delta_prime("I3", p["omega"], p["Omega"], p["D"])
-        for p in _grid("omega", "Omega", "D")
+        oracle_I3(p["omega"], p["Omega"], p["D"]) for p in _grid("omega", "Omega", "D")
     ],
     "I2": lambda: [oracle_I2(p["omega"], p["D"]) for p in _grid("omega", "D")],
     "I4": lambda: [
@@ -552,7 +491,7 @@ def test_half_line_contour_rejects_coincident_detectors():
         oracle.oracle_x_gw(2.0, 1.0, 0.0, 0.0)
 
 
-# --- s-integral and nascent-delta' oracles -----------------------------------
+# --- s-integral oracles, and I1/I3 from the strain-term contour -------------
 
 
 def test_oracle_i2_i4_machine_accurate():
@@ -565,21 +504,16 @@ def test_oracle_i2_i4_machine_accurate():
     assert i4.abs_error_estimate < 1e-10
 
 
+# I1 and I3 are the delta' parts of the strain term, at a = D and a = +-D.
+
+
 def test_oracle_delta_prime_parities():
-    d1 = oracle_delta_prime("I1", 2.0, 0.0, 1.0)
+    d1 = oracle_I1(2.0, 1.0)
     assert d1.value.real == 0.0  # I1 is purely imaginary
     assert abs(d1.value.imag - 0.9562676566864755) <= 1e-9
-    d3 = oracle_delta_prime("I3", 2.0, 1.0, 1.0)
+    d3 = oracle_I3(2.0, 1.0, 1.0)
     assert d3.value.imag == 0.0  # I3 is purely real
     assert abs(d3.value.real - (-1.05315419439168)) <= 1e-9
-
-
-def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypatch):
-    # The four rungs of the eta ladder are four integrals of one
-    # batched quadrature call.
-    sizes = _gk21_call_sizes(monkeypatch)
-    oracle_delta_prime("I1", 2.0, 0.0, 1.0)
-    assert sizes == [4]
 
 
 @pytest.mark.parametrize(
@@ -591,28 +525,76 @@ def test_oracle_delta_prime_i1_integrates_all_rungs_in_one_batched_call(monkeypa
     ids=["I1", "I3"],
 )
 def test_oracle_delta_prime_honours_a_tight_tol(which, omega, Omega, closed):
-    # Each rung's quadrature target follows tol: a target fixed for the
-    # default tol = 1e-5 would leave these estimates beyond 1e-8.
-    tol = 1e-8
-    est = oracle_delta_prime(which, omega, Omega, 1.0, tol=tol)
+    # tol is absolute, and a converged estimate meets it: at a hundredth
+    # of the default tol both come back converged, within tol of the
+    # closed form.
+    tol = 1e-12
+    if which == "I1":
+        est = oracle_I1(omega, 1.0, tol=tol)
+    else:
+        est = oracle_I3(omega, Omega, 1.0, tol=tol)
     bound = tol * max(1.0, abs(est.value))
     assert est.converged
     assert est.abs_error_estimate <= bound
     assert abs(est.value - closed) <= bound
 
 
-def test_oracle_delta_prime_rejects_unknown_target():
-    with pytest.raises(ValueError):
-        oracle_delta_prime("I7", 2.0, 0.0, 1.0)
+def test_oracle_delta_prime_honest_unconverged_band():
+    # A tol below what the quadrature reaches (~5e-14) comes back flagged,
+    # not raised, and the flagged value still lies within its estimate.
+    est = oracle_I1(2.0, 1.0, tol=1e-14)
+    assert not est.converged
+    assert est.abs_error_estimate > 1e-14
+    assert abs(est.value - integral_I1(2.0, 1.0)) <= est.abs_error_estimate
 
 
-def test_dprime_window_bracket_equations():
-    # The window endpoints solve a - D^2/a = -/+ halfwidth * eta exactly.
-    for D, eta in [(1.5, 0.01), (0.5, 0.1), (4.0, 1e-3)]:
-        lo, hi = oracle._dprime_window(D, eta)
-        assert math.isclose(lo - D * D / lo, -12.0 * eta, abs_tol=1e-12)
-        assert math.isclose(hi - D * D / hi, 12.0 * eta, abs_tol=1e-12)
-        assert 0.0 < lo < D < hi
+# The new oracles off the verify grid: negative and larger Omega, a small
+# and a large D, a slow and a fast wave.
+_OFF_GRID = list(itertools.product((-1.5, -0.5, 2.0), (0.25, 3.0), (0.5, 8.0)))
+
+
+@pytest.mark.parametrize("Omega, D, omega", _OFF_GRID)
+def test_oracle_i1_i3_agree_with_the_closed_forms_off_the_verify_grid(Omega, D, omega):
+    for est, closed in [
+        (oracle_I1(omega, D), integral_I1(omega, D)),
+        (oracle_I3(omega, Omega, D), integral_I3(omega, Omega, D)),
+    ]:
+        gap = abs(est.value - closed)
+        assert est.converged
+        assert gap <= 1e-10 * abs(closed), (est, closed)
+        assert gap <= est.abs_error_estimate, (est, closed)
+
+
+@pytest.mark.parametrize("Omega, D, omega", _OFF_GRID)
+def test_oracle_i3_is_odd_and_oracle_i1_imaginary(Omega, D, omega):
+    # I3 is odd in Omega (README "Known-failing tests", criterion 7) and I1
+    # is purely imaginary: each to within the estimates, from legs and
+    # I2/I4 integrals that know neither property.
+    plus, minus = oracle_I3(omega, Omega, D), oracle_I3(omega, -Omega, D)
+    both = plus.abs_error_estimate + minus.abs_error_estimate
+    assert abs(plus.value + minus.value) <= both, (plus, minus)
+    i1 = oracle_I1(omega, D)
+    assert abs(i1.value.real) <= i1.abs_error_estimate, i1
+
+
+def test_oracle_i1_i3_are_the_strain_contour_less_oracle_i2_i4():
+    # I1 = -4 pi^2 D^2 S_half - I2 and I3 = -4 pi^2 D^2 S_full - I4, S the
+    # strain-term contour integral of oracle_x_gw (oracle_c_gw), and each
+    # estimate is the parts' estimates, S's scaled by 4 pi^2 D^2.
+    omega, Omega, D = 2.0, -0.5, 3.0
+    scale = oracle._FOUR_PI_SQ * D * D
+    for est, Om, full_line, rest in [
+        (oracle_I1(omega, D), 0.0, False, oracle_I2(omega, D)),
+        (oracle_I3(omega, Omega, D), Omega, True, oracle_I4(omega, Omega, D)),
+    ]:
+        legs, tail = oracle._wightman_legs(
+            Om, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
+        )
+        (s,) = oracle._solve([oracle._Oracle(legs, oracle._contour(tail, 1e-10))])
+        assert _hex(est.value) == _hex(-scale * s.value - rest.value)
+        err = scale * s.abs_error_estimate + rest.abs_error_estimate
+        assert est.abs_error_estimate.hex() == err.hex()
+        assert est.abs_error_estimate > scale * s.abs_error_estimate > 0.0
 
 
 # --- verification suite ------------------------------------------------------
@@ -719,11 +701,11 @@ def _standalone(rec):
     if rec.quantity == "c_minkowski":
         return complex(c_minkowski(Om, D), 0.0), oracle_CM(Om, D)
     if rec.quantity == "integral_I1":
-        return integral_I1(w, D), oracle_delta_prime("I1", w, 0.0, D)
+        return integral_I1(w, D), oracle_I1(w, D)
     if rec.quantity == "integral_I2":
         return complex(integral_I2(w, D), 0.0), oracle_I2(w, D)
     if rec.quantity == "integral_I3":
-        return complex(integral_I3(w, Om, D), 0.0), oracle_delta_prime("I3", w, Om, D)
+        return complex(integral_I3(w, Om, D), 0.0), oracle_I3(w, Om, D)
     assert rec.quantity == "integral_I4"
     return complex(integral_I4(w, Om, D), 0.0), oracle_I4(w, Om, D)
 
@@ -798,11 +780,12 @@ def test_verify_suite_makes_one_quadrature_call_per_value_type(monkeypatch):
     records = verify_suite()
     assert len(records) == 183
     # One call for the complex integrands: one contour leg each of P (3)
-    # and C_M (12), two of the X_M kernel (4 D), and two windows per rung
-    # of I3 (36, four rungs): 3 + 12 + 8 + 288.  One for the real ones: X_M
-    # by PV subtraction (4 D, two pieces), I1's rungs (12 * 4), I2 (12) and
-    # I4's two pieces (36): 8 + 48 + 12 + 72.
-    assert sorted(sizes) == [140, 311]
+    # and C_M (12), two of the X_M kernel (4 D), the two half-line
+    # strain-term legs of I1 (12 (omega, D)) and the one full-line leg of
+    # I3 (36): 3 + 12 + 8 + 24 + 36.  One for the real ones: X_M by PV
+    # subtraction (4 D, two pieces), I2 (12) and I4's two pieces (36),
+    # each shared by the I1 or I3 reference at its point: 8 + 12 + 72.
+    assert sorted(sizes) == [83, 92]
 
 
 def _count_quad_calls(monkeypatch):
