@@ -43,13 +43,17 @@ The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 epsabs 1e-13, at most 300 subintervals), written over numpy arrays.  No
 part of scipy.integrate is used.  Each oracle is data, an _Oracle: the
 integrals it needs (an integrand family with per-integral parameters,
-and edges) and a function that builds its estimate from their values
-(contour legs summed, scaling, tail bound, I2 or I4 subtracted).  _solve
-integrates the lists of any number of oracles (verify_suite's: all of
-them) by one batched pass per integrand value type, each distinct
-integral once.  Each refinement
-round calls each integrand family once, on the nodes of every new
-subinterval of its integrals.  The refinement is elementwise or per
+and start edges) and a function that builds its estimate from their
+values (contour legs summed, scaling, tail bound, I2 or I4 subtracted).
+_solve integrates the lists of any number of oracles (verify_suite's:
+all of them) by one batched pass per integrand value type, each distinct
+integral once.  Each refinement round calls each integrand family once,
+on the nodes of every new subinterval of its integrals.  The start edges
+are graded where bisection would otherwise spend its rounds (_halvings):
+toward each pole of a contour leg, from either side, and toward the end
+nearer the origin of each real integral.  A default verify_suite
+evaluates 1,828 subintervals in 6 rule calls; every contour leg meets
+its target in the first round.  The refinement is elementwise or per
 integral throughout, so an estimate is bit for bit the same alone or
 batched.
 
@@ -64,7 +68,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -219,8 +223,7 @@ def _gk21(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]],
     *,
-    limit: int | np.ndarray = 300,
-    epsabs: float | np.ndarray = _EPSABS,
+    limit: int = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over n piecewise intervals by batched adaptive G10/K21.
 
@@ -232,9 +235,8 @@ def _gk21(
     evaluated once.
 
     The stopping rule is QUADPACK's: integral i is done when the sum of its
-    subinterval errors is at most max(epsabs, _EPSREL |I_i|), or when it has
-    limit subintervals (limit and epsabs are each one value, or an array of
-    one per integral).  Until then each round bisects its subintervals whose
+    subinterval errors is at most max(_EPSABS, _EPSREL |I_i|), or when it has
+    limit subintervals.  Until then each round bisects its subintervals whose
     error exceeds an equal share of that tolerance (its largest one always,
     and never beyond limit); once done, its sums are kept and its
     subintervals leave the batch.  Every step is elementwise, per row or per
@@ -272,7 +274,7 @@ def _gk21(
         re = np.bincount(owner, val.real, n)
         im = np.bincount(owner, val.imag, n)
         esum = np.bincount(owner, err, n)
-        target = np.maximum(epsabs, _EPSREL * np.hypot(re, im))
+        target = np.maximum(_EPSABS, _EPSREL * np.hypot(re, im))
         active = (esum > target) & (count < limit)
         # A finished integral is not refined again: keep its sums and drop
         # its subintervals.
@@ -289,7 +291,7 @@ def _gk21(
         first = np.cumsum(count) - count
         rank[order] = np.arange(len(owner)) - first[owner[order]]
         split = (err * count[owner] > target[owner]) | (rank == 0)
-        split &= rank < (limit - count)[owner]
+        split &= rank < limit - count[owner]
         keep = ~split
         o, a, b = owner[split], lo[split], hi[split]
         mid = 0.5 * (a + b)
@@ -322,17 +324,11 @@ class _Family:
 
 
 class _Integral(NamedTuple):
-    """One integral of a family at params over the pieces of edges.
-
-    It is done at error <= max(epsabs, _EPSREL |value|), or at limit
-    subintervals.
-    """
+    """One integral of a family at params over the pieces of edges."""
 
     family: _Family
     params: tuple[float, ...]
     edges: tuple[float, ...]
-    limit: int = 300
-    epsabs: float = _EPSABS
 
 
 class _Oracle(NamedTuple):
@@ -348,7 +344,7 @@ class _Oracle(NamedTuple):
 
 def _same_bits(a: _Integral, b: _Integral) -> bool:
     """Whether integrals equal as tuples (-0.0 == 0.0) have the same bits."""
-    fa, fb = (*a.params, *a.edges, a.epsabs), (*b.params, *b.edges, b.epsabs)
+    fa, fb = (*a.params, *a.edges), (*b.params, *b.edges)
     return struct.pack(f"{len(fa)}d", *fa) == struct.pack(f"{len(fb)}d", *fb)
 
 
@@ -394,10 +390,7 @@ def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
     for index in batches.values():
         batch = [integrals[i] for i in index]
         vals[index], errs[index] = _gk21(
-            _batch_integrand(batch),
-            [it.edges for it in batch],
-            limit=np.array([it.limit for it in batch]),
-            epsabs=np.array([it.epsabs for it in batch]),
+            _batch_integrand(batch), [it.edges for it in batch]
         )
     return vals, errs
 
@@ -457,6 +450,30 @@ def _edges(a: float, b: float, points: Iterable[float]) -> tuple[float, ...]:
     return (a, *(p for p in sorted(points) if a < p < b), b)
 
 
+def _halvings(near: float, far: float, n: int) -> list[float]:
+    """near + (far - near)/2^j for j = 1..n.
+
+    Where the integrand varies fastest at near, QUADPACK's bisection of
+    [near, far] ends on these points, one round each; as start edges
+    they spare it those rounds.
+    """
+    return [near + (far - near) / 2.0 ** j for j in range(1, n + 1)]
+
+
+# Start edges (_halvings) on either side of each pole of a horizontal
+# contour leg, and toward the end nearer the origin of each real s- or PV
+# integral: the counts with which a default verify_suite evaluates the
+# fewest subintervals in the fewest rule calls.
+_POLE_HALVINGS = 5
+_REAL_HALVINGS = 3
+
+
+def _graded(a: float, b: float) -> tuple[float, ...]:
+    """Edges of [a, b], halved _REAL_HALVINGS times toward its end nearer 0."""
+    near, far = (a, b) if abs(a) <= abs(b) else (b, a)
+    return _edges(a, b, _halvings(near, far, _REAL_HALVINGS))
+
+
 # --- the Wightman integral behind every kernel oracle, on a contour ---------
 
 # Height c of the contour above the real axis; every pole lies below it.
@@ -474,9 +491,50 @@ def _sinc(u: np.ndarray) -> np.ndarray:
 def _wightman_kernel(x, vertical, c, r, m, Om, gw=None, w=None):
     """e^{-a^2/4} e^{i Omega a} W(a) da/dx on a leg; see _wightman_legs.
 
-    The leg is a = i x with vertical set, else a = x + i c.  The strain
-    term is on only in the family that passes gw and w.
+    The leg is a = i x where vertical is set, else a = x + i c.  The strain
+    term is on only in the family that passes gw and w.  The columns are
+    shaped (k, 1) against rows of nodes x shaped (k, n); a float node is
+    one row.  Horizontal rows go by _horizontal_leg; the few vertical ones,
+    and those where sinc(omega a/2) may meet 0/0 (omega c = 0), by the
+    defining expression, _any_leg.
     """
+    exact = vertical != 0.0
+    if gw is not None:
+        exact = exact | (w * c == 0.0)
+    exact = np.atleast_2d(exact)[:, 0]
+    x, vertical, *cols = (
+        np.atleast_2d(v) for v in (x, vertical, c, r, m, Om, gw, w) if v is not None
+    )
+    if not exact.any():
+        return _horizontal_leg(x, *cols)
+    out = np.empty(x.shape, dtype=complex)
+    fast = ~exact
+    out[fast] = _horizontal_leg(x[fast], *(v[fast] for v in cols))
+    out[exact] = _any_leg(x[exact], vertical[exact], *(v[exact] for v in cols))
+    return out
+
+
+def _horizontal_leg(x, c, r, m, Om, gw=None, w=None):
+    """_wightman_kernel on a = x + i c, omega c != 0, in real sin and cos.
+
+    sin(omega a/2) = sin(omega x/2) cosh(omega c/2) + i cos(omega x/2)
+    sinh(omega c/2), cosh and sinh once per row.
+    """
+    a = x + 1j * c
+    sig = (r - a) * (r + a)
+    kern = (m / _FOUR_PI_SQ) / sig
+    if gw is not None:
+        half = 0.5 * w
+        phase = half * x
+        sin_u = np.empty(x.shape, dtype=complex)
+        np.multiply(np.sin(phase), np.cosh(half * c), out=sin_u.real)
+        np.multiply(np.cos(phase), np.sinh(half * c), out=sin_u.imag)
+        kern = kern - (gw / _FOUR_PI_SQ) * sin_u / (half * a * sig * sig)
+    return np.exp(a * (1j * Om - 0.25 * a)) * kern
+
+
+def _any_leg(x, vertical, c, r, m, Om, gw=None, w=None):
+    """_wightman_kernel by its defining expression, sinc(0) = 1."""
     up = vertical != 0.0
     a = np.where(up, 1j * x, x + 1j * c)
     sig = (r - a) * (r + a)
@@ -520,11 +578,13 @@ def _wightman_legs(
     the path starts at a = 0, a pole when r = 0, so D = 0 raises
     ValueError there.
 
-    The horizontal leg runs over |Re a| <= L = D + 14, split at Re a = -D
-    and D.  Its neglected tails are bounded from |sigma^2| >= L^2 - D^2,
-    |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4}, |e^{i Omega a}| <= e^{|Omega| c}
-    and |sinc(omega a/2)| <= cosh(omega c/2); that bound is returned
-    with the legs.
+    The horizontal leg runs over |Re a| <= L = D + 14.  It starts split
+    at Re a = 0 and at +-p for each p > 0 among D and D +- (L - D)/2^j,
+    j = 1.._POLE_HALVINGS: the edges that bisection toward a pole reaches
+    from either side.  Its neglected tails are bounded from
+    |sigma^2| >= L^2 - D^2, |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4},
+    |e^{i Omega a}| <= e^{|Omega| c} and |sinc(omega a/2)| <= cosh(omega c/2);
+    that bound is returned with the legs.
     """
     c = _SHIFT
     Om, Dv, w = float(Omega), float(D), float(omega)
@@ -548,12 +608,16 @@ def _wightman_legs(
     # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
     family, strain_cols = (_WIGHTMAN_STRAIN, (gw, w)) if gw else (_WIGHTMAN, ())
     cols = (c, r, m, Om, *strain_cols)
+    steps = _halvings(0.0, L - Dv, _POLE_HALVINGS)
+    ladder = [Dv, *(Dv + h for h in steps), *(Dv - h for h in steps)]
+    ladder = [p for p in ladder if p > 0.0]
     if full_line:
-        legs = [_Integral(family, (0.0, *cols), _edges(-L, L, {-Dv, Dv}))]
+        points = {0.0, *ladder, *(-p for p in ladder)}
+        legs = [_Integral(family, (0.0, *cols), _edges(-L, L, points))]
     else:
         legs = [
             _Integral(family, (1.0, *cols), (0.0, c)),
-            _Integral(family, (0.0, *cols), _edges(0.0, L, {Dv})),
+            _Integral(family, (0.0, *cols), _edges(0.0, L, ladder)),
         ]
     return legs, tail
 
@@ -713,7 +777,7 @@ def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
         return _Oracle(
             [
                 _Integral(_PV_NEAR, (gauss_d, Dv), (0.0, Dv, 2.0 * Dv)),
-                _Integral(_PV_FAR, (Dv,), (2.0 * Dv, L)),
+                _Integral(_PV_FAR, (Dv,), _graded(2.0 * Dv, L)),
             ],
             finish,
         )
@@ -721,13 +785,13 @@ def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
     raise ValueError(f"unknown oracle_XM method {method!r}")
 
 
-def _xm(Omega: float, D: float, t0: float, method: str, tol: float) -> _Oracle:
-    """Oracle of oracle_XM: the kernel integral times X_M's prefactor.
+def _xm(kernel: _Oracle, Omega: float, t0: float) -> _Oracle:
+    """Oracle of oracle_XM: the _xm_kernel oracle times X_M's prefactor.
 
     The scaled estimate keeps the kernel's convergence flag, judged on the
     unscaled kernel error.
     """
-    kernel, Om, t0v = _xm_kernel(D, method, tol), float(Omega), float(t0)
+    Om, t0v = float(Omega), float(t0)
     pref = -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0v))
     return _Oracle(kernel.integrals, lambda v, e: _scaled(kernel.finish(v, e), pref))
 
@@ -761,7 +825,7 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    return _solve([_xm(Omega, D, t0, method, tol)])[0]
+    return _solve([_xm(_xm_kernel(D, method, tol), Omega, t0)])[0]
 
 
 def _cm(Omega: float, D: float, tol: float) -> _Oracle:
@@ -925,7 +989,7 @@ def _i2(omega: float, D: float, tol: float) -> _Oracle:
         value = complex(pref * complex(vals[0]).real, 0.0)
         return OracleEstimate(value, total_err, total_err <= tol)
 
-    return _Oracle([_Integral(_I2, (w, Dv), (0.0, Ls))], finish)
+    return _Oracle([_Integral(_I2, (w, Dv), _graded(0.0, Ls))], finish)
 
 
 def oracle_I2(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
@@ -966,7 +1030,7 @@ def _i4(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
         return OracleEstimate(complex(pref * val, 0.0), total_err, total_err <= tol)
 
     return _Oracle(
-        [_Integral(_I4, (Om, Dv, w), (a, b)) for a, b, _ in segments], finish
+        [_Integral(_I4, (Om, Dv, w), _graded(a, b)) for a, b, _ in segments], finish
     )
 
 
@@ -1011,9 +1075,9 @@ def _strain_less(
     return _Oracle([*legs, *rest.integrals], finish)
 
 
-def _i1(omega: float, D: float, tol: float) -> _Oracle:
-    """Oracle of oracle_I1."""
-    return _strain_less(0.0, D, omega, False, _i2(omega, D, tol), tol)
+def _i1(omega: float, D: float, i2: _Oracle, tol: float) -> _Oracle:
+    """Oracle of oracle_I1, given oracle_I2's at (omega, D)."""
+    return _strain_less(0.0, D, omega, False, i2, tol)
 
 
 def oracle_I1(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
@@ -1034,12 +1098,12 @@ def oracle_I1(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstima
     The error estimate is 4 pi^2 D^2 times S_half's plus I2's; tol is
     absolute.  I1 is purely imaginary: the real part left is rounding.
     """
-    return _solve([_i1(omega, D, tol)])[0]
+    return _solve([_i1(omega, D, _i2(omega, D, tol), tol)])[0]
 
 
-def _i3(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
-    """Oracle of oracle_I3."""
-    return _strain_less(Omega, D, omega, True, _i4(omega, Omega, D, tol), tol)
+def _i3(omega: float, Omega: float, D: float, i4: _Oracle, tol: float) -> _Oracle:
+    """Oracle of oracle_I3, given oracle_I4's at (omega, Omega, D)."""
+    return _strain_less(Omega, D, omega, True, i4, tol)
 
 
 def oracle_I3(
@@ -1056,7 +1120,7 @@ def oracle_I3(
     part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's; tol
     is absolute.  I3 is real: the imaginary part left is rounding.
     """
-    return _solve([_i3(omega, Omega, D, tol)])[0]
+    return _solve([_i3(omega, Omega, D, _i4(omega, Omega, D, tol), tol)])[0]
 
 
 # --- verification suite -----------------------------------------------------
@@ -1111,39 +1175,50 @@ class _Check(NamedTuple):
     note: str = ""
 
 
-_XM_CONTOUR = partial(_xm, method="contour", tol=_KERNEL_TOL)
-_XM_PV = partial(_xm, method="pv_subtraction", tol=_KERNEL_TOL)
+def _checks() -> dict[tuple[str, ...], tuple[_Check, ...]]:
+    """verify_suite's record kinds by signature, for one call.
 
-# verify_suite's record kinds by signature: the grid axes whose values, in
-# this order, a kind's value and reference are built from.
-_CHECKS: dict[tuple[str, ...], tuple[_Check, ...]] = {
-    ("Omega_sigma",): (
-        _Check("transition_probability", closedform.transition_probability,
-               lambda Om: _p_full(Om, 0.0, 0.0, 0.0, _KERNEL_TOL), TOL_KERNEL),
-    ),
-    ("Omega_sigma", "D_sigma", "t0_sigma"): (
-        _Check("x_minkowski", closedform.x_minkowski, _XM_CONTOUR, TOL_KERNEL),
-        _Check("x_minkowski_pv", closedform.x_minkowski, _XM_PV, TOL_KERNEL),
-        _Check("x_minkowski_consistency", _XM_CONTOUR, _XM_PV, TOL_KERNEL,
-               "independent regularizations of the same kernel"),
-    ),
-    ("Omega_sigma", "D_sigma"): (
-        _Check("c_minkowski", closedform.c_minkowski,
-               partial(_cm, tol=_KERNEL_TOL), TOL_KERNEL),
-    ),
-    ("omega_sigma", "D_sigma"): (
-        _Check("integral_I1", closedform.integral_I1,
-               partial(_i1, tol=_FINE_TOL), TOL_DPRIME),
-        _Check("integral_I2", closedform.integral_I2,
-               partial(_i2, tol=_FINE_TOL), TOL_S_ORACLE),
-    ),
-    ("omega_sigma", "Omega_sigma", "D_sigma"): (
-        _Check("integral_I3", closedform.integral_I3,
-               partial(_i3, tol=_FINE_TOL), TOL_DPRIME),
-        _Check("integral_I4", closedform.integral_I4,
-               partial(_i4, tol=_FINE_TOL), TOL_S_ORACLE),
-    ),
-}
+    A signature is the grid axes whose values, in this order, a kind's
+    value and reference are built from.  An oracle that several kinds
+    share is built once per call at each of its points: the X_M kernel
+    integral at each (D, method), which serves every (Omega, t0), and
+    the I2 and I4 oracles, which the I1 and I3 references subtract.
+    """
+    xm_kernel = cache(_xm_kernel)
+    i2 = cache(partial(_i2, tol=_FINE_TOL))
+    i4 = cache(partial(_i4, tol=_FINE_TOL))
+
+    def xm(method: str) -> Callable[..., _Oracle]:
+        return lambda Om, D, t0: _xm(xm_kernel(D, method, _KERNEL_TOL), Om, t0)
+
+    xm_contour, xm_pv = xm("contour"), xm("pv_subtraction")
+    return {
+        ("Omega_sigma",): (
+            _Check("transition_probability", closedform.transition_probability,
+                   lambda Om: _p_full(Om, 0.0, 0.0, 0.0, _KERNEL_TOL), TOL_KERNEL),
+        ),
+        ("Omega_sigma", "D_sigma", "t0_sigma"): (
+            _Check("x_minkowski", closedform.x_minkowski, xm_contour, TOL_KERNEL),
+            _Check("x_minkowski_pv", closedform.x_minkowski, xm_pv, TOL_KERNEL),
+            _Check("x_minkowski_consistency", xm_contour, xm_pv, TOL_KERNEL,
+                   "independent regularizations of the same kernel"),
+        ),
+        ("Omega_sigma", "D_sigma"): (
+            _Check("c_minkowski", closedform.c_minkowski,
+                   partial(_cm, tol=_KERNEL_TOL), TOL_KERNEL),
+        ),
+        ("omega_sigma", "D_sigma"): (
+            _Check("integral_I1", closedform.integral_I1,
+                   lambda w, D: _i1(w, D, i2(w, D), _FINE_TOL), TOL_DPRIME),
+            _Check("integral_I2", closedform.integral_I2, i2, TOL_S_ORACLE),
+        ),
+        ("omega_sigma", "Omega_sigma", "D_sigma"): (
+            _Check("integral_I3", closedform.integral_I3,
+                   lambda w, Om, D: _i3(w, Om, D, i4(w, Om, D), _FINE_TOL),
+                   TOL_DPRIME),
+            _Check("integral_I4", closedform.integral_I4, i4, TOL_S_ORACLE),
+        ),
+    }
 
 
 def _record(
@@ -1193,7 +1268,7 @@ def verify_suite(
     counted once; any other key set, an empty axis, a non-finite value,
     D <= 0 or omega = 0 raises ValueError before any quadrature.
 
-    Each _Check of _CHECKS makes a record at each point of its signature:
+    Each _Check of _checks() makes a record at each point of its signature:
     signature by signature, point by point (each axis ascending, the first
     outermost), in table order within a point.  One _solve integrates each
     distinct integral of the call once (an X_M kernel integral serves
@@ -1205,7 +1280,7 @@ def verify_suite(
     axes = _grid_axes(DEFAULT_VERIFY_GRID if grid is None else grid)
     # Each closed form and oracle once per point, then each oracle's estimate.
     points, built = [], {}
-    for signature, checks in _CHECKS.items():
+    for signature, checks in _checks().items():
         for point in itertools.product(*(axes[name] for name in signature)):
             params = tuple(sorted(zip(signature, point)))
             for check in checks:

@@ -41,7 +41,6 @@ __all__ = [
     "scaled_erf_product_array",
     "complex_array",
     "sinc",
-    "sinc_array",
 ]
 
 # sinc switches to its Taylor polynomial below this to avoid 0/0 and the
@@ -298,13 +297,6 @@ def sinc(x: float) -> float:
     if abs(x) < _SINC_TAYLOR_CUTOFF:
         return _sinc_taylor(x * x)
     return math.sin(x) / x
-
-
-def sinc_array(x: np.ndarray) -> np.ndarray:
-    """sinc over arrays, switching to the same Taylor series at the cutoff."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_TAYLOR_CUTOFF
-    return np.where(small, _sinc_taylor(x * x), np.sin(x) / np.where(small, 1.0, x))
 
 
 def _sinc_taylor(x2):

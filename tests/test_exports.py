@@ -39,6 +39,7 @@ REMOVED = (
     "SpacetimePoint",
     "NoConvergence",
     "oracle_delta_prime",
+    "sinc_array",
 )
 
 

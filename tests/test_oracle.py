@@ -172,38 +172,33 @@ _REAL_PEAK = oracle._Family(_real_peak, float)
 _COMPLEX_PEAK = oracle._Family(_complex_peak, complex)
 
 
-# (family, params, edges, epsabs): each value type mixes two targets.
+# (family, params, edges): two integrals of each value type.
 _PEAK_INTEGRALS = [
-    (_REAL_PEAK, (1e-3, 0.3), (-1.0, 0.0, 1.0), 1e-6),
-    (_COMPLEX_PEAK, (1e-5, -0.2, 3.0), (-1.0, 1.0), oracle._EPSABS),
-    (_REAL_PEAK, (1e-2, -0.5), (-2.0, 1.0), oracle._EPSABS),
-    (_COMPLEX_PEAK, (1e-4, 0.4, 5.0), (-1.0, 1.0), 1e-7),
+    (_REAL_PEAK, (1e-3, 0.3), (-1.0, 0.0, 1.0)),
+    (_COMPLEX_PEAK, (1e-5, -0.2, 3.0), (-1.0, 1.0)),
+    (_REAL_PEAK, (1e-2, -0.5), (-2.0, 1.0)),
+    (_COMPLEX_PEAK, (1e-4, 0.4, 5.0), (-1.0, 1.0)),
 ]
 
 
 def _peak_oracle():
     return oracle._Oracle(
-        [
-            oracle._Integral(family, params, edges, epsabs=epsabs)
-            for family, params, edges, epsabs in _PEAK_INTEGRALS
-        ],
+        [oracle._Integral(*peak) for peak in _PEAK_INTEGRALS],
         lambda vals, errs: (vals, errs),
     )
 
 
-def _lone_peak(family, params, edges, epsabs):
+def _lone_peak(family, params, edges):
     """The _gk21 result of one entry of _PEAK_INTEGRALS, integrated alone."""
-    return oracle._gk21(
-        lambda x, k: family.kernel(x, *params), [edges], epsabs=epsabs
-    )
+    return oracle._gk21(lambda x, k: family.kernel(x, *params), [edges])
 
 
 @pytest.mark.parametrize("max_rows", [1, oracle._MAX_ROWS, 10**9])
 def test_batched_run_equals_lone_gk21_calls(max_rows, monkeypatch):
     # A real integrand batched as complex would be summed in another order
     # and change in its last bits: the run must make one _gk21 call per
-    # value type, each result must be a lone call's at its own target, and
-    # the number of rows per rule call must not matter.
+    # value type, each result must be a lone call's, and the number of
+    # rows per rule call must not matter.
     alone = [_hexes(*_lone_peak(*peak))[0] for peak in _PEAK_INTEGRALS]
     sizes = _gk21_call_sizes(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROWS", max_rows)
@@ -211,12 +206,6 @@ def test_batched_run_equals_lone_gk21_calls(max_rows, monkeypatch):
     together = _hexes(*together)
     assert sorted(sizes) == [2, 2]
     assert together == alone
-    # The loose targets were used: at the default one those integrals differ.
-    monkeypatch.undo()
-    for i in (0, 3):
-        family, params, edges, _ = _PEAK_INTEGRALS[i]
-        tight = _lone_peak(family, params, edges, oracle._EPSABS)
-        assert _hexes(*tight)[0] != alone[i]
 
 
 def _quadpack(f, edges):
@@ -473,6 +462,54 @@ def test_two_contour_shifts_agree_within_both_error_estimates(quantity, monkeypa
         assert one.converged and two.converged
         gap = abs(one.value - two.value)
         assert gap <= one.abs_error_estimate + two.abs_error_estimate, (one, two)
+
+
+def _defining_wightman(x, vertical, c, D, m, Om, gw, w):
+    """e^{-a^2/4 + i Omega a} [m/(4 pi^2 s) - gw sinc(omega a/2)/(4 pi^2 s^2)] da/dx.
+
+    s = D^2 - a^2 on the leg a = i x (vertical) or a = x + i c, in complex
+    arithmetic, with sinc(0) = 1.
+    """
+    a = 1j * x if vertical else x + 1j * c
+    s = D * D - a * a
+    u = w * a / 2.0
+    sinc = np.sin(u) / u if w != 0.0 else np.ones_like(a)
+    four_pi_sq = 4.0 * math.pi ** 2
+    kern = m / (four_pi_sq * s) - gw * sinc / (four_pi_sq * s * s)
+    return np.exp(-a * a / 4.0 + 1j * Om * a) * kern * (1j if vertical else 1.0)
+
+
+def test_wightman_kernel_equals_its_defining_expression():
+    # Both leg shapes, with the strain term off (m = 1) and on alone
+    # (m = 0, gw = D^2, as the oracles use it), at omega = 0 too, where
+    # sinc(0) = 1.  All rows go in one call, so that horizontal rows and
+    # rows by the defining expression share it; each must match.
+    c = oracle._SHIFT
+    rows, nodes, want = [], [], []
+    for vertical, Om, D, w, strain in itertools.product(
+        (True, False), (-2.0, 0.0, 1.5), (0.25, 1.0, 4.0),
+        (0.0, 1e-3, 0.5, 8.0), (False, True),
+    ):
+        if w == 0.0 and not strain:
+            continue
+        if vertical:
+            x = np.linspace(0.0, c, 23)[1:-1]
+        else:
+            x = np.linspace(-1.0, 1.0, 21) * (D + 14.0)
+        m, gw = (0.0, D * D) if strain else (1.0, 0.0)
+        rows.append((float(vertical), c, D, m, Om, gw, w, strain))
+        nodes.append(x)
+        want.append(_defining_wightman(x, vertical, c, D, m, Om, gw, w))
+    x, want = np.array(nodes), np.array(want)
+    for strain in (False, True):
+        pick = [i for i, row in enumerate(rows) if row[-1] == strain]
+        cols = np.array([row[:7] if strain else row[:5] for row in rows])[pick].T
+        got = oracle._wightman_kernel(x[pick], *cols[:, :, None])
+        assert np.all(np.abs(got - want[pick]) <= 1e-13 * np.abs(want[pick]))
+        # A float node is one row, as QUADPACK asks for it.
+        for i, j in ((0, 3), (-1, 7)):
+            one = oracle._wightman_kernel(float(x[pick][i, j]), *cols[:, i])
+            assert one.shape == (1, 1) and one[0, 0] == got[i, j]
 
 
 @pytest.mark.parametrize("D", [0.25, 0.1])
@@ -756,7 +793,7 @@ def test_verify_suite_integrals_all_meet_their_targets(grid, monkeypatch):
     over = [
         (it.family.kernel.__name__, it.params, err, target)
         for it, val, err in asked
-        if err > (target := max(it.epsabs, oracle._EPSREL * abs(val)))
+        if err > (target := max(oracle._EPSABS, oracle._EPSREL * abs(val)))
     ]
     assert over == []
 
@@ -788,6 +825,35 @@ def test_verify_suite_makes_one_quadrature_call_per_value_type(monkeypatch):
     assert sorted(sizes) == [83, 92]
 
 
+def test_verify_suite_starts_each_integral_on_its_final_partition(monkeypatch):
+    # Rows (subintervals) per _gk21_rule call of a default verify_suite,
+    # complex pass first, at most _MAX_ROWS = 512 per call.
+    # Complex: every integral meets its target on its start edges, so the
+    # pass is its first round, 1,116 rows in three calls.  A full-line leg
+    # at D = 0 (P, 3 Omega) has the 11 edges 0 and +-14/2^j, j = 1..5: 12
+    # rows.  At D > 0 it has 0, +-D, +-(D + 14/2^j) and +-(D - 14/2^j) > 0,
+    # which is 1, 2, 3 or 4 of them at D = 0.5, 1, 2, 4: 16, 18, 20 and 22
+    # rows, 76 over the four D, for C_M (3 Omega) and I3's legs (9
+    # (omega, Omega)).  A half-line leg is cut at the positive ones, 8, 9,
+    # 10 and 11 rows, plus one for 0 -> i c: 42 over the four D, for X_M
+    # (1) and I1 (3 omega).  36 + 12 * 76 + 4 * 42 = 1,116.
+    # Real: I2's [0, 9 + omega/2] (12) and I4's two pieces (36 points)
+    # start halved three times toward 0, 4 rows each, and X_M's PV pieces
+    # at 2 and 4 rows (4 D): 48 + 288 + 24 = 360; then two rounds bisect
+    # 150 and 26 subintervals.
+    verify_suite(MINIMAL_VERIFY_GRID)  # fills the P calibration, if not yet done
+    rows = []
+    rule = oracle._gk21_rule
+
+    def counting(f, owner, lo, hi):
+        rows.append(len(lo))
+        return rule(f, owner, lo, hi)
+
+    monkeypatch.setattr(oracle, "_gk21_rule", counting)
+    verify_suite()
+    assert rows == [512, 512, 92, 360, 300, 52]
+
+
 def _count_quad_calls(monkeypatch):
     """One entry per integral that oracle._gk21 is asked for."""
     calls = []
@@ -803,13 +869,29 @@ def _count_quad_calls(monkeypatch):
 
 def test_verify_suite_integrates_each_xm_kernel_once_per_d(monkeypatch):
     # Only the x_minkowski records depend on t0, and their kernel integral
-    # does not: a second t0 value adds records but no quadrature.
+    # does not: a second t0 value adds records but no quadrature.  Each
+    # call builds each kernel oracle once per (D, method), whatever Omega
+    # and t0 are.
     calls = _count_quad_calls(monkeypatch)
+    builds = collections.Counter()
+    build = oracle._xm_kernel
+
+    def counting(D, method, tol):
+        builds[D, method] += 1
+        return build(D, method, tol)
+
+    monkeypatch.setattr(oracle, "_xm_kernel", counting)
     counts = []
     for t0s in ((0.0,), (0.0, 1.0)):
         calls.clear()
+        builds.clear()
         records = verify_suite({**_XM_GRID, "t0_sigma": t0s})
         counts.append((len(records), len(calls)))
+        assert builds == {
+            (D, method): 1
+            for D in _XM_GRID["D_sigma"]
+            for method in ("contour", "pv_subtraction")
+        }
     assert counts[0][0] < counts[1][0]
     assert counts[0][1] == counts[1][1]
 

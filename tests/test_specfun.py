@@ -21,7 +21,6 @@ from gwharvest.specfun import (
     scaled_erf_product,
     scaled_erf_product_array,
     sinc,
-    sinc_array,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -235,15 +234,3 @@ def test_sinc_basics_and_cutoff_continuity():
     # Taylor branch agrees with the exact series value.
     x = 5e-5
     assert abs(sinc(x) - (1.0 - x * x / 6.0)) < 1e-18
-
-
-def test_sinc_array_matches_sinc_on_both_branches():
-    x = np.array([0.0, -0.0, 5e-5, -0.999e-4, 1e-4, 1.001e-4, -2.0, 7.5, 1e3])
-    with np.errstate(all="raise"):  # sin(0)/0 is never evaluated
-        got = sinc_array(x)
-    want = np.array([sinc(v) for v in x])
-    taylor = np.abs(x) < 1e-4
-    # The Taylor branch is the same arithmetic; sin is numpy's, not libm's.
-    assert np.array_equal(got[taylor], want[taylor])
-    assert np.allclose(got[~taylor], want[~taylor], rtol=2e-16, atol=0.0)
-    assert sinc_array(np.zeros((2, 3))).shape == (2, 3)
