@@ -124,7 +124,6 @@ __all__ = [
     "OracleEstimate",
     "CheckRecord",
     "oracle_P",
-    "oracle_P_full",
     "oracle_XM",
     "oracle_CM",
     "oracle_I1",

@@ -196,8 +196,13 @@ _FIELD_KEYS = frozenset(CONFIG_KEYS) - {"lambda"}
 
 
 def parse_config(text: str) -> dict[str, float]:
-    """Parse key = value configuration text into a {key: float} mapping."""
+    """Parse key = value configuration text into a {key: float} mapping.
+
+    ConfigError names the line of a malformed entry, an unknown key or a
+    value that is not a number, and both lines of a key given twice.
+    """
     out: dict[str, float] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,6 +217,11 @@ def parse_config(text: str) -> dict[str, float]:
                 f"line {lineno}: unknown key {key!r} "
                 f"(known keys: {', '.join(CONFIG_KEYS)})"
             )
+        if key in seen:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} is already set on line {seen[key]}"
+            )
+        seen[key] = lineno
         try:
             out[key] = float(value)
         except ValueError as exc:

@@ -23,9 +23,9 @@ two paths share no simplification steps:
 * I1 and I3 are the delta' parts of the strain-term Wightman integral
   (below), whose finite parts are I2 and I4: each is -4 pi^2 D^2 times
   that integral, less the I2 or I4 oracle.
-* The single-detector transition probability is additionally computed
-  from the same integral with its strain term switched on, to exhibit that
-  a transverse wave leaves P strictly unaffected: the strain term enters
+* The single-detector transition probability takes the wave's amplitude
+  and keeps the integral's strain term switched on, to exhibit that a
+  transverse wave leaves P strictly unaffected: the strain term enters
   through the transverse separation factor (dx^2 - dy^2), which vanishes
   identically on a single static worldline.
 * x_gw and c_gw are computed end to end from the strain term alone of the
@@ -36,7 +36,7 @@ two paths share no simplification steps:
 
 Every oracle returns an OracleEstimate carrying the value, a defensible
 absolute error estimate (quadrature + analytic truncation bound) and a
-convergence flag.
+convergence flag, judged against a fixed target (OracleEstimate).
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
@@ -68,7 +68,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -79,7 +79,6 @@ __all__ = [
     "SignConventionMismatch",
     "OracleEstimate",
     "oracle_P",
-    "oracle_P_full",
     "oracle_XM",
     "oracle_CM",
     "oracle_I1",
@@ -112,7 +111,13 @@ class SignConventionMismatch(AssertionError):
 
 @dataclass(frozen=True)
 class OracleEstimate:
-    """Quadrature result with a defensible absolute error estimate."""
+    """Quadrature result with a defensible absolute error estimate.
+
+    converged is whether an error meets its oracle's target, read when the
+    oracle runs: for P, X_M and C_M the unscaled error of the Wightman (or
+    PV) kernel integral, before the prefactor, against _KERNEL_TOL; for
+    I1-I4, x_gw and c_gw abs_error_estimate itself against _FINE_TOL.
+    """
 
     value: complex
     abs_error_estimate: float
@@ -162,12 +167,14 @@ _WG_PAIRS = np.array(_WG)
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# QUADPACK tolerances: an integral is done at error <= max(abs, rel * |I|).
+# QUADPACK tolerances: an integral is done at error <= max(abs, rel * |I|),
+# or when it has _LIMIT subintervals.
 _EPSABS = 1e-13
 _EPSREL = 1e-12
+_LIMIT = 300
 
-# The oracles' default tol (not verify_suite's comparison tolerances TOL_*):
-# P, X_M and C_M; I1-I4, x_gw and c_gw.
+# The error targets that set OracleEstimate.converged (not verify_suite's
+# comparison tolerances TOL_*): P, X_M and C_M; I1-I4, x_gw and c_gw.
 _KERNEL_TOL = 1e-6
 _FINE_TOL = 1e-10
 
@@ -222,8 +229,6 @@ _MAX_ROWS = 512
 def _gk21(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]],
-    *,
-    limit: int = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over n piecewise intervals by batched adaptive G10/K21.
 
@@ -236,9 +241,9 @@ def _gk21(
 
     The stopping rule is QUADPACK's: integral i is done when the sum of its
     subinterval errors is at most max(_EPSABS, _EPSREL |I_i|), or when it has
-    limit subintervals.  Until then each round bisects its subintervals whose
+    _LIMIT subintervals.  Until then each round bisects its subintervals whose
     error exceeds an equal share of that tolerance (its largest one always,
-    and never beyond limit); once done, its sums are kept and its
+    and never beyond _LIMIT); once done, its sums are kept and its
     subintervals leave the batch.  Every step is elementwise, per row or per
     integral, and each integral's sums are made in an order of its own, so
     a result is bit for bit the same alone or batched with others, and
@@ -246,7 +251,7 @@ def _gk21(
 
     Returns the values (complex) and error estimates, both shaped (n,).
     """
-    n = len(edges)
+    n, limit = len(edges), _LIMIT
     owner = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
     lo = np.array([a for e in edges for a in e[:-1]], dtype=float)
     hi = np.array([b for e in edges for b in e[1:]], dtype=float)
@@ -428,21 +433,16 @@ def _batch_integrand(
 
 
 def _scaled(
-    est: OracleEstimate,
-    factor: complex,
-    factor_err: float = 0.0,
-    tol: float | None = None,
+    est: OracleEstimate, factor: complex, factor_err: float = 0.0
 ) -> OracleEstimate:
-    """factor * est, with first-order error propagation.
-
-    The convergence flag is est's, or with tol given, err <= tol.
-    """
+    """factor * est, with first-order error propagation and est's flag."""
     err = abs(factor) * est.abs_error_estimate + factor_err * abs(est.value)
-    return OracleEstimate(
-        value=factor * est.value,
-        abs_error_estimate=err,
-        converged=est.converged if tol is None else err <= tol,
-    )
+    return OracleEstimate(factor * est.value, err, est.converged)
+
+
+def _fine(value: complex, err: float) -> OracleEstimate:
+    """The estimate of I1-I4, x_gw or c_gw: converged is err <= _FINE_TOL."""
+    return OracleEstimate(value, err, err <= _FINE_TOL)
 
 
 def _edges(a: float, b: float, points: Iterable[float]) -> tuple[float, ...]:
@@ -622,20 +622,21 @@ def _wightman_legs(
     return legs, tail
 
 
-def _contour(tail: float, tol: float) -> Callable[..., OracleEstimate]:
+def _contour(tail: float) -> Callable[..., OracleEstimate]:
     """finish of a Wightman integral: its legs summed, the tail bound added.
 
-    converged is err <= tol.
+    converged is err <= _KERNEL_TOL, the rule of P, X_M and C_M; the
+    strain-term oracles judge their own final error instead.
     """
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         err = float(errs.sum()) + tail
-        return OracleEstimate(complex(vals.sum()), err, err <= tol)
+        return OracleEstimate(complex(vals.sum()), err, err <= _KERNEL_TOL)
 
     return finish
 
 
-def _calibration(tol: float) -> _Oracle:
+def _calibration() -> _Oracle:
     """Oracle raising SignConventionMismatch unless the P oracle is calibrated.
 
     The anchor is the commutator identity P(1) - P(-1) = -1/(2 sqrt(pi)),
@@ -643,7 +644,7 @@ def _calibration(tol: float) -> _Oracle:
     form.  (P(0) = 1/(4 pi) could not serve: the residue of e^{-a^2/4}/a^2
     at a = 0 vanishes, so P(0) is the same on either side of the pole.)
     The discrepancy is computed on first use in the process, kept in
-    _CAL_CACHE, and may be at most 100 * tol.
+    _CAL_CACHE, and may be at most 100 * _KERNEL_TOL.
     """
     integrals = []
     if "P" not in _CAL_CACHE:
@@ -655,65 +656,53 @@ def _calibration(tol: float) -> _Oracle:
             half = len(integrals) // 2
             diff = _SQRT_PI * complex(vals[:half].sum() - vals[half:].sum())
             _CAL_CACHE["P"] = abs(diff + 0.5 / _SQRT_PI)
-        if _CAL_CACHE["P"] > 100.0 * tol:
+        allowed = 100.0 * _KERNEL_TOL
+        if _CAL_CACHE["P"] > allowed:
             raise SignConventionMismatch(
                 f"P oracle off by {_CAL_CACHE['P']:g} at the anchor "
-                f"P(1) - P(-1) = -1/(2 sqrt(pi)) (allowed 100 * tol = "
-                f"{100.0 * tol:g}); the contour runs on the wrong side of "
-                "the kernel's poles"
+                f"P(1) - P(-1) = -1/(2 sqrt(pi)) (allowed {allowed:g}); "
+                "the contour runs on the wrong side of the kernel's poles"
             )
 
     return _Oracle(integrals, finish)
 
 
-def _p_full(Omega: float, A: float, omega: float, t0: float, tol: float) -> _Oracle:
-    """Oracle of oracle_P_full."""
+def _p(Omega: float, A: float = 0.0, omega: float = 0.0, t0: float = 0.0) -> _Oracle:
+    """Oracle of oracle_P, without its calibration."""
     w = float(omega)
     strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
     legs, tail = _wightman_legs(Omega, 0.0, full_line=True, strain=strain, omega=w)
-    finish = _contour(tail, tol)
+    finish = _contour(tail)
     return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
 
 
-def oracle_P(Omega: float, *, tol: float = _KERNEL_TOL) -> OracleEstimate:
-    """Transition probability from the Wightman kernel, on the contour.
-
-    P/lambda^2 = sqrt(pi) * Integral over a of
-    exp(-a^2/4 + i Omega a) * ( -1 / (4 pi^2 (a + i eps)^2) ), eps -> 0+:
-    sqrt(pi) times the full-line Wightman integral at D = 0, which is
-    oracle_P_full at zero strain.  (The defining form, with exp(-i Omega a)
-    and (a - i eps)^2, is this integral under a -> -a.)
-
-    On first use the machinery is calibrated against the exact anchor
-    P(1) - P(-1) = -1/(2 sqrt(pi)); a discrepancy above 100 * tol raises
-    SignConventionMismatch, which indicates a contour on the wrong side of
-    the poles rather than a loss of quadrature accuracy.
-    """
-    _, est = _solve([_calibration(tol), _p_full(Omega, 0.0, 0.0, 0.0, tol)])
-    return est
-
-
-def oracle_P_full(
-    Omega: float,
-    A: float,
-    omega: float,
-    *,
-    t0: float = 0.0,
-    tol: float = _KERNEL_TOL,
+def oracle_P(
+    Omega: float, A: float = 0.0, omega: float = 0.0, *, t0: float = 0.0
 ) -> OracleEstimate:
     """Transition probability from the full first-order Wightman function.
 
-    P/lambda^2 = sqrt(pi) times the full-line Wightman integral at D = 0,
-    strain term included.  That term carries the transverse factor
-    (dx^2 - dy^2) of the separation between the two events; on a single
-    static worldline both are zero, computed from the worldline events
-    themselves rather than assumed.  The strain enters the kernel exactly
-    as derived — amplitude A times the window-averaged
-    cos(omega*(t+t')/2), Gaussian-integrated over t+t' analytically to
-    exp(-omega^2/4) cos(omega*t0) — so equality with oracle_P for every A
-    is a computed outcome, not a hard-coded one.
+    P/lambda^2 = sqrt(pi) * Integral over a of
+    exp(-a^2/4 + i Omega a) * W(a + i eps), eps -> 0+: sqrt(pi) times the
+    full-line Wightman integral at D = 0, on the contour.  (The defining
+    form, with exp(-i Omega a) and (a - i eps)^2, is this integral under
+    a -> -a.)  At A = 0, W is the Minkowski -1/(4 pi^2 a^2).
+
+    The strain term of W carries the transverse factor (dx^2 - dy^2) of
+    the separation between the two events; on a single static worldline
+    both are zero, computed from the worldline events themselves rather
+    than assumed.  The strain enters the kernel exactly as derived —
+    amplitude A times the window-averaged cos(omega*(t+t')/2),
+    Gaussian-integrated over t+t' analytically to
+    exp(-omega^2/4) cos(omega*t0) — so that P is the same for every A is a
+    computed outcome, not a hard-coded one.
+
+    On first use in the process the machinery is calibrated against the
+    exact anchor P(1) - P(-1) = -1/(2 sqrt(pi)); a discrepancy above
+    100 * _KERNEL_TOL raises SignConventionMismatch, which indicates a
+    contour on the wrong side of the poles rather than a loss of
+    quadrature accuracy.
     """
-    return _solve([_p_full(Omega, A, omega, t0, tol)])[0]
+    return _solve([_calibration(), _p(Omega, A, omega, t0)])[1]
 
 
 def _expm1_ratio(w: np.ndarray) -> np.ndarray:
@@ -738,16 +727,17 @@ _PV_NEAR = _Family(_pv_near_kernel, float)  # columns (e^{-D^2/4}, D)
 _PV_FAR = _Family(_pv_far_kernel, float)  # columns (D,)
 
 
-def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
+def _xm_kernel(D: float, method: str) -> _Oracle:
     """Oracle: half-line kernel integral of X_M, Integral_0^inf exp(-a^2/4) K(a) da.
 
-    It depends on D alone (and on the method and tol); _xm scales it to
-    X_M.  See oracle_XM for the two methods.  abs_error_estimate bounds the
-    error of this unscaled integral, its tail beyond L = D + 14 included.
+    It depends on D alone (and on the method); _xm scales it to X_M.  See
+    oracle_XM for the two methods.  abs_error_estimate bounds the error of
+    this unscaled integral, its tail beyond L = D + 14 included; converged
+    is that error <= _KERNEL_TOL.
     """
     if method == "contour":
         legs, tail = _wightman_legs(0.0, D, full_line=False)
-        return _Oracle(legs, _contour(tail, tol))
+        return _Oracle(legs, _contour(tail))
 
     if method == "pv_subtraction":
         Dv = float(D)
@@ -771,7 +761,7 @@ def _xm_kernel(D: float, method: str, tol: float) -> _Oracle:
                 -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
             )
             err = (e1 + e3) / _FOUR_PI_SQ + tail
-            return OracleEstimate(kernel_integral, err, err <= tol)
+            return OracleEstimate(kernel_integral, err, err <= _KERNEL_TOL)
 
         # The regularized part on [0, 2D] and the regular remainder on [2D, L].
         return _Oracle(
@@ -801,7 +791,6 @@ def oracle_XM(
     D: float,
     t0: float,
     *,
-    tol: float = _KERNEL_TOL,
     method: str = "contour",
 ) -> OracleEstimate:
     """Coherence X_M/lambda^2 from its defining half-line kernel integral.
@@ -825,17 +814,17 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
-    return _solve([_xm(_xm_kernel(D, method, tol), Omega, t0)])[0]
+    return _solve([_xm(_xm_kernel(D, method), Omega, t0)])[0]
 
 
-def _cm(Omega: float, D: float, tol: float) -> _Oracle:
+def _cm(Omega: float, D: float) -> _Oracle:
     """Oracle of oracle_CM."""
     legs, tail = _wightman_legs(Omega, D, full_line=True)
-    finish = _contour(tail, tol)
+    finish = _contour(tail)
     return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
 
 
-def oracle_CM(Omega: float, D: float, *, tol: float = _KERNEL_TOL) -> OracleEstimate:
+def oracle_CM(Omega: float, D: float) -> OracleEstimate:
     """Exchange term C_M/lambda^2 from its defining full-line kernel.
 
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
@@ -843,7 +832,7 @@ def oracle_CM(Omega: float, D: float, *, tol: float = _KERNEL_TOL) -> OracleEsti
     eps -> 0+: sqrt(pi) times the full-line Wightman integral, taken along
     Im a = c above the poles at a = +-D.
     """
-    return _solve([_cm(Omega, D, tol)])[0]
+    return _solve([_cm(Omega, D)])[0]
 
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
@@ -867,29 +856,23 @@ _X_WINDOW = _Family(_x_window_kernel, complex)  # columns (omega, t0, Omega)
 _C_WINDOW = _Family(_c_window_kernel, float)  # columns (omega, t0)
 
 
-def _x_gw(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Oracle:
+def _x_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_x_gw."""
     w, Om, t0v = float(omega), float(Omega), float(t0)
     legs, tail = _wightman_legs(
         0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w
     )
-    a_finish = _contour(tail, tol)
+    a_finish = _contour(tail)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         t_int, t_err = complex(vals[0]), float(errs[0])
-        return _scaled(a_finish(vals[1:], errs[1:]), -2.0 * t_int, 2.0 * t_err, tol)
+        est = _scaled(a_finish(vals[1:], errs[1:]), -2.0 * t_int, 2.0 * t_err)
+        return _fine(est.value, est.abs_error_estimate)
 
     return _Oracle([_Integral(_X_WINDOW, (w, t0v, Om), _T_EDGES), *legs], finish)
 
 
-def oracle_x_gw(
-    omega: float,
-    Omega: float,
-    D: float,
-    t0: float,
-    *,
-    tol: float = _FINE_TOL,
-) -> OracleEstimate:
+def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
     """x_gw = X_GW/(A lambda^2) from the full first-order Wightman function.
 
     With t = t0 + T + a/2 and t' = t0 + T - a/2 the switching product is
@@ -906,34 +889,28 @@ def oracle_x_gw(
     T integral is done by quadrature, so this path shares no algebra with
     f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
     normalization.  The a integral runs along the half-line contour, like
-    oracle_XM's.  tol is absolute.
+    oracle_XM's.
     """
-    return _solve([_x_gw(omega, Omega, D, t0, tol)])[0]
+    return _solve([_x_gw(omega, Omega, D, t0)])[0]
 
 
-def _c_gw(omega: float, Omega: float, D: float, t0: float, tol: float) -> _Oracle:
+def _c_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_c_gw."""
     w, t0v = float(omega), float(t0)
     legs, tail = _wightman_legs(
         Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w
     )
-    a_finish = _contour(tail, tol)
+    a_finish = _contour(tail)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         t_int, t_err = complex(vals[0]), float(errs[0])
-        return _scaled(a_finish(vals[1:], errs[1:]), t_int, t_err, tol)
+        est = _scaled(a_finish(vals[1:], errs[1:]), t_int, t_err)
+        return _fine(est.value, est.abs_error_estimate)
 
     return _Oracle([_Integral(_C_WINDOW, (w, t0v), _T_EDGES), *legs], finish)
 
 
-def oracle_c_gw(
-    omega: float,
-    Omega: float,
-    D: float,
-    t0: float,
-    *,
-    tol: float = _FINE_TOL,
-) -> OracleEstimate:
+def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
     """c_gw = C_GW/(A lambda^2) from the full first-order Wightman function.
 
     With the change of variables of oracle_x_gw and the kernel convention
@@ -943,9 +920,9 @@ def oracle_c_gw(
              * Integral over a of e^{-a^2/4} e^{i Omega a} W_gw(a) da,
 
     both by quadrature, the a integral along the full-line contour like
-    oracle_CM's.  tol is absolute.
+    oracle_CM's.
     """
-    return _solve([_c_gw(omega, Omega, D, t0, tol)])[0]
+    return _solve([_c_gw(omega, Omega, D, t0)])[0]
 
 
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
@@ -968,7 +945,7 @@ _I2 = _Family(_i2_kernel, float)  # columns (omega, D)
 _I4 = _Family(_i4_kernel, float)  # columns (Omega, D, omega)
 
 
-def _i2(omega: float, D: float, tol: float) -> _Oracle:
+def _i2(omega: float, D: float) -> _Oracle:
     """Oracle of oracle_I2."""
     w, Dv = float(omega), float(D)
     Ls = abs(w) / 2.0 + 9.0
@@ -986,13 +963,12 @@ def _i2(omega: float, D: float, tol: float) -> _Oracle:
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         total_err = abs(pref) * float(errs[0]) + tail
-        value = complex(pref * complex(vals[0]).real, 0.0)
-        return OracleEstimate(value, total_err, total_err <= tol)
+        return _fine(complex(pref * complex(vals[0]).real, 0.0), total_err)
 
     return _Oracle([_Integral(_I2, (w, Dv), _graded(0.0, Ls))], finish)
 
 
-def oracle_I2(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
+def oracle_I2(omega: float, D: float) -> OracleEstimate:
     """I2 from its conjugate-variable representation.
 
     I2 = (sqrt(pi)/omega) e^{-omega^2/4} * Integral_0^inf of
@@ -1002,10 +978,10 @@ def oracle_I2(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstima
     the defining finite-part integral was evaluated by residues, so this
     path shares no algebra with the closed form.
     """
-    return _solve([_i2(omega, D, tol)])[0]
+    return _solve([_i2(omega, D)])[0]
 
 
-def _i4(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
+def _i4(omega: float, Omega: float, D: float) -> _Oracle:
     """Oracle of oracle_I4."""
     w, Om, Dv = float(omega), float(Omega), float(D)
     pref = _SQRT_PI * math.exp(-w * w / 4.0) / w
@@ -1027,16 +1003,14 @@ def _i4(omega: float, Omega: float, D: float, tol: float) -> _Oracle:
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
         total_err = abs(pref) * float(errs.sum()) + tail
-        return OracleEstimate(complex(pref * val, 0.0), total_err, total_err <= tol)
+        return _fine(complex(pref * val, 0.0), total_err)
 
     return _Oracle(
         [_Integral(_I4, (Om, Dv, w), _graded(a, b)) for a, b, _ in segments], finish
     )
 
 
-def oracle_I4(
-    omega: float, Omega: float, D: float, *, tol: float = _FINE_TOL
-) -> OracleEstimate:
+def oracle_I4(omega: float, Omega: float, D: float) -> OracleEstimate:
     """I4 from its conjugate-variable representation.
 
     I4 = (sqrt(pi)/omega) e^{-omega^2/4} * Integral over s of
@@ -1046,41 +1020,40 @@ def oracle_I4(
     split at s = 0 where sgn changes; the Gaussian support is centered at
     s = Omega with half-width omega/2 + 9.
     """
-    return _solve([_i4(omega, Omega, D, tol)])[0]
+    return _solve([_i4(omega, Omega, D)])[0]
 
 
 # --- I1 and I3 from the strain term of the Wightman integral ---------------
 
 
 def _strain_less(
-    Omega: float, D: float, omega: float, full_line: bool, rest: _Oracle, tol: float
+    Omega: float, D: float, omega: float, full_line: bool, rest: _Oracle
 ) -> _Oracle:
     """Oracle of -4 pi^2 D^2 S - rest, S the strain-term Wightman integral.
 
     S is over a >= 0 or all a (_wightman_legs), rest an I2 or I4 oracle.
-    The error estimate is 4 pi^2 D^2 times S's plus rest's; converged is
-    err <= tol.
+    The error estimate is 4 pi^2 D^2 times S's plus rest's.
     """
     legs, tail = _wightman_legs(
         Omega, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
     )
     scale = _FOUR_PI_SQ * float(D) * float(D)
-    s_finish, n = _contour(tail, tol), len(legs)
+    s_finish, n = _contour(tail), len(legs)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         s, r = s_finish(vals[:n], errs[:n]), rest.finish(vals[n:], errs[n:])
         err = scale * s.abs_error_estimate + r.abs_error_estimate
-        return OracleEstimate(-scale * s.value - r.value, err, err <= tol)
+        return _fine(-scale * s.value - r.value, err)
 
     return _Oracle([*legs, *rest.integrals], finish)
 
 
-def _i1(omega: float, D: float, i2: _Oracle, tol: float) -> _Oracle:
+def _i1(omega: float, D: float, i2: _Oracle) -> _Oracle:
     """Oracle of oracle_I1, given oracle_I2's at (omega, D)."""
-    return _strain_less(0.0, D, omega, False, i2, tol)
+    return _strain_less(0.0, D, omega, False, i2)
 
 
-def oracle_I1(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstimate:
+def oracle_I1(omega: float, D: float) -> OracleEstimate:
     """I1 from the strain term of the half-line Wightman integral.
 
     The strain term of W for two detectors D apart along x is
@@ -1095,20 +1068,18 @@ def oracle_I1(omega: float, D: float, *, tol: float = _FINE_TOL) -> OracleEstima
       I1 = -4 pi^2 D^2 S_half - I2,
 
     with I2 from oracle_I2.  Neither part uses the closed-form algebra.
-    The error estimate is 4 pi^2 D^2 times S_half's plus I2's; tol is
-    absolute.  I1 is purely imaginary: the real part left is rounding.
+    The error estimate is 4 pi^2 D^2 times S_half's plus I2's.  I1 is
+    purely imaginary: the real part left is rounding.
     """
-    return _solve([_i1(omega, D, _i2(omega, D, tol), tol)])[0]
+    return _solve([_i1(omega, D, _i2(omega, D))])[0]
 
 
-def _i3(omega: float, Omega: float, D: float, i4: _Oracle, tol: float) -> _Oracle:
+def _i3(omega: float, Omega: float, D: float, i4: _Oracle) -> _Oracle:
     """Oracle of oracle_I3, given oracle_I4's at (omega, Omega, D)."""
-    return _strain_less(Omega, D, omega, True, i4, tol)
+    return _strain_less(Omega, D, omega, True, i4)
 
 
-def oracle_I3(
-    omega: float, Omega: float, D: float, *, tol: float = _FINE_TOL
-) -> OracleEstimate:
+def oracle_I3(omega: float, Omega: float, D: float) -> OracleEstimate:
     """I3 from the strain term of the full-line Wightman integral.
 
     As for oracle_I1, over all a and weighted by e^{i Omega a}: with
@@ -1117,10 +1088,10 @@ def oracle_I3(
       I3 = -4 pi^2 D^2 S_full - I4,
 
     I3 being the delta' part at a = +-D and I4 (oracle_I4) the finite
-    part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's; tol
-    is absolute.  I3 is real: the imaginary part left is rounding.
+    part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's.  I3
+    is real: the imaginary part left is rounding.
     """
-    return _solve([_i3(omega, Omega, D, _i4(omega, Omega, D, tol), tol)])[0]
+    return _solve([_i3(omega, Omega, D, _i4(omega, Omega, D))])[0]
 
 
 # --- verification suite -----------------------------------------------------
@@ -1147,7 +1118,11 @@ TOL_DPRIME = 1.0e-5      # I1, I3 (delta' parts) against the strain contour
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One closed-form-versus-oracle comparison."""
+    """One closed-form-versus-oracle comparison.
+
+    passed is rel_error <= tolerance, with every oracle of the record
+    converged.
+    """
 
     quantity: str
     params: tuple[tuple[str, float], ...]
@@ -1184,18 +1159,16 @@ def _checks() -> dict[tuple[str, ...], tuple[_Check, ...]]:
     integral at each (D, method), which serves every (Omega, t0), and
     the I2 and I4 oracles, which the I1 and I3 references subtract.
     """
-    xm_kernel = cache(_xm_kernel)
-    i2 = cache(partial(_i2, tol=_FINE_TOL))
-    i4 = cache(partial(_i4, tol=_FINE_TOL))
+    xm_kernel, i2, i4 = cache(_xm_kernel), cache(_i2), cache(_i4)
 
     def xm(method: str) -> Callable[..., _Oracle]:
-        return lambda Om, D, t0: _xm(xm_kernel(D, method, _KERNEL_TOL), Om, t0)
+        return lambda Om, D, t0: _xm(xm_kernel(D, method), Om, t0)
 
     xm_contour, xm_pv = xm("contour"), xm("pv_subtraction")
     return {
         ("Omega_sigma",): (
             _Check("transition_probability", closedform.transition_probability,
-                   lambda Om: _p_full(Om, 0.0, 0.0, 0.0, _KERNEL_TOL), TOL_KERNEL),
+                   _p, TOL_KERNEL),
         ),
         ("Omega_sigma", "D_sigma", "t0_sigma"): (
             _Check("x_minkowski", closedform.x_minkowski, xm_contour, TOL_KERNEL),
@@ -1204,18 +1177,16 @@ def _checks() -> dict[tuple[str, ...], tuple[_Check, ...]]:
                    "independent regularizations of the same kernel"),
         ),
         ("Omega_sigma", "D_sigma"): (
-            _Check("c_minkowski", closedform.c_minkowski,
-                   partial(_cm, tol=_KERNEL_TOL), TOL_KERNEL),
+            _Check("c_minkowski", closedform.c_minkowski, _cm, TOL_KERNEL),
         ),
         ("omega_sigma", "D_sigma"): (
             _Check("integral_I1", closedform.integral_I1,
-                   lambda w, D: _i1(w, D, i2(w, D), _FINE_TOL), TOL_DPRIME),
+                   lambda w, D: _i1(w, D, i2(w, D)), TOL_DPRIME),
             _Check("integral_I2", closedform.integral_I2, i2, TOL_S_ORACLE),
         ),
         ("omega_sigma", "Omega_sigma", "D_sigma"): (
             _Check("integral_I3", closedform.integral_I3,
-                   lambda w, Om, D: _i3(w, Om, D, i4(w, Om, D), _FINE_TOL),
-                   TOL_DPRIME),
+                   lambda w, Om, D: _i3(w, Om, D, i4(w, Om, D)), TOL_DPRIME),
             _Check("integral_I4", closedform.integral_I4, i4, TOL_S_ORACLE),
         ),
     }
@@ -1227,14 +1198,16 @@ def _record(
     value: complex | OracleEstimate,
     est: OracleEstimate,
 ) -> CheckRecord:
+    """The record of check at params; it passes only on converged oracles."""
+    converged = est.converged
     if isinstance(value, OracleEstimate):
-        value = value.value
+        value, converged = value.value, converged and value.converged
     value, ref = complex(value), est.value
     abs_err = abs(value - ref)
     rel_err = abs_err / max(abs(ref), 1e-300)
     return CheckRecord(
         check.quantity, params, value, ref, abs_err, rel_err, check.tol,
-        rel_err <= check.tol, est.abs_error_estimate, check.note,
+        converged and rel_err <= check.tol, est.abs_error_estimate, check.note,
     )
 
 
@@ -1273,9 +1246,11 @@ def verify_suite(
     outermost), in table order within a point.  One _solve integrates each
     distinct integral of the call once (an X_M kernel integral serves
     every (Omega, t0) at its D), by one _gk21 call per value type; each
-    record is the standalone oracle's result bit for bit, at its default
-    tol.  Only oracle_P's calibration, kept in _CAL_CACHE on first use,
-    outlives a call.
+    record is the standalone oracle's result bit for bit.  A record passes
+    when its relative error is within tolerance and its reference oracle
+    (and for the X_M consistency row, the compared oracle too) converged.
+    Only oracle_P's calibration, kept in _CAL_CACHE on first use, outlives
+    a call.
     """
     axes = _grid_axes(DEFAULT_VERIFY_GRID if grid is None else grid)
     # Each closed form and oracle once per point, then each oracle's estimate.
@@ -1289,7 +1264,7 @@ def verify_suite(
                     if (build, point) not in built:
                         built[build, point] = build(*point)
     keys = [key for key, b in built.items() if isinstance(b, _Oracle)]
-    _, *estimates = _solve([_calibration(_KERNEL_TOL), *(built[k] for k in keys)])
+    _, *estimates = _solve([_calibration(), *(built[k] for k in keys)])
     built.update(zip(keys, estimates))
     return [
         _record(check, params, built[check.value, point], built[check.reference, point])

@@ -40,12 +40,7 @@ __all__ = [
     "scaled_erf_product",
     "scaled_erf_product_array",
     "complex_array",
-    "sinc",
 ]
-
-# sinc switches to its Taylor polynomial below this to avoid 0/0 and the
-# precision loss of sin(x)/x for tiny x.
-_SINC_TAYLOR_CUTOFF = 1e-4
 
 # Largest real part of an exponent passed to exp; exp(709.78) overflows.
 _EXPONENT_LIMIT = 700.0
@@ -286,19 +281,3 @@ def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     return complex_array(*_scaled_erf(_ARRAY, p, np.exp(-p * p), z.real, z.imag))
 
-
-def sinc(x: float) -> float:
-    """sin(x)/x with sinc(0) = 1.
-
-    Below the Taylor cutoff the series 1 - x^2/6 + x^4/120 is exact to
-    double precision and avoids the degraded quotient.
-    """
-    x = float(x)
-    if abs(x) < _SINC_TAYLOR_CUTOFF:
-        return _sinc_taylor(x * x)
-    return math.sin(x) / x
-
-
-def _sinc_taylor(x2):
-    """1 - x^2/6 + x^4/120, given x2 = x^2."""
-    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0

@@ -212,7 +212,8 @@ def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:
     args = [cols[name] for name in _PARAM_COLUMNS]
     in_domain = closedform.array_domain(*args)
     if "lambda" in cols:
-        in_domain &= cols["lambda"] > 0.0
+        lam = cols["lambda"]
+        in_domain &= np.isfinite(lam) & (lam > 0.0)
     values = np.full((len(params), len(_NAN_ROW)), math.nan)
     idx = np.flatnonzero(in_domain)
     for start in range(0, len(idx), _BLOCK):

@@ -99,6 +99,13 @@ def test_point_bad_config_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_point_config_with_a_duplicated_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("A = 0.1\nA = 0.2\n")
+    assert cli.main(["point", "--config", str(cfg)]) == 2
+    assert "'A' is already set on line 1" in capsys.readouterr().err
+
+
 def test_point_emits_validation_warnings_to_stderr(capsys):
     rc = cli.main(["point", "--A", "0.15"])
     assert rc == 0

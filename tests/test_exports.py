@@ -40,6 +40,10 @@ REMOVED = (
     "NoConvergence",
     "oracle_delta_prime",
     "sinc_array",
+    "oracle_P_full",
+    "sinc",
+    "_sinc_taylor",
+    "_SINC_TAYLOR_CUTOFF",
 )
 
 

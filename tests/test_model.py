@@ -116,6 +116,11 @@ def test_parse_config_rejects_unknown_key_with_line_number():
         parse_config("A = 0\nOmega_squiggle = 1\n")
 
 
+def test_parse_config_rejects_a_duplicated_key_naming_both_lines():
+    with pytest.raises(ConfigError, match=r"line 3: key 'A' is already set on line 1"):
+        parse_config("A = 0.1\nD_sigma = 2\nA = 0.2\n")
+
+
 def test_parse_config_rejects_bad_number():
     with pytest.raises(ConfigError, match="not a number"):
         parse_config("A = fast\n")

@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as scipy_quad
 
-from gwharvest import oracle
+from gwharvest import cli, oracle
 from gwharvest.closedform import (
     c_minkowski,
     integral_I1,
@@ -41,7 +41,6 @@ from gwharvest.oracle import (
     oracle_I3,
     oracle_I4,
     oracle_P,
-    oracle_P_full,
     oracle_XM,
     verify_suite,
 )
@@ -146,16 +145,17 @@ def test_gk21_evaluates_each_node_once_and_stops_by_quadpack_rules():
 
 
 @pytest.mark.parametrize("limit", [1, 2, 40, 300])
-def test_gk21_stops_at_the_subinterval_limit(limit):
+def test_gk21_stops_at_the_subinterval_limit(limit, monkeypatch):
     # Far too oscillatory for `limit` subintervals: the integral ends with
     # exactly that many, and an error estimate above its tolerance.
+    monkeypatch.setattr(oracle, "_LIMIT", limit)
     rows = []
 
     def counted(x, k):
         rows.append(len(x))
         return np.cos(1e5 * x)
 
-    (value,), (err,) = oracle._gk21(counted, [(0.0, 1.0)], limit=limit)
+    (value,), (err,) = oracle._gk21(counted, [(0.0, 1.0)])
     assert (sum(rows) + 1) // 2 == limit
     assert err > max(1e-13, 1e-12 * abs(value))
 
@@ -293,8 +293,8 @@ def test_gk21_agrees_with_quadpack_within_both_error_estimates(
     integrals = []
     batched = oracle._gk21
 
-    def recording(f, edges, **kwargs):
-        values, errors = batched(f, edges, **kwargs)
+    def recording(f, edges):
+        values, errors = batched(f, edges)
         integrals.extend(
             (f, i, tuple(e), v, err)
             for i, (e, v, err) in enumerate(zip(edges, values, errors))
@@ -361,7 +361,7 @@ def test_oracle_p_calibration_catches_a_flipped_contour(monkeypatch):
     # changes by 1/sqrt(pi).
     monkeypatch.setattr(oracle, "_CAL_CACHE", {})
     monkeypatch.setattr(oracle, "_SHIFT", -oracle._SHIFT)
-    flipped = oracle_P_full(0.0, 0.0, 0.0)
+    (flipped,) = oracle._solve([oracle._p(0.0)])
     assert abs(flipped.value - 1.0 / (4.0 * math.pi)) < 1e-15
     with pytest.raises(SignConventionMismatch):
         oracle_P(1.0)
@@ -376,14 +376,17 @@ def test_oracle_xm_methods_are_independent_and_agree():
     assert abs(pv.value - x_minkowski(1.0, 1.0, 0.0)) < 1e-14
 
 
-def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods():
-    # Both methods compare the unscaled kernel error with tol.  A tol
-    # between that error and the scaled one, |pref| err with
+def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods(
+    monkeypatch,
+):
+    # Both methods compare the unscaled kernel error with _KERNEL_TOL.  A
+    # target between that error and the scaled one, |pref| err with
     # |pref| = 2 sqrt(pi) at Omega = 0, tells this rule from judging on the
     # scaled error.
-    (kernel,) = oracle._solve([oracle._xm_kernel(1.0, "pv_subtraction", 1.0)])
+    (kernel,) = oracle._solve([oracle._xm_kernel(1.0, "pv_subtraction")])
     tol = 2.0 * kernel.abs_error_estimate
-    est = oracle_XM(0.0, 1.0, 0.0, tol=tol, method="pv_subtraction")
+    monkeypatch.setattr(oracle, "_KERNEL_TOL", tol)
+    est = oracle_XM(0.0, 1.0, 0.0, method="pv_subtraction")
     assert 0.0 < kernel.abs_error_estimate <= tol < est.abs_error_estimate
     assert est.converged
 
@@ -404,7 +407,7 @@ def test_oracle_cm_matches_closed_form():
 def test_oracle_p_full_is_oracle_p_bit_for_bit(A, Omega):
     # One detector, one integral: P and the full-Wightman P are the same
     # contour integral, and the strain term vanishes exactly.
-    full, plain = oracle_P_full(Omega, A, 2.0), oracle_P(Omega)
+    full, plain = oracle_P(Omega, A, 2.0), oracle_P(Omega)
     assert _hex(full.value) == _hex(plain.value)
     assert full.abs_error_estimate.hex() == plain.abs_error_estimate.hex()
 
@@ -413,8 +416,8 @@ def test_oracle_p_full_strain_independent_on_static_worldline():
     # The transverse factor of a single static worldline vanishes, so the
     # first-order strain term contributes exactly zero: identical
     # estimates for any amplitude, all matching the Minkowski P.
-    base = oracle_P_full(1.0, 0.0, 2.0)
-    with_strain = oracle_P_full(1.0, 0.05, 2.0)
+    base = oracle_P(1.0, 0.0, 2.0)
+    with_strain = oracle_P(1.0, 0.05, 2.0)
     assert with_strain.value == base.value
     assert abs(base.value - transition_probability(1.0)) < 1e-6
 
@@ -432,19 +435,17 @@ def _wide(*names):
     return [dict(zip(names, p)) for p in itertools.product(*(_WIDE[n] for n in names))]
 
 
-# Each Wightman-integral oracle, over the wide grid, at the default tol.
+# Each Wightman-integral oracle, over the wide grid.
 _CONTOUR_ORACLES = {
-    "P": lambda: [
-        oracle._p_full(p["Omega"], 0.0, 0.0, 0.0, 1e-6) for p in _wide("Omega")
-    ],
-    "XM": lambda: [oracle._xm_kernel(p["D"], "contour", 1e-6) for p in _wide("D")],
-    "CM": lambda: [oracle._cm(p["Omega"], p["D"], 1e-6) for p in _wide("Omega", "D")],
+    "P": lambda: [oracle._p(p["Omega"]) for p in _wide("Omega")],
+    "XM": lambda: [oracle._xm_kernel(p["D"], "contour") for p in _wide("D")],
+    "CM": lambda: [oracle._cm(p["Omega"], p["D"]) for p in _wide("Omega", "D")],
     "x_gw": lambda: [
-        oracle._x_gw(p["omega"], p["Omega"], p["D"], 0.6, 1e-10)
+        oracle._x_gw(p["omega"], p["Omega"], p["D"], 0.6)
         for p in _wide("omega", "Omega", "D")
     ],
     "c_gw": lambda: [
-        oracle._c_gw(p["omega"], p["Omega"], p["D"], 0.6, 1e-10)
+        oracle._c_gw(p["omega"], p["Omega"], p["D"], 0.6)
         for p in _wide("omega", "Omega", "D")
     ],
 }
@@ -561,25 +562,27 @@ def test_oracle_delta_prime_parities():
     ],
     ids=["I1", "I3"],
 )
-def test_oracle_delta_prime_honours_a_tight_tol(which, omega, Omega, closed):
-    # tol is absolute, and a converged estimate meets it: at a hundredth
-    # of the default tol both come back converged, within tol of the
-    # closed form.
-    tol = 1e-12
+def test_oracle_i1_i3_estimates_are_far_below_their_target(
+    which, omega, Omega, closed
+):
+    # The values do not depend on the target: at a hundredth of _FINE_TOL
+    # the default estimates are converged, within 1e-12 of the closed form.
     if which == "I1":
-        est = oracle_I1(omega, 1.0, tol=tol)
+        est = oracle_I1(omega, 1.0)
     else:
-        est = oracle_I3(omega, Omega, 1.0, tol=tol)
-    bound = tol * max(1.0, abs(est.value))
+        est = oracle_I3(omega, Omega, 1.0)
+    bound = 1e-12 * max(1.0, abs(est.value))
     assert est.converged
     assert est.abs_error_estimate <= bound
     assert abs(est.value - closed) <= bound
 
 
-def test_oracle_delta_prime_honest_unconverged_band():
-    # A tol below what the quadrature reaches (~5e-14) comes back flagged,
-    # not raised, and the flagged value still lies within its estimate.
-    est = oracle_I1(2.0, 1.0, tol=1e-14)
+def test_oracle_i1_honest_unconverged_band(monkeypatch):
+    # A target below what the quadrature reaches (~5e-14) comes back
+    # flagged, not raised, and the flagged value still lies within its
+    # estimate.
+    monkeypatch.setattr(oracle, "_FINE_TOL", 1e-14)
+    est = oracle_I1(2.0, 1.0)
     assert not est.converged
     assert est.abs_error_estimate > 1e-14
     assert abs(est.value - integral_I1(2.0, 1.0)) <= est.abs_error_estimate
@@ -627,7 +630,7 @@ def test_oracle_i1_i3_are_the_strain_contour_less_oracle_i2_i4():
         legs, tail = oracle._wightman_legs(
             Om, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
         )
-        (s,) = oracle._solve([oracle._Oracle(legs, oracle._contour(tail, 1e-10))])
+        (s,) = oracle._solve([oracle._Oracle(legs, oracle._contour(tail))])
         assert _hex(est.value) == _hex(-scale * s.value - rest.value)
         err = scale * s.abs_error_estimate + rest.abs_error_estimate
         assert est.abs_error_estimate.hex() == err.hex()
@@ -673,6 +676,30 @@ def test_all_passed_detects_failures():
 
     broken = records[:-1] + [dataclasses.replace(records[-1], passed=False)]
     assert not all_passed(broken)
+
+
+def test_a_record_passes_only_on_converged_oracles():
+    # The reference must converge; so must a compared oracle (the X_M
+    # consistency row), whatever the relative error.
+    check = oracle._Check("x_minkowski_consistency", None, None, 1e-5)
+    good = oracle.OracleEstimate(1.0, 1e-9, True)
+    flagged = oracle.OracleEstimate(1.0, 1e-9, False)
+    assert oracle._record(check, (), 1.0, good).passed
+    assert oracle._record(check, (), good, good).passed
+    assert not oracle._record(check, (), 1.0, flagged).passed
+    assert not oracle._record(check, (), flagged, good).passed
+    assert not oracle._record(check, (), good, flagged).passed
+
+
+def test_verify_fails_the_records_whose_oracles_miss_their_target(monkeypatch):
+    # Below what the I1-I4 quadratures reach, their records fail though
+    # the values agree as closely as ever, and the CLI exits 1.
+    monkeypatch.setattr(oracle, "_FINE_TOL", 1e-14)
+    records = verify_suite(MINIMAL_VERIFY_GRID)
+    failed = {r.quantity for r in records if not r.passed}
+    assert {"integral_I1", "integral_I3"} <= failed
+    assert all(r.rel_error <= r.tolerance for r in records)
+    assert cli.main(["verify", "--grid", "minimal"]) == 1
 
 
 _XM_GRID = {
@@ -876,9 +903,9 @@ def test_verify_suite_integrates_each_xm_kernel_once_per_d(monkeypatch):
     builds = collections.Counter()
     build = oracle._xm_kernel
 
-    def counting(D, method, tol):
+    def counting(D, method):
         builds[D, method] += 1
-        return build(D, method, tol)
+        return build(D, method)
 
     monkeypatch.setattr(oracle, "_xm_kernel", counting)
     counts = []
@@ -937,18 +964,14 @@ def test_verify_suite_accepts_negative_and_small_frequencies(axis, value):
 def test_solve_integrates_an_integral_shared_by_two_oracles_once(monkeypatch):
     # The calibration's P(1) leg is the integral of oracle_P(1): solved
     # together, _gk21 gets it once, and each result is its lone one.
-    tol = oracle._KERNEL_TOL
     monkeypatch.setattr(oracle, "_CAL_CACHE", {})
-    p_leg = oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)
-    assert p_leg.integrals[0] in oracle._calibration(tol).integrals
+    assert oracle._p(1.0).integrals[0] in oracle._calibration().integrals
     calls = _count_quad_calls(monkeypatch)
-    _, together = oracle._solve(
-        [oracle._calibration(tol), oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)]
-    )
+    _, together = oracle._solve([oracle._calibration(), oracle._p(1.0)])
     assert len(calls) == 2  # the P(1) and P(-1) legs
     cal_together = oracle._CAL_CACHE.pop("P")
-    (alone,) = oracle._solve([oracle._p_full(1.0, 0.0, 0.0, 0.0, tol)])
-    oracle._solve([oracle._calibration(tol)])
+    (alone,) = oracle._solve([oracle._p(1.0)])
+    oracle._solve([oracle._calibration()])
     assert oracle._CAL_CACHE["P"].hex() == cal_together.hex()
     assert _hex(together.value) == _hex(alone.value)
     assert together.abs_error_estimate.hex() == alone.abs_error_estimate.hex()
@@ -957,8 +980,7 @@ def test_solve_integrates_an_integral_shared_by_two_oracles_once(monkeypatch):
 def test_solve_keeps_integrals_apart_that_differ_in_the_sign_of_a_zero(monkeypatch):
     # At Omega = 0.0 and -0.0 the legs are equal as tuples; their values
     # may differ in the sign of a zero, so each is integrated.
-    tol = oracle._KERNEL_TOL
-    pos, neg = (oracle._p_full(Om, 0.0, 0.0, 0.0, tol) for Om in (0.0, -0.0))
+    pos, neg = (oracle._p(Om) for Om in (0.0, -0.0))
     assert pos.integrals == neg.integrals
     calls = _count_quad_calls(monkeypatch)
     together = oracle._solve([pos, neg])

@@ -20,7 +20,6 @@ from gwharvest.specfun import (
     faddeeva_w_array,
     scaled_erf_product,
     scaled_erf_product_array,
-    sinc,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -202,8 +201,6 @@ def test_scalar_forms_return_builtin_numbers():
     for z in (0.5 + 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, -0.5 - 0.5j, 0.0, 2):
         assert type(faddeeva_w(z)) is complex
         assert type(scaled_erf_product(1.0, z)) is complex
-    for x in (0.0, 5e-5, 2.0, -3):
-        assert type(sinc(x)) is float
 
 
 @pytest.mark.parametrize("z, exponent", [(1 - 30j, "899"), (-3 - 40j, "1591")])
@@ -222,15 +219,3 @@ def test_faddeeva_just_inside_the_overflow_bound_is_finite():
     assert cmath.isfinite(w) and abs(w) > 1e303
     assert faddeeva_w_array(np.array([z]))[0] == w
 
-
-def test_sinc_basics_and_cutoff_continuity():
-    assert sinc(0.0) == 1.0
-    assert abs(sinc(2.0) - math.sin(2.0) / 2.0) < 1e-16
-    assert abs(sinc(-2.0) - sinc(2.0)) == 0.0
-    # Both branches around the Taylor/direct switch reproduce sin(x)/x to
-    # full precision (the truncation error x^6/5040 ~ 2e-28 is invisible).
-    for x in (0.999e-4, 1.001e-4):
-        assert abs(sinc(x) - math.sin(x) / x) < 1e-15
-    # Taylor branch agrees with the exact series value.
-    x = 5e-5
-    assert abs(sinc(x) - (1.0 - x * x / 6.0)) < 1e-18

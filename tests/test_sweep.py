@@ -248,6 +248,16 @@ def test_run_grid_reports_non_finite_parameters_per_point():
     assert np.isnan(pts.values).all()
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_run_grid_rejects_the_couplings_a_point_rejects(lam):
+    spec = GridSpec(AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"lambda": lam})
+    keys, params = spec.columns()
+    pts = run_grid(spec)
+    for row, status in zip(params.tolist(), pts.status):
+        assert status == sweep._evaluate_point(tuple(zip(keys, row)))[1] != "ok"
+    assert np.isnan(pts.values).all()
+
+
 def test_grid_result_sequence_behaviour():
     spec = GridSpec(axis1=AxisSpec("D_sigma", -1.0, 2.0, 4), fixed={"A": 0.05})
     pts = run_grid(spec)
