@@ -243,6 +243,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         if rec.note:
             line += f"  ({rec.note})"
+        if not rec.converged:
+            line += (
+                "  oracle not converged "
+                f"(error estimate {rec.oracle_error_estimate:.3e})"
+            )
         print(line)
     n_fail = sum(1 for r in records if not r.passed)
     print(f"{len(records) - n_fail}/{len(records)} checks passed")

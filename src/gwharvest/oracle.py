@@ -1121,7 +1121,7 @@ class CheckRecord:
     """One closed-form-versus-oracle comparison.
 
     passed is rel_error <= tolerance, with every oracle of the record
-    converged.
+    converged; converged says whether they all did.
     """
 
     quantity: str
@@ -1134,6 +1134,7 @@ class CheckRecord:
     passed: bool
     oracle_error_estimate: float
     note: str = ""
+    converged: bool = True
 
 
 class _Check(NamedTuple):
@@ -1208,6 +1209,7 @@ def _record(
     return CheckRecord(
         check.quantity, params, value, ref, abs_err, rel_err, check.tol,
         converged and rel_err <= check.tol, est.abs_error_estimate, check.note,
+        converged,
     )
 
 

@@ -13,10 +13,14 @@ The scaled product, like every closed form built on it, is written once
 over a backend of primitives and bound twice with the same bits: _SCALAR
 to builtin float and complex (math, cmath and scipy's Cython-level wofz,
 erf and erfc, the code of the scipy.special ufuncs without their array
-dispatch), _ARRAY to numpy arrays.  Only the Faddeeva folds and the backend's choose are
-written twice, as branches and as masks: the lower half-plane exponential
-must never be evaluated where it overflows, and a form that choose does
-not pick is not run on builtin floats.
+dispatch), _ARRAY to numpy arrays.  Every real exponential, exp(-p^2) of
+the scaled product included, is the C library's exp on both.  Only the
+Faddeeva folds and the backend's choose are written as branches and as
+masks: the lower half-plane exponential must never be evaluated where it
+overflows, and a form that choose does not pick is not run on builtin
+floats.  The scalar folds are written out twice, in faddeeva_w and in the
+exp_w primitive, which evaluate calls up to five times a point: one
+Python frame less a call.
 """
 
 from __future__ import annotations
@@ -68,17 +72,11 @@ def faddeeva_w(z: complex) -> complex:
     Re(-z^2) > 700 in the lower half-plane, since w itself overflows there.
     """
     z = complex(z)
-    return _scalar_wofz(z.real, z.imag)
-
-
-def _scalar_wofz(re: float, im: float) -> complex:
-    """faddeeva_w of re + i im."""
-    left = re < 0.0
+    left = z.real < 0.0
     if left:
         # w(-conj(z)) = conj(w(z)) maps onto Re(z) >= 0 at no cost.
-        re = -re
-    z = complex(re, im)
-    if im < 0.0:
+        z = complex(-z.real, z.imag)
+    if z.imag < 0.0:
         # Functional equation w(z) = 2 exp(-z^2) - w(-z) folds the lower
         # half-plane up; the exponential term here is the true leading
         # behaviour of w below the real axis, so where it overflows the
@@ -157,7 +155,6 @@ class _Backend(NamedTuple):
     """
 
     exp: Callable     # the C library's exp
-    exp_np: Callable  # numpy's real exp loop, for e_p of _scaled_erf
     sin: Callable
     cos: Callable
     erf: Callable
@@ -177,11 +174,20 @@ def _cmul(a_re, a_im, b_re, b_im):
 
 
 def _scalar_exp_w(a_re, a_im, re, im, what):
-    # The guard, w, exp and their product in one frame, in that order:
-    # evaluate needs five of these.
+    # The guard, w, exp and their product in one frame, in that order, with
+    # faddeeva_w's folds written out: evaluate makes up to five of these.
     if a_re > _EXPONENT_LIMIT:
         _scalar_guard(a_re, what)
-    w = _scalar_wofz(re, im)
+    left = re < 0.0
+    z = complex(-re if left else re, im)
+    if im < 0.0:
+        exponent = -z * z
+        _scalar_guard(exponent.real, "Faddeeva function")
+        w = 2.0 * cmath.exp(exponent) - _cs.wofz(-z)
+    else:
+        w = _cs.wofz(z)
+    if left:
+        w = w.conjugate()
     return cmath.exp(complex(a_re, a_im)) * w
 
 
@@ -202,7 +208,6 @@ def _scalar_abs(re: float, im: float) -> float:
 
 _SCALAR = _Backend(
     exp=math.exp,
-    exp_np=lambda x: float(np.exp(x)),
     sin=math.sin,
     cos=math.cos,
     erf=erf_real,
@@ -219,7 +224,6 @@ _ARRAY = _Backend(
     # numpy's complex exp loop calls the C library's exp; its real loop is
     # a SIMD approximation that can differ in the last bit.
     exp=lambda x: np.exp(np.asarray(x, dtype=complex)).real,
-    exp_np=np.exp,
     sin=np.sin,
     cos=np.cos,
     erf=_sp.erf,
@@ -238,7 +242,7 @@ _ARRAY = _Backend(
 
 
 def _scaled_erf(b: _Backend, p, e_p, x, y):
-    """Parts of exp(-p^2) erf(x + iy), given e_p = b.exp_np(-p*p).
+    """Parts of exp(-p^2) erf(x + iy), given e_p = b.exp(-p*p).
 
     The closed forms share e_p between their products at one p; see
     scaled_erf_product for the method.
@@ -269,15 +273,15 @@ def scaled_erf_product(p: float, z: complex) -> complex:
     which is non-positive whenever |y| <= p regardless of x: exactly the
     pattern of every Gaussian-damped erf product in the closed forms
     (p = D/2 against y = D/2).  w(iz) is evaluated in its stable region.
-    The real exp(-p^2) is numpy's, the loop scaled_erf_product_array uses.
+    The real exp(-p^2) is the C library's, as in scaled_erf_product_array.
     """
     z = complex(z)
-    return complex(*_scaled_erf(_SCALAR, p, _SCALAR.exp_np(-p * p), z.real, z.imag))
+    return complex(*_scaled_erf(_SCALAR, p, math.exp(-p * p), z.real, z.imag))
 
 
 def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """scaled_erf_product over arrays, its oddness fold taken as a mask."""
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=complex)
-    return complex_array(*_scaled_erf(_ARRAY, p, np.exp(-p * p), z.real, z.imag))
+    return complex_array(*_scaled_erf(_ARRAY, p, _ARRAY.exp(-p * p), z.real, z.imag))
 

@@ -308,3 +308,47 @@ def test_verify_failure_exits_nonzero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "0/1 checks passed" in out
+
+
+def test_verify_prints_no_reason_for_a_converged_fail(monkeypatch, capsys):
+    bad = CheckRecord(
+        quantity="transition_probability",
+        params=(("Omega_sigma", 1.0),),
+        value=1.0,
+        reference=2.0,
+        abs_error=1.0,
+        rel_error=0.5,
+        tolerance=1e-5,
+        passed=False,
+        oracle_error_estimate=1e-9,
+    )
+    monkeypatch.setattr("gwharvest.oracle.verify_suite", lambda grid=None: [bad])
+    assert cli.main(["verify"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith("rel_err=5.000e-01 tol=1.0e-05")
+
+
+def test_verify_names_an_unconverged_oracle_on_its_fail_lines(monkeypatch, capsys):
+    # Below what the I1-I4 quadratures reach, their records fail with a
+    # relative error inside tolerance; each such line says why.  Every
+    # other line is printed as without the patch, byte for byte.
+    assert cli.main(["verify", "--grid", "minimal"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr("gwharvest.oracle._FINE_TOL", 1e-14)
+    assert cli.main(["verify", "--grid", "minimal"]) == 1
+    patched = capsys.readouterr().out.splitlines()
+    assert len(patched) == len(plain)
+    unconverged = 0
+    for before, after in zip(plain[:-1], patched[:-1]):
+        if after.startswith("PASS "):
+            assert after == before
+            continue
+        assert before.startswith("PASS ")
+        prefix = "FAIL" + before[len("PASS"):]
+        assert after.startswith(prefix)
+        reason = after[len(prefix):]
+        assert reason.startswith("  oracle not converged (error estimate ")
+        assert reason.endswith(")")
+        assert float(reason.split("estimate ")[1][:-1]) > 1e-14
+        unconverged += 1
+    assert unconverged >= 2  # integral_I1 and integral_I3 at least

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwharvest import closedform as cf
+from gwharvest import specfun
 from gwharvest.closedform import (
     FIRST_ORDER_XM_FLOOR,
     OBSERVABLES,
@@ -253,13 +254,128 @@ def test_i3_odd_i4_even_in_gap():
 
 
 def test_small_omega_fallbacks_are_continuous():
-    D, Om = 1.5, 0.8
-    eps = 1e-6
-    below, above = SMALL_OMEGA_CUTOFF - eps, SMALL_OMEGA_CUTOFF + eps
-    assert abs(integral_I1(below, D) - integral_I1(above, D)) < 1e-8
-    assert abs(integral_I2(below, D) - integral_I2(above, D)) < 1e-8
-    assert abs(integral_I3(below, Om, D) - integral_I3(above, Om, D)) < 1e-8
-    assert abs(integral_I4(below, Om, D) - integral_I4(above, Om, D)) < 1e-8
+    # One ulp below the cutoff the series, at it the direct forms.  The
+    # jump in I2 and I4 is the direct forms' cancellation error, which
+    # grows as D shrinks (at most 3.6e-10, 3.8e-12 and 3.5e-13 measured
+    # at these D); I1 and I3 have none and agree to rounding.
+    above = SMALL_OMEGA_CUTOFF
+    below = math.nextafter(above, 0.0)
+
+    def jump(f, *args):
+        return abs(f(below, *args) - f(above, *args)) / abs(f(above, *args))
+
+    for D, bound in [(0.25, 1e-9), (1.0, 1e-11), (4.0, 1e-12)]:
+        assert jump(integral_I1, D) <= 1e-14
+        assert jump(integral_I2, D) <= bound
+        for Om in (0.8, -1.3, 2.0):
+            assert jump(integral_I3, Om, D) <= 1e-14
+            assert jump(integral_I4, Om, D) <= bound
+
+
+# (omega, Omega, D, Im I1, I2, I3, I4) below SMALL_OMEGA_CUTOFF: the
+# defining closed forms of the integral_I* docstrings in 50-digit
+# arithmetic (mpmath), rounded to doubles.  |I3| is at least 0.02 of the
+# size of its bracket's terms, and I4 is far from its zeros.
+SMALL_OMEGA_REFERENCE = [
+    (1e-06, 0.3, 0.25, 0.199346217854278, 0.0005698065941453655,
+     -0.000959606499172187, 0.0014491033719085408),
+    (2.5e-06, -1.2, 0.6, 0.5082023110636754, 0.01781601381995127,
+     0.20394743429311765, 0.20458716404267377),
+    (7e-06, 2.0, 1.0, 0.9175030570157883, 0.12110696407683705,
+     -2.6867423235607415, 2.686847179621634),
+    (1.3e-05, -0.45, 4.0, 0.5178624891624773, 2.524199386398387,
+     1.0557020933022252, 3.8231419654591496),
+    (4e-05, 1.7, 2.3, 1.7545299968112378, 1.5006963482409719,
+     -0.26774761624242577, 0.2780615563112488),
+    (9e-05, -2.0, 0.25, 0.19934621785822762, 0.0005698065952894758,
+     0.021501867062639606, 0.021502299837823743),
+    (0.00022, 0.8, 1.5, 1.4264265988713283, 0.4804264538495181,
+     -2.075204019055653, 2.16978489394757),
+    (0.00045, -0.6, 3.2, 1.189042513676279, 2.403822187006982,
+     2.489823009101856, 3.9670463955166446),
+    (0.0006, 1.1, 0.4, 0.32598817738472513, 0.0036622856035434404,
+     -0.03738232733814953, 0.037576294995672305),
+    (0.0008, -1.5, 2.0, 1.7335909630475885, 1.0887095187886076,
+     3.9217725884507324, 3.9379086341704617),
+    (0.00095, 0.25, 4.0, 0.5178622468674238, 2.52419915314483,
+     -0.8093538589118479, 4.662947421055256),
+    (0.000999, -0.9, 0.9, 0.8110807398702704, 0.0824940364121996,
+     0.5300944035260401, 0.5401594566702493),
+]
+
+
+@pytest.mark.parametrize("omega, Omega, D, i1, i2, i3, i4", SMALL_OMEGA_REFERENCE)
+def test_small_omega_series_match_50_digit_references(omega, Omega, D, i1, i2, i3, i4):
+    # The series are exact through omega^4; the worst error measured is
+    # 2.9e-14 (I2 at D = 0.25, where the direct form also loses digits).
+    assert integral_I1(omega, D).real == 0.0
+    for got, ref in [
+        (integral_I1(omega, D).imag, i1),
+        (integral_I2(omega, D), i2),
+        (integral_I3(omega, Omega, D), i3),
+        (integral_I4(omega, Omega, D), i4),
+    ]:
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_evaluate_arrays_small_omega_columns_match_50_digit_references():
+    # x_gw = f (I2 + i I1)/(4 D^2 pi^{3/2}) and c_gw = -e^{-w^2/4}
+    # cos(w t0) (I3 + I4)/(4 D^2 pi^{3/2}) from the references; c_gw is
+    # judged against the size of its two terms, which nearly cancel at
+    # some points.
+    w, Om, D, i1, i2, i3, i4 = np.array(SMALL_OMEGA_REFERENCE).T
+    t0 = np.linspace(0.0, 1.0, len(w))
+    rows = evaluate_arrays(w, Om, D, t0, 0.05)
+    col = {name: rows[:, k] for k, name in enumerate(OBSERVABLES)}
+    norm = 4.0 * D * D * PI_32
+    env = np.array([f_envelope(*point) for point in zip(w, Om, t0)])
+    x_want = env * (i2 + 1j * i1) / norm
+    x_got = col["re_x_gw"] + 1j * col["im_x_gw"]
+    assert np.all(np.abs(x_got - x_want) <= 1e-12 * np.abs(x_want))
+    c_factor = -np.exp(-w * w / 4.0) * np.cos(w * t0) / norm
+    c_want, c_size = c_factor * (i3 + i4), np.abs(c_factor) * (np.abs(i3) + np.abs(i4))
+    assert np.all(np.abs(col["re_c_gw"] - c_want) <= 1e-12 * c_size)
+    assert np.all(col["im_c_gw"] == 0.0)
+
+
+# omega on both sides of the cutoff, zero included.
+_OMEGA_BOTH_SIDES = st.one_of(
+    st.floats(-SMALL_OMEGA_CUTOFF, SMALL_OMEGA_CUTOFF),
+    st.floats(SMALL_OMEGA_CUTOFF, 8.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OMEGA_BOTH_SIDES, st.floats(-2.0, 2.0), st.floats(0.25, 4.0))
+def test_i3_is_odd_and_i4_even_in_the_gap_on_both_sides_of_the_cutoff(w, Om, D):
+    # Exactly: the series take e^{-D^2/4} erf(-Om + iD/2) as minus the
+    # conjugate of the +Om product, and the direct forms sum both branches.
+    assert integral_I3(w, -Om, D) == -integral_I3(w, Om, D)
+    assert integral_I4(w, -Om, D) == integral_I4(w, Om, D)
+
+
+def _array_integrals(w, Om, D):
+    """(Im I1, I2, I3, I4) over arrays, as evaluate_arrays computes them."""
+    b = specfun._ARRAY
+    w, Om, D = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w, Om, D)))
+    _, factors = cf._minkowski(b, Om, D, 0.0)
+    return b.choose(cf._small_omega(w), cf._gw_series, cf._gw_direct, b, w, Om, D, factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_OMEGA_BOTH_SIDES, st.floats(-2.0, 2.0), st.floats(0.25, 4.0)),
+                min_size=1, max_size=30))
+def test_i3_is_odd_and_i4_even_in_the_gap_on_arrays(points):
+    w, Om, D = np.array(points).T
+    with np.errstate(all="ignore"):
+        _, _, i3_plus, i4_plus = _array_integrals(w, Om, D)
+        _, _, i3_minus, i4_minus = _array_integrals(w, -Om, D)
+    assert np.array_equal(i3_minus, -i3_plus)
+    assert np.array_equal(i4_minus, i4_plus)
+    # And they are the scalar functions' values.
+    for k, (wk, Omk, Dk) in enumerate(points):
+        assert i3_plus[k] == integral_I3(wk, Omk, Dk)
+        assert i4_plus[k] == integral_I4(wk, Omk, Dk)
 
 
 def test_i2_large_separation_is_not_gaussian():
@@ -476,7 +592,7 @@ def _python_calls(fn):
 
 @pytest.mark.parametrize(
     "omega, evaluate_calls",
-    [(2.0, 45), (SMALL_OMEGA_CUTOFF / 2, 65)],
+    [(2.0, 38), (SMALL_OMEGA_CUTOFF / 2, 34)],
 )
 def test_python_calls_per_evaluate_stay_within_budget(omega, evaluate_calls):
     # A deterministic guard on the single-point path's per-call overhead:
@@ -488,6 +604,32 @@ def test_python_calls_per_evaluate_stay_within_budget(omega, evaluate_calls):
     p = params_from_mapping(m)
     assert _python_calls(lambda: params_from_mapping(m)) <= 3
     assert _python_calls(lambda: evaluate(p)) <= evaluate_calls
+
+
+class _CountingWofz:
+    """scipy's cython_special with its wofz calls counted."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def wofz(self, z):
+        self.calls += 1
+        return self._module.wofz(z)
+
+
+@pytest.mark.parametrize("omega, wofz_calls", [(2.0, 5), (SMALL_OMEGA_CUTOFF / 2, 2)])
+def test_faddeeva_calls_per_evaluate(monkeypatch, omega, wofz_calls):
+    # X_M and C_M take one each; the direct I2 one and I4 two, while the
+    # series reuse the Minkowski ones.
+    counting = _CountingWofz(specfun._cs)
+    monkeypatch.setattr(specfun, "_cs", counting)
+    evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=1.0, D_sigma=1.0,
+                     t0_sigma=0.5))
+    assert counting.calls == wofz_calls
 
 
 # --- array kernel -------------------------------------------------------------

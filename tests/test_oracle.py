@@ -513,6 +513,88 @@ def test_wightman_kernel_equals_its_defining_expression():
             assert one.shape == (1, 1) and one[0, 0] == got[i, j]
 
 
+def _wightman_4d(X, Xp, A, w):
+    """The first-order Wightman function between events X = (t, x, y, z)
+    and Xp in the wave g = -dt^2 + (1 + h) dx^2 + (1 - h) dy^2 + dz^2,
+    h = A cos(omega (t - z)):
+
+      W = 1/(4 pi^2 sigma^2) - s (dx^2 - dy^2) sinc(omega du/2) / (4 pi^2 sigma^4)
+
+    with sigma^2 the flat interval, u = t - z and s = A cos(omega (u + u')/2).
+    At dz = 0 (du = a = dt) this is the kernel of oracle._wightman_kernel.
+    """
+    dt, dx, dy, dz = (X[k] - Xp[k] for k in range(4))
+    sig = dx * dx + dy * dy + dz * dz - dt * dt
+    u, up = X[0] - X[3], Xp[0] - Xp[3]
+    s = A * np.cos(w * (u + up) / 2.0)
+    half = w * (u - up) / 2.0
+    four_pi_sq = 4.0 * math.pi ** 2
+    return 1.0 / (four_pi_sq * sig) - s * (dx * dx - dy * dy) * (
+        np.sin(half) / half
+    ) / (four_pi_sq * sig * sig)
+
+
+# Pairs of events (X, Xp) off the light cone, |sigma^2| >= 1: space- and
+# timelike, with every separation nonzero.
+_FIELD_EQUATION_PAIRS = [
+    ((0.3, 1.4, 0.2, -0.5), (-0.2, -0.6, 0.9, 0.4)),
+    ((1.1, -0.8, 1.3, 0.7), (0.4, 0.9, -0.2, -0.3)),
+    ((2.6, 0.5, -0.4, 0.3), (0.1, -0.3, 0.2, -0.2)),
+    ((-0.7, 0.2, -1.6, 1.2), (0.5, 1.1, 0.3, -0.1)),
+    ((0.9, 2.1, 0.6, -0.8), (-0.4, 0.2, -0.5, 0.6)),
+]
+
+
+def _wave_operator_terms(X, Xp, A, w, step=4e-3):
+    """-W_tt, W_xx/(1 + h), W_yy/(1 - h), W_zz at X: the terms of the
+    wave operator of g on W to first order in A (sqrt(-g) = 1 + O(A^2)),
+    each by the fourth-order central difference."""
+    stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    h = A * math.cos(w * (X[0] - X[3]))
+
+    def d2(k):
+        Y = np.tile(np.asarray(X, dtype=float), (5, 1)).T
+        Y[k] += step * np.arange(-2, 3)
+        return stencil @ _wightman_4d(Y, np.asarray(Xp, dtype=float), A, w) / step**2
+
+    return np.array([-d2(0), d2(1) / (1.0 + h), d2(2) / (1.0 - h), d2(3)])
+
+
+@pytest.mark.parametrize("X, Xp", _FIELD_EQUATION_PAIRS)
+def test_the_model_wightman_function_solves_the_wave_equation(X, Xp):
+    # Off the light cone W solves its field equation to first order in A:
+    # the flat part and the O(A) part of the residual each vanish against
+    # the size of their individual terms.  The O(A) part is the odd part
+    # in A, (R(A) - R(-A))/(2A), which holds no O(A^2) term.  A flipped
+    # strain sign, dx^2 + dy^2 for dx^2 - dy^2, or sin for sinc leaves an
+    # O(A) residual of 6e-3 to 2.5 of its terms at these pairs.
+    w, A = 1.3, 1e-4
+    flat = _wave_operator_terms(X, Xp, 0.0, w)
+    linear = (
+        _wave_operator_terms(X, Xp, A, w) - _wave_operator_terms(X, Xp, -A, w)
+    ) / (2.0 * A)
+    assert abs(flat.sum()) <= 1e-6 * np.abs(flat).max()
+    assert abs(linear.sum()) <= 1e-6 * np.abs(linear).max()
+
+
+def test_the_wave_equation_check_takes_the_oracles_kernel():
+    # At dz = 0, _wightman_4d is oracle._wightman_kernel's W on the real
+    # axis (c = 0, no Gaussian or gap phase: Om = 0, times e^{a^2/4}),
+    # with gw = s (dx^2 - dy^2) as _wightman_legs forms it.
+    w, A = 1.3, 0.05
+    for X, Xp in _FIELD_EQUATION_PAIRS:
+        X, Xp = np.array(X), np.array(Xp)
+        X[3] = Xp[3]
+        a = X[0] - Xp[0]
+        dx, dy = X[1] - Xp[1], X[2] - Xp[2]
+        s = A * math.cos(w * (X[0] - X[3] + Xp[0] - Xp[3]) / 2.0)
+        kern = oracle._wightman_kernel(
+            a, 0.0, 0.0, math.hypot(dx, dy), 1.0, 0.0, s * (dx * dx - dy * dy), w
+        )[0, 0] * math.exp(a * a / 4.0)
+        want = _wightman_4d(X, Xp, A, w)
+        assert abs(kern - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("D", [0.25, 0.1])
 def test_contour_xm_agrees_with_pv_subtraction_at_small_d(D):
     contour = oracle_XM(1.0, D, 0.0, method="contour")
@@ -689,6 +771,14 @@ def test_a_record_passes_only_on_converged_oracles():
     assert not oracle._record(check, (), 1.0, flagged).passed
     assert not oracle._record(check, (), flagged, good).passed
     assert not oracle._record(check, (), good, flagged).passed
+    # converged carries the flags themselves, whatever the relative error.
+    far = oracle.OracleEstimate(2.0, 1e-9, True)
+    assert oracle._record(check, (), 1.0, good).converged
+    assert oracle._record(check, (), 1.0, far).converged
+    assert not oracle._record(check, (), 1.0, far).passed
+    assert not oracle._record(check, (), 1.0, flagged).converged
+    assert not oracle._record(check, (), flagged, good).converged
+    assert not oracle._record(check, (), good, flagged).converged
 
 
 def test_verify_fails_the_records_whose_oracles_miss_their_target(monkeypatch):
