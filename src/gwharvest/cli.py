@@ -186,7 +186,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     report = closedform.evaluate(params)
     # The CSV's names and repr() formatting, so a printed value round-trips
     # to the identical double a one-point sweep writes.
-    for name, value in zip(closedform.OBSERVABLES, report.as_row()):
+    for name, value in zip(closedform.OBSERVABLES, report.row):
         print(f"{name}={value!r}")
     for flag in report.flags:
         print(f"flag: {flag}", file=sys.stderr)

@@ -30,7 +30,7 @@ and omega*sigma, D is D/sigma, t0 is t0/sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -548,49 +548,66 @@ def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
 # --- assembled observables -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HarvestReport:
     """All observables for one parameter point, normalized per lambda^2.
 
-    x_gw, c_gw, theta_gw and psi_gw are additionally normalized per unit
-    strain amplitude A; the assembled concurrence and corr re-attach A.
-    Every field evaluate fills is a builtin float or complex, never a
-    numpy scalar.
+    row holds them as builtin floats in OBSERVABLES order.  Each name of
+    OBSERVABLES is also a read-only attribute, except that each re_*/im_*
+    pair is one complex attribute (x_m for re_x_m and im_x_m).  x_gw,
+    c_gw, theta_gw and psi_gw are additionally normalized per unit strain
+    amplitude A; the assembled concurrence and corr re-attach A.
     """
 
-    p_norm: float
-    x_m: complex
-    c_m: complex
-    x_gw: complex
-    c_gw: complex
-    theta_m: float
-    theta_gw: float
-    concurrence: float
-    psi_m: float
-    psi_gw: float
-    corr: float
-    flags: tuple[str, ...] = field(default=())
+    row: tuple[float, ...]
+    flags: tuple[str, ...]
 
-    def as_row(self) -> tuple[float, ...]:
-        """The observables as floats, in OBSERVABLES order."""
-        x_m, c_m, x_gw, c_gw = self.x_m, self.c_m, self.x_gw, self.c_gw
-        return tuple(float(v) for v in (
-            self.p_norm, x_m.real, x_m.imag, c_m.real, c_m.imag,
-            x_gw.real, x_gw.imag, c_gw.real, c_gw.imag, self.theta_m,
-            self.theta_gw, self.concurrence, self.psi_m, self.psi_gw, self.corr,
-        ))
+    def __init__(self, row, flags=(), **views) -> None:
+        """A report of row, with each attribute given by name (as
+        dataclasses.replace passes it) written into its entries."""
+        row = [float(v) for v in row]
+        if len(row) != len(OBSERVABLES):
+            raise ValueError(f"expected {len(OBSERVABLES)} observables, got {len(row)}")
+        for name, value in views.items():
+            if name not in _VIEWS:
+                raise TypeError(f"HarvestReport has no attribute {name!r}")
+            i, *j = _VIEWS[name]
+            if j:
+                row[i], row[j[0]] = complex(value).real, complex(value).imag
+            else:
+                row[i] = float(value)
+        _SET_ROW(self, tuple(row))
+        _SET_FLAGS(self, tuple(flags))
 
 
-# The setters of HarvestReport's slots, in field order.  evaluate fills a
-# report through them: the generated __init__'s object.__setattr__ calls
-# take about twice as long.
-_REPORT_SLOTS = tuple(
-    getattr(HarvestReport, f.name).__set__ for f in fields(HarvestReport)
-)
+# Each attribute of a report and the row entries it reads: its own, for a
+# name of OBSERVABLES; both, for the complex named by a re_*/im_* pair.
+_VIEWS = {
+    name.removeprefix("re_"): (i, OBSERVABLES.index("im_" + name[3:]))
+    if name.startswith("re_") else (i,)
+    for i, name in enumerate(OBSERVABLES)
+    if not name.startswith("im_")
+}
+
+
+def _view(i, *j) -> property:
+    if j:
+        return property(lambda self: complex(self.row[i], self.row[j[0]]))
+    return property(lambda self: self.row[i])
+
+
+for _name, _index in _VIEWS.items():
+    setattr(HarvestReport, _name, _view(*_index))
+del _name, _index
+
+# evaluate fills a report through its slots' setters: the frozen class's
+# __setattr__ refuses, and __init__ would cost a Python call.
+_SET_ROW, _SET_FLAGS = HarvestReport.row.__set__, HarvestReport.flags.__set__
 
 
 def evaluate(params: DimensionlessParams) -> HarvestReport:
-    """Compute every observable for one parameter point.
+    """Compute every observable for one parameter point: the report's row
+    holds them as builtin floats in OBSERVABLES order.
 
     Raises DegenerateDirection if |x_m| underflows (theta_gw undefined),
     and DomainTooLarge, naming them, if any observables are not finite
@@ -622,28 +639,10 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
                 f"non-finite {', '.join(bad)} at omega={w:g}, Omega={Om:g}, "
                 f"D={D:g}, t0={t0:g}"
             )
-    (
-        p_norm, xm_re, xm_im, cm_re, cm_im, xg_re, xg_im, cg_re, cg_im,
-        theta_m, theta_gw, concurrence, psi_m, psi_gw, corr,
-    ) = row
     report = object.__new__(HarvestReport)
-    (
-        set_p_norm, set_x_m, set_c_m, set_x_gw, set_c_gw, set_theta_m,
-        set_theta_gw, set_concurrence, set_psi_m, set_psi_gw, set_corr, set_flags,
-    ) = _REPORT_SLOTS
-    set_p_norm(report, p_norm)
-    set_x_m(report, complex(xm_re, xm_im))
-    set_c_m(report, complex(cm_re, cm_im))
-    set_x_gw(report, complex(xg_re, xg_im))
-    set_c_gw(report, complex(cg_re, cg_im))
-    set_theta_m(report, theta_m)
-    set_theta_gw(report, theta_gw)
-    set_concurrence(report, concurrence)
-    set_psi_m(report, psi_m)
-    set_psi_gw(report, psi_gw)
-    set_corr(report, corr)
+    _SET_ROW(report, row)
     flags = (OUTSIDE_FIRST_ORDER_FLAG,) if axm < FIRST_ORDER_XM_FLOOR else ()
-    set_flags(report, flags)
+    _SET_FLAGS(report, flags)
     return report
 
 

@@ -100,7 +100,8 @@ class DimensionlessParams:
     coupling_lambda  interaction strength lambda > 0 (config key "lambda");
                      bookkeeping only, since every reported quantity is
                      normalized.
-    A non-finite field raises ConfigError naming its config key.
+    A non-finite field raises ConfigError naming its config key.  Fields
+    given as numpy scalars are stored as builtin floats.
     """
 
     A: float = 0.0
@@ -117,6 +118,10 @@ class DimensionlessParams:
             self.A + self.omega_sigma + self.Omega_sigma + self.D_sigma
             + self.t0_sigma + self.coupling_lambda
         )
+        if type(total) is not float:
+            # A numpy scalar field (or all fields ints) makes the sum one,
+            # and evaluate would compute in its type: store builtin floats.
+            vars(self).update({name: float(v) for name, v in vars(self).items()})
         if not math.isfinite(total):
             for name, value in vars(self).items():
                 if not math.isfinite(value):

@@ -196,7 +196,7 @@ def _evaluate_point(
     except Exception as exc:
         status = f"{type(exc).__name__}: {exc}".replace(",", ";")
         return _NAN_ROW, " ".join(status.split())
-    return report.as_row(), "ok"
+    return report.row, "ok"
 
 
 def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:

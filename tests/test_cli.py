@@ -1,11 +1,18 @@
 """Tests for the command-line interface: parsing, precedence, exit codes."""
 
 import math
+import struct
 
 import pytest
 
 from gwharvest import cli
-from gwharvest.closedform import OBSERVABLES, transition_probability
+from gwharvest.closedform import (
+    OBSERVABLES,
+    SMALL_OMEGA_CUTOFF,
+    evaluate,
+    transition_probability,
+)
+from gwharvest.model import params_from_mapping
 from gwharvest.oracle import CheckRecord
 
 FOUR_PI_INV = 1.0 / (4.0 * math.pi)
@@ -78,6 +85,19 @@ def test_point_prints_all_observables(capsys):
     assert list(values) == list(OBSERVABLES)
     assert abs(values["p_norm"] - FOUR_PI_INV) < 1e-15
     assert f"{values['p_norm']:.6g}" == "0.0795775"
+
+
+@pytest.mark.parametrize("omega", [2.0, SMALL_OMEGA_CUTOFF / 2])
+def test_point_prints_the_report_row_bit_for_bit(omega, capsys):
+    m = {"A": 0.05, "omega_sigma": omega, "Omega_sigma": -0.7, "D_sigma": 1.3,
+         "t0_sigma": 0.4}
+    assert cli.main(["point", *(f"--{k}={v!r}" for k, v in m.items())]) == 0
+    printed = _point_output(capsys)
+    row = evaluate(params_from_mapping(m)).row
+    assert list(printed) == list(OBSERVABLES)
+    assert [struct.pack("<d", v) for v in printed.values()] == [
+        struct.pack("<d", v) for v in row
+    ]
 
 
 def test_point_flag_overrides_config(tmp_path, capsys):

@@ -12,6 +12,7 @@ accuracy with an order-of-magnitude margin.
 import cmath
 import dataclasses
 import math
+import struct
 import sys
 
 import numpy as np
@@ -574,6 +575,50 @@ def test_evaluate_report_is_an_ordinary_frozen_report(Omega, flags):
     assert not hasattr(rep, "__dict__")
 
 
+# The report's attributes, named from OBSERVABLES: one complex for each
+# re_*/im_* pair, one float for every other name.
+_COMPLEX_VIEWS = [n[3:] for n in OBSERVABLES if n.startswith("re_")]
+_FLOAT_VIEWS = [n for n in OBSERVABLES if not n.startswith(("re_", "im_"))]
+
+
+def _viewed(rep, name):
+    """OBSERVABLES entry name as the report's attributes give it."""
+    if name.startswith(("re_", "im_")):
+        value = getattr(rep, name[3:])
+        return value.real if name.startswith("re_") else value.imag
+    return getattr(rep, name)
+
+
+@pytest.mark.parametrize("omega", [2.0, SMALL_OMEGA_CUTOFF / 2])
+def test_report_attributes_are_views_of_its_row(omega):
+    rep = evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=-0.7,
+                           D_sigma=1.3, t0_sigma=0.4))
+    for name, value in zip(OBSERVABLES, rep.row, strict=True):
+        assert struct.pack("<d", _viewed(rep, name)) == struct.pack("<d", value), name
+    views = {n for n, v in vars(cf.HarvestReport).items() if isinstance(v, property)}
+    assert views == {*_FLOAT_VIEWS, *_COMPLEX_VIEWS}
+    # CPython 3.11's frozen slotted __setattr__ raises TypeError, not
+    # FrozenInstanceError, for a name that is not a field.
+    for name in _FLOAT_VIEWS + _COMPLEX_VIEWS:
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            setattr(rep, name, 0.0)
+
+
+def test_replace_writes_an_attribute_into_the_row():
+    rep = evaluate(_params(A=0.05, omega_sigma=2.0, D_sigma=1.3))
+    row = list(rep.row)
+    row[OBSERVABLES.index("corr")] = 0.5
+    row[OBSERVABLES.index("re_c_m")], row[OBSERVABLES.index("im_c_m")] = 1.0, 2.0
+    changed = dataclasses.replace(rep, corr=0.5, c_m=1.0 + 2.0j)
+    assert changed.row == tuple(row) and changed.flags == rep.flags
+    with pytest.raises(TypeError, match="no attribute 'cm'"):
+        dataclasses.replace(rep, cm=1.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, corr=1j)
+    with pytest.raises(ValueError, match="expected 15 observables"):
+        dataclasses.replace(rep, row=rep.row[1:])
+
+
 def _python_calls(fn):
     """The number of Python-level function calls fn() makes."""
     calls = 0
@@ -653,7 +698,7 @@ _PRESET_POINTS = st.tuples(
 def _scalar_row(omega, Omega, D, t0, A):
     return evaluate(
         _params(omega_sigma=omega, Omega_sigma=Omega, D_sigma=D, t0_sigma=t0, A=A)
-    ).as_row()
+    ).row
 
 
 @settings(max_examples=200, deadline=None)
@@ -754,14 +799,14 @@ def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
 
 
 def test_scalar_path_returns_builtin_numbers():
-    # Builtin float/complex, never numpy scalars: the annotated type of
-    # every report field, on the direct and the small-omega branches.
+    # Builtin float/complex, never numpy scalars: every row entry and every
+    # complex attribute, on the direct and the small-omega branches.
     for omega in (2.0, SMALL_OMEGA_CUTOFF / 2):
         rep = evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=-0.7,
                                D_sigma=1.3, t0_sigma=0.4))
-        for f in dataclasses.fields(rep):
-            if f.name != "flags":
-                assert type(getattr(rep, f.name)).__name__ == f.type, f.name
+        assert [type(v) for v in rep.row] == [float] * len(OBSERVABLES)
+        for name in _COMPLEX_VIEWS:
+            assert type(getattr(rep, name)) is complex, name
         assert type(x_minkowski(-0.7, 1.3, 0.4)) is complex
         assert type(f_envelope(omega, -0.7, 0.4)) is complex
         assert type(x_gw(omega, -0.7, 1.3, 0.4)) is complex
@@ -801,10 +846,13 @@ def test_density_matrix_rejects_nonphysical_state(monkeypatch):
     # exchange term stays below P), so the rejection path is exercised by
     # forcing an exchange term far above the transition probability.
     real_evaluate = cf.evaluate
-    monkeypatch.setattr(
-        cf,
-        "evaluate",
-        lambda params: dataclasses.replace(real_evaluate(params), c_m=1.0 + 0j),
-    )
+
+    def with_large_exchange(params):
+        rep = real_evaluate(params)
+        row = list(rep.row)
+        row[OBSERVABLES.index("re_c_m")] = 1.0
+        return dataclasses.replace(rep, row=tuple(row))
+
+    monkeypatch.setattr(cf, "evaluate", with_large_exchange)
     with pytest.raises(StateInvalid):
         density_matrix(_params(**{"lambda": 0.01}))

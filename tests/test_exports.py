@@ -44,6 +44,7 @@ REMOVED = (
     "sinc",
     "_sinc_taylor",
     "_SINC_TAYLOR_CUTOFF",
+    "_REPORT_SLOTS",
 )
 
 
@@ -72,6 +73,7 @@ def test_removed_names_are_gone(module):
 def test_removed_members_are_gone():
     assert not hasattr(gwharvest.GridSpec, "point_values")
     assert not hasattr(gwharvest.HarvestReport, "from_row")
+    assert not hasattr(gwharvest.HarvestReport, "as_row")
 
 
 def test_point_and_sweep_start_without_scipy_integrate(tmp_path):

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from gwharvest.closedform import evaluate
 from gwharvest.model import (
     AMPLITUDE_SOFT_LIMIT,
     CONFIG_DEFAULTS,
@@ -179,6 +181,23 @@ def test_config_keys_cover_defaults():
     p = DimensionlessParams()
     for key, value in CONFIG_DEFAULTS.items():
         assert getattr(p, "coupling_lambda" if key == "lambda" else key) == value
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("name", ["A", "D_sigma", "t0_sigma"])
+def test_numpy_scalar_fields_are_stored_as_builtin_floats(scalar, name):
+    # evaluate computes in the type of its inputs: a float32 A once gave a
+    # float32 concurrence, off by 1e-8.
+    values = {"A": 0.05, "omega_sigma": 2.0, "Omega_sigma": -0.7, "D_sigma": 1.3,
+              "t0_sigma": 0.4}
+    values[name] = scalar(values[name] if scalar is not np.int64 else 2)
+    plain = {k: float(v) for k, v in values.items()}
+    for params in (DimensionlessParams(**values), params_from_mapping(values)):
+        assert [type(v) for v in vars(params).values()] == [float] * 6
+        assert params == DimensionlessParams(**plain)
+        row = np.array(evaluate(params).row)
+        expected = np.array(evaluate(DimensionlessParams(**plain)).row)
+        assert row.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_frozen_dataclasses():

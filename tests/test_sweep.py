@@ -142,7 +142,7 @@ def _scalar_point(items):
     except Exception as exc:
         status = f"{type(exc).__name__}: {exc}".replace(",", ";")
         return (math.nan,) * 15, " ".join(status.split())
-    return rep.as_row(), "ok"
+    return rep.row, "ok"
 
 
 # Invalid D, omega below SMALL_OMEGA_CUTOFF and ordinary points; then gaps
@@ -266,7 +266,7 @@ def test_grid_result_sequence_behaviour():
     assert pts.column("D_sigma")[-1] == 2.0
     point = dict(zip(pts.keys, pts.params[3].tolist()))
     expected = closedform.evaluate(params_from_mapping(point))
-    assert pts.values[3].tolist() == list(expected.as_row())
+    assert pts.values[3].tolist() == list(expected.row)
     assert pts.status[0] != "ok"
     assert np.isnan(pts.values[0]).all()
 
