@@ -2,10 +2,12 @@
 
 Two pointlike two-level detectors with energy gap Omega couple to a massless
 scalar field through Gaussian switching windows of width sigma centered at
-t0, at rest and separated by a proper distance D along the stretch axis of a
-linearized plane gravitational wave of frequency omega and strain amplitude
-A.  To second order in the coupling lambda and first order in A, the joint
-state is an X-state determined by three matrix elements:
+t0.  They fall freely in a linearized plane gravitational wave of
+frequency omega and strain amplitude A, a fixed distance D apart along its
+stretch axis in transverse-traceless (TT) coordinates, so their proper
+separation oscillates with the strain.  To second order in the coupling
+lambda and first order in A, the joint state is an X-state determined by
+three matrix elements:
 
   P      single-detector transition probability   (reported as P/lambda^2)
   X      the |gg><ee| coherence, X = X_M + A*X_GW (reported per lambda^2,
@@ -39,7 +41,7 @@ from .model import (
     DimensionlessParams,
     StateInvalid,
 )
-from .specfun import _ARRAY, _SCALAR, DomainTooLarge, _Backend, _cmul, _scaled_erf
+from .specfun import _ARRAY, _SCALAR, DomainTooLarge, _Backend, _cmul, _phased_erf
 
 __all__ = [
     "SMALL_OMEGA_CUTOFF",
@@ -112,7 +114,7 @@ OBSERVABLES = (
 
 def _gauss(b: _Backend, D):
     """e^{-D^2/4} by libm's exp: the Gaussian of I1 and I3, and exp(-p^2)
-    at p = D/2 of every scaled erf product (-D*D/4 and -p*p are the same
+    at p = D/2 of every phased erf product (-D*D/4 and -p*p are the same
     double)."""
     return b.exp(-D * D / 4.0)
 
@@ -124,15 +126,13 @@ def _p_norm(b: _Backend, Om, gauss_om):
 
 def _e0(b: _Backend, D, gauss):
     """Parts of E0 = e^{-D^2/4} erf(iD/2): X_M's, and the I2 series'."""
-    p = D / 2.0
-    return _scaled_erf(b, p, gauss, 0.0, p)
+    return _phased_erf(b, D / 2.0, gauss, 0.0, 1.0, 0.0, 1.0)
 
 
-def _z(b: _Backend, Om, D, gauss, sin_OD, cos_OD):
+def _z(b: _Backend, Om, D, gauss, gauss_om, sin_OD, cos_OD):
     """Parts of z = e^{i Om D} e^{-D^2/4} erf(Om + iD/2): C_M's, and the I4
     series'."""
-    p = D / 2.0
-    return _cmul(cos_OD, sin_OD, *_scaled_erf(b, p, gauss, Om, p))
+    return _phased_erf(b, D / 2.0, gauss, Om, cos_OD, sin_OD, gauss_om)
 
 
 def _x_m(b: _Backend, Om, D, t0, gauss, gauss_om, e0):
@@ -166,7 +166,9 @@ def _small_omega(w):
     return abs(w) < SMALL_OMEGA_CUTOFF
 
 
-# The direct forms.  sin_h and cos_h are sin and cos of h = w D/2.
+# The direct forms.  sin_h and cos_h are sin and cos of h = w D/2, and
+# gauss_w is e^{-w^2/4}.  I2 and I4 take each erf product with its phase,
+# e^{iDk} e^{-D^2/4} erf(k + iD/2), from _phased_erf.
 
 
 def _i1(w, D, gauss, sin_h, cos_h):
@@ -175,10 +177,10 @@ def _i1(w, D, gauss, sin_h, cos_h):
     return math.pi * gauss * bracket / w
 
 
-def _i2(b: _Backend, w, D, gauss, sin_h, cos_h):
-    scaled_re, scaled_im = _scaled_erf(b, D / 2.0, gauss, w / 2.0, D / 2.0)
-    pc_re, pc_im = _cmul(cos_h, sin_h, 1.0 + D * D / 4.0, -D * w / 4.0)
-    prod_re = pc_re * scaled_re - pc_im * scaled_im  # Re[pc scaled]
+def _i2(b: _Backend, w, D, gauss, gauss_w, sin_h, cos_h):
+    ph_re, ph_im = _phased_erf(b, D / 2.0, gauss, w / 2.0, cos_h, sin_h, gauss_w)
+    # Re[(1 + D^2/4 - i D w/4) ph]
+    prod_re = (1.0 + D * D / 4.0) * ph_re + (D * w / 4.0) * ph_im
     return math.pi / w * (b.erf(w / 2.0) - prod_re)
 
 
@@ -195,14 +197,13 @@ def _i4(b: _Backend, w, Om, D, gauss):
     total = 0.0
     for sign in (+1.0, -1.0):
         k = w / 2.0 + sign * Om
-        scaled_re, scaled_im = _scaled_erf(b, D / 2.0, gauss, k, D / 2.0)
-        # q = -i e^{i D k} scaled, r = D k/2 + i (1 + D^2/4).  -i e^{i D k}
-        # is (sin Dk, -cos Dk) exactly, as cos Dk is never 0 on a double.
-        cos_k, sin_k = b.cos(D * k), b.sin(D * k)
-        q_re = sin_k * scaled_re + cos_k * scaled_im
-        q_im = sin_k * scaled_im - cos_k * scaled_re
-        qr_re = q_re * (D * k / 2.0) - q_im * (1.0 + D * D / 4.0)  # Re[q r]
-        total = total + (b.erf(k) - qr_re)
+        Dk = D * k
+        ph_re, ph_im = _phased_erf(
+            b, D / 2.0, gauss, k, b.cos(Dk), b.sin(Dk), b.exp(-k * k)
+        )
+        # Re[-i ph (D k/2 + i (1 + D^2/4))]
+        prod_re = (1.0 + D * D / 4.0) * ph_re + (Dk / 2.0) * ph_im
+        total = total + (b.erf(k) - prod_re)
     return math.pi / w * total
 
 
@@ -273,23 +274,24 @@ def _i4_series(w, Om, D, gauss_om, z_re, z_im, sinc, cos):
     return math.pi * _erf_quotient(w, Om, D, gauss_om, z_re, z_im, sinc, cos)
 
 
-def _gw_direct(b: _Backend, w, Om, D, factors):
-    """(Im I1, I2, I3, I4) by their direct forms, factors as _minkowski
-    returns them."""
+def _gw_direct(b: _Backend, w, Om, D, gauss_w, factors):
+    """(Im I1, I2, I3, I4) by their direct forms, from gauss_w = e^{-w^2/4}
+    and the factors _minkowski returns."""
     gauss, _, sin_OD, cos_OD, _, _, _ = factors
     h = w * D / 2.0
     sin_h, cos_h = b.sin(h), b.cos(h)
     return (
         _i1(w, D, gauss, sin_h, cos_h),
-        _i2(b, w, D, gauss, sin_h, cos_h),
+        _i2(b, w, D, gauss, gauss_w, sin_h, cos_h),
         _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD),
         _i4(b, w, Om, D, gauss),
     )
 
 
-def _gw_series(b: _Backend, w, Om, D, factors):
+def _gw_series(b: _Backend, w, Om, D, gauss_w, factors):
     """(Im I1, I2, I3, I4) by their series, from the factors _minkowski
-    returns: no Faddeeva call.  b is unused; _gw_direct's signature."""
+    returns: no Faddeeva call.  b and gauss_w are unused; _gw_direct's
+    signature."""
     gauss, gauss_om, sin_OD, cos_OD, e0_im, z_re, z_im = factors
     sinc, cos = _sinc_cos(w, D)
     return (
@@ -306,8 +308,8 @@ def _x_gw(env_re, env_im, i1, i2, D):
     return fk_re * inv, fk_im * inv
 
 
-def _c_gw(b: _Backend, w, D, t0, i3, i4):
-    return -b.exp(-w * w / 4.0) * b.cos(w * t0) * (i3 + i4) / (4.0 * D * D * _PI_32)
+def _c_gw(b: _Backend, w, D, t0, gauss_w, i3, i4):
+    return -gauss_w * b.cos(w * t0) * (i3 + i4) / (4.0 * D * D * _PI_32)
 
 
 def _minkowski(b: _Backend, Om, D, t0):
@@ -319,7 +321,7 @@ def _minkowski(b: _Backend, Om, D, t0):
     xm_re, xm_im = _x_m(b, Om, D, t0, gauss, gauss_om, e0)
     OD = Om * D
     sin_OD, cos_OD = b.sin(OD), b.cos(OD)
-    z_re, z_im = _z(b, Om, D, gauss, sin_OD, cos_OD)
+    z_re, z_im = _z(b, Om, D, gauss, gauss_om, sin_OD, cos_OD)
     c_m = _c_m(D, gauss, sin_OD, z_im)
     minkowski = (_p_norm(b, Om, gauss_om), xm_re, xm_im, c_m, b.abs(xm_re, xm_im))
     return minkowski, (gauss, gauss_om, sin_OD, cos_OD, e0[1], z_re, z_im)
@@ -332,11 +334,12 @@ def _gw(b: _Backend, w, Om, D, t0, factors):
     runs.  One choice per point picks the series or the direct forms.
     """
     env_re, env_im = _envelope(b, w, Om, t0)
+    gauss_w = b.exp(-w * w / 4.0)
     i1, i2, i3, i4 = b.choose(
-        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, factors
+        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, gauss_w, factors
     )
     xg_re, xg_im = _x_gw(env_re, env_im, i1, i2, D)
-    return xg_re, xg_im, _c_gw(b, w, D, t0, i3, i4)
+    return xg_re, xg_im, _c_gw(b, w, D, t0, gauss_w, i3, i4)
 
 
 def _observables(b: _Backend, A, minkowski, gw):
@@ -397,10 +400,10 @@ def c_minkowski(Omega: float, D: float) -> float:
     Not an even function of Omega: for a pair initialized in the excited
     state (Omega < 0) the exchange term is enhanced rather than mirrored.
     """
-    gauss = _gauss(_SCALAR, D)
+    gauss, gauss_om = _gauss(_SCALAR, D), math.exp(-Omega * Omega)
     OD = Omega * D
     sin_OD, cos_OD = math.sin(OD), math.cos(OD)
-    _, z_im = _z(_SCALAR, Omega, D, gauss, sin_OD, cos_OD)
+    _, z_im = _z(_SCALAR, Omega, D, gauss, gauss_om, sin_OD, cos_OD)
     return _c_m(D, gauss, sin_OD, z_im)
 
 
@@ -469,7 +472,8 @@ def integral_I2(omega: float, D: float) -> float:
         _, e0_im = _e0(_SCALAR, D, gauss)
         return _i2_series(omega, D, e0_im, *_sinc_cos(omega, D))
     h = omega * D / 2.0
-    return _i2(_SCALAR, omega, D, gauss, math.sin(h), math.cos(h))
+    gauss_w = math.exp(-omega * omega / 4.0)
+    return _i2(_SCALAR, omega, D, gauss, gauss_w, math.sin(h), math.cos(h))
 
 
 def integral_I3(omega: float, Omega: float, D: float) -> float:
@@ -519,8 +523,8 @@ def integral_I4(omega: float, Omega: float, D: float) -> float:
     gauss = _gauss(_SCALAR, D)
     if _small_omega(omega):
         OD = Omega * D
-        z = _z(_SCALAR, Omega, D, gauss, math.sin(OD), math.cos(OD))
         gauss_om = math.exp(-Omega * Omega)
+        z = _z(_SCALAR, Omega, D, gauss, gauss_om, math.sin(OD), math.cos(OD))
         return _i4_series(omega, Omega, D, gauss_om, *z, *_sinc_cos(omega, D))
     return _i4(_SCALAR, omega, Omega, D, gauss)
 
@@ -542,7 +546,8 @@ def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
                         / (4 D^2 pi^{3/2}); real-valued.
     """
     i3, i4 = integral_I3(omega, Omega, D), integral_I4(omega, Omega, D)
-    return complex(_c_gw(_SCALAR, omega, D, t0, i3, i4), 0.0)
+    gauss_w = math.exp(-omega * omega / 4.0)
+    return complex(_c_gw(_SCALAR, omega, D, t0, gauss_w, i3, i4), 0.0)
 
 
 # --- assembled observables -------------------------------------------------

@@ -81,9 +81,12 @@ def _config_key(name: str) -> str:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """One evaluation point: two static detectors a distance D apart along x.
+    """One evaluation point: two freely falling detectors a distance D apart
+    along x, in the wave's transverse-traceless (TT) coordinates.
 
     Only separation along the wave's stretch axis (x) is modelled.  The
+    closed forms and the oracles hold this coordinate separation fixed, so
+    the proper separation oscillates with the strain.  The
     fields and their defaults are the parameter table: CONFIG_DEFAULTS is
     built from them.
 

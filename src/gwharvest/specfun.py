@@ -9,18 +9,26 @@ the two factors separately overflows long before the product does.
 All complex evaluation is routed through the Faddeeva function, which is
 numerically stable in the upper half-plane.
 
-The scaled product, like every closed form built on it, is written once
-over a backend of primitives and bound twice with the same bits: _SCALAR
-to builtin float and complex (math, cmath and scipy's Cython-level wofz,
-erf and erfc, the code of the scipy.special ufuncs without their array
-dispatch), _ARRAY to numpy arrays.  Every real exponential, exp(-p^2) of
-the scaled product included, is the C library's exp on both.  Only the
-Faddeeva folds and the backend's choose are written as branches and as
-masks: the lower half-plane exponential must never be evaluated where it
-overflows, and a form that choose does not pick is not run on builtin
-floats.  The scalar folds are written out twice, in faddeeva_w and in the
-exp_w primitive, which evaluate calls up to five times a point: one
-Python frame less a call.
+The closed forms only ever need the scaled product at Im z = p, and always
+times the phase exp(2ipk) at k = Re z.  With erf(z) = 1 - exp(-z^2) w(iz)
+and w(-p + ik) = conj(w(p + ik)) (DLMF sections 7.2, 7.4) that phase
+cancels: for p > 0 and k >= 0,
+
+    exp(2ipk) exp(-p^2) erf(k + ip)
+        = exp(-p^2) (cos 2pk + i sin 2pk) - exp(-k^2) conj(w(p + ik)),
+
+and erf's oddness gives k < 0.  So _phased_erf needs w only in the first
+quadrant, no complex exponential and no overflow guard.  It is written
+once over a backend of primitives and bound twice with the same bits:
+_SCALAR to builtin float and complex (math, cmath and scipy's Cython-level
+wofz, erf and erfc, the code of the scipy.special ufuncs without their
+array dispatch), _ARRAY to numpy arrays.  Every real exponential is the C
+library's exp on both.
+
+faddeeva_w and scaled_erf_product take any argument, so they fold it into
+the stable region, by branches on builtin numbers and by masks on arrays:
+the lower half-plane exponential must never be evaluated where it
+overflows.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ def faddeeva_w(z: complex) -> complex:
         # behaviour of w below the real axis, so where it overflows the
         # function itself does.
         exponent = -z * z
-        _scalar_guard(exponent.real, "Faddeeva function")
+        _guard(exponent.real, "Faddeeva function")
         w = 2.0 * cmath.exp(exponent) - _cs.wofz(-z)
     else:
         w = _cs.wofz(z)
@@ -118,7 +126,7 @@ def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
         # exponent = (-z) * z
         exp_re = -x * x - -y * y
         exp_im = -x * y + -y * x
-        _array_guard(exp_re, "Faddeeva function")
+        _guard(exp_re, "Faddeeva function")
         # 2 exp(exponent) - w(-z)
         e = np.exp(complex_array(exp_re, exp_im))
         wl = w[lower]
@@ -129,12 +137,9 @@ def faddeeva_w_array(z: np.ndarray) -> np.ndarray:
     return np.where(left, np.conj(w), w)
 
 
-def _scalar_guard(exponent: float, what: str) -> None:
-    if exponent > _EXPONENT_LIMIT:
-        raise DomainTooLarge(f"{what} overflows: exponent {exponent:g}")
-
-
-def _array_guard(exponent: np.ndarray, what: str) -> None:
+def _guard(exponent, what: str) -> None:
+    """DomainTooLarge naming what where the real part of an exponent, a
+    float or an array, exceeds _EXPONENT_LIMIT."""
     if np.any(exponent > _EXPONENT_LIMIT):
         raise DomainTooLarge(f"{what} overflows: exponent {np.max(exponent):g}")
 
@@ -149,7 +154,7 @@ class _Backend(NamedTuple):
     each _ARRAY primitive gives the bits of its _SCALAR counterpart element
     by element.  A complex quantity is carried as its two parts and
     multiplied in Python's order (numpy's complex multiply can fuse
-    multiply-adds); cexp and exp_w return complex values.  The scalar
+    multiply-adds); cexp and w return complex values.  The scalar
     primitives raise where Python's arithmetic raises (ValueError from
     math, OverflowError from ** and cmath); the array ones give inf or nan.
     """
@@ -161,8 +166,7 @@ class _Backend(NamedTuple):
     erfc: Callable
     pow: Callable     # the C library's pow
     cexp: Callable    # (re, im) -> exp(re + i im)
-    exp_w: Callable   # (a_re, a_im, re, im, what) -> exp(a) faddeeva_w(re + i im);
-                      # DomainTooLarge naming what where Re a > _EXPONENT_LIMIT
+    w: Callable       # (re, im) -> w(re + i im) for re > 0, im >= 0: no fold
     abs: Callable     # (re, im) -> |re + i im|, the C library's hypot
     clip: Callable    # max(0, x)
     choose: Callable  # (cond, f, g, *args) -> f(*args) where cond, else g(*args)
@@ -171,31 +175,6 @@ class _Backend(NamedTuple):
 def _cmul(a_re, a_im, b_re, b_im):
     """Parts of (a_re + i a_im)(b_re + i b_im), in Python's complex order."""
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _scalar_exp_w(a_re, a_im, re, im, what):
-    # The guard, w, exp and their product in one frame, in that order, with
-    # faddeeva_w's folds written out: evaluate makes up to five of these.
-    if a_re > _EXPONENT_LIMIT:
-        _scalar_guard(a_re, what)
-    left = re < 0.0
-    z = complex(-re if left else re, im)
-    if im < 0.0:
-        exponent = -z * z
-        _scalar_guard(exponent.real, "Faddeeva function")
-        w = 2.0 * cmath.exp(exponent) - _cs.wofz(-z)
-    else:
-        w = _cs.wofz(z)
-    if left:
-        w = w.conjugate()
-    return cmath.exp(complex(a_re, a_im)) * w
-
-
-def _array_exp_w(a_re, a_im, re, im, what):
-    _array_guard(a_re, what)
-    w = faddeeva_w_array(complex_array(re, im))
-    e = np.exp(complex_array(a_re, a_im))
-    return complex_array(*_cmul(e.real, e.imag, w.real, w.imag))
 
 
 def _scalar_abs(re: float, im: float) -> float:
@@ -214,7 +193,7 @@ _SCALAR = _Backend(
     erfc=erfc_real,
     pow=operator.pow,
     cexp=lambda re, im: cmath.exp(complex(re, im)),
-    exp_w=_scalar_exp_w,
+    w=lambda re, im: _cs.wofz(complex(re, im)),
     abs=_scalar_abs,
     clip=functools.partial(max, 0.0),
     choose=lambda cond, f, g, *args: f(*args) if cond else g(*args),
@@ -231,7 +210,7 @@ _ARRAY = _Backend(
     # numpy's x ** 2 is x * x, which can differ in the last bit.
     pow=np.float_power,
     cexp=lambda re, im: np.exp(complex_array(re, im)),
-    exp_w=_array_exp_w,
+    w=lambda re, im: _sp.wofz(complex_array(re, im)),
     abs=np.hypot,
     clip=lambda x: np.where(x > 0.0, x, 0.0),
     choose=lambda cond, f, g, *args: (
@@ -241,12 +220,26 @@ _ARRAY = _Backend(
 )
 
 
-def _scaled_erf(b: _Backend, p, e_p, x, y):
-    """Parts of exp(-p^2) erf(x + iy), given e_p = b.exp(-p*p).
+def _phased_erf(b: _Backend, p, e_p, k, cos_2pk, sin_2pk, gauss_k):
+    """Parts of exp(2ipk) exp(-p^2) erf(k + ip) for p > 0, given
+    e_p = exp(-p^2), cos_2pk and sin_2pk = cos 2pk and sin 2pk, and
+    gauss_k = exp(-k^2).
 
-    The closed forms share e_p between their products at one p; see
-    scaled_erf_product for the method.
+    For k >= 0 it is exp(-p^2) exp(2ipk) - exp(-k^2) conj(w(p + ik)), the
+    module docstring's identity: w is evaluated in the first quadrant,
+    where it is stable and no exponent is positive.  erf is odd, so the
+    value at -k is minus the conjugate of the value at k: s is -1.0 for
+    k < 0, else 1.0, and a product with s is exact.
     """
+    s = 1.0 - 2.0 * (k < 0.0)
+    w = b.w(p, abs(k))
+    return s * (e_p * cos_2pk - gauss_k * w.real), s * e_p * sin_2pk + gauss_k * w.imag
+
+
+def _scaled_erf(b: _Backend, faddeeva, p, e_p, x, y):
+    """Parts of exp(-p^2) erf(x + iy), given e_p = b.exp(-p*p) and the
+    Faddeeva function of b's numbers (faddeeva_w or faddeeva_w_array);
+    see scaled_erf_product for the method."""
     # erf is odd, so the product just flips sign under z -> -z: s is -1.0
     # for Re z < 0, else 1.0, and a product with s is exact (only a nan
     # may keep its sign bit where a negation would flip it).
@@ -256,9 +249,12 @@ def _scaled_erf(b: _Backend, p, e_p, x, y):
     # still grow past what a double holds.
     exp_re = -p * p - (x * x - y * y)
     exp_im = 0.0 - (x * y + y * x)
+    _guard(exp_re, "scaled erf product")
     # exp(exponent) w(iz), iz = (0 x - y) + i (0 y + x)
-    prod = b.exp_w(exp_re, exp_im, 0.0 * x - y, 0.0 * y + x, "scaled erf product")
-    return s * (e_p - prod.real), s * (0.0 - prod.imag)
+    w = faddeeva(complex_array(0.0 * x - y, 0.0 * y + x))
+    e = b.cexp(exp_re, exp_im)
+    prod_re, prod_im = _cmul(e.real, e.imag, w.real, w.imag)
+    return s * (e_p - prod_re), s * (0.0 - prod_im)
 
 
 def scaled_erf_product(p: float, z: complex) -> complex:
@@ -276,12 +272,15 @@ def scaled_erf_product(p: float, z: complex) -> complex:
     The real exp(-p^2) is the C library's, as in scaled_erf_product_array.
     """
     z = complex(z)
-    return complex(*_scaled_erf(_SCALAR, p, math.exp(-p * p), z.real, z.imag))
+    e_p = math.exp(-p * p)
+    return complex(*_scaled_erf(_SCALAR, faddeeva_w, p, e_p, z.real, z.imag))
 
 
 def scaled_erf_product_array(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """scaled_erf_product over arrays, its oddness fold taken as a mask."""
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=complex)
-    return complex_array(*_scaled_erf(_ARRAY, p, _ARRAY.exp(-p * p), z.real, z.imag))
-
+    e_p = _ARRAY.exp(-p * p)
+    return complex_array(
+        *_scaled_erf(_ARRAY, faddeeva_w_array, p, e_p, z.real, z.imag)
+    )

@@ -142,10 +142,19 @@ def test_point_degenerate_parameters_exit_internal_error(capsys):
 
 def test_point_non_finite_observables_exit_usage_error(capsys):
     # Finite but extreme: the arithmetic overflows; no number is printed.
-    assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 2
+    argv = ["point", "--D_sigma", "1e100", "--omega_sigma", "1e-4", "--A", "0.05"]
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: non-finite re_x_m, ")
+    assert captured.err.startswith("error: non-finite re_x_gw, ")
+
+
+def test_point_at_a_vast_separation_exits_internal_error(capsys):
+    # At D = 1e200, |x_m| ~ e^{-Omega^2}/(2 pi D^2) underflows to 0.
+    assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: |x_m| = 0 ")
 
 
 @pytest.mark.parametrize(

@@ -360,7 +360,10 @@ def _array_integrals(w, Om, D):
     b = specfun._ARRAY
     w, Om, D = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w, Om, D)))
     _, factors = cf._minkowski(b, Om, D, 0.0)
-    return b.choose(cf._small_omega(w), cf._gw_series, cf._gw_direct, b, w, Om, D, factors)
+    gauss_w = b.exp(-w * w / 4.0)
+    return b.choose(
+        cf._small_omega(w), cf._gw_series, cf._gw_direct, b, w, Om, D, gauss_w, factors
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,9 +516,9 @@ def test_degenerate_direction_raises():
 
 
 def test_evaluate_never_reports_ok_with_a_non_finite_observable():
-    # Far outside the presets the arithmetic overflows (x_m is nan from
-    # D ~ 1e154 up) and clip turns a nan margin into concurrence 0.0; such
-    # a point must fail with a named error, never return a report.
+    # Far outside the presets the arithmetic overflows (D^2 from D ~ 1e154
+    # up) and clip turns a nan margin into concurrence 0.0; such a point
+    # must fail with a named error, never return a report.
     rng = np.random.default_rng(5)
     n = 3000
 
@@ -544,7 +547,18 @@ def test_evaluate_never_reports_ok_with_a_non_finite_observable():
 
 
 def test_non_finite_observables_are_named():
-    with pytest.raises(DomainTooLarge, match=r"^non-finite re_x_m, im_x_m, "):
+    # At D = 1e100 the series' (D w)^4 terms overflow; X_M stays finite.
+    with pytest.raises(
+        DomainTooLarge,
+        match=r"^non-finite re_x_gw, im_x_gw, re_c_gw, theta_gw, psi_gw, corr at ",
+    ):
+        evaluate(_params(D_sigma=1e100, omega_sigma=1e-4, A=0.05))
+
+
+def test_x_m_underflows_to_a_degenerate_direction_at_a_vast_separation():
+    # |x_m| ~ e^{-Omega^2}/(2 pi D^2) is 0 at D = 1e200, and X_M's phased
+    # erf product needs no exponent that could overflow on the way.
+    with pytest.raises(DegenerateDirection, match=r"^\|x_m\| = 0 at "):
         evaluate(_params(D_sigma=1e200, A=0.05))
 
 
@@ -637,7 +651,7 @@ def _python_calls(fn):
 
 @pytest.mark.parametrize(
     "omega, evaluate_calls",
-    [(2.0, 38), (SMALL_OMEGA_CUTOFF / 2, 34)],
+    [(2.0, 36), (SMALL_OMEGA_CUTOFF / 2, 33)],
 )
 def test_python_calls_per_evaluate_stay_within_budget(omega, evaluate_calls):
     # A deterministic guard on the single-point path's per-call overhead:
@@ -675,6 +689,31 @@ def test_faddeeva_calls_per_evaluate(monkeypatch, omega, wofz_calls):
     evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=1.0, D_sigma=1.0,
                      t0_sigma=0.5))
     assert counting.calls == wofz_calls
+
+
+class _CountingCmath:
+    """The cmath module with its exp calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, z):
+        self.calls += 1
+        return cmath.exp(z)
+
+
+@pytest.mark.parametrize("omega", [2.0, SMALL_OMEGA_CUTOFF / 2])
+def test_complex_exponentials_per_evaluate(monkeypatch, omega):
+    # The envelope's two Gaussians, on both branches: the phase of every
+    # erf product cancels in closed form, so none of the five takes one.
+    counting = _CountingCmath()
+    monkeypatch.setattr(specfun, "cmath", counting)
+    evaluate(_params(A=0.05, omega_sigma=omega, Omega_sigma=1.0, D_sigma=1.0,
+                     t0_sigma=0.5))
+    assert counting.calls == 2
 
 
 # --- array kernel -------------------------------------------------------------

@@ -13,7 +13,11 @@ import pytest
 from scipy import special
 
 from gwharvest.specfun import (
+    _ARRAY,
+    _SCALAR,
     DomainTooLarge,
+    _phased_erf,
+    complex_array,
     erf_real,
     erfc_real,
     faddeeva_w,
@@ -219,3 +223,48 @@ def test_faddeeva_just_inside_the_overflow_bound_is_finite():
     assert cmath.isfinite(w) and abs(w) > 1e303
     assert faddeeva_w_array(np.array([z]))[0] == w
 
+
+def _phased_erf_points():
+    """_phased_erf's arguments after the backend, (p, e^{-p^2}, k, cos 2pk,
+    sin 2pk, e^{-k^2}), as float arrays: p in [0.05, 8] and k in [-8, 8],
+    k = 0.0, -0.0 and +-8 included.
+
+    p and k are multiples of 1/256, so 2pk, p^2, k^2 and k^2 - p^2 are
+    exact doubles: the two routes compared below then share their
+    arguments, and differ only by the rounding of their own operations.
+    """
+    rng = np.random.default_rng(26)
+    p = rng.integers(13, 2049, 2000) / 256.0
+    k = rng.integers(-2048, 2049, 2000) / 256.0
+    k[:4] = (0.0, -0.0, 8.0, -8.0)
+    theta = 2.0 * p * k
+    return p, np.exp(-p * p), k, np.cos(theta), np.sin(theta), np.exp(-k * k)
+
+
+def test_phased_erf_matches_the_scaled_erf_product_times_its_phase():
+    # e^{2ipk} e^{-p^2} erf(k + ip) by the phase identity against the
+    # independent route through scaled_erf_product, which forms e^{-z^2}
+    # and folds w(iz) across the imaginary axis.  The identity's two terms
+    # are e^{-p^2} and e^{-k^2} |w(p + i|k|)|; the error is judged against
+    # the larger.
+    eps = np.finfo(float).eps
+    for point in zip(*(a.tolist() for a in _phased_erf_points())):
+        p, e_p, k, cos, sin, gauss_k = point
+        got = complex(*_phased_erf(_SCALAR, *point))
+        ref = complex(cos, sin) * scaled_erf_product(p, complex(k, p))
+        scale = max(e_p, gauss_k * abs(faddeeva_w(complex(p, abs(k)))))
+        assert abs(got - ref) <= 4.0 * eps * scale, (p, k, got, ref)
+
+
+def test_phased_erf_array_form_matches_scalar_form_bit_for_bit():
+    points = _phased_erf_points()
+    re, im = _phased_erf(_ARRAY, *points)
+    scalar = [
+        complex(*_phased_erf(_SCALAR, *point))
+        for point in zip(*(a.tolist() for a in points))
+    ]
+    assert np.array_equal(_bits(scalar), _bits(complex_array(re, im)))
+    # Builtin floats on the scalar backend, as the closed forms need.
+    values = _phased_erf(_SCALAR, 1.0, math.exp(-1.0), -0.5, math.cos(-1.0),
+                         math.sin(-1.0), math.exp(-0.25))
+    assert [type(v) for v in values] == [float, float]

@@ -163,8 +163,12 @@ MIXED_GRIDS = [
         axis2=AxisSpec("D_sigma", 1e-170, 2.0, 2),
         fixed={"A": 0.05},
     ),
-    # At D = 1e200 the kernel row is non-finite, and so is evaluate's.
-    GridSpec(axis1=AxisSpec("D_sigma", 1.0, 1e200, 2), fixed={"A": 0.05}),
+    # At D = 1e100 below the cutoff the kernel row is non-finite, and so
+    # is evaluate's.
+    GridSpec(
+        axis1=AxisSpec("D_sigma", 1.0, 1e100, 2),
+        fixed={"A": 0.05, "omega_sigma": 1e-4},
+    ),
 ]
 
 
@@ -211,7 +215,7 @@ def test_closed_form_failures_keep_their_exception_class(index, error):
 def test_non_finite_row_fails_with_a_named_status():
     pts = run_grid(MIXED_GRIDS[3])
     assert pts.status[0] == "ok"
-    assert pts.status[1].startswith("DomainTooLarge: non-finite re_x_m; ")
+    assert pts.status[1].startswith("DomainTooLarge: non-finite re_x_gw; im_x_gw; ")
     assert np.isnan(pts.values[1]).all()
 
 
