@@ -54,11 +54,7 @@ from .model import (
     read_config,
     validate,
 )
-from .specfun import (
-    DomainTooLarge,
-    faddeeva_w,
-    scaled_erf_product,
-)
+from .specfun import DomainTooLarge
 from .sweep import (
     CSV_HEADER,
     PRESETS,
@@ -131,11 +127,8 @@ __all__ = [
     "oracle_I3",
     "oracle_I4",
     "verify_suite",
-    "all_passed",
     # specfun
     "DomainTooLarge",
-    "faddeeva_w",
-    "scaled_erf_product",
     # sweep
     "AxisSpec",
     "GridSpec",

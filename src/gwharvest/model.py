@@ -47,8 +47,12 @@ class InvalidCoupling(ValueError):
     """Coupling strength out of contract (lambda must be > 0)."""
 
 
-class DegenerateDirection(ArithmeticError):
-    """|X_M| is numerically zero; the first-order GW shift of |X| is undefined."""
+class DegenerateDirection(ValueError):
+    """|X_M| is numerically zero; the first-order GW shift of |X| is undefined.
+
+    The parameters alone decide this (a vast gap or separation), so it is
+    an input error, as InvalidGeometry and InvalidCoupling are.
+    """
 
 
 class StateInvalid(ValueError):

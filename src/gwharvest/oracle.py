@@ -91,7 +91,6 @@ __all__ = [
     "DEFAULT_VERIFY_GRID",
     "MINIMAL_VERIFY_GRID",
     "verify_suite",
-    "all_passed",
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -1272,7 +1271,3 @@ def verify_suite(
         _record(check, params, built[check.value, point], built[check.reference, point])
         for check, point, params in points
     ]
-
-
-def all_passed(records: Sequence[CheckRecord]) -> bool:
-    return all(r.passed for r in records)

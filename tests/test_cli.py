@@ -133,11 +133,13 @@ def test_point_emits_validation_warnings_to_stderr(capsys):
     assert "warning: AmplitudeBeyondLinearRegime" in err
 
 
-def test_point_degenerate_parameters_exit_internal_error(capsys):
-    # |x_m| underflows at huge gap: an internal failure, not a usage one.
-    rc = cli.main(["point", "--Omega_sigma", "30"])
-    assert rc == 1
-    assert "internal error:" in capsys.readouterr().err
+def test_point_degenerate_parameters_exit_usage_error(capsys):
+    # |x_m| underflows at a huge gap: the input's fault, not the program's.
+    assert cli.main(["point", "--Omega_sigma", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # After the soft-limit warning on the gap.
+    assert captured.err.splitlines()[-1].startswith("error: |x_m| = 0 at Omega=30")
 
 
 def test_point_non_finite_observables_exit_usage_error(capsys):
@@ -149,12 +151,12 @@ def test_point_non_finite_observables_exit_usage_error(capsys):
     assert captured.err.startswith("error: non-finite re_x_gw, ")
 
 
-def test_point_at_a_vast_separation_exits_internal_error(capsys):
+def test_point_at_a_vast_separation_exits_usage_error(capsys):
     # At D = 1e200, |x_m| ~ e^{-Omega^2}/(2 pi D^2) underflows to 0.
-    assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 1
+    assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: |x_m| = 0 ")
+    assert captured.err.startswith("error: |x_m| = 0 ")
 
 
 @pytest.mark.parametrize(

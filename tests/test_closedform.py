@@ -510,6 +510,17 @@ def test_concurrence_clamps_at_zero():
     assert rep.concurrence == 0.0
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_OMEGA_BOTH_SIDES, st.floats(-2.0, 2.0), st.floats(0.25, 4.0))
+def test_theta_gw_is_even_in_the_gap_at_t0_zero(w, Om, D):
+    # At t0 = 0, x_m sees Omega only through e^{-Omega^2}, I1 and I2 not at
+    # all, and -Omega swaps the envelope's two Gaussians, whose sum is the
+    # same double: so the bits are equal, on both sides of the cutoff.
+    plus = evaluate(_params(omega_sigma=w, Omega_sigma=Om, D_sigma=D))
+    minus = evaluate(_params(omega_sigma=w, Omega_sigma=-Om, D_sigma=D))
+    assert minus.theta_gw == plus.theta_gw
+
+
 def test_degenerate_direction_raises():
     with pytest.raises(DegenerateDirection):
         evaluate(_params(Omega_sigma=30.0, D_sigma=1.0))

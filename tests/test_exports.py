@@ -1,8 +1,11 @@
 """Tests that the package's public names resolve and removed ones stay gone,
-and that only the oracle names load the oracle layer."""
+that every public name src/ never calls is a validated entry point, and that
+only the oracle names load the oracle layer."""
 
+import ast
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -45,7 +48,43 @@ REMOVED = (
     "_sinc_taylor",
     "_SINC_TAYLOR_CUTOFF",
     "_REPORT_SLOTS",
+    "faddeeva_w",
+    "faddeeva_w_array",
+    "scaled_erf_product",
+    "scaled_erf_product_array",
+    "_scaled_erf",
+    "_guard",
+    "_EXPONENT_LIMIT",
+    "erf_real",
+    "all_passed",
 )
+
+# Public names nothing in src/ calls: each is an entry point for library
+# users, and the named test checks its value against an independent one.
+ENTRY_POINTS = {
+    # tests/test_closedform.py::test_f_envelope_two_forms_agree
+    "f_envelope",
+    # tests/test_closedform.py::test_density_matrix_structure
+    "density_matrix",
+    # tests/test_oracle.py::test_oracle_p_hits_exact_anchor
+    "oracle_P",
+    # tests/test_oracle.py::test_oracle_xm_methods_are_independent_and_agree
+    "oracle_XM",
+    # tests/test_oracle.py::test_oracle_cm_matches_closed_form
+    "oracle_CM",
+    # tests/test_oracle.py::test_oracle_i1_i3_agree_with_the_closed_forms_off_the_verify_grid
+    "oracle_I1",
+    # tests/test_oracle.py::test_oracle_i2_i4_machine_accurate
+    "oracle_I2",
+    # tests/test_oracle.py::test_oracle_i1_i3_agree_with_the_closed_forms_off_the_verify_grid
+    "oracle_I3",
+    # tests/test_oracle.py::test_oracle_i2_i4_machine_accurate
+    "oracle_I4",
+    # tests/test_closedform.py::test_x_gw_matches_end_to_end_oracle
+    "oracle_x_gw",
+    # tests/test_closedform.py::test_c_gw_matches_end_to_end_oracle
+    "oracle_c_gw",
+}
 
 
 def _modules():
@@ -68,6 +107,25 @@ def test_removed_names_are_gone(module):
     exported = set(getattr(module, "__all__", ()))
     assert exported.isdisjoint(REMOVED)
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+def test_every_public_name_src_never_calls_is_an_entry_point():
+    # __all__ of each submodule against every name and attribute that
+    # src/ loads outside the package's re-exports in __init__.py.
+    exported, loaded = set(), set()
+    for path in pathlib.Path(gwharvest.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert exported - loaded == ENTRY_POINTS
 
 
 def test_removed_members_are_gone():

@@ -1,4 +1,5 @@
-"""Tests for the overflow-safe special-function layer.
+"""Tests for the special-function layer: the backend's erf, erfc and
+first-quadrant Faddeeva primitives, and the phased erf product built on them.
 
 Reference constants were computed with 30-digit arbitrary-precision
 arithmetic and are frozen here as literals; structural identities are
@@ -12,27 +13,29 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gwharvest.specfun import (
-    _ARRAY,
-    _SCALAR,
-    DomainTooLarge,
-    _phased_erf,
-    complex_array,
-    erf_real,
-    erfc_real,
-    faddeeva_w,
-    faddeeva_w_array,
-    scaled_erf_product,
-    scaled_erf_product_array,
-)
+from gwharvest.specfun import _ARRAY, _SCALAR, _phased_erf, complex_array, erfc_real
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def _phased(p: float, k: float) -> complex:
+    """exp(2ipk) exp(-p^2) erf(k + ip) by _phased_erf on builtin floats."""
+    return complex(*_phased_erf(
+        _SCALAR, p, math.exp(-p * p), k, math.cos(2.0 * p * k),
+        math.sin(2.0 * p * k), math.exp(-k * k),
+    ))
+
+
+def _unscaled(p: float, k: float) -> complex:
+    """erf(k + ip) recovered from _phased: safe only while exp(p^2) is."""
+    return _phased(p, k) * math.exp(p * p) * cmath.exp(complex(0.0, -2.0 * p * k))
+
+
 def test_erf_real_reference_values():
-    assert abs(erf_real(1.0) - 0.84270079294971486934) < 1e-15
-    assert erf_real(0.0) == 0.0
-    assert abs(erf_real(-1.0) + 0.84270079294971486934) < 1e-15
+    erf = _SCALAR.erf
+    assert abs(erf(1.0) - 0.84270079294971486934) < 1e-15
+    assert erf(0.0) == 0.0
+    assert abs(erf(-1.0) + 0.84270079294971486934) < 1e-15
 
 
 def test_erfc_real_accurate_in_far_tail():
@@ -53,121 +56,101 @@ def test_scalar_erf_and_erfc_equal_the_scipy_ufuncs_bit_for_bit():
         np.linspace(-30.0, 30.0, 60001),
         rng.uniform(-30.0, 30.0, 20000),
     ])
-    for scalar, ufunc in ((erf_real, special.erf), (erfc_real, special.erfc)):
+    for scalar, ufunc in ((_SCALAR.erf, special.erf), (_SCALAR.erfc, special.erfc)):
         got = np.array([scalar(v) for v in x.tolist()])
         assert np.array_equal(got.view(np.int64), ufunc(x).view(np.int64))
         assert type(scalar(0.5)) is float and type(scalar(2)) is float
-    assert math.isnan(erf_real(math.nan)) and math.isnan(erfc_real(math.nan))
+        assert math.isnan(scalar(math.nan))
+    assert _SCALAR.erfc is erfc_real
 
 
 def test_faddeeva_at_origin():
-    assert faddeeva_w(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert _SCALAR.w(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_faddeeva_reference_values():
-    ref_upper = 0.30474420525691259246 + 0.20821893820283162729j
-    assert abs(faddeeva_w(1 + 1j) - ref_upper) < 1e-14
-    # Lower half-plane goes through the functional-equation fold.
-    ref_lower = -0.12293249482276237412 + 0.32755513633331258763j
-    assert abs(faddeeva_w(2 - 0.5j) - ref_lower) < 1e-13
+    # First quadrant only: the one region _phased_erf asks w for.
+    for z, ref in [
+        (1 + 1j, 0.30474420525691259246 + 0.20821893820283162729j),
+        (2 + 0.5j, 0.10335882374136665895 + 0.28478588475009374558j),
+        (0.5 + 3j, 0.17510521262315801276 + 0.02663616844623088308j),
+        (6 + 0.01j, 0.00016375289889683184285 + 0.095395923386601482412j),
+        (3 + 0j, 0.0001234098040866795495 + 0.20115731703760038666j),
+    ]:
+        assert abs(_SCALAR.w(z.real, z.imag) - ref) < 1e-14
 
 
 def test_faddeeva_against_defining_integral():
     # For Im z > 0, w(z) = (i/pi) * integral of exp(-t^2)/(z - t) dt.  The
     # trapezoid rule on an analytic integrand converges geometrically, so a
     # modest uniform grid is already far below the comparison tolerance.
-    z = 1.0 + 1.0j
     ts = np.linspace(-10.0, 10.0, 401)
-    vals = np.exp(-ts * ts) / (z - ts)
-    ref = 1j / math.pi * np.trapezoid(vals, ts)
-    assert abs(faddeeva_w(z) - ref) < 1e-11
-
-
-def test_faddeeva_reflection_symmetries():
-    rng = np.random.default_rng(20250819)
-    pts = rng.uniform(-8.0, 8.0, size=(1000, 2))
-    for x, y in pts:
-        z = complex(x, y)
-        w = faddeeva_w(z)
-        # w(-conj(z)) = conj(w(z)) for all z.
-        assert abs(faddeeva_w(-z.conjugate()) - w.conjugate()) <= 1e-13 * abs(w)
-        # Functional equation w(-z) = 2 exp(-z^2) - w(z).  The difference
-        # is judged against the largest term entering the subtraction: when
-        # 2 exp(-z^2) is exponentially larger than w(-z) the right-hand
-        # side cancels catastrophically and only that scaled bound is
-        # meaningful in floating point.
-        gauss = 2.0 * np.exp(-z * z)
-        rhs = gauss - w
-        scale = max(abs(gauss), abs(w), 1.0)
-        assert abs(faddeeva_w(-z) - rhs) <= 1e-12 * scale
+    for z in (1.0 + 1.0j, 0.25 + 2.0j, 4.0 + 1.0j):
+        vals = np.exp(-ts * ts) / (z - ts)
+        ref = 1j / math.pi * np.trapezoid(vals, ts)
+        assert abs(_SCALAR.w(z.real, z.imag) - ref) < 1e-11
 
 
 def test_scaled_erf_product_unscaled_reference_values():
-    # At p = 0 the product is erf(z) itself.
+    # erf(1 + i) and erf(0.5 + 2.5i), recovered from the phased product.
     ref = 1.3161512816979476449 + 0.19045346923783468628j
-    assert abs(scaled_erf_product(0.0, 1 + 1j) - ref) < 1e-14
+    assert abs(_unscaled(1.0, 1.0) - ref) < 1e-14
     ref2 = 76.00304652657264075 - 61.010112413398781654j
-    assert abs(scaled_erf_product(0.0, 0.5 + 2.5j) - ref2) / abs(ref2) < 1e-13
+    assert abs(_unscaled(2.5, 0.5) - ref2) / abs(ref2) < 1e-13
 
 
 def test_scaled_erf_product_unscaled_odd_and_conjugate():
+    # _phased_erf takes Im z = p > 0 only; scipy's erf at -z and conj(z),
+    # in the half-planes it never reaches, must give the same erf(z) by
+    # erf(z) = -erf(-z) = conj(erf(conj(z))).
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-3.0, 3.0, size=(200, 2))
-    for x, y in pts:
-        z = complex(x, y)
-        erf_z = scaled_erf_product(0.0, z)
-        assert abs(scaled_erf_product(0.0, -z) + erf_z) < 1e-14 * max(
-            1.0, abs(erf_z)
-        )
-        assert abs(
-            scaled_erf_product(0.0, z.conjugate()) - erf_z.conjugate()
-        ) < 1e-13 * max(1.0, abs(erf_z))
+    for p, k in zip(*rng.uniform((0.05, -3.0), 3.0, (200, 2)).T.tolist()):
+        erf_z = _unscaled(p, k)
+        scale = max(1.0, abs(erf_z))
+        z = complex(k, p)
+        assert abs(erf_z + special.erf(-z)) < 1e-13 * scale
+        assert abs(erf_z - special.erf(z.conjugate()).conjugate()) < 1e-13 * scale
+
+
+def test_scaled_erf_product_odd_in_z():
+    # z -> -z leaves Im z = p > 0; with the conjugate, oddness stays there:
+    # the phased product at -k is minus the conjugate of the one at k,
+    # exactly, also where exp(p^2) overflows.
+    rng = np.random.default_rng(11)
+    for p, k in zip(*rng.uniform((0.05, -8.0), (30.0, 8.0), (100, 2)).T.tolist()):
+        assert _phased(p, -k) == -_phased(p, k).conjugate()
 
 
 def test_scaled_erf_product_matches_separate_factors_in_safe_range():
-    # Where the bare factors are representable the scaled product must
-    # equal their literal product.
-    for p, z in [(1.0, 2.0 + 1.0j), (3.0, 0.5 + 2.5j), (0.0, 1.0 + 1.0j)]:
-        direct = math.exp(-p * p) * complex(special.erf(z))
-        assert abs(scaled_erf_product(p, z) - direct) <= 1e-13 * max(
-            abs(direct), 1e-30
-        )
+    # Where the bare factors are representable the phased product must
+    # equal their literal product, at arguments with no exact square.
+    for p, k in [(1.0, 2.0), (2.5, 0.5), (0.3, -1.7), (0.1, 0.05), (3.7, -0.9)]:
+        phase = cmath.exp(complex(0.0, 2.0 * p * k))
+        direct = phase * math.exp(-p * p) * complex(special.erf(complex(k, p)))
+        assert abs(_phased(p, k) - direct) <= 1e-13 * abs(direct)
 
 
 def test_scaled_erf_product_beyond_bare_overflow():
     # e^{-36} erf(6 + 6i): erf alone peaks near e^{36}, far outside the
     # safe window of the unscaled route, but the product is tiny.
     ref = 2.4532067660420161103e-16 - 7.6866933216173717401e-18j
-    val = scaled_erf_product(6.0, 6.0 + 6.0j)
+    val = _phased(6.0, 6.0) * complex(math.cos(72.0), -math.sin(72.0))
     assert abs(val - ref) / abs(ref) < 1e-12
 
 
 def test_scaled_erf_product_purely_imaginary_is_dawson():
-    # e^{-p^2} erf(ip) = 2i D(p)/sqrt(pi); stays bounded to p = 30.
+    # e^{-p^2} erf(ip) = 2i D(p)/sqrt(pi); stays bounded to p = 30.  The
+    # arguments are X_M's (closedform._e0): k = 0, phase 1, e^{-k^2} = 1.
+    def e0(p):
+        return complex(*_phased_erf(_SCALAR, p, math.exp(-p * p), 0.0, 1.0, 0.0, 1.0))
+
     ref5 = 2j * 0.10213407442427683544 / SQRT_PI
-    assert abs(scaled_erf_product(5.0, 5.0j) - ref5) < 1e-15
-    for p in np.linspace(0.5, 30.0, 60):
-        val = scaled_erf_product(p, 1j * p)
+    assert abs(e0(5.0) - ref5) < 1e-15
+    for p in np.linspace(0.5, 30.0, 60).tolist():
+        val = e0(p)
         expected = 2j * special.dawsn(p) / SQRT_PI
         assert abs(val - expected) <= 1e-13 * abs(expected)
         assert abs(val) < 1.0  # bounded like 1/(p sqrt(pi)) for large p
-
-
-def test_scaled_erf_product_odd_in_z():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        p = rng.uniform(0.0, 4.0)
-        z = complex(rng.uniform(-4, 4), rng.uniform(-p, p))
-        a = scaled_erf_product(p, z)
-        b = scaled_erf_product(p, -z)
-        assert abs(a + b) <= 1e-13 * max(abs(a), 1e-30)
-
-
-def test_scaled_erf_product_overflow_guard():
-    # Exponent real part y^2 - x^2 - p^2 = 1600 > 700 must refuse rather
-    # than return inf.
-    with pytest.raises(DomainTooLarge):
-        scaled_erf_product(0.0, 40.0j)
 
 
 def _bits(values) -> np.ndarray:
@@ -175,53 +158,28 @@ def _bits(values) -> np.ndarray:
 
 
 def test_array_forms_match_scalar_forms_in_every_quadrant():
+    # The complex primitives of the two backends give the same bits, signed
+    # zeros included: cexp, which the envelope calls, in all four quadrants,
+    # and w on its domain, the first quadrant with both axes.
     rng = np.random.default_rng(5)
-    z = rng.uniform(-4, 4, 400) + 1j * rng.uniform(-4, 4, 400)
-    z[:4] = [0.0, 2.0, -2.0j, -1.5 + 0.0j]
-    w = faddeeva_w_array(z)
-    for zi, wi in zip(z.tolist(), w.tolist()):
-        assert abs(wi - faddeeva_w(zi)) <= 1e-14 * abs(faddeeva_w(zi))
-    p = rng.uniform(0.0, 4.0, 400)
-    zs = rng.uniform(-4, 4, 400) + 1j * rng.uniform(-1, 1, 400) * p
-    got = scaled_erf_product_array(p, zs)
-    for pi, zi, gi in zip(p.tolist(), zs.tolist(), got.tolist()):
-        ref = scaled_erf_product(pi, zi)
-        assert abs(gi - ref) <= 1e-14 * max(abs(ref), 1e-300)
-    # Both forms make the same floating-point operations, so they agree
-    # bit for bit, signed zeros included, in all four quadrants.
-    for zq in (z, zs):
-        for sr, si in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-            assert np.sum((np.sign(zq.real) == sr) & (np.sign(zq.imag) == si)) > 50
-    assert np.array_equal(_bits([faddeeva_w(v) for v in z.tolist()]), _bits(w))
-    scalar = [scaled_erf_product(a, b) for a, b in zip(p.tolist(), zs.tolist())]
-    assert np.array_equal(_bits(scalar), _bits(got))
-    with pytest.raises(DomainTooLarge):
-        scaled_erf_product_array(np.array([0.0, 1.0]), np.array([40.0j, 1.0]))
+    re, im = rng.uniform(-40.0, 40.0, (2, 400))
+    re[:4], im[:4] = (0.0, -0.0, 2.0, -1.5), (-0.0, 3.0, 0.0, -0.0)
+    for sr, si in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        assert np.sum((np.sign(re) == sr) & (np.sign(im) == si)) > 50
+    scalar = [_SCALAR.cexp(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    assert np.array_equal(_bits(scalar), _bits(_ARRAY.cexp(re, im)))
+    re, im = abs(re / 5.0), abs(im / 5.0)
+    re[:3], im[:3] = (0.0, 0.0, 3.0), (0.0, 2.0, 0.0)
+    scalar = [_SCALAR.w(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    assert np.array_equal(_bits(scalar), _bits(_ARRAY.w(re, im)))
 
 
 def test_scalar_forms_return_builtin_numbers():
-    # Builtin float/complex, never numpy scalars, on every branch: the
-    # scalar closed forms do all their arithmetic on what these return.
-    for z in (0.5 + 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, -0.5 - 0.5j, 0.0, 2):
-        assert type(faddeeva_w(z)) is complex
-        assert type(scaled_erf_product(1.0, z)) is complex
-
-
-@pytest.mark.parametrize("z, exponent", [(1 - 30j, "899"), (-3 - 40j, "1591")])
-def test_faddeeva_overflow_raises(z, exponent):
-    # exp(-z^2) overflows below the real axis where y^2 - x^2 > 700; w
-    # itself is that large there, so no finite value exists to return.
-    with pytest.raises(DomainTooLarge, match=f"exponent {exponent}"):
-        faddeeva_w(z)
-    with pytest.raises(DomainTooLarge, match=f"exponent {exponent}"):
-        faddeeva_w_array(np.array([1.0 + 1.0j, z]))
-
-
-def test_faddeeva_just_inside_the_overflow_bound_is_finite():
-    z = 1 - 26.47j  # y^2 - x^2 = 699.66
-    w = faddeeva_w(z)
-    assert cmath.isfinite(w) and abs(w) > 1e303
-    assert faddeeva_w_array(np.array([z]))[0] == w
+    # Builtin float/complex, never numpy scalars: the scalar closed forms
+    # do all their arithmetic on what these return.
+    for x, y in ((0.5, 0.5), (0.0, 2.0), (2.0, 0.0), (2, 1)):
+        assert type(_SCALAR.w(x, y)) is complex
+        assert type(_SCALAR.cexp(-x, y)) is complex
 
 
 def _phased_erf_points():
@@ -243,16 +201,15 @@ def _phased_erf_points():
 
 def test_phased_erf_matches_the_scaled_erf_product_times_its_phase():
     # e^{2ipk} e^{-p^2} erf(k + ip) by the phase identity against the
-    # independent route through scaled_erf_product, which forms e^{-z^2}
-    # and folds w(iz) across the imaginary axis.  The identity's two terms
-    # are e^{-p^2} and e^{-k^2} |w(p + i|k|)|; the error is judged against
-    # the larger.
+    # literal product of its factors, with scipy's erf, which folds none of
+    # this module's code.  The identity's two terms are e^{-p^2} and
+    # e^{-k^2} |w(p + i|k|)|; the error is judged against the larger.
     eps = np.finfo(float).eps
     for point in zip(*(a.tolist() for a in _phased_erf_points())):
         p, e_p, k, cos, sin, gauss_k = point
         got = complex(*_phased_erf(_SCALAR, *point))
-        ref = complex(cos, sin) * scaled_erf_product(p, complex(k, p))
-        scale = max(e_p, gauss_k * abs(faddeeva_w(complex(p, abs(k)))))
+        ref = complex(cos, sin) * (e_p * complex(special.erf(complex(k, p))))
+        scale = max(e_p, gauss_k * abs(special.wofz(complex(p, abs(k)))))
         assert abs(got - ref) <= 4.0 * eps * scale, (p, k, got, ref)
 
 
