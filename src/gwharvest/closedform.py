@@ -610,39 +610,50 @@ del _name, _index
 _SET_ROW, _SET_FLAGS = HarvestReport.row.__set__, HarvestReport.flags.__set__
 
 
+def _point_text(w: float, Om: float, D: float, t0: float) -> str:
+    """The point of an evaluate error, as its messages name it."""
+    return f"omega={w:g}, Omega={Om:g}, D={D:g}, t0={t0:g}"
+
+
 def evaluate(params: DimensionlessParams) -> HarvestReport:
     """Compute every observable for one parameter point: the report's row
     holds them as builtin floats in OBSERVABLES order.
 
-    Raises DegenerateDirection if |x_m| underflows (theta_gw undefined),
-    and DomainTooLarge, naming them, if any observables are not finite
-    (the arithmetic overflows, as once (D/2)^2 does).  A point with
-    |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2) still
-    evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG, since
-    the neglected second-order strain terms can dominate there.
+    Raises DegenerateDirection if |x_m| underflows (theta_gw undefined).
+    Raises DomainTooLarge, naming the point, where the arithmetic raises
+    an ArithmeticError (D^2 underflows to zero and divides, or omega^2
+    overflows), and naming them too where any observables are not finite
+    (the arithmetic overflows without raising, as once (D/2)^2 does).  A
+    point with |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2)
+    still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
+    since the neglected second-order strain terms can dominate there.
     The closed forms, and below SMALL_OMEGA_CUTOFF the series that stand
     in for I1-I4, are those evaluate_arrays runs, bound to builtin floats.
     """
     w, Om, D, t0 = (
         params.omega_sigma, params.Omega_sigma, params.D_sigma, params.t0_sigma
     )
-    minkowski, factors = _minkowski(_SCALAR, Om, D, t0)
-    axm = minkowski[-1]
-    if axm < DEGENERATE_XM_FLOOR:
-        raise DegenerateDirection(
-            f"|x_m| = {axm:g} at Omega={Om:g}, D={D:g}: "
-            "first-order GW shift of |X| is undefined"
-        )
-    gw = _gw(_SCALAR, w, Om, D, t0, factors)
-    row = _observables(_SCALAR, params.A, minkowski, gw)
+    try:
+        minkowski, factors = _minkowski(_SCALAR, Om, D, t0)
+        axm = minkowski[-1]
+        if axm < DEGENERATE_XM_FLOOR:
+            raise DegenerateDirection(
+                f"|x_m| = {axm:g} at Omega={Om:g}, D={D:g}: "
+                "first-order GW shift of |X| is undefined"
+            )
+        gw = _gw(_SCALAR, w, Om, D, t0, factors)
+        row = _observables(_SCALAR, params.A, minkowski, gw)
+    except ArithmeticError as exc:
+        raise DomainTooLarge(
+            f"{type(exc).__name__} at {_point_text(w, Om, D, t0)}: {exc}"
+        ) from exc
     # A non-finite value makes the sum non-finite, and one sum costs about
     # half of fifteen isfinite calls.  A sum that overflowed names nothing.
     if not math.isfinite(sum(row)):
         bad = [name for name, v in zip(OBSERVABLES, row) if not math.isfinite(v)]
         if bad:
             raise DomainTooLarge(
-                f"non-finite {', '.join(bad)} at omega={w:g}, Omega={Om:g}, "
-                f"D={D:g}, t0={t0:g}"
+                f"non-finite {', '.join(bad)} at {_point_text(w, Om, D, t0)}"
             )
     report = object.__new__(HarvestReport)
     _SET_ROW(report, row)

@@ -5,7 +5,7 @@ integral representation rather than from the closed-form algebra, so the
 two paths share no simplification steps:
 
 * P, X_M and C_M are each a prefactor times one integral of the
-  first-order Wightman function, _wightman_legs.  Their distributional
+  first-order Wightman function, _wightman.  Their distributional
   splittings (delta / delta' plus principal value) are the eps -> 0+
   limit of the integral of W(a + i eps).  Every pole of W(a + i eps) lies
   below the real axis and the rest of the integrand is entire, so by
@@ -36,7 +36,8 @@ two paths share no simplification steps:
 
 Every oracle returns an OracleEstimate carrying the value, a defensible
 absolute error estimate (quadrature + analytic truncation bound) and a
-convergence flag, judged against a fixed target (OracleEstimate).
+convergence flag: whether that estimate is within the one target
+_FINE_TOL.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
@@ -44,7 +45,8 @@ epsabs 1e-13, at most 300 subintervals), written over numpy arrays.  No
 part of scipy.integrate is used.  Each oracle is data, an _Oracle: the
 integrals it needs (an integrand family with per-integral parameters,
 and start edges) and a function that builds its estimate from their
-values (contour legs summed, scaling, tail bound, I2 or I4 subtracted).
+values (contour legs summed with the tail bound, then scaled, windowed
+or less I2 or I4).
 _solve integrates the lists of any number of oracles (verify_suite's:
 all of them) by one batched pass per integrand value type, each distinct
 integral once.  Each refinement round calls each integrand family once,
@@ -112,10 +114,8 @@ class SignConventionMismatch(AssertionError):
 class OracleEstimate:
     """Quadrature result with a defensible absolute error estimate.
 
-    converged is whether an error meets its oracle's target, read when the
-    oracle runs: for P, X_M and C_M the unscaled error of the Wightman (or
-    PV) kernel integral, before the prefactor, against _KERNEL_TOL; for
-    I1-I4, x_gw and c_gw abs_error_estimate itself against _FINE_TOL.
+    converged is abs_error_estimate <= _FINE_TOL, read when the oracle runs,
+    for every oracle alike: the error of the final value, after any scaling.
     """
 
     value: complex
@@ -172,9 +172,8 @@ _EPSABS = 1e-13
 _EPSREL = 1e-12
 _LIMIT = 300
 
-# The error targets that set OracleEstimate.converged (not verify_suite's
-# comparison tolerances TOL_*): P, X_M and C_M; I1-I4, x_gw and c_gw.
-_KERNEL_TOL = 1e-6
+# The error target that sets OracleEstimate.converged (not verify_suite's
+# comparison tolerances TOL_*).
 _FINE_TOL = 1e-10
 
 
@@ -197,16 +196,15 @@ def _gk21_rule(
     """K21 value and qk21 error estimate of each interval [lo, hi].
 
     f is called once, with the nodes shaped (m, 21) and owner shaped
-    (m, 1).  The error is made as qk21 makes it, with complex moduli for a
-    complex integrand: |K - G| scaled by resasc * min(1, (200 |K - G| /
-    resasc)^1.5), and at least the roundoff floor 50 eps resabs.
+    (m, 1), and returns values shaped like the nodes.  The error is made
+    as qk21 makes it, with complex moduli for a complex integrand: |K - G|
+    scaled by resasc * min(1, (200 |K - G| / resasc)^1.5), and at least
+    the roundoff floor 50 eps resabs.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES
-    fx = np.asarray(f(x, owner[:, None]))
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
+    fx = f(x, owner[:, None])
     k = _k21_sum(fx)
     g = np.add.reduce((fx[:, 1:10:2] + fx[:, 19:10:-2]) * _WG_PAIRS, axis=1)
     ah = np.abs(h)
@@ -431,17 +429,22 @@ def _batch_integrand(
     return f
 
 
+def _judged(value: complex, err: float) -> OracleEstimate:
+    """The estimate value +- err: converged is err <= _FINE_TOL."""
+    return OracleEstimate(value, err, err <= _FINE_TOL)
+
+
 def _scaled(
     est: OracleEstimate, factor: complex, factor_err: float = 0.0
 ) -> OracleEstimate:
-    """factor * est, with first-order error propagation and est's flag."""
+    """factor * est, with first-order error propagation, judged anew."""
     err = abs(factor) * est.abs_error_estimate + factor_err * abs(est.value)
-    return OracleEstimate(factor * est.value, err, est.converged)
+    return _judged(factor * est.value, err)
 
 
-def _fine(value: complex, err: float) -> OracleEstimate:
-    """The estimate of I1-I4, x_gw or c_gw: converged is err <= _FINE_TOL."""
-    return OracleEstimate(value, err, err <= _FINE_TOL)
+def _times(oracle: _Oracle, factor: complex) -> _Oracle:
+    """The oracle of factor times oracle's estimate."""
+    return _Oracle(oracle.integrals, lambda v, e: _scaled(oracle.finish(v, e), factor))
 
 
 def _edges(a: float, b: float, points: Iterable[float]) -> tuple[float, ...]:
@@ -488,7 +491,7 @@ def _sinc(u: np.ndarray) -> np.ndarray:
 
 
 def _wightman_kernel(x, vertical, c, r, m, Om, gw=None, w=None):
-    """e^{-a^2/4} e^{i Omega a} W(a) da/dx on a leg; see _wightman_legs.
+    """e^{-a^2/4} e^{i Omega a} W(a) da/dx on a leg; see _wightman.
 
     The leg is a = i x where vertical is set, else a = x + i c.  The strain
     term is on only in the family that passes gw and w.  The columns are
@@ -548,7 +551,7 @@ _WIGHTMAN = _Family(_wightman_kernel, complex)
 _WIGHTMAN_STRAIN = _Family(_wightman_kernel, complex)
 
 
-def _wightman_legs(
+def _wightman(
     Omega: float,
     D: float,
     *,
@@ -556,8 +559,8 @@ def _wightman_legs(
     minkowski: float = 1.0,
     strain: float = 0.0,
     omega: float = 0.0,
-) -> tuple[list[_Integral], float]:
-    """Legs of the integral of e^{-a^2/4} e^{i Omega a} W(a + i0) over a >= 0 or all a.
+) -> _Oracle:
+    """Oracle of the integral of e^{-a^2/4} e^{i Omega a} W(a + i0), a >= 0 or all a.
 
     W is the first-order Wightman function between events of detector A,
     at rest at the origin, and detector B, at rest at x = D (D = 0: one
@@ -583,7 +586,7 @@ def _wightman_legs(
     from either side.  Its neglected tails are bounded from
     |sigma^2| >= L^2 - D^2, |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4},
     |e^{i Omega a}| <= e^{|Omega| c} and |sinc(omega a/2)| <= cosh(omega c/2);
-    that bound is returned with the legs.
+    the estimate's error is the legs' errors plus that bound.
     """
     c = _SHIFT
     Om, Dv, w = float(Omega), float(D), float(omega)
@@ -618,21 +621,7 @@ def _wightman_legs(
             _Integral(family, (1.0, *cols), (0.0, c)),
             _Integral(family, (0.0, *cols), _edges(0.0, L, ladder)),
         ]
-    return legs, tail
-
-
-def _contour(tail: float) -> Callable[..., OracleEstimate]:
-    """finish of a Wightman integral: its legs summed, the tail bound added.
-
-    converged is err <= _KERNEL_TOL, the rule of P, X_M and C_M; the
-    strain-term oracles judge their own final error instead.
-    """
-
-    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        err = float(errs.sum()) + tail
-        return OracleEstimate(complex(vals.sum()), err, err <= _KERNEL_TOL)
-
-    return finish
+    return _Oracle(legs, lambda v, e: _judged(complex(v.sum()), float(e.sum()) + tail))
 
 
 def _calibration() -> _Oracle:
@@ -643,19 +632,19 @@ def _calibration() -> _Oracle:
     form.  (P(0) = 1/(4 pi) could not serve: the residue of e^{-a^2/4}/a^2
     at a = 0 vanishes, so P(0) is the same on either side of the pole.)
     The discrepancy is computed on first use in the process, kept in
-    _CAL_CACHE, and may be at most 100 * _KERNEL_TOL.
+    _CAL_CACHE, and may be at most 100 * _FINE_TOL.
     """
     integrals = []
     if "P" not in _CAL_CACHE:
         for Om in (1.0, -1.0):
-            integrals += _wightman_legs(Om, 0.0, full_line=True)[0]
+            integrals += _wightman(Om, 0.0, full_line=True).integrals
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> None:
         if integrals:
             half = len(integrals) // 2
             diff = _SQRT_PI * complex(vals[:half].sum() - vals[half:].sum())
             _CAL_CACHE["P"] = abs(diff + 0.5 / _SQRT_PI)
-        allowed = 100.0 * _KERNEL_TOL
+        allowed = 100.0 * _FINE_TOL
         if _CAL_CACHE["P"] > allowed:
             raise SignConventionMismatch(
                 f"P oracle off by {_CAL_CACHE['P']:g} at the anchor "
@@ -670,9 +659,9 @@ def _p(Omega: float, A: float = 0.0, omega: float = 0.0, t0: float = 0.0) -> _Or
     """Oracle of oracle_P, without its calibration."""
     w = float(omega)
     strain = float(A) * math.exp(-w * w / 4.0) * math.cos(w * float(t0))
-    legs, tail = _wightman_legs(Omega, 0.0, full_line=True, strain=strain, omega=w)
-    finish = _contour(tail)
-    return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
+    return _times(
+        _wightman(Omega, 0.0, full_line=True, strain=strain, omega=w), _SQRT_PI
+    )
 
 
 def oracle_P(
@@ -697,7 +686,7 @@ def oracle_P(
 
     On first use in the process the machinery is calibrated against the
     exact anchor P(1) - P(-1) = -1/(2 sqrt(pi)); a discrepancy above
-    100 * _KERNEL_TOL raises SignConventionMismatch, which indicates a
+    100 * _FINE_TOL raises SignConventionMismatch, which indicates a
     contour on the wrong side of the poles rather than a loss of
     quadrature accuracy.
     """
@@ -731,12 +720,10 @@ def _xm_kernel(D: float, method: str) -> _Oracle:
 
     It depends on D alone (and on the method); _xm scales it to X_M.  See
     oracle_XM for the two methods.  abs_error_estimate bounds the error of
-    this unscaled integral, its tail beyond L = D + 14 included; converged
-    is that error <= _KERNEL_TOL.
+    this unscaled integral, its tail beyond L = D + 14 included.
     """
     if method == "contour":
-        legs, tail = _wightman_legs(0.0, D, full_line=False)
-        return _Oracle(legs, _contour(tail))
+        return _wightman(0.0, D, full_line=False)
 
     if method == "pv_subtraction":
         Dv = float(D)
@@ -759,8 +746,7 @@ def _xm_kernel(D: float, method: str) -> _Oracle:
             kernel_integral = complex(
                 -pv_total / _FOUR_PI_SQ, gauss_d / (8.0 * math.pi * Dv)
             )
-            err = (e1 + e3) / _FOUR_PI_SQ + tail
-            return OracleEstimate(kernel_integral, err, err <= _KERNEL_TOL)
+            return _judged(kernel_integral, (e1 + e3) / _FOUR_PI_SQ + tail)
 
         # The regularized part on [0, 2D] and the regular remainder on [2D, L].
         return _Oracle(
@@ -775,14 +761,10 @@ def _xm_kernel(D: float, method: str) -> _Oracle:
 
 
 def _xm(kernel: _Oracle, Omega: float, t0: float) -> _Oracle:
-    """Oracle of oracle_XM: the _xm_kernel oracle times X_M's prefactor.
-
-    The scaled estimate keeps the kernel's convergence flag, judged on the
-    unscaled kernel error.
-    """
+    """Oracle of oracle_XM: the _xm_kernel oracle times X_M's prefactor."""
     Om, t0v = float(Omega), float(t0)
     pref = -2.0 * _SQRT_PI * cmath.exp(complex(-Om * Om, -2.0 * Om * t0v))
-    return _Oracle(kernel.integrals, lambda v, e: _scaled(kernel.finish(v, e), pref))
+    return _times(kernel, pref)
 
 
 def oracle_XM(
@@ -818,9 +800,7 @@ def oracle_XM(
 
 def _cm(Omega: float, D: float) -> _Oracle:
     """Oracle of oracle_CM."""
-    legs, tail = _wightman_legs(Omega, D, full_line=True)
-    finish = _contour(tail)
-    return _Oracle(legs, lambda vals, errs: _scaled(finish(vals, errs), _SQRT_PI))
+    return _times(_wightman(Omega, D, full_line=True), _SQRT_PI)
 
 
 def oracle_CM(Omega: float, D: float) -> OracleEstimate:
@@ -855,20 +835,25 @@ _X_WINDOW = _Family(_x_window_kernel, complex)  # columns (omega, t0, Omega)
 _C_WINDOW = _Family(_c_window_kernel, float)  # columns (omega, t0)
 
 
-def _x_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
-    """Oracle of oracle_x_gw."""
-    w, Om, t0v = float(omega), float(Omega), float(t0)
-    legs, tail = _wightman_legs(
-        0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w
-    )
-    a_finish = _contour(tail)
+def _windowed(window: _Integral, strain: _Oracle, factor: float) -> _Oracle:
+    """Oracle of factor * T * S: T the window integral, S strain's estimate.
+
+    T's error enters to first order, |factor| times T's error times |S|.
+    """
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         t_int, t_err = complex(vals[0]), float(errs[0])
-        est = _scaled(a_finish(vals[1:], errs[1:]), -2.0 * t_int, 2.0 * t_err)
-        return _fine(est.value, est.abs_error_estimate)
+        s = strain.finish(vals[1:], errs[1:])
+        return _scaled(s, factor * t_int, abs(factor) * t_err)
 
-    return _Oracle([_Integral(_X_WINDOW, (w, t0v, Om), _T_EDGES), *legs], finish)
+    return _Oracle([window, *strain.integrals], finish)
+
+
+def _x_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
+    """Oracle of oracle_x_gw."""
+    w, Om, t0v = float(omega), float(Omega), float(t0)
+    strain = _wightman(0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w)
+    return _windowed(_Integral(_X_WINDOW, (w, t0v, Om), _T_EDGES), strain, -2.0)
 
 
 def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -883,7 +868,7 @@ def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
                   e^{-2 i Omega (t0 + T)}
              * Integral_0^inf of e^{-a^2/4} W_gw(a) da,
 
-    W_gw being the strain term of the Wightman function (_wightman_legs)
+    W_gw being the strain term of the Wightman function (_wightman)
     per unit strain, for two static detectors separated by D along x.  The
     T integral is done by quadrature, so this path shares no algebra with
     f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
@@ -896,17 +881,8 @@ def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
 def _c_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_c_gw."""
     w, t0v = float(omega), float(t0)
-    legs, tail = _wightman_legs(
-        Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w
-    )
-    a_finish = _contour(tail)
-
-    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        t_int, t_err = complex(vals[0]), float(errs[0])
-        est = _scaled(a_finish(vals[1:], errs[1:]), t_int, t_err)
-        return _fine(est.value, est.abs_error_estimate)
-
-    return _Oracle([_Integral(_C_WINDOW, (w, t0v), _T_EDGES), *legs], finish)
+    strain = _wightman(Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w)
+    return _windowed(_Integral(_C_WINDOW, (w, t0v), _T_EDGES), strain, 1.0)
 
 
 def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -962,7 +938,7 @@ def _i2(omega: float, D: float) -> _Oracle:
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         total_err = abs(pref) * float(errs[0]) + tail
-        return _fine(complex(pref * complex(vals[0]).real, 0.0), total_err)
+        return _judged(complex(pref * complex(vals[0]).real, 0.0), total_err)
 
     return _Oracle([_Integral(_I2, (w, Dv), _graded(0.0, Ls))], finish)
 
@@ -1002,7 +978,7 @@ def _i4(omega: float, Omega: float, D: float) -> _Oracle:
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
         val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
         total_err = abs(pref) * float(errs.sum()) + tail
-        return _fine(complex(pref * val, 0.0), total_err)
+        return _judged(complex(pref * val, 0.0), total_err)
 
     return _Oracle(
         [_Integral(_I4, (Om, Dv, w), _graded(a, b)) for a, b, _ in segments], finish
@@ -1030,26 +1006,21 @@ def _strain_less(
 ) -> _Oracle:
     """Oracle of -4 pi^2 D^2 S - rest, S the strain-term Wightman integral.
 
-    S is over a >= 0 or all a (_wightman_legs), rest an I2 or I4 oracle.
-    The error estimate is 4 pi^2 D^2 times S's plus rest's.
+    S is over a >= 0 or all a (_wightman), rest an I2 or I4 oracle.  The
+    error estimate is 4 pi^2 D^2 times S's plus rest's.
     """
-    legs, tail = _wightman_legs(
+    strain = _wightman(
         Omega, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
     )
     scale = _FOUR_PI_SQ * float(D) * float(D)
-    s_finish, n = _contour(tail), len(legs)
+    n = len(strain.integrals)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        s, r = s_finish(vals[:n], errs[:n]), rest.finish(vals[n:], errs[n:])
+        s, r = strain.finish(vals[:n], errs[:n]), rest.finish(vals[n:], errs[n:])
         err = scale * s.abs_error_estimate + r.abs_error_estimate
-        return _fine(-scale * s.value - r.value, err)
+        return _judged(-scale * s.value - r.value, err)
 
-    return _Oracle([*legs, *rest.integrals], finish)
-
-
-def _i1(omega: float, D: float, i2: _Oracle) -> _Oracle:
-    """Oracle of oracle_I1, given oracle_I2's at (omega, D)."""
-    return _strain_less(0.0, D, omega, False, i2)
+    return _Oracle([*strain.integrals, *rest.integrals], finish)
 
 
 def oracle_I1(omega: float, D: float) -> OracleEstimate:
@@ -1070,12 +1041,7 @@ def oracle_I1(omega: float, D: float) -> OracleEstimate:
     The error estimate is 4 pi^2 D^2 times S_half's plus I2's.  I1 is
     purely imaginary: the real part left is rounding.
     """
-    return _solve([_i1(omega, D, _i2(omega, D))])[0]
-
-
-def _i3(omega: float, Omega: float, D: float, i4: _Oracle) -> _Oracle:
-    """Oracle of oracle_I3, given oracle_I4's at (omega, Omega, D)."""
-    return _strain_less(Omega, D, omega, True, i4)
+    return _solve([_strain_less(0.0, D, omega, False, _i2(omega, D))])[0]
 
 
 def oracle_I3(omega: float, Omega: float, D: float) -> OracleEstimate:
@@ -1090,7 +1056,7 @@ def oracle_I3(omega: float, Omega: float, D: float) -> OracleEstimate:
     part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's.  I3
     is real: the imaginary part left is rounding.
     """
-    return _solve([_i3(omega, Omega, D, _i4(omega, Omega, D))])[0]
+    return _solve([_strain_less(Omega, D, omega, True, _i4(omega, Omega, D))])[0]
 
 
 # --- verification suite -----------------------------------------------------
@@ -1181,12 +1147,13 @@ def _checks() -> dict[tuple[str, ...], tuple[_Check, ...]]:
         ),
         ("omega_sigma", "D_sigma"): (
             _Check("integral_I1", closedform.integral_I1,
-                   lambda w, D: _i1(w, D, i2(w, D)), TOL_DPRIME),
+                   lambda w, D: _strain_less(0.0, D, w, False, i2(w, D)), TOL_DPRIME),
             _Check("integral_I2", closedform.integral_I2, i2, TOL_S_ORACLE),
         ),
         ("omega_sigma", "Omega_sigma", "D_sigma"): (
             _Check("integral_I3", closedform.integral_I3,
-                   lambda w, Om, D: _i3(w, Om, D, i4(w, Om, D)), TOL_DPRIME),
+                   lambda w, Om, D: _strain_less(Om, D, w, True, i4(w, Om, D)),
+                   TOL_DPRIME),
             _Check("integral_I4", closedform.integral_I4, i4, TOL_S_ORACLE),
         ),
     }

@@ -40,8 +40,10 @@ __all__ = [
 
 
 class DomainTooLarge(ValueError):
-    """Observables that are not finite numbers: closedform.evaluate raises
-    it, naming them, where a point's arithmetic overflows without raising."""
+    """A point whose observables are out of floating-point range:
+    closedform.evaluate raises it where the arithmetic raises an
+    ArithmeticError, or where it overflows without raising, naming the
+    observables that are not finite."""
 
 
 # 1 - erf(x), accurate for large x: the double version of scipy's

@@ -151,6 +151,28 @@ def test_point_non_finite_observables_exit_usage_error(capsys):
     assert captured.err.startswith("error: non-finite re_x_gw, ")
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # D^2 underflows to zero and divides, above and below the
+        # small-omega cutoff, and at a subnormal D.
+        (["--D_sigma", "1e-170"], "ZeroDivisionError"),
+        (["--D_sigma", "1e-320"], "ZeroDivisionError"),
+        (["--D_sigma", "1e-200", "--omega_sigma", "1e-4"], "ZeroDivisionError"),
+        # omega^2 overflows.
+        (["--omega_sigma", "1e155"], "OverflowError"),
+        (["--omega_sigma", "1e308"], "OverflowError"),
+    ],
+)
+def test_point_out_of_float_range_exits_usage_error(argv, error, capsys):
+    # A closed form that raises an ArithmeticError has met an input out of
+    # floating-point range: the input's fault, not the program's.
+    assert cli.main(["point", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error} at omega=")
+
+
 def test_point_at_a_vast_separation_exits_usage_error(capsys):
     # At D = 1e200, |x_m| ~ e^{-Omega^2}/(2 pi D^2) underflows to 0.
     assert cli.main(["point", "--D_sigma", "1e200", "--A", "0.05"]) == 2
@@ -360,8 +382,9 @@ def test_verify_prints_no_reason_for_a_converged_fail(monkeypatch, capsys):
 
 
 def test_verify_names_an_unconverged_oracle_on_its_fail_lines(monkeypatch, capsys):
-    # Below what the I1-I4 quadratures reach, their records fail with a
-    # relative error inside tolerance; each such line says why.  Every
+    # Below what the quadratures reach (I1-I4 and P at this point), their
+    # records fail with a relative error inside tolerance; each such line
+    # says why.  Every
     # other line is printed as without the patch, byte for byte.
     assert cli.main(["verify", "--grid", "minimal"]) == 0
     plain = capsys.readouterr().out.splitlines()

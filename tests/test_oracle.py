@@ -247,10 +247,10 @@ def _strain(full_line):
     oracle._integrate([
         leg
         for p in _grid(*names)
-        for leg in oracle._wightman_legs(
+        for leg in oracle._wightman(
             p.get("Omega", 0.0), p["D"], full_line=full_line,
             minkowski=0.0, strain=1.0, omega=p["omega"],
-        )[0]
+        ).integrals
     ])
 
 
@@ -313,21 +313,26 @@ def test_gk21_agrees_with_quadpack_within_both_error_estimates(
         assert abs(value - ref) <= err + ref_err, (edges, value, ref, err, ref_err)
 
 
+def _tail_bound(wightman):
+    """The tail bound of a _wightman oracle: its error on exact legs."""
+    n = len(wightman.integrals)
+    return wightman.finish(np.zeros(n, dtype=complex), np.zeros(n)).abs_error_estimate
+
+
 def test_contour_tail_bound_enters_estimate(monkeypatch):
     # The neglected tails of a horizontal leg carry its growth off the
     # axis, e^{c^2/4} e^{|Omega| c} cosh(omega c/2), into the estimate.
     def tail(c, Omega, omega):
         monkeypatch.setattr(oracle, "_SHIFT", c)
-        _, bound = oracle._wightman_legs(
+        return _tail_bound(oracle._wightman(
             Omega, 1.0, full_line=True, minkowski=0.0, strain=1.0, omega=omega
-        )
-        return bound
+        ))
 
     growth = math.exp(0.25 / 4.0 + 1.0 * 0.5) * math.cosh(8.0 * 0.5 / 2.0)
     assert math.isclose(tail(0.5, -1.0, 8.0), growth * tail(0.0, -1.0, 8.0))
     monkeypatch.setattr(oracle, "_SHIFT", 0.5)
     est = oracle_CM(1.0, 1.0)
-    _, bound = oracle._wightman_legs(1.0, 1.0, full_line=True)
+    bound = _tail_bound(oracle._wightman(1.0, 1.0, full_line=True))
     assert est.abs_error_estimate >= SQRT_PI * bound > 0.0
 
 
@@ -373,21 +378,6 @@ def test_oracle_xm_methods_are_independent_and_agree():
     # The PV-subtraction oracle is analytic except for one regular
     # quadrature; it reproduces the closed form essentially exactly.
     assert abs(pv.value - x_minkowski(1.0, 1.0, 0.0)) < 1e-14
-
-
-def test_oracle_xm_judges_convergence_on_the_kernel_error_for_both_methods(
-    monkeypatch,
-):
-    # Both methods compare the unscaled kernel error with _KERNEL_TOL.  A
-    # target between that error and the scaled one, |pref| err with
-    # |pref| = 2 sqrt(pi) at Omega = 0, tells this rule from judging on the
-    # scaled error.
-    (kernel,) = oracle._solve([oracle._xm_kernel(1.0, "pv_subtraction")])
-    tol = 2.0 * kernel.abs_error_estimate
-    monkeypatch.setattr(oracle, "_KERNEL_TOL", tol)
-    est = oracle_XM(0.0, 1.0, 0.0, method="pv_subtraction")
-    assert 0.0 < kernel.abs_error_estimate <= tol < est.abs_error_estimate
-    assert est.converged
 
 
 def test_oracle_xm_rejects_unknown_method():
@@ -579,7 +569,7 @@ def test_the_model_wightman_function_solves_the_wave_equation(X, Xp):
 def test_the_wave_equation_check_takes_the_oracles_kernel():
     # At dz = 0, _wightman_4d is oracle._wightman_kernel's W on the real
     # axis (c = 0, no Gaussian or gap phase: Om = 0, times e^{a^2/4}),
-    # with gw = s (dx^2 - dy^2) as _wightman_legs forms it.
+    # with gw = s (dx^2 - dy^2) as _wightman forms it.
     w, A = 1.3, 0.05
     for X, Xp in _FIELD_EQUATION_PAIRS:
         X, Xp = np.array(X), np.array(Xp)
@@ -618,9 +608,16 @@ def test_oracle_i2_i4_machine_accurate():
     assert i2.converged
     assert i2.abs_error_estimate < 1e-10
     assert abs(i2.value.imag) == 0.0
-    i4 = oracle_I4(2.0, 1.0, 1.0)
-    assert i4.converged
-    assert i4.abs_error_estimate < 1e-10
+    # The I4 window is split at s = 0 where it spans it, and one segment
+    # where |Omega| >= 9 + omega/2, on either side of 0.
+    for w, Om, D, segments in [
+        (2.0, 1.0, 1.0, 2), (0.5, 9.5, 1.0, 1), (2.0, -12.0, 1.0, 1)
+    ]:
+        assert len(oracle._i4(w, Om, D).integrals) == segments
+        i4 = oracle_I4(w, Om, D)
+        assert i4.converged
+        assert i4.abs_error_estimate < 1e-10
+        assert abs(i4.value - integral_I4(w, Om, D)) <= 1e-15 * abs(i4.value)
 
 
 # I1 and I3 are the delta' parts of the strain term, at a = D and a = +-D.
@@ -669,6 +666,55 @@ def test_oracle_i1_honest_unconverged_band(monkeypatch):
     assert abs(est.value - integral_I1(2.0, 1.0)) <= est.abs_error_estimate
 
 
+def _at_minimal_point(t0):
+    """Every oracle builder at the minimal verify grid's point, by name."""
+    w, Om, D = 2.0, 1.0, 2.0
+    return {
+        "P": lambda: oracle._p(Om),
+        "XM_contour": lambda: oracle._xm(oracle._xm_kernel(D, "contour"), Om, t0),
+        "XM_pv": lambda: oracle._xm(oracle._xm_kernel(D, "pv_subtraction"), Om, t0),
+        "CM": lambda: oracle._cm(Om, D),
+        "I2": lambda: oracle._i2(w, D),
+        "I4": lambda: oracle._i4(w, Om, D),
+        "strain_less_half_line": lambda: oracle._strain_less(
+            0.0, D, w, False, oracle._i2(w, D)
+        ),
+        "strain_less_full_line": lambda: oracle._strain_less(
+            Om, D, w, True, oracle._i4(w, Om, D)
+        ),
+        "x_gw": lambda: oracle._x_gw(w, Om, D, t0),
+        "c_gw": lambda: oracle._c_gw(w, Om, D, t0),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, t0",
+    [(name, 0.0) for name in _at_minimal_point(0.0)]
+    + [("x_gw", 0.6), ("c_gw", 0.6)],
+)
+def test_every_oracle_judges_its_final_error_against_one_target(
+    name, t0, monkeypatch
+):
+    # converged is abs_error_estimate <= _FINE_TOL for every oracle, on
+    # the error after any scaling: a target just below the estimate flips
+    # the flag, and nothing else changes.  At this point every scaled
+    # estimate's error exceeds its unscaled integral's, so a flag passed
+    # through from the integral would not flip.
+    build = _at_minimal_point(t0)[name]
+    (est,) = oracle._solve([build()])
+    assert est.converged == (est.abs_error_estimate <= oracle._FINE_TOL)
+    assert est.converged
+    for tol, converged in [
+        (est.abs_error_estimate, True),
+        (math.nextafter(est.abs_error_estimate, 0.0), False),
+    ]:
+        monkeypatch.setattr(oracle, "_FINE_TOL", tol)
+        (judged,) = oracle._solve([build()])
+        assert judged.converged == converged
+        assert _hex(judged.value) == _hex(est.value)
+        assert judged.abs_error_estimate.hex() == est.abs_error_estimate.hex()
+
+
 # The new oracles off the verify grid: negative and larger Omega, a small
 # and a large D, a slow and a fast wave.
 _OFF_GRID = list(itertools.product((-1.5, -0.5, 2.0), (0.25, 3.0), (0.5, 8.0)))
@@ -708,10 +754,9 @@ def test_oracle_i1_i3_are_the_strain_contour_less_oracle_i2_i4():
         (oracle_I1(omega, D), 0.0, False, oracle_I2(omega, D)),
         (oracle_I3(omega, Omega, D), Omega, True, oracle_I4(omega, Omega, D)),
     ]:
-        legs, tail = oracle._wightman_legs(
+        (s,) = oracle._solve([oracle._wightman(
             Om, D, full_line=full_line, minkowski=0.0, strain=1.0, omega=omega
-        )
-        (s,) = oracle._solve([oracle._Oracle(legs, oracle._contour(tail))])
+        )])
         assert _hex(est.value) == _hex(-scale * s.value - rest.value)
         err = scale * s.abs_error_estimate + rest.abs_error_estimate
         assert est.abs_error_estimate.hex() == err.hex()
@@ -771,8 +816,9 @@ def test_a_record_passes_only_on_converged_oracles():
 
 
 def test_verify_fails_the_records_whose_oracles_miss_their_target(monkeypatch):
-    # Below what the I1-I4 quadratures reach, their records fail though
-    # the values agree as closely as ever, and the CLI exits 1.
+    # Below what the quadratures reach (I1-I4 and P at this point), their
+    # records fail though the values agree as closely as ever, and the CLI
+    # exits 1.
     monkeypatch.setattr(oracle, "_FINE_TOL", 1e-14)
     records = verify_suite(MINIMAL_VERIFY_GRID)
     failed = {r.quantity for r in records if not r.passed}

@@ -204,12 +204,17 @@ def test_run_grid_matches_pointwise_scalar_evaluation(spec):
     ],
 )
 def test_closed_form_failures_keep_their_exception_class(index, error):
+    # The point is out of floating-point range, an input error: evaluate
+    # raises DomainTooLarge from the arithmetic's own exception, and the
+    # status names both classes.
     spec = MIXED_GRIDS[2]
     keys, params = spec.columns()
     point = dict(zip(keys, params[index].tolist()))
-    with pytest.raises(error):
+    with pytest.raises(closedform.DomainTooLarge) as raised:
         closedform.evaluate(params_from_mapping(point))
-    assert run_grid(spec).status[index].startswith(f"{error.__name__}: ")
+    assert type(raised.value.__cause__) is error
+    status = run_grid(spec).status[index]
+    assert status.startswith(f"DomainTooLarge: {error.__name__} at omega=")
 
 
 def test_non_finite_row_fails_with_a_named_status():
