@@ -12,7 +12,9 @@ two paths share no simplification steps:
   Cauchy's theorem that limit is exactly the integral along the contour
   Im a = _SHIFT > 0 (over all a), or along 0 -> i _SHIFT -> i _SHIFT + oo
   (over a >= 0): one ordinary integral per straight leg, with no
-  regulator and nothing to extrapolate.
+  regulator and nothing to extrapolate.  The integrand is conjugate
+  symmetric on the horizontal leg, so over all a it is twice the real
+  part of the integral over its right half.
 * X_M additionally gets a second, independent regularization: explicit
   principal-value singularity subtraction on a symmetric window around
   a = D plus the analytic delta contribution.  Agreement between the two
@@ -37,7 +39,9 @@ two paths share no simplification steps:
 Every oracle returns an OracleEstimate carrying the value, a defensible
 absolute error estimate (quadrature + analytic truncation bound) and a
 convergence flag: whether that estimate is within the one target
-_FINE_TOL.
+_FINE_TOL.  Every public oracle raises ValueError naming its first
+argument that is not finite, a D <= 0 or an omega = 0 (oracle_P takes
+omega = 0), as verify_suite does for its grid axes.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
@@ -54,7 +58,7 @@ on the nodes of every new subinterval of its integrals.  The start edges
 are graded where bisection would otherwise spend its rounds (_halvings):
 toward each pole of a contour leg, from either side, and toward the end
 nearer the origin of each real integral.  A default verify_suite
-evaluates 1,828 subintervals in 6 rule calls; every contour leg meets
+evaluates 1,354 subintervals in 5 rule calls; every contour leg meets
 its target in the first round.  The refinement is elementwise or per
 integral throughout, so an estimate is bit for bit the same alone or
 batched.
@@ -476,6 +480,25 @@ def _graded(a: float, b: float) -> tuple[float, ...]:
     return _edges(a, b, _halvings(near, far, _REAL_HALVINGS))
 
 
+def _invalid(name: str, v: float) -> bool:
+    """Whether v is outside the domain of argument name: not finite, D <= 0, omega = 0.
+
+    name is an oracle's argument or, less "_sigma", a verify grid axis.
+    """
+    return (not math.isfinite(v) or (name == "D" and v <= 0.0)
+            or (name == "omega" and v == 0.0))
+
+
+def _check_args(**args: float) -> None:
+    """ValueError naming the first of args that is _invalid."""
+    for name, v in args.items():
+        if _invalid(name, v):
+            raise ValueError(
+                f"invalid {name} = {v!r}: the oracles take finite arguments, "
+                "D > 0 and omega != 0"
+            )
+
+
 # --- the Wightman integral behind every kernel oracle, on a contour ---------
 
 # Height c of the contour above the real axis; every pole lies below it.
@@ -580,10 +603,16 @@ def _wightman(
     the path starts at a = 0, a pole when r = 0, so D = 0 raises
     ValueError there.
 
-    The horizontal leg runs over |Re a| <= L = D + 14.  It starts split
-    at Re a = 0 and at +-p for each p > 0 among D and D +- (L - D)/2^j,
-    j = 1.._POLE_HALVINGS: the edges that bisection toward a pole reaches
-    from either side.  Its neglected tails are bounded from
+    Over all a only the right half, Re a >= 0, is integrated: every
+    column is real, so the integrand at -x + i c is the complex conjugate
+    of that at x + i c, and the full-line integral is exactly twice the
+    real part of the right half's.  Its value is that, with zero
+    imaginary part; its error twice the half's error plus the tail bound.
+
+    The horizontal leg runs over 0 <= Re a <= L = D + 14.  It starts split
+    at each p > 0 among D and D +- (L - D)/2^j, j = 1.._POLE_HALVINGS: the
+    edges that bisection toward the pole reaches from either side.  The
+    neglected tails beyond |Re a| = L (one or both) are bounded from
     |sigma^2| >= L^2 - D^2, |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4},
     |e^{i Omega a}| <= e^{|Omega| c} and |sinc(omega a/2)| <= cosh(omega c/2);
     the estimate's error is the legs' errors plus that bound.
@@ -612,16 +641,17 @@ def _wightman(
     cols = (c, r, m, Om, *strain_cols)
     steps = _halvings(0.0, L - Dv, _POLE_HALVINGS)
     ladder = [Dv, *(Dv + h for h in steps), *(Dv - h for h in steps)]
-    ladder = [p for p in ladder if p > 0.0]
-    if full_line:
-        points = {0.0, *ladder, *(-p for p in ladder)}
-        legs = [_Integral(family, (0.0, *cols), _edges(-L, L, points))]
-    else:
-        legs = [
-            _Integral(family, (1.0, *cols), (0.0, c)),
-            _Integral(family, (0.0, *cols), _edges(0.0, L, ladder)),
-        ]
-    return _Oracle(legs, lambda v, e: _judged(complex(v.sum()), float(e.sum()) + tail))
+    right = _Integral(family, (0.0, *cols), _edges(0.0, L, ladder))
+    if not full_line:
+        legs = [_Integral(family, (1.0, *cols), (0.0, c)), right]
+        return _Oracle(
+            legs, lambda v, e: _judged(complex(v.sum()), float(e.sum()) + tail)
+        )
+
+    def folded(v: np.ndarray, e: np.ndarray) -> OracleEstimate:
+        return _judged(complex(2.0 * v[0].real), 2.0 * float(e[0]) + tail)
+
+    return _Oracle([right], folded)
 
 
 def _calibration() -> _Oracle:
@@ -634,16 +664,14 @@ def _calibration() -> _Oracle:
     The discrepancy is computed on first use in the process, kept in
     _CAL_CACHE, and may be at most 100 * _FINE_TOL.
     """
-    integrals = []
-    if "P" not in _CAL_CACHE:
-        for Om in (1.0, -1.0):
-            integrals += _wightman(Om, 0.0, full_line=True).integrals
+    pair = [] if "P" in _CAL_CACHE else [_p(1.0), _p(-1.0)]
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> None:
-        if integrals:
-            half = len(integrals) // 2
-            diff = _SQRT_PI * complex(vals[:half].sum() - vals[half:].sum())
-            _CAL_CACHE["P"] = abs(diff + 0.5 / _SQRT_PI)
+        if pair:
+            n = len(pair[0].integrals)
+            up = pair[0].finish(vals[:n], errs[:n])
+            down = pair[1].finish(vals[n:], errs[n:])
+            _CAL_CACHE["P"] = abs(up.value - down.value + 0.5 / _SQRT_PI)
         allowed = 100.0 * _FINE_TOL
         if _CAL_CACHE["P"] > allowed:
             raise SignConventionMismatch(
@@ -652,7 +680,7 @@ def _calibration() -> _Oracle:
                 "the contour runs on the wrong side of the kernel's poles"
             )
 
-    return _Oracle(integrals, finish)
+    return _Oracle([it for o in pair for it in o.integrals], finish)
 
 
 def _p(Omega: float, A: float = 0.0, omega: float = 0.0, t0: float = 0.0) -> _Oracle:
@@ -671,7 +699,8 @@ def oracle_P(
 
     P/lambda^2 = sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * W(a + i eps), eps -> 0+: sqrt(pi) times the
-    full-line Wightman integral at D = 0, on the contour.  (The defining
+    full-line Wightman integral at D = 0, on the contour, which is twice
+    the real part of the integral over its right half.  (The defining
     form, with exp(-i Omega a) and (a - i eps)^2, is this integral under
     a -> -a.)  At A = 0, W is the Minkowski -1/(4 pi^2 a^2).
 
@@ -690,6 +719,9 @@ def oracle_P(
     contour on the wrong side of the poles rather than a loss of
     quadrature accuracy.
     """
+    _check_args(Omega=Omega, A=A, t0=t0)
+    if omega != 0.0:  # the default: the wave leaves P alone at every omega
+        _check_args(omega=omega)
     return _solve([_calibration(), _p(Omega, A, omega, t0)])[1]
 
 
@@ -795,6 +827,7 @@ def oracle_XM(
     The two methods share no regularization machinery; their agreement is
     checked by verify_suite as a structural invariant.
     """
+    _check_args(Omega=Omega, D=D, t0=t0)
     return _solve([_xm(_xm_kernel(D, method), Omega, t0)])[0]
 
 
@@ -809,8 +842,10 @@ def oracle_CM(Omega: float, D: float) -> OracleEstimate:
     C_M/lambda^2 = -sqrt(pi) * Integral over a of
     exp(-a^2/4 + i Omega a) * ( 1/(4 pi^2 ((a + i eps)^2 - D^2)) ),
     eps -> 0+: sqrt(pi) times the full-line Wightman integral, taken along
-    Im a = c above the poles at a = +-D.
+    Im a = c above the poles at a = +-D: twice the real part of the
+    integral over the right half, Re a >= 0.
     """
+    _check_args(Omega=Omega, D=D)
     return _solve([_cm(Omega, D)])[0]
 
 
@@ -875,6 +910,7 @@ def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
     normalization.  The a integral runs along the half-line contour, like
     oracle_XM's.
     """
+    _check_args(omega=omega, Omega=Omega, D=D, t0=t0)
     return _solve([_x_gw(omega, Omega, D, t0)])[0]
 
 
@@ -895,8 +931,9 @@ def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
              * Integral over a of e^{-a^2/4} e^{i Omega a} W_gw(a) da,
 
     both by quadrature, the a integral along the full-line contour like
-    oracle_CM's.
+    oracle_CM's: twice the real part of the integral over its right half.
     """
+    _check_args(omega=omega, Omega=Omega, D=D, t0=t0)
     return _solve([_c_gw(omega, Omega, D, t0)])[0]
 
 
@@ -953,6 +990,7 @@ def oracle_I2(omega: float, D: float) -> OracleEstimate:
     the defining finite-part integral was evaluated by residues, so this
     path shares no algebra with the closed form.
     """
+    _check_args(omega=omega, D=D)
     return _solve([_i2(omega, D)])[0]
 
 
@@ -995,6 +1033,7 @@ def oracle_I4(omega: float, Omega: float, D: float) -> OracleEstimate:
     split at s = 0 where sgn changes; the Gaussian support is centered at
     s = Omega with half-width omega/2 + 9.
     """
+    _check_args(omega=omega, Omega=Omega, D=D)
     return _solve([_i4(omega, Omega, D)])[0]
 
 
@@ -1041,6 +1080,7 @@ def oracle_I1(omega: float, D: float) -> OracleEstimate:
     The error estimate is 4 pi^2 D^2 times S_half's plus I2's.  I1 is
     purely imaginary: the real part left is rounding.
     """
+    _check_args(omega=omega, D=D)
     return _solve([_strain_less(0.0, D, omega, False, _i2(omega, D))])[0]
 
 
@@ -1054,8 +1094,10 @@ def oracle_I3(omega: float, Omega: float, D: float) -> OracleEstimate:
 
     I3 being the delta' part at a = +-D and I4 (oracle_I4) the finite
     part.  The error estimate is 4 pi^2 D^2 times S_full's plus I4's.  I3
-    is real: the imaginary part left is rounding.
+    is real, and so is its estimate: S_full is twice the real part of the
+    integral over the right half of the contour.
     """
+    _check_args(omega=omega, Omega=Omega, D=D)
     return _solve([_strain_less(Omega, D, omega, True, _i4(omega, Omega, D))])[0]
 
 
@@ -1193,8 +1235,7 @@ def _grid_axes(grid: Mapping[str, Sequence[float]]) -> dict[str, list[float]]:
         if not axes[key]:
             raise ValueError(f"verify grid axis {key!r} is missing or empty")
         for v in axes[key]:
-            if (not math.isfinite(v) or (key == "D_sigma" and v <= 0.0)
-                    or (key == "omega_sigma" and v == 0.0)):
+            if _invalid(key.removesuffix("_sigma"), v):
                 raise ValueError(f"verify grid axis {key!r} has invalid value {v!r}")
     return axes
 

@@ -13,6 +13,7 @@ test_acceptance.py.
 import collections
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -411,6 +412,86 @@ def test_oracle_p_full_strain_independent_on_static_worldline():
     assert abs(base.value - transition_probability(1.0)) < 1e-6
 
 
+# --- argument checks -----------------------------------------------------------
+
+# A valid value of every oracle argument.
+_VALID = {"omega": 2.0, "Omega": 1.0, "D": 1.0, "t0": 0.5, "A": 0.05}
+
+
+def _invalid_args(*names, omega_zero=True):
+    """(name, value) cases: each argument non-finite, D <= 0, omega = 0."""
+    cases = []
+    for name in names:
+        bad = [math.nan, math.inf, -math.inf]
+        if name == "D":
+            bad += [0.0, -1.0]
+        if name == "omega" and omega_zero:
+            bad.append(0.0)
+        cases += [pytest.param(name, v, id=f"{name}={v}") for v in bad]
+    return cases
+
+
+def _assert_rejected(oracle_fn, names, name, value, **kwargs):
+    """oracle_fn raises a ValueError naming name = value, before any warning."""
+    args = {n: _VALID[n] for n in names} | {name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^invalid {name} = {re.escape(repr(value))}:"
+        with pytest.raises(ValueError, match=message):
+            oracle_fn(**args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, value", _invalid_args("Omega", "A", "omega", "t0", omega_zero=False)
+)
+def test_oracle_p_rejects_invalid_arguments(name, value):
+    # omega = 0 is oracle_P's default: on one worldline the wave leaves P
+    # alone at every omega.
+    _assert_rejected(oracle_P, ("Omega", "A", "omega", "t0"), name, value)
+    assert oracle_P(1.0, 0.05, 0.0) == oracle_P(1.0)
+
+
+@pytest.mark.parametrize("method", ["contour", "pv_subtraction"])
+@pytest.mark.parametrize("name, value", _invalid_args("Omega", "D", "t0"))
+def test_oracle_xm_rejects_invalid_arguments(name, value, method):
+    _assert_rejected(oracle_XM, ("Omega", "D", "t0"), name, value, method=method)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("Omega", "D"))
+def test_oracle_cm_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle_CM, ("Omega", "D"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "D"))
+def test_oracle_i1_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle_I1, ("omega", "D"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "D"))
+def test_oracle_i2_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle_I2, ("omega", "D"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "Omega", "D"))
+def test_oracle_i3_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle_I3, ("omega", "Omega", "D"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "Omega", "D"))
+def test_oracle_i4_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle_I4, ("omega", "Omega", "D"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "Omega", "D", "t0"))
+def test_oracle_x_gw_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle.oracle_x_gw, ("omega", "Omega", "D", "t0"), name, value)
+
+
+@pytest.mark.parametrize("name, value", _invalid_args("omega", "Omega", "D", "t0"))
+def test_oracle_c_gw_rejects_invalid_arguments(name, value):
+    _assert_rejected(oracle.oracle_c_gw, ("omega", "Omega", "D", "t0"), name, value)
+
+
 # --- the shifted contour ------------------------------------------------------
 
 _WIDE = {
@@ -452,6 +533,43 @@ def test_two_contour_shifts_agree_within_both_error_estimates(quantity, monkeypa
         assert one.converged and two.converged
         gap = abs(one.value - two.value)
         assert gap <= one.abs_error_estimate + two.abs_error_estimate, (one, two)
+
+
+# Full-line Wightman oracles: P at D = 0, C_M, and the strain term.
+_FULL_LINE = [
+    pytest.param(dict(Omega=1.0, D=0.0), id="P"),
+    *(
+        pytest.param(dict(Omega=Om, D=D), id=f"CM-Omega={Om}-D={D}")
+        for Om in (-1.5, 0.5)
+        for D in (0.5, 4.0)
+    ),
+    *(
+        pytest.param(
+            dict(Omega=1.0, D=1.0, minkowski=0.0, strain=1.0, omega=w),
+            id=f"strain-omega={w}",
+        )
+        for w in (0.5, 5.0)
+    ),
+]
+
+
+@pytest.mark.parametrize("args", _FULL_LINE)
+def test_full_line_oracle_is_twice_the_real_part_of_its_right_half(args):
+    # The folded oracle against the explicit two-sided integral: the same
+    # kernel and start edges mirrored onto [-L, L], by _gk21 with the same
+    # tail bound.
+    folded_oracle = oracle._wightman(full_line=True, **args)
+    (right,) = folded_oracle.integrals
+    assert right.edges[0] == 0.0
+    edges = (*(-x for x in reversed(right.edges[1:])), *right.edges)
+    two_sided = right._replace(edges=edges)
+    (value,), (err,) = oracle._gk21(oracle._batch_integrand([two_sided]), [edges])
+    err += _tail_bound(folded_oracle)
+    (folded,) = oracle._solve([folded_oracle])
+    assert folded.converged
+    assert folded.value.imag == 0.0
+    gap = abs(folded.value - value)
+    assert gap <= folded.abs_error_estimate + err, (folded, value, err)
 
 
 def _defining_wightman(x, vertical, c, D, m, Om, gw, w):
@@ -593,11 +711,14 @@ def test_contour_xm_agrees_with_pv_subtraction_at_small_d(D):
 
 
 def test_half_line_contour_rejects_coincident_detectors():
-    # At D = 0 the half-line contour would start on the pole a = 0.
-    with pytest.raises(ValueError, match="D != 0"):
+    # At D = 0 the half-line contour would start on the pole a = 0: the
+    # public oracles reject D = 0 up front, and the contour itself too.
+    with pytest.raises(ValueError, match="invalid D = 0.0"):
         oracle_XM(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="D != 0"):
+    with pytest.raises(ValueError, match="invalid D = 0.0"):
         oracle.oracle_x_gw(2.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="D != 0"):
+        oracle._wightman(1.0, 0.0, full_line=False)
 
 
 # --- s-integral oracles, and I1/I3 from the strain-term contour -------------
@@ -981,14 +1102,16 @@ def test_verify_suite_starts_each_integral_on_its_final_partition(monkeypatch):
     # Rows (subintervals) per _gk21_rule call of a default verify_suite,
     # complex pass first, at most _MAX_ROWS = 512 per call.
     # Complex: every integral meets its target on its start edges, so the
-    # pass is its first round, 1,116 rows in three calls.  A full-line leg
-    # at D = 0 (P, 3 Omega) has the 11 edges 0 and +-14/2^j, j = 1..5: 12
-    # rows.  At D > 0 it has 0, +-D, +-(D + 14/2^j) and +-(D - 14/2^j) > 0,
-    # which is 1, 2, 3 or 4 of them at D = 0.5, 1, 2, 4: 16, 18, 20 and 22
-    # rows, 76 over the four D, for C_M (3 Omega) and I3's legs (9
-    # (omega, Omega)).  A half-line leg is cut at the positive ones, 8, 9,
-    # 10 and 11 rows, plus one for 0 -> i c: 42 over the four D, for X_M
-    # (1) and I1 (3 omega).  36 + 12 * 76 + 4 * 42 = 1,116.
+    # pass is its first round, 642 rows in two calls.  A full-line oracle
+    # integrates the right half of its contour only (twice its real part),
+    # over [0, L] cut at each p > 0 among D, D + 14/2^j and D - 14/2^j,
+    # j = 1..5.  At D = 0 (P, 3 Omega) that is the 5 points 14/2^j: 6
+    # rows.  At D > 0 it is D, the 5 points D + 14/2^j and 1, 2, 3 or 4
+    # of the D - 14/2^j at D = 0.5, 1, 2, 4: 8, 9, 10 and 11 rows, 38
+    # over the four D, for C_M (3 Omega) and I3 (9 (omega, Omega)).  A
+    # half-line oracle has the same horizontal leg plus one row for
+    # 0 -> i c: 42 over the four D, for X_M (1) and I1 (3 omega).
+    # 3 * 6 + 12 * 38 + 4 * 42 = 642.
     # Real: I2's [0, 9 + omega/2] (12) and I4's two pieces (36 points)
     # start halved three times toward 0, 4 rows each, and X_M's PV pieces
     # at 2 and 4 rows (4 D): 48 + 288 + 24 = 360; then two rounds bisect
@@ -1003,7 +1126,7 @@ def test_verify_suite_starts_each_integral_on_its_final_partition(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gk21_rule", counting)
     verify_suite()
-    assert rows == [512, 512, 92, 360, 300, 52]
+    assert rows == [512, 130, 360, 300, 52]
 
 
 def _count_quad_calls(monkeypatch):
