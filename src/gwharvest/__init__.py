@@ -119,6 +119,7 @@ __all__ = [
     # oracle
     "OracleEstimate",
     "CheckRecord",
+    "SignConventionMismatch",
     "oracle_P",
     "oracle_XM",
     "oracle_CM",
@@ -126,6 +127,8 @@ __all__ = [
     "oracle_I2",
     "oracle_I3",
     "oracle_I4",
+    "oracle_x_gw",
+    "oracle_c_gw",
     "verify_suite",
     # specfun
     "DomainTooLarge",

@@ -14,7 +14,8 @@ two paths share no simplification steps:
   (over a >= 0): one ordinary integral per straight leg, with no
   regulator and nothing to extrapolate.  The integrand is conjugate
   symmetric on the horizontal leg, so over all a it is twice the real
-  part of the integral over its right half.
+  part of the integral over its right half; on the vertical leg it is i
+  times a real function, integrated as such.
 * X_M additionally gets a second, independent regularization: explicit
   principal-value singularity subtraction on a symmetric window around
   a = D plus the analytic delta contribution.  Agreement between the two
@@ -45,7 +46,9 @@ omega = 0), as verify_suite does for its grid axes.
 
 The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
 (routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
-epsabs 1e-13, at most 300 subintervals), written over numpy arrays.  No
+epsabs 1e-13, at most 300 subintervals), written over numpy arrays; an
+s-integral whose prefactor would scale 1e-13 past the target stops at a
+smaller epsabs (_scaled_epsabs).  No
 part of scipy.integrate is used.  Each oracle is data, an _Oracle: the
 integrals it needs (an integrand family with per-integral parameters,
 and start edges) and a function that builds its estimate from their
@@ -59,9 +62,9 @@ are graded where bisection would otherwise spend its rounds (_halvings):
 toward each pole of a contour leg, from either side, and toward the end
 nearer the origin of each real integral.  A default verify_suite
 evaluates 1,354 subintervals in 5 rule calls; every contour leg meets
-its target in the first round.  The refinement is elementwise or per
-integral throughout, so an estimate is bit for bit the same alone or
-batched.
+its target in the first round, so the complex pass (the horizontal legs)
+is one round of 626.  The refinement is elementwise or per integral
+throughout, so an estimate is bit for bit the same alone or batched.
 
 All quantities are dimensionless (sigma = 1) and normalized per lambda^2
 exactly as in the closed-form module.
@@ -230,6 +233,7 @@ _MAX_ROWS = 512
 def _gk21(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]],
+    epsabs: float | np.ndarray = _EPSABS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over n piecewise intervals by batched adaptive G10/K21.
 
@@ -241,7 +245,8 @@ def _gk21(
     evaluated once.
 
     The stopping rule is QUADPACK's: integral i is done when the sum of its
-    subinterval errors is at most max(_EPSABS, _EPSREL |I_i|), or when it has
+    subinterval errors is at most max(epsabs_i, _EPSREL |I_i|), epsabs a
+    float or one per integral (default _EPSABS), or when it has
     _LIMIT subintervals.  Until then each round bisects its subintervals whose
     error exceeds an equal share of that tolerance (its largest one always,
     and never beyond _LIMIT); once done, its sums are kept and its
@@ -280,7 +285,7 @@ def _gk21(
         re = np.bincount(owner, val.real, n)
         im = np.bincount(owner, val.imag, n)
         esum = np.bincount(owner, err, n)
-        target = np.maximum(_EPSABS, _EPSREL * np.hypot(re, im))
+        target = np.maximum(epsabs, _EPSREL * np.hypot(re, im))
         active = (esum > target) & (count < limit)
         # A finished integral is not refined again: keep its sums and drop
         # its subintervals.
@@ -330,11 +335,15 @@ class _Family:
 
 
 class _Integral(NamedTuple):
-    """One integral of a family at params over the pieces of edges."""
+    """One integral of a family at params over the pieces of edges.
+
+    epsabs is its absolute error target (_gk21).
+    """
 
     family: _Family
     params: tuple[float, ...]
     edges: tuple[float, ...]
+    epsabs: float = _EPSABS
 
 
 class _Oracle(NamedTuple):
@@ -396,7 +405,9 @@ def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
     for index in batches.values():
         batch = [integrals[i] for i in index]
         vals[index], errs[index] = _gk21(
-            _batch_integrand(batch), [it.edges for it in batch]
+            _batch_integrand(batch),
+            [it.edges for it in batch],
+            epsabs=np.array([it.epsabs for it in batch]),
         )
     return vals, errs
 
@@ -507,43 +518,12 @@ _SHIFT = 0.5
 _CAL_CACHE: dict[str, float] = {}
 
 
-def _sinc(u: np.ndarray) -> np.ndarray:
-    """sin(u)/u for complex u, 1 at u = 0."""
-    zero = u == 0.0
-    return np.where(zero, 1.0, np.sin(u) / np.where(zero, 1.0, u))
-
-
-def _wightman_kernel(x, vertical, c, r, m, Om, gw=None, w=None):
-    """e^{-a^2/4} e^{i Omega a} W(a) da/dx on a leg; see _wightman.
-
-    The leg is a = i x where vertical is set, else a = x + i c.  The strain
-    term is on only in the family that passes gw and w.  The columns are
-    shaped (k, 1) against rows of nodes x shaped (k, n); a float node is
-    one row.  Horizontal rows go by _horizontal_leg; the few vertical ones,
-    and those where sinc(omega a/2) may meet 0/0 (omega c = 0), by the
-    defining expression, _any_leg.
-    """
-    exact = vertical != 0.0
-    if gw is not None:
-        exact = exact | (w * c == 0.0)
-    exact = np.atleast_2d(exact)[:, 0]
-    x, vertical, *cols = (
-        np.atleast_2d(v) for v in (x, vertical, c, r, m, Om, gw, w) if v is not None
-    )
-    if not exact.any():
-        return _horizontal_leg(x, *cols)
-    out = np.empty(x.shape, dtype=complex)
-    fast = ~exact
-    out[fast] = _horizontal_leg(x[fast], *(v[fast] for v in cols))
-    out[exact] = _any_leg(x[exact], vertical[exact], *(v[exact] for v in cols))
-    return out
-
-
 def _horizontal_leg(x, c, r, m, Om, gw=None, w=None):
-    """_wightman_kernel on a = x + i c, omega c != 0, in real sin and cos.
+    """e^{-a^2/4} e^{i Omega a} W(a) on a = x + i c, omega c != 0; see _wightman.
 
     sin(omega a/2) = sin(omega x/2) cosh(omega c/2) + i cos(omega x/2)
-    sinh(omega c/2), cosh and sinh once per row.
+    sinh(omega c/2).  Columns (k, 1) go with rows of nodes x (k, n), or
+    all are floats, as QUADPACK passes one node.
     """
     a = x + 1j * c
     sig = (r - a) * (r + a)
@@ -551,27 +531,31 @@ def _horizontal_leg(x, c, r, m, Om, gw=None, w=None):
     if gw is not None:
         half = 0.5 * w
         phase = half * x
-        sin_u = np.empty(x.shape, dtype=complex)
+        sin_u = np.empty(np.shape(x), dtype=complex)
         np.multiply(np.sin(phase), np.cosh(half * c), out=sin_u.real)
         np.multiply(np.cos(phase), np.sinh(half * c), out=sin_u.imag)
         kern = kern - (gw / _FOUR_PI_SQ) * sin_u / (half * a * sig * sig)
     return np.exp(a * (1j * Om - 0.25 * a)) * kern
 
 
-def _any_leg(x, vertical, c, r, m, Om, gw=None, w=None):
-    """_wightman_kernel by its defining expression, sinc(0) = 1."""
-    up = vertical != 0.0
-    a = np.where(up, 1j * x, x + 1j * c)
-    sig = (r - a) * (r + a)
-    kern = m / (_FOUR_PI_SQ * sig)
+def _vertical_leg(y, r, m, Om, gw=None, w=None):
+    """The real f with i f(y) = e^{-a^2/4} e^{i Omega a} W(a) da/dy on a = i y.
+
+    f = e^{y^2/4 - Omega y} [m/(4 pi^2 s) - gw (sinh(u)/u)/(4 pi^2 s^2)],
+    s = r^2 + y^2, u = omega y/2 != 0; columns as for _horizontal_leg.
+    """
+    s = r * r + y * y
+    kern = m / (_FOUR_PI_SQ * s)
     if gw is not None:
-        kern = kern - (gw / _FOUR_PI_SQ) * _sinc(w * a / 2.0) / (sig * sig)
-    return np.where(up, 1j, 1.0) * np.exp(-a * a / 4.0 + 1j * Om * a) * kern
+        u = 0.5 * w * y
+        kern = kern - (gw / _FOUR_PI_SQ) * (np.sinh(u) / u) / (s * s)
+    return np.exp(y * (0.25 * y - Om)) * kern
 
 
-# Columns (vertical, c, r, m, Omega), and (gw, omega) with the strain on.
-_WIGHTMAN = _Family(_wightman_kernel, complex)
-_WIGHTMAN_STRAIN = _Family(_wightman_kernel, complex)
+# The horizontal and vertical legs' families: columns (c, r, m, Omega)
+# and (r, m, Omega), each followed by (gw, omega) with the strain on.
+_LEGS = (_Family(_horizontal_leg, complex), _Family(_vertical_leg, float))
+_STRAIN_LEGS = (_Family(_horizontal_leg, complex), _Family(_vertical_leg, float))
 
 
 def _wightman(
@@ -599,9 +583,10 @@ def _wightman(
     integral is the same along any path above the poles that ends where
     the Gaussian has decayed: here Im a = c = _SHIFT over all a, or the
     vertical leg 0 -> i c and the horizontal leg i c -> i c + L over
-    a >= 0.  The value is the sum of the legs' integrals.  Over a >= 0
+    a >= 0, where the vertical leg is i times a real integral
+    (_vertical_leg; the horizontal one is _horizontal_leg's).  Over a >= 0
     the path starts at a = 0, a pole when r = 0, so D = 0 raises
-    ValueError there.
+    ValueError there, as does a strain term at omega = 0.
 
     Over all a only the right half, Re a >= 0, is integrated: every
     column is real, so the integrand at -x + i c is the complex conjugate
@@ -637,16 +622,17 @@ def _wightman(
         / _FOUR_PI_SQ
     )
     # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
-    family, strain_cols = (_WIGHTMAN_STRAIN, (gw, w)) if gw else (_WIGHTMAN, ())
-    cols = (c, r, m, Om, *strain_cols)
+    if gw and w == 0.0:
+        raise ValueError("the strain term of a Wightman integral needs omega != 0")
+    (across, up), strain_cols = (_STRAIN_LEGS, (gw, w)) if gw else (_LEGS, ())
     steps = _halvings(0.0, L - Dv, _POLE_HALVINGS)
     ladder = [Dv, *(Dv + h for h in steps), *(Dv - h for h in steps)]
-    right = _Integral(family, (0.0, *cols), _edges(0.0, L, ladder))
+    right = _Integral(across, (c, r, m, Om, *strain_cols), _edges(0.0, L, ladder))
     if not full_line:
-        legs = [_Integral(family, (1.0, *cols), (0.0, c)), right]
-        return _Oracle(
-            legs, lambda v, e: _judged(complex(v.sum()), float(e.sum()) + tail)
-        )
+        legs = [_Integral(up, (r, m, Om, *strain_cols), (0.0, c)), right]
+        return _Oracle(legs, lambda v, e: _judged(
+            complex(v[1] + 1j * v[0].real), float(e.sum()) + tail
+        ))
 
     def folded(v: np.ndarray, e: np.ndarray) -> OracleEstimate:
         return _judged(complex(2.0 * v[0].real), 2.0 * float(e[0]) + tail)
@@ -813,7 +799,8 @@ def oracle_XM(
 
     method="contour": K(a) = -1/(4 pi^2 ((a + i eps)^2 - D^2)), eps -> 0+,
     integrated along 0 -> i c -> i c + oo above the pole: the half-line
-    Wightman integral at Omega = 0.
+    Wightman integral at Omega = 0, whose vertical leg is i times a real
+    integral.
 
     method="pv_subtraction": the independent regularization — the
     principal value at a = D is computed by subtracting the singular
@@ -908,7 +895,7 @@ def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
     T integral is done by quadrature, so this path shares no algebra with
     f_envelope, the I1/I2 closed forms or the 1/(4 D^2 pi^{3/2})
     normalization.  The a integral runs along the half-line contour, like
-    oracle_XM's.
+    oracle_XM's: i times a real integral up to i c, then a complex one.
     """
     _check_args(omega=omega, Omega=Omega, D=D, t0=t0)
     return _solve([_x_gw(omega, Omega, D, t0)])[0]
@@ -938,6 +925,16 @@ def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
 
 
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
+
+
+def _scaled_epsabs(scale: float, n: int) -> float:
+    """Absolute target of each of n s-integrals whose sum is scaled by scale.
+
+    _EPSABS, or less where n targets times |scale| would pass half of
+    _FINE_TOL: the prefactor sqrt(pi) e^{-omega^2/4}/omega grows as
+    omega -> 0, and the scaled error must stay within target.
+    """
+    return min(_EPSABS, 0.5 * _FINE_TOL / (n * abs(scale)))
 
 
 def _i2_kernel(s, w, D):
@@ -977,7 +974,9 @@ def _i2(omega: float, D: float) -> _Oracle:
         total_err = abs(pref) * float(errs[0]) + tail
         return _judged(complex(pref * complex(vals[0]).real, 0.0), total_err)
 
-    return _Oracle([_Integral(_I2, (w, Dv), _graded(0.0, Ls))], finish)
+    return _Oracle(
+        [_Integral(_I2, (w, Dv), _graded(0.0, Ls), _scaled_epsabs(pref, 1))], finish
+    )
 
 
 def oracle_I2(omega: float, D: float) -> OracleEstimate:
@@ -1018,8 +1017,10 @@ def _i4(omega: float, Omega: float, D: float) -> _Oracle:
         total_err = abs(pref) * float(errs.sum()) + tail
         return _judged(complex(pref * val, 0.0), total_err)
 
+    epsabs = _scaled_epsabs(pref, len(segments))
     return _Oracle(
-        [_Integral(_I4, (Om, Dv, w), _graded(a, b)) for a, b, _ in segments], finish
+        [_Integral(_I4, (Om, Dv, w), _graded(a, b), epsabs) for a, b, _ in segments],
+        finish,
     )
 
 
@@ -1068,7 +1069,8 @@ def oracle_I1(omega: float, D: float) -> OracleEstimate:
     The strain term of W for two detectors D apart along x is
     -D^2 sinc(omega a/2) / (4 pi^2 sigma^4), so -4 pi^2 D^2 times its
     half-line integral S_half (oracle_x_gw's a-integral, along the same
-    contour) is the eps -> 0+ limit of
+    contour: i times a real integral on its vertical leg) is the
+    eps -> 0+ limit of
 
       D^4 * Integral_0^inf of e^{-a^2/4} sinc(omega a/2) / ((a + i eps)^2 - D^2)^2 da.
 

@@ -60,6 +60,9 @@ REMOVED = (
     "_wightman_legs",
     "_contour",
     "_KERNEL_TOL",
+    "_wightman_kernel",
+    "_any_leg",
+    "_sinc",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library
@@ -237,6 +240,10 @@ def test_oracle_names_resolve_through_the_package():
     names = {}
     exec("from gwharvest import *", names)
     assert set(gwharvest.__all__) <= names.keys()
+    # The end-to-end oracles and the error their calibration raises.
+    for name in ("oracle_x_gw", "oracle_c_gw", "SignConventionMismatch"):
+        assert name in gwharvest.__all__
+        assert names[name] is getattr(gwharvest.oracle, name)
 
 
 def test_unknown_package_attribute_raises():

@@ -23,6 +23,7 @@ from scipy.integrate import quad as scipy_quad
 
 from gwharvest import cli, oracle
 from gwharvest.closedform import (
+    SMALL_OMEGA_CUTOFF,
     c_minkowski,
     integral_I1,
     integral_I2,
@@ -293,8 +294,8 @@ def test_gk21_agrees_with_quadpack_within_both_error_estimates(
     integrals = []
     batched = oracle._gk21
 
-    def recording(f, edges):
-        values, errors = batched(f, edges)
+    def recording(f, edges, **kwargs):
+        values, errors = batched(f, edges, **kwargs)
         integrals.extend(
             (f, i, tuple(e), v, err)
             for i, (e, v, err) in enumerate(zip(edges, values, errors))
@@ -588,36 +589,47 @@ def _defining_wightman(x, vertical, c, D, m, Om, gw, w):
 
 
 def test_wightman_kernel_equals_its_defining_expression():
-    # Both leg shapes, with the strain term off (m = 1) and on alone
-    # (m = 0, gw = D^2, as the oracles use it), at omega = 0 too, where
-    # sinc(0) = 1.  All rows go in one call, so that horizontal rows and
-    # rows by the defining expression share it; each must match.
+    # Each leg's kernel, _horizontal_leg and i times _vertical_leg, with
+    # the strain term off (m = 1) and on alone (m = 0, gw = D^2, as the
+    # oracles use it), on rows of nodes as _gk21 passes them and on float
+    # nodes as QUADPACK does.
     c = oracle._SHIFT
-    rows, nodes, want = [], [], []
-    for vertical, Om, D, w, strain in itertools.product(
-        (True, False), (-2.0, 0.0, 1.5), (0.25, 1.0, 4.0),
-        (0.0, 1e-3, 0.5, 8.0), (False, True),
-    ):
-        if w == 0.0 and not strain:
-            continue
+    for vertical, strain in itertools.product((True, False), (False, True)):
+        rows, nodes, want = [], [], []
+        for Om, D, w in itertools.product(
+            (-2.0, 0.0, 1.5), (0.25, 1.0, 4.0), (1e-3, 0.5, 8.0) if strain else (0.0,)
+        ):
+            if vertical:
+                x = np.linspace(0.0, c, 23)[1:-1]
+            else:
+                x = np.linspace(-1.0, 1.0, 21) * (D + 14.0)
+            m, gw = (0.0, D * D) if strain else (1.0, 0.0)
+            cols = (D, m, Om, gw, w) if strain else (D, m, Om)
+            rows.append(cols if vertical else (c, *cols))
+            nodes.append(x)
+            want.append(_defining_wightman(x, vertical, c, D, m, Om, gw, w))
+        x, want, cols = np.array(nodes), np.array(want), np.array(rows).T
         if vertical:
-            x = np.linspace(0.0, c, 23)[1:-1]
+            got = 1j * oracle._vertical_leg(x, *cols[:, :, None])
         else:
-            x = np.linspace(-1.0, 1.0, 21) * (D + 14.0)
-        m, gw = (0.0, D * D) if strain else (1.0, 0.0)
-        rows.append((float(vertical), c, D, m, Om, gw, w, strain))
-        nodes.append(x)
-        want.append(_defining_wightman(x, vertical, c, D, m, Om, gw, w))
-    x, want = np.array(nodes), np.array(want)
-    for strain in (False, True):
-        pick = [i for i, row in enumerate(rows) if row[-1] == strain]
-        cols = np.array([row[:7] if strain else row[:5] for row in rows])[pick].T
-        got = oracle._wightman_kernel(x[pick], *cols[:, :, None])
-        assert np.all(np.abs(got - want[pick]) <= 1e-13 * np.abs(want[pick]))
-        # A float node is one row, as QUADPACK asks for it.
+            got = oracle._horizontal_leg(x, *cols[:, :, None])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         for i, j in ((0, 3), (-1, 7)):
-            one = oracle._wightman_kernel(float(x[pick][i, j]), *cols[:, i])
-            assert one.shape == (1, 1) and one[0, 0] == got[i, j]
+            if vertical:
+                one = 1j * oracle._vertical_leg(float(x[i, j]), *cols[:, i].tolist())
+            else:
+                one = oracle._horizontal_leg(float(x[i, j]), *cols[:, i].tolist())
+            assert abs(one - want[i, j]) <= 1e-13 * abs(want[i, j])
+
+
+@pytest.mark.parametrize("full_line", [False, True])
+def test_wightman_rejects_the_strain_term_at_zero_frequency(full_line):
+    # sinc(omega a/2) is 1 at omega = 0, which the leg kernels do not
+    # compute; no public oracle takes that input.
+    with pytest.raises(ValueError, match="omega != 0"):
+        oracle._wightman(
+            1.0, 1.0, full_line=full_line, minkowski=0.0, strain=1.0, omega=0.0
+        )
 
 
 def _wightman_4d(X, Xp, A, w):
@@ -628,7 +640,7 @@ def _wightman_4d(X, Xp, A, w):
       W = 1/(4 pi^2 sigma^2) - s (dx^2 - dy^2) sinc(omega du/2) / (4 pi^2 sigma^4)
 
     with sigma^2 the flat interval, u = t - z and s = A cos(omega (u + u')/2).
-    At dz = 0 (du = a = dt) this is the kernel of oracle._wightman_kernel.
+    At dz = 0 (du = a = dt) this is the kernel of oracle._horizontal_leg.
     """
     dt, dx, dy, dz = (X[k] - Xp[k] for k in range(4))
     sig = dx * dx + dy * dy + dz * dz - dt * dt
@@ -685,7 +697,7 @@ def test_the_model_wightman_function_solves_the_wave_equation(X, Xp):
 
 
 def test_the_wave_equation_check_takes_the_oracles_kernel():
-    # At dz = 0, _wightman_4d is oracle._wightman_kernel's W on the real
+    # At dz = 0, _wightman_4d is oracle._horizontal_leg's W on the real
     # axis (c = 0, no Gaussian or gap phase: Om = 0, times e^{a^2/4}),
     # with gw = s (dx^2 - dy^2) as _wightman forms it.
     w, A = 1.3, 0.05
@@ -695,9 +707,9 @@ def test_the_wave_equation_check_takes_the_oracles_kernel():
         a = X[0] - Xp[0]
         dx, dy = X[1] - Xp[1], X[2] - Xp[2]
         s = A * math.cos(w * (X[0] - X[3] + Xp[0] - Xp[3]) / 2.0)
-        kern = oracle._wightman_kernel(
-            a, 0.0, 0.0, math.hypot(dx, dy), 1.0, 0.0, s * (dx * dx - dy * dy), w
-        )[0, 0] * math.exp(a * a / 4.0)
+        kern = oracle._horizontal_leg(
+            a, 0.0, math.hypot(dx, dy), 1.0, 0.0, s * (dx * dx - dy * dy), w
+        ) * math.exp(a * a / 4.0)
         want = _wightman_4d(X, Xp, A, w)
         assert abs(kern - want) <= 1e-13 * abs(want)
 
@@ -739,6 +751,25 @@ def test_oracle_i2_i4_machine_accurate():
         assert i4.converged
         assert i4.abs_error_estimate < 1e-10
         assert abs(i4.value - integral_I4(w, Om, D)) <= 1e-15 * abs(i4.value)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-6, 1e-9])
+def test_oracle_i2_i3_i4_converge_at_small_frequency(omega):
+    # The s-integrals are scaled by sqrt(pi) e^{-omega^2/4}/omega, up to
+    # 1.8e9 here: their absolute targets shrink with it, so the scaled
+    # error stays within _FINE_TOL.  The closed forms are taken on their
+    # small-omega series, as below the cutoff: at the cutoff itself the
+    # direct forms of I2 and I4 lose up to 1e-11 to cancellation
+    # (test_small_omega_fallbacks_are_continuous), 3.0e-12 for I2 here.
+    series = min(omega, math.nextafter(SMALL_OMEGA_CUTOFF, 0.0))
+    Om, D = 1.0, 1.0
+    for est, closed in [
+        (oracle_I2(omega, D), integral_I2(series, D)),
+        (oracle_I3(omega, Om, D), integral_I3(series, Om, D)),
+        (oracle_I4(omega, Om, D), integral_I4(series, Om, D)),
+    ]:
+        assert est.converged, est
+        assert abs(est.value - closed) <= 1e-12 * abs(closed), (est, closed)
 
 
 # I1 and I3 are the delta' parts of the strain term, at a = D and a = +-D.
@@ -1089,33 +1120,35 @@ def test_verify_suite_makes_one_quadrature_call_per_value_type(monkeypatch):
     sizes = _gk21_call_sizes(monkeypatch)
     records = verify_suite()
     assert len(records) == 183
-    # One call for the complex integrands: one contour leg each of P (3)
-    # and C_M (12), two of the X_M kernel (4 D), the two half-line
-    # strain-term legs of I1 (12 (omega, D)) and the one full-line leg of
-    # I3 (36): 3 + 12 + 8 + 24 + 36.  One for the real ones: X_M by PV
+    # One call for the complex integrands, the horizontal contour legs:
+    # one each of P (3), C_M (12), the X_M kernel (4 D), the half-line
+    # strain term of I1 (12 (omega, D)) and the full-line one of I3 (36):
+    # 3 + 12 + 4 + 12 + 36.  One for the real ones: the vertical legs of
+    # the X_M kernel (4) and of I1's strain term (12), X_M by PV
     # subtraction (4 D, two pieces), I2 (12) and I4's two pieces (36),
-    # each shared by the I1 or I3 reference at its point: 8 + 12 + 72.
-    assert sorted(sizes) == [83, 92]
+    # each shared by the I1 or I3 reference at its point:
+    # 4 + 12 + 8 + 12 + 72.
+    assert sorted(sizes) == [67, 108]
 
 
 def test_verify_suite_starts_each_integral_on_its_final_partition(monkeypatch):
     # Rows (subintervals) per _gk21_rule call of a default verify_suite,
     # complex pass first, at most _MAX_ROWS = 512 per call.
     # Complex: every integral meets its target on its start edges, so the
-    # pass is its first round, 642 rows in two calls.  A full-line oracle
-    # integrates the right half of its contour only (twice its real part),
-    # over [0, L] cut at each p > 0 among D, D + 14/2^j and D - 14/2^j,
-    # j = 1..5.  At D = 0 (P, 3 Omega) that is the 5 points 14/2^j: 6
-    # rows.  At D > 0 it is D, the 5 points D + 14/2^j and 1, 2, 3 or 4
-    # of the D - 14/2^j at D = 0.5, 1, 2, 4: 8, 9, 10 and 11 rows, 38
-    # over the four D, for C_M (3 Omega) and I3 (9 (omega, Omega)).  A
-    # half-line oracle has the same horizontal leg plus one row for
-    # 0 -> i c: 42 over the four D, for X_M (1) and I1 (3 omega).
-    # 3 * 6 + 12 * 38 + 4 * 42 = 642.
+    # pass is its first round, 626 rows in two calls.  Every contour
+    # integral has one horizontal leg over [0, L] (a full-line oracle
+    # takes twice its real part), cut at each p > 0 among D, D + 14/2^j
+    # and D - 14/2^j, j = 1..5.  At D = 0 (P, 3 Omega) that is the 5
+    # points 14/2^j: 6 rows.  At D > 0 it is D, the 5 points D + 14/2^j
+    # and 1, 2, 3 or 4 of the D - 14/2^j at D = 0.5, 1, 2, 4: 8, 9, 10 and
+    # 11 rows, 38 over the four D, for C_M (3 Omega), I3 (9 (omega,
+    # Omega)), X_M (1) and I1 (3 omega).  3 * 6 + 16 * 38 = 626.
     # Real: I2's [0, 9 + omega/2] (12) and I4's two pieces (36 points)
-    # start halved three times toward 0, 4 rows each, and X_M's PV pieces
-    # at 2 and 4 rows (4 D): 48 + 288 + 24 = 360; then two rounds bisect
-    # 150 and 26 subintervals.
+    # start halved three times toward 0, 4 rows each, X_M's PV pieces at
+    # 2 and 4 rows (4 D), and the half-line oracles' vertical legs
+    # 0 -> i c at one row each (X_M at 4 D, I1 at 12 (omega, D)):
+    # 48 + 288 + 24 + 16 = 376; then two rounds bisect 150 and 26
+    # subintervals.
     verify_suite(MINIMAL_VERIFY_GRID)  # fills the P calibration, if not yet done
     rows = []
     rule = oracle._gk21_rule
@@ -1126,7 +1159,7 @@ def test_verify_suite_starts_each_integral_on_its_final_partition(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gk21_rule", counting)
     verify_suite()
-    assert rows == [512, 130, 360, 300, 52]
+    assert rows == [512, 114, 376, 300, 52]
 
 
 def _count_quad_calls(monkeypatch):
