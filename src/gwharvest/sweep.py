@@ -14,9 +14,11 @@ name of a failure).
 
 emit_csv and emit_svg take a GridResult.  CSV rows carry the full
 parameter tuple, every observable, and a status column; floats are
-written with repr(), Python's shortest round-trip decimal form.  The file
-contains exactly one header line plus one line per grid point — no
-comment or metadata lines, so an N-point sweep is an (N+1)-line file.
+written as repr() writes them, Python's shortest round-trip decimal
+form, by the array formatter in _shortest (repr itself only for zeros,
+inf, nan and subnormals).  The file contains exactly one header line plus
+one line per grid point — no comment or metadata lines, so an N-point
+sweep is an (N+1)-line file.
 Figure metadata lives in the SVG output as XML comments.
 
 A FigurePreset's chart kind follows its grids: one two-axis grid is a
@@ -43,7 +45,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import closedform
+from . import _shortest, closedform
 from .model import (
     CONFIG_DEFAULTS,
     CONFIG_KEYS,
@@ -75,9 +77,10 @@ _PARAM_COLUMNS = ("omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "A")
 
 CSV_HEADER = ",".join(_PARAM_COLUMNS + closedform.OBSERVABLES + ("status",))
 
-# Points per evaluate_arrays call and per batch of CSV lines: bounds the
-# kernel's temporaries (a few dozen arrays of this length) and the strings
-# held at once, whatever the grid size.
+# Points per evaluate_arrays call and per block of CSV lines: bounds the
+# kernel's temporaries (a few dozen arrays of this length) and a block's
+# byte buffer and mask (about 1.2 MB each at 20 columns of 56 bytes),
+# whatever the grid size.
 _BLOCK = 1024
 
 _NAN_ROW = (math.nan,) * len(closedform.OBSERVABLES)
@@ -238,34 +241,47 @@ def run_grid(spec: GridSpec) -> GridResult:
 # --- CSV -------------------------------------------------------------------
 
 
-def _repr_column(col: np.ndarray) -> list[str]:
-    """repr() of each float of col, each distinct double formatted once.
-
-    Values are told apart by bit pattern, not by value, so that -0.0 and
-    0.0 (equal as floats) each keep their own text.
-    """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
-    return [text[i] for i in inverse.tolist()]
-
-
 def emit_csv(points: GridResult, path: str) -> str:
     """Write a GridResult as CSV: header line plus one line per point.
 
     No comment or metadata lines are emitted, so the file always has
-    exactly len(points) + 1 lines.  Floats use repr() — the shortest
-    decimal form that round-trips to the identical double; a value that
-    repeats within a block of lines is formatted once.
+    exactly len(points) + 1 lines.  Floats are written as repr() writes
+    them, the shortest decimal that round-trips to the identical double.
+    Each block of _BLOCK lines is laid out in one byte buffer: every
+    float's field (_shortest.csv_fields), then the line's status and
+    newline, each zero-padded to a fixed width.  One mask keeps the text
+    bytes, and the block is written as the bytes it keeps.
     """
     columns = [points.column(name) for name in _PARAM_COLUMNS]
     columns += list(points.values.T)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    # Each distinct status once: its line's end in UTF-8, zero-padded to
+    # whole words so that every line's float words stay aligned.
+    statuses = {status: i for i, status in enumerate(dict.fromkeys(points.status))}
+    ends = [f"{status}\n".encode() for status in statuses]
+    width = 8 * -(-max(map(len, ends), default=0) // 8)
+    end_text = _shortest.padded_words(ends, width // 8).view(np.uint8)
+    end_len = np.array([len(end) for end in ends], np.intp)
+    line_end = np.array([statuses[status] for status in points.status], np.intp)
+
+    floats = len(columns) * _shortest.WORDS * 8
+    lines = min(_BLOCK, len(points))
+    buffer = np.empty((lines, floats + width), np.uint8)
+    keep = np.empty(buffer.shape, bool)
+    with open(path, "wb") as fh:
+        fh.write(f"{CSV_HEADER}\n".encode())
         for start in range(0, len(points), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            fields = [_repr_column(col[rows]) for col in columns]
-            fields.append(points.status[rows])
-            fh.write("".join(f"{line}\n" for line in map(",".join, zip(*fields))))
+            block = np.column_stack([col[rows] for col in columns])
+            text, kept = buffer[: len(block)], keep[: len(block)]
+            _shortest.csv_fields(
+                block,
+                text[:, :floats].view(np.uint64).reshape(block.shape + (-1,)),
+            )
+            np.not_equal(text[:, :floats], 0, out=kept[:, :floats])
+            end = line_end[rows]
+            text[:, floats:] = end_text[end]
+            np.less(np.arange(width), end_len[end, None], out=kept[:, floats:])
+            fh.write(text[kept])
     return path
 
 

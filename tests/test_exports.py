@@ -63,6 +63,7 @@ REMOVED = (
     "_wightman_kernel",
     "_any_leg",
     "_sinc",
+    "_repr_column",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library

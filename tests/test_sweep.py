@@ -362,6 +362,12 @@ def test_emit_csv_writes_failed_rows_as_plain_nan(tmp_path):
     assert np.signbit(points.values[0, 0])
     text = _read(emit_csv(points, str(tmp_path / "failed.csv")))
     assert text == _plain_csv(points)
+    # Subnormal parameters, which repr formats itself, on failed rows.
+    points = run_grid(GridSpec(axis1=AxisSpec("D_sigma", 1e-310, 1e-300, 2)))
+    assert "ok" not in points.status
+    text = _read(emit_csv(points, str(tmp_path / "subnormal.csv")))
+    assert text == _plain_csv(points)
+    assert text.splitlines()[1].split(",")[2] == "1e-310"
 
 
 def test_emit_csv_repeats_straddle_block_boundaries(tmp_path):
@@ -381,6 +387,19 @@ def test_emit_csv_repeats_straddle_block_boundaries(tmp_path):
     )
     text = _read(emit_csv(points, str(tmp_path / "long.csv")))
     assert text == _plain_csv(points)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [test_emit_csv_writes_failed_rows_as_plain_nan,
+     test_emit_csv_repeats_straddle_block_boundaries],
+    ids=lambda test: test.__name__,
+)
+def test_emit_csv_blocks_of_seven_lines(test, tmp_path, monkeypatch):
+    # Many blocks, the last one shorter (15 = 7 + 7 + 1 and 314 = 44 * 7 +
+    # 6 lines), each laid out in the buffer the first one sized.
+    monkeypatch.setattr(sweep, "_BLOCK", 7)
+    test(tmp_path)
 
 
 @pytest.mark.parametrize("figure_id", sorted(PRESETS))
