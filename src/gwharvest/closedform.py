@@ -41,7 +41,15 @@ from .model import (
     DimensionlessParams,
     StateInvalid,
 )
-from .specfun import _ARRAY, _SCALAR, DomainTooLarge, _Backend, _cmul, _phased_erf
+from .specfun import (
+    _ARRAY,
+    _SCALAR,
+    DomainTooLarge,
+    _Backend,
+    _cmul,
+    _phased_erf,
+    complex_array,
+)
 
 __all__ = [
     "SMALL_OMEGA_CUTOFF",
@@ -106,48 +114,15 @@ OBSERVABLES = (
 # --- the closed forms, written once ------------------------------------------
 #
 # Each form takes a backend b (specfun._Backend): evaluate and the piece
-# functions run it on builtin floats, evaluate_arrays on numpy arrays, with
-# the same bits.  Shared factors are computed once per point.  The scalar
+# functions run it on builtin floats, evaluate_arrays and _piece_arrays on
+# numpy arrays, with the same bits.  Shared factors are computed once per point.  The scalar
 # forms raise where Python's arithmetic does, and take their steps in a
 # fixed order, so at a point where two steps fail the first names it.
-
-
-def _gauss(b: _Backend, D):
-    """e^{-D^2/4} by libm's exp: the Gaussian of I1 and I3, and exp(-p^2)
-    at p = D/2 of every phased erf product (-D*D/4 and -p*p are the same
-    double)."""
-    return b.exp(-D * D / 4.0)
 
 
 def _p_norm(b: _Backend, Om, gauss_om):
     """P from gauss_om = e^{-Om^2}, which the I4 series shares."""
     return (gauss_om - _SQRT_PI * Om * b.erfc(Om)) / (4.0 * math.pi)
-
-
-def _e0(b: _Backend, D, gauss):
-    """Parts of E0 = e^{-D^2/4} erf(iD/2): X_M's, and the I2 series'."""
-    return _phased_erf(b, D / 2.0, gauss, 0.0, 1.0, 0.0, 1.0)
-
-
-def _z(b: _Backend, Om, D, gauss, gauss_om, sin_OD, cos_OD):
-    """Parts of z = e^{i Om D} e^{-D^2/4} erf(Om + iD/2): C_M's, and the I4
-    series'."""
-    return _phased_erf(b, D / 2.0, gauss, Om, cos_OD, sin_OD, gauss_om)
-
-
-def _x_m(b: _Backend, Om, D, t0, gauss, gauss_om, e0):
-    """X_M from gauss_om = e^{-Om^2} and E0."""
-    scaled_re, scaled_im = e0
-    inv = 1.0 / (4.0 * D * _SQRT_PI)
-    # exp(-Om^2 - 2i Om t0), multiplied out as cmath.exp does.
-    arg = -2.0 * Om * t0
-    pre_re, pre_im = _cmul(0.0, inv, gauss_om * b.cos(arg), gauss_om * b.sin(arg))
-    return _cmul(pre_re, pre_im, scaled_re - gauss, scaled_im)
-
-
-def _c_m(D, gauss, sin_OD, z_im):
-    """C_M from Im z."""
-    return (z_im - gauss * sin_OD) / (4.0 * D * _SQRT_PI)
 
 
 def _envelope(b: _Backend, w, Om, t0):
@@ -261,16 +236,17 @@ def _erf_quotient(w, k, D, gauss_k, z_re, z_im, sinc, cos):
 
 
 def _i2_series(w, D, e0_im, sinc, cos):
-    """I2 = (pi/w) g(w/2) = (pi/2) _erf_quotient at k = 0, where z is E0
-    (_e0).  E0 is purely imaginary, so its computed real part, zero up to
-    rounding, is not used."""
+    """I2 = (pi/w) g(w/2) = (pi/2) _erf_quotient at k = 0, where z is
+    _minkowski's E0.  E0 is purely imaginary, so its computed real part,
+    zero up to rounding, is not used."""
     return math.pi / 2.0 * _erf_quotient(w, 0.0, D, 1.0, 0.0, e0_im, sinc, cos)
 
 
 def _i4_series(w, Om, D, gauss_om, z_re, z_im, sinc, cos):
     """I4 = (pi/w) [g(w/2 + Om) + g(w/2 - Om)] = pi _erf_quotient at k = Om
-    (z as in _z), as g is odd: the -Om branch, e^{-D^2/4} erf(-Om + iD/2),
-    is -conj of the +Om one and needs no evaluation."""
+    (z as in _minkowski), as g is odd: the -Om branch,
+    e^{-D^2/4} erf(-Om + iD/2), is -conj of the +Om one and needs no
+    evaluation."""
     return math.pi * _erf_quotient(w, Om, D, gauss_om, z_re, z_im, sinc, cos)
 
 
@@ -302,44 +278,55 @@ def _gw_series(b: _Backend, w, Om, D, gauss_w, factors):
     )
 
 
-def _x_gw(env_re, env_im, i1, i2, D):
-    fk_re, fk_im = _cmul(env_re, env_im, i2, i1)
-    inv = 1.0 / (4.0 * D * D * _PI_32)
-    return fk_re * inv, fk_im * inv
-
-
-def _c_gw(b: _Backend, w, D, t0, gauss_w, i3, i4):
-    return -gauss_w * b.cos(w * t0) * (i3 + i4) / (4.0 * D * D * _PI_32)
-
-
 def _minkowski(b: _Backend, Om, D, t0):
     """(P, Re X_M, Im X_M, C_M, |X_M|), and the factors the GW terms reuse:
-    (e^{-D^2/4}, e^{-Om^2}, sin(Om D), cos(Om D), Im E0, Re z, Im z), E0
-    and z as in _e0 and _z."""
-    gauss, gauss_om = _gauss(b, D), b.exp(-Om * Om)
-    e0 = _e0(b, D, gauss)
-    xm_re, xm_im = _x_m(b, Om, D, t0, gauss, gauss_om, e0)
+    (e^{-D^2/4}, e^{-Om^2}, sin(Om D), cos(Om D), Im E0, Re z, Im z)."""
+    # e^{-D^2/4} by libm's exp: the Gaussian of I1 and I3, and exp(-p^2) at
+    # p = D/2 of every phased erf product (-D*D/4 and -p*p are the same
+    # double).
+    gauss, gauss_om = b.exp(-D * D / 4.0), b.exp(-Om * Om)
+    # E0 = e^{-D^2/4} erf(iD/2): X_M's, and the I2 series'.
+    e0_re, e0_im = _phased_erf(b, D / 2.0, gauss, 0.0, 1.0, 0.0, 1.0)
+    # X_M = i/(4 D sqrt(pi)) exp(-Om^2 - 2i Om t0) (E0 - e^{-D^2/4}), the
+    # exponential multiplied out as cmath.exp does.
+    inv = 1.0 / (4.0 * D * _SQRT_PI)
+    arg = -2.0 * Om * t0
+    pre_re, pre_im = _cmul(0.0, inv, gauss_om * b.cos(arg), gauss_om * b.sin(arg))
+    xm_re, xm_im = _cmul(pre_re, pre_im, e0_re - gauss, e0_im)
     OD = Om * D
     sin_OD, cos_OD = b.sin(OD), b.cos(OD)
-    z_re, z_im = _z(b, Om, D, gauss, gauss_om, sin_OD, cos_OD)
-    c_m = _c_m(D, gauss, sin_OD, z_im)
+    # z = e^{i Om D} e^{-D^2/4} erf(Om + iD/2): C_M's, and the I4 series'.
+    z_re, z_im = _phased_erf(b, D / 2.0, gauss, Om, cos_OD, sin_OD, gauss_om)
+    # C_M = (Im z - e^{-D^2/4} sin(Om D)) / (4 D sqrt(pi)).
+    c_m = (z_im - gauss * sin_OD) / (4.0 * D * _SQRT_PI)
     minkowski = (_p_norm(b, Om, gauss_om), xm_re, xm_im, c_m, b.abs(xm_re, xm_im))
-    return minkowski, (gauss, gauss_om, sin_OD, cos_OD, e0[1], z_re, z_im)
+    return minkowski, (gauss, gauss_om, sin_OD, cos_OD, e0_im, z_re, z_im)
+
+
+def _integrals(b: _Backend, w, Om, D, factors):
+    """(e^{-w^2/4}, Im I1, I2, I3, I4) of a point, from the factors
+    _minkowski returns.  One choice per point picks the series or the
+    direct forms."""
+    gauss_w = b.exp(-w * w / 4.0)
+    return gauss_w, *b.choose(
+        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, gauss_w, factors
+    )
 
 
 def _gw(b: _Backend, w, Om, D, t0, factors):
     """(Re x_gw, Im x_gw, c_gw) of a point.
 
     The envelope comes first: where its ** overflows, nothing after it
-    runs.  One choice per point picks the series or the direct forms.
+    runs.
     """
     env_re, env_im = _envelope(b, w, Om, t0)
-    gauss_w = b.exp(-w * w / 4.0)
-    i1, i2, i3, i4 = b.choose(
-        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, gauss_w, factors
-    )
-    xg_re, xg_im = _x_gw(env_re, env_im, i1, i2, D)
-    return xg_re, xg_im, _c_gw(b, w, D, t0, gauss_w, i3, i4)
+    gauss_w, i1, i2, i3, i4 = _integrals(b, w, Om, D, factors)
+    # x_gw = f (I2 + I1) / (4 D^2 pi^{3/2}), I1 = i Im I1.
+    fk_re, fk_im = _cmul(env_re, env_im, i2, i1)
+    inv = 1.0 / (4.0 * D * D * _PI_32)
+    # c_gw = -e^{-w^2/4} cos(w t0) (I3 + I4) / (4 D^2 pi^{3/2}).
+    c_gw = -gauss_w * b.cos(w * t0) * (i3 + i4) / (4.0 * D * D * _PI_32)
+    return fk_re * inv, fk_im * inv, c_gw
 
 
 def _observables(b: _Backend, A, minkowski, gw):
@@ -360,7 +347,20 @@ def _observables(b: _Backend, A, minkowski, gw):
     )
 
 
-# --- the pieces, one closed form each on builtin floats ---------------------
+# --- the pieces: each reads the composition on builtin floats ---------------
+#
+# transition_probability reads _p_norm as _minkowski does, x_minkowski and
+# c_minkowski read _minkowski, integral_I1-I4 _integrals of its factors,
+# and x_gw and c_gw _gw: a piece's value is the bits
+# evaluate computes for it, and the piece raises wherever that composition
+# raises at its point.  A piece without t0 reads the composition at t0 = 0,
+# and I1 and I2 read it at Omega = 0: no step they depend on uses those.
+
+
+def _integrals_at(omega, Omega, D):
+    """_integrals of a point on builtin floats, read at t0 = 0."""
+    _, factors = _minkowski(_SCALAR, Omega, D, 0.0)
+    return _integrals(_SCALAR, omega, Omega, D, factors)
 
 
 def transition_probability(Omega: float) -> float:
@@ -384,11 +384,11 @@ def x_minkowski(Omega: float, D: float, t0: float) -> complex:
 
     The scaled product e^{-D^2/4} erf(iD/2) is evaluated without forming
     the exploding erf(iD/2) on its own.  t0 enters only through the phase,
-    so |X_M| is t0-independent.
+    so |X_M| is t0-independent.  Raises wherever _minkowski raises at
+    (Omega, D, t0).
     """
-    gauss, gauss_om = _gauss(_SCALAR, D), math.exp(-Omega * Omega)
-    e0 = _e0(_SCALAR, D, gauss)
-    return complex(*_x_m(_SCALAR, Omega, D, t0, gauss, gauss_om, e0))
+    (_, xm_re, xm_im, _, _), _ = _minkowski(_SCALAR, Omega, D, t0)
+    return complex(xm_re, xm_im)
 
 
 def c_minkowski(Omega: float, D: float) -> float:
@@ -399,12 +399,10 @@ def c_minkowski(Omega: float, D: float) -> float:
 
     Not an even function of Omega: for a pair initialized in the excited
     state (Omega < 0) the exchange term is enhanced rather than mirrored.
+    Raises wherever _minkowski raises at (Omega, D, t0 = 0).
     """
-    gauss, gauss_om = _gauss(_SCALAR, D), math.exp(-Omega * Omega)
-    OD = Omega * D
-    sin_OD, cos_OD = math.sin(OD), math.cos(OD)
-    _, z_im = _z(_SCALAR, Omega, D, gauss, gauss_om, sin_OD, cos_OD)
-    return _c_m(D, gauss, sin_OD, z_im)
+    (_, _, _, c_m, _), _ = _minkowski(_SCALAR, Omega, D, 0.0)
+    return c_m
 
 
 def f_envelope(omega: float, Omega: float, t0: float) -> complex:
@@ -438,14 +436,10 @@ def integral_I1(omega: float, D: float) -> complex:
     For omega below SMALL_OMEGA_CUTOFF the 0/0 form is replaced by its
     Taylor polynomial through omega^4,
     i pi e^{-D^2/4} (D/2) [ (D^2/4 + 1) sin(h)/h - cos(h)/2 ] with
-    h = omega D/2 and sin(h)/h, cos(h) expanded through h^4.
-    evaluate and evaluate_arrays run the same source (_i1, _i1_series).
+    h = omega D/2 and sin(h)/h, cos(h) expanded through h^4.  Raises
+    wherever _minkowski and _integrals raise at (omega, Omega = 0, D).
     """
-    gauss = _gauss(_SCALAR, D)
-    if _small_omega(omega):
-        return complex(0.0, _i1_series(D, gauss, *_sinc_cos(omega, D)))
-    h = omega * D / 2.0
-    return complex(0.0, _i1(omega, D, gauss, math.sin(h), math.cos(h)))
+    return complex(0.0, _integrals_at(omega, 0.0, D)[1])
 
 
 def integral_I2(omega: float, D: float) -> float:
@@ -461,19 +455,13 @@ def integral_I2(omega: float, D: float) -> float:
     Every derivative of erf is elementary, so its coefficients need only
     E0 = e^{-D^2/4} erf(iD/2), which X_M also uses; measured against
     50-digit arithmetic it is good to about 1e-14 relative at D = 0.25
-    and 1e-15 at D >= 1.  evaluate and evaluate_arrays run the same source
-    (_i2, _i2_series).
+    and 1e-15 at D >= 1.  Raises wherever _minkowski and _integrals raise
+    at (omega, Omega = 0, D).
 
     Large-D behaviour is not Gaussian: I2 -> (pi/omega) erf(omega/2) as
     D -> infinity, so the GW coherence decays only like 1/D^2.
     """
-    gauss = _gauss(_SCALAR, D)
-    if _small_omega(omega):
-        _, e0_im = _e0(_SCALAR, D, gauss)
-        return _i2_series(omega, D, e0_im, *_sinc_cos(omega, D))
-    h = omega * D / 2.0
-    gauss_w = math.exp(-omega * omega / 4.0)
-    return _i2(_SCALAR, omega, D, gauss, gauss_w, math.sin(h), math.cos(h))
+    return _integrals_at(omega, 0.0, D)[2]
 
 
 def integral_I3(omega: float, Omega: float, D: float) -> float:
@@ -492,16 +480,10 @@ def integral_I3(omega: float, Omega: float, D: float) -> float:
     2 sin a cos b = sin(a+b) + sin(a-b) applied to each product above.
 
     Below SMALL_OMEGA_CUTOFF the Taylor polynomial through omega^4 is used
-    instead of the 0/0 direct form, as for integral_I1.  evaluate and
-    evaluate_arrays run the same source (_i3, _i3_series).
+    instead of the 0/0 direct form, as for integral_I1.  Raises wherever
+    _minkowski and _integrals raise at (omega, Omega, D).
     """
-    gauss = _gauss(_SCALAR, D)
-    OD = Omega * D
-    sin_OD, cos_OD = math.sin(OD), math.cos(OD)
-    if _small_omega(omega):
-        return _i3_series(Omega, D, gauss, sin_OD, cos_OD, *_sinc_cos(omega, D))
-    h = omega * D / 2.0
-    return _i3(omega, Omega, D, gauss, math.sin(h), math.cos(h), sin_OD, cos_OD)
+    return _integrals_at(omega, Omega, D)[3]
 
 
 def integral_I4(omega: float, Omega: float, D: float) -> float:
@@ -517,26 +499,22 @@ def integral_I4(omega: float, Omega: float, D: float) -> float:
     Below SMALL_OMEGA_CUTOFF the exact Taylor polynomial through omega^4
     replaces the cancellation-prone direct form, as for integral_I2: its
     coefficients need only e^{-D^2/4} erf(Omega + iD/2), which C_M also
-    uses, since the -Omega branch is minus its conjugate.  evaluate and
-    evaluate_arrays run the same source (_i4, _i4_series).
+    uses, since the -Omega branch is minus its conjugate.  Raises wherever
+    _minkowski and _integrals raise at (omega, Omega, D).
     """
-    gauss = _gauss(_SCALAR, D)
-    if _small_omega(omega):
-        OD = Omega * D
-        gauss_om = math.exp(-Omega * Omega)
-        z = _z(_SCALAR, Omega, D, gauss, gauss_om, math.sin(OD), math.cos(OD))
-        return _i4_series(omega, Omega, D, gauss_om, *z, *_sinc_cos(omega, D))
-    return _i4(_SCALAR, omega, Omega, D, gauss)
+    return _integrals_at(omega, Omega, D)[4]
 
 
 def x_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
     """First-order GW correction coefficient x_gw = X_GW/(A lambda^2).
 
     X_GW/(A lambda^2) = f(omega, Omega, t0) * (I1 + I2) / (4 D^2 pi^{3/2}).
+
+    Raises wherever _minkowski and _gw raise at the point.
     """
-    env = _envelope(_SCALAR, omega, Omega, t0)
-    i1, i2 = integral_I1(omega, D).imag, integral_I2(omega, D)
-    return complex(*_x_gw(*env, i1, i2, D))
+    _, factors = _minkowski(_SCALAR, Omega, D, t0)
+    xg_re, xg_im, _ = _gw(_SCALAR, omega, Omega, D, t0, factors)
+    return complex(xg_re, xg_im)
 
 
 def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
@@ -544,10 +522,11 @@ def c_gw(omega: float, Omega: float, D: float, t0: float) -> complex:
 
     C_GW/(A lambda^2) = -exp(-omega^2/4) cos(omega t0) (I3 + I4)
                         / (4 D^2 pi^{3/2}); real-valued.
+
+    Raises wherever _minkowski and _gw raise at the point.
     """
-    i3, i4 = integral_I3(omega, Omega, D), integral_I4(omega, Omega, D)
-    gauss_w = math.exp(-omega * omega / 4.0)
-    return complex(_c_gw(_SCALAR, omega, D, t0, gauss_w, i3, i4), 0.0)
+    _, factors = _minkowski(_SCALAR, Omega, D, t0)
+    return complex(_gw(_SCALAR, omega, Omega, D, t0, factors)[2], 0.0)
 
 
 # --- assembled observables -------------------------------------------------
@@ -622,7 +601,9 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     Raises DegenerateDirection if |x_m| underflows (theta_gw undefined).
     Raises DomainTooLarge, naming the point, where the arithmetic raises
     an ArithmeticError (D^2 underflows to zero and divides, or omega^2
-    overflows), and naming them too where any observables are not finite
+    overflows) or the math library rejects an argument that overflowed to
+    infinity (a ValueError: the sine of Omega*D = inf), and naming the
+    observables too where any are not finite
     (the arithmetic overflows without raising, as once (D/2)^2 does).  A
     point with |x_m| below FIRST_ORDER_XM_FLOOR (in units of lambda^2)
     still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
@@ -643,7 +624,9 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
             )
         gw = _gw(_SCALAR, w, Om, D, t0, factors)
         row = _observables(_SCALAR, params.A, minkowski, gw)
-    except ArithmeticError as exc:
+    except DegenerateDirection:
+        raise
+    except (ArithmeticError, ValueError) as exc:
         raise DomainTooLarge(
             f"{type(exc).__name__} at {_point_text(w, Om, D, t0)}: {exc}"
         ) from exc
@@ -699,6 +682,29 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
         gw = _gw(_ARRAY, w, Om, D, t0, factors)
         row = _observables(_ARRAY, A, minkowski, gw)
     return np.column_stack(np.broadcast_arrays(*row))
+
+
+def _piece_arrays(omega, Omega, D, t0) -> dict[str, np.ndarray]:
+    """The pieces transition_probability, x_minkowski, c_minkowski and
+    integral_I1-I4 at N points, by one pass of the composition on arrays.
+
+    Each piece's name maps to its N values as complex numbers, point by
+    point the bits the piece returns (a real piece's imaginary part is
+    zero).  Nothing raises: a step that raises on builtin floats gives inf
+    or nan here.
+    """
+    with np.errstate(all="ignore"):
+        (p, xm_re, xm_im, c_m, _), factors = _minkowski(_ARRAY, Omega, D, t0)
+        _, i1, i2, i3, i4 = _integrals(_ARRAY, omega, Omega, D, factors)
+    return {
+        "transition_probability": complex_array(p, 0.0),
+        "x_minkowski": complex_array(xm_re, xm_im),
+        "c_minkowski": complex_array(c_m, 0.0),
+        "integral_I1": complex_array(0.0, i1),
+        "integral_I2": complex_array(i2, 0.0),
+        "integral_I3": complex_array(i3, 0.0),
+        "integral_I4": complex_array(i4, 0.0),
+    }
 
 
 def density_matrix(params: DimensionlessParams) -> np.ndarray:

@@ -1149,12 +1149,13 @@ class CheckRecord:
 class _Check(NamedTuple):
     """One record kind of verify_suite: quantity's value against reference.
 
-    value(*point) is the closed form, or an _Oracle whose estimate's value
-    is compared; reference(*point) is the _Oracle it is compared with.
+    value names a closed-form piece of closedform._piece_arrays, or is a
+    builder: value(*point) is an _Oracle whose estimate's value is
+    compared.  reference(*point) is the _Oracle it is compared with.
     """
 
     quantity: str
-    value: Callable[..., Any]
+    value: str | Callable[..., _Oracle]
     reference: Callable[..., _Oracle]
     tol: float
     note: str = ""
@@ -1177,28 +1178,28 @@ def _checks() -> dict[tuple[str, ...], tuple[_Check, ...]]:
     xm_contour, xm_pv = xm("contour"), xm("pv_subtraction")
     return {
         ("Omega_sigma",): (
-            _Check("transition_probability", closedform.transition_probability,
-                   _p, TOL_KERNEL),
+            _Check("transition_probability", "transition_probability", _p,
+                   TOL_KERNEL),
         ),
         ("Omega_sigma", "D_sigma", "t0_sigma"): (
-            _Check("x_minkowski", closedform.x_minkowski, xm_contour, TOL_KERNEL),
-            _Check("x_minkowski_pv", closedform.x_minkowski, xm_pv, TOL_KERNEL),
+            _Check("x_minkowski", "x_minkowski", xm_contour, TOL_KERNEL),
+            _Check("x_minkowski_pv", "x_minkowski", xm_pv, TOL_KERNEL),
             _Check("x_minkowski_consistency", xm_contour, xm_pv, TOL_KERNEL,
                    "independent regularizations of the same kernel"),
         ),
         ("Omega_sigma", "D_sigma"): (
-            _Check("c_minkowski", closedform.c_minkowski, _cm, TOL_KERNEL),
+            _Check("c_minkowski", "c_minkowski", _cm, TOL_KERNEL),
         ),
         ("omega_sigma", "D_sigma"): (
-            _Check("integral_I1", closedform.integral_I1,
+            _Check("integral_I1", "integral_I1",
                    lambda w, D: _strain_less(0.0, D, w, False, i2(w, D)), TOL_DPRIME),
-            _Check("integral_I2", closedform.integral_I2, i2, TOL_S_ORACLE),
+            _Check("integral_I2", "integral_I2", i2, TOL_S_ORACLE),
         ),
         ("omega_sigma", "Omega_sigma", "D_sigma"): (
-            _Check("integral_I3", closedform.integral_I3,
+            _Check("integral_I3", "integral_I3",
                    lambda w, Om, D: _strain_less(Om, D, w, True, i4(w, Om, D)),
                    TOL_DPRIME),
-            _Check("integral_I4", closedform.integral_I4, i4, TOL_S_ORACLE),
+            _Check("integral_I4", "integral_I4", i4, TOL_S_ORACLE),
         ),
     }
 
@@ -1254,7 +1255,11 @@ def verify_suite(
 
     Each _Check of _checks() makes a record at each point of its signature:
     signature by signature, point by point (each axis ascending, the first
-    outermost), in table order within a point.  One _solve integrates each
+    outermost), in table order within a point.  Every closed-form value
+    comes from one closedform._piece_arrays pass, the array kernel that
+    writes every sweep, over the grid points the records read (an axis
+    outside a record's signature at its first value); each is the
+    standalone piece's value bit for bit.  One _solve integrates each
     distinct integral of the call once (an X_M kernel integral serves
     every (Omega, t0) at its D), by one _gk21 call per value type; each
     record is the standalone oracle's result bit for bit.  A record passes
@@ -1264,20 +1269,29 @@ def verify_suite(
     a call.
     """
     axes = _grid_axes(DEFAULT_VERIFY_GRID if grid is None else grid)
-    # Each closed form and oracle once per point, then each oracle's estimate.
-    points, built = [], {}
+    first = {name: values[0] for name, values in axes.items()}
+    # Each record's grid point, and each oracle once per point.
+    points, rows, built = [], {}, {}
     for signature, checks in _checks().items():
         for point in itertools.product(*(axes[name] for name in signature)):
             params = tuple(sorted(zip(signature, point)))
+            at = {**first, **dict(params)}.values()  # in the axes' order
+            row = rows.setdefault(tuple(at), len(rows))
             for check in checks:
-                points.append((check, point, params))
+                points.append((check, point, params, row))
                 for build in (check.value, check.reference):
-                    if (build, point) not in built:
+                    if callable(build) and (build, point) not in built:
                         built[build, point] = build(*point)
-    keys = [key for key, b in built.items() if isinstance(b, _Oracle)]
-    _, *estimates = _solve([_calibration(), *(built[k] for k in keys)])
-    built.update(zip(keys, estimates))
+    closed = closedform._piece_arrays(*np.array(list(rows)).T)
+    _, *estimates = _solve([_calibration(), *built.values()])
+    built = dict(zip(built, estimates))
     return [
-        _record(check, params, built[check.value, point], built[check.reference, point])
-        for check, point, params in points
+        _record(
+            check,
+            params,
+            built[check.value, point] if callable(check.value)
+            else closed[check.value][row],
+            built[check.reference, point],
+        )
+        for check, point, params, row in points
     ]

@@ -42,8 +42,9 @@ __all__ = [
 class DomainTooLarge(ValueError):
     """A point whose observables are out of floating-point range:
     closedform.evaluate raises it where the arithmetic raises an
-    ArithmeticError, or where it overflows without raising, naming the
-    observables that are not finite."""
+    ArithmeticError or the math library rejects an infinite argument, or
+    where it overflows without raising, naming the observables that are
+    not finite."""
 
 
 # 1 - erf(x), accurate for large x: the double version of scipy's

@@ -162,11 +162,14 @@ def test_point_non_finite_observables_exit_usage_error(capsys):
         # omega^2 overflows.
         (["--omega_sigma", "1e155"], "OverflowError"),
         (["--omega_sigma", "1e308"], "OverflowError"),
+        # Omega*D overflows to inf, whose sine the math library rejects.
+        (["--Omega_sigma", "1.9", "--D_sigma", "1e308"], "ValueError"),
     ],
 )
 def test_point_out_of_float_range_exits_usage_error(argv, error, capsys):
-    # A closed form that raises an ArithmeticError has met an input out of
-    # floating-point range: the input's fault, not the program's.
+    # A closed form that raises an ArithmeticError, or a ValueError from the
+    # math library, has met an input out of floating-point range: the
+    # input's fault, not the program's.
     assert cli.main(["point", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

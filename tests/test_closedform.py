@@ -360,10 +360,7 @@ def _array_integrals(w, Om, D):
     b = specfun._ARRAY
     w, Om, D = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w, Om, D)))
     _, factors = cf._minkowski(b, Om, D, 0.0)
-    gauss_w = b.exp(-w * w / 4.0)
-    return b.choose(
-        cf._small_omega(w), cf._gw_series, cf._gw_direct, b, w, Om, D, gauss_w, factors
-    )
+    return cf._integrals(b, w, Om, D, factors)[1:]
 
 
 @settings(max_examples=100, deadline=None)
@@ -662,7 +659,7 @@ def _python_calls(fn):
 
 @pytest.mark.parametrize(
     "omega, evaluate_calls",
-    [(2.0, 36), (SMALL_OMEGA_CUTOFF / 2, 33)],
+    [(2.0, 30), (SMALL_OMEGA_CUTOFF / 2, 27)],
 )
 def test_python_calls_per_evaluate_stay_within_budget(omega, evaluate_calls):
     # A deterministic guard on the single-point path's per-call overhead:

@@ -64,6 +64,11 @@ REMOVED = (
     "_any_leg",
     "_sinc",
     "_repr_column",
+    "_gauss",
+    "_e0",
+    "_z",
+    "_x_m",
+    "_c_m",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library
@@ -73,6 +78,20 @@ ENTRY_POINTS = {
     "f_envelope",
     # tests/test_closedform.py::test_density_matrix_structure
     "density_matrix",
+    # tests/test_closedform.py::test_p_matches_frozen_oracle
+    "transition_probability",
+    # tests/test_closedform.py::test_xm_matches_frozen_oracle
+    "x_minkowski",
+    # tests/test_closedform.py::test_cm_matches_frozen_oracle
+    "c_minkowski",
+    # tests/test_closedform.py::test_i1_matches_frozen_oracle
+    "integral_I1",
+    # tests/test_closedform.py::test_i2_matches_frozen_oracle
+    "integral_I2",
+    # tests/test_closedform.py::test_i3_matches_frozen_oracle
+    "integral_I3",
+    # tests/test_closedform.py::test_i4_matches_frozen_oracle
+    "integral_I4",
     # tests/test_oracle.py::test_oracle_p_hits_exact_anchor
     "oracle_P",
     # tests/test_oracle.py::test_oracle_xm_methods_are_independent_and_agree

@@ -1052,12 +1052,17 @@ def _standalone(rec):
 
 
 def test_verify_suite_records_equal_standalone_oracles():
-    # verify_suite refines the integrals of all its oracles together; each
-    # record must still be what the public oracle gives alone, bit for bit.
-    # One more grid point at Omega < 0 and t0 = 0.6.
-    records = verify_suite(
-        {**_XM_GRID, "Omega_sigma": (-0.5, 0.5, 1.0), "t0_sigma": (0.0, 0.6, 1.0)}
-    )
+    # verify_suite refines the integrals of all its oracles together, and
+    # takes every closed form from one array pass; each record must still
+    # be what the public piece and oracle give alone, bit for bit.  One
+    # more grid point at Omega < 0 and t0 = 0.6, and omega below the
+    # small-omega cutoff, so that the pass mixes series and direct rows.
+    records = verify_suite({
+        **_XM_GRID,
+        "omega_sigma": (5e-4, 2.0),
+        "Omega_sigma": (-0.5, 0.5, 1.0),
+        "t0_sigma": (0.0, 0.6, 1.0),
+    })
     for rec in records:
         value, est = _standalone(rec)
         assert _hex(rec.value) == _hex(value), rec
@@ -1070,10 +1075,10 @@ def test_verify_suite_records_equal_standalone_oracles():
         "x_minkowski_pv": 18,
         "x_minkowski_consistency": 18,
         "c_minkowski": 6,
-        "integral_I1": 2,
-        "integral_I2": 2,
-        "integral_I3": 6,
-        "integral_I4": 6,
+        "integral_I1": 4,
+        "integral_I2": 4,
+        "integral_I3": 12,
+        "integral_I4": 12,
     }
 
 

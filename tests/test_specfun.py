@@ -140,7 +140,8 @@ def test_scaled_erf_product_beyond_bare_overflow():
 
 def test_scaled_erf_product_purely_imaginary_is_dawson():
     # e^{-p^2} erf(ip) = 2i D(p)/sqrt(pi); stays bounded to p = 30.  The
-    # arguments are X_M's (closedform._e0): k = 0, phase 1, e^{-k^2} = 1.
+    # arguments are X_M's E0 (closedform._minkowski): k = 0, phase 1,
+    # e^{-k^2} = 1.
     def e0(p):
         return complex(*_phased_erf(_SCALAR, p, math.exp(-p * p), 0.0, 1.0, 0.0, 1.0))
 

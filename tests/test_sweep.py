@@ -169,6 +169,13 @@ MIXED_GRIDS = [
         axis1=AxisSpec("D_sigma", 1.0, 1e100, 2),
         fixed={"A": 0.05, "omega_sigma": 1e-4},
     ),
+    # A point that evaluates, two with a degenerate |x_m|, and one whose
+    # Omega*D overflows to inf, whose sine the math library rejects.
+    GridSpec(
+        axis1=AxisSpec("Omega_sigma", 1.0, 1e155, 2),
+        axis2=AxisSpec("D_sigma", 1.0, 1e155, 2),
+        fixed={"A": 0.05},
+    ),
 ]
 
 
@@ -193,21 +200,23 @@ def test_run_grid_matches_pointwise_scalar_evaluation(spec):
 
 
 @pytest.mark.parametrize(
-    "index, error",
+    "spec, index, error",
     [
         # (omega, D) = (1e-4, 1e-170): 1/(4 D^2 pi^{3/2}) divides by the
         # zero D^2 underflows to.
-        (0, ZeroDivisionError),
+        pytest.param(MIXED_GRIDS[2], 0, ZeroDivisionError, id="0-ZeroDivisionError"),
         # (omega, D) = (1e308, 2): (omega - 2 Omega) ** 2 in the envelope
         # overflows before any sine of omega D/2 = inf is taken.
-        (3, OverflowError),
+        pytest.param(MIXED_GRIDS[2], 3, OverflowError, id="3-OverflowError"),
+        # (Omega, D) = (1e155, 1e155): math.sin of Omega*D = inf raises
+        # ValueError, which evaluate must not pass on unnamed.
+        pytest.param(MIXED_GRIDS[4], 3, ValueError, id="3-ValueError"),
     ],
 )
-def test_closed_form_failures_keep_their_exception_class(index, error):
+def test_closed_form_failures_keep_their_exception_class(spec, index, error):
     # The point is out of floating-point range, an input error: evaluate
     # raises DomainTooLarge from the arithmetic's own exception, and the
     # status names both classes.
-    spec = MIXED_GRIDS[2]
     keys, params = spec.columns()
     point = dict(zip(keys, params[index].tolist()))
     with pytest.raises(closedform.DomainTooLarge) as raised:
