@@ -665,9 +665,11 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     instead of builtin floats, with the Faddeeva and erf-oddness folds
     and the small-omega series taken as masks (the series run only when
     some point needs them).  All points must lie in array_domain
-    (ValueError otherwise).  Rows with |x_m| < DEGENERATE_XM_FLOOR, where evaluate
-    raises DegenerateDirection, and rows whose arithmetic overflowed hold
-    non-finite values; callers send those points to evaluate.
+    (ValueError otherwise).  A row is non-finite exactly where evaluate
+    raises at its point: where |x_m| < DEGENERATE_XM_FLOOR (all nan), and
+    where a step that raises on builtin floats gives nan or inf here.
+    Every other row holds evaluate's bits, so a caller needs evaluate
+    only for the error of a non-finite row.
     """
     w, Om, D, t0, A = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
@@ -681,7 +683,9 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
         minkowski, factors = _minkowski(_ARRAY, Om, D, t0)
         gw = _gw(_ARRAY, w, Om, D, t0, factors)
         row = _observables(_ARRAY, A, minkowski, gw)
-    return np.column_stack(np.broadcast_arrays(*row))
+    out = np.column_stack(np.broadcast_arrays(*row))
+    out[minkowski[-1] < DEGENERATE_XM_FLOOR] = np.nan
+    return out
 
 
 def _piece_arrays(omega, Omega, D, t0) -> dict[str, np.ndarray]:

@@ -203,8 +203,6 @@ CONFIG_DEFAULTS: dict[str, float] = {
 
 CONFIG_KEYS = tuple(CONFIG_DEFAULTS)
 
-# The config keys that are also field names: every key but "lambda".
-_FIELD_KEYS = frozenset(CONFIG_KEYS) - {"lambda"}
 # The fields and their defaults, in field order.
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(DimensionlessParams)}
 
@@ -262,18 +260,16 @@ def params_from_mapping(values: dict[str, float]) -> DimensionlessParams:
     defaults, overlaid by a config file, overlaid by CLI flags.  An unknown
     key or a non-finite value (nan, inf) raises ConfigError naming the key.
     """
-    if values.keys() <= _FIELD_KEYS:
-        # What the generated __init__ does, at half its cost: the fields
-        # in field order, then every check of __post_init__.
-        params = object.__new__(DimensionlessParams)
-        fields_of = params.__dict__
-        fields_of.update(_FIELD_DEFAULTS)
-        fields_of.update(values)
-        params.__post_init__()
-        return params
-    for key in values:
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"unknown parameter {key!r}")
-    merged = {**CONFIG_DEFAULTS, **values}
-    coupling = merged.pop("lambda")
-    return DimensionlessParams(coupling_lambda=coupling, **merged)
+    if not values.keys() <= CONFIG_DEFAULTS.keys():
+        unknown = next(key for key in values if key not in CONFIG_DEFAULTS)
+        raise ConfigError(f"unknown parameter {unknown!r}")
+    # What the generated __init__ does, at half its cost: the fields in
+    # field order, then every check of __post_init__.
+    params = object.__new__(DimensionlessParams)
+    fields_of = params.__dict__
+    fields_of.update(_FIELD_DEFAULTS)
+    fields_of.update(values)
+    if "lambda" in values:
+        fields_of["coupling_lambda"] = fields_of.pop("lambda")
+    params.__post_init__()
+    return params

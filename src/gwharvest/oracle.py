@@ -357,28 +357,25 @@ class _Oracle(NamedTuple):
     finish: Callable[[np.ndarray, np.ndarray], Any]
 
 
-def _same_bits(a: _Integral, b: _Integral) -> bool:
-    """Whether integrals equal as tuples (-0.0 == 0.0) have the same bits."""
-    fa, fb = (*a.params, *a.edges), (*b.params, *b.edges)
-    return struct.pack(f"{len(fa)}d", *fa) == struct.pack(f"{len(fb)}d", *fb)
-
-
 def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
     """The results of oracles, in order, from one _integrate call.
 
     Each distinct integral is integrated once, however many oracles ask
-    for it.  Integrals are the same when equal as tuples (the family by
-    identity) and in the bits of every float (-0.0 is not 0.0), so a
-    shared result is what each oracle would get alone.
+    for it.  Integrals are the same when their family is (by identity)
+    and so are the bits of every float (-0.0 is not 0.0), so a shared
+    result is what each oracle would get alone.
     """
     asked = [it for o in oracles for it in o.integrals]
-    slot: dict[_Integral, int] = {}
-    place = [slot.setdefault(it, len(slot)) for it in asked]
-    unique = list(slot)
-    for j, it in enumerate(asked):
-        if it is not unique[place[j]] and not _same_bits(it, unique[place[j]]):
-            place[j] = len(unique)
+    slot: dict[tuple[_Family, bytes], int] = {}
+    unique: list[_Integral] = []
+    place = []
+    for it in asked:
+        floats = (*it.params, *it.edges, it.epsabs)
+        key = it.family, struct.pack(f"{len(floats)}d", *floats)
+        if key not in slot:
+            slot[key] = len(unique)
             unique.append(it)
+        place.append(slot[key])
     vals, errs = _integrate(unique)
     vals, errs = vals[place], errs[place]
     results, start = [], 0

@@ -77,7 +77,10 @@ class _Backend(NamedTuple):
     multiplied in Python's order (numpy's complex multiply can fuse
     multiply-adds); cexp and w return complex values.  The scalar
     primitives raise where Python's arithmetic raises (ValueError from
-    math, OverflowError from ** and cmath); the array ones give inf or nan.
+    math and cmath at an infinite argument, OverflowError from ** and
+    abs); the array ones give nan there, except that abs and cexp give
+    the inf they overflow to, which stays non-finite in the row of
+    observables.
     """
 
     exp: Callable     # the C library's exp
@@ -106,6 +109,13 @@ def _scalar_abs(re: float, im: float) -> float:
     return abs(z) if cmath.isfinite(z) else math.hypot(re, im)
 
 
+def _array_pow(x, y):
+    """The C library's pow, nan where it overflows from finite operands:
+    Python's ** raises OverflowError there."""
+    out = np.float_power(x, y)
+    return np.where(np.isinf(out) & np.isfinite(x) & np.isfinite(y), np.nan, out)
+
+
 _SCALAR = _Backend(
     exp=math.exp,
     sin=math.sin,
@@ -130,7 +140,7 @@ _ARRAY = _Backend(
     erf=_sp.erf,
     erfc=_sp.erfc,
     # numpy's x ** 2 is x * x, which can differ in the last bit.
-    pow=np.float_power,
+    pow=_array_pow,
     cexp=lambda re, im: np.exp(complex_array(re, im)),
     w=lambda re, im: _sp.wofz(complex_array(re, im)),
     abs=np.hypot,

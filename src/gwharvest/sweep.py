@@ -8,9 +8,9 @@ point failure — the error is recorded in that point's status — and is
 deterministic: every point is a pure function of its parameters, so the
 same grid produces byte-identical CSV output.  Every point with valid
 parameters, small omega included, is evaluated as arrays by
-closedform.evaluate_arrays; a point whose row is not finite goes one by
-one through closedform.evaluate only for its status text (mostly the
-name of a failure).
+closedform.evaluate_arrays.  Its row is non-finite exactly where
+closedform.evaluate raises, so such a point goes one by one through
+evaluate only for its status text, the name of its failure.
 
 emit_csv and emit_svg take a GridResult.  CSV rows carry the full
 parameter tuple, every observable, and a status column; floats are
@@ -206,10 +206,10 @@ def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:
     """Observables and status of each point (row) of params.
 
     Points in closedform.array_domain go through evaluate_arrays, _BLOCK
-    at a time.  The rest (invalid parameters), and points the kernel
-    leaves non-finite or with a degenerate |x_m|, go one by one through
-    the scalar evaluate, so their values and status are those `gwharvest
-    point` gives.
+    at a time.  The rest (invalid parameters), and points whose row is
+    not finite, go one by one through the scalar evaluate, so their
+    values and status are those `gwharvest point` gives: evaluate_arrays
+    leaves a row non-finite exactly where evaluate raises.
     """
     cols = dict(zip(keys, params.T))
     args = [cols[name] for name in _PARAM_COLUMNS]
@@ -222,12 +222,8 @@ def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:
     for start in range(0, len(idx), _BLOCK):
         sel = idx[start : start + _BLOCK]
         values[sel] = closedform.evaluate_arrays(*(a[sel] for a in args))
-    re_xm = closedform.OBSERVABLES.index("re_x_m")
-    abs_xm = np.hypot(values[:, re_xm], values[:, re_xm + 1])
-    scalar = ~np.isfinite(values).all(axis=1)
-    scalar |= abs_xm < closedform.DEGENERATE_XM_FLOOR
     status = ["ok"] * len(params)
-    for i in np.flatnonzero(scalar).tolist():
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
         items = tuple(zip(keys, params[i].tolist()))
         values[i], status[i] = _evaluate_point(items)
     return GridResult(keys, params, values, status)

@@ -1,11 +1,12 @@
 """Tests for the command-line interface: parsing, precedence, exit codes."""
 
+import dataclasses
 import math
 import struct
 
 import pytest
 
-from gwharvest import cli
+from gwharvest import cli, sweep
 from gwharvest.closedform import (
     OBSERVABLES,
     SMALL_OMEGA_CUTOFF,
@@ -133,6 +134,15 @@ def test_point_emits_validation_warnings_to_stderr(capsys):
     assert "warning: AmplitudeBeyondLinearRegime" in err
 
 
+def test_point_outside_first_order_validity_prints_its_flag(capsys):
+    # |x_m| ~ e^{-Omega^2} is below FIRST_ORDER_XM_FLOOR at Omega = 5.4 but
+    # far above the degenerate floor: the point evaluates, flagged.
+    assert cli.main(["point", "--Omega_sigma", "5.4"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == len(OBSERVABLES)
+    assert "flag: outside first-order validity" in captured.err.splitlines()
+
+
 def test_point_degenerate_parameters_exit_usage_error(capsys):
     # |x_m| underflows at a huge gap: the input's fault, not the program's.
     assert cli.main(["point", "--Omega_sigma", "30"]) == 2
@@ -223,6 +233,22 @@ def test_sweep_reports_failed_points(tmp_path, capsys):
     rc = cli.main(["sweep", "--axis", "D_sigma:-1:1:3", "-o", str(out)])
     assert rc == 0
     assert "(2 failed; see status column)" in capsys.readouterr().out
+
+
+def test_sweep_row_fails_where_point_exits_usage_error(tmp_path, capsys):
+    # The envelope's (omega - 2 Omega) ** 2 overflows: each row's status is
+    # the error `gwharvest point` prints there, commas written as ";".
+    out = tmp_path / "scan.csv"
+    argv = ["sweep", "--axis", "omega_sigma:1e155:2e155:2", "-o", str(out)]
+    assert cli.main(argv) == 0
+    assert "(2 failed; see status column)" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row, omega in zip(rows, ("1e155", "2e155")):
+        assert cli.main(["point", "--omega_sigma", omega]) == 2
+        error = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert error.startswith("OverflowError at omega=")
+        assert row.rsplit(",", 1)[1] == "DomainTooLarge: " + error.replace(",", ";")
 
 
 def test_sweep_checks_fixed_values_not_swept_flag_values(tmp_path, capsys):
@@ -331,6 +357,25 @@ def test_figure_honors_outdir_environment(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert (tmp_path / "fig2.csv").exists()
     assert (tmp_path / "fig2.svg").exists()
+
+
+def test_figure_with_a_failed_grid_point_is_internal_error(tmp_path, monkeypatch, capsys):
+    # A preset's points never fail; if one did, the figure is refused.
+    real_run_preset = sweep.run_preset
+
+    def one_failed(preset):
+        points = real_run_preset(preset)
+        status = ["DomainTooLarge: planted"] + points.status[1:]
+        return dataclasses.replace(points, status=status)
+
+    monkeypatch.setattr(sweep, "run_preset", one_failed)
+    assert cli.main(["figure", "fig2", "-o", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: 1 of 808 grid points failed; first: DomainTooLarge: planted\n"
+    )
+    assert not (tmp_path / "fig2.svg").exists()
 
 
 # --- verify ------------------------------------------------------------------

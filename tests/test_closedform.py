@@ -838,11 +838,44 @@ def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
     rows = evaluate_arrays(*cols)
     # Points the sweep sends to evaluate one by one are not compared.
     kept = np.isfinite(rows).all(axis=1)
-    kept &= np.hypot(rows[:, 1], rows[:, 2]) >= cf.DEGENERATE_XM_FLOOR
     assert kept.sum() > n // 2
     scalar = np.array([_scalar_row(*point) for point in cols.T[kept].tolist()])
     differ = (scalar.view(np.int64) != rows[kept].view(np.int64)).any(axis=1)
     assert np.count_nonzero(differ) == 0
+
+
+# Every parameter's magnitude: 0, the powers of ten 1e-320, 1e-310, ...,
+# 1e300, and 1.7e308.  They reach each way evaluate fails: D^2 underflows
+# and divides, the envelope's (omega -+ 2 Omega) ** 2 overflows, the sine
+# of an infinite Omega*D, observables that overflow, and |x_m| below
+# DEGENERATE_XM_FLOOR (zero or not).
+_MAGNITUDES = np.concatenate(([0.0], 10.0 ** np.arange(-320, 301, 10), [1.7e308]))
+
+
+def test_array_rows_are_non_finite_exactly_where_evaluate_raises():
+    rng = np.random.default_rng(33)
+    n = 4000
+
+    def signed():
+        return rng.choice(_MAGNITUDES, n) * rng.choice([-1.0, 1.0], n)
+
+    omega, Omega, t0, A = signed(), signed(), signed(), signed()
+    D = rng.choice(_MAGNITUDES[1:], n)
+    rows = evaluate_arrays(omega, Omega, D, t0, A)
+    seen = set()
+    for point, row in zip(zip(*(c.tolist() for c in (omega, Omega, D, t0, A))), rows):
+        try:
+            expected = _scalar_row(*point)
+        except (DomainTooLarge, DegenerateDirection) as exc:
+            assert not np.isfinite(row).all(), (point, exc)
+            seen.add(type(exc.__cause__ or exc).__name__)
+            continue
+        assert row.tobytes() == np.array(expected).tobytes(), point
+        seen.add("ok")
+    assert seen == {
+        "ok", "DegenerateDirection", "DomainTooLarge",
+        "OverflowError", "ValueError", "ZeroDivisionError",
+    }
 
 
 def test_scalar_path_returns_builtin_numbers():

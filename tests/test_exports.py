@@ -69,6 +69,8 @@ REMOVED = (
     "_z",
     "_x_m",
     "_c_m",
+    "_same_bits",
+    "_FIELD_KEYS",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library

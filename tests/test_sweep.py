@@ -147,10 +147,11 @@ def _scalar_point(items):
 
 # Invalid D, omega below SMALL_OMEGA_CUTOFF and ordinary points; then gaps
 # where |x_m| ~ e^{-Omega^2} is outside first-order validity (24), below
-# DEGENERATE_XM_FLOOR but not zero (27: the kernel's row is finite), and
-# zero (30); the last two raise DegenerateDirection.  Last, valid points
-# at which the closed forms themselves fail, below the small-omega cutoff
-# (omega = 1e-4) and inside the array kernel's domain (omega = 1e308).
+# DEGENERATE_XM_FLOOR but not zero (27: the kernel's arithmetic gives a
+# finite row, which it must not report), and zero (30); the last two raise
+# DegenerateDirection.  Last, valid points at which the closed forms
+# themselves fail, below the small-omega cutoff (omega = 1e-4) and inside
+# the array kernel's domain (omega = 1e308).
 MIXED_GRIDS = [
     GridSpec(
         axis1=AxisSpec("omega_sigma", 0.0, 0.003, 4),
@@ -176,6 +177,9 @@ MIXED_GRIDS = [
         axis2=AxisSpec("D_sigma", 1.0, 1e155, 2),
         fixed={"A": 0.05},
     ),
+    # The envelope's (omega - 2 Omega) ** 2 overflows from omega = 1.3e154,
+    # where numpy's pow gives inf and e^{-inf} a finite row.
+    GridSpec(axis1=AxisSpec("omega_sigma", 2.0, 1e155, 2), fixed={"A": 0.05}),
 ]
 
 
@@ -211,6 +215,8 @@ def test_run_grid_matches_pointwise_scalar_evaluation(spec):
         # (Omega, D) = (1e155, 1e155): math.sin of Omega*D = inf raises
         # ValueError, which evaluate must not pass on unnamed.
         pytest.param(MIXED_GRIDS[4], 3, ValueError, id="3-ValueError"),
+        # omega = 1e155: the envelope's first ** overflows.
+        pytest.param(MIXED_GRIDS[5], 1, OverflowError, id="1-OverflowError"),
     ],
 )
 def test_closed_form_failures_keep_their_exception_class(spec, index, error):
@@ -257,6 +263,25 @@ def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
     calls.update(params=0, evaluate=0)
     run_grid(MIXED_GRIDS[1])
     assert calls == {"params": 2, "evaluate": 2}
+
+
+def test_non_finite_kernel_row_at_an_evaluable_point_keeps_evaluate(monkeypatch):
+    # Were the kernel to leave a row non-finite at a point evaluate accepts,
+    # the sweep would report evaluate's values, not a failure.
+    real_arrays = closedform.evaluate_arrays
+
+    def spoiled(*args):
+        rows = real_arrays(*args)
+        rows[1, closedform.OBSERVABLES.index("theta_gw")] = math.nan
+        return rows
+
+    monkeypatch.setattr(closedform, "evaluate_arrays", spoiled)
+    spec = GridSpec(axis1=AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"A": 0.05})
+    pts = run_grid(spec)
+    assert pts.status == ["ok"] * 3
+    point = dict(zip(pts.keys, pts.params[1].tolist()))
+    expected = closedform.evaluate(params_from_mapping(point))
+    assert pts.values[1].tolist() == list(expected.row)
 
 
 def test_run_grid_reports_non_finite_parameters_per_point():
