@@ -68,7 +68,6 @@ __all__ = [
     "x_gw",
     "c_gw",
     "evaluate",
-    "array_domain",
     "evaluate_arrays",
     "density_matrix",
 ]
@@ -648,15 +647,6 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
 # --- the same observables over arrays of points -----------------------------
 
 
-def array_domain(omega, Omega, D, t0, A) -> np.ndarray:
-    """Mask of the points evaluate_arrays accepts: finite parameters and
-    D > 0.  The rest fail validation, which evaluate reports one by one.
-    """
-    finite = np.isfinite(omega) & np.isfinite(Omega) & np.isfinite(D)
-    finite &= np.isfinite(t0) & np.isfinite(A)
-    return finite & (D > 0.0)
-
-
 def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     """Every observable for N points at once, as a float64 (N, 15) array.
 
@@ -664,27 +654,25 @@ def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
     (separation along x): the same closed forms, bound to numpy arrays
     instead of builtin floats, with the Faddeeva and erf-oddness folds
     and the small-omega series taken as masks (the series run only when
-    some point needs them).  All points must lie in array_domain
-    (ValueError otherwise).  A row is non-finite exactly where evaluate
-    raises at its point: where |x_m| < DEGENERATE_XM_FLOOR (all nan), and
-    where a step that raises on builtin floats gives nan or inf here.
-    Every other row holds evaluate's bits, so a caller needs evaluate
-    only for the error of a non-finite row.
+    some point needs them).  Any parameters are accepted, and nothing
+    raises: a row is non-finite exactly where
+    evaluate(DimensionlessParams(...)) raises at its point.  It is all
+    nan where the point cannot be built (a non-finite parameter, D <= 0)
+    or |x_m| < DEGENERATE_XM_FLOOR, and non-finite where a step that
+    raises on builtin floats gives nan or inf here.  Every other row holds
+    evaluate's bits, so a caller needs evaluate only for the error of a
+    non-finite row.
     """
     w, Om, D, t0, A = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
     )
-    if not array_domain(w, Om, D, t0, A).all():
-        raise ValueError(
-            "evaluate_arrays needs finite parameters and D > 0; "
-            "evaluate handles other points"
-        )
     with np.errstate(all="ignore"):
         minkowski, factors = _minkowski(_ARRAY, Om, D, t0)
         gw = _gw(_ARRAY, w, Om, D, t0, factors)
         row = _observables(_ARRAY, A, minkowski, gw)
     out = np.column_stack(np.broadcast_arrays(*row))
-    out[minkowski[-1] < DEGENERATE_XM_FLOOR] = np.nan
+    valid = np.isfinite((w, Om, D, t0, A)).all(axis=0) & (D > 0.0)
+    out[~valid | (minkowski[-1] < DEGENERATE_XM_FLOOR)] = np.nan
     return out
 
 

@@ -119,16 +119,21 @@ class DimensionlessParams:
     coupling_lambda: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.A) is type(self.omega_sigma) is type(self.Omega_sigma)
+            is type(self.D_sigma) is type(self.t0_sigma)
+            is type(self.coupling_lambda) is float
+        ):
+            # Store builtin floats before any arithmetic: evaluate would
+            # compute in a numpy scalar's type, and a sum of numpy scalars
+            # warns where it overflows.
+            vars(self).update({name: float(v) for name, v in vars(self).items()})
         # A non-finite field makes the sum non-finite; only then (or when
         # finite fields overflow the sum) are the fields checked one by one.
         total = (
             self.A + self.omega_sigma + self.Omega_sigma + self.D_sigma
             + self.t0_sigma + self.coupling_lambda
         )
-        if type(total) is not float:
-            # A numpy scalar field (or all fields ints) makes the sum one,
-            # and evaluate would compute in its type: store builtin floats.
-            vars(self).update({name: float(v) for name, v in vars(self).items()})
         if not math.isfinite(total):
             for name, value in vars(self).items():
                 if not math.isfinite(value):

@@ -357,6 +357,12 @@ class _Oracle(NamedTuple):
     finish: Callable[[np.ndarray, np.ndarray], Any]
 
 
+@cache
+def _packer(n: int) -> Callable[..., bytes]:
+    """Packs n floats into their 8n bytes, for _solve's integral keys."""
+    return struct.Struct(f"{n}d").pack
+
+
 def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
     """The results of oracles, in order, from one _integrate call.
 
@@ -371,7 +377,7 @@ def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
     place = []
     for it in asked:
         floats = (*it.params, *it.edges, it.epsabs)
-        key = it.family, struct.pack(f"{len(floats)}d", *floats)
+        key = it.family, _packer(len(floats))(*floats)
         if key not in slot:
             slot[key] = len(unique)
             unique.append(it)
@@ -425,9 +431,6 @@ def _batch_integrand(
         cols = np.zeros((len(batch[members[0]].params), len(batch)))
         cols[:, members] = np.array([batch[i].params for i in members]).T
         columns.append(cols)
-    if len(families) == 1:  # the kernel's values as they come, at any x and k
-        kernel, cols = families[0].kernel, columns[0]
-        return lambda x, k: kernel(x, *cols[:, k])
 
     def f(x, k):
         out = np.empty(x.shape, dtype=families[0].dtype)

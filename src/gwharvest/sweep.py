@@ -3,14 +3,16 @@
 A sweep is defined by a GridSpec: one or two swept axes plus fixed values
 for the remaining parameters.  run_grid evaluates every point row-major
 (first axis outer, second inner) into a GridResult, a set of columns:
-parameters, observables and one status per point.  It never aborts on a
-point failure — the error is recorded in that point's status — and is
-deterministic: every point is a pure function of its parameters, so the
-same grid produces byte-identical CSV output.  Every point with valid
-parameters, small omega included, is evaluated as arrays by
-closedform.evaluate_arrays.  Its row is non-finite exactly where
-closedform.evaluate raises, so such a point goes one by one through
-evaluate only for its status text, the name of its failure.
+parameters, observables and one status per point.  Every grid has the
+same parameter columns in one fixed order, the CSV's then lambda.  It
+never aborts on a point failure — the error is recorded in that point's
+status — and is deterministic: every point is a pure function of its
+parameters, so the same grid produces byte-identical CSV output.  Every
+point, small omega and invalid parameters included, is evaluated as
+arrays by closedform.evaluate_arrays.  Its row is non-finite exactly
+where closedform.evaluate raises (or the point cannot be built, as for
+an invalid lambda), so such a point goes one by one through evaluate
+only for its status text, the name of its failure.
 
 emit_csv and emit_svg take a GridResult.  CSV rows carry the full
 parameter tuple, every observable, and a status column; floats are
@@ -74,6 +76,9 @@ AXIS_NAMES = tuple(key for key in CONFIG_KEYS if key != "lambda")
 # The parameter columns of the CSV, also the argument order of
 # closedform.evaluate_arrays.
 _PARAM_COLUMNS = ("omega_sigma", "Omega_sigma", "D_sigma", "t0_sigma", "A")
+
+# The parameter columns of every grid: the CSV's, then the coupling.
+_GRID_COLUMNS = _PARAM_COLUMNS + ("lambda",)
 
 CSV_HEADER = ",".join(_PARAM_COLUMNS + closedform.OBSERVABLES + ("status",))
 
@@ -143,36 +148,32 @@ class GridSpec:
             if key in axis_names:
                 raise ValueError(f"{key!r} is both swept and fixed")
 
-    def columns(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """Parameter names (sorted) and an (N, len(names)) array of the
-        points' values, row-major (axis1 outer)."""
-        base = dict(CONFIG_DEFAULTS)
-        base.pop("lambda", None)
-        base.update(self.fixed)
-        keys = tuple(sorted(base))
+    def columns(self) -> np.ndarray:
+        """The points' parameters as an (N, len(_GRID_COLUMNS)) array,
+        column j holding _GRID_COLUMNS[j], row-major (axis1 outer)."""
+        base = {**CONFIG_DEFAULTS, **self.fixed}
         inner = self.axis2.count if self.axis2 is not None else 1
-        params = np.empty((self.axis1.count * inner, len(keys)))
-        for j, key in enumerate(keys):
-            params[:, j] = base[key]
-        params[:, keys.index(self.axis1.name)] = np.repeat(
+        params = np.empty((self.axis1.count * inner, len(_GRID_COLUMNS)))
+        params[:] = [base[name] for name in _GRID_COLUMNS]
+        params[:, _GRID_COLUMNS.index(self.axis1.name)] = np.repeat(
             self.axis1.values, inner
         )
         if self.axis2 is not None:
-            params[:, keys.index(self.axis2.name)] = np.tile(
+            params[:, _GRID_COLUMNS.index(self.axis2.name)] = np.tile(
                 self.axis2.values, self.axis1.count
             )
-        return keys, params
+        return params
 
 @dataclass(frozen=True, eq=False)
 class GridResult:
     """Evaluated grid points, held as columns.
 
-    params[:, j] holds parameter keys[j] of every point, values the
+    params[:, j] holds parameter _GRID_COLUMNS[j] of every point (the
+    CSV's parameter columns, then lambda), values the
     closedform.OBSERVABLES of every point (nan where it failed) and status
     its status text.  len gives the number of points.
     """
 
-    keys: tuple[str, ...]
     params: np.ndarray
     values: np.ndarray
     status: list[str]
@@ -182,8 +183,8 @@ class GridResult:
 
     def column(self, name: str) -> np.ndarray:
         """One parameter or observable over all points."""
-        if name in self.keys:
-            return self.params[:, self.keys.index(name)]
+        if name in _GRID_COLUMNS:
+            return self.params[:, _GRID_COLUMNS.index(name)]
         return self.values[:, closedform.OBSERVABLES.index(name)]
 
 
@@ -202,36 +203,31 @@ def _evaluate_point(
     return report.row, "ok"
 
 
-def _evaluate(keys: tuple[str, ...], params: np.ndarray) -> GridResult:
+def _evaluate(params: np.ndarray) -> GridResult:
     """Observables and status of each point (row) of params.
 
-    Points in closedform.array_domain go through evaluate_arrays, _BLOCK
-    at a time.  The rest (invalid parameters), and points whose row is
-    not finite, go one by one through the scalar evaluate, so their
-    values and status are those `gwharvest point` gives: evaluate_arrays
-    leaves a row non-finite exactly where evaluate raises.
+    Every point goes through evaluate_arrays, _BLOCK at a time, and only
+    an invalid coupling, which is no kernel input, is masked.  Points
+    whose row is not finite go one by one through the scalar evaluate, so
+    their values and status are those `gwharvest point` gives:
+    evaluate_arrays leaves a row non-finite exactly where evaluate raises.
     """
-    cols = dict(zip(keys, params.T))
-    args = [cols[name] for name in _PARAM_COLUMNS]
-    in_domain = closedform.array_domain(*args)
-    if "lambda" in cols:
-        lam = cols["lambda"]
-        in_domain &= np.isfinite(lam) & (lam > 0.0)
-    values = np.full((len(params), len(_NAN_ROW)), math.nan)
-    idx = np.flatnonzero(in_domain)
-    for start in range(0, len(idx), _BLOCK):
-        sel = idx[start : start + _BLOCK]
-        values[sel] = closedform.evaluate_arrays(*(a[sel] for a in args))
+    values = np.empty((len(params), len(_NAN_ROW)))
+    for start in range(0, len(params), _BLOCK):
+        block = params[start : start + _BLOCK, : len(_PARAM_COLUMNS)]
+        values[start : start + _BLOCK] = closedform.evaluate_arrays(*block.T)
+    lam = params[:, -1]  # the coupling, last of _GRID_COLUMNS
+    values[~(np.isfinite(lam) & (lam > 0.0))] = math.nan
     status = ["ok"] * len(params)
     for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
-        items = tuple(zip(keys, params[i].tolist()))
+        items = tuple(zip(_GRID_COLUMNS, params[i].tolist()))
         values[i], status[i] = _evaluate_point(items)
-    return GridResult(keys, params, values, status)
+    return GridResult(params, values, status)
 
 
 def run_grid(spec: GridSpec) -> GridResult:
     """Evaluate a grid row-major; failures are per-point, never fatal."""
-    return _evaluate(*spec.columns())
+    return _evaluate(spec.columns())
 
 
 # --- CSV -------------------------------------------------------------------
@@ -248,8 +244,6 @@ def emit_csv(points: GridResult, path: str) -> str:
     newline, each zero-padded to a fixed width.  One mask keeps the text
     bytes, and the block is written as the bytes it keeps.
     """
-    columns = [points.column(name) for name in _PARAM_COLUMNS]
-    columns += list(points.values.T)
     # Each distinct status once: its line's end in UTF-8, zero-padded to
     # whole words so that every line's float words stay aligned.
     statuses = {status: i for i, status in enumerate(dict.fromkeys(points.status))}
@@ -259,7 +253,9 @@ def emit_csv(points: GridResult, path: str) -> str:
     end_len = np.array([len(end) for end in ends], np.intp)
     line_end = np.array([statuses[status] for status in points.status], np.intp)
 
-    floats = len(columns) * _shortest.WORDS * 8
+    # The CSV's float columns: every parameter but lambda, then the values.
+    params = points.params[:, : len(_PARAM_COLUMNS)]
+    floats = (len(_PARAM_COLUMNS) + len(_NAN_ROW)) * _shortest.WORDS * 8
     lines = min(_BLOCK, len(points))
     buffer = np.empty((lines, floats + width), np.uint8)
     keep = np.empty(buffer.shape, bool)
@@ -267,7 +263,7 @@ def emit_csv(points: GridResult, path: str) -> str:
         fh.write(f"{CSV_HEADER}\n".encode())
         for start in range(0, len(points), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            block = np.column_stack([col[rows] for col in columns])
+            block = np.hstack((params[rows], points.values[rows]))
             text, kept = buffer[: len(block)], keep[: len(block)]
             _shortest.csv_fields(
                 block,
@@ -363,13 +359,7 @@ PRESETS: dict[str, FigurePreset] = {
 
 def run_preset(preset: FigurePreset) -> GridResult:
     """Run every grid of a preset, the points concatenated in grid order."""
-    columns = [grid.columns() for grid in preset.grids]
-    keys = columns[0][0]
-    if any(k != keys for k, _ in columns):
-        raise ValueError(
-            f"preset {preset.figure_id!r}: grids differ in their parameter names"
-        )
-    return _evaluate(keys, np.concatenate([p for _, p in columns]))
+    return _evaluate(np.concatenate([grid.columns() for grid in preset.grids]))
 
 
 # --- SVG -------------------------------------------------------------------
@@ -412,14 +402,12 @@ def _ramp_colors(t: np.ndarray) -> list[str]:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    """Round tick locations covering [lo, hi].
+    """Round tick locations covering [lo, hi], where lo < hi.
 
     Tick k is first + k * step, not the previous tick plus step, so ticks
     do not drift, and spread over the range even where step is below its
     float spacing (near 1e16).  A tick rounded to zero is +0, never -0.
     """
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -378,6 +378,22 @@ def test_figure_with_a_failed_grid_point_is_internal_error(tmp_path, monkeypatch
     assert not (tmp_path / "fig2.svg").exists()
 
 
+def test_an_arithmetic_error_the_input_does_not_explain_is_internal_error(
+    monkeypatch, capsys
+):
+    # evaluate names every failure the input causes (DomainTooLarge, a
+    # ValueError); an ArithmeticError that escapes it is a fault of the
+    # program, and exits 1.
+    def failing(params):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli.closedform, "evaluate", failing)
+    assert cli.main(["point"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: planted\n"
+
+
 # --- verify ------------------------------------------------------------------
 
 

@@ -42,7 +42,10 @@ from gwharvest.closedform import (
     x_minkowski,
 )
 from gwharvest.model import (
+    ConfigError,
     DegenerateDirection,
+    DimensionlessParams,
+    InvalidGeometry,
     StateInvalid,
     params_from_mapping,
 )
@@ -816,9 +819,12 @@ def test_evaluate_arrays_rows_equal_evaluate_bit_for_bit_below_the_cutoff():
     ],
 )
 def test_evaluate_arrays_rejects_points_outside_its_domain(point):
+    # A point DimensionlessParams refuses gets an all-nan row, and the
+    # valid point beside it keeps evaluate's bits.
     ok = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="evaluate handles"):
-        evaluate_arrays(*np.stack([ok, np.array(point)]).T)
+    rows = evaluate_arrays(*np.stack([ok, np.array(point)]).T)
+    assert rows[0].tobytes() == np.array(_scalar_row(*ok.tolist())).tobytes()
+    assert np.isnan(rows[1]).all()
 
 
 def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
@@ -834,7 +840,6 @@ def test_evaluate_rows_equal_kernel_rows_bit_for_bit_far_outside_presets():
         rng.uniform(-1.0, 2.0, n),
         np.full(n, 0.05),
     ])
-    cols = cols[:, cf.array_domain(*cols)]
     rows = evaluate_arrays(*cols)
     # Points the sweep sends to evaluate one by one are not compared.
     kept = np.isfinite(rows).all(axis=1)
@@ -875,6 +880,51 @@ def test_array_rows_are_non_finite_exactly_where_evaluate_raises():
     assert seen == {
         "ok", "DegenerateDirection", "DomainTooLarge",
         "OverflowError", "ValueError", "ZeroDivisionError",
+    }
+
+
+def test_array_rows_are_non_finite_exactly_where_a_point_cannot_be_built():
+    # nan and +-inf in each parameter, and D = 0, -0 or negative: the rows
+    # of points DimensionlessParams refuses are nan.  Rows are non-finite
+    # where evaluate raises (1e155 overflows), and hold evaluate's bits
+    # everywhere else.
+    rng = np.random.default_rng(34)
+    n = 2000
+    cols = np.stack([
+        rng.uniform(0.0, 4.0, n),
+        rng.uniform(-2.0, 2.0, n),
+        rng.uniform(0.25, 4.0, n),
+        rng.uniform(-1.0, 2.0, n),
+        rng.uniform(0.0, 0.1, n),
+    ])
+    special = rng.random(cols.shape) < 0.15
+    cols[special] = rng.choice(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e155],
+        np.count_nonzero(special),
+    )
+    rows = evaluate_arrays(*cols)
+    seen = set()
+    for (omega, Omega, D, t0, A), row in zip(cols.T.tolist(), rows):
+        try:
+            params = DimensionlessParams(
+                A=A, omega_sigma=omega, Omega_sigma=Omega, D_sigma=D, t0_sigma=t0
+            )
+        except (ConfigError, InvalidGeometry) as exc:
+            assert np.isnan(row).all(), (omega, Omega, D, t0, A)
+            seen.add(str(exc).split(" must")[0])  # what the message names
+            continue
+        try:
+            expected = evaluate(params).row
+        except (DomainTooLarge, DegenerateDirection):
+            assert not np.isfinite(row).all(), (omega, Omega, D, t0, A)
+            seen.add("evaluate raises")
+            continue
+        assert row.tobytes() == np.array(expected).tobytes(), (omega, Omega, D, t0, A)
+        seen.add("ok")
+    assert seen == {
+        "ok", "evaluate raises", "D/sigma", "parameter 'omega_sigma'",
+        "parameter 'Omega_sigma'", "parameter 'D_sigma'", "parameter 't0_sigma'",
+        "parameter 'A'",
     }
 
 

@@ -205,6 +205,20 @@ def test_frozen_dataclasses():
         DimensionlessParams().A = 0.5
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scalar", [np.float32, np.float64])
+def test_numpy_scalar_fields_are_converted_before_they_are_summed(scalar):
+    # Summed as numpy scalars, the largest finite fields overflow with a
+    # RuntimeWarning; converted first, the builtin sum overflows silently.
+    big = scalar(np.finfo(scalar).max)
+    values = {"A": big, "omega_sigma": big, "t0_sigma": -big}
+    for params in (DimensionlessParams(**values), params_from_mapping(values)):
+        assert [type(v) for v in vars(params).values()] == [float] * 6
+        assert params.A == params.omega_sigma == -params.t0_sigma == float(big)
+    with pytest.raises(ConfigError, match="'omega_sigma' must be finite"):
+        DimensionlessParams(A=big, omega_sigma=scalar(math.inf))
+
+
 @pytest.mark.parametrize("with_lambda", [False, True])
 def test_params_finite_fields_whose_sum_overflows_still_construct(with_lambda):
     # Finiteness is first checked on the sum of the fields; a sum that

@@ -291,23 +291,32 @@ _FAMILIES = {
 def test_gk21_agrees_with_quadpack_within_both_error_estimates(
     family, float_nodes, monkeypatch
 ):
-    integrals = []
-    batched = oracle._gk21
+    integrals, batches = [], []
+    batched, integrand = oracle._gk21, oracle._batch_integrand
 
     def recording(f, edges, **kwargs):
         values, errors = batched(f, edges, **kwargs)
         integrals.extend(
-            (f, i, tuple(e), v, err)
-            for i, (e, v, err) in enumerate(zip(edges, values, errors))
+            (f, i, it, tuple(e), v, err)
+            for i, (it, e, v, err) in enumerate(
+                zip(batches[-1], edges, values, errors)
+            )
         )
         return values, errors
 
+    def recorded_integrand(batch):
+        batches.append(batch)
+        return integrand(batch)
+
     monkeypatch.setattr(oracle, "_gk21", recording)
+    monkeypatch.setattr(oracle, "_batch_integrand", recorded_integrand)
     _FAMILIES[family]()
     assert integrals
-    for f, i, edges, value, err in integrals:
+    for f, i, it, edges, value, err in integrals:
         if float_nodes:
-            ref, ref_err = _quadpack(lambda t: f(t, i), edges)
+            ref, ref_err = _quadpack(
+                lambda t: it.family.kernel(t, *it.params), edges
+            )
         else:
             ref, ref_err = _quadpack(
                 lambda t: f(np.array([[t]]), np.array([[i]])), edges

@@ -70,15 +70,15 @@ def test_point_values_row_major_with_defaults():
         axis2=AxisSpec("D_sigma", 1.0, 2.0, 3),
         fixed={"A": 0.05},
     )
-    keys, params = spec.columns()
-    pts = [dict(zip(keys, row)) for row in params.tolist()]
-    assert len(pts) == 6
+    params = spec.columns()
+    assert params.shape == (6, len(sweep._GRID_COLUMNS))
+    pts = [dict(zip(sweep._GRID_COLUMNS, row)) for row in params.tolist()]
     first = pts[0]
     # Unswept, unfixed parameters take the library defaults.
     assert first["omega_sigma"] == 2.0
     assert first["t0_sigma"] == 0.0
     assert first["A"] == 0.05
-    assert "lambda" not in first
+    assert first["lambda"] == 1.0
     # axis1 is the outer loop, axis2 the inner one.
     coords = [(p["Omega_sigma"], p["D_sigma"]) for p in pts]
     assert coords == [
@@ -186,14 +186,13 @@ MIXED_GRIDS = [
 @pytest.mark.parametrize("spec", MIXED_GRIDS)
 def test_run_grid_matches_pointwise_scalar_evaluation(spec):
     pts = run_grid(spec)
-    keys, params = spec.columns()
+    params = spec.columns()
     assert len(pts) == len(params)
-    assert pts.keys == keys
     np.testing.assert_array_equal(pts.params, params)
     for got, got_status, point in zip(
         pts.values.tolist(), pts.status, params.tolist()
     ):
-        row, status = _scalar_point(zip(keys, point))
+        row, status = _scalar_point(zip(sweep._GRID_COLUMNS, point))
         assert got_status == status
         for a, b in zip(got, row):
             if math.isnan(b):
@@ -223,8 +222,7 @@ def test_closed_form_failures_keep_their_exception_class(spec, index, error):
     # The point is out of floating-point range, an input error: evaluate
     # raises DomainTooLarge from the arithmetic's own exception, and the
     # status names both classes.
-    keys, params = spec.columns()
-    point = dict(zip(keys, params[index].tolist()))
+    point = dict(zip(sweep._GRID_COLUMNS, spec.columns()[index].tolist()))
     with pytest.raises(closedform.DomainTooLarge) as raised:
         closedform.evaluate(params_from_mapping(point))
     assert type(raised.value.__cause__) is error
@@ -279,7 +277,7 @@ def test_non_finite_kernel_row_at_an_evaluable_point_keeps_evaluate(monkeypatch)
     spec = GridSpec(axis1=AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"A": 0.05})
     pts = run_grid(spec)
     assert pts.status == ["ok"] * 3
-    point = dict(zip(pts.keys, pts.params[1].tolist()))
+    point = dict(zip(sweep._GRID_COLUMNS, pts.params[1].tolist()))
     expected = closedform.evaluate(params_from_mapping(point))
     assert pts.values[1].tolist() == list(expected.row)
 
@@ -294,10 +292,10 @@ def test_run_grid_reports_non_finite_parameters_per_point():
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_run_grid_rejects_the_couplings_a_point_rejects(lam):
     spec = GridSpec(AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"lambda": lam})
-    keys, params = spec.columns()
     pts = run_grid(spec)
-    for row, status in zip(params.tolist(), pts.status):
-        assert status == sweep._evaluate_point(tuple(zip(keys, row)))[1] != "ok"
+    for row, status in zip(spec.columns().tolist(), pts.status):
+        items = tuple(zip(sweep._GRID_COLUMNS, row))
+        assert status == sweep._evaluate_point(items)[1] != "ok"
     assert np.isnan(pts.values).all()
 
 
@@ -307,7 +305,7 @@ def test_grid_result_sequence_behaviour():
     assert isinstance(pts, GridResult)
     assert len(pts) == 4
     assert pts.column("D_sigma")[-1] == 2.0
-    point = dict(zip(pts.keys, pts.params[3].tolist()))
+    point = dict(zip(sweep._GRID_COLUMNS, pts.params[3].tolist()))
     expected = closedform.evaluate(params_from_mapping(point))
     assert pts.values[3].tolist() == list(expected.row)
     assert pts.status[0] != "ok"
@@ -365,9 +363,11 @@ def _plain_csv(points):
 
 
 def _grid_result(params_by_name, values, status):
-    keys = tuple(sorted(params_by_name))
-    params = np.column_stack([params_by_name[k] for k in keys])
-    return GridResult(keys, params, np.asarray(values, dtype=float), status)
+    n = len(status)
+    params = np.column_stack(
+        [params_by_name.get(name, np.ones(n)) for name in sweep._GRID_COLUMNS]
+    )
+    return GridResult(params, np.asarray(values, dtype=float), status)
 
 
 def test_emit_csv_keeps_negative_zero_apart_from_zero(tmp_path):
@@ -547,9 +547,7 @@ def test_emit_svg_lines_draws_each_grid_as_one_curve(tmp_path):
 def test_emit_svg_rejects_incomplete_grids(tmp_path):
     preset = _tiny_heatmap_preset()
     pts = run_preset(preset)
-    short = GridResult(
-        pts.keys, pts.params[:-1], pts.values[:-1], pts.status[:-1]
-    )
+    short = GridResult(pts.params[:-1], pts.values[:-1], pts.status[:-1])
     with pytest.raises(IncompleteGrid):
         emit_svg(preset, short, str(tmp_path / "x.svg"))
     # The figure is drawn before its file is opened: a failure creates no
