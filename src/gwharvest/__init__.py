@@ -44,6 +44,7 @@ from .model import (
     ConfigError,
     DegenerateDirection,
     DimensionlessParams,
+    DomainTooLarge,
     IncompleteGrid,
     InvalidCoupling,
     InvalidGeometry,
@@ -54,7 +55,6 @@ from .model import (
     read_config,
     validate,
 )
-from .specfun import DomainTooLarge
 from .sweep import (
     CSV_HEADER,
     PRESETS,
@@ -114,6 +114,7 @@ __all__ = [
     "InvalidGeometry",
     "InvalidCoupling",
     "DegenerateDirection",
+    "DomainTooLarge",
     "StateInvalid",
     "IncompleteGrid",
     # oracle
@@ -130,8 +131,6 @@ __all__ = [
     "oracle_x_gw",
     "oracle_c_gw",
     "verify_suite",
-    # specfun
-    "DomainTooLarge",
     # sweep
     "AxisSpec",
     "GridSpec",

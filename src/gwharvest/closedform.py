@@ -39,12 +39,12 @@ import numpy as np
 from .model import (
     DegenerateDirection,
     DimensionlessParams,
+    DomainTooLarge,
     StateInvalid,
 )
 from .specfun import (
     _ARRAY,
     _SCALAR,
-    DomainTooLarge,
     _Backend,
     _cmul,
     _phased_erf,
@@ -76,8 +76,9 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _PI_32 = math.pi ** 1.5
 
-# Below this omega*sigma the direct closed forms for the GW integrals suffer
-# 1/omega cancellation, so their Taylor series in omega take over
+# Below this omega*sigma the direct closed forms of I2 and I4 suffer
+# 1/omega cancellation, so their Taylor series in omega take over, and
+# sin h/h and cos h of I1 and I3 (h = omega D/2) their polynomials
 # (_small_omega makes the choice, on builtin floats and on arrays).
 SMALL_OMEGA_CUTOFF = 1.0e-3
 
@@ -134,60 +135,49 @@ def _envelope(b: _Backend, w, Om, t0):
 
 
 def _small_omega(w):
-    """Where I1-I4 take their series (_gw_series) instead of their direct
-    forms (_gw_direct), which lose their digits to 1/w there: a bool on
-    builtin floats, a mask on arrays."""
+    """Where I2 and I4 take their series (_gw_series) instead of their
+    direct forms (_gw_direct), which lose their digits to 1/w there, and
+    sin h/h and cos h their Taylor polynomials: a bool on builtin floats, a
+    mask on arrays."""
     return abs(w) < SMALL_OMEGA_CUTOFF
 
 
-# The direct forms.  sin_h and cos_h are sin and cos of h = w D/2, and
-# gauss_w is e^{-w^2/4}.  I2 and I4 take each erf product with its phase,
-# e^{iDk} e^{-D^2/4} erf(k + iD/2), from _phased_erf.
+# The direct forms.  I2 and I4 are pi/w times g at w/2 and w/2 +- Om, each
+# erf product taken with its phase, e^{iDk} e^{-D^2/4} erf(k + iD/2), from
+# _phased_erf.
 
 
-def _i1(w, D, gauss, sin_h, cos_h):
-    """Im I1 by its direct form."""
-    bracket = (D * D / 4.0 + 1.0) * sin_h - (D * w / 4.0) * cos_h
-    return math.pi * gauss * bracket / w
+def _g(b: _Backend, k, D, gauss):
+    """The odd function of I2 and I4, from gauss = e^{-D^2/4}:
 
-
-def _i2(b: _Backend, w, D, gauss, gauss_w, sin_h, cos_h):
-    ph_re, ph_im = _phased_erf(b, D / 2.0, gauss, w / 2.0, cos_h, sin_h, gauss_w)
-    # Re[(1 + D^2/4 - i D w/4) ph]
-    prod_re = (1.0 + D * D / 4.0) * ph_re + (D * w / 4.0) * ph_im
-    return math.pi / w * (b.erf(w / 2.0) - prod_re)
-
-
-def _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD):
-    bracket = (
-        D * w * sin_OD * cos_h
-        + 2.0 * D * Om * cos_OD * sin_h
-        - (D * D + 4.0) * sin_OD * sin_h
+        g(k) = erf(k) - Re[e^{iDk} (1 + D^2/4 - iDk/2) e^{-D^2/4} erf(k + iD/2)].
+    """
+    Dk = D * k
+    ph_re, ph_im = _phased_erf(
+        b, D / 2.0, gauss, k, b.cos(Dk), b.sin(Dk), b.exp(-k * k)
     )
-    return math.pi * gauss / (2.0 * w) * bracket
+    return b.erf(k) - ((1.0 + D * D / 4.0) * ph_re + (Dk / 2.0) * ph_im)
 
 
-def _i4(b: _Backend, w, Om, D, gauss):
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        k = w / 2.0 + sign * Om
-        Dk = D * k
-        ph_re, ph_im = _phased_erf(
-            b, D / 2.0, gauss, k, b.cos(Dk), b.sin(Dk), b.exp(-k * k)
-        )
-        # Re[-i ph (D k/2 + i (1 + D^2/4))]
-        prod_re = (1.0 + D * D / 4.0) * ph_re + (Dk / 2.0) * ph_im
-        total = total + (b.erf(k) - prod_re)
-    return math.pi / w * total
+def _gw_direct(b: _Backend, w, Om, D, factors):
+    """(sin h/h, cos h, I2, I4) by libm and the direct forms, h = w D/2,
+    from the factors _minkowski returns."""
+    gauss = factors[0]
+    h, k = w * D / 2.0, w / 2.0
+    return (
+        b.sin(h) / h,
+        b.cos(h),
+        math.pi / w * _g(b, k, D, gauss),
+        math.pi / w * (0.0 + _g(b, k + Om, D, gauss) + _g(b, k - Om, D, gauss)),
+    )
 
 
-# The series: each integral's Taylor polynomial through w^4, plain
-# arithmetic on either backend.  I1 and I3 are their direct forms with
-# sin h/h and cos h replaced by their polynomials (_sinc_cos); I2 and I4
-# take the difference of erf values that cancels against 1/w from
-# _erf_quotient.  The first term left out is of relative order
-# (w max(D, |Om|))^6, below a double's resolution for |w| below
-# SMALL_OMEGA_CUTOFF on the presets' range.
+# The series: sin h/h and cos h by their Taylor polynomials through h^4
+# (_sinc_cos), and I2 and I4 by theirs through w^4, which take the
+# difference of g values that cancels against 1/w from _erf_quotient.
+# The first term left out is of relative order (w max(D, |Om|))^6, below
+# a double's resolution for |w| below SMALL_OMEGA_CUTOFF on the presets'
+# range.
 
 
 def _sinc_cos(w, D):
@@ -196,24 +186,9 @@ def _sinc_cos(w, D):
     return 1.0 - y * (2.0 / 3.0 - y * (2.0 / 15.0)), 1.0 - y * (2.0 - y * (2.0 / 3.0))
 
 
-def _i1_series(D, gauss, sinc, cos):
-    """Im I1 = pi e^{-D^2/4} (D/2) [(1 + D^2/4) sin h/h - cos h/2]."""
-    return math.pi * gauss * (D / 2.0) * ((1.0 + D * D / 4.0) * sinc - cos / 2.0)
-
-
-def _i3_series(Om, D, gauss, sin_OD, cos_OD, sinc, cos):
-    """I3 = pi e^{-D^2/4}/2 [D sin(Om D) cos h
-    + (2 D Om cos(Om D) - (D^2 + 4) sin(Om D)) (D/2) sin h/h]."""
-    sinc_term = (2.0 * D * Om * cos_OD - (D * D + 4.0) * sin_OD) * (D / 2.0) * sinc
-    return math.pi * gauss / 2.0 * (D * sin_OD * cos + sinc_term)
-
-
 def _erf_quotient(w, k, D, gauss_k, z_re, z_im, sinc, cos):
-    """(g(k + w/2) - g(k - w/2))/w for the odd function
-
-        g(k) = erf(k) - Re[e^{iDk} (1 + D^2/4 - iDk/2) e^{-D^2/4} erf(k + iD/2)],
-
-    given gauss_k = e^{-k^2} and z = e^{iDk} e^{-D^2/4} erf(k + iD/2).
+    """(g(k + w/2) - g(k - w/2))/w for _g's odd function g, given
+    gauss_k = e^{-k^2} and z = e^{iDk} e^{-D^2/4} erf(k + iD/2).
 
     With p = D/2, every derivative of g at k is elementary (DLMF 7.10)
     except where e^{-D^2/4} erf(k + iD/2) itself is left underived, which
@@ -234,46 +209,25 @@ def _erf_quotient(w, k, D, gauss_k, z_re, z_im, sinc, cos):
     )
 
 
-def _i2_series(w, D, e0_im, sinc, cos):
-    """I2 = (pi/w) g(w/2) = (pi/2) _erf_quotient at k = 0, where z is
+def _gw_series(b: _Backend, w, Om, D, factors):
+    """(sin h/h, cos h, I2, I4) by their series, from the factors
+    _minkowski returns: no Faddeeva call.  b is unused; _gw_direct's
+    signature.
+
+    I2 = (pi/w) g(w/2) is (pi/2) _erf_quotient at k = 0, where z is
     _minkowski's E0.  E0 is purely imaginary, so its computed real part,
-    zero up to rounding, is not used."""
-    return math.pi / 2.0 * _erf_quotient(w, 0.0, D, 1.0, 0.0, e0_im, sinc, cos)
-
-
-def _i4_series(w, Om, D, gauss_om, z_re, z_im, sinc, cos):
-    """I4 = (pi/w) [g(w/2 + Om) + g(w/2 - Om)] = pi _erf_quotient at k = Om
-    (z as in _minkowski), as g is odd: the -Om branch,
-    e^{-D^2/4} erf(-Om + iD/2), is -conj of the +Om one and needs no
-    evaluation."""
-    return math.pi * _erf_quotient(w, Om, D, gauss_om, z_re, z_im, sinc, cos)
-
-
-def _gw_direct(b: _Backend, w, Om, D, gauss_w, factors):
-    """(Im I1, I2, I3, I4) by their direct forms, from gauss_w = e^{-w^2/4}
-    and the factors _minkowski returns."""
-    gauss, _, sin_OD, cos_OD, _, _, _ = factors
-    h = w * D / 2.0
-    sin_h, cos_h = b.sin(h), b.cos(h)
-    return (
-        _i1(w, D, gauss, sin_h, cos_h),
-        _i2(b, w, D, gauss, gauss_w, sin_h, cos_h),
-        _i3(w, Om, D, gauss, sin_h, cos_h, sin_OD, cos_OD),
-        _i4(b, w, Om, D, gauss),
-    )
-
-
-def _gw_series(b: _Backend, w, Om, D, gauss_w, factors):
-    """(Im I1, I2, I3, I4) by their series, from the factors _minkowski
-    returns: no Faddeeva call.  b and gauss_w are unused; _gw_direct's
-    signature."""
-    gauss, gauss_om, sin_OD, cos_OD, e0_im, z_re, z_im = factors
+    zero up to rounding, is not used.  I4 = (pi/w) [g(w/2 + Om) +
+    g(w/2 - Om)] is pi _erf_quotient at k = Om (z as in _minkowski), as g
+    is odd: the -Om branch, e^{-D^2/4} erf(-Om + iD/2), is -conj of the
+    +Om one and needs no evaluation.
+    """
+    _, gauss_om, _, _, e0_im, z_re, z_im = factors
     sinc, cos = _sinc_cos(w, D)
     return (
-        _i1_series(D, gauss, sinc, cos),
-        _i2_series(w, D, e0_im, sinc, cos),
-        _i3_series(Om, D, gauss, sin_OD, cos_OD, sinc, cos),
-        _i4_series(w, Om, D, gauss_om, z_re, z_im, sinc, cos),
+        sinc,
+        cos,
+        math.pi / 2.0 * _erf_quotient(w, 0.0, D, 1.0, 0.0, e0_im, sinc, cos),
+        math.pi * _erf_quotient(w, Om, D, gauss_om, z_re, z_im, sinc, cos),
     )
 
 
@@ -305,11 +259,19 @@ def _minkowski(b: _Backend, Om, D, t0):
 def _integrals(b: _Backend, w, Om, D, factors):
     """(e^{-w^2/4}, Im I1, I2, I3, I4) of a point, from the factors
     _minkowski returns.  One choice per point picks the series or the
-    direct forms."""
-    gauss_w = b.exp(-w * w / 4.0)
-    return gauss_w, *b.choose(
-        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, gauss_w, factors
+    direct forms of sin h/h, cos h (h = w D/2), I2 and I4; I1 and I3 are
+    one form over both, with no division by w."""
+    gauss, _, sin_OD, cos_OD, _, _, _ = factors
+    sinc, cos, i2, i4 = b.choose(
+        _small_omega(w), _gw_series, _gw_direct, b, w, Om, D, factors
     )
+    # Im I1 = pi e^{-D^2/4} (D/2) [(1 + D^2/4) sin h/h - cos h/2].
+    i1 = math.pi * gauss * (D / 2.0) * ((1.0 + D * D / 4.0) * sinc - cos / 2.0)
+    # I3 = pi e^{-D^2/4}/2 [D sin(Om D) cos h
+    #      + (2 D Om cos(Om D) - (D^2 + 4) sin(Om D)) (D/2) sin h/h].
+    sinc_term = (2.0 * D * Om * cos_OD - (D * D + 4.0) * sin_OD) * (D / 2.0) * sinc
+    i3 = math.pi * gauss / 2.0 * (D * sin_OD * cos + sinc_term)
+    return b.exp(-w * w / 4.0), i1, i2, i3, i4
 
 
 def _gw(b: _Backend, w, Om, D, t0, factors):
@@ -432,11 +394,11 @@ def integral_I1(omega: float, D: float) -> complex:
     I1 = i pi e^{-D^2/4} / omega * [ (D^2/4 + 1) sin(omega D/2)
                                       - (D omega/4) cos(omega D/2) ].
 
-    For omega below SMALL_OMEGA_CUTOFF the 0/0 form is replaced by its
-    Taylor polynomial through omega^4,
-    i pi e^{-D^2/4} (D/2) [ (D^2/4 + 1) sin(h)/h - cos(h)/2 ] with
-    h = omega D/2 and sin(h)/h, cos(h) expanded through h^4.  Raises
-    wherever _minkowski and _integrals raise at (omega, Omega = 0, D).
+    It is computed as i pi e^{-D^2/4} (D/2) [ (D^2/4 + 1) sin(h)/h
+    - cos(h)/2 ] with h = omega D/2, which does not divide by omega:
+    sin(h)/h and cos(h) by libm, and below SMALL_OMEGA_CUTOFF by their
+    Taylor polynomials through h^4.  Raises wherever _minkowski and
+    _integrals raise at (omega, Omega = 0, D).
     """
     return complex(0.0, _integrals_at(omega, 0.0, D)[1])
 
@@ -478,9 +440,10 @@ def integral_I3(omega: float, Omega: float, D: float) -> float:
     the relative sign of the two sine terms follows from
     2 sin a cos b = sin(a+b) + sin(a-b) applied to each product above.
 
-    Below SMALL_OMEGA_CUTOFF the Taylor polynomial through omega^4 is used
-    instead of the 0/0 direct form, as for integral_I1.  Raises wherever
-    _minkowski and _integrals raise at (omega, Omega, D).
+    It is computed as pi e^{-D^2/4}/2 * [ D sin(Omega D) cos(h)
+    + (2 D Omega cos(Omega D) - (D^2 + 4) sin(Omega D)) (D/2) sin(h)/h ]
+    with h = omega D/2, sin(h)/h and cos(h) as for integral_I1.  Raises
+    wherever _minkowski and _integrals raise at (omega, Omega, D).
     """
     return _integrals_at(omega, Omega, D)[3]
 
@@ -608,7 +571,8 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
     still evaluates but the report carries the OUTSIDE_FIRST_ORDER_FLAG,
     since the neglected second-order strain terms can dominate there.
     The closed forms, and below SMALL_OMEGA_CUTOFF the series that stand
-    in for I1-I4, are those evaluate_arrays runs, bound to builtin floats.
+    in for sin h/h, cos h, I2 and I4, are those evaluate_arrays runs,
+    bound to builtin floats.
     """
     w, Om, D, t0 = (
         params.omega_sigma, params.Omega_sigma, params.D_sigma, params.t0_sigma

@@ -19,6 +19,7 @@ __all__ = [
     "InvalidGeometry",
     "InvalidCoupling",
     "DegenerateDirection",
+    "DomainTooLarge",
     "StateInvalid",
     "IncompleteGrid",
     "ConfigError",
@@ -53,6 +54,14 @@ class DegenerateDirection(ValueError):
     The parameters alone decide this (a vast gap or separation), so it is
     an input error, as InvalidGeometry and InvalidCoupling are.
     """
+
+
+class DomainTooLarge(ValueError):
+    """A point whose observables are out of floating-point range:
+    closedform.evaluate raises it where the arithmetic raises an
+    ArithmeticError or the math library rejects an infinite argument, or
+    where it overflows without raising, naming the observables that are
+    not finite."""
 
 
 class StateInvalid(ValueError):

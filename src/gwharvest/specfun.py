@@ -33,18 +33,9 @@ from scipy import special as _sp
 from scipy.special import cython_special as _cs
 
 __all__ = [
-    "DomainTooLarge",
     "erfc_real",
     "complex_array",
 ]
-
-
-class DomainTooLarge(ValueError):
-    """A point whose observables are out of floating-point range:
-    closedform.evaluate raises it where the arithmetic raises an
-    ArithmeticError or the math library rejects an infinite argument, or
-    where it overflows without raising, naming the observables that are
-    not finite."""
 
 
 # 1 - erf(x), accurate for large x: the double version of scipy's
