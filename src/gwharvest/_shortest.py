@@ -8,9 +8,10 @@ of Java's Double.toString) over a whole array at once.  A table holds
 g ~ 10^-k * 2^-r of 126 bits for each decimal exponent k, and three
 products of g, each rounded to odd, place the double and the two ends of
 its rounding interval on the 10^k grid.  The products are built from
-32-bit limbs, so every step is uint64 numpy arithmetic.  Zero, inf, nan
-and subnormals go to repr itself: Java's Schubfach prints at least two
-digits, where repr prints 5e-324.
+32-bit limbs, so every step is uint64 numpy arithmetic.  A zero takes
+1.0's layout with the digit 0.  inf, nan and subnormals go to repr
+itself: Java's Schubfach prints at least two digits, where repr prints
+5e-324.
 
 Each field is laid out in WORDS uint64 words whose nonzero bytes, in
 order, are its text, so no step moves bytes by a per-value amount.  With
@@ -211,9 +212,12 @@ def _fill(values: np.ndarray, out: np.ndarray) -> None:
     tables = _tables()
     bits = values.view(_U64)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
-    special = (biased == 0) | (biased == 0x7FF)
-    # Any normal double stands in for them: their fields are replaced below.
-    f, k = _schubfach(np.where(special, _ONE_BITS, bits))
+    zero = (bits & _M63) == 0
+    special = (biased == 0x7FF) | ((biased == 0) & ~zero)
+    # A zero is laid out as 1.0 with d0 = 0, its sign from the prefix.  Any
+    # normal double stands in for the special ones: their fields are
+    # replaced below.
+    f, k = _schubfach(np.where(special | zero, _ONE_BITS, bits))
 
     # big's 17 digits are d0 ... d16, the value being 0.d0d1... * 10^decpt.
     short = f < 10**16
@@ -223,6 +227,7 @@ def _fill(values: np.ndarray, out: np.ndarray) -> None:
     lo = big - hi * 10**8
     d0 = hi // 10**8
     hi -= d0 * 10**8
+    d0 -= zero
     upper, lower = hi // 10**4, lo // 10**4
     groups = (upper, hi - upper * 10**4, lower, lo - lower * 10**4)
     quads = np.empty(values.shape + (4,), np.uint32)

@@ -611,33 +611,52 @@ def evaluate(params: DimensionlessParams) -> HarvestReport:
 # --- the same observables over arrays of points -----------------------------
 
 
-def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
-    """Every observable for N points at once, as a float64 (N, 15) array.
+def _observable_columns(omega, Omega, D, t0, A) -> tuple:
+    """The OBSERVABLES of the points the parameters span by broadcasting,
+    each column at the shape its own inputs span.
 
-    Column k is OBSERVABLES[k]; row i holds evaluate's values for point i
-    (separation along x): the same closed forms, bound to numpy arrays
-    instead of builtin floats, with the Faddeeva and erf-oddness folds
-    and the small-omega series taken as masks (the series run only when
-    some point needs them).  Any parameters are accepted, and nothing
-    raises: a row is non-finite exactly where
-    evaluate(DimensionlessParams(...)) raises at its point.  It is all
-    nan where the point cannot be built (a non-finite parameter, D <= 0)
-    or |x_m| < DEGENERATE_XM_FLOOR, and non-finite where a step that
-    raises on builtin floats gives nan or inf here.  Every other row holds
-    evaluate's bits, so a caller needs evaluate only for the error of a
-    non-finite row.
+    Nothing is broadcast up front: P runs on Omega's shape, the Minkowski
+    pieces on that of (Omega, D, t0), e^{-D^2/4}, E0, g(omega/2, D), sin h/h
+    and cos h on that of (omega, D), and so on, each value holding the
+    bits its point gets in evaluate_arrays.  im_c_m and im_c_gw are the
+    float 0.0.  Where some point cannot be built or has |x_m| <
+    DEGENERATE_XM_FLOOR, every column is broadcast to the full shape with
+    nan at those points, as evaluate_arrays's rows.
     """
-    w, Om, D, t0, A = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
-    )
+    w, Om, D, t0, A = (np.asarray(v, dtype=float) for v in (omega, Omega, D, t0, A))
     with np.errstate(all="ignore"):
         minkowski, factors = _minkowski(_ARRAY, Om, D, t0)
         gw = _gw(_ARRAY, w, Om, D, t0, factors)
-        row = _observables(_ARRAY, A, minkowski, gw)
-    out = np.column_stack(np.broadcast_arrays(*row))
-    valid = np.isfinite((w, Om, D, t0, A)).all(axis=0) & (D > 0.0)
-    out[~valid | (minkowski[-1] < DEGENERATE_XM_FLOOR)] = np.nan
-    return out
+        columns = _observables(_ARRAY, A, minkowski, gw)
+    bad = [~np.isfinite(v) for v in (w, Om, D, t0, A)]
+    bad += [~(D > 0.0), minkowski[-1] < DEGENERATE_XM_FLOOR]
+    if any(mask.any() for mask in bad):
+        bad = np.logical_or.reduce(np.broadcast_arrays(*bad))
+        columns = tuple(np.where(bad, np.nan, column) for column in columns)
+    return columns
+
+
+def evaluate_arrays(omega, Omega, D, t0, A) -> np.ndarray:
+    """Every observable for N points at once, as a float64 (N, 15) array.
+
+    The parameters broadcast against each other, and the N points are
+    those of their broadcast shape, row-major.  Column k is
+    OBSERVABLES[k]; row i holds evaluate's values for point i (separation
+    along x): the same closed forms, bound to numpy arrays instead of
+    builtin floats, with the Faddeeva and erf-oddness folds and the
+    small-omega series taken as masks (the series run only when some
+    point needs them).  Each factor runs on the shape its own inputs span
+    (_observable_columns), and only the end result is broadcast.  Any
+    parameters are accepted, and nothing raises: a row is non-finite
+    exactly where evaluate(DimensionlessParams(...)) raises at its point.
+    It is all nan where the point cannot be built (a non-finite
+    parameter, D <= 0) or |x_m| < DEGENERATE_XM_FLOOR, and non-finite
+    where a step that raises on builtin floats gives nan or inf here.
+    Every other row holds evaluate's bits, so a caller needs evaluate only
+    for the error of a non-finite row.
+    """
+    columns = _observable_columns(omega, Omega, D, t0, A)
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
 
 
 def _piece_arrays(omega, Omega, D, t0) -> dict[str, np.ndarray]:

@@ -107,6 +107,15 @@ def _array_pow(x, y):
     return np.where(np.isinf(out) & np.isfinite(x) & np.isfinite(y), np.nan, out)
 
 
+def _array_choose(cond, f, g, *args):
+    """f(*args) where cond, else g(*args), entry by entry of the tuples
+    they return, whose entries may differ in shape.  f runs only when some
+    element needs it; g runs on every element."""
+    if not cond.any():
+        return g(*args)
+    return tuple(np.where(cond, a, b) for a, b in zip(f(*args), g(*args)))
+
+
 _SCALAR = _Backend(
     exp=math.exp,
     sin=math.sin,
@@ -136,10 +145,7 @@ _ARRAY = _Backend(
     w=lambda re, im: _sp.wofz(complex_array(re, im)),
     abs=np.hypot,
     clip=lambda x: np.where(x > 0.0, x, 0.0),
-    choose=lambda cond, f, g, *args: (
-        # f runs only when some element needs it; g runs on every element.
-        np.where(cond, f(*args), g(*args)) if cond.any() else g(*args)
-    ),
+    choose=_array_choose,
 )
 
 

@@ -2,25 +2,36 @@
 
 A sweep is defined by a GridSpec: one or two swept axes plus fixed values
 for the remaining parameters.  run_grid evaluates every point row-major
-(first axis outer, second inner) into a GridResult, a set of columns:
-parameters, observables and one status per point.  Every grid has the
-same parameter columns in one fixed order, the CSV's then lambda.  It
-never aborts on a point failure — the error is recorded in that point's
-status — and is deterministic: every point is a pure function of its
-parameters, so the same grid produces byte-identical CSV output.  Every
-point, small omega and invalid parameters included, is evaluated as
-arrays by closedform.evaluate_arrays.  Its row is non-finite exactly
+(first axis outer, second inner) into a GridResult: parameters,
+observables and one status per point.  Every grid has the same parameter
+columns in one fixed order, the CSV's then lambda.  It never aborts on a
+point failure — the error is recorded in that point's status — and is
+deterministic: every point is a pure function of its parameters, so the
+same grid produces byte-identical CSV output.
+
+A grid is an outer product of its axes, and it stays one until its bytes
+are written.  run_grid cuts it into blocks of at most _BLOCK points, each
+whole rows of the second axis (the first axis as a (k, 1) column against
+the second as a (1, n) row, fixed values 0-d) or, for a second axis
+longer than _BLOCK, a run of one row.  One-axis grids over the same axis
+values, as a line chart's curves, are one such product with a row per
+grid.  closedform's array kernel computes each factor of a block at the
+shape its own parameters span, so a value that depends only on the
+first axis is computed once per row, and the GridResult keeps every
+column at that shape.  A block's row of a point is non-finite exactly
 where closedform.evaluate raises (or the point cannot be built, as for
-an invalid lambda), so such a point goes one by one through evaluate
-only for its status text, the name of its failure.
+an invalid lambda); such a block falls back to full shape, and the point
+goes one by one through evaluate only for its status text, the name of
+its failure.
 
 emit_csv and emit_svg take a GridResult.  CSV rows carry the full
 parameter tuple, every observable, and a status column; floats are
 written as repr() writes them, Python's shortest round-trip decimal
-form, by the array formatter in _shortest (repr itself only for zeros,
-inf, nan and subnormals).  The file contains exactly one header line plus
-one line per grid point — no comment or metadata lines, so an N-point
-sweep is an (N+1)-line file.
+form, by the array formatter in _shortest (repr itself only for inf, nan
+and subnormals).  emit_csv formats each column of a block at its own
+shape and broadcasts the text over the block's lines.  The file contains
+exactly one header line plus one line per grid point — no comment or
+metadata lines, so an N-point sweep is an (N+1)-line file.
 Figure metadata lives in the SVG output as XML comments.
 
 A FigurePreset's chart kind follows its grids: one two-axis grid is a
@@ -39,11 +50,12 @@ The presets reproduce the package's reference plots:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,10 +94,12 @@ _GRID_COLUMNS = _PARAM_COLUMNS + ("lambda",)
 
 CSV_HEADER = ",".join(_PARAM_COLUMNS + closedform.OBSERVABLES + ("status",))
 
-# Points per evaluate_arrays call and per block of CSV lines: bounds the
-# kernel's temporaries (a few dozen arrays of this length) and a block's
-# byte buffer and mask (about 1.2 MB each at 20 columns of 56 bytes),
-# whatever the grid size.
+# Points per block.  A block is a broadcast product of its parameters,
+# evaluated by one kernel call with each column at the shape it spans,
+# and written as one byte buffer of CSV lines, each column formatted at
+# its own shape.  The size bounds the kernel's temporaries (a few dozen
+# arrays of at most this many points) and a block's byte buffer and mask
+# (about 1.2 MB each at 20 columns of 56 bytes), whatever the grid size.
 _BLOCK = 1024
 
 _NAN_ROW = (math.nan,) * len(closedform.OBSERVABLES)
@@ -150,33 +164,76 @@ class GridSpec:
 
     def columns(self) -> np.ndarray:
         """The points' parameters as an (N, len(_GRID_COLUMNS)) array,
-        column j holding _GRID_COLUMNS[j], row-major (axis1 outer)."""
-        base = {**CONFIG_DEFAULTS, **self.fixed}
-        inner = self.axis2.count if self.axis2 is not None else 1
-        params = np.empty((self.axis1.count * inner, len(_GRID_COLUMNS)))
-        params[:] = [base[name] for name in _GRID_COLUMNS]
-        params[:, _GRID_COLUMNS.index(self.axis1.name)] = np.repeat(
-            self.axis1.values, inner
-        )
-        if self.axis2 is not None:
-            params[:, _GRID_COLUMNS.index(self.axis2.name)] = np.tile(
-                self.axis2.values, self.axis1.count
-            )
-        return params
+        column j holding _GRID_COLUMNS[j], row-major (axis1 outer): the
+        blocks run_grid evaluates, laid end to end."""
+        return np.concatenate([_flat(params, shape) for params, shape in _blocks([self])])
 
-@dataclass(frozen=True, eq=False)
+
+def _flat(columns, shape: tuple[int, ...]) -> np.ndarray:
+    """Columns that broadcast to shape, as a (points, columns) array over
+    its points row-major."""
+    out = np.empty(shape + (len(columns),))
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out.reshape(-1, len(columns))
+
+
+class _Block(NamedTuple):
+    """A run of grid points, row-major over shape, as columns that
+    broadcast to it: the _GRID_COLUMNS parameters and the
+    closedform.OBSERVABLES, each at the shape it spans."""
+
+    shape: tuple[int, ...]
+    params: tuple
+    values: tuple
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GridResult:
-    """Evaluated grid points, held as columns.
+    """Evaluated grid points, held as blocks of columns.
 
     params[:, j] holds parameter _GRID_COLUMNS[j] of every point (the
     CSV's parameter columns, then lambda), values the
     closedform.OBSERVABLES of every point (nan where it failed) and status
     its status text.  len gives the number of points.
+
+    run_grid keeps each block's columns at the shapes they span, so a
+    value shared by a row or a whole block is held once; params and values
+    are the full arrays, built on first use and read-only.  A result built
+    from full arrays holds them as given, in blocks of _BLOCK points.
     """
 
-    params: np.ndarray
-    values: np.ndarray
     status: list[str]
+    blocks: tuple[_Block, ...]
+
+    def __init__(self, params=None, values=None, status=(), *, blocks=None):
+        """A result of full arrays, params (N, len(_GRID_COLUMNS)) and
+        values (N, len(OBSERVABLES)), or of blocks."""
+        if blocks is None:
+            blocks = tuple(
+                _Block((min(_BLOCK, len(status) - i),), tuple(params[i : i + _BLOCK].T),
+                       tuple(values[i : i + _BLOCK].T))
+                for i in range(0, len(status), _BLOCK)
+            )
+            object.__setattr__(self, "params", params)
+            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "blocks", blocks)
+
+    def _full(self, part: str) -> np.ndarray:
+        out = np.concatenate(
+            [_flat(getattr(block, part), block.shape) for block in self.blocks]
+        )
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def params(self) -> np.ndarray:
+        return self._full("params")
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._full("values")
 
     def __len__(self) -> int:
         return len(self.status)
@@ -184,8 +241,67 @@ class GridResult:
     def column(self, name: str) -> np.ndarray:
         """One parameter or observable over all points."""
         if name in _GRID_COLUMNS:
-            return self.params[:, _GRID_COLUMNS.index(name)]
-        return self.values[:, closedform.OBSERVABLES.index(name)]
+            part, j = "params", _GRID_COLUMNS.index(name)
+        else:
+            part, j = "values", closedform.OBSERVABLES.index(name)
+        return np.concatenate([
+            np.broadcast_to(getattr(block, part)[j], block.shape).ravel()
+            for block in self.blocks
+        ])
+
+
+# A block's parameters, in _GRID_COLUMNS order, and the shape they span.
+_Params = tuple[tuple[np.ndarray, ...], tuple[int, int]]
+
+
+def _product(
+    axis: AxisSpec, rows: Mapping[str, np.ndarray], fixed: Mapping[str, float]
+) -> Iterator[_Params]:
+    """The blocks of a product grid: a row per entry of the rows' arrays
+    (one row without rows), axis along each row.
+
+    Each block is (params, shape): the _GRID_COLUMNS parameters as arrays
+    that broadcast to shape = (row count, axis points), the axis as (1, n),
+    each of rows as (k, 1), fixed values 0-d.  A block is as many whole
+    rows as _BLOCK points hold, or, for an axis longer than _BLOCK, one
+    row's run of _BLOCK points.
+    """
+    count = len(next(iter(rows.values()))) if rows else 1
+    along = np.array(axis.values)
+    step, width = max(1, _BLOCK // axis.count), min(axis.count, _BLOCK)
+    for r in range(0, count, step):
+        for c in range(0, axis.count, width):
+            params = tuple(
+                along[None, c : c + width] if name == axis.name
+                else rows[name][r : r + step, None] if name in rows
+                else np.array(fixed[name], dtype=float)
+                for name in _GRID_COLUMNS
+            )
+            yield params, (min(step, count - r), min(width, axis.count - c))
+
+
+def _blocks(grids: Sequence[GridSpec]) -> Iterator[_Params]:
+    """The points of grids, grid by grid, as _product blocks.
+
+    One-axis grids over the same axis values are one product, a row per
+    grid with its parameters as (grids, 1) columns; a two-axis grid is a
+    row per axis1 value.
+    """
+    bases = [{**CONFIG_DEFAULTS, **grid.fixed} for grid in grids]
+    axis = grids[0].axis1
+    if len(grids) > 1 and all(g.axis2 is None and g.axis1 == axis for g in grids):
+        rows = {
+            name: np.array([base[name] for base in bases], dtype=float)
+            for name in _GRID_COLUMNS if name != axis.name
+        }
+        yield from _product(axis, rows, {})
+        return
+    for grid, base in zip(grids, bases):
+        if grid.axis2 is None:
+            yield from _product(grid.axis1, {}, base)
+        else:
+            rows = {grid.axis1.name: np.array(grid.axis1.values)}
+            yield from _product(grid.axis2, rows, base)
 
 
 def _evaluate_point(
@@ -203,34 +319,62 @@ def _evaluate_point(
     return report.row, "ok"
 
 
-def _evaluate(params: np.ndarray) -> GridResult:
-    """Observables and status of each point (row) of params.
+def _evaluate(blocks: Iterator[_Params]) -> GridResult:
+    """Observables and status of each point of the blocks.
 
-    Every point goes through evaluate_arrays, _BLOCK at a time, and only
-    an invalid coupling, which is no kernel input, is masked.  Points
-    whose row is not finite go one by one through the scalar evaluate, so
-    their values and status are those `gwharvest point` gives:
-    evaluate_arrays leaves a row non-finite exactly where evaluate raises.
+    Each block goes through the array kernel at the shapes its parameters
+    span, and only an invalid coupling, which is no kernel input, is
+    masked.  A block with a point whose values are not finite falls back
+    to full shape, and those points go one by one through the scalar
+    evaluate, so their values and status are those `gwharvest point`
+    gives: the kernel leaves a point non-finite exactly where evaluate
+    raises.
     """
-    values = np.empty((len(params), len(_NAN_ROW)))
-    for start in range(0, len(params), _BLOCK):
-        block = params[start : start + _BLOCK, : len(_PARAM_COLUMNS)]
-        values[start : start + _BLOCK] = closedform.evaluate_arrays(*block.T)
-    lam = params[:, -1]  # the coupling, last of _GRID_COLUMNS
-    values[~(np.isfinite(lam) & (lam > 0.0))] = math.nan
-    status = ["ok"] * len(params)
-    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
-        items = tuple(zip(_GRID_COLUMNS, params[i].tolist()))
-        values[i], status[i] = _evaluate_point(items)
-    return GridResult(params, values, status)
+    done, status = [], []
+    for params, shape in blocks:
+        values = closedform._observable_columns(*params[: len(_PARAM_COLUMNS)])
+        lam = params[-1]  # the coupling, last of _GRID_COLUMNS
+        coupled = np.isfinite(lam) & (lam > 0.0)
+        block_status = ["ok"] * math.prod(shape)
+        if not (coupled.all() and all(np.isfinite(v).all() for v in values)):
+            table = _flat(values, shape)
+            table[~np.broadcast_to(coupled, shape).ravel()] = math.nan
+            points = _flat(params, shape)
+            for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
+                items = tuple(zip(_GRID_COLUMNS, points[i].tolist()))
+                table[i], block_status[i] = _evaluate_point(items)
+            values = tuple(column.reshape(shape) for column in table.T)
+        done.append(_Block(shape, params, values))
+        status += block_status
+    return GridResult(status=status, blocks=tuple(done))
 
 
 def run_grid(spec: GridSpec) -> GridResult:
     """Evaluate a grid row-major; failures are per-point, never fatal."""
-    return _evaluate(spec.columns())
+    return _evaluate(_blocks([spec]))
 
 
 # --- CSV -------------------------------------------------------------------
+
+
+def _block_fields(block: _Block, out: np.ndarray) -> None:
+    """Lay out the CSV float fields of a block's points in out, of shape
+    block.shape + (CSV float columns, _shortest.WORDS).
+
+    Every column is formatted at its own shape, all in one csv_fields
+    call, and its words are broadcast over the block's points.
+    """
+    columns = [
+        np.asarray(column, dtype=float)
+        for column in block.params[: len(_PARAM_COLUMNS)] + block.values
+    ]
+    flat = np.concatenate([column.ravel() for column in columns])
+    words = np.empty((len(flat), 1, _shortest.WORDS), np.uint64)
+    _shortest.csv_fields(flat[:, None], words)
+    at = 0
+    for j, column in enumerate(columns):
+        out[..., j, :] = words[at : at + column.size, 0].reshape(column.shape + (-1,))
+        at += column.size
 
 
 def emit_csv(points: GridResult, path: str) -> str:
@@ -239,10 +383,10 @@ def emit_csv(points: GridResult, path: str) -> str:
     No comment or metadata lines are emitted, so the file always has
     exactly len(points) + 1 lines.  Floats are written as repr() writes
     them, the shortest decimal that round-trips to the identical double.
-    Each block of _BLOCK lines is laid out in one byte buffer: every
-    float's field (_shortest.csv_fields), then the line's status and
-    newline, each zero-padded to a fixed width.  One mask keeps the text
-    bytes, and the block is written as the bytes it keeps.
+    Each block of points is laid out in one byte buffer: every float's
+    field (_block_fields), then the line's status and newline, each
+    zero-padded to a fixed width.  One mask keeps the text bytes, and the
+    block is written as the bytes it keeps.
     """
     # Each distinct status once: its line's end in UTF-8, zero-padded to
     # whole words so that every line's float words stay aligned.
@@ -254,26 +398,25 @@ def emit_csv(points: GridResult, path: str) -> str:
     line_end = np.array([statuses[status] for status in points.status], np.intp)
 
     # The CSV's float columns: every parameter but lambda, then the values.
-    params = points.params[:, : len(_PARAM_COLUMNS)]
-    floats = (len(_PARAM_COLUMNS) + len(_NAN_ROW)) * _shortest.WORDS * 8
-    lines = min(_BLOCK, len(points))
+    columns = len(_PARAM_COLUMNS) + len(_NAN_ROW)
+    floats = columns * _shortest.WORDS * 8
+    lines = max((math.prod(block.shape) for block in points.blocks), default=0)
     buffer = np.empty((lines, floats + width), np.uint8)
     keep = np.empty(buffer.shape, bool)
+    start = 0
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
-        for start in range(0, len(points), _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            block = np.hstack((params[rows], points.values[rows]))
-            text, kept = buffer[: len(block)], keep[: len(block)]
-            _shortest.csv_fields(
-                block,
-                text[:, :floats].view(np.uint64).reshape(block.shape + (-1,)),
-            )
+        for block in points.blocks:
+            size = math.prod(block.shape)
+            text, kept = buffer[:size], keep[:size]
+            fields = text[:, :floats].view(np.uint64)
+            _block_fields(block, fields.reshape(block.shape + (columns, -1)))
             np.not_equal(text[:, :floats], 0, out=kept[:, :floats])
-            end = line_end[rows]
+            end = line_end[start : start + size]
             text[:, floats:] = end_text[end]
             np.less(np.arange(width), end_len[end, None], out=kept[:, floats:])
             fh.write(text[kept])
+            start += size
     return path
 
 
@@ -359,7 +502,7 @@ PRESETS: dict[str, FigurePreset] = {
 
 def run_preset(preset: FigurePreset) -> GridResult:
     """Run every grid of a preset, the points concatenated in grid order."""
-    return _evaluate(np.concatenate([grid.columns() for grid in preset.grids]))
+    return _evaluate(_blocks(preset.grids))
 
 
 # --- SVG -------------------------------------------------------------------

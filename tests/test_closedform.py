@@ -987,6 +987,89 @@ def test_array_rows_are_non_finite_exactly_where_a_point_cannot_be_built():
     }
 
 
+# The block shapes a sweep evaluates: a two-axis grid is whole rows of
+# axis 1 as (k, 1) against axis 2 as (1, n) with its fixed values 0-d; a
+# line preset is its grids as (grids, 1) against their shared axis as
+# (1, n); a one-axis sweep is its axis against 0-d values only, so numpy
+# scalars rather than arrays flow through the kernel.  Omega, omega and D
+# cross SMALL_OMEGA_CUTOFF, reach D <= 0, a non-finite parameter, a
+# degenerate |x_m| (Omega = 27, 30) and omega >= 1.3e154 (DomainTooLarge).
+_LINE_OMEGA = np.array([[0.0, 5e-4, SMALL_OMEGA_CUTOFF, 0.2, 2.0, 8.0]])
+# Each block's parameters, and how its points end: "ok", or the class of
+# the error the point raises.
+_SHAPED_BLOCKS = {
+    "rows x axis, fixed 0-d": (
+        (2.0, np.linspace(-2.0, 2.0, 7)[:, None], np.linspace(0.25, 4.0, 9)[None, :],
+         1.0, 0.05),
+        {"ok"}),
+    "omega rows straddle the cutoff": (
+        (np.array([[-SMALL_OMEGA_CUTOFF], [2e-4], [SMALL_OMEGA_CUTOFF], [3.0]]),
+         0.7, np.array([[0.25, 1.0, 4.0]]), 0.5, 0.05),
+        {"ok"}),
+    "grids x axis": (
+        (_LINE_OMEGA, np.array([[0.5], [1.0], [1.5], [2.0]]),
+         np.array([[0.5], [0.5], [2.0], [2.0]]), np.full((4, 1), 1.0),
+         np.full((4, 1), 0.05)),
+        {"ok"}),
+    "one axis, 0-d values": ((_LINE_OMEGA[0], -0.3, 1.7, 0.25, 0.05), {"ok"}),
+    "D <= 0 and nan D": (
+        (2.0, np.array([[0.5], [1.0]]), np.array([[-1.0, 0.0, -0.0, 1.0, np.nan]]),
+         0.0, 0.05),
+        {"ok", "InvalidGeometry", "ConfigError"}),
+    "non-finite fixed value": ((_LINE_OMEGA, 1.0, 1.0, 0.0, np.inf), {"ConfigError"}),
+    "degenerate |x_m|": (
+        (2.0, np.array([[1.0], [27.0], [30.0]]), np.array([[0.5, 2.0]]), 0.0, 0.05),
+        {"ok", "DegenerateDirection"}),
+    "omega past 1.3e154": (
+        (np.array([[2.0, 1e154, 1.3e154, 1e155, 1e308]]), np.array([[0.5], [1.0]]),
+         1.0, 0.3, 0.05),
+        {"ok", "DomainTooLarge"}),
+}
+
+
+@pytest.mark.parametrize("block, outcomes", list(_SHAPED_BLOCKS.values()),
+                         ids=list(_SHAPED_BLOCKS))
+def test_shaped_evaluation_has_the_bits_of_flat_and_scalar_evaluation(block, outcomes):
+    columns = cf._observable_columns(*block)
+    shape = np.broadcast_shapes(*map(np.shape, block))
+    shaped = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(OBSERVABLES))
+    assert all(np.broadcast_shapes(np.shape(c), shape) == shape for c in columns)
+    points = [p.ravel() for p in np.broadcast_arrays(*block)]
+    flat = evaluate_arrays(*points)
+    assert shaped.tobytes() == flat.tobytes()
+    assert evaluate_arrays(*block).tobytes() == flat.tobytes()
+    seen = set()
+    for point, row in zip(zip(*(p.tolist() for p in points)), shaped):
+        try:
+            expected = _scalar_row(*point)
+        except (ConfigError, InvalidGeometry) as exc:
+            assert np.isnan(row).all(), point
+            seen.add(type(exc).__name__)
+            continue
+        except (DomainTooLarge, DegenerateDirection) as exc:
+            assert not np.isfinite(row).all(), point
+            seen.add(type(exc).__name__)
+            continue
+        assert row.tobytes() == np.array(expected).tobytes(), point
+        seen.add("ok")
+    assert seen == outcomes
+
+
+def test_shaped_evaluation_keeps_each_factor_on_the_shape_it_spans():
+    # A heatmap block: P on Omega's rows alone, the zero imaginary parts
+    # as floats, everything else on the product.
+    block, _ = _SHAPED_BLOCKS["rows x axis, fixed 0-d"]
+    shapes = dict(zip(OBSERVABLES, map(np.shape, cf._observable_columns(*block))))
+    assert shapes.pop("p_norm") == (7, 1)
+    assert shapes.pop("im_c_m") == shapes.pop("im_c_gw") == ()
+    assert set(shapes.values()) == {(7, 9)}
+    # A line block: the Minkowski terms once per curve.
+    block, _ = _SHAPED_BLOCKS["grids x axis"]
+    shapes = dict(zip(OBSERVABLES, map(np.shape, cf._observable_columns(*block))))
+    per_curve = {"p_norm", "re_x_m", "im_x_m", "re_c_m", "theta_m", "psi_m"}
+    assert {name for name, s in shapes.items() if s == (4, 1)} == per_curve
+
+
 def test_scalar_path_returns_builtin_numbers():
     # Builtin float/complex, never numpy scalars: every row entry and every
     # complex attribute, on the direct and the small-omega branches.

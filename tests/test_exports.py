@@ -82,6 +82,8 @@ ENTRY_POINTS = {
     "f_envelope",
     # tests/test_closedform.py::test_density_matrix_structure
     "density_matrix",
+    # tests/test_closedform.py::test_evaluate_arrays_matches_evaluate
+    "evaluate_arrays",
     # tests/test_closedform.py::test_p_matches_frozen_oracle
     "transition_probability",
     # tests/test_closedform.py::test_xm_matches_frozen_oracle

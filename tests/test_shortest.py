@@ -55,3 +55,22 @@ def test_csv_fields_are_repr_and_a_comma():
     assert np.signbit(values[-1]) and np.isnan(values[-1])
     expected = [f"{v!r}," for v in values.tolist()]
     assert _fields(values) == expected
+
+
+def test_zeros_beside_repr_fields_in_every_column():
+    # Zeros take the digit path, subnormals, inf and nan repr's, so a row
+    # mixes both; every value visits every column of a 2-D call.
+    rng = np.random.default_rng(36)
+    kinds = [0.0, -0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf,
+             np.nan, 1.0, -0.5, 1e-300]
+    random = rng.integers(0, 2**64 - 1, 5000, dtype=np.uint64, endpoint=True)
+    values = np.concatenate([kinds, random.view(float)])
+    columns = len(kinds)
+    table = np.stack([np.roll(values, j) for j in range(columns)], axis=1)
+    out = np.zeros(table.shape + (_shortest.WORDS,), np.uint64)
+    _shortest.csv_fields(np.ascontiguousarray(table), out)
+    text = out.view(np.uint8).reshape(len(table), -1)
+    for row, fields in zip(table.tolist(), text):
+        assert fields[fields != 0].tobytes().decode() == "".join(
+            f"{v!r}," for v in row
+        )

@@ -5,12 +5,13 @@ import dataclasses
 import math
 import re
 import signal
+from itertools import product
 
 import numpy as np
 import pytest
 
 from gwharvest import cli, closedform, sweep
-from gwharvest.model import IncompleteGrid, params_from_mapping
+from gwharvest.model import CONFIG_DEFAULTS, IncompleteGrid, params_from_mapping
 from gwharvest.sweep import (
     CSV_HEADER,
     PRESETS,
@@ -266,14 +267,16 @@ def test_run_grid_evaluates_only_fallback_points_one_by_one(monkeypatch):
 def test_non_finite_kernel_row_at_an_evaluable_point_keeps_evaluate(monkeypatch):
     # Were the kernel to leave a row non-finite at a point evaluate accepts,
     # the sweep would report evaluate's values, not a failure.
-    real_arrays = closedform.evaluate_arrays
+    real_columns = closedform._observable_columns
 
     def spoiled(*args):
-        rows = real_arrays(*args)
-        rows[1, closedform.OBSERVABLES.index("theta_gw")] = math.nan
-        return rows
+        columns = list(real_columns(*args))
+        k = closedform.OBSERVABLES.index("theta_gw")
+        columns[k] = np.array(np.broadcast_to(columns[k], (1, 3)))
+        columns[k][0, 1] = math.nan
+        return tuple(columns)
 
-    monkeypatch.setattr(closedform, "evaluate_arrays", spoiled)
+    monkeypatch.setattr(closedform, "_observable_columns", spoiled)
     spec = GridSpec(axis1=AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"A": 0.05})
     pts = run_grid(spec)
     assert pts.status == ["ok"] * 3
@@ -391,8 +394,11 @@ def test_emit_csv_writes_failed_rows_as_plain_nan(tmp_path):
     points = run_grid(GridSpec(axis1=AxisSpec("D_sigma", -1.0, 1.0, 5),
                                axis2=AxisSpec("A", 0.0, 0.1, 3)))
     assert 0 < points.status.count("ok") < len(points)
-    # A nan of another bit pattern (sign set) prints as nan too.
-    points.values[0, 0] = -math.nan
+    # A nan of another bit pattern (sign set) prints as nan too.  A result
+    # of run_grid is read-only, so the spoiled one is built from copies.
+    values = points.values.copy()
+    values[0, 0] = -math.nan
+    points = GridResult(points.params.copy(), values, points.status)
     assert np.signbit(points.values[0, 0])
     text = _read(emit_csv(points, str(tmp_path / "failed.csv")))
     assert text == _plain_csv(points)
@@ -423,15 +429,101 @@ def test_emit_csv_repeats_straddle_block_boundaries(tmp_path):
     assert text == _plain_csv(points)
 
 
+def _grid_points(grids):
+    """The _GRID_COLUMNS of each grid's points in order, built point by
+    point, axis1 outer."""
+    rows = []
+    for grid in grids:
+        axes = [ax for ax in (grid.axis1, grid.axis2) if ax is not None]
+        for values in product(*(ax.values for ax in axes)):
+            point = {**CONFIG_DEFAULTS, **grid.fixed,
+                     **dict(zip((ax.name for ax in axes), values))}
+            rows.append([point[name] for name in sweep._GRID_COLUMNS])
+    return np.array(rows)
+
+
+def _check_layout(points, grids, tmp_path):
+    # Every point has its own parameters, evaluate's bits and status, and
+    # the CSV is what a plain writer makes of them.
+    params = _grid_points(grids)
+    assert points.params.tobytes() == params.tobytes()
+    for row, status, point in zip(points.values, points.status, params.tolist()):
+        expected, expected_status = _scalar_point(zip(sweep._GRID_COLUMNS, point))
+        assert status == expected_status
+        assert row.tobytes() == np.array(expected).tobytes(), point
+    text = _read(emit_csv(points, str(tmp_path / "layout.csv")))
+    assert text == _plain_csv(points)
+
+
+def test_emit_csv_two_axis_block_layouts(tmp_path):
+    n = sweep._BLOCK
+    grids = [
+        # A second axis longer than a block: runs of one row, omega = 0
+        # below the small-omega cutoff.
+        GridSpec(AxisSpec("Omega_sigma", -1.0, 1.0, 2),
+                 AxisSpec("omega_sigma", 0.0, 3.0, n + 40),
+                 {"A": 0.05, "t0_sigma": 1.0}),
+        # A second axis that does not divide a block: whole rows, the last
+        # block shorter.
+        GridSpec(AxisSpec("D_sigma", 0.25, 4.0, 5),
+                 AxisSpec("Omega_sigma", -2.0, 2.0, n // 3 + 1), {"A": 0.05}),
+        # Failed points inside shaped blocks: D <= 0, and a degenerate
+        # |x_m| at Omega = 30.
+        GridSpec(AxisSpec("Omega_sigma", 1.0, 30.0, 3),
+                 AxisSpec("D_sigma", -0.5, 2.0, 6), {"A": 0.05}),
+    ]
+    for grid in grids:
+        _check_layout(run_grid(grid), [grid], tmp_path)
+
+
+def test_emit_csv_line_preset_layouts(tmp_path):
+    n = sweep._BLOCK // 3 + 1
+    curves = ((0.5, 0.5), (1.0, -1.0), (1.5, 2.0), (30.0, 1.0))
+    # Curves over the same axis values are one product, a few curves per
+    # block; one fails as a whole (D < 0), one at a degenerate |x_m|.
+    shared = tuple(
+        GridSpec(AxisSpec("omega_sigma", 0.0, 8.0, n),
+                 fixed={"Omega_sigma": Om, "D_sigma": D, "t0_sigma": 1.0, "A": 0.05})
+        for Om, D in curves
+    )
+    # Curves over different axis values are evaluated grid by grid.
+    apart = (
+        GridSpec(AxisSpec("omega_sigma", 0.0, 8.0, 5),
+                 fixed={"Omega_sigma": 1.0, "D_sigma": 0.5, "A": 0.05}),
+        GridSpec(AxisSpec("omega_sigma", 0.0, 8.0, 7),
+                 fixed={"Omega_sigma": -1.5, "D_sigma": 2.0, "t0_sigma": 1.0}),
+    )
+    for grids in (shared, apart):
+        preset = FigurePreset("layout", "theta_gw", grids, "layout")
+        _check_layout(run_preset(preset), grids, tmp_path)
+
+
+def test_presets_evaluate_as_products():
+    # A heatmap is whole rows of D against Omega rows, a line preset one
+    # (curves, omega) block; values that depend only on a row stay one
+    # column per row.
+    heatmap = run_preset(PRESETS["fig1a"])
+    assert [block.shape for block in heatmap.blocks] == [(16, 61)] * 3 + [(13, 61)]
+    lines = run_preset(PRESETS["fig2"])
+    assert [block.shape for block in lines.blocks] == [(8, 101)]
+    p_norm = closedform.OBSERVABLES.index("p_norm")
+    assert np.shape(heatmap.blocks[0].values[p_norm]) == (16, 1)
+    assert np.shape(lines.blocks[0].values[p_norm]) == (8, 1)
+
+
 @pytest.mark.parametrize(
     "test",
     [test_emit_csv_writes_failed_rows_as_plain_nan,
-     test_emit_csv_repeats_straddle_block_boundaries],
+     test_emit_csv_repeats_straddle_block_boundaries,
+     test_emit_csv_two_axis_block_layouts,
+     test_emit_csv_line_preset_layouts],
     ids=lambda test: test.__name__,
 )
 def test_emit_csv_blocks_of_seven_lines(test, tmp_path, monkeypatch):
     # Many blocks, the last one shorter (15 = 7 + 7 + 1 and 314 = 44 * 7 +
-    # 6 lines), each laid out in the buffer the first one sized.
+    # 6 lines), each laid out in the buffer the first one sized; a second
+    # axis of 47 points in runs of 7, one of 3 points two rows a block,
+    # and line presets of one or two curves a block.
     monkeypatch.setattr(sweep, "_BLOCK", 7)
     test(tmp_path)
 
