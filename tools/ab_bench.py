@@ -128,7 +128,6 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seed": args.seed,
-        "trees": {side: str(tree) for side, tree in trees.items()},
         "commits": {},
         "env": {},
         "workloads": {},
