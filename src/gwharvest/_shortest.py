@@ -14,15 +14,18 @@ itself: Java's Schubfach prints at least two digits, where repr prints
 5e-324.
 
 Each field is laid out in WORDS uint64 words whose nonzero bytes, in
-order, are its text, so no step moves bytes by a per-value amount.  With
-digits d0 d1 ... d16 (zeros after the last significant one):
+order, are its text, so no step moves bytes by a per-value amount.  Of
+the digits d0 d1 ... d16 (zeros after the last significant one) a field
+shows the first `shown`, and the first la come before the point (all of
+them when the point is in the prefix):
 
   word 0     the prefix ("-", "0." and up to three zeros) and d0, right-aligned
-  words 1-2  d1 ... d16, the first la - 1 kept
-  word 3     "." in its last byte when the point follows d0
-  words 4-5  d1 ... d16, those from d_la to d_(shown-1) kept, and "."
-             before d_la when it follows a later digit
-  word 6     the exponent ("e+16", "e-308") and the comma, left-aligned
+  words 1-3  a run of d1 ... d16 with the point inserted: bytes 0 to la - 2
+             hold d1 ... d_(la-1), byte la - 1 the "." when la < shown, and
+             bytes la to shown - 1 hold d_la ... d_(shown-1), the digits
+             shifted by one byte.  The run ends by byte 16 (byte 0 of
+             word 3), so byte 17 is always zero.
+  word 3     bytes 2-7: the exponent ("e+16", "e-308") and the comma
 
 Python's rule (float_repr_style "short"), with the value 0.d0d1... *
 10^decpt: fixed notation for -4 < decpt <= 16, with ".0" after an
@@ -35,7 +38,7 @@ import functools
 
 import numpy as np
 
-WORDS = 7
+WORDS = 4
 
 # Doubles per pass.  A pass holds a few dozen uint64 temporaries of this
 # length (about 1.3 MB); passes of 4,096 took 5-10 % less time per double
@@ -104,15 +107,15 @@ class _Tables:
              for sign in ("", "-") for form in _FORMS for d in range(10)],
             1, right=True,
         )[:, 0]
-        # Row decpt + _DECPT_BIAS of tail: the exponent and the comma.
-        self.tail = padded_words(
-            [f"e{decpt - 1:+03d},".encode() if decpt <= -4 or decpt > 16 else b","
-             for decpt in range(-_DECPT_BIAS, _DECPT_BIAS)],
-            1,
-        )[:, 0]
+        # Row decpt + _DECPT_BIAS of tail: the exponent and the comma, at
+        # bytes 2-7 of word 3.
+        tails = [f"e{decpt - 1:+03d}," if decpt <= -4 or decpt > 16 else ","
+                 for decpt in range(-_DECPT_BIAS, _DECPT_BIAS)]
+        self.tail = padded_words([b"\0\0" + t.encode() for t in tails], 1)[:, 0]
         # Row 17 * (form + 4) + z, for 17 - z significant digits: the byte
-        # masks of words 1-2 (0xff keeps a digit of d1 ... d16), word 3,
-        # the masks of words 4-5, and the point that words 4-5 add.
+        # masks (0xff keeps a digit) A of the digits before the point and B
+        # of those after it, each two words over d1 ... d16, then the point
+        # in the run's words 1-2.
         masks = []
         for form in _FORMS:
             for z in range(17):
@@ -121,11 +124,11 @@ class _Tables:
                 shown = n if form <= 0 or form == 17 else max(n, form + 1)
                 a = b"\xff" * (la - 1) + bytes(17 - la)
                 b = bytes(la - 1) + b"\xff" * (shown - la) + bytes(17 - shown)
-                point = bytearray(24)
+                point = bytearray(16)
                 if la < shown:
-                    point[7 + la - 1] = ord(".")
-                masks.append(a + point[:8] + b + bytes(point[8:]))
-        self.masks = np.ascontiguousarray(padded_words(masks, 7).T)
+                    point[la - 1] = ord(".")
+                masks.append(a + b + point)
+        self.masks = np.ascontiguousarray(padded_words(masks, 6).T)
         for value in vars(self).values():
             for array in value if isinstance(value, tuple) else (value,):
                 array.flags.writeable = False
@@ -244,11 +247,17 @@ def _fill(values: np.ndarray, out: np.ndarray) -> None:
     masks = np.take(tables.masks, 17 * form + zeros, axis=1)
     sign = (bits >> _U64(63)).view(np.int64)
     out[..., 0] = tables.prefix[10 * (22 * sign + form) + d0]
+    # The run: the digits of mask A, the point, and those of mask B one
+    # byte later, each word's top byte carried into the next word.
+    late = digits[..., 0] & masks[2], digits[..., 1] & masks[3]
     for j in (0, 1):
-        np.bitwise_and(digits[..., j], masks[j], out=out[..., 1 + j])
-        np.bitwise_or(digits[..., j] & masks[3 + j], masks[5 + j], out=out[..., 4 + j])
-    out[..., 3] = masks[2]
-    out[..., 6] = tables.tail[decpt + _DECPT_BIAS]
+        run = out[..., 1 + j]
+        np.bitwise_and(digits[..., j], masks[j], out=run)
+        run |= masks[4 + j]
+        run |= late[j] << _U64(8)
+    out[..., 2] |= late[0] >> _U64(56)
+    tail = tables.tail[decpt + _DECPT_BIAS]
+    np.bitwise_or(late[1] >> _U64(56), tail, out=out[..., 3])
 
     if special.any():
         at = np.nonzero(special)

@@ -147,27 +147,31 @@ def _small_omega(w):
 # _phased_erf.
 
 
-def _g(b: _Backend, k, D, gauss):
+def _g(b: _Backend, k, D, gauss, phase=None):
     """The odd function of I2 and I4, from gauss = e^{-D^2/4}:
 
         g(k) = erf(k) - Re[e^{iDk} (1 + D^2/4 - iDk/2) e^{-D^2/4} erf(k + iD/2)].
+
+    phase, when given, is (cos Dk, sin Dk), already computed.
     """
     Dk = D * k
-    ph_re, ph_im = _phased_erf(
-        b, D / 2.0, gauss, k, b.cos(Dk), b.sin(Dk), b.exp(-k * k)
-    )
+    cos_dk, sin_dk = (b.cos(Dk), b.sin(Dk)) if phase is None else phase
+    ph_re, ph_im = _phased_erf(b, D / 2.0, gauss, k, cos_dk, sin_dk, b.exp(-k * k))
     return b.erf(k) - ((1.0 + D * D / 4.0) * ph_re + (Dk / 2.0) * ph_im)
 
 
 def _gw_direct(b: _Backend, w, Om, D, factors):
     """(sin h/h, cos h, I2, I4) by libm and the direct forms, h = w D/2,
-    from the factors _minkowski returns."""
+    from the factors _minkowski returns.  g(w/2) takes its phase e^{iDk}
+    from h, the same double as D (w/2) wherever w D is a normal double;
+    elsewhere the point fails either way (h = inf, or D^2 underflows)."""
     gauss = factors[0]
     h, k = w * D / 2.0, w / 2.0
+    sin_h, cos_h = b.sin(h), b.cos(h)
     return (
-        b.sin(h) / h,
-        b.cos(h),
-        math.pi / w * _g(b, k, D, gauss),
+        sin_h / h,
+        cos_h,
+        math.pi / w * _g(b, k, D, gauss, (cos_h, sin_h)),
         math.pi / w * (0.0 + _g(b, k + Om, D, gauss) + _g(b, k - Om, D, gauss)),
     )
 

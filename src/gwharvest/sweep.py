@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ CSV_HEADER = ",".join(_PARAM_COLUMNS + closedform.OBSERVABLES + ("status",))
 # and written as one byte buffer of CSV lines, each column formatted at
 # its own shape.  The size bounds the kernel's temporaries (a few dozen
 # arrays of at most this many points) and a block's byte buffer and mask
-# (about 1.2 MB each at 20 columns of 56 bytes), whatever the grid size.
+# (about 0.66 MB each at 20 columns of 32 bytes), whatever the grid size.
 _BLOCK = 1024
 
 _NAN_ROW = (math.nan,) * len(closedform.OBSERVABLES)
@@ -524,13 +524,13 @@ _RAMP_T = np.array([t for t, _ in _RAMP])
 _RAMP_RGB = np.array([rgb for _, rgb in _RAMP], dtype=float)
 
 
-def _ramp_colors(t: np.ndarray) -> list[str]:
-    """The ramp's "rgb(r,g,b)" fill at each t, clamped to [0, 1].
+def _ramp_palette(t: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ramp's distinct "rgb(r,g,b)" fills over t, clamped to [0, 1],
+    and the index of each t's fill among them.
 
     A nan t takes the first stop's color.  t falls in the segment of the
     first stop t1 with t <= t1, and each channel is a + u * (b - a) with
-    u = (t - t0) / (t1 - t0), rounded half to even.  Each distinct color
-    is formatted once.
+    u = (t - t0) / (t1 - t0), rounded half to even.
     """
     t = np.clip(np.nan_to_num(np.asarray(t, dtype=float), nan=0.0), 0.0, 1.0)
     k = np.searchsorted(_RAMP_T[1:], t)
@@ -541,6 +541,13 @@ def _ramp_colors(t: np.ndarray) -> list[str]:
     packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
     distinct, inverse = np.unique(packed, return_inverse=True)
     text = [f"rgb({c >> 16},{(c >> 8) & 255},{c & 255})" for c in distinct.tolist()]
+    return text, inverse
+
+
+def _ramp_colors(t: np.ndarray) -> list[str]:
+    """The ramp's fill at each t (_ramp_palette), each distinct color
+    formatted once."""
+    text, inverse = _ramp_palette(t)
     return [text[i] for i in inverse.tolist()]
 
 
@@ -682,18 +689,22 @@ def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
     ml, mt, pw, ph = canvas.box
     cw, ch = pw / len(xs), ph / len(ys)
 
-    # Point k is cell (i, j): the grid is row-major, axis1 outer, as
-    # product() pairs them.  The larger axis2 value is toward the top.
+    # Point k is cell (k // len(ys), k % len(ys)): the grid is row-major,
+    # axis1 outer.  The larger axis2 value is toward the top.  A cell's
+    # text is its column's, its row's and its fill's, each formatted once
+    # and picked by index; the cells are one part of the document.
     columns = [f'<rect x="{ml + i * cw:.2f}" ' for i in range(len(xs))]
     rows = [
         f'y="{mt + (len(ys) - 1 - j) * ch:.2f}" width="{cw + 0.5:.2f}" '
         f'height="{ch + 0.5:.2f}" fill="'
         for j in range(len(ys))
     ]
-    fills = _ramp_colors((vals - vmin) / span)
-    cells = [
-        f'{x}{y}{fill}"/>' for (x, y), fill in zip(product(columns, rows), fills)
-    ]
+    palette, fill = _ramp_palette((vals - vmin) / span)
+    cells = np.empty((len(vals), 4), object)
+    cells[:, 0] = np.repeat(np.array(columns, object), len(ys))
+    cells[:, 1] = np.tile(np.array(rows, object), len(xs))
+    cells[:, 2] = np.array([f'{color}"/>' for color in palette], object)[fill]
+    cells[:, 3] = "\n"
 
     def fx(t: float) -> float:
         return ml + (t - xs[0]) / (xs[-1] - xs[0]) * pw
@@ -731,7 +742,8 @@ def _svg_heatmap(preset: FigurePreset, points: GridResult) -> str:
         f"y={grid.axis2.name}[{_fmt(ys[0])}..{_fmt(ys[-1])} n={len(ys)}] "
         f"fixed={dict(sorted(grid.fixed.items()))!r}"
     )
-    return _svg_document(preset, canvas, grid.axis1, meta, cells + axes + bar)
+    parts = ["".join(cells.ravel()[:-1].tolist())] + axes + bar
+    return _svg_document(preset, canvas, grid.axis1, meta, parts)
 
 
 def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
@@ -742,9 +754,9 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     bounds = np.cumsum([0] + sizes).tolist()
 
     xaxis = preset.grids[0].axis1
-    all_x = points.column(xaxis.name).tolist()
-    all_y = points.column(preset.quantity).tolist()
-    ymin, ymax = min(all_y), max(all_y)
+    ys = points.column(preset.quantity)
+    listed = ys.tolist()
+    ymin, ymax = min(listed), max(listed)
     if ymax == ymin:
         ymax = ymin + 1.0
     pad = 0.05 * (ymax - ymin)
@@ -755,6 +767,7 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
     ml, mt, pw, ph = canvas.box
     x0, x1 = xaxis.minimum, xaxis.maximum
 
+    # fx and fy take a float or, elementwise with the same bits, an array.
     def fx(v: float) -> float:
         return ml + (v - x0) / (x1 - x0) * pw
 
@@ -775,13 +788,16 @@ def _svg_lines(preset: FigurePreset, points: GridResult) -> str:
         for short, name in (("Omega", "Omega_sigma"), ("D", "D_sigma"))
         if name != xaxis.name
     ]
+    # Every vertex at once through fx and fy, each x text formatted once
+    # per axis value.
+    xs, x_at = np.unique(points.column(xaxis.name), return_inverse=True)
+    x_text = np.array([f"{x:.2f}," for x in fx(xs).tolist()], object)[x_at]
+    y_text = list(map("{:.2f}".format, fy(ys).tolist()))
+    vertices = list(map(operator.add, x_text.tolist(), y_text))
     legend = []
     for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
         color = _LINE_COLORS[k % len(_LINE_COLORS)]
-        coords = " ".join(
-            f"{fx(x):.2f},{fy(y):.2f}"
-            for x, y in zip(all_x[start:end], all_y[start:end])
-        )
+        coords = " ".join(vertices[start:end])
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'

@@ -1,5 +1,7 @@
 """The CSV float fields of _shortest against repr(), the text they replace."""
 
+from decimal import Decimal
+
 import numpy as np
 
 from gwharvest import _shortest
@@ -74,3 +76,27 @@ def test_zeros_beside_repr_fields_in_every_column():
         assert fields[fields != 0].tobytes().decode() == "".join(
             f"{v!r}," for v in row
         )
+
+
+def _significant_digits(text):
+    return len(Decimal(text).normalize().as_tuple().digits)
+
+
+def test_longest_field_of_every_form():
+    # Each form -4 ... 17 (decpt clipped to that range) at 17 significant
+    # digits, of both signs: the most bytes its layout holds.  The
+    # exponent and the comma sit at a fixed offset after the digit run,
+    # so a run one byte too long would run into them.
+    longest = [float(f"0.12345678901234567e{decpt}")
+               for decpt in [-306, *range(-4, 18), 309]]
+    assert all(_significant_digits(repr(v)) == 17 for v in longest)
+    values = [s * v for v in longest for s in (1.0, -1.0)]
+    values += [-0.0001234567890123456, -1.2345678901234567e-308, 1234567890123456.0]
+    fields = _fields(values)
+    assert fields == [f"{v!r}," for v in values]
+    assert max(map(len, fields)) == len("-1.2345678901234568e-307,")
+    assert all(len(field) <= 8 * _shortest.WORDS for field in fields)
+    # The run ends by byte 16: byte 17, just before the exponent, is zero.
+    out = np.zeros((len(values), 1, _shortest.WORDS), np.uint64)
+    _shortest.csv_fields(np.array(values).reshape(-1, 1), out)
+    assert not (out.view(np.uint8)[:, 0, 8 * 3 + 1]).any()

@@ -724,6 +724,70 @@ def test_ramp_colors_match_the_scalar_ramp():
     assert sweep._ramp_colors([math.nan]) == sweep._ramp_colors([0.0])
 
 
+def _plain_polylines(preset, points):
+    """The polyline points emit_svg must write, one f-string per vertex."""
+    ml, mt, pw, ph = sweep._LINES_CANVAS.box
+    x0, x1 = preset.grids[0].axis1.minimum, preset.grids[0].axis1.maximum
+    xs = points.column(preset.grids[0].axis1.name).tolist()
+    ys = points.column(preset.quantity).tolist()
+    ymin, ymax = min(ys), max(ys)
+    pad = 0.05 * (ymax - ymin)
+    ymin, ymax = ymin - pad, ymax + pad
+    curves, start = [], 0
+    for grid in preset.grids:
+        end = start + grid.axis1.count
+        curves.append(" ".join(
+            f"{ml + (x - x0) / (x1 - x0) * pw:.2f},"
+            f"{mt + (ymax - y) / (ymax - ymin) * ph:.2f}"
+            for x, y in zip(xs[start:end], ys[start:end])
+        ))
+        start = end
+    return curves
+
+
+def _plain_cells(preset, points):
+    """The heatmap cells emit_svg must write, one f-string per cell."""
+    ml, mt, pw, ph = sweep._HEATMAP_CANVAS.box
+    nx, ny = preset.grids[0].axis1.count, preset.grids[0].axis2.count
+    cw, ch = pw / nx, ph / ny
+    vals = points.column(preset.quantity).tolist()
+    vmin, vmax = min(vals), max(vals)
+    span = vmax - vmin if vmax > vmin else 1.0
+    return [
+        f'<rect x="{ml + (k // ny) * cw:.2f}" y="{mt + (ny - 1 - k % ny) * ch:.2f}" '
+        f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+        f'fill="{_scalar_ramp_color((v - vmin) / span)}"/>'
+        for k, v in enumerate(vals)
+    ]
+
+
+def _uneven_lines_preset():
+    # Curves of 8, 5 and 8 points over one range: the x values differ
+    # between curves and repeat within the grid's points.
+    return FigurePreset("uneven", "psi_gw", tuple(
+        GridSpec(axis1=AxisSpec("omega_sigma", 0.5, 4.0, n),
+                 fixed={"Omega_sigma": om, "D_sigma": 1.0, "A": 0.05})
+        for n, om in ((8, 1.0), (5, 1.5), (8, 2.0))
+    ), "uneven curves")
+
+
+@pytest.mark.parametrize("figure_id", ["fig1c", "fig2", "fig5", "tiny", "uneven"])
+def test_svg_shapes_match_a_per_point_writer(figure_id, tmp_path):
+    made = {"tiny": _tiny_heatmap_preset, "uneven": _uneven_lines_preset}
+    preset = made[figure_id]() if figure_id in made else PRESETS[figure_id]
+    points = run_preset(preset)
+    text = _read(emit_svg(preset, points, str(tmp_path / "x.svg")))
+    if preset.kind == "lines":
+        drawn = re.findall(r'<polyline points="([^"]*)"', text)
+        assert drawn == _plain_polylines(preset, points)
+    else:
+        # The cells follow the background and the title, before the
+        # frame and the color bar's 64 segments.
+        cells = _plain_cells(preset, points)
+        assert text.splitlines()[4:4 + len(cells)] == cells
+        assert text.count('fill="rgb(') == len(cells) + 64
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
     """Fail, instead of hanging, when the body runs longer than seconds."""
