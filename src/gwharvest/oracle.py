@@ -10,7 +10,7 @@ two paths share no simplification steps:
   limit of the integral of W(a + i eps).  Every pole of W(a + i eps) lies
   below the real axis and the rest of the integrand is entire, so by
   Cauchy's theorem that limit is exactly the integral along the contour
-  Im a = _SHIFT > 0 (over all a), or along 0 -> i _SHIFT -> i _SHIFT + oo
+  Im a = c > 0 (over all a), or along 0 -> i c -> i c + oo
   (over a >= 0): one ordinary integral per straight leg, with no
   regulator and nothing to extrapolate.  The integrand is conjugate
   symmetric on the horizontal leg, so over all a it is twice the real
@@ -44,27 +44,30 @@ _FINE_TOL.  Every public oracle raises ValueError naming its first
 argument that is not finite, a D <= 0 or an omega = 0 (oracle_P takes
 omega = 0), as verify_suite does for its grid axes.
 
-The quadrature is adaptive Gauss-Kronrod with QUADPACK's G10/K21 pair
-(routine qk21), its error estimate and its stopping rule (epsrel 1e-12,
-epsabs 1e-13, at most 300 subintervals), written over numpy arrays; an
-s-integral whose prefactor would scale 1e-13 past the target stops at a
-smaller epsabs (_scaled_epsabs).  No
-part of scipy.integrate is used.  Each oracle is data, an _Oracle: the
-integrals it needs (an integrand family with per-integral parameters,
-and start edges) and a function that builds its estimate from their
-values (contour legs summed with the tail bound, then scaled, windowed
-or less I2 or I4).
+The quadrature is one pass of QUADPACK's G10/K21 pair (routine qk21) and
+its error estimate, written over numpy arrays; nothing is bisected, and
+no part of scipy.integrate is used.  Every integrand is analytic or
+smooth with scales known in advance, so each oracle fixes its partition
+up front (_panels): pieces as wide as the contour height c within 1 of a
+pole, pieces doubling from D wide where a pole is D from the path
+(_doubling), and elsewhere as wide as the Gaussian's scale or a few
+radians of the fastest oscillation (Omega and omega/2 on a contour leg,
+omega and 2 Omega in a window T-integral, D in an s-integral).  On such
+a partition each piece's rule converges
+geometrically, as for the trapezoidal rule on analytic integrands
+(Trefethen & Weideman, SIAM Review 56(3), 385-458, 2014).  Each oracle is
+data, an _Oracle: the integrals it needs (an integrand family with
+per-integral parameters, and the edges of its pieces) and a function
+that builds its estimate from their values (contour legs summed with the
+tail bound, then scaled, windowed or less I2 or I4).
 _solve integrates the lists of any number of oracles (verify_suite's:
-all of them) by one batched pass per integrand value type, each distinct
-integral once.  Each refinement round calls each integrand family once,
-on the nodes of every new subinterval of its integrals.  The start edges
-are graded where bisection would otherwise spend its rounds (_halvings):
-toward each pole of a contour leg, from either side, and toward the end
-nearer the origin of each real integral.  A default verify_suite
-evaluates 1,340 subintervals in 5 rule calls; every contour leg meets
-its target in the first round, so the complex pass (the horizontal legs)
-is one round of 626.  The refinement is elementwise or per integral
-throughout, so an estimate is bit for bit the same alone or batched.
+all of them) by one pass per integrand value type, each distinct
+integral once, calling each integrand family once per 512 pieces on
+their nodes, and summing each integral's pieces exactly.  A default
+verify_suite evaluates 1,537 pieces (32,277 nodes) in four rule calls,
+763 of them complex (the horizontal legs).  The pass is elementwise or
+per integral throughout, so an estimate is bit for bit the same alone or
+batched.
 
 All quantities are dimensionless (sigma = 1) and normalized per lambda^2
 exactly as in the closed-form module.
@@ -78,7 +81,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,12 +176,6 @@ _WG_PAIRS = np.array(_WG)
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# QUADPACK tolerances: an integral is done at error <= max(abs, rel * |I|),
-# or when it has _LIMIT subintervals.
-_EPSABS = 1e-13
-_EPSREL = 1e-12
-_LIMIT = 300
-
 # The error target that sets OracleEstimate.converged (not verify_suite's
 # comparison tolerances TOL_*).
 _FINE_TOL = 1e-10
@@ -226,95 +223,42 @@ def _gk21_rule(
     return h * k, err
 
 
-# Subintervals per _gk21_rule call: bounds the size of its temporaries.
-_MAX_ROWS = 512
-
-
 def _gk21(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]],
-    epsabs: float | np.ndarray = _EPSABS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f over n piecewise intervals by batched adaptive G10/K21.
+    """Integrals of f over n piecewise intervals by one batched G10/K21 pass.
 
-    Integral i runs over the consecutive pieces of edges[i], which start as
-    its subintervals.  Each round calls f once per _MAX_ROWS new subintervals
-    of all integrals, with their 21 nodes as rows x shaped (m, 21), and the
-    index of each row's integral as k shaped (m, 1); f(x, k) returns the
-    (real or complex) integrand values, elementwise.  Every node is thus
-    evaluated once.
-
-    The stopping rule is QUADPACK's: integral i is done when the sum of its
-    subinterval errors is at most max(epsabs_i, _EPSREL |I_i|), epsabs a
-    float or one per integral (default _EPSABS), or when it has
-    _LIMIT subintervals.  Until then each round bisects its subintervals whose
-    error exceeds an equal share of that tolerance (its largest one always,
-    and never beyond _LIMIT); once done, its sums are kept and its
-    subintervals leave the batch.  Every step is elementwise, per row or per
-    integral, and each integral's sums are made in an order of its own, so
-    a result is bit for bit the same alone or batched with others, and
-    whatever _MAX_ROWS is.
+    Integral i is the sum of the K21 values over the consecutive pieces of
+    edges[i], and its error estimate the sum of their qk21 estimates.  f is
+    called once per 512 pieces of all integrals, with their 21 nodes as
+    rows x shaped (m, 21), and the index of each row's integral as k
+    shaped (m, 1); f(x, k) returns the (real or complex) integrand values,
+    elementwise.  Every node is thus evaluated once, and the temporaries
+    of the rule and of f are bounded however large the batch.  The real
+    and imaginary parts of each integral's piece values are summed exactly
+    (math.fsum), with one rounding: near a pole the pieces cancel, and an
+    ordered sum would leave several ulps of the value.  Every step is
+    elementwise, per row or per integral, so a result is bit for bit the
+    same alone or batched with others, in pieces of any number.
 
     Returns the values (complex) and error estimates, both shaped (n,).
     """
-    n, limit = len(edges), _LIMIT
-    owner = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
+    n, counts = len(edges), [len(e) - 1 for e in edges]
+    owner = np.repeat(np.arange(n), counts)
     lo = np.array([a for e in edges for a in e[:-1]], dtype=float)
     hi = np.array([b for e in edges for b in e[1:]], dtype=float)
-
-    def rule(owner, lo, hi):
-        rows = _MAX_ROWS
-        parts = [
-            _gk21_rule(f, owner[i:i + rows], lo[i:i + rows], hi[i:i + rows])
-            for i in range(0, len(lo), rows)
-        ]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    val, err = rule(owner, lo, hi)
-    total = np.zeros((3, n))
-    while True:
-        # Each integral's subintervals in order of |midpoint|, then left
-        # end: bincount adds in array order, so each sum is made in an
-        # order of the integral's own, whatever else is in the batch, and
-        # a window and its mirror image are summed in mirrored order.
-        order = np.lexsort((lo, np.abs(lo + hi), owner))
-        owner, lo, hi, val, err = (
-            owner[order], lo[order], hi[order], val[order], err[order]
-        )
-        count = np.bincount(owner, minlength=n)
-        re = np.bincount(owner, val.real, n)
-        im = np.bincount(owner, val.imag, n)
-        esum = np.bincount(owner, err, n)
-        target = np.maximum(epsabs, _EPSREL * np.hypot(re, im))
-        active = (esum > target) & (count < limit)
-        # A finished integral is not refined again: keep its sums and drop
-        # its subintervals.
-        done = (count > 0) & ~active
-        total[:, done] = re[done], im[done], esum[done]
-        if not active.any():
-            return specfun.complex_array(total[0], total[1]), total[2]
-        live = active[owner]
-        owner, lo, hi, val, err = owner[live], lo[live], hi[live], val[live], err[live]
-        count = np.where(active, count, 0)
-        # Rank of each subinterval by error within its integral, largest 0.
-        order = np.lexsort((-err, owner))
-        rank = np.empty_like(owner)
-        first = np.cumsum(count) - count
-        rank[order] = np.arange(len(owner)) - first[owner[order]]
-        split = (err * count[owner] > target[owner]) | (rank == 0)
-        split &= rank < limit - count[owner]
-        keep = ~split
-        o, a, b = owner[split], lo[split], hi[split]
-        mid = 0.5 * (a + b)
-        new_owner = np.concatenate((o, o))
-        new_lo = np.concatenate((a, mid))
-        new_hi = np.concatenate((mid, b))
-        new_val, new_err = rule(new_owner, new_lo, new_hi)
-        owner = np.concatenate((owner[keep], new_owner))
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        val = np.concatenate((val[keep], new_val))
-        err = np.concatenate((err[keep], new_err))
+    parts = [
+        _gk21_rule(f, owner[i:i + 512], lo[i:i + 512], hi[i:i + 512])
+        for i in range(0, len(lo), 512)
+    ]
+    val, err = (np.concatenate(p) for p in zip(*parts))
+    cuts = np.cumsum([0, *counts]).tolist()
+    re, im = val.real.tolist(), val.imag.tolist()
+    value = np.array([complex(math.fsum(re[a:b]), math.fsum(im[a:b]))
+                      for a, b in zip(cuts, cuts[1:])], dtype=complex)
+    # bincount adds in array order, here each integral's pieces in order.
+    return value, np.bincount(owner, err, n)
 
 
 # --- oracles as data: the integrals each needs, and how it finishes ---------
@@ -335,15 +279,11 @@ class _Family:
 
 
 class _Integral(NamedTuple):
-    """One integral of a family at params over the pieces of edges.
-
-    epsabs is its absolute error target (_gk21).
-    """
+    """One integral of a family at params over the pieces of edges."""
 
     family: _Family
     params: tuple[float, ...]
     edges: tuple[float, ...]
-    epsabs: float = _EPSABS
 
 
 class _Oracle(NamedTuple):
@@ -376,7 +316,7 @@ def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
     unique: list[_Integral] = []
     place = []
     for it in asked:
-        floats = (*it.params, *it.edges, it.epsabs)
+        floats = (*it.params, *it.edges)
         key = it.family, _packer(len(floats))(*floats)
         if key not in slot:
             slot[key] = len(unique)
@@ -395,7 +335,7 @@ def _solve(oracles: Sequence[_Oracle]) -> list[Any]:
 def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
     """Values (complex) and error estimates of integrals, in order.
 
-    One _gk21 call refines all integrals whose integrands have one value
+    One _gk21 call integrates all integrals whose integrands have one value
     type.  Real and complex integrands never share a call: numpy sums the
     rows of a complex array in another order than those of a real one, so
     a real integrand batched as complex would change in its last bits.
@@ -408,9 +348,7 @@ def _integrate(integrals: Sequence[_Integral]) -> tuple[np.ndarray, np.ndarray]:
     for index in batches.values():
         batch = [integrals[i] for i in index]
         vals[index], errs[index] = _gk21(
-            _batch_integrand(batch),
-            [it.edges for it in batch],
-            epsabs=np.array([it.epsabs for it in batch]),
+            _batch_integrand(batch), [it.edges for it in batch]
         )
     return vals, errs
 
@@ -462,33 +400,27 @@ def _times(oracle: _Oracle, factor: complex) -> _Oracle:
     return _Oracle(oracle.integrals, lambda v, e: _scaled(oracle.finish(v, e), factor))
 
 
-def _edges(a: float, b: float, points: Iterable[float]) -> tuple[float, ...]:
-    """a, the points strictly inside (a, b) in order, and b."""
-    return (a, *(p for p in sorted(points) if a < p < b), b)
+def _panels(a: float, b: float, width: float) -> tuple[float, ...]:
+    """Edges of [a, b] in the fewest equal pieces no wider than width.
 
-
-def _halvings(near: float, far: float, n: int) -> list[float]:
-    """near + (far - near)/2^j for j = 1..n.
-
-    Where the integrand varies fastest at near, QUADPACK's bisection of
-    [near, far] ends on these points, one round each; as start edges
-    they spare it those rounds.
+    (b,) when a == b, so that a zone of no length adds no piece.  At most
+    1,000 pieces, which bounds the work and memory of any input: where
+    that cap makes them wider, their error estimates report it.
     """
-    return [near + (far - near) / 2.0 ** j for j in range(1, n + 1)]
+    n = math.ceil(min(abs(b - a) / width, 1000.0))
+    return (*(a + (b - a) * j / n for j in range(n)), b)
 
 
-# Start edges (_halvings) on either side of each pole of a horizontal
-# contour leg, and toward the end nearer the origin of each real s- or PV
-# integral: the counts with which a default verify_suite evaluates the
-# fewest subintervals in the fewest rule calls.
-_POLE_HALVINGS = 5
-_REAL_HALVINGS = 3
-
-
-def _graded(a: float, b: float) -> tuple[float, ...]:
-    """Edges of [a, b], halved _REAL_HALVINGS times toward its end nearer 0."""
-    near, far = (a, b) if abs(a) <= abs(b) else (b, a)
-    return _edges(a, b, _halvings(near, far, _REAL_HALVINGS))
+def _doubling(a: float, b: float, first: float, width: float) -> tuple[float, ...]:
+    """Edges of [a, b] in pieces first, 2 first, 4 first, ... wide from a,
+    and _panels of width once a piece would be as wide: about
+    log2(width/first) pieces for an integrand that varies on the scale of
+    its distance from a pole first away from a."""
+    edges, step = [a], first
+    while step < width and edges[-1] + step < b:
+        edges.append(edges[-1] + step)
+        step *= 2.0
+    return (*edges[:-1], *_panels(edges[-1], b, width))
 
 
 def _invalid(name: str, v: float) -> bool:
@@ -512,7 +444,8 @@ def _check_args(**args: float) -> None:
 
 # --- the Wightman integral behind every kernel oracle, on a contour ---------
 
-# Height c of the contour above the real axis; every pole lies below it.
+# Height c of the contour above the real axis, at most 10/|omega| on a
+# strain leg (_wightman); every pole lies below it.
 _SHIFT = 0.5
 
 _CAL_CACHE: dict[str, float] = {}
@@ -582,9 +515,9 @@ def _wightman(
     W(a + i eps) moves the poles a = +-r below the real axis, so the
     integral runs above them.  The rest of the integrand is entire, so the
     integral is the same along any path above the poles that ends where
-    the Gaussian has decayed: here Im a = c = _SHIFT over all a, or the
-    vertical leg 0 -> i c and the horizontal leg i c -> i c + L over
-    a >= 0, where the vertical leg is i times a real integral
+    the Gaussian has decayed: here Im a = c over all a, or the vertical
+    leg 0 -> i c and the horizontal leg i c -> i c + L over a >= 0, where
+    the vertical leg is i times a real integral
     (_vertical_leg; the horizontal one is _horizontal_leg's).  Over a >= 0
     the path starts at a = 0, a pole when r = 0, so D = 0 raises
     ValueError there, as does a strain term at omega = 0.
@@ -595,15 +528,19 @@ def _wightman(
     real part of the right half's.  Its value is that, with zero
     imaginary part; its error twice the half's error plus the tail bound.
 
-    The horizontal leg runs over 0 <= Re a <= L = D + 14.  It starts split
-    at each p > 0 among D and D +- (L - D)/2^j, j = 1.._POLE_HALVINGS: the
-    edges that bisection toward the pole reaches from either side.  The
-    neglected tails beyond |Re a| = L (one or both) are bounded from
-    |sigma^2| >= L^2 - D^2, |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4},
-    |e^{i Omega a}| <= e^{|Omega| c} and |sinc(omega a/2)| <= cosh(omega c/2);
-    the estimate's error is the legs' errors plus that bound.
+    The height c is _SHIFT, or 10/|omega| where that is lower and the
+    strain term is on: off the axis sin(omega a/2) grows as
+    cosh(omega c/2), so the horizontal leg cancels at most cosh(5) to one
+    at any omega.  That leg runs over 0 <= Re a <= L = D + 14, in pieces
+    c wide within 1 of the pole at Re a = D and elsewhere 2 wide (the
+    Gaussian's scale) or 8 radians of e^{i Omega a} sin(omega a/2); the
+    vertical leg's pieces start D wide, the poles' distance from its end
+    a = 0, and double toward c (_doubling).  The neglected tails beyond
+    |Re a| = L (one or both) are bounded from |sigma^2| >= L^2 - D^2,
+    |e^{-a^2/4}| = e^{c^2/4} e^{-Re a^2/4}, |e^{i Omega a}| <= e^{|Omega| c}
+    and |sinc(omega a/2)| <= cosh(omega c/2); the estimate's error is the
+    legs' errors plus that bound.
     """
-    c = _SHIFT
     Om, Dv, w = float(Omega), float(D), float(omega)
     # Detector A at the origin, B at x = D: their separation.
     r = abs(Dv)
@@ -611,6 +548,10 @@ def _wightman(
         raise ValueError("a half-line Wightman integral needs D != 0")
     m = float(minkowski)
     gw = float(strain) * (Dv * Dv)
+    # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
+    if gw and w == 0.0:
+        raise ValueError("the strain term of a Wightman integral needs omega != 0")
+    c = min(_SHIFT, 10.0 / abs(w)) if gw else _SHIFT
     L = Dv + 14.0
     span = L * L - Dv * Dv
     tail = (
@@ -621,15 +562,15 @@ def _wightman(
         * (abs(m) / span + abs(gw) * math.cosh(w * c / 2.0) / (span * span))
         / _FOUR_PI_SQ
     )
-    # The strain term is zero for P, X_M, C_M and on one worldline: no sinc.
-    if gw and w == 0.0:
-        raise ValueError("the strain term of a Wightman integral needs omega != 0")
     (across, up), strain_cols = (_STRAIN_LEGS, (gw, w)) if gw else (_LEGS, ())
-    steps = _halvings(0.0, L - Dv, _POLE_HALVINGS)
-    ladder = [Dv, *(Dv + h for h in steps), *(Dv - h for h in steps)]
-    right = _Integral(across, (c, r, m, Om, *strain_cols), _edges(0.0, L, ladder))
+    width = 8.0 / max(4.0, abs(Om) + (abs(w) / 2.0 if gw else 0.0))
+    near, far = max(r - 1.0, 0.0), r + 1.0
+    edges = (*_panels(0.0, near, width)[:-1], *_panels(near, far, abs(c))[:-1],
+             *_panels(far, L, width))
+    right = _Integral(across, (c, r, m, Om, *strain_cols), edges)
     if not full_line:
-        legs = [_Integral(up, (r, m, Om, *strain_cols), (0.0, c)), right]
+        up_edges = _doubling(0.0, c, r, c)
+        legs = [_Integral(up, (r, m, Om, *strain_cols), up_edges), right]
         return _Oracle(legs, lambda v, e: _judged(
             complex(v[1] + 1j * v[0].real), float(e.sum()) + tail
         ))
@@ -766,11 +707,14 @@ def _xm_kernel(D: float, method: str) -> _Oracle:
             )
             return _judged(kernel_integral, (e1 + e3) / _FOUR_PI_SQ + tail)
 
-        # The regularized part on [0, 2D] and the regular remainder on [2D, L].
+        # The regularized part on [0, 2D] and the regular remainder on [2D, L],
+        # this in pieces as wide as their distance from the pole a = D, up
+        # to 2 wide.
+        far_edges = _doubling(2.0 * Dv, L, Dv, 2.0)
         return _Oracle(
             [
-                _Integral(_PV_NEAR, (gauss_d, Dv), (0.0, Dv, 2.0 * Dv)),
-                _Integral(_PV_FAR, (Dv,), _graded(2.0 * Dv, L)),
+                _Integral(_PV_NEAR, (gauss_d, Dv), _panels(0.0, 2.0 * Dv, 2.0)),
+                _Integral(_PV_FAR, (Dv,), far_edges),
             ],
             finish,
         )
@@ -838,9 +782,10 @@ def oracle_CM(Omega: float, D: float) -> OracleEstimate:
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
 
-# Half-width of the T = (t + t')/2 - t0 window: e^{-T^2} < e^{-100} outside.
-_T_WINDOW = 10.0
-_T_EDGES = (-_T_WINDOW, 0.0, _T_WINDOW)
+def _t_edges(rate: float) -> tuple[float, ...]:
+    """The T = (t + t')/2 - t0 window [-10, 10], outside which e^{-T^2} <
+    e^{-100}, in pieces 1 wide (the Gaussian's scale) or 6 radians at rate."""
+    return _panels(-10.0, 10.0, 6.0 / max(6.0, rate))
 
 
 def _x_window_kernel(T, w, t0, Om):
@@ -875,7 +820,8 @@ def _x_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_x_gw."""
     w, Om, t0v = float(omega), float(Omega), float(t0)
     strain = _wightman(0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w)
-    return _windowed(_Integral(_X_WINDOW, (w, t0v, Om), _T_EDGES), strain, -2.0)
+    window = _Integral(_X_WINDOW, (w, t0v, Om), _t_edges(abs(w) + 2.0 * abs(Om)))
+    return _windowed(window, strain, -2.0)
 
 
 def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -905,7 +851,7 @@ def _c_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_c_gw."""
     w, t0v = float(omega), float(t0)
     strain = _wightman(Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w)
-    return _windowed(_Integral(_C_WINDOW, (w, t0v), _T_EDGES), strain, 1.0)
+    return _windowed(_Integral(_C_WINDOW, (w, t0v), _t_edges(abs(w))), strain, 1.0)
 
 
 def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -927,14 +873,10 @@ def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
 
 
-def _scaled_epsabs(scale: float, n: int) -> float:
-    """Absolute target of each of n s-integrals whose sum is scaled by scale.
-
-    _EPSABS, or less where n targets times |scale| would pass half of
-    _FINE_TOL: the prefactor sqrt(pi)/omega grows as omega -> 0, and the
-    scaled error must stay within target.
-    """
-    return min(_EPSABS, 0.5 * _FINE_TOL / (n * abs(scale)))
+def _s_width(D: float) -> float:
+    """Piece width of an s-integral: 1.25, the Gaussian's scale, or 5 radians
+    of cos(D s)."""
+    return 5.0 / max(4.0, D)
 
 
 def _gauss_sinh(u, w):
@@ -983,7 +925,7 @@ def _i2(omega: float, D: float) -> _Oracle:
         return _judged(complex(pref * complex(vals[0]).real, 0.0), total_err)
 
     return _Oracle(
-        [_Integral(_I2, (w, Dv), _graded(0.0, Ls), _scaled_epsabs(pref, 1))], finish
+        [_Integral(_I2, (w, Dv), _panels(0.0, Ls, _s_width(Dv)))], finish
     )
 
 
@@ -1026,9 +968,9 @@ def _i4(omega: float, Omega: float, D: float) -> _Oracle:
         total_err = abs(pref) * float(errs.sum()) + tail
         return _judged(complex(pref * val, 0.0), total_err)
 
-    epsabs = _scaled_epsabs(pref, len(segments))
+    width = _s_width(Dv)
     return _Oracle(
-        [_Integral(_I4, (Om, Dv, w), _graded(a, b), epsabs) for a, b, _ in segments],
+        [_Integral(_I4, (Om, Dv, w), _panels(a, b, width)) for a, b, _ in segments],
         finish,
     )
 

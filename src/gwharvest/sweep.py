@@ -162,12 +162,6 @@ class GridSpec:
             if key in axis_names:
                 raise ValueError(f"{key!r} is both swept and fixed")
 
-    def columns(self) -> np.ndarray:
-        """The points' parameters as an (N, len(_GRID_COLUMNS)) array,
-        column j holding _GRID_COLUMNS[j], row-major (axis1 outer): the
-        blocks run_grid evaluates, laid end to end."""
-        return np.concatenate([_flat(params, shape) for params, shape in _blocks([self])])
-
 
 def _flat(columns, shape: tuple[int, ...]) -> np.ndarray:
     """Columns that broadcast to shape, as a (points, columns) array over

@@ -73,6 +73,18 @@ REMOVED = (
     "_same_bits",
     "_FIELD_KEYS",
     "array_domain",
+    "_EPSABS",
+    "_EPSREL",
+    "_LIMIT",
+    "_MAX_ROWS",
+    "_halvings",
+    "_POLE_HALVINGS",
+    "_REAL_HALVINGS",
+    "_graded",
+    "_scaled_epsabs",
+    "_edges",
+    "_T_EDGES",
+    "_T_WINDOW",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library

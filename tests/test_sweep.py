@@ -71,7 +71,7 @@ def test_point_values_row_major_with_defaults():
         axis2=AxisSpec("D_sigma", 1.0, 2.0, 3),
         fixed={"A": 0.05},
     )
-    params = spec.columns()
+    params = _grid_points([spec])
     assert params.shape == (6, len(sweep._GRID_COLUMNS))
     pts = [dict(zip(sweep._GRID_COLUMNS, row)) for row in params.tolist()]
     first = pts[0]
@@ -187,7 +187,7 @@ MIXED_GRIDS = [
 @pytest.mark.parametrize("spec", MIXED_GRIDS)
 def test_run_grid_matches_pointwise_scalar_evaluation(spec):
     pts = run_grid(spec)
-    params = spec.columns()
+    params = _grid_points([spec])
     assert len(pts) == len(params)
     np.testing.assert_array_equal(pts.params, params)
     for got, got_status, point in zip(
@@ -223,7 +223,7 @@ def test_closed_form_failures_keep_their_exception_class(spec, index, error):
     # The point is out of floating-point range, an input error: evaluate
     # raises DomainTooLarge from the arithmetic's own exception, and the
     # status names both classes.
-    point = dict(zip(sweep._GRID_COLUMNS, spec.columns()[index].tolist()))
+    point = dict(zip(sweep._GRID_COLUMNS, _grid_points([spec])[index].tolist()))
     with pytest.raises(closedform.DomainTooLarge) as raised:
         closedform.evaluate(params_from_mapping(point))
     assert type(raised.value.__cause__) is error
@@ -296,7 +296,7 @@ def test_run_grid_reports_non_finite_parameters_per_point():
 def test_run_grid_rejects_the_couplings_a_point_rejects(lam):
     spec = GridSpec(AxisSpec("D_sigma", 0.5, 2.0, 3), fixed={"lambda": lam})
     pts = run_grid(spec)
-    for row, status in zip(spec.columns().tolist(), pts.status):
+    for row, status in zip(_grid_points([spec]).tolist(), pts.status):
         items = tuple(zip(sweep._GRID_COLUMNS, row))
         assert status == sweep._evaluate_point(items)[1] != "ok"
     assert np.isnan(pts.values).all()
