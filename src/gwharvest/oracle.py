@@ -23,6 +23,8 @@ two paths share no simplification steps:
 * I2 and I4 are computed from their Fourier-side representations: one
   absolutely convergent 1-d integral over the conjugate variable s, the
   distributional factor having been evaluated in closed form by residues.
+  I2's integrand is I4's at Omega = 0, over s >= 0 rather than with
+  sgn(s) over all s: one kernel and one builder (_fourier) serve both.
 * I1 and I3 are the delta' parts of the strain-term Wightman integral
   (below), whose finite parts are I2 and I4: each is -4 pi^2 D^2 times
   that integral, less the I2 or I4 oracle.
@@ -52,8 +54,9 @@ up front (_panels): pieces as wide as the contour height c within 1 of a
 pole, pieces doubling from D wide where a pole is D from the path
 (_doubling), and elsewhere as wide as the Gaussian's scale or a few
 radians of the fastest oscillation (Omega and omega/2 on a contour leg,
-omega and 2 Omega in a window T-integral, D in an s-integral).  On such
-a partition each piece's rule converges
+omega and 2 Omega in a window T-integral, D in an s-integral, around
+each hump of an s-integrand where one window would need more than
+_MAX_PIECES pieces).  On such a partition each piece's rule converges
 geometrically, as for the trapezoidal rule on analytic integrands
 (Trefethen & Weideman, SIAM Review 56(3), 385-458, 2014).  Each oracle is
 data, an _Oracle: the integrals it needs (an integrand family with
@@ -64,8 +67,8 @@ _solve integrates the lists of any number of oracles (verify_suite's:
 all of them) by one pass per integrand value type, each distinct
 integral once, calling each integrand family once per 512 pieces on
 their nodes, and summing each integral's pieces exactly.  A default
-verify_suite evaluates 1,537 pieces (32,277 nodes) in four rule calls,
-763 of them complex (the horizontal legs).  The pass is elementwise or
+verify_suite evaluates 1,546 pieces (32,466 nodes) in four rule calls,
+772 of them complex (the horizontal legs).  The pass is elementwise or
 per integral throughout, so an estimate is bit for bit the same alone or
 batched.
 
@@ -179,6 +182,8 @@ _TINY = float(np.finfo(float).tiny)
 # The error target that sets OracleEstimate.converged (not verify_suite's
 # comparison tolerances TOL_*).
 _FINE_TOL = 1e-10
+# The most pieces _panels cuts a zone into.
+_MAX_PIECES = 1000
 
 
 def _k21_sum(v: np.ndarray) -> np.ndarray:
@@ -404,10 +409,10 @@ def _panels(a: float, b: float, width: float) -> tuple[float, ...]:
     """Edges of [a, b] in the fewest equal pieces no wider than width.
 
     (b,) when a == b, so that a zone of no length adds no piece.  At most
-    1,000 pieces, which bounds the work and memory of any input: where
-    that cap makes them wider, their error estimates report it.
+    _MAX_PIECES pieces, which bounds the work and memory of any input:
+    where that cap makes them wider, their error estimates report it.
     """
-    n = math.ceil(min(abs(b - a) / width, 1000.0))
+    n = math.ceil(min(abs(b - a) / width, _MAX_PIECES))
     return (*(a + (b - a) * j / n for j in range(n)), b)
 
 
@@ -447,8 +452,6 @@ def _check_args(**args: float) -> None:
 # Height c of the contour above the real axis, at most 10/|omega| on a
 # strain leg (_wightman); every pole lies below it.
 _SHIFT = 0.5
-
-_CAL_CACHE: dict[str, float] = {}
 
 
 def _horizontal_leg(x, c, r, m, Om, gw=None, w=None):
@@ -588,26 +591,24 @@ def _calibration() -> _Oracle:
     which holds in every state, so it shares no algebra with the closed
     form.  (P(0) = 1/(4 pi) could not serve: the residue of e^{-a^2/4}/a^2
     at a = 0 vanishes, so P(0) is the same on either side of the pole.)
-    The discrepancy is computed on first use in the process, kept in
-    _CAL_CACHE, and may be at most 100 * _FINE_TOL.
+    The discrepancy is integrated in every _solve that asks for this
+    oracle, and may be at most 100 * _FINE_TOL.
     """
-    pair = [] if "P" in _CAL_CACHE else [_p(1.0), _p(-1.0)]
+    up, down = _p(1.0), _p(-1.0)
+    n = len(up.integrals)
 
     def finish(vals: np.ndarray, errs: np.ndarray) -> None:
-        if pair:
-            n = len(pair[0].integrals)
-            up = pair[0].finish(vals[:n], errs[:n])
-            down = pair[1].finish(vals[n:], errs[n:])
-            _CAL_CACHE["P"] = abs(up.value - down.value + 0.5 / _SQRT_PI)
+        off = abs(up.finish(vals[:n], errs[:n]).value
+                  - down.finish(vals[n:], errs[n:]).value + 0.5 / _SQRT_PI)
         allowed = 100.0 * _FINE_TOL
-        if _CAL_CACHE["P"] > allowed:
+        if off > allowed:
             raise SignConventionMismatch(
-                f"P oracle off by {_CAL_CACHE['P']:g} at the anchor "
+                f"P oracle off by {off:g} at the anchor "
                 f"P(1) - P(-1) = -1/(2 sqrt(pi)) (allowed {allowed:g}); "
                 "the contour runs on the wrong side of the kernel's poles"
             )
 
-    return _Oracle([it for o in pair for it in o.integrals], finish)
+    return _Oracle([*up.integrals, *down.integrals], finish)
 
 
 def _p(Omega: float, A: float = 0.0, omega: float = 0.0, t0: float = 0.0) -> _Oracle:
@@ -640,8 +641,8 @@ def oracle_P(
     exp(-omega^2/4) cos(omega*t0) — so that P is the same for every A is a
     computed outcome, not a hard-coded one.
 
-    On first use in the process the machinery is calibrated against the
-    exact anchor P(1) - P(-1) = -1/(2 sqrt(pi)); a discrepancy above
+    Every call calibrates the machinery against the exact anchor
+    P(1) - P(-1) = -1/(2 sqrt(pi)), integrated with P; a discrepancy above
     100 * _FINE_TOL raises SignConventionMismatch, which indicates a
     contour on the wrong side of the poles rather than a loss of
     quadrature accuracy.
@@ -661,8 +662,12 @@ def _expm1_ratio(w: np.ndarray) -> np.ndarray:
 
 
 def _pv_near_kernel(av, gauss_d, D):
-    """(e^{-a^2/4} - e^{-D^2/4})/(a^2 - D^2), smooth through a = D."""
-    return gauss_d * _expm1_ratio(av * av - D * D)
+    """(e^{-a^2/4} - e^{-D^2/4})/(a^2 - D^2), smooth through a = D, as
+    e^{-b^2/4} (e^{-|a^2 - D^2|/4} - 1)/|a^2 - D^2|, b = max(a, D): no
+    factor overflows at any D."""
+    return np.where(av < D, np.exp(-av * av / 4.0), gauss_d) * _expm1_ratio(
+        np.abs(av * av - D * D)
+    )
 
 
 def _pv_far_kernel(av, D):
@@ -782,24 +787,20 @@ def oracle_CM(Omega: float, D: float) -> OracleEstimate:
 
 # --- end-to-end strain-term oracles for x_gw and c_gw ----------------------
 
-def _t_edges(rate: float) -> tuple[float, ...]:
-    """The T = (t + t')/2 - t0 window [-10, 10], outside which e^{-T^2} <
-    e^{-100}, in pieces 1 wide (the Gaussian's scale) or 6 radians at rate."""
-    return _panels(-10.0, 10.0, 6.0 / max(6.0, rate))
-
-
 def _x_window_kernel(T, w, t0, Om):
     """e^{-T^2} cos(omega (t0 + T)) e^{-2 i Omega (t0 + T)}."""
     return np.exp(-T * T) * (np.cos(w * (t0 + T)) * np.exp(-2j * Om * (t0 + T)))
 
 
-def _c_window_kernel(T, w, t0):
-    """e^{-T^2} cos(omega (t0 + T))."""
-    return np.exp(-T * T) * np.cos(w * (t0 + T))
-
-
 _X_WINDOW = _Family(_x_window_kernel, complex)  # columns (omega, t0, Omega)
-_C_WINDOW = _Family(_c_window_kernel, float)  # columns (omega, t0)
+
+
+def _t_window(w: float, t0: float, Om: float) -> _Integral:
+    """The integral of _x_window_kernel over the T = (t + t')/2 - t0 window
+    [-10, 10], outside which e^{-T^2} < e^{-100}, in pieces 1 wide (the
+    Gaussian's scale) or 6 radians at omega and 2 Omega."""
+    width = 6.0 / max(6.0, abs(w) + 2.0 * abs(Om))
+    return _Integral(_X_WINDOW, (w, t0, Om), _panels(-10.0, 10.0, width))
 
 
 def _windowed(window: _Integral, strain: _Oracle, factor: float) -> _Oracle:
@@ -820,8 +821,7 @@ def _x_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
     """Oracle of oracle_x_gw."""
     w, Om, t0v = float(omega), float(Omega), float(t0)
     strain = _wightman(0.0, D, full_line=False, minkowski=0.0, strain=1.0, omega=w)
-    window = _Integral(_X_WINDOW, (w, t0v, Om), _t_edges(abs(w) + 2.0 * abs(Om)))
-    return _windowed(window, strain, -2.0)
+    return _windowed(_t_window(w, t0v, Om), strain, -2.0)
 
 
 def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -848,10 +848,10 @@ def oracle_x_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
 
 
 def _c_gw(omega: float, Omega: float, D: float, t0: float) -> _Oracle:
-    """Oracle of oracle_c_gw."""
+    """Oracle of oracle_c_gw: its T-integral is oracle_x_gw's at Omega = 0."""
     w, t0v = float(omega), float(t0)
     strain = _wightman(Omega, D, full_line=True, minkowski=0.0, strain=1.0, omega=w)
-    return _windowed(_Integral(_C_WINDOW, (w, t0v), _t_edges(abs(w))), strain, 1.0)
+    return _windowed(_t_window(w, t0v, 0.0), strain, 1.0)
 
 
 def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstimate:
@@ -873,60 +873,65 @@ def oracle_c_gw(omega: float, Omega: float, D: float, t0: float) -> OracleEstima
 # --- Fourier-side oracles for I2 and I4 ------------------------------------
 
 
-def _s_width(D: float) -> float:
-    """Piece width of an s-integral: 1.25, the Gaussian's scale, or 5 radians
-    of cos(D s)."""
-    return 5.0 / max(4.0, D)
-
-
-def _gauss_sinh(u, w):
-    """e^{-omega^2/4} e^{-u^2} sinh(omega u), as
+def _s_kernel(s, w, D, Om):
+    """e^{-omega^2/4} e^{-u^2} sinh(omega u) [2 - 2 cos(D s) - D s sin(D s)],
+    u = s - Omega, with the first three factors as
     sgn(omega u) e^{-(|u| - |omega|/2)^2} (1 - e^{-2|omega u|})/2: no
     factor overflows at any omega."""
+    u = s - Om
     wu = w * u
     hump = np.exp(-np.square(np.abs(u) - 0.5 * np.abs(w)))
-    return np.sign(wu) * hump * (-0.5 * np.expm1(-2.0 * np.abs(wu)))
-
-
-def _i2_kernel(s, w, D):
-    """e^{-omega^2/4} e^{-s^2} sinh(omega s) [2 - 2 cos(D s) - D s sin(D s)]."""
     bracket = 2.0 - 2.0 * np.cos(D * s) - D * s * np.sin(D * s)
-    return _gauss_sinh(s, w) * bracket
+    return np.sign(wu) * hump * (-0.5 * np.expm1(-2.0 * np.abs(wu))) * bracket
 
 
-def _i4_kernel(s, Om, D, w):
-    """e^{-omega^2/4} e^{-(Omega-s)^2} sinh(omega (Omega-s))
-    [D s sin(D s) + 2 cos(D s) - 2]."""
-    bracket = D * s * np.sin(D * s) + 2.0 * np.cos(D * s) - 2.0
-    return _gauss_sinh(Om - s, w) * bracket
+_S_KERNEL = _Family(_s_kernel, float)  # columns (omega, D, Omega)
 
 
-_I2 = _Family(_i2_kernel, float)  # columns (omega, D)
-_I4 = _Family(_i4_kernel, float)  # columns (Omega, D, omega)
+def _fourier(omega: float, Omega: float, D: float, *, full_line: bool) -> _Oracle:
+    """Oracle of (sqrt(pi)/omega) times the integral of _s_kernel over s >= 0
+    (full_line False: I2, at Omega = 0) or of sgn(s) _s_kernel over all s (I4).
+
+    The kernel is at most e^{-(|s - Omega| - |omega|/2)^2}/2 times 4 + D |s|:
+    two humps of unit scale at s = Omega +- |omega|/2.  One window spans
+    both, 9 beyond each, unless its pieces 1.25 wide (the Gaussian's scale)
+    or 5 radians of cos(D s) would be more than _MAX_PIECES and the humps
+    are more than 18 apart: then each hump gets a window of its own, 18
+    wide.  Windows are split at s = 0, where sgn changes.
+    """
+    w, Om, Dv = float(omega), float(Omega), float(D)
+    pref = _SQRT_PI / w
+    half, width = abs(w) / 2.0, 5.0 / max(4.0, Dv)
+    windows = [(Om - half - 9.0, Om + half + 9.0)]
+    if (windows[0][1] - windows[0][0]) / width > _MAX_PIECES and half > 9.0:
+        windows = [(c - 9.0, c + 9.0) for c in (Om - half, Om + half)]
+    segments = [
+        (a, b, sgn)
+        for lo, hi in windows
+        for a, b, sgn in ((lo, min(hi, 0.0), -1.0), (max(lo, 0.0), hi, 1.0))
+        if a < b and (full_line or sgn > 0.0)
+    ]
+    # Outside the windows lie two Gaussian tails per window (one on the
+    # half line), each at most (sqrt(pi)/4) erfc(9) times the bracket's
+    # bound: the bound takes each twice.
+    bracket = 4.0 + Dv * (max(abs(windows[0][0]), abs(windows[-1][1])) + 1.0)
+    tails = len(windows) * (2 if full_line else 1)
+    tail = abs(pref) * bracket * _SQRT_PI / 2.0 * specfun.erfc_real(9.0) * tails
+
+    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
+        val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
+        total_err = abs(pref) * float(errs.sum()) + tail
+        return _judged(complex(pref * val, 0.0), total_err)
+
+    return _Oracle(
+        [_Integral(_S_KERNEL, (w, Dv, Om), _panels(a, b, width)) for a, b, _ in segments],
+        finish,
+    )
 
 
 def _i2(omega: float, D: float) -> _Oracle:
     """Oracle of oracle_I2."""
-    w, Dv = float(omega), float(D)
-    Ls = abs(w) / 2.0 + 9.0
-    pref = _SQRT_PI / w
-    # Tail: e^{-w^2/4} e^{-s^2} |sinh(ws)| <= e^{-(s - |w|/2)^2} / 2 and
-    # the bracket is bounded by 4 + D s on the tail.
-    tail = (
-        abs(pref)
-        * (4.0 + Dv * (Ls + 1.0))
-        * _SQRT_PI
-        / 2.0
-        * specfun.erfc_real(Ls - abs(w) / 2.0)
-    )
-
-    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        total_err = abs(pref) * float(errs[0]) + tail
-        return _judged(complex(pref * complex(vals[0]).real, 0.0), total_err)
-
-    return _Oracle(
-        [_Integral(_I2, (w, Dv), _panels(0.0, Ls, _s_width(Dv)))], finish
-    )
+    return _fourier(omega, 0.0, D, full_line=False)
 
 
 def oracle_I2(omega: float, D: float) -> OracleEstimate:
@@ -935,11 +940,11 @@ def oracle_I2(omega: float, D: float) -> OracleEstimate:
     I2 = (sqrt(pi)/omega) e^{-omega^2/4} * Integral_0^inf of
     e^{-s^2} sinh(omega s) [2 - 2 cos(D s) - D s sin(D s)] ds
 
-    (the full-line integrand is even in s), with e^{-omega^2/4} taken into
-    the integrand (_gauss_sinh), so that no factor overflows at large
-    omega.  The distributional factor of the defining finite-part integral
-    was evaluated by residues, so this path shares no algebra with the
-    closed form.
+    (half of oracle_I4's integral at Omega = 0, whose integrand is even in
+    s), with e^{-omega^2/4} taken into the integrand (_s_kernel), so that
+    no factor overflows at large omega.  The distributional factor of the
+    defining finite-part integral was evaluated by residues, so this path
+    shares no algebra with the closed form.
     """
     _check_args(omega=omega, D=D)
     return _solve([_i2(omega, D)])[0]
@@ -947,44 +952,18 @@ def oracle_I2(omega: float, D: float) -> OracleEstimate:
 
 def _i4(omega: float, Omega: float, D: float) -> _Oracle:
     """Oracle of oracle_I4."""
-    w, Om, Dv = float(omega), float(Omega), float(D)
-    pref = _SQRT_PI / w
-    lo = Om - abs(w) / 2.0 - 9.0
-    hi = Om + abs(w) / 2.0 + 9.0
-    if lo < 0.0 < hi:
-        segments = [(lo, 0.0, -1.0), (0.0, hi, +1.0)]
-    else:
-        segments = [(lo, hi, math.copysign(1.0, (lo + hi) / 2.0))]
-    # Window ends sit 9 Gaussian widths from the center s = Omega.
-    tail = (
-        abs(pref)
-        * (4.0 + Dv * (max(abs(lo), abs(hi)) + 1.0))
-        * _SQRT_PI
-        * specfun.erfc_real(9.0)
-    )
-
-    def finish(vals: np.ndarray, errs: np.ndarray) -> OracleEstimate:
-        val = sum(sgn * v.real for (_, _, sgn), v in zip(segments, vals))
-        total_err = abs(pref) * float(errs.sum()) + tail
-        return _judged(complex(pref * val, 0.0), total_err)
-
-    width = _s_width(Dv)
-    return _Oracle(
-        [_Integral(_I4, (Om, Dv, w), _panels(a, b, width)) for a, b, _ in segments],
-        finish,
-    )
+    return _fourier(omega, Omega, D, full_line=True)
 
 
 def oracle_I4(omega: float, Omega: float, D: float) -> OracleEstimate:
     """I4 from its conjugate-variable representation.
 
     I4 = (sqrt(pi)/omega) e^{-omega^2/4} * Integral over s of
-    e^{-(Omega-s)^2} sinh(omega (Omega-s)) sgn(s)
-    [D s sin(D s) + 2 cos(D s) - 2] ds,
+    e^{-(s-Omega)^2} sinh(omega (s-Omega)) sgn(s)
+    [2 - 2 cos(D s) - D s sin(D s)] ds,
 
-    split at s = 0 where sgn changes; the Gaussian support is centered at
-    s = Omega with half-width omega/2 + 9.  e^{-omega^2/4} is taken into
-    the integrand, as for oracle_I2.
+    _fourier over the full line: the kernel of oracle_I2, centered at
+    s = Omega, and split at s = 0 where sgn changes.
     """
     _check_args(omega=omega, Omega=Omega, D=D)
     return _solve([_i4(omega, Omega, D)])[0]
@@ -1217,8 +1196,8 @@ def verify_suite(
     record is the standalone oracle's result bit for bit.  A record passes
     when its relative error is within tolerance and its reference oracle
     (and for the X_M consistency row, the compared oracle too) converged.
-    Only oracle_P's calibration, kept in _CAL_CACHE on first use, outlives
-    a call.
+    oracle_P's calibration is integrated with the rest, so nothing of one
+    call outlives it.
     """
     axes = _grid_axes(DEFAULT_VERIFY_GRID if grid is None else grid)
     first = {name: values[0] for name, values in axes.items()}

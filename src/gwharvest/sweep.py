@@ -388,7 +388,6 @@ def emit_csv(points: GridResult, path: str) -> str:
     ends = [f"{status}\n".encode() for status in statuses]
     width = 8 * -(-max(map(len, ends), default=0) // 8)
     end_text = _shortest.padded_words(ends, width // 8).view(np.uint8)
-    end_len = np.array([len(end) for end in ends], np.intp)
     line_end = np.array([statuses[status] for status in points.status], np.intp)
 
     # The CSV's float columns: every parameter but lambda, then the values.
@@ -405,10 +404,13 @@ def emit_csv(points: GridResult, path: str) -> str:
             text, kept = buffer[:size], keep[:size]
             fields = text[:, :floats].view(np.uint64)
             _block_fields(block, fields.reshape(block.shape + (columns, -1)))
-            np.not_equal(text[:, :floats], 0, out=kept[:, :floats])
-            end = line_end[start : start + size]
-            text[:, floats:] = end_text[end]
-            np.less(np.arange(width), end_len[end, None], out=kept[:, floats:])
+            text[:, floats:] = end_text[line_end[start : start + size]]
+            # A status is "ok" or the text of an exception raised on float
+            # parameters, written from their repr: it holds no NUL, and
+            # UTF-8 writes no other character with a zero byte.  So the
+            # zero bytes of a line are its padding, float fields and end
+            # alike.
+            np.not_equal(text, 0, out=kept)
             fh.write(text[kept])
             start += size
     return path

@@ -85,6 +85,16 @@ REMOVED = (
     "_edges",
     "_T_EDGES",
     "_T_WINDOW",
+    "_CAL_CACHE",
+    "_i2_kernel",
+    "_i4_kernel",
+    "_I2",
+    "_I4",
+    "_c_window_kernel",
+    "_C_WINDOW",
+    "_gauss_sinh",
+    "_s_width",
+    "_t_edges",
 )
 
 # Public names nothing in src/ calls: each is an entry point for library
